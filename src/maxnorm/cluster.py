@@ -18,10 +18,33 @@ Distance guarantees: each rounded client cost is at most
 (2 (3R)^q + 3^q (B^q + ell T^q))^(1/q) for Top-(ell,q), and twice the
 telescoped chain 3B + 6R w1 + 3 sum (w_l - w_next) (l-1) T_l for
 max-ordered norms.
+
+Guess search.  Each guess (R, T) solves one relaxation that minimizes the
+bound surrogate s.  That relaxation only gets weaker as R grows (fewer pairs
+are forbidden) and as any threshold grows (fewer items are counted, and s
+is free), so its feasibility is monotone in R and in T.  The scans use this
+instead of solving every infeasible guess:
+
+  * the first feasible radius is found by bisecting the sorted radii on
+    each radius's weakest LP (T = R, or every threshold at R);
+  * for Top norms, each later radius bisects its thresholds for the first
+    feasible one, searching no higher than the previous radius's first
+    feasible index (the staircase);
+  * for ordered norms, a sequence lying at or below an infeasible one on
+    every kept coordinate is skipped unsolved.
+
+The feasible guesses are then visited in the exhaustive scan's order, with
+its break rules and its (bound, radius, threshold) tie-break, so the search
+accepts exactly the guess the exhaustive scan accepts.  A verdict that
+contradicts monotonicity (a numerical edge) sends its radius back to a full
+search of the row.  The knapsack residual also stops its threshold walk once
+s^(1/q) <= max(R, ell^(1/q) T): a larger T only raises that floor, so it
+cannot give a strictly smaller bound.
 """
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -594,6 +617,69 @@ def _round_accepted(core, budget, xuy, radius):
     return bs, z, obj
 
 
+# ---------------------------------------------------------------------------
+# monotone guess search
+
+
+def _first_true(pred, lo, hi):
+    """Smallest i in [lo, hi) with pred(i), or hi if there is none, for a
+    verdict that stays true once it holds; found by bisection."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+class _GuessLPs:
+    """The relaxations of one scan, each built and solved at most once per guess."""
+
+    def __init__(self, build):
+        self.build = build  # guess key -> (model, index of s)
+        self.solved = {}
+
+    def __call__(self, *key):
+        if key not in self.solved:
+            model, sidx = self.build(*key)
+            self.solved[key] = (solve_lp(model), sidx)
+        return self.solved[key]
+
+    def feasible(self, *key):
+        return self(*key)[0].status == OPTIMAL
+
+
+def _sequences(radius, r0):
+    # radius 0 has no sequence (None): only zero-distance links are allowed
+    return [None] if radius == 0.0 else enumerate_threshold_sequences(radius, r0)
+
+
+def _sequence_spec(sparse, pos, r0, seq):
+    return ("top", r0, 1.0, 0.0) if seq is None else ("ordered", sparse, pos, seq)
+
+
+def _feasible_sequences(solve, seqs, expect_first=False):
+    """(seq, solution, index of s) for each feasible threshold sequence, in
+    order.  A sequence lying at or below an infeasible one on every kept
+    coordinate counts more items, so it is infeasible too and goes unsolved.
+    With expect_first the first sequence is feasible by monotonicity in R; if
+    it is not, nothing is skipped."""
+    infeasible = []
+    prune = True
+    for i, seq in enumerate(seqs):
+        if prune and any(all(a <= b for a, b in zip(seq.values, bad.values))
+                         for bad in infeasible):
+            continue
+        sol, sidx = solve(seq)
+        if sol.status == OPTIMAL:
+            yield seq, sol, sidx
+        elif i == 0 and expect_first:
+            prune = False
+        else:
+            infeasible.append(seq)
+
+
 def _top_cert(radius, bound, ell, q, threshold):
     return (2 * (3 * radius) ** q + 3 ** q * (bound ** q + ell * threshold ** q)) ** (1.0 / q)
 
@@ -627,28 +713,52 @@ def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
     radii = sorted(set(core.distances()) | {0.0})
     thresholds = single_threshold_candidates(core.distances())
     r0 = max(core.r0, 1)
+    # a radius tries the thresholds up to it; the last of them is its weakest LP
+    ends = [bisect_right(thresholds, radius * (1 + 1e-12)) for radius in radii]
+    lps = _GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
+                                               radii[ri], coverage=coverage))
+    first = _first_true(lambda ri: lps.feasible(ri, ends[ri] - 1), 0, len(radii))
+    if first == len(radii):
+        raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
+    known = ends[first] - 1  # a threshold index feasible at a smaller radius
     best = None
-    for radius in radii:
+    for ri in range(first, len(radii)):
+        radius = radii[ri]
         if best is not None and radius > best[0]:
             break
         grid = [0.0] if radius == 0.0 else geometric_grid(radius, r0 ** root * radius, grid_eps)
-        for t in thresholds:
-            if t > radius * (1 + 1e-12):
-                break
-            if best is not None and ell ** root * t > best[0]:
-                break
-            model, sidx = _center_lp(core, budget, ("top", ell, q, t), radius,
-                                     coverage=coverage)
-            sol = solve_lp(model)
-            if sol.status != OPTIMAL:
-                continue
-            bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
-            bound = snap_to_grid(grid, bhat)
-            if bound is None:
-                continue
-            cand = (bound, radius, t, _lp_parts(core, sol.x))
-            if best is None or cand[:3] < best[:3]:
-                best = cand
+        # from `limit` on, ell^(1/q) t exceeds the best bound and ends the row
+        limit = ends[ri] if best is None else _first_true(
+            lambda ti: ell ** root * thresholds[ti] > best[0], 0, ends[ri])
+        hi = min(known, limit - 1)
+        if lps.feasible(ri, hi):
+            start = known = _first_true(lambda ti: lps.feasible(ri, ti), 0, hi)
+        elif hi == known:
+            start = 0  # infeasible although feasible at a smaller radius
+        else:
+            continue
+
+        def visit(begin):
+            out = best
+            for ti in range(begin, limit):
+                t = thresholds[ti]
+                if out is not None and ell ** root * t > out[0]:
+                    break
+                sol, sidx = lps(ri, ti)
+                if sol.status != OPTIMAL:
+                    if begin:  # not monotone after all: search the whole row
+                        return visit(0)
+                    continue
+                bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
+                bound = snap_to_grid(grid, bhat)
+                if bound is None:
+                    continue
+                cand = (bound, radius, t, _lp_parts(core, sol.x))
+                if out is None or cand[:3] < out[:3]:
+                    out = cand
+            return out
+
+        best = visit(start)
     if best is None:
         raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
     return best
@@ -701,25 +811,18 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
         b = _scan_top_guesses(core, budget, 1, 1.0, eps, coverage=coverage)
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
-    for radius in radii:
+    lps = _GuessLPs(lambda ri, seq: _center_lp(core, budget, _sequence_spec(sparse, pos, r0, seq),
+                                                radii[ri], coverage=coverage))
+    # a radius's first sequence, every threshold at R, is its weakest LP
+    first = _first_true(lambda ri: lps.feasible(ri, next(iter(_sequences(radii[ri], r0)))),
+                        0, len(radii))
+    for ri in range(first, len(radii)):
+        radius = radii[ri]
         if best is not None and radius * wtop > best[0]:
             break
-        if radius == 0.0:
-            grid = [0.0]
-            seqs = [None]
-        else:
-            grid = geometric_grid(radius * wtop, r0 * radius * wtop, eps)
-            seqs = enumerate_threshold_sequences(radius, r0)
-        for seq in seqs:
-            if seq is None:
-                normspec = ("top", r0, 1.0, 0.0)  # radius 0: only zero-distance links
-                model, sidx = _center_lp(core, budget, normspec, radius, coverage=coverage)
-            else:
-                model, sidx = _center_lp(core, budget, ("ordered", sparse, pos, seq),
-                                         radius, coverage=coverage)
-            sol = solve_lp(model)
-            if sol.status != OPTIMAL:
-                continue
+        grid = [0.0] if radius == 0.0 else geometric_grid(radius * wtop, r0 * radius * wtop, eps)
+        for seq, sol, sidx in _feasible_sequences(lambda seq: lps(ri, seq),
+                                                  _sequences(radius, r0), expect_first=True):
             bound = snap_to_grid(grid, max(max(sol.x[sidx], 0.0), radius * wtop)) \
                 if seq is not None else 0.0
             if bound is None:
@@ -784,8 +887,8 @@ def solve_knapsack_center(kinst, norm, eps):
     heavy facilities of the optimum (weight >= eps*W), pre-connect clients to
     them nearest-first within the bound, and solve the light-facility residual
     whose basic vertex opens at most two fractional copies in full."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
     base = kinst.base
     core = core_of(base)
     wt, budget_w = np.asarray(kinst.wt, float), float(kinst.budget)
@@ -860,34 +963,47 @@ def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
     rcore = CenterCore(cf=core.cf[:, light], l=l_res, r=np.array(r_res),
                        m=m_res, facility_ids=tuple(core.facility_ids[i] for i in light))
     budget = (KNAPSACK, wt, w_res)
-    best = None
     if norm.kind == TOP:
         root = 1.0 / norm.q
         thresholds = single_threshold_candidates(rcore.distances())
-        for t in thresholds:
-            if t > radius * (1 + 1e-12):
-                break
-            model, sidx = _center_lp(rcore, budget, ("top", norm.ell, norm.q, t), radius)
-            sol = solve_lp(model)
-            if sol.status != OPTIMAL:
-                continue
-            bhat = max(max(sol.x[sidx], 0.0) ** root, radius, norm.ell ** root * t)
-            if best is None or bhat < best[0]:
-                best = (bhat, (rcore, ("top", norm.ell, norm.q, t), _lp_parts(rcore, sol.x)))
-    else:
-        r0 = max(core.r0, 1)
-        sparse, pos = sparsify_weights(norm.weights, r0)
-        wtop = max(float(w[0]) for w in sparse)
-        seqs = [None] if radius == 0.0 else enumerate_threshold_sequences(radius, r0)
-        for seq in seqs:
-            spec = ("top", r0, 1.0, 0.0) if seq is None else ("ordered", sparse, pos, seq)
-            model, sidx = _center_lp(rcore, budget, spec, radius)
-            sol = solve_lp(model)
-            if sol.status != OPTIMAL:
-                continue
-            bhat = max(max(sol.x[sidx], 0.0), radius * wtop)
-            if best is None or bhat < best[0]:
-                best = (bhat, (rcore, spec, _lp_parts(rcore, sol.x)))
+        end = bisect_right(thresholds, radius * (1 + 1e-12))
+        specs = [("top", norm.ell, norm.q, t) for t in thresholds[:end]]
+        lps = _GuessLPs(lambda ti: _center_lp(rcore, budget, specs[ti], radius))
+        if not lps.feasible(end - 1):
+            return None
+
+        def visit(begin):
+            out = None
+            for ti in range(begin, end):
+                sol, sidx = lps(ti)
+                if sol.status != OPTIMAL:
+                    if begin:  # not monotone after all: search the whole row
+                        return visit(0)
+                    continue
+                mass = max(sol.x[sidx], 0.0) ** root
+                floor = max(radius, norm.ell ** root * specs[ti][3])
+                bhat = max(mass, floor)
+                if out is None or bhat < out[0]:
+                    out = (bhat, (rcore, specs[ti], _lp_parts(rcore, sol.x)))
+                if mass <= floor:  # a larger T only raises the floor
+                    break
+            return out
+
+        return visit(_first_true(lps.feasible, 0, end - 1))
+    r0 = max(core.r0, 1)
+    sparse, pos = sparsify_weights(norm.weights, r0)
+    wtop = max(float(w[0]) for w in sparse)
+    floor = radius * wtop
+    lps = _GuessLPs(lambda seq: _center_lp(rcore, budget, _sequence_spec(sparse, pos, r0, seq),
+                                           radius))
+    best = None
+    for seq, sol, sidx in _feasible_sequences(lps, _sequences(radius, r0)):
+        mass = max(sol.x[sidx], 0.0)
+        bhat = max(mass, floor)
+        if best is None or bhat < best[0]:
+            best = (bhat, (rcore, _sequence_spec(sparse, pos, r0, seq), _lp_parts(rcore, sol.x)))
+        if mass <= floor:  # no later sequence gets below the floor
+            break
     return best
 
 

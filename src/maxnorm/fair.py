@@ -32,6 +32,7 @@ from .instances import FairLoadInstance, eval_load_objective
 from .lp import EQ, GE, LE, OPTIMAL, cutting_plane, simplex_solve, solve_lp
 from .load import _topl_load_min_bound_lp, shmoys_tardos_round
 from .norms import TOP, eval_norm, top_norm
+from .sparsify import geometric_grid
 
 
 @dataclass(frozen=True)
@@ -391,14 +392,7 @@ def fair_bound_candidates(finst, norm, eps):
     pos = [v for v in vals if v > 0]
     cands = [0.0]
     if pos:
-        lo, hi = min(pos), scale * max(pos)
-        step = 0
-        while True:
-            b = lo * (1 + eps) ** step
-            if b >= hi * (1 + eps):
-                break
-            cands.append(b)
-            step += 1
+        cands += geometric_grid(min(pos), scale * max(pos), eps)
     return cands
 
 
@@ -406,8 +400,8 @@ def solve_fair(finst, norm, eps, limit=None):
     """Smallest grid bound at which round-and-cut finds a distribution."""
     if norm.kind != TOP:
         raise InvalidInputError("fair solving covers Top-(ell,q) norms")
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
     for bound in fair_bound_candidates(finst, norm, eps):
         verdict, payload = round_and_cut(finst, bound, norm.ell, norm.q, limit=limit)
         if verdict == "distribution":

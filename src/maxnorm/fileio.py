@@ -7,6 +7,7 @@ are exact rationals ("num/den" strings or {num, den} objects); forbidden
 job-machine pairs are null.
 """
 
+import functools
 import json
 from fractions import Fraction
 
@@ -17,6 +18,22 @@ from .instances import (Assignment, ClusterInstance, ClusterSolution,
                         FairClusterInstance, FairLoadInstance,
                         KnapsackClusterInstance, LoadInstance, MatroidClusterInstance)
 from .norms import TOP, max_ordered_norm, top_norm
+
+
+def _shape_checked(what):
+    """Report valid JSON of the wrong shape (a number where a list belongs, a
+    missing field, ...) as invalid input, not as whatever the decoder hit."""
+    def wrap(decode):
+        @functools.wraps(decode)
+        def checked(data):
+            try:
+                return decode(data)
+            except InvalidInputError:
+                raise
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise InvalidInputError(f"malformed {what}: {exc}") from exc
+        return checked
+    return wrap
 
 
 def dumps(obj):
@@ -58,6 +75,7 @@ def encode_instance(inst):
     raise InvalidInputError(f"cannot encode {type(inst).__name__}")
 
 
+@_shape_checked("instance")
 def decode_instance(data):
     kind = data.get("kind")
     if kind == "load":
@@ -97,6 +115,7 @@ def encode_solution(sol):
     raise InvalidInputError(f"cannot encode {type(sol).__name__}")
 
 
+@_shape_checked("solution")
 def decode_solution(data):
     kind = data.get("kind")
     if kind == "assignment":
@@ -120,6 +139,7 @@ def encode_distribution(dist):
             "lambda": [{"num": w.numerator, "den": w.denominator} for w in dist.weights]}
 
 
+@_shape_checked("distribution")
 def decode_distribution(data):
     from .fair import SolutionDistribution
 
@@ -145,9 +165,13 @@ def parse_norm_spec(spec, path_loader=None):
     if parts[0] == "maxordered" and len(parts) >= 2:
         path = ":".join(parts[1:])
         raw = path_loader(path) if path_loader else open(path, encoding="utf-8").read()
-        data = json.loads(raw)
-        return max_ordered_norm(data["weights"])
+        return _decode_norm_weights(json.loads(raw))
     raise InvalidInputError(f"cannot parse norm spec {spec!r}")
+
+
+@_shape_checked("norm file")
+def _decode_norm_weights(data):
+    return max_ordered_norm(data["weights"])
 
 
 def encode_norm(norm):

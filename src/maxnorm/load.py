@@ -14,6 +14,8 @@ norms the chain bound 4 R w1 + 2 B + 2 gap applies, where gap is the
 sparsified guessing certificate.
 """
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -245,8 +247,8 @@ def _feasible_radii(inst):
 
 def solve_topl_makespan(inst, ell, q, eps):
     """Top-(ell,q) makespan within factor 4^(1/q) + eps of optimal."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
     m, n = inst.machines, inst.jobs
     root = 1.0 / q
     grid_eps = eps / 4.0 ** root  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps
@@ -297,8 +299,8 @@ def _nearest_assignment(inst):
 def solve_ordered_makespan(inst, weights, eps):
     """Max-ordered makespan via sparsified weights and threshold sequences;
     the reported chain bound is O(log n) times optimal for correct guesses."""
-    if eps <= 0:
-        raise InvalidInputError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
     m, n = inst.machines, inst.jobs
     sparse, pos = sparsify_weights(weights, n)
     wtop = max(float(w[0]) for w in sparse)
@@ -308,6 +310,7 @@ def solve_ordered_makespan(inst, weights, eps):
         cert = {"radius": 0.0, "bound": 0.0, "sequence": (), "gap": 0.0, "chain_bound": 0.0}
         return LoadSolveResult(assignment=assignment, value=0.0, certificate=cert)
     radii = _feasible_radii(inst)
+    sizes = inst.finite_sizes()
     best = None  # (bound, chain, ridx, sidx, radius, seq, x)
     for ridx, radius in enumerate(radii):
         if best is not None and radius * wtop > best[0]:
@@ -315,7 +318,7 @@ def solve_ordered_makespan(inst, weights, eps):
         grid = geometric_grid(radius * wtop, n * radius * wtop, eps)
         cache = {}
         for sidx, seq in enumerate(enumerate_threshold_sequences(radius, n)):
-            key = _sequence_key(inst, seq)
+            key = _sequence_key(sizes, seq)
             if key in cache:
                 sval, x = cache[key]
             else:
@@ -349,10 +352,7 @@ def solve_ordered_makespan(inst, weights, eps):
     return LoadSolveResult(assignment=assignment, value=value, certificate=cert)
 
 
-def _sequence_key(inst, seq):
-    """Threshold sequences inducing the same comparison sets give the same LP."""
-    sizes = inst.finite_sizes()
-    out = []
-    for v in seq.values:
-        out.append(sum(1 for s in sizes if s > v))
-    return tuple(out)
+def _sequence_key(sizes, seq):
+    """Threshold sequences inducing the same comparison sets give the same LP;
+    sizes are the instance's distinct finite sizes, ascending."""
+    return tuple(len(sizes) - bisect_right(sizes, v) for v in seq.values)

@@ -7,6 +7,7 @@ non-increasingly sorted vector.  Vectors are implicitly padded with zeros,
 so norms of different input dimensions compare consistently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class Norm:
         if self.kind == TOP:
             if self.ell < 1:
                 raise InvalidInputError("top norm needs ell >= 1")
-            if self.q < 1:
-                raise InvalidInputError("top norm needs q >= 1")
+            if not math.isfinite(self.q) or self.q < 1:
+                raise InvalidInputError("top norm needs a finite q >= 1")
         elif self.kind == MAX_ORDERED:
             if not self.weights:
                 raise InvalidInputError("max-ordered norm needs at least one weight vector")
@@ -48,6 +49,8 @@ def _check_weight_vector(w):
     w = tuple(w)
     if len(w) == 0:
         raise InvalidInputError("empty weight vector")
+    if not all(math.isfinite(x) for x in w):
+        raise InvalidInputError("weight vector has a non-finite entry")
     if any(x < 0 for x in w):
         raise InvalidInputError("weight vector has a negative entry")
     if any(w[t + 1] > w[t] for t in range(len(w) - 1)):

@@ -9,6 +9,7 @@ number of non-increasing guess sequences polynomial.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ def geometric_grid(lo, hi, eps):
 
     Whenever x in [lo, hi], some grid point b satisfies x <= b < (1+eps)*x.
     """
+    if not all(math.isfinite(v) for v in (lo, hi, eps)):
+        raise InvalidInputError("grid parameters must be finite")
     if lo <= 0:
         raise InvalidInputError("grid anchor must be positive")
     if hi < lo:

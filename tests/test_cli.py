@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from maxnorm.cli import main
 from maxnorm import fileio
@@ -103,6 +107,38 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert code == 3
     code, _, err = _run(["solve", str(path), "--norm", "weird:1"], capsys)
     assert code == 3
+    # valid JSON of the wrong shape
+    for text in ('{"kind": "load", "p": 5}', '{"kind": "cluster"}', '[1, 2]'):
+        path.write_text(text)
+        code, _, err = _run(["solve", str(path), "--norm", "topl:1:1"], capsys)
+        assert code == 3
+        assert json.loads(err)["error"] == "invalid-input"
+    inst_path, norm_path = tmp_path / "inst.json", tmp_path / "norm.json"
+    main(["gen", "load", "--seed", "1", "--out", str(inst_path)])
+    for text in ('{"weights": 5}', '[1]'):
+        norm_path.write_text(text)
+        code, _, err = _run(["solve", str(inst_path), "--norm", f"maxordered:{norm_path}"],
+                            capsys)
+        assert code == 3
+        assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_nan_norm_parameter_exits_invalid(tmp_path):
+    """A NaN q once sent the bound grid into an endless loop; run it in a
+    child process with capped memory and time."""
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "load", "--machines", "2", "--jobs", "3", "--seed", "1",
+          "--out", str(inst_path)])
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+             "from maxnorm.cli import main\n"
+             f"sys.exit(main(['solve', {str(inst_path)!r}, '--norm', 'topl:1:nan']))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "invalid-input"
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):

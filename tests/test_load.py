@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from _gen import random_load, random_max_ordered_weights
+from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
+from maxnorm.errors import InvalidInputError
+from maxnorm.fair import solve_fair
+from maxnorm.generators import gen_fair_load, gen_knapsack_cluster
 from maxnorm.instances import Assignment, LoadInstance, eval_load_objective
-from maxnorm.load import (build_basic_load_lp, build_ordered_load_lp,
+from maxnorm.load import (_sequence_key, build_basic_load_lp, build_ordered_load_lp,
                           build_topl_load_lp, machine_copies, shmoys_tardos_round,
                           solve_ordered_makespan, solve_topl_makespan)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
-from maxnorm.sparsify import covering_threshold_sequence, sparsify_weights
+from maxnorm.sparsify import (covering_threshold_sequence, enumerate_threshold_sequences,
+                              sparsify_weights)
 
 
 def test_basic_lp_single_pair():
@@ -212,3 +217,28 @@ def test_ordered_solver_zero_weights():
     inst = LoadInstance(p=np.array([[1.0, 2.0], [2.0, 1.0]]))
     res = solve_ordered_makespan(inst, [(0.0, 0.0)], eps=0.1)
     assert res.value == 0.0
+
+
+def test_sequence_key_counts_sizes_above_each_threshold():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        inst = random_load(rng, forbidden=0.2)
+        sizes = inst.finite_sizes()
+        for radius in sizes[:3]:
+            for seq in enumerate_threshold_sequences(radius, inst.jobs):
+                loop = tuple(sum(1 for s in sizes if s > v) for v in seq.values)
+                assert _sequence_key(sizes, seq) == loop
+
+
+def test_solvers_reject_non_finite_eps():
+    inst = LoadInstance(p=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    kinst = gen_knapsack_cluster(0)
+    finst = gen_fair_load(0)
+    for eps in (float("nan"), float("inf"), 0.0):
+        for solve in (lambda: solve_topl_makespan(inst, 1, 1.0, eps),
+                      lambda: solve_ordered_makespan(inst, [(1.0,)], eps),
+                      lambda: solve_topl_kcenter(kinst.base, 1, 1.0, eps),
+                      lambda: solve_knapsack_center(kinst, top_norm(1, 1), eps),
+                      lambda: solve_fair(finst, top_norm(1, 1), eps)):
+            with pytest.raises(InvalidInputError):
+                solve()

@@ -31,6 +31,11 @@ def test_bad_norm_construction():
         top_norm(0, 1)
     with pytest.raises(InvalidInputError):
         top_norm(1, 0.5)
+    for q in (float("nan"), float("inf")):
+        with pytest.raises(InvalidInputError):
+            top_norm(1, q)
+    with pytest.raises(InvalidInputError):
+        max_ordered_norm([(float("nan"), 0.5)])
     with pytest.raises(InvalidInputError):
         max_ordered_norm([])
     with pytest.raises(InvalidInputError):

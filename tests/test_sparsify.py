@@ -73,6 +73,10 @@ def test_geometric_grid_examples():
     assert geometric_grid(1, 4, 1.0) == [1.0, 2.0, 4.0]
     with pytest.raises(InvalidInputError):
         geometric_grid(0, 1, 0.5)
+    nan, inf = float("nan"), float("inf")
+    for args in ((nan, 1, 0.5), (1, nan, 0.5), (1, 2, nan), (1, inf, 0.5), (1, 2, inf)):
+        with pytest.raises(InvalidInputError):
+            geometric_grid(*args)
 
 
 def test_grid_coverage():
