@@ -9,7 +9,8 @@ Subcommands:
   fair-solve  round-and-cut distribution for a fair instance
   sample      draw from a distribution file with a seed
 
-Exit codes: 0 ok, 2 infeasible instance, 3 invalid input, 4 resource cap.
+Exit codes: 0 ok, 2 infeasible instance, 3 invalid input, 4 resource cap,
+5 solver error (an LP solve failed or an internal contract broke).
 Outputs are byte-identical for identical inputs, flags, and seeds.
 """
 
@@ -23,7 +24,8 @@ from concurrent.futures import ProcessPoolExecutor
 from . import fileio
 from .cluster import (solve_knapsack_center, solve_matroid_center,
                       solve_ordered_kcenter, solve_topl_kcenter)
-from .errors import InfeasibleError, InvalidInputError, MaxNormError, ResourceCapError
+from .errors import (InfeasibleError, InvalidInputError, LpSolverError, MaxNormError,
+                     ResourceCapError, SolverInternalError)
 from .fair import center_marginals, load_marginals, sample, solve_fair
 from .generators import (gen_cluster, gen_fair_cluster, gen_fair_load, gen_load,
                          tightness_family)
@@ -325,6 +327,9 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(fileio.dumps({"error": "invalid-input", "detail": str(exc)}))
         return 3
+    except (LpSolverError, SolverInternalError) as exc:
+        sys.stderr.write(fileio.dumps({"error": "solver-error", "detail": str(exc)}))
+        return 5
 
 
 if __name__ == "__main__":

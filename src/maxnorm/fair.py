@@ -143,6 +143,21 @@ def _guess_pairs(values, bound, ell, q):
     return pairs
 
 
+class _BaseSolves:
+    """A separation oracle's base LPs (no weighted row), one solve per guess
+    pair: a pair whose base LP fails is dead for every dual point, and where
+    the weighted row is empty the base solve is the whole LP."""
+
+    def __init__(self, build):
+        self.build = build
+        self.solved = {}
+
+    def solve(self, radius, t):
+        if (radius, t) not in self.solved:
+            self.solved[radius, t] = solve_lp(self.build(radius, t))
+        return self.solved[radius, t]
+
+
 class _LoadSeparation:
     """Separation oracle for the load polytope at a fixed bound B.
 
@@ -161,7 +176,8 @@ class _LoadSeparation:
         self.ell, self.q = ell, q
         self.cert_bound = 4.0 ** (1.0 / q) * self.bound
         self.pairs = _guess_pairs(self.inst.finite_sizes(), self.bound, ell, q)
-        self.dead = set()
+        self.base_lps = _BaseSolves(lambda radius, t: _topl_load_min_bound_lp(
+            self.inst, ell, q, radius, t, fixed_bound=self.bound)[0])
 
     def __call__(self, point_vec):
         m, n = self.inst.machines, self.inst.jobs
@@ -170,25 +186,18 @@ class _LoadSeparation:
             raise SolverInternalError("separation called off its base constraint")
         eta = compute_eta(point)
         shaky = False
-        for pid, (radius, t) in enumerate(self.pairs):
-            if pid in self.dead:
-                continue
-            model, _ = _topl_load_min_bound_lp(self.inst, self.ell, self.q, radius, t,
-                                               fixed_bound=self.bound)
-            fair_row = {i * n + j: float(a) for i, a in enumerate(point.alpha) if a != 0
-                        for j in range(n)}
-            if fair_row:
-                model.add_row(fair_row, LE, float(point.mu - eta))
-            sol = solve_lp(model)
+        fair_row = {i * n + j: float(a) for i, a in enumerate(point.alpha) if a != 0
+                    for j in range(n)}
+        for radius, t in self.pairs:
+            sol = self.base_lps.solve(radius, t)
             if sol.status != OPTIMAL:
-                if not fair_row:
-                    self.dead.add(pid)
-                else:
-                    base, _ = _topl_load_min_bound_lp(self.inst, self.ell, self.q,
-                                                      radius, t, fixed_bound=self.bound)
-                    if solve_lp(base).status != OPTIMAL:
-                        self.dead.add(pid)
-                continue
+                continue  # the base LP already fails, so the pair is dead
+            if fair_row:
+                model = self.base_lps.build(radius, t)
+                model.add_row(fair_row, LE, float(point.mu - eta))
+                sol = solve_lp(model)
+                if sol.status != OPTIMAL:
+                    continue
             x = sol.x[: m * n].reshape(m, n)
             assignment, _ = shmoys_tardos_round(x, self.inst.p,
                                                 edge_weights=point.alpha, exact=True)
@@ -228,18 +237,9 @@ class _CenterSeparation:
         self.cert_bound = 3.0 * 4.0 ** (1.0 / q) * self.bound
         self.norm = top_norm(ell, q)
         self.pairs = _guess_pairs(self.base.finite_distances(), self.bound, ell, q)
-        self.dead = set()
-
-    def _model(self, radius, t, point, eta):
-        model, _ = _center_lp(self.core, (CARDINALITY, self.base.k),
-                              ("top", self.ell, self.q, t), radius,
-                              fixed_bound=self.bound, coverage=False)
-        row = {center_u_index(self.core, j): float(a)
-               for j, a in enumerate(point.alpha) if a != 0}
-        if row:
-            model.add_row(row, GE, float(point.mu + eta))
-            return model, True
-        return model, False
+        self.base_lps = _BaseSolves(lambda radius, t: _center_lp(
+            self.core, (CARDINALITY, self.base.k), ("top", ell, q, t), radius,
+            fixed_bound=self.bound, coverage=False)[0])
 
     def __call__(self, point_vec):
         nc = self.base.n_clients
@@ -249,23 +249,20 @@ class _CenterSeparation:
         eta = compute_eta(point)
         mu_ok = point.mu + eta <= 0  # with alpha = 0 the weighted row is 0 >= mu + eta
         shaky = False
-        for pid, (radius, t) in enumerate(self.pairs):
-            if pid in self.dead:
-                continue
-            model, has_row = self._model(radius, t, point, eta)
-            if not has_row and not mu_ok:
+        row = {center_u_index(self.core, j): float(a)
+               for j, a in enumerate(point.alpha) if a != 0}
+        for radius, t in self.pairs:
+            if not row and not mu_ok:
                 continue  # zero alpha cannot reach a positive threshold
-            sol = solve_lp(model)
+            sol = self.base_lps.solve(radius, t)
             if sol.status != OPTIMAL:
-                if not has_row:
-                    self.dead.add(pid)
-                else:
-                    base, _ = _center_lp(self.core, (CARDINALITY, self.base.k),
-                                         ("top", self.ell, self.q, t), radius,
-                                         fixed_bound=self.bound, coverage=False)
-                    if solve_lp(base).status != OPTIMAL:
-                        self.dead.add(pid)
-                continue
+                continue  # the base LP already fails, so the pair is dead
+            if row:
+                model = self.base_lps.build(radius, t)
+                model.add_row(row, GE, float(point.mu + eta))
+                sol = solve_lp(model)
+                if sol.status != OPTIMAL:
+                    continue
             _, u, y = _lp_parts(self.core, sol.x)
             split = split_and_normalize(u, y, self.core, radius)
             bs = build_bundles(split)

@@ -34,16 +34,10 @@ _MASS_TOL = 1e-9
 
 def build_basic_load_lp(inst, radius):
     """Fractional assignment polytope: jobs fully assigned, pairs with
-    p(i,j) > radius forbidden."""
+    p(i,j) > radius forbidden.  Column i * n + j is x(i, j)."""
     m, n = inst.machines, inst.jobs
-    upper = np.ones(m * n)
-    for i in range(m):
-        for j in range(n):
-            if inst.p[i, j] > radius:
-                upper[i * n + j] = 0.0
-    model = lp_model(m * n, lower=0.0, upper=upper)
-    for j in range(n):
-        model.add_row({i * n + j: 1.0 for i in range(m)}, EQ, 1.0)
+    model = lp_model(m * n, lower=0.0, upper=np.where(inst.p > radius, 0.0, 1.0).ravel())
+    model.add_rows(np.tile(np.arange(n), m), np.arange(m * n), np.ones(m * n), EQ, np.ones(n))
     return model
 
 
@@ -58,29 +52,35 @@ def build_topl_load_lp(inst, ell, q, radius, bound, threshold):
     return model
 
 
+def _add_min_bound_var(model, fixed_bound):
+    """Column s (cost 1) replacing the bound's power; None with a fixed bound."""
+    return None if fixed_bound is not None else model.add_var(0.0, np.inf, 1.0)
+
+
 def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None):
     """With fixed_bound None, adds a variable s replacing bound^q and
-    minimizes it; returns (model, index of s)."""
-    m, n = inst.machines, inst.jobs
+    minimizes it; returns (model, index of s).  Each machine with a counted
+    job gets its count row, then its mass row."""
+    n = inst.jobs
     model = build_basic_load_lp(inst, radius)
-    sidx = None
+    sidx = _add_min_bound_var(model, fixed_bound)
+    counted = np.isfinite(inst.p) & (inst.p > threshold)
+    ii, jj = np.nonzero(counted)
+    active = counted.any(axis=1)
+    count_row = 2 * (np.cumsum(active) - 1)[ii]
+    # Python's float power per entry: NumPy's vectorized power may round differently
+    mass = np.array([v ** q for v in inst.p[ii, jj].tolist()])
+    rows, cols, vals = [count_row, count_row + 1], [ii * n + jj] * 2, [np.ones(len(ii)), mass]
+    k = int(active.sum())
     if fixed_bound is None:
-        sidx = model.num_vars
-        model.num_vars += 1
-        model.lower = np.append(model.lower, 0.0)
-        model.upper = np.append(model.upper, np.inf)
-        model.objective = np.append(np.zeros(m * n), 1.0)
-    for i in range(m):
-        counted = [j for j in range(n) if np.isfinite(inst.p[i, j]) and inst.p[i, j] > threshold]
-        if not counted:
-            continue
-        model.add_row({i * n + j: 1.0 for j in counted}, LE, float(ell))
-        mass = {i * n + j: float(inst.p[i, j]) ** q for j in counted}
-        if fixed_bound is None:
-            mass[sidx] = -1.0
-            model.add_row(mass, LE, 0.0)
-        else:
-            model.add_row(mass, LE, float(fixed_bound) ** q)
+        rows.append(2 * np.arange(k) + 1)
+        cols.append(np.full(k, sidx))
+        vals.append(np.full(k, -1.0))
+        cap = 0.0
+    else:
+        cap = float(fixed_bound) ** q
+    rhs = np.tile([float(ell), cap], k)
+    model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), LE, rhs)
     return model, sidx
 
 
@@ -92,45 +92,50 @@ def build_ordered_load_lp(inst, sparse_weights, pos, radius, bound, seq):
 
 def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bound=None):
     """Count rows per (machine, kept coordinate); per (machine, weight vector)
-    a telescoped weighted-mass row bounded by s (or by a fixed bound)."""
+    a telescoped weighted-mass row bounded by s (or by a fixed bound).
+
+    Per machine the rows come in that order: a count row for each kept
+    coordinate with a counted job, then a mass row for each weight vector
+    whose row has a term (its coefficients may cancel to zero).  A mass
+    coefficient accumulates delta * p over the kept coordinates in order.
+    """
     m, n = inst.machines, inst.jobs
     model = build_basic_load_lp(inst, radius)
-    sidx = None
-    if fixed_bound is None:
-        sidx = model.num_vars
-        model.num_vars += 1
-        model.lower = np.append(model.lower, 0.0)
-        model.upper = np.append(model.upper, np.inf)
-        model.objective = np.append(np.zeros(m * n), 1.0)
+    sidx = _add_min_bound_var(model, fixed_bound)
     tvals = seq.as_dict()
-    deltas = []
-    for w in sparse_weights:
-        deltas.append({ell: w[ell - 1] - (w[pos.next_index(ell) - 1]
-                                          if pos.next_index(ell) <= pos.n else 0.0)
-                       for ell in pos.indices})
-    for i in range(m):
-        finite = [j for j in range(n) if np.isfinite(inst.p[i, j])]
-        for ell in pos.indices:
-            counted = [j for j in finite if inst.p[i, j] > tvals[ell]]
-            if counted:
-                model.add_row({i * n + j: 1.0 for j in counted}, LE, float(ell))
-        for delta in deltas:
-            coeffs = {}
-            for ell in pos.indices:
-                d = delta[ell]
-                if d == 0.0:
-                    continue
-                for j in finite:
-                    if inst.p[i, j] > tvals[ell]:
-                        key = i * n + j
-                        coeffs[key] = coeffs.get(key, 0.0) + d * float(inst.p[i, j])
-            if not coeffs:
+    ells = pos.indices
+    deltas = [[w[ell - 1] - (w[pos.next_index(ell) - 1] if pos.next_index(ell) <= pos.n else 0.0)
+               for ell in ells] for w in sparse_weights]
+    finite = np.isfinite(inst.p)
+    p = np.where(finite, inst.p, 0.0)
+    counted = np.stack([finite & (inst.p > tvals[ell]) for ell in ells])  # (ell, i, j)
+    terms = np.zeros((len(deltas), m, n), bool)
+    coeff = np.zeros((len(deltas), m, n))
+    for w, delta in enumerate(deltas):
+        for e, d in enumerate(delta):
+            if d == 0.0:
                 continue
-            if fixed_bound is None:
-                coeffs[sidx] = -1.0
-                model.add_row(coeffs, LE, 0.0)
-            else:
-                model.add_row(coeffs, LE, float(fixed_bound))
+            terms[w] |= counted[e]
+            coeff[w] = np.where(counted[e], coeff[w] + d * p, coeff[w])
+    # present[i, slot]: the count rows (one slot per ell), then the mass rows
+    present = np.concatenate([counted.any(axis=2).T, terms.any(axis=2).T], axis=1)
+    row_of = (np.cumsum(present.ravel()) - 1).reshape(present.shape)
+    e, ci, cj = np.nonzero(counted)
+    w, mi, mj = np.nonzero(terms)
+    rows = [row_of[ci, e], row_of[mi, len(ells) + w]]
+    cols = [ci * n + cj, mi * n + mj]
+    vals = [np.ones(len(e)), coeff[w, mi, mj]]
+    pi, slot = np.nonzero(present)
+    is_mass = slot >= len(ells)
+    if fixed_bound is None:
+        rows.append(row_of[pi[is_mass], slot[is_mass]])
+        cols.append(np.full(int(is_mass.sum()), sidx))
+        vals.append(np.full(int(is_mass.sum()), -1.0))
+        cap = 0.0
+    else:
+        cap = float(fixed_bound)
+    rhs = np.where(is_mass, cap, np.asarray(ells, float)[np.minimum(slot, len(ells) - 1)])
+    model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), LE, rhs)
     return model, sidx
 
 

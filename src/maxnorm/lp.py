@@ -2,10 +2,21 @@
 
 Two solvers live here:
 
-  * solve_lp: floating-point solves through scipy's HiGHS dual simplex,
-    used for the assignment/clustering relaxations.  Optimal solutions are
-    verified against a residual tolerance TAU_LP and come back with
-    at-bound flags (vertex certificate).
+  * solve_lp: floating-point solves through HiGHS dual simplex, used for
+    the assignment/clustering relaxations.  A model is COO triplets (row,
+    column, value) plus one sense and one right-hand side per row; small
+    callers add dict rows (add_row), the load builders add whole numpy
+    blocks (add_rows).  solve_lp lays the model out as scipy's linprog
+    would (<= rows and negated >= rows in model order, then == rows; one
+    CSC matrix with duplicates summed and explicit zeros dropped) and calls
+    scipy's vendored HiGHS bindings directly with the options
+    linprog(method="highs-ds") passes, so HiGHS sees the same model and
+    returns the same vertex without linprog's per-call overhead.  Where the
+    bindings do not import (they are a private API), linprog itself is
+    called on the same sparse matrix; the choice is made once at import.
+    Optimal solutions are verified against a residual tolerance TAU_LP
+    (one sparse mat-vec) and come back with at-bound flags (vertex
+    certificate).
   * simplex_solve: a small dense two-phase simplex over Fractions with
     Bland's rule, used wherever exactness matters (dual candidate points,
     distribution LPs, exact matchings).  Problem sizes there are tiny.
@@ -27,6 +38,8 @@ from scipy.optimize import linprog
 from .errors import LpSolverError, ResourceCapError, SolverInternalError
 
 TAU_LP = 1e-7
+# linprog's own post-solve feasibility check: sqrt(tol) * 10 at its default tol 1e-9
+_LINPROG_TOL = np.sqrt(1e-9) * 10
 
 # debug flag: export MAXNORM_DUMP_LP=<dir> to write every solved model in the
 # standard LP file layout for cross-checking against external solvers
@@ -34,30 +47,102 @@ _DUMP_DIR = os.environ.get("MAXNORM_DUMP_LP")
 _DUMP_COUNTER = itertools.count()
 
 LE, GE, EQ = "<=", ">=", "=="
+_SENSE_CODE = {LE: 0, GE: 1, EQ: 2}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
 class LpModel:
-    num_vars: int
-    lower: np.ndarray
-    upper: np.ndarray
-    objective: np.ndarray  # minimized
-    rows: list
-    names: list = None
+    """min objective . x subject to bounds and rows; rows are stored as COO
+    triplets with global row indices, one sense and one rhs per row."""
+
+    def __init__(self, num_vars, lower, upper, objective, names=None):
+        self.num_vars = num_vars
+        self.lower, self.upper, self.objective = lower, upper, objective
+        self.names = names
+        self.num_rows = 0
+        self._blocks = []  # (rows, cols, vals) numpy triplets from add_rows
+        self._row_buf, self._col_buf, self._val_buf = [], [], []  # from add_row
+        self._sense, self._rhs = [], []
+        self._coo = None  # cached concatenation of all triplets
+
+    def add_var(self, lower, upper, cost):
+        """Append one column; returns its index."""
+        self.lower = np.append(self.lower, float(lower))
+        self.upper = np.append(self.upper, float(upper))
+        self.objective = np.append(self.objective, float(cost))
+        self.num_vars += 1
+        return self.num_vars - 1
 
     def add_row(self, coeffs, sense, rhs):
-        self.rows.append((dict(coeffs), sense, float(rhs)))
+        self._row_buf.extend([self.num_rows] * len(coeffs))
+        self._col_buf.extend(coeffs.keys())
+        self._val_buf.extend(coeffs.values())
+        self._sense.append(sense)
+        self._rhs.append(float(rhs))
+        self.num_rows += 1
+        self._coo = None
+
+    def add_rows(self, rows, cols, vals, sense, rhs):
+        """Append len(rhs) rows at once; rows are indices into this block
+        (0 for its first row), sense is one sense or one per row."""
+        rhs = np.asarray(rhs, float).ravel()
+        senses = [sense] * len(rhs) if isinstance(sense, str) else list(sense)
+        if len(senses) != len(rhs):
+            raise LpSolverError("add_rows needs one sense per row")
+        rows = np.asarray(rows, np.int64).ravel()
+        if rows.size and (rows.min() < 0 or rows.max() >= len(rhs)):
+            raise LpSolverError("add_rows row index outside the block")
+        self._blocks.append((rows + self.num_rows, np.asarray(cols, np.int64).ravel(),
+                             np.asarray(vals, float).ravel()))
+        self._sense.extend(senses)
+        self._rhs.extend(rhs.tolist())
+        self.num_rows += len(rhs)
+        self._coo = None
+
+    def coo(self):
+        """All triplets as (rows, cols, vals) arrays, in insertion order."""
+        if self._coo is None:
+            parts = self._blocks + [(np.asarray(self._row_buf, np.int64),
+                                     np.asarray(self._col_buf, np.int64),
+                                     np.asarray(self._val_buf, float))]
+            self._coo = tuple(np.concatenate(p) for p in zip(*parts))
+        return self._coo
+
+    def sense_codes(self):
+        try:
+            return np.array([_SENSE_CODE[s] for s in self._sense], dtype=np.int8)
+        except KeyError as exc:
+            raise LpSolverError(f"unknown sense {exc.args[0]!r}") from None
+
+    @property
+    def rhs(self):
+        return np.array(self._rhs, dtype=float)
+
+    @property
+    def rows(self):
+        """Read-only view: one (coeffs dict, sense, rhs) per row, in order."""
+        r, c, v = self.coo()
+        order = np.argsort(r, kind="stable")
+        ends = np.searchsorted(r[order], np.arange(1, self.num_rows + 1))
+        cols, vals = c[order].tolist(), v[order].tolist()
+        out, lo = [], 0
+        for hi, sense, rhs in zip(ends.tolist(), self._sense, self._rhs):
+            coeffs = {}
+            for idx, val in zip(cols[lo:hi], vals[lo:hi]):
+                coeffs[idx] = coeffs.get(idx, 0.0) + val
+            out.append((coeffs, sense, rhs))
+            lo = hi
+        return tuple(out)
 
 
 def lp_model(num_vars, lower=0.0, upper=np.inf, objective=None, names=None):
     lower = np.full(num_vars, lower, dtype=float) if np.isscalar(lower) else np.asarray(lower, float)
     upper = np.full(num_vars, upper, dtype=float) if np.isscalar(upper) else np.asarray(upper, float)
     obj = np.zeros(num_vars) if objective is None else np.asarray(objective, float)
-    return LpModel(num_vars=num_vars, lower=lower, upper=upper, objective=obj, rows=[], names=names)
+    return LpModel(num_vars, lower, upper, obj, names=names)
 
 
 @dataclass
@@ -67,6 +152,48 @@ class LpSolution:
     objective: float
     basic: np.ndarray  # True where the variable sits strictly between its bounds
     message: str = ""
+
+
+@dataclass
+class _Layout:
+    """A model as linprog hands it to HiGHS: the first num_ub rows are the
+    <= rows and the negated >= rows in model order, then the == rows."""
+    indptr: np.ndarray  # CSC over all rows, duplicates summed, zeros dropped
+    indices: np.ndarray
+    data: np.ndarray
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    num_ub: int
+
+
+def _layout(model):
+    codes, rhs = model.sense_codes(), model.rhs
+    r, c, v = model.coo()
+    if not (np.isfinite(v).all() and np.isfinite(rhs).all()):
+        raise LpSolverError("LP model has a non-finite coefficient or right-hand side")
+    eq = codes == _SENSE_CODE[EQ]
+    num_ub = int(len(codes) - eq.sum())
+    pos = np.empty(len(codes), np.int64)
+    pos[~eq] = np.arange(num_ub)
+    pos[eq] = np.arange(num_ub, len(codes))
+    sign = np.where(codes == _SENSE_CODE[GE], -1.0, 1.0)
+    rows, vals = pos[r], v * sign[r]
+    order = np.lexsort((rows, c))
+    rows, cols, vals = rows[order], c[order], vals[order]
+    if len(vals) > 1:
+        first = np.ones(len(vals), bool)
+        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        if not first.all():
+            starts = np.flatnonzero(first)
+            rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=model.num_vars))))
+    row_upper = np.empty(len(codes))
+    row_upper[pos] = rhs * sign
+    row_lower = np.where(np.arange(len(codes)) < num_ub, -np.inf, row_upper)
+    return _Layout(indptr.astype(np.int32), rows.astype(np.int32), vals,
+                   row_lower, row_upper, num_ub)
 
 
 def solve_lp(model):
@@ -80,49 +207,111 @@ def solve_lp(model):
         path = os.path.join(_DUMP_DIR, f"model_{next(_DUMP_COUNTER):06d}.lp")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dump_lp(model))
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, sense, rhs in model.rows:
-        row = np.zeros(model.num_vars)
-        for idx, c in coeffs.items():
-            row[idx] += c
-        if sense == LE:
-            a_ub.append(row), b_ub.append(rhs)
-        elif sense == GE:
-            a_ub.append(-row), b_ub.append(-rhs)
-        elif sense == EQ:
-            a_eq.append(row), b_eq.append(rhs)
-        else:
-            raise LpSolverError(f"unknown sense {sense!r}")
+    status, x, fun, message = _solve(model, _layout(model))
+    if status != OPTIMAL:
+        return LpSolution(status, None, np.nan, None, message=message)
+    _check_residuals(model, x)
+    at_bound = (x <= model.lower + TAU_LP) | (x >= model.upper - TAU_LP)
+    return LpSolution(OPTIMAL, x, fun, ~at_bound, message=message)
+
+
+def _solve_linprog(model, lay):
+    from scipy.sparse import csc_array
+
+    a = csc_array((lay.data, lay.indices, lay.indptr),
+                  shape=(len(lay.row_upper), model.num_vars))
+    ub, eq = slice(None, lay.num_ub), slice(lay.num_ub, None)
+    has_ub, has_eq = lay.num_ub > 0, lay.num_ub < len(lay.row_upper)
     res = linprog(
         model.objective,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
+        A_ub=a[ub] if has_ub else None,
+        b_ub=lay.row_upper[ub] if has_ub else None,
+        A_eq=a[eq] if has_eq else None,
+        b_eq=lay.row_upper[eq] if has_eq else None,
         bounds=np.column_stack([model.lower, model.upper]),
         method="highs-ds",
     )
     if res.status == 2:
-        return LpSolution(INFEASIBLE, None, np.nan, None, message=res.message)
+        return INFEASIBLE, None, np.nan, res.message
     if res.status == 3:
-        return LpSolution(UNBOUNDED, None, np.nan, None, message=res.message)
+        return UNBOUNDED, None, np.nan, res.message
     if res.status != 0:
         raise LpSolverError(f"LP solve failed: {res.message}")
-    x = np.asarray(res.x, float)
-    _check_residuals(model, x)
-    at_bound = (x <= model.lower + TAU_LP) | (x >= model.upper - TAU_LP)
-    return LpSolution(OPTIMAL, x, float(res.fun), ~at_bound, message=res.message)
+    return OPTIMAL, np.asarray(res.x, float), float(res.fun), res.message
+
+
+def _highs_options():
+    """The options linprog(method="highs-ds") sets; all others keep HiGHS defaults."""
+    opts = _highs.HighsOptions()
+    opts.presolve = "on"
+    opts.solver = "simplex"
+    opts.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    opts.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    opts.log_to_console = False
+    opts.output_flag = False
+    return opts
+
+
+def _solve_highs(model, lay):
+    # the bindings copy Python lists into HiGHS vectors faster than numpy arrays
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(lay.row_upper)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = lay.indptr.tolist()
+    lp.a_matrix_.index_ = lay.indices.tolist()
+    lp.a_matrix_.value_ = lay.data.tolist()
+    lp.col_cost_ = model.objective.tolist()
+    lp.col_lower_ = model.lower.tolist()
+    lp.col_upper_ = model.upper.tolist()
+    lp.row_lower_ = lay.row_lower.tolist()
+    lp.row_upper_ = lay.row_upper.tolist()
+    highs = _highs._Highs()
+    error = _highs.HighsStatus.kError
+    if highs.passOptions(_HIGHS_OPTIONS) == error or highs.passModel(lp) == error:
+        raise LpSolverError("HiGHS rejected the LP model")
+    ran = highs.run()
+    status = highs.getModelStatus()
+    message = highs.modelStatusToString(status)
+    if status == _highs.HighsModelStatus.kInfeasible:
+        return INFEASIBLE, None, np.nan, message
+    if status == _highs.HighsModelStatus.kUnbounded:
+        return UNBOUNDED, None, np.nan, message
+    if status != _highs.HighsModelStatus.kOptimal or ran == error:
+        raise LpSolverError(f"LP solve failed: {message}")
+    sol = highs.getSolution()
+    x, act = np.array(sol.col_value), np.array(sol.row_value)
+    fun = highs.getInfo().objective_function_value
+    # the check linprog makes before it reports an optimum
+    tol = _LINPROG_TOL
+    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(act).any()
+            or (x < model.lower - tol).any() or (x > model.upper + tol).any()
+            or (act > lay.row_upper + tol).any() or (act < lay.row_lower - tol).any()):
+        raise LpSolverError("LP solve failed: the solution does not satisfy the "
+                            f"constraints within {tol:.2E}")
+    return OPTIMAL, x, float(fun), message
+
+
+try:  # scipy's vendored HiGHS bindings are a private API; linprog is the fallback
+    import scipy.optimize._highspy._core as _highs
+    _HIGHS_OPTIONS = _highs_options()
+    _solve = _solve_highs
+except (ImportError, AttributeError):
+    _highs = None
+    _solve = _solve_linprog
 
 
 def _check_residuals(model, x):
     scale = 1.0 + float(np.abs(x).max(initial=0.0))
-    for coeffs, sense, rhs in model.rows:
-        val = sum(c * x[idx] for idx, c in coeffs.items())
-        bad = ((sense == LE and val > rhs + TAU_LP * scale)
-               or (sense == GE and val < rhs - TAU_LP * scale)
-               or (sense == EQ and abs(val - rhs) > TAU_LP * scale))
-        if bad:
-            raise LpSolverError(f"optimal point violates a row: {val} {sense} {rhs}")
+    r, c, v = model.coo()
+    act = np.bincount(r, weights=v * x[c], minlength=model.num_rows)
+    codes, rhs = model.sense_codes(), model.rhs
+    tol = TAU_LP * scale
+    bad = np.where(codes == _SENSE_CODE[LE], act > rhs + tol,
+                   np.where(codes == _SENSE_CODE[GE], act < rhs - tol, np.abs(act - rhs) > tol))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        raise LpSolverError(f"optimal point violates a row: {act[k]} {model._sense[k]} {rhs[k]}")
 
 
 def dump_lp(model):

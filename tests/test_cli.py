@@ -151,6 +151,28 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "resource-cap"
 
 
+def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
+    from maxnorm import cluster, load
+    from maxnorm.errors import LpSolverError, SolverInternalError
+
+    def failing(error):
+        def solve_lp(model):
+            raise error("planted failure")
+        return solve_lp
+
+    load_path, cluster_path = tmp_path / "load.json", tmp_path / "cluster.json"
+    main(["gen", "load", "--machines", "2", "--jobs", "3", "--seed", "1",
+          "--out", str(load_path)])
+    main(["gen", "cluster", "--clients", "3", "--facilities", "4", "--seed", "1",
+          "--out", str(cluster_path)])
+    monkeypatch.setattr(load, "solve_lp", failing(LpSolverError))
+    monkeypatch.setattr(cluster, "solve_lp", failing(SolverInternalError))
+    for path in (load_path, cluster_path):
+        code, out, err = _run(["solve", str(path), "--norm", "topl:1:1"], capsys)
+        assert code == 5 and out == ""
+        assert json.loads(err) == {"error": "solver-error", "detail": "planted failure"}
+
+
 def test_compare_csv(tmp_path):
     out = tmp_path / "rows.csv"
     assert main(["compare", "--kind", "load", "--seeds", "0:6", "--norm", "topl:2:1",

@@ -1,22 +1,25 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import _dict_row_builders as dict_rows
 from _gen import random_load, random_max_ordered_weights
 from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
 from maxnorm.errors import InvalidInputError
 from maxnorm.fair import solve_fair
 from maxnorm.generators import gen_fair_load, gen_knapsack_cluster
 from maxnorm.instances import Assignment, LoadInstance, eval_load_objective
-from maxnorm.load import (_sequence_key, build_basic_load_lp, build_ordered_load_lp,
-                          build_topl_load_lp, machine_copies, shmoys_tardos_round,
-                          solve_ordered_makespan, solve_topl_makespan)
+from maxnorm.load import (_ordered_load_min_bound_lp, _sequence_key, _topl_load_min_bound_lp,
+                          build_basic_load_lp, build_ordered_load_lp, build_topl_load_lp,
+                          machine_copies, shmoys_tardos_round, solve_ordered_makespan,
+                          solve_topl_makespan)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
-from maxnorm.sparsify import (covering_threshold_sequence, enumerate_threshold_sequences,
-                              sparsify_weights)
+from maxnorm.sparsify import (ThresholdSequence, covering_threshold_sequence,
+                              enumerate_threshold_sequences, pos_set, sparsify_weights)
 
 
 def test_basic_lp_single_pair():
@@ -75,6 +78,90 @@ def test_ordered_lp_zero_weights_is_basic_feasibility():
     seq = covering_threshold_sequence(5.0, n, {ell: 5.0 for ell in pos.indices})
     model = build_ordered_load_lp(inst, sparse, pos, 5.0, 0.0, seq)
     assert solve_lp(model).status == OPTIMAL
+
+
+def _assert_same_model(model, ref):
+    assert model.num_vars == ref.num_vars
+    for field in ("lower", "upper", "objective"):
+        assert np.array_equal(getattr(model, field), getattr(ref, field))
+    rows, ref_rows = model.rows, ref.rows
+    assert len(rows) == len(ref_rows)
+    for (coeffs, sense, rhs), (ref_coeffs, ref_sense, ref_rhs) in zip(rows, ref_rows):
+        assert (sense, rhs) == (ref_sense, ref_rhs)
+        assert coeffs.keys() == ref_coeffs.keys()
+        for idx, c in coeffs.items():
+            ref_c = ref_coeffs[idx]
+            assert c == ref_c and np.signbit(c) == np.signbit(ref_c)
+
+
+_TIED = LoadInstance(p=np.array([[3.0, 5.0, np.inf, 5.0], [5.0, 2.0, 3.0, np.inf],
+                                 [1.0, 5.0, 5.0, 2.0]]))
+
+
+def _fractional_loads(rng, count):
+    """Sizes with two decimals (some forbidden), so that powers and weighted
+    sums round."""
+    for _ in range(count):
+        p = np.round(rng.uniform(0.5, 10.0, size=(int(rng.integers(2, 5)), 7)), 2)
+        p[rng.random(size=p.shape) < 0.2] = np.inf
+        p[int(rng.integers(0, len(p))), np.isinf(p).all(axis=0)] = 1.5
+        yield LoadInstance(p=p)
+
+
+def test_vectorized_topl_builder_matches_dict_rows():
+    rng = np.random.default_rng(21)
+    insts = [_TIED, *_fractional_loads(rng, 6)]
+    insts += [random_load(rng, m_hi=4, j_hi=7, forbidden=0.25) for _ in range(6)]
+    for inst in insts:
+        sizes = inst.finite_sizes()
+        for radius in (sizes[0], sizes[len(sizes) // 2], sizes[-1]):
+            _assert_same_model(build_basic_load_lp(inst, radius),
+                               dict_rows.build_basic_load_lp(inst, radius))
+            for t in [0.0] + sizes[::2]:  # thresholds tying with job sizes
+                for ell, q, fixed in ((1, 1.0, None), (2, 1.7, None), (3, 2.5, 7.5)):
+                    model, sidx = _topl_load_min_bound_lp(inst, ell, q, radius, t, fixed)
+                    ref, ref_sidx = dict_rows.topl_load_min_bound_lp(inst, ell, q, radius, t,
+                                                                     fixed)
+                    assert sidx == ref_sidx
+                    _assert_same_model(model, ref)
+
+
+def test_vectorized_ordered_builder_matches_dict_rows():
+    rng = np.random.default_rng(22)
+    insts = [_TIED, *_fractional_loads(rng, 6)]
+    insts += [random_load(rng, m_hi=4, j_hi=7, forbidden=0.25) for _ in range(6)]
+    zero_terms = 0
+    for inst in insts:
+        n, sizes = inst.jobs, inst.finite_sizes()
+        pos = pos_set(n)
+        sparse, _ = sparsify_weights(random_max_ordered_weights(rng, dim_hi=n), n)
+        weight_sets = [
+            sparse,
+            [(0.0,) * n],  # every delta zero: no mass rows
+            [(1.0,) * n, sparse[0]],  # zero deltas on all but the last kept coordinate
+            # unsorted small integers: deltas of both signs cancel on tied thresholds
+            [tuple(float(v) for v in rng.integers(0, 3, n)) for _ in range(3)],
+        ]
+        radius = sizes[-1]
+        seqs = list(itertools.islice(enumerate_threshold_sequences(radius, n), 4))
+        # non-increasing thresholds drawn from the sizes, ties included
+        seqs += [ThresholdSequence(anchor=radius, positions=pos.indices, values=tuple(
+            sorted(rng.choice(sizes + [0.0], size=len(pos.indices)), reverse=True)))
+            for _ in range(4)]
+        seqs += [ThresholdSequence(anchor=radius, positions=pos.indices,
+                                   values=(v,) * len(pos.indices)) for v in (0.0, sizes[0])]
+        for weights in weight_sets:
+            for seq in seqs:
+                for fixed in (None, 9.25):
+                    model, sidx = _ordered_load_min_bound_lp(inst, weights, pos, radius, seq,
+                                                             fixed)
+                    ref, ref_sidx = dict_rows.ordered_load_min_bound_lp(
+                        inst, weights, pos, radius, seq, fixed)
+                    assert sidx == ref_sidx
+                    _assert_same_model(model, ref)
+                    zero_terms += sum(c == 0.0 for coeffs, _, _ in ref.rows
+                                      for c in coeffs.values())
+    assert zero_terms > 0  # some rows keep terms whose deltas cancelled
 
 
 def test_machine_copies_trace():

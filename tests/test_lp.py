@@ -1,17 +1,24 @@
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
-from _gen import random_load
+from _gen import random_cluster, random_load, random_max_ordered_weights
+from maxnorm import lp
 from maxnorm.bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                               solve_two_laminar_integral)
-from maxnorm.errors import InfeasibleError, ResourceCapError, SolverInternalError
-from maxnorm.load import build_topl_load_lp
+from maxnorm.cluster import CARDINALITY, _center_lp, core_of
+from maxnorm.errors import InfeasibleError, LpSolverError, ResourceCapError, SolverInternalError
+from maxnorm.load import (_ordered_load_min_bound_lp, _topl_load_min_bound_lp,
+                          build_topl_load_lp)
 from maxnorm.lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
                         cutting_plane, dump_lp, exact_feasible_point, lp_model,
                         simplex_solve, solve_lp)
+from maxnorm.sparsify import enumerate_threshold_sequences, sparsify_weights
 from maxnorm.norms import top_norm
 from maxnorm.oracle import brute_force_makespan
 
@@ -90,6 +97,162 @@ def test_dump_lp_layout():
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
     assert "x0 + 2 x1 <= 3" in text
+
+
+def _linprog_fallback(monkeypatch):
+    """A second copy of the LP module, imported while scipy's HiGHS bindings
+    cannot be imported, so its import-time switch picks linprog."""
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    spec = importlib.util.spec_from_file_location("maxnorm._lp_fallback", lp.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    assert module._highs is None and module._solve is module._solve_linprog
+    return module
+
+
+def _random_models(rng, count):
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        model = lp_model(n, lower=rng.choice([0.0, -1.0, -np.inf], n),
+                         upper=rng.choice([1.0, 3.0, np.inf], n),
+                         objective=rng.uniform(-1, 1, n))
+        for _ in range(int(rng.integers(0, 6))):
+            coeffs = {i: float(rng.integers(-2, 4)) for i in range(n) if rng.random() < 0.7}
+            model.add_row(coeffs, [LE, GE, EQ][int(rng.integers(0, 3))],
+                          float(rng.integers(-3, 6)))
+        yield model
+
+
+def _builder_models(rng):
+    for _ in range(6):
+        inst = random_load(rng, m_hi=4, j_hi=7, forbidden=0.2)
+        sizes = inst.finite_sizes()
+        radius, t = sizes[-1], float(rng.choice(sizes))
+        yield _topl_load_min_bound_lp(inst, 2, 1.5, radius, t)[0]
+        yield _topl_load_min_bound_lp(inst, 1, 2.0, radius, t, fixed_bound=sizes[-1] * 2)[0]
+        sparse, pos = sparsify_weights(random_max_ordered_weights(rng), inst.jobs)
+        for seq in itertools.islice(enumerate_threshold_sequences(radius, inst.jobs), 3):
+            yield _ordered_load_min_bound_lp(inst, sparse, pos, radius, seq)[0]
+    for _ in range(6):
+        inst = random_cluster(rng)
+        core = core_of(inst)
+        radius = float(max(core.distances()))
+        yield _center_lp(core, (CARDINALITY, inst.k), ("top", 2, 1.0, radius / 2), radius)[0]
+        yield _center_lp(core, (CARDINALITY, inst.k), ("top", 1, 2.0, 0.0), radius,
+                         fixed_bound=radius, coverage=False)[0]
+
+
+def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
+    assert lp._highs is not None and lp._solve is lp._solve_highs
+    fallback = _linprog_fallback(monkeypatch)
+    rng = np.random.default_rng(11)
+    statuses = set()
+    for model in itertools.chain(_random_models(rng, 150), _builder_models(rng)):
+        direct, via_linprog = solve_lp(model), fallback.solve_lp(model)
+        assert direct.status == via_linprog.status
+        statuses.add(direct.status)
+        if direct.status == OPTIMAL:
+            assert np.array_equal(direct.x, via_linprog.x)
+            assert direct.objective == via_linprog.objective
+            assert np.array_equal(direct.basic, via_linprog.basic)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def _dense_layout(model):
+    """linprog's input as dense rows: <= rows, negated >= rows, then == rows."""
+    ub, b_ub, eq, b_eq = [], [], [], []
+    for coeffs, sense, rhs in model.rows:
+        row = np.zeros(model.num_vars)
+        for idx, c in coeffs.items():
+            row[idx] += c
+        if sense == EQ:
+            eq.append(row), b_eq.append(rhs)
+        else:
+            sign = -1.0 if sense == GE else 1.0
+            ub.append(sign * row), b_ub.append(sign * rhs)
+    return csc_array(np.array(ub + eq).reshape(-1, model.num_vars)), b_ub, b_eq
+
+
+def test_layout_matches_linprog_rows():
+    model = lp_model(4)
+    model.add_row({0: 1.0, 3: -2.0}, EQ, 1.0)
+    model.add_row({1: 1.0, 2: 0.0}, GE, 0.5)  # explicit zero dropped
+    # duplicates summed, a cancelling pair dropped, an empty row kept
+    model.add_rows([0, 0, 0, 1, 1, 0], [2, 2, 3, 0, 0, 1], [1.0, 2.5, 1.0, 1.0, -1.0, 4.0],
+                   [LE, GE], [3.0, -1.0])
+    model.add_rows([0], [1], [7.0], EQ, [2.0])
+    model.add_row({}, LE, 0.0)
+    lay = lp._layout(model)
+    a, b_ub, b_eq = _dense_layout(model)
+    assert lay.num_ub == len(b_ub) == 4
+    assert np.array_equal(lay.indptr, a.indptr) and np.array_equal(lay.indices, a.indices)
+    assert np.array_equal(lay.data, a.data)
+    assert np.array_equal(lay.row_upper, b_ub + b_eq)
+    assert np.array_equal(lay.row_lower, [-np.inf] * 4 + b_eq)
+    rows = model.rows
+    assert rows[2] == ({2: 3.5, 3: 1.0, 1: 4.0}, LE, 3.0)
+    assert rows[3] == ({0: 0.0}, GE, -1.0) and rows[5] == ({}, LE, 0.0)
+
+
+def test_layout_of_builder_models_matches_linprog_rows():
+    for model in _builder_models(np.random.default_rng(3)):
+        lay = lp._layout(model)
+        a, b_ub, b_eq = _dense_layout(model)
+        assert np.array_equal(lay.indptr, a.indptr) and np.array_equal(lay.indices, a.indices)
+        assert np.array_equal(lay.data, a.data)
+        assert np.array_equal(lay.row_upper, b_ub + b_eq)
+
+
+@pytest.mark.parametrize("sense, x", [(LE, 1.5), (GE, 0.5), (EQ, 0.9)])
+def test_check_residuals_rejects_a_violated_row(sense, x):
+    model = lp_model(2, lower=0.0, upper=2.0)
+    model.add_row({0: 1.0, 1: 1.0}, LE, 4.0)
+    model.add_row({0: 1.0}, sense, 1.0)
+    lp._check_residuals(model, np.array([1.0, 0.0]))  # the same point within tolerance
+    with pytest.raises(LpSolverError, match="violates a row"):
+        lp._check_residuals(model, np.array([x, 0.0]))
+
+
+def test_solve_lp_rejects_an_optimum_that_violates_a_row(monkeypatch):
+    model = lp_model(1, lower=0.0, upper=2.0)
+    model.add_row({0: 1.0}, LE, 1.0)
+    monkeypatch.setattr(lp, "_solve", lambda m, lay: (OPTIMAL, np.array([1.5]), 1.5, ""))
+    with pytest.raises(LpSolverError, match="violates a row"):
+        solve_lp(model)
+
+
+def test_unknown_sense_raises():
+    model = lp_model(1)
+    model.add_row({0: 1.0}, "<", 1.0)
+    with pytest.raises(LpSolverError, match="unknown sense"):
+        solve_lp(model)
+    model = lp_model(2)
+    model.add_rows([0, 1], [0, 1], [1.0, 1.0], [LE, "=>"], [1.0, 1.0])
+    with pytest.raises(LpSolverError, match="unknown sense"):
+        solve_lp(model)
+
+
+def test_non_finite_model_data_raises():
+    model = lp_model(1)
+    model.add_row({0: 1.0}, LE, np.inf)
+    with pytest.raises(LpSolverError, match="non-finite"):
+        solve_lp(model)
+
+
+def test_dump_hook_writes_lp_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(lp, "_DUMP_DIR", str(tmp_path))
+    model = lp_model(2, lower=0.0, upper=1.0, objective=[1.0, 0.0])
+    model.add_rows([0, 0], [0, 1], [1.0, 2.0], LE, [3.0])
+    model.add_row({1: -1.0}, GE, -0.5)
+    assert solve_lp(model).status == OPTIMAL
+    (path,) = tmp_path.iterdir()
+    assert path.name.startswith("model_") and path.suffix == ".lp"
+    text = path.read_text()
+    assert text == dump_lp(model)
+    assert text.splitlines()[:5] == ["Minimize", " obj: 1 x0", "Subject To",
+                                     " c0: 1 x0 + 2 x1 <= 3", " c1: - 1 x1 >= -0.5"]
+    assert text.endswith("Bounds\n 0 <= x0 <= 1\n 0 <= x1 <= 1\nEnd\n")
 
 
 # ---------------------------------------------------------------------------
