@@ -29,7 +29,10 @@ instead of solving every infeasible guess:
     each radius's weakest LP (T = R, or every threshold at R);
   * for Top norms, each later radius bisects its thresholds for the first
     feasible one, searching no higher than the previous radius's first
-    feasible index (the staircase);
+    feasible index (the staircase), and stops once a guess's bound equals
+    its floor max(R, ell^(1/q) T); this is maxnorm.guess.scan_top_rows,
+    shared with the makespan driver and the knapsack Top residual (whose
+    bound is not snapped to a grid);
   * for ordered norms, a sequence lying at or below an infeasible one on
     every kept coordinate is skipped unsolved.
 
@@ -37,14 +40,12 @@ The feasible guesses are then visited in the exhaustive scan's order, with
 its break rules and its (bound, radius, threshold) tie-break, so the search
 accepts exactly the guess the exhaustive scan accepts.  A verdict that
 contradicts monotonicity (a numerical edge) sends its radius back to a full
-search of the row.  The knapsack residual also stops its threshold walk once
-s^(1/q) <= max(R, ell^(1/q) T): a larger T only raises that floor, so it
-cannot give a strictly smaller bound.
+search of the row.  The ordered knapsack residual also stops its sequence
+walk once s <= R w1: no later sequence gets below that floor.
 """
 
 import itertools
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -53,6 +54,7 @@ import numpy as np
 from .bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                        solve_two_laminar_integral)
 from .errors import InfeasibleError, InvalidInputError, SolverInternalError
+from .guess import GuessLPs, first_true, scan_top_rows
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
 from .lp import EQ, GE, LE, OPTIMAL, lp_model, solve_lp
@@ -621,35 +623,6 @@ def _round_accepted(core, budget, xuy, radius):
 # monotone guess search
 
 
-def _first_true(pred, lo, hi):
-    """Smallest i in [lo, hi) with pred(i), or hi if there is none, for a
-    verdict that stays true once it holds; found by bisection."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-class _GuessLPs:
-    """The relaxations of one scan, each built and solved at most once per guess."""
-
-    def __init__(self, build):
-        self.build = build  # guess key -> (model, index of s)
-        self.solved = {}
-
-    def __call__(self, *key):
-        if key not in self.solved:
-            model, sidx = self.build(*key)
-            self.solved[key] = (solve_lp(model), sidx)
-        return self.solved[key]
-
-    def feasible(self, *key):
-        return self(*key)[0].status == OPTIMAL
-
-
 def _sequences(radius, r0):
     # radius 0 has no sequence (None): only zero-distance links are allowed
     return [None] if radius == 0.0 else enumerate_threshold_sequences(radius, r0)
@@ -713,55 +686,14 @@ def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
     radii = sorted(set(core.distances()) | {0.0})
     thresholds = single_threshold_candidates(core.distances())
     r0 = max(core.r0, 1)
-    # a radius tries the thresholds up to it; the last of them is its weakest LP
-    ends = [bisect_right(thresholds, radius * (1 + 1e-12)) for radius in radii]
-    lps = _GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
-                                               radii[ri], coverage=coverage))
-    first = _first_true(lambda ri: lps.feasible(ri, ends[ri] - 1), 0, len(radii))
-    if first == len(radii):
-        raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
-    known = ends[first] - 1  # a threshold index feasible at a smaller radius
-    best = None
-    for ri in range(first, len(radii)):
-        radius = radii[ri]
-        if best is not None and radius > best[0]:
-            break
-        grid = [0.0] if radius == 0.0 else geometric_grid(radius, r0 ** root * radius, grid_eps)
-        # from `limit` on, ell^(1/q) t exceeds the best bound and ends the row
-        limit = ends[ri] if best is None else _first_true(
-            lambda ti: ell ** root * thresholds[ti] > best[0], 0, ends[ri])
-        hi = min(known, limit - 1)
-        if lps.feasible(ri, hi):
-            start = known = _first_true(lambda ti: lps.feasible(ri, ti), 0, hi)
-        elif hi == known:
-            start = 0  # infeasible although feasible at a smaller radius
-        else:
-            continue
-
-        def visit(begin):
-            out = best
-            for ti in range(begin, limit):
-                t = thresholds[ti]
-                if out is not None and ell ** root * t > out[0]:
-                    break
-                sol, sidx = lps(ri, ti)
-                if sol.status != OPTIMAL:
-                    if begin:  # not monotone after all: search the whole row
-                        return visit(0)
-                    continue
-                bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
-                bound = snap_to_grid(grid, bhat)
-                if bound is None:
-                    continue
-                cand = (bound, radius, t, _lp_parts(core, sol.x))
-                if out is None or cand[:3] < out[:3]:
-                    out = cand
-            return out
-
-        best = visit(start)
+    lps = GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
+                                              radii[ri], coverage=coverage), solve_lp)
+    best = scan_top_rows(lps, radii, thresholds, ell, q, lambda radius: [0.0] if radius == 0.0
+                         else geometric_grid(radius, r0 ** root * radius, grid_eps))
     if best is None:
         raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
-    return best
+    bound, radius, threshold, sol = best
+    return bound, radius, threshold, _lp_parts(core, sol.x)
 
 
 def solve_ordered_kcenter(inst, weights, eps):
@@ -811,10 +743,10 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
         b = _scan_top_guesses(core, budget, 1, 1.0, eps, coverage=coverage)
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
-    lps = _GuessLPs(lambda ri, seq: _center_lp(core, budget, _sequence_spec(sparse, pos, r0, seq),
-                                                radii[ri], coverage=coverage))
+    lps = GuessLPs(lambda ri, seq: _center_lp(core, budget, _sequence_spec(sparse, pos, r0, seq),
+                                               radii[ri], coverage=coverage), solve_lp)
     # a radius's first sequence, every threshold at R, is its weakest LP
-    first = _first_true(lambda ri: lps.feasible(ri, next(iter(_sequences(radii[ri], r0)))),
+    first = first_true(lambda ri: lps.feasible(ri, next(iter(_sequences(radii[ri], r0)))),
                         0, len(radii))
     for ri in range(first, len(radii)):
         radius = radii[ri]
@@ -964,38 +896,22 @@ def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
                        m=m_res, facility_ids=tuple(core.facility_ids[i] for i in light))
     budget = (KNAPSACK, wt, w_res)
     if norm.kind == TOP:
-        root = 1.0 / norm.q
+        ell, q = norm.ell, norm.q
         thresholds = single_threshold_candidates(rcore.distances())
-        end = bisect_right(thresholds, radius * (1 + 1e-12))
-        specs = [("top", norm.ell, norm.q, t) for t in thresholds[:end]]
-        lps = _GuessLPs(lambda ti: _center_lp(rcore, budget, specs[ti], radius))
-        if not lps.feasible(end - 1):
+        lps = GuessLPs(lambda ri, ti: _center_lp(rcore, budget, ("top", ell, q, thresholds[ti]),
+                                                  radius), solve_lp)
+        # no grid: the bound estimate itself, so the row stops once s^(1/q) <= the floor
+        found = scan_top_rows(lps, [radius], thresholds, ell, q, None)
+        if found is None:
             return None
-
-        def visit(begin):
-            out = None
-            for ti in range(begin, end):
-                sol, sidx = lps(ti)
-                if sol.status != OPTIMAL:
-                    if begin:  # not monotone after all: search the whole row
-                        return visit(0)
-                    continue
-                mass = max(sol.x[sidx], 0.0) ** root
-                floor = max(radius, norm.ell ** root * specs[ti][3])
-                bhat = max(mass, floor)
-                if out is None or bhat < out[0]:
-                    out = (bhat, (rcore, specs[ti], _lp_parts(rcore, sol.x)))
-                if mass <= floor:  # a larger T only raises the floor
-                    break
-            return out
-
-        return visit(_first_true(lps.feasible, 0, end - 1))
+        bhat, _, t, sol = found
+        return bhat, (rcore, ("top", ell, q, t), _lp_parts(rcore, sol.x))
     r0 = max(core.r0, 1)
     sparse, pos = sparsify_weights(norm.weights, r0)
     wtop = max(float(w[0]) for w in sparse)
     floor = radius * wtop
-    lps = _GuessLPs(lambda seq: _center_lp(rcore, budget, _sequence_spec(sparse, pos, r0, seq),
-                                           radius))
+    lps = GuessLPs(lambda seq: _center_lp(rcore, budget, _sequence_spec(sparse, pos, r0, seq),
+                                          radius), solve_lp)
     best = None
     for seq, sol, sidx in _feasible_sequences(lps, _sequences(radius, r0)):
         mass = max(sol.x[sidx], 0.0)

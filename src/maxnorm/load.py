@@ -3,10 +3,31 @@
 Drivers guess a triple (radius R = largest allowed job size, objective bound
 B, size threshold(s) T), solve a feasibility LP, and round its solution by
 the Shmoys-Tardos machine-copy construction.  Rather than scanning the bound
-grid with one LP per grid point, each (R, T) pair solves a single LP that
-minimizes the bounded mass, and the result is snapped up to the grid; that
-is equivalent to accepting the first feasible triple in ascending-bound
+grid with one LP per grid point, a guess (R, T) solves one LP that
+minimizes the bounded mass s, and the result is snapped up to the grid;
+that is equivalent to accepting the first feasible triple in ascending-bound
 order and far cheaper.
+
+Not every guess is solved (maxnorm.guess holds both scans).  The LP only
+gets weaker as R grows (fewer pairs forbidden) and as any threshold grows
+(fewer jobs counted, and s is free), so its feasibility is monotone:
+
+  * Top-(ell,q): each radius bisects its thresholds for the first feasible
+    one, no higher than the previous radius's (the staircase), and visits
+    the thresholds upward from there in the old order with the old break
+    rules and (bound, R, T) tie-break.  The row stops once a guess's
+    snapped bound equals its snapped floor max(R, ell^(1/q) T): a larger T
+    has a floor at least as high, so it snaps no lower and loses the tie.
+  * max-ordered: every sequence of a radius gets the LP-free lower key
+    (floor, 4 R w1 + 2 floor + 2 gap, radius index, sequence index), with
+    floor = R w1 snapped to the grid.  A sequence's real key, with its
+    bound in place of floor, is never below it, so visiting sequences in
+    ascending lower key and stopping once the next lower key reaches the
+    best real key finds the old minimum.  A sequence counting at least as
+    many sizes as an infeasible one at every kept coordinate is skipped.
+
+A verdict contradicting monotonicity (an infeasible LP where a stronger one
+was feasible) sends its radius back to a full search.
 
 Accepted guesses come with a certificate: for Top-(ell,q) norms the rounded
 per-machine cost is at most (2 R^q + B^q + ell T^q)^(1/q); for max-ordered
@@ -23,11 +44,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError, SolverInternalError
+from .guess import GuessLPs, scan_sequence_row, scan_top_rows
 from .instances import Assignment, eval_load_objective
 from .lp import EQ, LE, OPTIMAL, lp_model, simplex_solve, solve_lp
 from .norms import max_ordered_norm, top_norm
 from .sparsify import (geometric_grid, enumerate_threshold_sequences, single_threshold_candidates,
-                       snap_to_grid, sparsified_gap_bound, sparsify_weights)
+                       snap_to_grid, sparsified_gap_bound, sparsified_gap_bounds,
+                       sparsify_weights)
 
 _MASS_TOL = 1e-9
 
@@ -243,46 +266,20 @@ class LoadSolveResult:
     certificate: dict
 
 
-def _feasible_radii(inst):
-    """Radii below max_j min_i p(i,j) make the basic LP infeasible; skip them."""
-    rmin = max(min(inst.p[i, j] for i in range(inst.machines) if np.isfinite(inst.p[i, j]))
-               for j in range(inst.jobs))
-    return [v for v in inst.finite_sizes() if v >= rmin - 1e-12]
+def _feasible_radii(inst, sizes):
+    """Radii below max_j min_i p(i,j) make the basic LP infeasible; skip them.
+    sizes are the instance's distinct finite sizes, ascending."""
+    rmin = np.where(np.isfinite(inst.p), inst.p, np.inf).min(axis=0).max()
+    return [v for v in sizes if v >= rmin - 1e-12]
 
 
 def solve_topl_makespan(inst, ell, q, eps):
     """Top-(ell,q) makespan within factor 4^(1/q) + eps of optimal."""
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
-    m, n = inst.machines, inst.jobs
     root = 1.0 / q
     grid_eps = eps / 4.0 ** root  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps
-    radii = _feasible_radii(inst)
-    thresholds = single_threshold_candidates(inst.finite_sizes())
-    best = None  # (bound, radius, threshold, x)
-    for radius in radii:
-        if best is not None and radius > best[0]:
-            break
-        grid = geometric_grid(radius, n ** root * radius, grid_eps)
-        for t in thresholds:
-            if t > radius * (1 + 1e-12):
-                break
-            if best is not None and ell ** root * t > best[0]:
-                break
-            model, sidx = _topl_load_min_bound_lp(inst, ell, q, radius, t)
-            sol = solve_lp(model)
-            if sol.status != OPTIMAL:
-                continue
-            bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
-            bound = snap_to_grid(grid, bhat)
-            if bound is None:
-                continue
-            cand = (bound, radius, t, sol.x[: m * n].reshape(m, n))
-            if best is None or cand[:3] < best[:3]:
-                best = cand
-    if best is None:
-        raise SolverInternalError("guessing grids failed to cover the instance")
-    bound, radius, t, x = best
+    bound, radius, t, x = _scan_top_guesses(inst, ell, q, grid_eps)
     assignment, _ = shmoys_tardos_round(x, inst.p)
     value = eval_load_objective(inst, top_norm(ell, q), assignment)
     per_machine = (2 * radius ** q + bound ** q + ell * t ** q) ** root
@@ -291,6 +288,25 @@ def solve_topl_makespan(inst, ell, q, eps):
     cert = {"radius": radius, "bound": bound, "threshold": t,
             "per_machine_bound": per_machine, "grid_eps": grid_eps}
     return LoadSolveResult(assignment=assignment, value=value, certificate=cert)
+
+
+def _scan_top_guesses(inst, ell, q, grid_eps):
+    """Smallest (bound, radius, threshold, x) over the (R, T) guesses."""
+    m, n = inst.machines, inst.jobs
+    root = 1.0 / q
+    sizes = inst.finite_sizes()
+    radii = _feasible_radii(inst, sizes)
+    thresholds = single_threshold_candidates(sizes)
+    lps = GuessLPs(lambda ri, ti: _topl_load_min_bound_lp(inst, ell, q, radii[ri], thresholds[ti]),
+                   solve_lp)
+    # every radius admits the basic LP, so the first one is feasible at T = R
+    best = scan_top_rows(lps, radii, thresholds, ell, q,
+                         lambda radius: geometric_grid(radius, n ** root * radius, grid_eps),
+                         first=0)
+    if best is None:
+        raise SolverInternalError("guessing grids failed to cover the instance")
+    bound, radius, t, sol = best
+    return bound, radius, t, sol.x[: m * n].reshape(m, n)
 
 
 def _nearest_assignment(inst):
@@ -306,55 +322,62 @@ def solve_ordered_makespan(inst, weights, eps):
     the reported chain bound is O(log n) times optimal for correct guesses."""
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
-    m, n = inst.machines, inst.jobs
-    sparse, pos = sparsify_weights(weights, n)
+    sparse, pos = sparsify_weights(weights, inst.jobs)
     wtop = max(float(w[0]) for w in sparse)
     norm = max_ordered_norm(weights)
     if wtop == 0.0:
         assignment = _nearest_assignment(inst)
         cert = {"radius": 0.0, "bound": 0.0, "sequence": (), "gap": 0.0, "chain_bound": 0.0}
         return LoadSolveResult(assignment=assignment, value=0.0, certificate=cert)
-    radii = _feasible_radii(inst)
-    sizes = inst.finite_sizes()
-    best = None  # (bound, chain, ridx, sidx, radius, seq, x)
-    for ridx, radius in enumerate(radii):
-        if best is not None and radius * wtop > best[0]:
-            break
-        grid = geometric_grid(radius * wtop, n * radius * wtop, eps)
-        cache = {}
-        for sidx, seq in enumerate(enumerate_threshold_sequences(radius, n)):
-            key = _sequence_key(sizes, seq)
-            if key in cache:
-                sval, x = cache[key]
-            else:
-                model, svar = _ordered_load_min_bound_lp(inst, sparse, pos, radius, seq)
-                sol = solve_lp(model)
-                if sol.status != OPTIMAL:
-                    cache[key] = (None, None)
-                    continue
-                sval, x = float(sol.x[svar]), sol.x[: m * n].reshape(m, n)
-                cache[key] = (sval, x)
-            if sval is None:
-                continue
-            bound = snap_to_grid(grid, max(sval, radius * wtop))
-            if bound is None:
-                continue
-            gap = sparsified_gap_bound(sparse, pos, seq)
-            chain = 4 * radius * wtop + 2 * bound + 2 * gap
-            cand = (bound, chain, ridx, sidx, radius, seq, x)
-            if best is None or cand[:4] < best[:4]:
-                best = cand
-    if best is None:
-        raise SolverInternalError("guessing grids failed to cover the instance")
-    bound, chain, _, _, radius, seq, x = best
+    bound, radius, seq, x = _scan_ordered_guesses(inst, sparse, pos, wtop, eps)
     assignment, _ = shmoys_tardos_round(x, inst.p)
     value = eval_load_objective(inst, norm, assignment)
     gap = sparsified_gap_bound(sparse, pos, seq)
+    chain = 4 * radius * wtop + 2 * bound + 2 * gap
     if value > chain * (1 + 1e-9) + 1e-12:
         raise SolverInternalError("rounded value exceeds its chain bound")
     cert = {"radius": radius, "bound": bound, "sequence": seq.values,
             "gap": gap, "chain_bound": chain}
     return LoadSolveResult(assignment=assignment, value=value, certificate=cert)
+
+
+def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
+    """(bound, radius, sequence, x) of the guess with the smallest (bound,
+    chain bound, radius index, sequence index)."""
+    m, n = inst.machines, inst.jobs
+    sizes = inst.finite_sizes()
+    radii = _feasible_radii(inst, sizes)
+    reps = {}  # (radius index, count key) -> a sequence with that key
+    lps = GuessLPs(lambda ri, counts: _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri],
+                                                                 reps[ri, counts]), solve_lp)
+    best = None  # ((bound, chain, ridx, sidx), (radius, seq, x))
+    for ridx, radius in enumerate(radii):
+        if best is not None and radius * wtop > best[0][0]:
+            break
+        grid = geometric_grid(radius * wtop, n * radius * wtop, eps)
+        floor = snap_to_grid(grid, radius * wtop)  # no bound of this radius lies below it
+        seqs = list(enumerate_threshold_sequences(radius, n))
+        gaps = sparsified_gap_bounds(sparse, pos, [seq.values for seq in seqs]).tolist()
+        guesses = []
+        for sidx, (seq, gap) in enumerate(zip(seqs, gaps)):
+            key = _sequence_key(sizes, seq)
+            reps.setdefault((ridx, key), seq)
+            lower = (floor, 4 * radius * wtop + 2 * floor + 2 * gap, ridx, sidx)
+            guesses.append((lower, key, (sidx, seq, gap)))
+
+        def real_key(guess, sol, svar):
+            sidx, seq, gap = guess
+            bound = snap_to_grid(grid, max(float(sol.x[svar]), radius * wtop))
+            if bound is None:
+                return None
+            chain = 4 * radius * wtop + 2 * bound + 2 * gap
+            return (bound, chain, ridx, sidx), (radius, seq, sol.x[: m * n].reshape(m, n))
+
+        best = scan_sequence_row(lps, ridx, guesses, real_key, best)
+    if best is None:
+        raise SolverInternalError("guessing grids failed to cover the instance")
+    (bound, _, _, _), (radius, seq, x) = best
+    return bound, radius, seq, x
 
 
 def _sequence_key(sizes, seq):

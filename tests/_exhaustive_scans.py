@@ -1,14 +1,15 @@
 """Exhaustive guess scans: one LP per guess, infeasible guesses included.
 
-These are the k-center scans as they were before the monotone search, kept
-as the reference the search is tested against.  They look every program
-name up through the cluster module at call time, so a test that replaces
-`cluster.solve_lp` or `cluster._center_lp` reaches both implementations.
+These are the k-center and makespan scans as they were before the monotone
+search, kept as the reference the search is tested against.  They look
+every program name up through the cluster or load module at call time, so
+a test that replaces `cluster.solve_lp` or `cluster._center_lp` (or their
+load counterparts) reaches both implementations.
 """
 
 import numpy as np
 
-from maxnorm import cluster
+from maxnorm import cluster, load
 
 
 def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
@@ -132,3 +133,83 @@ def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
             if best is None or bhat < best[0]:
                 best = (bhat, (rcore, spec, cluster._lp_parts(rcore, sol.x)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# makespan: the scans of solve_topl_makespan and solve_ordered_makespan
+
+
+def _feasible_radii(inst):
+    """Radii below max_j min_i p(i,j) make the basic LP infeasible; skip them."""
+    rmin = max(min(inst.p[i, j] for i in range(inst.machines) if np.isfinite(inst.p[i, j]))
+               for j in range(inst.jobs))
+    return [v for v in inst.finite_sizes() if v >= rmin - 1e-12]
+
+
+def load_scan_top_guesses(inst, ell, q, grid_eps):
+    m, n = inst.machines, inst.jobs
+    root = 1.0 / q
+    radii = _feasible_radii(inst)
+    thresholds = load.single_threshold_candidates(inst.finite_sizes())
+    best = None  # (bound, radius, threshold, x)
+    for radius in radii:
+        if best is not None and radius > best[0]:
+            break
+        grid = load.geometric_grid(radius, n ** root * radius, grid_eps)
+        for t in thresholds:
+            if t > radius * (1 + 1e-12):
+                break
+            if best is not None and ell ** root * t > best[0]:
+                break
+            model, sidx = load._topl_load_min_bound_lp(inst, ell, q, radius, t)
+            sol = load.solve_lp(model)
+            if sol.status != load.OPTIMAL:
+                continue
+            bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
+            bound = load.snap_to_grid(grid, bhat)
+            if bound is None:
+                continue
+            cand = (bound, radius, t, sol.x[: m * n].reshape(m, n))
+            if best is None or cand[:3] < best[:3]:
+                best = cand
+    if best is None:
+        raise load.SolverInternalError("guessing grids failed to cover the instance")
+    return best
+
+
+def load_scan_ordered_guesses(inst, sparse, pos, wtop, eps):
+    m, n = inst.machines, inst.jobs
+    radii = _feasible_radii(inst)
+    sizes = inst.finite_sizes()
+    best = None  # (bound, chain, ridx, sidx, radius, seq, x)
+    for ridx, radius in enumerate(radii):
+        if best is not None and radius * wtop > best[0]:
+            break
+        grid = load.geometric_grid(radius * wtop, n * radius * wtop, eps)
+        cache = {}
+        for sidx, seq in enumerate(load.enumerate_threshold_sequences(radius, n)):
+            key = load._sequence_key(sizes, seq)
+            if key in cache:
+                sval, x = cache[key]
+            else:
+                model, svar = load._ordered_load_min_bound_lp(inst, sparse, pos, radius, seq)
+                sol = load.solve_lp(model)
+                if sol.status != load.OPTIMAL:
+                    cache[key] = (None, None)
+                    continue
+                sval, x = float(sol.x[svar]), sol.x[: m * n].reshape(m, n)
+                cache[key] = (sval, x)
+            if sval is None:
+                continue
+            bound = load.snap_to_grid(grid, max(sval, radius * wtop))
+            if bound is None:
+                continue
+            gap = load.sparsified_gap_bound(sparse, pos, seq)
+            chain = 4 * radius * wtop + 2 * bound + 2 * gap
+            cand = (bound, chain, ridx, sidx, radius, seq, x)
+            if best is None or cand[:4] < best[:4]:
+                best = cand
+    if best is None:
+        raise load.SolverInternalError("guessing grids failed to cover the instance")
+    bound, chain, _, _, radius, seq, x = best
+    return bound, radius, seq, x

@@ -141,6 +141,27 @@ def test_nan_norm_parameter_exits_invalid(tmp_path):
     assert json.loads(proc.stderr)["error"] == "invalid-input"
 
 
+def test_vanishing_or_tiny_eps_exits_before_the_grid_grows(tmp_path):
+    """With 1.0 + eps == 1.0 the bound grid never grew, and a tiny eps asks
+    for billions of points; run both in a child process with capped memory
+    and time.  The first is invalid input, the second a resource cap."""
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "load", "--machines", "2", "--jobs", "3", "--seed", "1",
+          "--out", str(inst_path)])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    for eps, code, error in (("1e-300", 3, "invalid-input"), ("1e-9", 4, "resource-cap")):
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+                 "from maxnorm.cli import main\n"
+                 f"sys.exit(main(['solve', {str(inst_path)!r}, '--norm', 'topl:1:1',"
+                 f" '--eps', {eps!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert json.loads(proc.stderr)["error"] == error
+
+
 def test_resource_cap_exit_code(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["gen", "load", "--machines", "3", "--jobs", "6", "--seed", "1",

@@ -12,14 +12,15 @@ from types import SimpleNamespace
 import numpy as np
 
 import _exhaustive_scans as exhaustive
-from _gen import random_cluster, random_max_ordered_weights
-from maxnorm import cluster
+from _gen import random_cluster, random_load, random_max_ordered_weights
+from maxnorm import cluster, load
 from maxnorm.cluster import (core_of, solve_knapsack_center, solve_matroid_center,
                              solve_ordered_kcenter, solve_topl_kcenter)
 from maxnorm.errors import MaxNormError
-from maxnorm.generators import gen_cluster, gen_knapsack_cluster, gen_matroid_cluster
+from maxnorm.generators import gen_cluster, gen_knapsack_cluster, gen_load, gen_matroid_cluster
 from maxnorm.lp import INFEASIBLE, OPTIMAL
 from maxnorm.norms import max_ordered_norm, top_norm
+from maxnorm.sparsify import single_threshold_candidates, sparsify_weights
 
 INSTANCES = 40
 
@@ -39,11 +40,13 @@ def _same(a, b):
     return a == b
 
 
-def _check_against_exhaustive(monkeypatch, scan_name, solve):
-    """Run solve() with the monotone scan, then with the exhaustive one: what
-    every scan call returned, and the final result, must agree exactly."""
+def _check_against_exhaustive(monkeypatch, scan_name, solve, owner=cluster, reference=None):
+    """Run solve() with the monotone scan owner.scan_name, then with the
+    exhaustive one (by default the reference of the same name): what every
+    scan call returned, and the final result, must agree exactly."""
     runs = []
-    for impl in (getattr(cluster, scan_name), getattr(exhaustive, scan_name)):
+    reference = reference or getattr(exhaustive, scan_name)
+    for impl in (getattr(owner, scan_name), reference):
         outputs = []
 
         def recorded(*args, impl=impl, outputs=outputs, **kwargs):
@@ -55,7 +58,7 @@ def _check_against_exhaustive(monkeypatch, scan_name, solve):
             outputs.append(out)
             return out
 
-        monkeypatch.setattr(cluster, scan_name, recorded)
+        monkeypatch.setattr(owner, scan_name, recorded)
         try:
             result = solve()
         except MaxNormError as exc:
@@ -175,12 +178,13 @@ def _tabled_lps(monkeypatch, table, log):
     monkeypatch.setattr(cluster, "_lp_parts", lambda core, x: float(x[0]))
 
 
-def _scan_both(monkeypatch, table, scan):
-    """scan(module) under the table for the search and for the reference;
-    returns the two outcomes and the guesses the search solved."""
+def _scan_both(monkeypatch, table, scan, tabled=_tabled_lps, pair=(cluster, exhaustive)):
+    """scan(module) under the table for the search and for the reference
+    (the two entries of pair); returns the two outcomes and the guesses the
+    search solved."""
     outcomes, log = [], []
-    for module, sink in ((cluster, log), (exhaustive, [])):
-        _tabled_lps(monkeypatch, table, sink)
+    for module, sink in zip(pair, (log, [])):
+        tabled(monkeypatch, table, sink)
         try:
             outcomes.append(scan(module))
         except MaxNormError as exc:
@@ -334,3 +338,156 @@ def test_ordered_scan_with_contradicting_verdicts(monkeypatch):
             assert _same(new, ref), hole
             planted += 1
     assert planted >= 10
+
+
+# ---------------------------------------------------------------------------
+# makespan
+
+TOP_NORMS = [(1, 1.0), (2, 1.0), (2, 2.0), (3, 1.5)]
+ORDERED_WEIGHTS = [[(1.0, 0.5, 0.25)], [(1.0, 0.5, 0.25, 0.125), (2.0, 0.5)],
+                   [(1.0,), (0.5, 0.5, 0.5)], [(3.0, 1.0), (1.0, 1.0, 1.0, 1.0)]]
+
+
+def _load_instances(seed):
+    """Seeded makespan instances of 1-4 machines and 1-11 jobs; a third of
+    them forbid about 30% of the pairs."""
+    rng = np.random.default_rng(seed)
+    for k in range(INSTANCES):
+        yield gen_load(seed * 1000 + k, machines=int(rng.integers(1, 5)),
+                       jobs=int(rng.integers(1, 12)), pmax=int(rng.choice([3, 10, 40])),
+                       forbidden=float(rng.choice([0.0, 0.0, 0.3])))
+
+
+def test_load_top_matches_exhaustive(monkeypatch):
+    for inst in _load_instances(311):
+        for ell, q in TOP_NORMS:
+            _check_against_exhaustive(monkeypatch, "_scan_top_guesses",
+                                      lambda: load.solve_topl_makespan(inst, ell, q, 0.1),
+                                      owner=load, reference=exhaustive.load_scan_top_guesses)
+
+
+def test_load_ordered_matches_exhaustive(monkeypatch):
+    for inst in _load_instances(312):
+        for weights in ORDERED_WEIGHTS:
+            _check_against_exhaustive(monkeypatch, "_scan_ordered_guesses",
+                                      lambda: load.solve_ordered_makespan(inst, weights, 0.1),
+                                      owner=load, reference=exhaustive.load_scan_ordered_guesses)
+
+
+def test_load_lp_count(monkeypatch):
+    """One 8x60 instance: the exhaustive scans solve 15 LPs at Top-(2,1)
+    and 462 for an ordered norm."""
+    inst = gen_load(5, machines=8, jobs=60, pmax=50, forbidden=0.1)
+    calls = []
+    solve = load.solve_lp
+    monkeypatch.setattr(load, "solve_lp", lambda model: calls.append(1) or solve(model))
+    load.solve_topl_makespan(inst, 2, 1.0, 0.1)
+    top, calls[:] = len(calls), []
+    load.solve_ordered_makespan(inst, ORDERED_WEIGHTS[1], 0.1)
+    assert 0 < top <= 10 and 0 < len(calls) <= 40
+
+
+def _tabled_load_lps(inst):
+    """Like _tabled_lps, for the makespan relaxations: a Top guess is its
+    threshold, a sequence guess its count key (which fixes its LP)."""
+    m, n = inst.machines, inst.jobs
+    sizes = inst.finite_sizes()
+
+    def tabled(monkeypatch, table, log):
+        def solve_lp(key):
+            log.append(key)
+            s = table(*key)
+            if s is None:
+                return SimpleNamespace(status=INFEASIBLE, x=None)
+            return SimpleNamespace(status=OPTIMAL, x=np.full(m * n + 1, s))
+
+        monkeypatch.setattr(load, "_topl_load_min_bound_lp",
+                            lambda inst, ell, q, radius, t: ((radius, t), 0))
+        monkeypatch.setattr(load, "_ordered_load_min_bound_lp",
+                            lambda inst, sparse, pos, radius, seq:
+                            ((radius, load._sequence_key(sizes, seq)), 0))
+        monkeypatch.setattr(load, "solve_lp", solve_lp)
+    return tabled
+
+
+def test_load_top_scan_with_contradicting_verdicts(monkeypatch):
+    rng = np.random.default_rng(313)
+    planted = lured = 0
+    for _ in range(30):
+        inst = random_load(rng, m_hi=3, j_hi=5, pmax=12, forbidden=0.2)
+        sizes = inst.finite_sizes()
+        radii = load._feasible_radii(inst, sizes)
+        thresholds = single_threshold_candidates(sizes)
+        table = _top_table(rng, radii, mass=60.0)
+        ell, q = _top_params(rng)
+        tabled = _tabled_load_lps(inst)
+        pair = (load._scan_top_guesses, exhaustive.load_scan_top_guesses)
+
+        def scan(impl):
+            return impl(inst, ell, q, 0.05)
+
+        (new, ref), log = _scan_both(monkeypatch, table, scan, tabled, pair)
+        assert _same(new, ref)
+        for hole, lure in _visit_holes(log, table, thresholds) + _staircase_holes(log, table):
+            (new, ref), _ = _scan_both(monkeypatch, _planted(table, hole, lure), scan,
+                                       tabled, pair)
+            assert _same(new, ref), (hole, lure)
+            planted += 1
+            lured += lure is not None
+    assert planted >= 40 and lured >= 10
+
+
+def test_load_ordered_scan_with_contradicting_verdicts(monkeypatch):
+    """Tables monotone in the count key, then a guess the search solves
+    made infeasible although a guess counting at least as much everywhere
+    was feasible: the row is searched again without skipping, which finds
+    a lure planted among the skipped guesses."""
+    rng = np.random.default_rng(314)
+    planted = changed = 0
+    for _ in range(30):
+        inst = random_load(rng, m_hi=3, j_hi=6, pmax=12)
+        sizes = inst.finite_sizes()
+        weights = random_max_ordered_weights(rng)
+        sparse, pos = sparsify_weights(weights, inst.jobs)
+        wtop = max(float(w[0]) for w in sparse)
+        if wtop == 0.0:
+            continue
+        cap = rng.uniform(0.0, 1.0) * len(sizes) * len(pos.indices)
+        a, b = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+
+        def table(radius, counts):
+            if sum(counts) > cap * radius / sizes[-1]:
+                return None
+            return radius * wtop * (a + b * sum(counts) / (len(sizes) * len(counts)))
+
+        tabled = _tabled_load_lps(inst)
+        pair = (load._scan_ordered_guesses, exhaustive.load_scan_ordered_guesses)
+
+        def scan(impl):
+            return impl(inst, sparse, pos, wtop, 0.1)
+
+        (base, ref), log = _scan_both(monkeypatch, table, scan, tabled, pair)
+        assert _same(base, ref)
+        for k, (radius, counts) in enumerate(log):
+            covering = [c for r, c in log[:k] if r == radius and c != counts
+                        and table(r, c) is not None and all(map(int.__ge__, c, counts))]
+            if not covering or table(radius, counts) is None:
+                continue
+            lures = [c for r, c in _row_keys(inst, radius) if (r, c) not in log
+                     and any(all(map(int.__ge__, c, bad)) for rr, bad in log
+                             if rr == radius and table(rr, bad) is None)]
+            for lure in [None] + lures[:1]:
+                lure = lure and (radius, lure)
+                (new, ref), _ = _scan_both(monkeypatch,
+                                           _planted(table, (radius, counts), lure),
+                                           scan, tabled, pair)
+                assert _same(new, ref), ((radius, counts), lure)
+                planted += 1
+                changed += not _same(new, base)
+    assert planted >= 50 and changed >= 10
+
+
+def _row_keys(inst, radius):
+    sizes = inst.finite_sizes()
+    return {(radius, load._sequence_key(sizes, seq))
+            for seq in load.enumerate_threshold_sequences(radius, inst.jobs)}

@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from _gen import random_load, random_weight_vector
+from _gen import random_load, random_max_ordered_weights, random_weight_vector
 from maxnorm.errors import InvalidInputError
 from maxnorm.norms import max_ordered_norm, eval_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
 from maxnorm.sparsify import (covering_threshold_sequence,
                               enumerate_threshold_sequences, geometric_grid,
                               pos_set, single_threshold_candidates, snap_to_grid,
-                              sparsified_gap_bound, sparsify_weights,
+                              sparsified_gap_bound, sparsified_gap_bounds, sparsify_weights,
                               threshold_support, ThresholdSequence)
 
 
@@ -153,3 +153,19 @@ def test_gap_bound_examples():
     zeros, pos2 = sparsify_weights([(0.0, 0.0)], 2)
     seq2 = ThresholdSequence(anchor=1.0, positions=pos2.indices, values=(1.0, 0.5))
     assert sparsified_gap_bound(zeros, pos2, seq2) == 0.0
+
+
+def test_gap_bounds_match_the_scalar_gap_bit_for_bit():
+    rng = np.random.default_rng(41)
+    compared = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 20))
+        sparse, pos = sparsify_weights(random_max_ordered_weights(rng, dim_hi=n + 2), n)
+        anchor = float(rng.choice([1.0, 3.0, 0.7, 1e-3, 123.456]))
+        seqs = list(enumerate_threshold_sequences(anchor, n))
+        gaps = sparsified_gap_bounds(sparse, pos, [seq.values for seq in seqs])
+        assert len(gaps) == len(seqs)
+        for seq, gap in zip(seqs, gaps):
+            assert float(gap).hex() == float(sparsified_gap_bound(sparse, pos, seq)).hex()
+            compared += 1
+    assert compared > 1000

@@ -11,6 +11,7 @@ import numpy as np
 
 import maxnorm
 from maxnorm import cluster, fair, load, lp
+from maxnorm.generators import gen_load
 from maxnorm.instances import LoadInstance
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -43,3 +44,25 @@ def test_tracer_installs_runs_and_uninstalls():
     metrics = tracing.layer_metrics(*tracer.take_pass())
     assert metrics["lp.solve_lp.calls"] > 0
     assert metrics["lp.check_residuals.s"] > 0 and metrics["load.model_build.s"] > 0
+
+
+def test_traced_lp_calls_are_the_lps_solved(monkeypatch):
+    """lp.solve_lp.calls counts every LP a makespan scan solves.  The LPs are
+    counted in lp itself, so a scan reaching solve_lp under a name the
+    tracer does not bind would read fewer traced calls than solves."""
+    tracing = _tracing_module()
+    solved = []
+    layout = lp._layout
+    monkeypatch.setattr(lp, "_layout", lambda model: solved.append(1) or layout(model))
+    inst = gen_load(4, machines=4, jobs=12, pmax=20, forbidden=0.2)
+    for solve in (lambda: maxnorm.solve_topl_makespan(inst, 2, 1.0, 0.1),
+                  lambda: maxnorm.solve_ordered_makespan(inst, [(1.0, 0.5, 0.25)], 0.1)):
+        solved.clear()
+        tracer = tracing.Tracer()
+        tracer.install(maxnorm)
+        try:
+            solve()
+        finally:
+            tracer.uninstall()
+        metrics = tracing.layer_metrics(*tracer.take_pass())
+        assert solved and metrics["lp.solve_lp.calls"] == len(solved)
