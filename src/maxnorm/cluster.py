@@ -33,15 +33,20 @@ instead of solving every infeasible guess:
     its floor max(R, ell^(1/q) T); this is maxnorm.guess.scan_top_rows,
     shared with the makespan driver and the knapsack Top residual (whose
     bound is not snapped to a grid);
-  * for ordered norms, a sequence lying at or below an infeasible one on
-    every kept coordinate is skipped unsolved.
+  * for ordered norms, each radius is one maxnorm.guess.scan_sequence_row:
+    its sequences are visited in ascending order of the LP-free lower key
+    (floor, chain at the floor, radius, sequence index), with floor = R w1
+    snapped to the grid, and the visit stops once the next lower key
+    reaches the best key found.  The chain only grows with the bound, so
+    no real key lies below its lower key.  A sequence lying at or below an
+    infeasible one on every kept coordinate is skipped unsolved.  The
+    knapsack residual runs the same scan with the lower key (R w1,
+    sequence index), so it walks the sequences in order and stops once s
+    <= R w1: no later sequence gets below that floor.
 
-The feasible guesses are then visited in the exhaustive scan's order, with
-its break rules and its (bound, radius, threshold) tie-break, so the search
-accepts exactly the guess the exhaustive scan accepts.  A verdict that
-contradicts monotonicity (a numerical edge) sends its radius back to a full
-search of the row.  The ordered knapsack residual also stops its sequence
-walk once s <= R w1: no later sequence gets below that floor.
+Every scan accepts exactly the guess the exhaustive scan accepts, with its
+(bound, ...) tie-break.  A verdict that contradicts monotonicity (a
+numerical edge) sends its radius back to a full search of the row.
 """
 
 import itertools
@@ -54,7 +59,7 @@ import numpy as np
 from .bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                        solve_two_laminar_integral)
 from .errors import InfeasibleError, InvalidInputError, SolverInternalError
-from .guess import GuessLPs, first_true, scan_top_rows
+from .guess import GuessLPs, first_true, scan_sequence_row, scan_top_rows
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
 from .lp import EQ, GE, LE, OPTIMAL, lp_model, solve_lp
@@ -632,25 +637,12 @@ def _sequence_spec(sparse, pos, r0, seq):
     return ("top", r0, 1.0, 0.0) if seq is None else ("ordered", sparse, pos, seq)
 
 
-def _feasible_sequences(solve, seqs, expect_first=False):
-    """(seq, solution, index of s) for each feasible threshold sequence, in
-    order.  A sequence lying at or below an infeasible one on every kept
-    coordinate counts more items, so it is infeasible too and goes unsolved.
-    With expect_first the first sequence is feasible by monotonicity in R; if
-    it is not, nothing is skipped."""
-    infeasible = []
-    prune = True
-    for i, seq in enumerate(seqs):
-        if prune and any(all(a <= b for a, b in zip(seq.values, bad.values))
-                         for bad in infeasible):
-            continue
-        sol, sidx = solve(seq)
-        if sol.status == OPTIMAL:
-            yield seq, sol, sidx
-        elif i == 0 and expect_first:
-            prune = False
-        else:
-            infeasible.append(seq)
+def _count_key(seq):
+    """The sequence's count key for scan_sequence_row: its negated
+    thresholds.  Radius 0 has only the one guess, so its empty key, which
+    covers every other, is never compared within a row; once feasible, it
+    ends the scan at bound 0."""
+    return () if seq is None else tuple(-v for v in seq.values)
 
 
 def _top_cert(radius, bound, ell, q, threshold):
@@ -743,29 +735,44 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
         b = _scan_top_guesses(core, budget, 1, 1.0, eps, coverage=coverage)
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
-    lps = GuessLPs(lambda ri, seq: _center_lp(core, budget, _sequence_spec(sparse, pos, r0, seq),
-                                               radii[ri], coverage=coverage), solve_lp)
-    # a radius's first sequence, every threshold at R, is its weakest LP
-    first = first_true(lambda ri: lps.feasible(ri, next(iter(_sequences(radii[ri], r0)))),
-                        0, len(radii))
+    reps = {}  # (radius index, count key) -> its sequence
+    lps = GuessLPs(lambda ri, key: _center_lp(core, budget,
+                                              _sequence_spec(sparse, pos, r0, reps[ri, key]),
+                                              radii[ri], coverage=coverage), solve_lp)
+
+    def keyed(ri, seq):
+        reps[ri, _count_key(seq)] = seq
+        return _count_key(seq)
+
+    def weakest(ri):  # a radius's first sequence, every threshold at R, is its weakest LP
+        return keyed(ri, next(iter(_sequences(radii[ri], r0))))
+
+    first = first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, len(radii))
     for ri in range(first, len(radii)):
         radius = radii[ri]
-        if best is not None and radius * wtop > best[0]:
+        if best is not None and radius * wtop > best[0][0]:
             break
         grid = [0.0] if radius == 0.0 else geometric_grid(radius * wtop, r0 * radius * wtop, eps)
-        for seq, sol, sidx in _feasible_sequences(lambda seq: lps(ri, seq),
-                                                  _sequences(radius, r0), expect_first=True):
-            bound = snap_to_grid(grid, max(max(sol.x[sidx], 0.0), radius * wtop)) \
-                if seq is not None else 0.0
+        floor = snap_to_grid(grid, radius * wtop)  # no bound of this radius lies below it
+
+        def chain_at(seq, bound):
+            return 0.0 if seq is None else _ordered_chain(sparse, pos, seq, radius, bound)
+
+        def real_key(guess, sol, svar):
+            sidx, seq = guess
+            bound = 0.0 if seq is None else snap_to_grid(grid, max(max(sol.x[svar], 0.0),
+                                                                   radius * wtop))
             if bound is None:
-                continue
-            chain = _ordered_chain(sparse, pos, seq, radius, bound) if seq is not None else 0.0
-            cand = (bound, chain, radius, seq, sparse, pos, _lp_parts(core, sol.x))
-            if best is None or cand[:2] < best[:2]:
-                best = cand
+                return None
+            return (bound, chain_at(seq, bound), ri, sidx), (radius, seq, _lp_parts(core, sol.x))
+
+        guesses = [((floor, chain_at(seq, floor), ri, sidx), keyed(ri, seq), (sidx, seq))
+                   for sidx, seq in enumerate(_sequences(radius, r0))]
+        best = scan_sequence_row(lps, ri, guesses, real_key, best)
     if best is None:
         raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
-    return best
+    (bound, chain, _, _), (radius, seq, xuy) = best
+    return bound, chain, radius, seq, sparse, pos, xuy
 
 
 def solve_matroid_center(minst, norm, eps):
@@ -910,17 +917,24 @@ def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
     sparse, pos = sparsify_weights(norm.weights, r0)
     wtop = max(float(w[0]) for w in sparse)
     floor = radius * wtop
-    lps = GuessLPs(lambda seq: _center_lp(rcore, budget, _sequence_spec(sparse, pos, r0, seq),
-                                          radius), solve_lp)
-    best = None
-    for seq, sol, sidx in _feasible_sequences(lps, _sequences(radius, r0)):
-        mass = max(sol.x[sidx], 0.0)
-        bhat = max(mass, floor)
-        if best is None or bhat < best[0]:
-            best = (bhat, (rcore, _sequence_spec(sparse, pos, r0, seq), _lp_parts(rcore, sol.x)))
-        if mass <= floor:  # no later sequence gets below the floor
-            break
-    return best
+    reps = {}  # count key -> its sequence
+    lps = GuessLPs(lambda _, key: _center_lp(rcore, budget,
+                                             _sequence_spec(sparse, pos, r0, reps[key]), radius),
+                   solve_lp)
+    guesses = []
+    for sidx, seq in enumerate(_sequences(radius, r0)):
+        reps[_count_key(seq)] = seq
+        guesses.append(((floor, sidx), _count_key(seq), (sidx, seq)))
+
+    def real_key(guess, sol, svar):
+        sidx, seq = guess
+        bhat = max(max(sol.x[svar], 0.0), floor)
+        return (bhat, sidx), (rcore, _sequence_spec(sparse, pos, r0, seq), _lp_parts(rcore, sol.x))
+
+    # all lower keys share the floor: sequences go in order, and the walk
+    # stops once one reaches the floor
+    best = scan_sequence_row(lps, 0, guesses, real_key)
+    return None if best is None else (best[0][0], best[1])
 
 
 def _finish_knapsack(kinst, norm, eps, core, light, wt, s0, radius, bound, pre, payload):

@@ -21,7 +21,10 @@ instead of solving every guess:
 
 Both accept exactly the guess the exhaustive scan accepts.  A verdict that
 contradicts monotonicity (a numerical edge) sends its radius back to a full
-search of the row.
+search of the row: an infeasible threshold past the bisected start, or an
+infeasible sequence covered by a feasible one of this or a smaller radius.
+The makespan Top and ordered scans, the k-center Top and ordered scans and
+the knapsack residual all run through these two.
 """
 
 from bisect import bisect_right
@@ -130,34 +133,43 @@ def _covers(a, b):
     return all(x >= y for x, y in zip(a, b))
 
 
+def _proven_feasible(lps, ri, key):
+    """Whether a feasible guess solved so far, at radius index ri or below,
+    covers key, which makes key feasible by monotonicity."""
+    return any(r <= ri and sol.status == OPTIMAL and _covers(k, key)
+               for (r, k), (sol, _) in lps.solved.items())
+
+
 def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
     """Branch-and-bound over the threshold sequences of radius index ri.
 
-    guesses are (lower key, count key, sequence) triples.  The count key
-    counts, per kept coordinate, the items above the sequence's threshold:
-    sequences with one count key share one LP, lps(ri, count key), and one
+    guesses are (lower key, count key, payload) triples.  The count key holds
+    one number per kept coordinate that grows as the sequence counts more
+    items there (the count of sizes above the threshold, or the negated
+    threshold): lps(ri, count key) solves the sequence's LP, and a sequence
     counting at least as much everywhere as an infeasible one is infeasible
-    too.  real_key(sequence, solution, index of s) gives (key, payload), or
-    None for no candidate; a key never lies below its lower key.  Returns
-    the best (key, payload) of best and this row's sequences: the visit
-    goes in ascending lower-key order and stops once the next lower key
-    reaches the best key, so no unvisited sequence could have won.
+    too, so it is skipped unsolved.  real_key(payload, solution, index of s)
+    gives (key, result), or None for no candidate; a key never lies below
+    its lower key.  Returns the best (key, result) of best and this row's
+    sequences: the visit goes in ascending lower-key order and stops once
+    the next lower key reaches the best key, so no unvisited sequence could
+    have won.  An infeasible verdict on a sequence that a feasible one of
+    this or a smaller radius covers contradicts monotonicity; the row is
+    then searched again without skipping.
     """
-    infeasible, feasible = [], []
-    for lower, counts, seq in sorted(guesses, key=lambda g: g[0]):
+    infeasible = []
+    for lower, counts, payload in sorted(guesses, key=lambda g: g[0]):
         if best is not None and lower >= best[0]:
             break
         if prune and any(_covers(counts, bad) for bad in infeasible):
             continue
         sol, sidx = lps(ri, counts)
         if sol.status != OPTIMAL:
-            if prune and any(_covers(good, counts) for good in feasible):
-                # not monotone after all: search the row without skipping
+            if prune and _proven_feasible(lps, ri, counts):
                 return scan_sequence_row(lps, ri, guesses, real_key, best, prune=False)
             infeasible.append(counts)
             continue
-        feasible.append(counts)
-        cand = real_key(seq, sol, sidx)
+        cand = real_key(payload, sol, sidx)
         if cand is not None and (best is None or cand[0] < best[0]):
             best = cand
     return best

@@ -215,23 +215,13 @@ def covering_threshold_sequence(anchor, n, true_thresholds):
 def sparsified_gap_bound(sparse_weights, pos, seq):
     """max over weight vectors of sum over kept ell of
     (w_ell - w_next(ell)) * ell * T_ell: the guessing cost certificate."""
-    best = 0.0
-    tvals = seq.as_dict()
-    for w in sparse_weights:
-        total = 0.0
-        for ell in pos.indices:
-            nxt = pos.next_index(ell)
-            w_ell = w[ell - 1]
-            w_next = w[nxt - 1] if nxt <= pos.n else 0.0
-            total += (w_ell - w_next) * ell * tvals[ell]
-        best = max(best, total)
-    return best
+    gap = sparsified_gap_bounds(sparse_weights, pos, [seq.values])[0]
+    return gap if gap > 0.0 else 0.0
 
 
 def sparsified_gap_bounds(sparse_weights, pos, values):
-    """sparsified_gap_bound of many sequences at once; row k of values holds
-    the thresholds of sequence k on the kept coordinates.  The operations
-    run in sparsified_gap_bound's order, so every gap is bit-identical."""
+    """sparsified_gap_bound of many sequences at once, as an array; row k of
+    values holds the thresholds of sequence k on the kept coordinates."""
     values = np.asarray(values, float).reshape(-1, len(pos.indices))
     best = np.zeros(len(values))
     for w in sparse_weights:

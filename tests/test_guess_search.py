@@ -20,7 +20,7 @@ from maxnorm.errors import MaxNormError
 from maxnorm.generators import gen_cluster, gen_knapsack_cluster, gen_load, gen_matroid_cluster
 from maxnorm.lp import INFEASIBLE, OPTIMAL
 from maxnorm.norms import max_ordered_norm, top_norm
-from maxnorm.sparsify import single_threshold_candidates, sparsify_weights
+from maxnorm.sparsify import ThresholdSequence, single_threshold_candidates, sparsify_weights
 
 INSTANCES = 40
 
@@ -338,6 +338,65 @@ def test_ordered_scan_with_contradicting_verdicts(monkeypatch):
             assert _same(new, ref), hole
             planted += 1
     assert planted >= 10
+
+
+def _covers(a, b):
+    """Sequence a counts at least as much as b: no threshold of a lies above b's."""
+    return all(x <= y for x, y in zip(a.values, b.values))
+
+
+# equal weights at neighbouring kept coordinates make sequences tie on their
+# lower key, so that one covering an infeasible sequence can come after it
+TIED_WEIGHTS = [[(1.0, 0.5, 0.5)], [(1.0, 1.0, 1.0, 0.5)], [(2.0, 1.0, 1.0), (1.0, 1.0)]]
+
+
+def test_ordered_scan_finds_lures_behind_contradictions(monkeypatch):
+    """Tables monotone in R and in the thresholds, then a sequence the search
+    solves made infeasible although a sequence covering it, at its radius or
+    a smaller one, was feasible: the row is searched again without skipping,
+    which finds a lure planted among the sequences the hole would skip."""
+    rng = np.random.default_rng(310)
+    planted = changed = 0
+    for _ in range(40):
+        core = core_of(random_cluster(rng, nc_hi=5, nf_hi=5))
+        radii = sorted(set(core.distances()) | {0.0})
+        r0 = max(core.r0, 1)
+        first = radii[int(rng.integers(0, len(radii)))]
+        frac, a, b = rng.uniform(0.0, 1.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0)
+        top = max(radii)
+
+        def table(radius, seq):
+            if radius < first or radius == 0.0:  # radius 0 would undercut every sequence
+                return None
+            if not isinstance(seq, ThresholdSequence):
+                return 0.0  # the Top scan a zero objective falls back to
+            mean = sum(seq.values) / len(seq.values)
+            return None if mean < frac * top else radius * (a - b * mean / top)
+
+        weights = TIED_WEIGHTS[int(rng.integers(0, len(TIED_WEIGHTS)))]
+
+        def scan(module):
+            return module._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
+
+        (base, ref), log = _scan_both(monkeypatch, table, scan)
+        assert _same(base, ref)
+        for k, (radius, seq) in enumerate(log):
+            if not isinstance(seq, ThresholdSequence) or table(radius, seq) is None \
+                    or log.index((radius, seq)) != k:
+                continue
+            if not any(r <= radius and isinstance(s, ThresholdSequence) and table(r, s) is not None
+                       and s != seq and _covers(s, seq) for r, s in log[:k]):
+                continue
+            lures = [s for s in cluster._sequences(radius, r0)
+                     if s != seq and (radius, s) not in log[:k] and _covers(s, seq)]
+            for lure in [None] + lures[:1]:
+                lure = lure and (radius, lure)
+                (new, ref), _ = _scan_both(monkeypatch, _planted(table, (radius, seq), lure),
+                                           scan)
+                assert _same(new, ref), ((radius, seq), lure)
+                planted += 1
+                changed += not _same(new, base)
+    assert planted >= 40 and changed >= 15, (planted, changed)
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,21 @@ def test_gap_bound_examples():
     assert sparsified_gap_bound(zeros, pos2, seq2) == 0.0
 
 
-def test_gap_bounds_match_the_scalar_gap_bit_for_bit():
+def _loop_gap(sparse_weights, pos, seq):
+    """The gap certificate written out as loops, one sequence at a time."""
+    best = 0.0
+    tvals = seq.as_dict()
+    for w in sparse_weights:
+        total = 0.0
+        for ell in pos.indices:
+            nxt = pos.next_index(ell)
+            w_next = w[nxt - 1] if nxt <= pos.n else 0.0
+            total += (w[ell - 1] - w_next) * ell * tvals[ell]
+        best = max(best, total)
+    return best
+
+
+def test_gap_bounds_match_the_loop_formula_bit_for_bit():
     rng = np.random.default_rng(41)
     compared = 0
     for _ in range(40):
@@ -166,6 +180,9 @@ def test_gap_bounds_match_the_scalar_gap_bit_for_bit():
         gaps = sparsified_gap_bounds(sparse, pos, [seq.values for seq in seqs])
         assert len(gaps) == len(seqs)
         for seq, gap in zip(seqs, gaps):
-            assert float(gap).hex() == float(sparsified_gap_bound(sparse, pos, seq)).hex()
+            loop = _loop_gap(sparse, pos, seq)
+            assert float(gap).hex() == float(loop).hex()
+            one = sparsified_gap_bound(sparse, pos, seq)
+            assert type(one) is type(loop) and float(one).hex() == float(loop).hex()
             compared += 1
     assert compared > 1000
