@@ -117,7 +117,7 @@ def cmd_solve(args):
     payload = {"kind": "solve-result",
                "norm": fileio.encode_norm(norm),
                "value": repr(result.value),
-               "certificate": {k: (repr(v) if isinstance(v, float) else
+               "certificate": {k: (repr(float(v)) if isinstance(v, float) else
                                    list(v) if isinstance(v, tuple) else v)
                                for k, v in result.certificate.items()}}
     if hasattr(result, "assignment"):
@@ -178,7 +178,7 @@ def _compare_row(task):
     ratio = result.value / opt.value if opt.value > 0 else \
         (1.0 if result.value == 0 else float("inf"))
     return {"seed": seed, "opt": repr(opt.value), "achieved": repr(result.value),
-            "ratio": repr(ratio), "bound": repr(cert[bound_key]),
+            "ratio": repr(ratio), "bound": repr(float(cert[bound_key])),
             "guess_radius": repr(cert.get("radius", 0.0)),
             "guess_bound": repr(cert.get("bound", 0.0)),
             "guess_threshold": repr(cert.get("threshold", 0.0))}

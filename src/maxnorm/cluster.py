@@ -349,6 +349,20 @@ def _floor_ceil(u):
     return int(math.floor(snapped)), int(math.ceil(snapped))
 
 
+def _fill_slots(queues, want, pick, place, what):
+    """place(pick()) until pick() returns None.  pick chooses only clients
+    whose queue is short of want[j], and each place appends to that queue,
+    so pick() returns None within (open slots + 1) rounds; a round past
+    that means a step filled nothing."""
+    slots = sum(max(w - len(q), 0) for q, w in zip(queues, want))
+    for _ in range(slots + 1):
+        chosen = pick()
+        if chosen is None:
+            return
+        place(chosen)
+    raise SolverInternalError(f"{what} picked again after filling all {slots} open queue slots")
+
+
 def build_bundles(split):
     """Group fractional copies into bundles (two passes: full bundles by
     nearest unit mass, then one at-most-unit bundle per client with a
@@ -419,7 +433,7 @@ def build_bundles(split):
         return None
 
     # pass 1: full bundles until every queue holds floor(u_j) of them
-    while True:
+    def pick_full():
         pick = None
         for j in range(nc):
             if len(queues[j]) >= floors[j]:
@@ -429,8 +443,9 @@ def build_bundles(split):
                 raise SolverInternalError("client lost unit support mass before pass 1 ended")
             if pick is None or dmax < pick[3]:
                 pick = (j, ids, boundary, dmax)
-        if pick is None:
-            break
+        return pick
+
+    def place_full(pick):
         j, ids, boundary, _ = pick
         touched = ids + ([boundary[0]] if boundary is not None else [])
         hit = first_hit(touched, want_full=True)
@@ -450,8 +465,10 @@ def build_bundles(split):
             fj[j] = [c for c in fj[j] if c not in inside]
             resort(j)
 
+    _fill_slots(queues, floors, pick_full, place_full, "bundle pass 1")
+
     # pass 2: one more (at most unit) bundle per client with fractional extent
-    while True:
+    def pick_partial():
         pick = None
         for j in range(nc):
             if len(queues[j]) >= ceils[j]:
@@ -463,8 +480,9 @@ def build_bundles(split):
             ids, boundary, reach, dmax = prefix(j, target)
             if pick is None or reach > pick[3] + 1e-15:
                 pick = (j, ids, boundary, reach)
-        if pick is None:
-            break
+        return pick
+
+    def place_partial(pick):
         j, ids, boundary, reach = pick
         touched = ids + ([boundary[0]] if boundary is not None else [])
         hit = first_hit(touched, want_full=True)
@@ -475,7 +493,7 @@ def build_bundles(split):
         if hit is not None:
             queues[j].append(hit)
             fj[j] = []
-            continue
+            return
         u_new = materialize(j, ids, boundary)
         bundles.append(u_new)
         is_full.append(False)
@@ -485,6 +503,8 @@ def build_bundles(split):
         reuse[b] = 1
         queues[j].append(b)
         fj[j] = []
+
+    _fill_slots(queues, ceils, pick_partial, place_partial, "bundle pass 2")
 
     out = BundleStructure(
         split=SplitSolution(core=core, radius=split.radius, original=original,

@@ -28,6 +28,7 @@ from a finite set and a returned cut is always new.
 """
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -347,6 +348,17 @@ def dump_lp(model):
 # exact rational simplex
 
 
+def _pivot(tab, basis, r, c):
+    """Gauss-Jordan pivot of a Fraction tableau on (r, c); c enters the basis at row r."""
+    piv = tab[r][c]
+    tab[r] = [v / piv for v in tab[r]]
+    for rr in range(len(tab)):
+        if rr != r and tab[rr][c] != 0:
+            f = tab[rr][c]
+            tab[rr] = [a - f * b for a, b in zip(tab[rr], tab[r])]
+    basis[r] = c
+
+
 def simplex_solve(rows, num_vars, objective=None, nonneg=None):
     """Two-phase dense simplex over Fractions with Bland's rule.
 
@@ -421,18 +433,10 @@ def simplex_solve(rows, num_vars, objective=None, nonneg=None):
             acol += 1
     art_set = set(art_cols)
 
-    def pivot(r, c):
-        piv = tab[r][c]
-        tab[r] = [v / piv for v in tab[r]]
-        for rr in range(m):
-            if rr != r and tab[rr][c] != 0:
-                f = tab[rr][c]
-                tab[rr] = [a - f * b for a, b in zip(tab[rr], tab[r])]
-        basis[r] = c
-
     def run_phase(cost):
-        # cost over all columns; returns objective value at termination
-        while True:
+        # cost over all columns; returns objective value at termination.  Bland's
+        # rule never returns to a basis, so a phase visits at most C(total, m)
+        for _ in range(math.comb(total, m)):
             # reduced costs via the basis rows
             red = list(cost)
             offset = Fraction(0)
@@ -454,7 +458,8 @@ def simplex_solve(rows, num_vars, objective=None, nonneg=None):
                         best_r, best_ratio = r, ratio
             if best_r is None:
                 return None, False  # unbounded
-            pivot(best_r, enter)
+            _pivot(tab, basis, best_r, enter)
+        raise SolverInternalError("simplex phase pivoted past its count of bases")
 
     if art_cols:
         phase1 = [Fraction(0)] * total
@@ -470,7 +475,7 @@ def simplex_solve(rows, num_vars, objective=None, nonneg=None):
             if basis[r] in art_set:
                 swap = next((c for c in range(ncols + nslack) if tab[r][c] != 0), None)
                 if swap is not None:
-                    pivot(r, swap)
+                    _pivot(tab, basis, r, swap)
         # freeze artificial columns at zero
         for r in range(m):
             for c in art_cols:

@@ -33,16 +33,6 @@ class PosSet:
                 return v
         return self.n + 1
 
-    def prev_index(self, t):
-        """Largest kept index strictly smaller than t (1 maps to 0)."""
-        prev = 0
-        for v in self.indices:
-            if v < t:
-                prev = v
-            else:
-                break
-        return prev
-
 
 def pos_set(n):
     if n < 1:
@@ -129,16 +119,6 @@ def single_threshold_candidates(values):
     return sorted(out)
 
 
-def instance_threshold_candidates(inst):
-    """Threshold guesses straight from an instance: its processing times or
-    client-facility distances."""
-    from .instances import LoadInstance
-
-    if isinstance(inst, LoadInstance):
-        return single_threshold_candidates(inst.finite_sizes())
-    return single_threshold_candidates(inst.finite_distances())
-
-
 @dataclass(frozen=True)
 class ThresholdSequence:
     """Non-increasing threshold guesses on the kept coordinates; the first
@@ -147,9 +127,6 @@ class ThresholdSequence:
     anchor: float
     positions: tuple
     values: tuple
-
-    def value_at(self, ell):
-        return self.values[self.positions.index(ell)]
 
     def as_dict(self):
         return dict(zip(self.positions, self.values))

@@ -1,15 +1,16 @@
 """Exhaustive guess scans: one LP per guess, infeasible guesses included.
 
-These are the k-center and makespan scans as they were before the monotone
-search, kept as the reference the search is tested against.  They look
-every program name up through the cluster or load module at call time, so
-a test that replaces `cluster.solve_lp` or `cluster._center_lp` (or their
-load counterparts) reaches both implementations.
+These are the k-center, makespan and fair scans as they were before the
+monotone search, kept as the reference the search is tested against.  They
+look every program name up through the cluster, load or fair module at
+call time, so a test that replaces `cluster.solve_lp` or
+`cluster._center_lp` (or their load and fair counterparts) reaches both
+implementations.
 """
 
 import numpy as np
 
-from maxnorm import cluster, load
+from maxnorm import cluster, fair, load
 
 
 def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
@@ -213,3 +214,66 @@ def load_scan_ordered_guesses(inst, sparse, pos, wtop, eps):
         raise load.SolverInternalError("guessing grids failed to cover the instance")
     bound, chain, _, _, radius, seq, x = best
     return bound, radius, seq, x
+
+
+# ---------------------------------------------------------------------------
+# fair: the guess pairs, the separation scan and the bound walk
+
+
+def fair_guess_pairs(values, bound, ell, q):
+    root = 1.0 / q
+    tcap = bound / ell ** root
+    radii = sorted({v for v in values if v <= bound} | {float(bound)})
+    thresholds = sorted({0.0} | {v for v in values if v <= tcap} | {float(tcap)})
+    pairs, seen = [], set()
+    for radius in radii:
+        for t in thresholds:
+            key = (sum(1 for v in values if v <= radius),
+                   sum(1 for v in values if v > t))
+            if key in seen:
+                continue
+            seen.add(key)
+            pairs.append((radius, t))
+    return pairs
+
+
+def fair_separation_scan(oracle, point_vec):
+    """Every guess pair of the oracle in scan order, solving each pair's
+    LP; the LP builders and the rounding are the oracle's own."""
+    point = oracle._point(point_vec)
+    eta = fair.compute_eta(point)
+    weighted = oracle._weighted_row(point, eta)
+    shaky = False
+    for radius, t in oracle.pairs:
+        if weighted is None:
+            continue  # zero alpha cannot reach a positive threshold
+        sol = fair.solve_lp(oracle.base_lp(radius, t)[0])
+        if sol.status != fair.OPTIMAL:
+            continue
+        row, sense, rhs = weighted
+        if row:
+            model = oracle.base_lp(radius, t)[0]
+            model.add_row(row, sense, rhs)
+            sol = fair.solve_lp(model)
+            if sol.status != fair.OPTIMAL:
+                continue
+        cut = oracle._round(point, eta, radius, sol)
+        if cut is None:
+            shaky = True
+            continue
+        return cut
+    if shaky:
+        raise fair.SolverInternalError("ambiguous separation verdict (numerical edge)")
+    return "member", None, None
+
+
+def solve_fair_linear(finst, norm, eps, limit=None):
+    if norm.kind != fair.TOP:
+        raise fair.InvalidInputError("fair solving covers Top-(ell,q) norms")
+    if not 0 < eps < float("inf"):
+        raise fair.InvalidInputError("eps must be positive and finite")
+    for bound in fair.fair_bound_candidates(finst, norm, eps):
+        verdict, payload = fair.round_and_cut(finst, bound, norm.ell, norm.q, limit=limit)
+        if verdict == "distribution":
+            return fair.FairSolveResult(bound=bound, distribution=payload)
+    raise fair.InfeasibleError("no bound admits a fair distribution")

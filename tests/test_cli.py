@@ -73,6 +73,28 @@ def test_solve_maxordered_norm_file(tmp_path, capsys):
     assert json.loads(out)["norm"]["kind"] == "maxordered"
 
 
+def test_ordered_certificate_prints_plain_floats(tmp_path, capsys):
+    """Ordered certificates hold NumPy floats; solve and compare print them as
+    Python float reprs, e.g. "30.0" rather than "np.float64(30.0)"."""
+    inst_path = tmp_path / "inst.json"
+    norm_path = tmp_path / "norm.json"
+    main(["gen", "load", "--machines", "4", "--jobs", "9", "--seed", "3",
+          "--out", str(inst_path)])
+    norm_path.write_text(json.dumps({"weights": [[1, 0.5, 0.25]]}))
+    code, out, _ = _run(["solve", str(inst_path), "--norm", f"maxordered:{norm_path}"],
+                        capsys)
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["chain_bound"] == "30.0" and cert["gap"] == "3.0"
+    assert "np." not in out
+    rows = tmp_path / "rows.csv"
+    assert main(["compare", "--kind", "load", "--seeds", "0:2", "--norm",
+                 f"maxordered:{norm_path}", "--machines", "2", "--jobs", "4",
+                 "--out", str(rows)]) == 0
+    lines = rows.read_text().strip().splitlines()
+    assert [line.split(",")[4] for line in lines] == ["bound", "30.0", "75.0"]
+
+
 def test_solve_matroid_and_knapsack_files(tmp_path, capsys):
     minst = gen_matroid_cluster(1, clients=2, facilities=3, parts=2)
     mpath = tmp_path / "m.json"
@@ -256,7 +278,7 @@ def test_fileio_roundtrips_every_variant(tmp_path):
 
 def test_instance_threshold_candidates_dispatch():
     from maxnorm.generators import gen_load
-    from maxnorm.sparsify import instance_threshold_candidates
+    from _threshold_helpers import instance_threshold_candidates
 
     load = gen_load(1, machines=2, jobs=2)
     assert 0.0 in instance_threshold_candidates(load)

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from _gen import random_cluster
+from maxnorm import cluster
 from maxnorm.cluster import (build_bundles, check_bundle_distances,
                              check_bundle_structure, closest_mass_distances,
                              core_of, solve_knapsack_center, solve_matroid_center,
                              solve_ordered_kcenter, solve_topl_kcenter,
                              split_and_normalize, _center_lp, _lp_parts,
                              CARDINALITY)
-from maxnorm.errors import InfeasibleError
+from maxnorm.errors import InfeasibleError, SolverInternalError
 from maxnorm.instances import (ClusterInstance, KnapsackClusterInstance,
                                MatroidClusterInstance)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
@@ -139,6 +140,24 @@ def test_bundle_trace_single_client():
     assert [bs.split.original[c] for c in bs.bundles[partial]] == [2]
     assert bs.reuse[partial] == 1
     assert bs.queues[0] == [bs.full_indices()[0], partial]
+
+
+@pytest.mark.parametrize("stalled", ["bundle pass 1", "bundle pass 2"])
+def test_bundle_passes_stop_at_their_slot_count(monkeypatch, stalled):
+    """A planted step that fills no queue slot: the pass raises once it has
+    picked more times than there are slots, where it would loop forever."""
+    d = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 3.0, 4.0],
+                  [2.0, 3.0, 0.0, 5.0], [3.0, 4.0, 5.0, 0.0]])
+    inst = ClusterInstance(n_clients=1, n_facilities=3, d=d, k=2, m=0, l=[0], r=[2])
+    split = split_and_normalize(u=[1.5], y=[0.5, 0.5, 0.5], core=core_of(inst), radius=3.0)
+    fill = cluster._fill_slots
+
+    def planted(queues, want, pick, place, what):
+        return fill(queues, want, pick, (lambda chosen: None) if what == stalled else place, what)
+
+    monkeypatch.setattr(cluster, "_fill_slots", planted)
+    with pytest.raises(SolverInternalError, match=f"{stalled} picked again after filling all 1 open"):
+        build_bundles(split)
 
 
 def test_bundles_all_full_when_integral_extents():

@@ -270,6 +270,17 @@ def test_exact_simplex_basics():
     assert status == UNBOUNDED
 
 
+def test_exact_simplex_phase_stops_at_its_basis_count(monkeypatch):
+    """A planted pivot that leaves the tableau as it was: Bland's rule would
+    pick the same pivot forever, so the phase raises after C(total, m)
+    rounds, one per basis it could visit."""
+    rows = [({0: 1, 1: 1}, GE, 1), ({0: 1}, LE, 2)]
+    assert simplex_solve(rows, 2, objective=[1, 2]) == (OPTIMAL, (Fraction(1), Fraction(0)))
+    monkeypatch.setattr(lp, "_pivot", lambda tab, basis, r, c: None)
+    with pytest.raises(SolverInternalError, match="past its count of bases"):
+        simplex_solve(rows, 2, objective=[1, 2])
+
+
 def test_exact_simplex_free_variables():
     # x free, minimize x subject to x >= -3/2
     status, x = simplex_solve([({0: 1}, GE, Fraction(-3, 2))], 1,

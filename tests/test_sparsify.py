@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _gen import random_load, random_max_ordered_weights, random_weight_vector
+from _threshold_helpers import prev_index
 from maxnorm.errors import InvalidInputError
 from maxnorm.norms import max_ordered_norm, eval_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
@@ -21,8 +22,8 @@ def test_pos_set_examples():
     assert one.indices == (1,)
     assert one.next_index(1) == 2
     assert pos_set(5).next_index(3) == 4
-    assert pos_set(5).prev_index(4) == 2
-    assert pos_set(5).prev_index(1) == 0
+    assert prev_index(pos_set(5), 4) == 2
+    assert prev_index(pos_set(5), 1) == 0
 
 
 def test_pos_set_is_logarithmic():

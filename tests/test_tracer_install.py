@@ -11,8 +11,9 @@ import numpy as np
 
 import maxnorm
 from maxnorm import cluster, fair, load, lp
-from maxnorm.generators import gen_load
+from maxnorm.generators import gen_fair_load, gen_load
 from maxnorm.instances import LoadInstance
+from maxnorm.norms import top_norm
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -47,16 +48,19 @@ def test_tracer_installs_runs_and_uninstalls():
 
 
 def test_traced_lp_calls_are_the_lps_solved(monkeypatch):
-    """lp.solve_lp.calls counts every LP a makespan scan solves.  The LPs are
-    counted in lp itself, so a scan reaching solve_lp under a name the
-    tracer does not bind would read fewer traced calls than solves."""
+    """lp.solve_lp.calls counts every LP a makespan scan or a fair solve
+    solves.  The LPs are counted in lp itself, so a scan reaching solve_lp
+    under a name the tracer does not bind would read fewer traced calls
+    than solves."""
     tracing = _tracing_module()
     solved = []
     layout = lp._layout
     monkeypatch.setattr(lp, "_layout", lambda model: solved.append(1) or layout(model))
     inst = gen_load(4, machines=4, jobs=12, pmax=20, forbidden=0.2)
     for solve in (lambda: maxnorm.solve_topl_makespan(inst, 2, 1.0, 0.1),
-                  lambda: maxnorm.solve_ordered_makespan(inst, [(1.0, 0.5, 0.25)], 0.1)):
+                  lambda: maxnorm.solve_ordered_makespan(inst, [(1.0, 0.5, 0.25)], 0.1),
+                  lambda: maxnorm.solve_fair(gen_fair_load(1, machines=3, jobs=4),
+                                             top_norm(2, 1.0), 0.1)):
         solved.clear()
         tracer = tracing.Tracer()
         tracer.install(maxnorm)
