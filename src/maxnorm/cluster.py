@@ -51,6 +51,7 @@ numerical edge) sends its radius back to a full search of the row.
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -841,6 +842,12 @@ def _prefix_norm_table(norm, dists, rcap):
     return out
 
 
+def _connections_within(tables, bound):
+    """Per client, the most nearest connections whose prefix norm stays within
+    the bound; a prefix table never decreases, so it is bisected."""
+    return tuple(bisect_right(table, bound + 1e-12) - 1 for table in tables)
+
+
 def solve_knapsack_center(kinst, norm, eps):
     """Knapsack budget with weight violation at most (1 + 2*eps): guess the
     heavy facilities of the optimum (weight >= eps*W), pre-connect clients to
@@ -889,8 +896,7 @@ def solve_knapsack_center(kinst, norm, eps):
             for bound in grid:
                 if best is not None and bound >= best[0]:
                     break
-                pre = tuple(max(c for c in range(len(tables[j]))
-                                if tables[j][c] <= bound + 1e-12) for j in range(nc))
+                pre = _connections_within(tables, bound)
                 if pre not in config_cache:
                     config_cache[pre] = _residual_guess(core, light, wt, w_res, pre,
                                                         neighbor_dists, radius, norm)

@@ -25,6 +25,14 @@ search of the row: an infeasible threshold past the bisected start, or an
 infeasible sequence covered by a feasible one of this or a smaller radius.
 The makespan Top and ordered scans, the k-center Top and ordered scans and
 the knapsack residual all run through these two.
+
+A scan asks each probe only for its verdict, through GuessLPs.feasible.  A
+driver may give GuessLPs an exact verdict that needs no LP (the makespan
+drivers give a max-flow test, see maxnorm.load); a probe is then solved only
+when a visit reads its solution, and the solved model is the same one, so
+every solution read is the LP's own.  A solved guess's verdict is its LP's
+status.  The full-search fallbacks trust LPs only: they solve every guess
+they reach, whatever its verdict.
 """
 
 from bisect import bisect_right
@@ -49,12 +57,16 @@ class GuessLPs:
     """The relaxations of one scan, each built and solved at most once per guess.
 
     solve is the caller's solve_lp, looked up in the caller's module when the
-    scan starts, so whatever is bound under that name sees every solve."""
+    scan starts, so whatever is bound under that name sees every solve.
+    verdict, when given, maps a guess key to whether its LP is feasible, or
+    to None to leave that guess to the LP; each key's verdict is asked once."""
 
-    def __init__(self, build, solve):
+    def __init__(self, build, solve, verdict=None):
         self.build = build  # guess key -> (model, index of s)
         self.solve = solve
+        self.verdict = verdict
         self.solved = {}
+        self.verdicts = {}
 
     def __call__(self, *key):
         if key not in self.solved:
@@ -63,6 +75,13 @@ class GuessLPs:
         return self.solved[key]
 
     def feasible(self, *key):
+        """The LP's verdict on key: its status once solved, else the given
+        verdict, else the status of solving it now."""
+        if key not in self.solved and self.verdict is not None:
+            if key not in self.verdicts:
+                self.verdicts[key] = self.verdict(*key)
+            if self.verdicts[key] is not None:
+                return self.verdicts[key]
         return self(*key)[0].status == OPTIMAL
 
 
@@ -155,7 +174,8 @@ def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
     the next lower key reaches the best key, so no unvisited sequence could
     have won.  An infeasible verdict on a sequence that a feasible one of
     this or a smaller radius covers contradicts monotonicity; the row is
-    then searched again without skipping.
+    then searched again without skipping, solving every sequence it reaches.
+    A sequence whose verdict is infeasible is not solved.
     """
     infeasible = []
     for lower, counts, payload in sorted(guesses, key=lambda g: g[0]):
@@ -163,8 +183,8 @@ def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
             break
         if prune and any(_covers(counts, bad) for bad in infeasible):
             continue
-        sol, sidx = lps(ri, counts)
-        if sol.status != OPTIMAL:
+        sol, sidx = lps(ri, counts) if not prune or lps.feasible(ri, counts) else (None, None)
+        if sol is None or sol.status != OPTIMAL:
             if prune and _proven_feasible(lps, ri, counts):
                 return scan_sequence_row(lps, ri, guesses, real_key, best, prune=False)
             infeasible.append(counts)

@@ -29,6 +29,15 @@ gets weaker as R grows (fewer pairs forbidden) and as any threshold grows
 A verdict contradicting monotonicity (an infeasible LP where a stronger one
 was feasible) sends its radius back to a full search.
 
+A probe's verdict needs no LP (_count_feasible).  The mass rows never decide
+feasibility, because the bound surrogate s is free above; what is left is
+the assignment rows plus, per machine, count caps on the jobs above each
+threshold.  Those job sets are nested, so the rows form a network matrix,
+which is totally unimodular: the LP is feasible exactly when a max flow
+routes every job that has no allowed uncounted machine through its
+machine's chain of caps.  Only guesses a visit reads are solved, so the
+scans solve the same models as before and read the same vertices.
+
 Accepted guesses come with a certificate: for Top-(ell,q) norms the rounded
 per-machine cost is at most (2 R^q + B^q + ell T^q)^(1/q); for max-ordered
 norms the chain bound 4 R w1 + 2 B + 2 gap applies, where gap is the
@@ -42,6 +51,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InvalidInputError, SolverInternalError
 from .guess import GuessLPs, scan_sequence_row, scan_top_rows
@@ -64,24 +75,18 @@ def build_basic_load_lp(inst, radius):
     return model
 
 
-def build_topl_load_lp(inst, ell, q, radius, bound, threshold):
-    """Basic LP plus, per machine, a count cap of ell and a q-th-power mass
-    cap of bound^q over the jobs strictly larger than the threshold.
-
-    Strictly larger keeps the rows feasible at the exact optimal guess even
-    when several sizes tie at the threshold value.
-    """
-    model, _ = _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=bound)
-    return model
-
-
 def _add_min_bound_var(model, fixed_bound):
     """Column s (cost 1) replacing the bound's power; None with a fixed bound."""
     return None if fixed_bound is not None else model.add_var(0.0, np.inf, 1.0)
 
 
 def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None):
-    """With fixed_bound None, adds a variable s replacing bound^q and
+    """Basic LP plus, per machine, a count cap of ell and a q-th-power mass
+    cap over the jobs strictly larger than the threshold; strictly larger
+    keeps the rows feasible at the exact optimal guess even when several
+    sizes tie at the threshold value.
+
+    With fixed_bound None, adds a variable s replacing bound^q and
     minimizes it; returns (model, index of s).  Each machine with a counted
     job gets its count row, then its mass row."""
     n = inst.jobs
@@ -105,12 +110,6 @@ def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None):
     rhs = np.tile([float(ell), cap], k)
     model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), LE, rhs)
     return model, sidx
-
-
-def build_ordered_load_lp(inst, sparse_weights, pos, radius, bound, seq):
-    model, _ = _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq,
-                                          fixed_bound=bound)
-    return model
 
 
 def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bound=None):
@@ -160,6 +159,46 @@ def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bou
     rhs = np.where(is_mass, cap, np.asarray(ells, float)[np.minimum(slot, len(ells) - 1)])
     model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), LE, rhs)
     return model, sidx
+
+
+def _count_feasible(inst, radius, thresholds, caps):
+    """Whether the min-bound LP at this radius, with a count cap of caps[k] on
+    each machine's jobs above thresholds[k], is feasible; None when a cap is
+    not a non-negative integer (the flow below needs integral capacities).
+    The thresholds do not increase, so each cap's jobs include the previous
+    cap's.
+
+    Exact: a job with an allowed uncounted machine is placed there, and the
+    other jobs must fit through their machines' nested caps, which is a max
+    flow with integral capacities.  The masks are the LP builders' own.
+    """
+    if not all(float(c).is_integer() and c >= 0 for c in caps):
+        return None
+    p = inst.p
+    m = inst.machines
+    allowed = ~(p > radius)
+    tops = np.asarray(thresholds, float)
+    counted = np.isfinite(p) & (p > tops[-1])
+    forced = np.flatnonzero(~(allowed & ~counted).any(axis=0))
+    routes = allowed[:, forced]  # every allowed pair of a forced job is counted
+    if not routes.any(axis=0).all():
+        return False  # a job with no allowed machine
+    if forced.size == 0:
+        return True
+    # nodes: the source, the forced jobs, one node per (machine, cap) along
+    # each machine's chain of caps, the sink
+    f, depth = forced.size, len(caps)
+    sink = 1 + f + m * depth
+    mi, fi = np.nonzero(routes)
+    level = np.searchsorted(-tops, -p[mi, forced[fi]], side="right")  # innermost cap
+    link = 1 + f + np.arange(m * depth)
+    nxt = np.where(np.arange(m * depth) % depth == depth - 1, sink, link + 1)
+    cap = np.tile([min(int(c), f) for c in caps], m)
+    rows = np.concatenate([np.zeros(f, int), 1 + fi, link])
+    cols = np.concatenate([1 + np.arange(f), 1 + f + mi * depth + level, nxt])
+    vals = np.concatenate([np.ones(f + len(fi)), cap]).astype(np.int32)
+    graph = csr_array((vals, (rows, cols)), shape=(sink + 1, sink + 1))
+    return bool(maximum_flow(graph, 0, sink).flow_value == f)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +337,8 @@ def _scan_top_guesses(inst, ell, q, grid_eps):
     radii = _feasible_radii(inst, sizes)
     thresholds = single_threshold_candidates(sizes)
     lps = GuessLPs(lambda ri, ti: _topl_load_min_bound_lp(inst, ell, q, radii[ri], thresholds[ti]),
-                   solve_lp)
+                   solve_lp,
+                   lambda ri, ti: _count_feasible(inst, radii[ri], (thresholds[ti],), (ell,)))
     # every radius admits the basic LP, so the first one is feasible at T = R
     best = scan_top_rows(lps, radii, thresholds, ell, q,
                          lambda radius: geometric_grid(radius, n ** root * radius, grid_eps),
@@ -349,7 +389,9 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     radii = _feasible_radii(inst, sizes)
     reps = {}  # (radius index, count key) -> a sequence with that key
     lps = GuessLPs(lambda ri, counts: _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri],
-                                                                 reps[ri, counts]), solve_lp)
+                                                                 reps[ri, counts]), solve_lp,
+                   lambda ri, counts: _count_feasible(inst, radii[ri], reps[ri, counts].values,
+                                                      pos.indices))
     best = None  # ((bound, chain, ridx, sidx), (radius, seq, x))
     for ridx, radius in enumerate(radii):
         if best is not None and radius * wtop > best[0][0]:

@@ -366,6 +366,30 @@ def test_matroid_and_knapsack_with_ordered_norms():
         done += 1
 
 
+def test_knapsack_preconnections_bisect_like_the_max(monkeypatch):
+    """Each client's pre-connection count, bisected in its prefix norm table,
+    is the largest count whose norm stays within the bound."""
+    from maxnorm.generators import gen_knapsack_cluster
+    from maxnorm.norms import max_ordered_norm
+
+    bisected = cluster._connections_within
+    seen = []
+
+    def checked(tables, bound):
+        pre = bisected(tables, bound)
+        assert pre == tuple(max(c for c in range(len(table)) if table[c] <= bound + 1e-12)
+                            for table in tables)
+        seen.extend(c for c in pre if c > 0)
+        return pre
+
+    monkeypatch.setattr(cluster, "_connections_within", checked)
+    for seed in range(12):
+        kinst = gen_knapsack_cluster(seed, clients=3, facilities=4)
+        for norm in (top_norm(2, 1.0), top_norm(1, 2.0), max_ordered_norm([(1.0, 0.5, 0.25)])):
+            solve_knapsack_center(kinst, norm, 0.5)
+    assert len(seen) >= 20
+
+
 def test_ordered_center_single_client_exact():
     d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
     inst = ClusterInstance(n_clients=1, n_facilities=2, d=d, k=2, m=2, l=[2], r=[2])

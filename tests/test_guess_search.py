@@ -13,7 +13,7 @@ import numpy as np
 
 import _exhaustive_scans as exhaustive
 from _gen import random_cluster, random_load, random_max_ordered_weights
-from maxnorm import cluster, load
+from maxnorm import cluster, guess, load
 from maxnorm.cluster import (core_of, solve_knapsack_center, solve_matroid_center,
                              solve_ordered_kcenter, solve_topl_kcenter)
 from maxnorm.errors import MaxNormError
@@ -433,6 +433,16 @@ def test_load_ordered_matches_exhaustive(monkeypatch):
                                       owner=load, reference=exhaustive.load_scan_ordered_guesses)
 
 
+def test_load_top_non_integral_ell_matches_exhaustive(monkeypatch):
+    """The flow leaves a non-integral ell to the LP, which the scan then
+    solves for every probe."""
+    for inst in _load_instances(316):
+        for ell in (1.5, 2.5):
+            _check_against_exhaustive(monkeypatch, "_scan_top_guesses",
+                                      lambda: load.solve_topl_makespan(inst, ell, 1.0, 0.1),
+                                      owner=load, reference=exhaustive.load_scan_top_guesses)
+
+
 def test_load_lp_count(monkeypatch):
     """One 8x60 instance: the exhaustive scans solve 15 LPs at Top-(2,1)
     and 462 for an ordered norm."""
@@ -446,13 +456,16 @@ def test_load_lp_count(monkeypatch):
     assert 0 < top <= 10 and 0 < len(calls) <= 40
 
 
-def _tabled_load_lps(inst):
+def _tabled_load_lps(inst, top):
     """Like _tabled_lps, for the makespan relaxations: a Top guess is its
-    threshold, a sequence guess its count key (which fixes its LP)."""
+    threshold, a sequence guess its count key (which fixes its LP); top says
+    which of the two the scan asks about.  The flow verdict looks the guess
+    up in the same table, or in verdicts when one is given, and logs it
+    like a solve."""
     m, n = inst.machines, inst.jobs
     sizes = inst.finite_sizes()
 
-    def tabled(monkeypatch, table, log):
+    def tabled(monkeypatch, table, log, verdicts=None):
         def solve_lp(key):
             log.append(key)
             s = table(*key)
@@ -460,12 +473,19 @@ def _tabled_load_lps(inst):
                 return SimpleNamespace(status=INFEASIBLE, x=None)
             return SimpleNamespace(status=OPTIMAL, x=np.full(m * n + 1, s))
 
+        def count_feasible(inst, radius, thresholds, caps):
+            guess = thresholds[0] if top else load._sequence_key(
+                sizes, SimpleNamespace(values=thresholds))
+            log.append((radius, guess))
+            return (verdicts or table)(radius, guess) is not None
+
         monkeypatch.setattr(load, "_topl_load_min_bound_lp",
                             lambda inst, ell, q, radius, t: ((radius, t), 0))
         monkeypatch.setattr(load, "_ordered_load_min_bound_lp",
                             lambda inst, sparse, pos, radius, seq:
                             ((radius, load._sequence_key(sizes, seq)), 0))
         monkeypatch.setattr(load, "solve_lp", solve_lp)
+        monkeypatch.setattr(load, "_count_feasible", count_feasible)
     return tabled
 
 
@@ -479,7 +499,7 @@ def test_load_top_scan_with_contradicting_verdicts(monkeypatch):
         thresholds = single_threshold_candidates(sizes)
         table = _top_table(rng, radii, mass=60.0)
         ell, q = _top_params(rng)
-        tabled = _tabled_load_lps(inst)
+        tabled = _tabled_load_lps(inst, top=True)
         pair = (load._scan_top_guesses, exhaustive.load_scan_top_guesses)
 
         def scan(impl):
@@ -496,6 +516,25 @@ def test_load_top_scan_with_contradicting_verdicts(monkeypatch):
     assert planted >= 40 and lured >= 10
 
 
+def _ordered_load_table(rng):
+    """(instance, sparsified weights, kept coordinates, w1, table) with a table
+    monotone in the count key, or None for weights that sparsify to zero."""
+    inst = random_load(rng, m_hi=3, j_hi=6, pmax=12)
+    sizes = inst.finite_sizes()
+    sparse, pos = sparsify_weights(random_max_ordered_weights(rng), inst.jobs)
+    wtop = max(float(w[0]) for w in sparse)
+    if wtop == 0.0:
+        return None
+    cap = rng.uniform(0.0, 1.0) * len(sizes) * len(pos.indices)
+    a, b = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
+
+    def table(radius, counts):
+        if sum(counts) > cap * radius / sizes[-1]:
+            return None
+        return radius * wtop * (a + b * sum(counts) / (len(sizes) * len(counts)))
+    return inst, sparse, pos, wtop, table
+
+
 def test_load_ordered_scan_with_contradicting_verdicts(monkeypatch):
     """Tables monotone in the count key, then a guess the search solves
     made infeasible although a guess counting at least as much everywhere
@@ -504,22 +543,11 @@ def test_load_ordered_scan_with_contradicting_verdicts(monkeypatch):
     rng = np.random.default_rng(314)
     planted = changed = 0
     for _ in range(30):
-        inst = random_load(rng, m_hi=3, j_hi=6, pmax=12)
-        sizes = inst.finite_sizes()
-        weights = random_max_ordered_weights(rng)
-        sparse, pos = sparsify_weights(weights, inst.jobs)
-        wtop = max(float(w[0]) for w in sparse)
-        if wtop == 0.0:
+        case = _ordered_load_table(rng)
+        if case is None:
             continue
-        cap = rng.uniform(0.0, 1.0) * len(sizes) * len(pos.indices)
-        a, b = rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0)
-
-        def table(radius, counts):
-            if sum(counts) > cap * radius / sizes[-1]:
-                return None
-            return radius * wtop * (a + b * sum(counts) / (len(sizes) * len(counts)))
-
-        tabled = _tabled_load_lps(inst)
+        inst, sparse, pos, wtop, table = case
+        tabled = _tabled_load_lps(inst, top=False)
         pair = (load._scan_ordered_guesses, exhaustive.load_scan_ordered_guesses)
 
         def scan(impl):
@@ -544,6 +572,98 @@ def test_load_ordered_scan_with_contradicting_verdicts(monkeypatch):
                 planted += 1
                 changed += not _same(new, base)
     assert planted >= 50 and changed >= 10
+
+
+def test_load_top_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
+    """The flow says feasible where the LP says infeasible, on a guess the
+    search solves because its row visit reads it, and a lure that only the
+    LP finds feasible sits below the row's start, where only visit(0) looks.
+    The row must go back to visit(0) and accept what the exhaustive scan
+    accepts."""
+    rng = np.random.default_rng(315)
+    planted = changed = 0
+    for _ in range(30):
+        inst = random_load(rng, m_hi=3, j_hi=5, pmax=12, forbidden=0.2)
+        sizes = inst.finite_sizes()
+        radii = load._feasible_radii(inst, sizes)
+        thresholds = single_threshold_candidates(sizes)
+        table = _top_table(rng, radii, mass=60.0)
+        ell, q = _top_params(rng)
+        tabled = _tabled_load_lps(inst, top=True)
+        pair = (load._scan_top_guesses, exhaustive.load_scan_top_guesses)
+
+        def scan(impl):
+            return impl(inst, ell, q, 0.05)
+
+        def refuted(monkeypatch, lp_table, log):
+            tabled(monkeypatch, lp_table, log, verdicts=table)
+
+        (base, _), log = _scan_both(monkeypatch, table, scan, tabled, pair)
+        for hole, lure in _visit_holes(log, table, thresholds):
+            (new, ref), _ = _scan_both(monkeypatch, _planted(table, hole, lure), scan,
+                                       refuted, pair)
+            assert _same(new, ref), (hole, lure)
+            planted += 1
+            changed += not _same(new, base)
+    assert planted >= 20 and changed >= 5, (planted, changed)
+
+
+def test_load_ordered_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
+    """The flow says feasible where the LP says infeasible, on a sequence
+    that a feasible one of its row covers, and a lure that only the LP finds
+    feasible sits among the sequences the flow rules out.  The row must be
+    searched again with prune=False, which solves what it reaches whatever
+    the flow says, and accept what the exhaustive scan accepts."""
+    rng = np.random.default_rng(317)
+    planted = changed = 0
+    for _ in range(30):
+        case = _ordered_load_table(rng)
+        if case is None:
+            continue
+        inst, sparse, pos, wtop, table = case
+        tabled = _tabled_load_lps(inst, top=False)
+        pair = (load._scan_ordered_guesses, exhaustive.load_scan_ordered_guesses)
+        prunes = []
+
+        def scan(impl):
+            return impl(inst, sparse, pos, wtop, 0.1)
+
+        def refuted(monkeypatch, lp_table, log):
+            tabled(monkeypatch, lp_table, log, verdicts=table)
+            row = guess.scan_sequence_row
+            monkeypatch.setattr(guess, "scan_sequence_row", lambda *args, **kwargs:
+                                prunes.append(kwargs.get("prune", True)) or row(*args, **kwargs))
+
+        (base, _), log = _scan_both(monkeypatch, table, scan, tabled, pair)
+        for k, (radius, counts) in enumerate(log):
+            if table(radius, counts) is None or log.index((radius, counts)) != k:
+                continue
+            if not any(r == radius and c != counts and table(r, c) is not None
+                       and all(map(int.__ge__, c, counts)) for r, c in log[:k]):
+                continue
+            lures = [c for r, c in _row_keys(inst, radius) if table(r, c) is None]
+            for lure in [None] + lures[:1]:
+                lure = lure and (radius, lure)
+                prunes.clear()
+                (new, ref), _ = _scan_both(monkeypatch, _planted(table, (radius, counts), lure),
+                                           scan, refuted, pair)
+                assert _same(new, ref), ((radius, counts), lure)
+                assert False in prunes
+                planted += 1
+                changed += not _same(new, base)
+    assert planted >= 20 and changed >= 5, (planted, changed)
+
+
+def test_load_top_lp_count_is_the_lps_read(monkeypatch):
+    """The 8x60 instance of test_load_lp_count: the flow answers every probe,
+    so Top-(2,1) solves only the LP whose solution it accepts."""
+    inst = gen_load(5, machines=8, jobs=60, pmax=50, forbidden=0.1)
+    statuses = []
+    solve = load.solve_lp
+    monkeypatch.setattr(load, "solve_lp",
+                        lambda model: statuses.append(solve(model)) or statuses[-1])
+    load.solve_topl_makespan(inst, 2, 1.0, 0.1)
+    assert [sol.status for sol in statuses] == [OPTIMAL]
 
 
 def _row_keys(inst, radius):

@@ -6,15 +6,15 @@ import pytest
 
 import _dict_row_builders as dict_rows
 from _gen import random_load, random_max_ordered_weights
+from _load_builders import build_ordered_load_lp, build_topl_load_lp
 from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
 from maxnorm.errors import InvalidInputError
 from maxnorm.fair import solve_fair
-from maxnorm.generators import gen_fair_load, gen_knapsack_cluster
+from maxnorm.generators import gen_fair_load, gen_knapsack_cluster, gen_load
 from maxnorm.instances import Assignment, LoadInstance, eval_load_objective
-from maxnorm.load import (_ordered_load_min_bound_lp, _sequence_key, _topl_load_min_bound_lp,
-                          build_basic_load_lp, build_ordered_load_lp, build_topl_load_lp,
-                          machine_copies, shmoys_tardos_round, solve_ordered_makespan,
-                          solve_topl_makespan)
+from maxnorm.load import (_count_feasible, _ordered_load_min_bound_lp, _sequence_key,
+                          _topl_load_min_bound_lp, build_basic_load_lp, machine_copies,
+                          shmoys_tardos_round, solve_ordered_makespan, solve_topl_makespan)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
@@ -304,6 +304,68 @@ def test_ordered_solver_zero_weights():
     inst = LoadInstance(p=np.array([[1.0, 2.0], [2.0, 1.0]]))
     res = solve_ordered_makespan(inst, [(0.0, 0.0)], eps=0.1)
     assert res.value == 0.0
+
+
+def _verdict_loads():
+    """Seeded instances with forbidden (inf) pairs and small integer sizes,
+    so that thresholds tie with sizes; many jobs per machine, so that at a
+    small radius and threshold more jobs are forced onto counted pairs than
+    ell * m caps admit."""
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        yield gen_load(seed, machines=int(rng.integers(1, 4)), jobs=int(rng.integers(2, 10)),
+                       pmax=int(rng.choice([3, 6])), forbidden=float(rng.choice([0.0, 0.3])))
+
+
+def _forced(inst, radius, threshold):
+    """Jobs with no allowed machine that leaves them uncounted."""
+    p = inst.p
+    return int((~(~(p > radius) & ~(np.isfinite(p) & (p > threshold))).any(axis=0)).sum())
+
+
+def test_count_verdict_matches_highs_on_top_guesses():
+    short = 0  # guesses where ell * m caps fewer slots than the forced jobs
+    for inst in _verdict_loads():
+        sizes = inst.finite_sizes()
+        for radius, t in itertools.product(sizes, [0.0] + sizes):
+            for ell in (1, 2, 3, inst.jobs + 1):
+                verdict = _count_feasible(inst, radius, (t,), (ell,))
+                model, _ = _topl_load_min_bound_lp(inst, ell, 1.0, radius, t)
+                assert verdict == (solve_lp(model).status == OPTIMAL), (radius, t, ell)
+                short += ell >= 2 and ell * inst.machines < _forced(inst, radius, t)
+    assert short >= 20
+
+
+def test_count_verdict_matches_highs_on_ordered_keys():
+    rng = np.random.default_rng(23)
+    checked = infeasible = 0
+    for inst in _verdict_loads():
+        sizes = inst.finite_sizes()
+        sparse, pos = sparsify_weights(random_max_ordered_weights(rng, dim_hi=inst.jobs),
+                                       inst.jobs)
+        for radius in sizes:
+            keys = {}
+            for seq in enumerate_threshold_sequences(radius, inst.jobs):
+                keys.setdefault(_sequence_key(sizes, seq), seq)
+            for seq in keys.values():
+                verdict = _count_feasible(inst, radius, seq.values, pos.indices)
+                model, _ = _ordered_load_min_bound_lp(inst, sparse, pos, radius, seq)
+                assert verdict == (solve_lp(model).status == OPTIMAL), (radius, seq)
+                checked += 1
+                infeasible += not verdict
+    assert checked >= 200 and infeasible >= 20
+
+
+def test_count_verdict_leaves_non_integral_caps_to_the_lp():
+    # three jobs counted on two machines fit fractionally under caps of 1.5,
+    # not under integral caps of 1
+    inst = LoadInstance(p=np.full((2, 3), 2.0))
+    model, _ = _topl_load_min_bound_lp(inst, 1.5, 1.0, 2.0, 0.0)
+    assert solve_lp(model).status == OPTIMAL
+    assert _count_feasible(inst, 2.0, (0.0,), (1,)) is False
+    for cap in (1.5, 0.5, -1.0, float("inf"), float("nan")):
+        assert _count_feasible(inst, 2.0, (0.0,), (cap,)) is None
+        assert _count_feasible(inst, 2.0, (1.0, 0.0), (1, cap)) is None
 
 
 def test_sequence_key_counts_sizes_above_each_threshold():

@@ -8,13 +8,13 @@ import pytest
 from scipy.sparse import csc_array
 
 from _gen import random_cluster, random_load, random_max_ordered_weights
+from _load_builders import build_topl_load_lp
 from maxnorm import lp
 from maxnorm.bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                               solve_two_laminar_integral)
 from maxnorm.cluster import CARDINALITY, _center_lp, core_of
 from maxnorm.errors import InfeasibleError, LpSolverError, ResourceCapError, SolverInternalError
-from maxnorm.load import (_ordered_load_min_bound_lp, _topl_load_min_bound_lp,
-                          build_topl_load_lp)
+from maxnorm.load import _ordered_load_min_bound_lp, _topl_load_min_bound_lp
 from maxnorm.lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
                         cutting_plane, dump_lp, exact_feasible_point, lp_model,
                         simplex_solve, solve_lp)
