@@ -26,7 +26,11 @@ is free), so its feasibility is monotone in R and in T.  The scans use this
 instead of solving every infeasible guess:
 
   * the first feasible radius is found by bisecting the sorted radii on
-    each radius's weakest LP (T = R, or every threshold at R);
+    each radius's weakest LP (T = R, or every threshold at R), whose
+    verdict mostly needs no LP: _cover_verdict refutes it by a
+    Hochbaum-Shmoys packing of disjoint client balls or proves it by a
+    greedy integral opening, and leaves the radii in between to the LP
+    (GuessLPs' verdict, so a probe is solved only when a visit reads it);
   * for Top norms, each later radius bisects its thresholds for the first
     feasible one, searching no higher than the previous radius's first
     feasible index (the staircase), and stops once a guess's bound equals
@@ -46,9 +50,11 @@ instead of solving every infeasible guess:
 
 Every scan accepts exactly the guess the exhaustive scan accepts, with its
 (bound, ...) tie-break.  A verdict that contradicts monotonicity (a
-numerical edge) sends its radius back to a full search of the row.
+numerical edge), or an LP refuting a feasible verdict, sends its radius
+back to a full search of the row.
 """
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -60,7 +66,8 @@ import numpy as np
 from .bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                        solve_two_laminar_integral)
 from .errors import InfeasibleError, InvalidInputError, SolverInternalError
-from .guess import GuessLPs, first_true, scan_sequence_row, scan_top_rows
+from .guess import (GuessLPs, first_true, scan_sequence_row, scan_top_rows,
+                    weakest_thresholds)
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
 from .lp import EQ, GE, LE, OPTIMAL, lp_model, solve_lp
@@ -649,6 +656,92 @@ def _round_accepted(core, budget, xuy, radius):
 # monotone guess search
 
 
+_KNAPSACK_SLACK = 1e-6  # relative to the limit; above HiGHS's feasibility tolerance
+
+
+def _budget_rows(core, budget):
+    """The budget as rows sum_{i in part p} w_i y_i <= cap_p: the part of each
+    facility, w, the caps and the slack a float row keeps from its cap.  A
+    facility in no part of a partition gets a last, uncapped part."""
+    nf = core.n_facilities
+    if budget[0] == CARDINALITY:
+        return np.zeros(nf, int), np.ones(nf), np.array([float(budget[1])]), 0.0
+    if budget[0] == KNAPSACK:
+        _, wt, limit = budget
+        return (np.zeros(nf, int), np.asarray(wt, float)[list(core.facility_ids)],
+                np.array([float(limit)]), _KNAPSACK_SLACK * max(1.0, abs(float(limit))))
+    _, parts, caps = budget
+    local = {fid: i for i, fid in enumerate(core.facility_ids)}
+    part = np.full(nf, len(caps))
+    for p, members in enumerate(parts):
+        part[[local[fid] for fid in members if fid in local]] = p
+    return part, np.ones(nf), np.append(np.asarray(caps, float), np.inf), 0.0
+
+
+def _cover_verdict(core, budget, radius, coverage):
+    """Whether the radius's weakest relaxation is feasible, decided without
+    an LP, or None to leave it to the LP.
+
+    At the weakest guess every counted pair is forbidden and s is free, so
+    what is left is x <= y, u_j in [l_j, r_j] over the ball B_j (the
+    facilities within R of client j), sum u >= m with coverage, and the
+    budget.  False: a ball holds fewer than l_j facilities, the balls cannot
+    carry m connections, k exceeds the facility count, or clients with
+    pairwise disjoint balls need more than the budget lets those balls open
+    (the Hochbaum-Shmoys packing argument): client j needs l_j times the
+    lightest weight in B_j.  True: a greedy integral opening within the
+    budget puts l_j open facilities in every ball, and min(r_j, open in
+    B_j) sums to m; padded to exactly k for cardinality, it is a point of
+    the LP.  Knapsack weights are floats, so both rules keep a slack from
+    the limit above HiGHS's feasibility tolerance."""
+    ball = ~(core.cf > radius)  # the pairs the relaxation allows
+    size = ball.sum(axis=1)
+    need = core.m if coverage else 0
+    if np.any(size < core.l) or np.minimum(size, core.r).sum() < need:
+        return False
+    if budget[0] == CARDINALITY and core.n_facilities < budget[1]:
+        return False
+    part, weight, caps, slack = _budget_rows(core, budget)
+    packed, demand = np.zeros(core.n_facilities, bool), 0.0
+    for j in np.argsort(size, kind="stable"):  # small balls first
+        if core.l[j] > 0 and not (ball[j] & packed).any():
+            packed |= ball[j]
+            demand += core.l[j] * weight[ball[j]].min()
+    room = np.minimum(np.bincount(part, weight * packed, len(caps)), caps).sum()
+    if demand > room + slack:  # the most the budget lets the packed balls open
+        return False
+    # open, per unit of weight, the facility in most balls short of l_j,
+    # then short of r_j while the coverage is short
+    opened = np.zeros(core.n_facilities, bool)
+    have = np.zeros(core.n_clients, int)  # open facilities in each ball
+    spent = np.zeros(len(caps))
+    while True:
+        short = have < core.l
+        if not short.any():
+            if np.minimum(have, core.r).sum() >= need:
+                break
+            short = have < core.r
+        fits = ~opened & (spent[part] + weight <= caps[part] - slack)
+        gain = np.where(fits, short.astype(int) @ ball, 0)
+        if not gain.any():
+            return None
+        i = int(np.argmax(gain / np.maximum(weight, 1e-12)))
+        opened[i] = True
+        spent[part[i]] += weight[i]
+        have += ball[:, i]
+    # fits kept every opened facility within the budget; only opening nothing
+    # under a limit below the slack can leave it over
+    return None if np.any(spent > caps - slack) else True
+
+
+def _top_verdict(core, budget, radii, thresholds, coverage=True):
+    """GuessLPs verdict of a Top scan: _cover_verdict at each radius's
+    weakest threshold, None at every other."""
+    weakest = weakest_thresholds(radii, thresholds)
+    return lambda ri, ti: _cover_verdict(core, budget, radii[ri], coverage) \
+        if ti == weakest[ri] else None
+
+
 def _sequences(radius, r0):
     # radius 0 has no sequence (None): only zero-distance links are allowed
     return [None] if radius == 0.0 else enumerate_threshold_sequences(radius, r0)
@@ -700,7 +793,8 @@ def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
     thresholds = single_threshold_candidates(core.distances())
     r0 = max(core.r0, 1)
     lps = GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
-                                              radii[ri], coverage=coverage), solve_lp)
+                                              radii[ri], coverage=coverage), solve_lp,
+                   _top_verdict(core, budget, radii, thresholds, coverage))
     best = scan_top_rows(lps, radii, thresholds, ell, q, lambda radius: [0.0] if radius == 0.0
                          else geometric_grid(radius, r0 ** root * radius, grid_eps))
     if best is None:
@@ -759,12 +853,15 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
     reps = {}  # (radius index, count key) -> its sequence
     lps = GuessLPs(lambda ri, key: _center_lp(core, budget,
                                               _sequence_spec(sparse, pos, r0, reps[ri, key]),
-                                              radii[ri], coverage=coverage), solve_lp)
+                                              radii[ri], coverage=coverage), solve_lp,
+                   lambda ri, key: _cover_verdict(core, budget, radii[ri], coverage)
+                   if key == weakest(ri) else None)
 
     def keyed(ri, seq):
         reps[ri, _count_key(seq)] = seq
         return _count_key(seq)
 
+    @functools.cache
     def weakest(ri):  # a radius's first sequence, every threshold at R, is its weakest LP
         return keyed(ri, next(iter(_sequences(radii[ri], r0))))
 
@@ -932,7 +1029,8 @@ def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
         ell, q = norm.ell, norm.q
         thresholds = single_threshold_candidates(rcore.distances())
         lps = GuessLPs(lambda ri, ti: _center_lp(rcore, budget, ("top", ell, q, thresholds[ti]),
-                                                  radius), solve_lp)
+                                                  radius), solve_lp,
+                       _top_verdict(rcore, budget, [radius], thresholds))
         # no grid: the bound estimate itself, so the row stops once s^(1/q) <= the floor
         found = scan_top_rows(lps, [radius], thresholds, ell, q, None)
         if found is None:

@@ -27,12 +27,21 @@ The makespan Top and ordered scans, the k-center Top and ordered scans and
 the knapsack residual all run through these two.
 
 A scan asks each probe only for its verdict, through GuessLPs.feasible.  A
-driver may give GuessLPs an exact verdict that needs no LP (the makespan
-drivers give a max-flow test, see maxnorm.load); a probe is then solved only
-when a visit reads its solution, and the solved model is the same one, so
-every solution read is the LP's own.  A solved guess's verdict is its LP's
-status.  The full-search fallbacks trust LPs only: they solve every guess
-they reach, whatever its verdict.
+driver may give GuessLPs an exact verdict that needs no LP, or None where
+it cannot tell:
+
+  * the makespan drivers give a max-flow test on every probe
+    (maxnorm.load._count_feasible);
+  * the k-center Top and ordered scans and the knapsack Top residual give,
+    at each radius's weakest guess only, a disjoint-ball packing bound and
+    a greedy integral opening (maxnorm.cluster._cover_verdict).
+
+A probe is then solved only when a visit reads its solution, and the solved
+model is the same one, so every solution read is the LP's own.  A solved
+guess's verdict is its LP's status, and a feasible verdict counts as proof
+of feasibility when a row checks for contradictions.  The full-search
+fallbacks trust LPs only: they solve every guess they reach, whatever its
+verdict.
 """
 
 from bisect import bisect_right
@@ -85,6 +94,12 @@ class GuessLPs:
         return self(*key)[0].status == OPTIMAL
 
 
+def weakest_thresholds(radii, thresholds):
+    """Per radius, the index of its weakest Top guess: the largest threshold
+    T <= R (with a relative slack of 1e-12), which counts no allowed pair."""
+    return [bisect_right(thresholds, radius * (1 + 1e-12)) - 1 for radius in radii]
+
+
 def scan_top_rows(lps, radii, thresholds, ell, q, grid_of, first=None):
     """Smallest (bound, radius, threshold, LP solution) over the Top guesses,
     or None when no guess gives a candidate.
@@ -97,7 +112,7 @@ def scan_top_rows(lps, radii, thresholds, ell, q, grid_of, first=None):
     """
     root = 1.0 / q
     scale = ell ** root
-    ends = [bisect_right(thresholds, radius * (1 + 1e-12)) for radius in radii]
+    ends = [ti + 1 for ti in weakest_thresholds(radii, thresholds)]
     if first is None:
         first = first_true(lambda ri: lps.feasible(ri, ends[ri] - 1), 0, len(radii))
     if first == len(radii):
@@ -153,10 +168,14 @@ def _covers(a, b):
 
 
 def _proven_feasible(lps, ri, key):
-    """Whether a feasible guess solved so far, at radius index ri or below,
-    covers key, which makes key feasible by monotonicity."""
-    return any(r <= ri and sol.status == OPTIMAL and _covers(k, key)
-               for (r, k), (sol, _) in lps.solved.items())
+    """Whether a guess known feasible, at radius index ri or below, covers
+    key, which makes key feasible by monotonicity.  A guess is known
+    feasible when its LP was solved to optimality or its verdict was
+    feasible: a verdict is exact, so an LP refuting one, key's own
+    included, is a contradiction too."""
+    known = [k for k, (sol, _) in lps.solved.items() if sol.status == OPTIMAL]
+    known += [k for k, feasible in lps.verdicts.items() if feasible]
+    return any(r <= ri and _covers(k, key) for r, k in known)
 
 
 def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):

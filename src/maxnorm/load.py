@@ -45,7 +45,6 @@ sparsified guessing certificate.
 """
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -399,10 +398,10 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
         grid = geometric_grid(radius * wtop, n * radius * wtop, eps)
         floor = snap_to_grid(grid, radius * wtop)  # no bound of this radius lies below it
         seqs = list(enumerate_threshold_sequences(radius, n))
-        gaps = sparsified_gap_bounds(sparse, pos, [seq.values for seq in seqs]).tolist()
+        values = [seq.values for seq in seqs]
+        gaps = sparsified_gap_bounds(sparse, pos, values).tolist()
         guesses = []
-        for sidx, (seq, gap) in enumerate(zip(seqs, gaps)):
-            key = _sequence_key(sizes, seq)
+        for sidx, (seq, gap, key) in enumerate(zip(seqs, gaps, _sequence_keys(sizes, values))):
             reps.setdefault((ridx, key), seq)
             lower = (floor, 4 * radius * wtop + 2 * floor + 2 * gap, ridx, sidx)
             guesses.append((lower, key, (sidx, seq, gap)))
@@ -422,7 +421,10 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     return bound, radius, seq, x
 
 
-def _sequence_key(sizes, seq):
-    """Threshold sequences inducing the same comparison sets give the same LP;
-    sizes are the instance's distinct finite sizes, ascending."""
-    return tuple(len(sizes) - bisect_right(sizes, v) for v in seq.values)
+def _sequence_keys(sizes, values):
+    """Per threshold sequence (its values, one row each), the count of sizes
+    above each threshold, as a tuple of ints: sequences inducing the same
+    comparison sets give the same LP.  sizes are the instance's distinct
+    finite sizes, ascending."""
+    above = len(sizes) - np.searchsorted(sizes, np.asarray(values, float), side="right")
+    return [tuple(row) for row in above.tolist()]

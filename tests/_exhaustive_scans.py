@@ -189,7 +189,7 @@ def load_scan_ordered_guesses(inst, sparse, pos, wtop, eps):
         grid = load.geometric_grid(radius * wtop, n * radius * wtop, eps)
         cache = {}
         for sidx, seq in enumerate(load.enumerate_threshold_sequences(radius, n)):
-            key = load._sequence_key(sizes, seq)
+            key = load._sequence_keys(sizes, [seq.values])[0]
             if key in cache:
                 sval, x = cache[key]
             else:

@@ -10,14 +10,16 @@ from maxnorm.cluster import (build_bundles, check_bundle_distances,
                              core_of, solve_knapsack_center, solve_matroid_center,
                              solve_ordered_kcenter, solve_topl_kcenter,
                              split_and_normalize, _center_lp, _lp_parts,
-                             CARDINALITY)
+                             CARDINALITY, KNAPSACK, PARTITION)
 from maxnorm.errors import InfeasibleError, SolverInternalError
+from maxnorm.guess import weakest_thresholds
 from maxnorm.instances import (ClusterInstance, KnapsackClusterInstance,
                                MatroidClusterInstance)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
 from maxnorm.norms import top_norm
 from maxnorm.oracle import (brute_force_kcenter, brute_force_knapsack_center,
                             brute_force_matroid_center)
+from maxnorm.sparsify import single_threshold_candidates, sparsify_weights
 
 
 def _line_instance():
@@ -396,3 +398,65 @@ def test_ordered_center_single_client_exact():
     res = solve_ordered_kcenter(inst, [(1.0, 0.5)], eps=0.1)
     # only one feasible connection pattern: both facilities
     assert res.value == pytest.approx(2.0 + 0.5 * 1.0)
+
+
+def _verdict_cores(rng):
+    """Seeded cores with a budget each: tied distances (zeros included), l_j
+    from 0 up to r_j, which often exceeds a ball, coverage m above sum l_j,
+    k up to two above the facility count, partition parts of capacity 0,
+    and knapsack weights with zeros under a limit within 1e-9 of a subset's
+    weight, or 5e-7 or 0.5 below it.  Facility ids are a subset of the budget's, as in a residual."""
+    for case in range(90):
+        nc, nf = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        total = nf + int(rng.integers(0, 3))
+        ids = tuple(sorted(int(v) for v in rng.choice(total, size=nf, replace=False)))
+        r = rng.integers(1, nf + 1, size=nc)
+        l = np.minimum(rng.integers(0, 3, size=nc), r)
+        core = cluster.CenterCore(cf=np.round(rng.uniform(0.0, 1.0, size=(nc, nf)), 1),
+                                  l=l, r=r, m=int(rng.integers(l.sum(), r.sum() + 1)),
+                                  facility_ids=ids)
+        kind = case % 3
+        if kind == 0:
+            budget = (CARDINALITY, int(rng.integers(1, nf + 3)))
+        elif kind == 1:
+            order = [int(v) for v in rng.permutation(total)]
+            cuts = sorted(set(int(v) for v in rng.integers(1, total + 1, size=2)))
+            parts = tuple(tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [total]) if a < b)
+            budget = (PARTITION, parts, tuple(int(rng.integers(0, len(p) + 1)) for p in parts))
+        else:
+            wt = np.where(rng.random(total) < 0.3, 0.0, rng.uniform(0.0, 1.0, size=total))
+            subset = wt[rng.random(total) < 0.5].sum()
+            budget = (KNAPSACK, wt, float(subset + rng.choice([-5e-7, -1e-9, 0.0, 1e-9, -0.5])))
+        yield core, budget
+    # a client that needs no facility, under limits at and just below 0
+    idle = cluster.CenterCore(cf=np.array([[0.0, 0.5]]), l=np.array([0]), r=np.array([1]), m=0,
+                              facility_ids=(0, 1))
+    for limit in (-5e-7, -5e-8, -1e-9, 0.0):
+        yield idle, (KNAPSACK, np.array([0.2, 0.0]), limit)
+
+
+def test_cover_verdict_matches_highs():
+    """Wherever the LP-free verdict decides a radius's weakest relaxation,
+    Top (T = R) or ordered (every threshold at R), HiGHS agrees."""
+    rng = np.random.default_rng(321)
+    decided = Counter()
+    for core, budget in _verdict_cores(rng):
+        r0 = max(core.r0, 1)
+        sparse, pos = sparsify_weights([(1.0, 0.5, 0.25)], r0)
+        thresholds = single_threshold_candidates(core.distances())
+        radii = sorted(set(core.distances()) | {0.0})
+        for radius, ti in zip(radii, weakest_thresholds(radii, thresholds)):
+            coverage = bool(rng.random() < 0.7)
+            verdict = cluster._cover_verdict(core, budget, radius, coverage)
+            if verdict is None:
+                continue
+            seq = next(iter(cluster._sequences(radius, r0)))
+            specs = [("top", 2, 1.0, thresholds[ti])]
+            if seq is not None:
+                specs.append(("ordered", sparse, pos, seq))
+            for spec in specs:
+                model, _ = _center_lp(core, budget, spec, radius, coverage=coverage)
+                assert verdict == (solve_lp(model).status == OPTIMAL), (budget, radius, spec)
+            decided[budget[0], verdict] += 1
+    assert all(decided[kind, v] >= 20 for kind in (CARDINALITY, PARTITION, KNAPSACK)
+               for v in (True, False)), decided

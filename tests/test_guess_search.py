@@ -18,6 +18,7 @@ from maxnorm.cluster import (core_of, solve_knapsack_center, solve_matroid_cente
                              solve_ordered_kcenter, solve_topl_kcenter)
 from maxnorm.errors import MaxNormError
 from maxnorm.generators import gen_cluster, gen_knapsack_cluster, gen_load, gen_matroid_cluster
+from maxnorm.instances import ClusterInstance
 from maxnorm.lp import INFEASIBLE, OPTIMAL
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.sparsify import ThresholdSequence, single_threshold_candidates, sparsify_weights
@@ -155,14 +156,56 @@ def test_top_kcenter_lp_count(monkeypatch):
     assert 0 < len(calls) <= 40
 
 
+def test_kcenter_radius_bisection_solves_no_lp_but_at_first(monkeypatch):
+    """On an 8x8 Euclidean instance with l_j = 1, the LP-free verdict decides
+    every radius the bisection probes, except at most the first feasible
+    one: no other weakest LP is solved there."""
+    base = gen_cluster(0, clients=8, facilities=8, k=3, metric="euclidean")
+    inst = ClusterInstance(n_clients=8, n_facilities=8, d=base.d, k=3, m=8,
+                           l=np.ones(8, int), r=base.r)
+    built, bisections = [], []
+    build, bisect = cluster._center_lp, guess.first_true
+
+    def first_true(pred, lo, hi):
+        start = len(built)
+        found = bisect(pred, lo, hi)
+        bisections.append((built[start:], found))
+        return found
+
+    monkeypatch.setattr(cluster, "_center_lp", lambda core, budget, spec, radius, **kwargs:
+                        built.append(radius) or build(core, budget, spec, radius, **kwargs))
+    monkeypatch.setattr(guess, "first_true", first_true)
+    solve_topl_kcenter(inst, 2, 1.0, 0.1)
+    radii = sorted(set(core_of(inst).distances()) | {0.0})
+    probed, first = bisections[0]  # the scan's first bisection is over the radii
+    assert 0 < first < len(radii) and set(probed) <= {radii[first]}
+    assert built  # the accepted guess is still solved
+
+
 # ---------------------------------------------------------------------------
 # verdicts from a table
 
 
-def _tabled_lps(monkeypatch, table, log):
+def _top_weakest(core, radius):
+    """The weakest Top guess of a radius: its largest threshold."""
+    thresholds = single_threshold_candidates(core.distances())
+    return thresholds[guess.weakest_thresholds([radius], thresholds)[0]]
+
+
+def _ordered_weakest(core, radius):
+    """The weakest guess of an ordered scan's radius: the sequence with every
+    threshold at R, or radius 0's threshold 0."""
+    seq = next(iter(cluster._sequences(radius, max(core.r0, 1))))
+    return 0.0 if seq is None else seq
+
+
+def _tabled_lps(monkeypatch, table, log, verdicts=None, weakest=_top_weakest):
     """Make every relaxation a lookup: table(radius, guess) is the minimized
     s, or None for an infeasible guess; a guess is the Top threshold or the
-    threshold sequence.  log records the guesses solved, in order."""
+    threshold sequence.  The LP-free verdict on a radius's weakest guess,
+    weakest(core, radius), looks it up in the same table, or in verdicts
+    when one is given.  log records the guesses solved and the verdicts
+    asked, in order."""
     def center_lp(core, budget, normspec, radius, **kwargs):
         return (radius, normspec[3]), 0
 
@@ -173,9 +216,19 @@ def _tabled_lps(monkeypatch, table, log):
             return SimpleNamespace(status=INFEASIBLE, x=None)
         return SimpleNamespace(status=OPTIMAL, x=np.array([s]))
 
+    def cover_verdict(core, budget, radius, coverage):
+        key = (radius, weakest(core, radius))
+        log.append(key)
+        return (verdicts or table)(*key) is not None
+
     monkeypatch.setattr(cluster, "_center_lp", center_lp)
     monkeypatch.setattr(cluster, "solve_lp", solve_lp)
+    monkeypatch.setattr(cluster, "_cover_verdict", cover_verdict)
     monkeypatch.setattr(cluster, "_lp_parts", lambda core, x: float(x[0]))
+
+
+def _ordered_tabled_lps(monkeypatch, table, log, verdicts=None):
+    _tabled_lps(monkeypatch, table, log, verdicts, weakest=_ordered_weakest)
 
 
 def _scan_both(monkeypatch, table, scan, tabled=_tabled_lps, pair=(cluster, exhaustive)):
@@ -325,16 +378,17 @@ def test_ordered_scan_with_contradicting_verdicts(monkeypatch):
         def scan(module):
             return module._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
 
-        (new, ref), log = _scan_both(monkeypatch, table, scan)
+        (new, ref), log = _scan_both(monkeypatch, table, scan, _ordered_tabled_lps)
         assert _same(new, ref)
-        # all-R sequences solved once some row's other sequences were reached
+        # all-R sequences first met once some row's other sequences were reached
         opened = [k for k, (radius, seq) in enumerate(log)
                   if radius > 0 and len(set(seq.values)) > 1]
-        holes = [(radius, seq) for radius, seq in log[opened[0]:] if radius > 0
-                 and len(set(seq.values)) == 1 and table(radius, seq) is not None] \
-            if opened else []
+        holes = [(radius, seq) for k, (radius, seq) in enumerate(log) if opened
+                 and k >= opened[0] and log.index((radius, seq)) == k and radius > 0
+                 and len(set(seq.values)) == 1 and table(radius, seq) is not None]
         for hole in holes:
-            (new, ref), _ = _scan_both(monkeypatch, _planted(table, hole), scan)
+            (new, ref), _ = _scan_both(monkeypatch, _planted(table, hole), scan,
+                                       _ordered_tabled_lps)
             assert _same(new, ref), hole
             planted += 1
     assert planted >= 10
@@ -378,7 +432,7 @@ def test_ordered_scan_finds_lures_behind_contradictions(monkeypatch):
         def scan(module):
             return module._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
 
-        (base, ref), log = _scan_both(monkeypatch, table, scan)
+        (base, ref), log = _scan_both(monkeypatch, table, scan, _ordered_tabled_lps)
         assert _same(base, ref)
         for k, (radius, seq) in enumerate(log):
             if not isinstance(seq, ThresholdSequence) or table(radius, seq) is None \
@@ -392,11 +446,144 @@ def test_ordered_scan_finds_lures_behind_contradictions(monkeypatch):
             for lure in [None] + lures[:1]:
                 lure = lure and (radius, lure)
                 (new, ref), _ = _scan_both(monkeypatch, _planted(table, (radius, seq), lure),
-                                           scan)
+                                           scan, _ordered_tabled_lps)
                 assert _same(new, ref), ((radius, seq), lure)
                 planted += 1
                 changed += not _same(new, base)
     assert planted >= 40 and changed >= 15, (planted, changed)
+
+
+# ---------------------------------------------------------------------------
+# verdicts the LP refutes
+
+
+def _refuted_holes(log, table, thresholds):
+    """(hole, lure) pairs for an LP refuting a feasible verdict.  A hole is a
+    guess solved after its verdict was asked, so that it comes twice in the
+    log.  Each hole comes once alone and once with a lure: the largest
+    threshold of its row below every feasible guess met before, which the
+    search never reached.  Only going back over the whole row finds it."""
+    pairs = []
+    for k, (radius, t) in enumerate(log):
+        if log.index((radius, t)) == k or table(radius, t) is None:
+            continue
+        pairs.append(((radius, t), None))
+        feasible = [u for r, u in log[:k] if r == radius and table(r, u) is not None]
+        lures = [u for u in thresholds if u < min(feasible) and (radius, u) not in log]
+        if lures:
+            pairs.append(((radius, t), (radius, lures[-1])))
+    return pairs
+
+
+def test_top_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
+    """The verdict says feasible where the LP says infeasible, on a radius's
+    weakest guess that a row visit solves, and a lure that only the LP finds
+    feasible sits below the row's start, where only visit(0) looks.  The row
+    must go back to visit(0) and accept what the exhaustive scan accepts."""
+    rng = np.random.default_rng(318)
+    planted = changed = 0
+    for _ in range(30):
+        core = core_of(random_cluster(rng, nc_hi=3, nf_hi=4))
+        radii = sorted(set(core.distances()) | {0.0})
+        table = _top_table(rng, radii)
+        ell, q = _top_params(rng)
+
+        def scan(module):
+            return module._scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q, 0.1)
+
+        def refuted(monkeypatch, lp_table, log):
+            _tabled_lps(monkeypatch, lp_table, log, verdicts=table)
+
+        (base, _), log = _scan_both(monkeypatch, table, scan)
+        for hole, lure in _refuted_holes(log, table, radii):
+            (new, ref), _ = _scan_both(monkeypatch, _planted(table, hole, lure), scan, refuted)
+            assert _same(new, ref), (hole, lure)
+            planted += 1
+            changed += not _same(new, base)
+    assert planted >= 20 and changed >= 5, (planted, changed)
+
+
+def test_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
+    """As for the Top scan, on the knapsack residual's single radius."""
+    rng = np.random.default_rng(319)
+    planted = changed = 0
+    for _ in range(30):
+        core = core_of(random_cluster(rng, nc_hi=3, nf_hi=4))
+        radii = sorted(set(core.distances()) | {0.0})
+        radius = radii[int(rng.integers(0, len(radii)))]
+        table = _top_table(rng, radii, mass=10.0)  # s large enough not to stop the walk
+        norm = top_norm(*_top_params(rng))
+        nf = core.n_facilities
+        pre = (0,) * core.n_clients
+
+        def scan(module):
+            return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
+                                          None, radius, norm)
+
+        def refuted(monkeypatch, lp_table, log):
+            _tabled_lps(monkeypatch, lp_table, log, verdicts=table)
+
+        (base, _), log = _scan_both(monkeypatch, table, scan)
+        for hole, lure in _refuted_holes(log, table, radii):
+            (new, ref), _ = _scan_both(monkeypatch, _planted(table, hole, lure), scan, refuted)
+            assert _same(new, ref), (hole, lure)
+            planted += 1
+            changed += not _same(new, base)
+    assert planted >= 10 and changed >= 5, (planted, changed)
+
+
+def test_ordered_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
+    """The verdict says feasible where the LP says infeasible, on a radius's
+    all-R sequence that its row solves, and a lure that only the LP finds
+    feasible sits among the sequences covering it, which a row taking the
+    LP's verdict as monotone skips.  The row must be searched again with
+    prune=False and accept what the exhaustive scan accepts."""
+    rng = np.random.default_rng(320)
+    planted = changed = 0
+    for _ in range(40):
+        core = core_of(random_cluster(rng, nc_hi=5, nf_hi=5))
+        radii = sorted(set(core.distances()) | {0.0})
+        r0 = max(core.r0, 1)
+        first = radii[int(rng.integers(0, len(radii)))]
+        frac, a, b = rng.uniform(0.0, 1.0), rng.uniform(0.2, 2.0), rng.uniform(0.0, 2.0)
+
+        def table(radius, seq):
+            if radius < first:
+                return None
+            if radius == 0.0:
+                return 0.0
+            mean = sum(seq.values) / len(seq.values)
+            return None if mean < frac * radius else max(0.0, a - b * mean)
+
+        weights = TIED_WEIGHTS[int(rng.integers(0, len(TIED_WEIGHTS)))]
+        prunes = []
+
+        def scan(module):
+            return module._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
+
+        def refuted(monkeypatch, lp_table, log):
+            _ordered_tabled_lps(monkeypatch, lp_table, log, verdicts=table)
+            row = guess.scan_sequence_row
+            monkeypatch.setattr(guess, "scan_sequence_row", lambda *args, **kwargs:
+                                prunes.append(kwargs.get("prune", True)) or row(*args, **kwargs))
+
+        (base, _), log = _scan_both(monkeypatch, table, scan, _ordered_tabled_lps)
+        for k, (radius, seq) in enumerate(log):
+            if log.index((radius, seq)) == k or table(radius, seq) is None:
+                continue  # not a guess solved after its verdict
+            # every other sequence of the row covers the all-R one
+            lures = [s for s in cluster._sequences(radius, r0)
+                     if s is not None and s != seq and (radius, s) not in log]
+            for lure in [None] + lures[:1]:
+                lure = lure and (radius, lure)
+                prunes.clear()
+                (new, ref), _ = _scan_both(monkeypatch, _planted(table, (radius, seq), lure),
+                                           scan, refuted)
+                assert _same(new, ref), ((radius, seq), lure)
+                assert False in prunes
+                planted += 1
+                changed += not _same(new, base)
+    assert planted >= 20 and changed >= 5, (planted, changed)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +661,7 @@ def _tabled_load_lps(inst, top):
             return SimpleNamespace(status=OPTIMAL, x=np.full(m * n + 1, s))
 
         def count_feasible(inst, radius, thresholds, caps):
-            guess = thresholds[0] if top else load._sequence_key(
-                sizes, SimpleNamespace(values=thresholds))
+            guess = thresholds[0] if top else load._sequence_keys(sizes, [thresholds])[0]
             log.append((radius, guess))
             return (verdicts or table)(radius, guess) is not None
 
@@ -483,7 +669,7 @@ def _tabled_load_lps(inst, top):
                             lambda inst, ell, q, radius, t: ((radius, t), 0))
         monkeypatch.setattr(load, "_ordered_load_min_bound_lp",
                             lambda inst, sparse, pos, radius, seq:
-                            ((radius, load._sequence_key(sizes, seq)), 0))
+                            ((radius, load._sequence_keys(sizes, [seq.values])[0]), 0))
         monkeypatch.setattr(load, "solve_lp", solve_lp)
         monkeypatch.setattr(load, "_count_feasible", count_feasible)
     return tabled
@@ -668,5 +854,5 @@ def test_load_top_lp_count_is_the_lps_read(monkeypatch):
 
 def _row_keys(inst, radius):
     sizes = inst.finite_sizes()
-    return {(radius, load._sequence_key(sizes, seq))
-            for seq in load.enumerate_threshold_sequences(radius, inst.jobs)}
+    seqs = list(load.enumerate_threshold_sequences(radius, inst.jobs))
+    return {(radius, key) for key in load._sequence_keys(sizes, [seq.values for seq in seqs])}

@@ -1,4 +1,5 @@
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from maxnorm.errors import InvalidInputError
 from maxnorm.fair import solve_fair
 from maxnorm.generators import gen_fair_load, gen_knapsack_cluster, gen_load
 from maxnorm.instances import Assignment, LoadInstance, eval_load_objective
-from maxnorm.load import (_count_feasible, _ordered_load_min_bound_lp, _sequence_key,
+from maxnorm.load import (_count_feasible, _ordered_load_min_bound_lp, _sequence_keys,
                           _topl_load_min_bound_lp, build_basic_load_lp, machine_copies,
                           shmoys_tardos_round, solve_ordered_makespan, solve_topl_makespan)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
@@ -345,8 +346,9 @@ def test_count_verdict_matches_highs_on_ordered_keys():
                                        inst.jobs)
         for radius in sizes:
             keys = {}
-            for seq in enumerate_threshold_sequences(radius, inst.jobs):
-                keys.setdefault(_sequence_key(sizes, seq), seq)
+            seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
+            for key, seq in zip(_sequence_keys(sizes, [seq.values for seq in seqs]), seqs):
+                keys.setdefault(key, seq)
             for seq in keys.values():
                 verdict = _count_feasible(inst, radius, seq.values, pos.indices)
                 model, _ = _ordered_load_min_bound_lp(inst, sparse, pos, radius, seq)
@@ -374,9 +376,28 @@ def test_sequence_key_counts_sizes_above_each_threshold():
         inst = random_load(rng, forbidden=0.2)
         sizes = inst.finite_sizes()
         for radius in sizes[:3]:
-            for seq in enumerate_threshold_sequences(radius, inst.jobs):
-                loop = tuple(sum(1 for s in sizes if s > v) for v in seq.values)
-                assert _sequence_key(sizes, seq) == loop
+            seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
+            for key, seq in zip(_sequence_keys(sizes, [seq.values for seq in seqs]), seqs):
+                assert key == tuple(sum(1 for s in sizes if s > v) for v in seq.values)
+
+
+def test_sequence_keys_match_the_bisect_loop():
+    """One searchsorted per radius gives each sequence the key the per-value
+    bisect loop gave it, as a tuple of Python ints."""
+    checked = 0
+    for seed in range(12):
+        inst = gen_load(seed, machines=int(1 + seed % 4), jobs=int(3 + seed), pmax=12,
+                        forbidden=0.2 if seed % 2 else 0.0)
+        sizes = inst.finite_sizes()
+        for radius in sizes:
+            seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
+            keys = _sequence_keys(sizes, [seq.values for seq in seqs])
+            assert len(keys) == len(seqs)
+            for key, seq in zip(keys, seqs):
+                assert key == tuple(len(sizes) - bisect_right(sizes, v) for v in seq.values)
+                assert type(key) is tuple and all(type(c) is int for c in key)
+                checked += 1
+    assert checked >= 1000, checked
 
 
 def test_solvers_reject_non_finite_eps():

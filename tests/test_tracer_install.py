@@ -11,9 +11,10 @@ import numpy as np
 
 import maxnorm
 from maxnorm import cluster, fair, load, lp
-from maxnorm.generators import gen_fair_load, gen_load
+from maxnorm.generators import (gen_cluster, gen_fair_load, gen_knapsack_cluster, gen_load,
+                                gen_matroid_cluster)
 from maxnorm.instances import LoadInstance
-from maxnorm.norms import top_norm
+from maxnorm.norms import max_ordered_norm, top_norm
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -48,19 +49,29 @@ def test_tracer_installs_runs_and_uninstalls():
 
 
 def test_traced_lp_calls_are_the_lps_solved(monkeypatch):
-    """lp.solve_lp.calls counts every LP a makespan scan or a fair solve
-    solves.  The LPs are counted in lp itself, so a scan reaching solve_lp
-    under a name the tracer does not bind would read fewer traced calls
-    than solves."""
+    """lp.solve_lp.calls counts every LP a makespan scan, a k-center scan or
+    a fair solve solves.  The LPs are counted in lp itself, so a scan
+    reaching solve_lp under a name the tracer does not bind would read fewer
+    traced calls than solves."""
     tracing = _tracing_module()
     solved = []
     layout = lp._layout
     monkeypatch.setattr(lp, "_layout", lambda model: solved.append(1) or layout(model))
     inst = gen_load(4, machines=4, jobs=12, pmax=20, forbidden=0.2)
+    center = gen_cluster(2, clients=5, facilities=5, k=2)
+    ordered = [(1.0, 0.5, 0.25)]
     for solve in (lambda: maxnorm.solve_topl_makespan(inst, 2, 1.0, 0.1),
-                  lambda: maxnorm.solve_ordered_makespan(inst, [(1.0, 0.5, 0.25)], 0.1),
+                  lambda: maxnorm.solve_ordered_makespan(inst, ordered, 0.1),
                   lambda: maxnorm.solve_fair(gen_fair_load(1, machines=3, jobs=4),
-                                             top_norm(2, 1.0), 0.1)):
+                                             top_norm(2, 1.0), 0.1),
+                  lambda: maxnorm.solve_topl_kcenter(center, 2, 1.0, 0.1),
+                  lambda: maxnorm.solve_ordered_kcenter(center, ordered, 0.1),
+                  lambda: maxnorm.solve_matroid_center(gen_matroid_cluster(3, 4, 5),
+                                                       top_norm(2, 1.0), 0.1),
+                  lambda: maxnorm.solve_knapsack_center(gen_knapsack_cluster(4, 3, 4),
+                                                        top_norm(2, 1.0), 0.5),
+                  lambda: maxnorm.solve_knapsack_center(gen_knapsack_cluster(4, 3, 4),
+                                                        max_ordered_norm(ordered), 0.5)):
         solved.clear()
         tracer = tracing.Tracer()
         tracer.install(maxnorm)
