@@ -17,31 +17,20 @@ With a knapsack budget the per-location family is dropped and the vertex
 has at most two fractional entries, which the caller rounds up.
 """
 
-import math
 from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
 from .errors import InfeasibleError, SolverInternalError
-from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp_model, solve_lp
-
-
-def _scaled_profits(profits):
-    fracs = [Fraction(p) for p in profits]
-    if any(p < 0 for p in fracs):
-        raise SolverInternalError("bundle profits must be non-negative")
-    denom = 1
-    for p in fracs:
-        denom = denom * p.denominator // math.gcd(denom, p.denominator)
-    return [int(p * denom) for p in fracs], denom
+from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp_model, scaled_integers, solve_lp
 
 
 def _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original, wire_location):
     """Shared circulation network: returns z (copy -> 0/1) for all copies
     in bundles.  wire_location(g, loc) routes each location node toward "t";
     the caller pre-wires the "t" -> "s" return arc."""
-    scaled, _ = _scaled_profits(profits)
+    scaled = scaled_integers(profits)
     copies = sorted({c for u in list(full_bundles) + list(partial_bundles) for c in u})
     if not copies:
         return {}

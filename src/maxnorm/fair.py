@@ -198,6 +198,7 @@ class _Separation:
         self.row_ends = [k + 1 for k in range(len(self.pairs))
                          if k + 1 == len(self.pairs) or self.pairs[k + 1][0] != self.pairs[k][0]]
         self.base_lps = GuessLPs(lambda k: self.base_lp(*self.pairs[k]), solve_lp)
+        self._last = None  # (point vector, _at of it) of the point last asked about
 
     def _point(self, point_vec):
         n = len(self.finst.e)
@@ -230,18 +231,25 @@ class _Separation:
             return sol if sol.status == OPTIMAL else None
         return solve
 
+    def _at(self, point_vec):
+        """(point, eta, _lps_at of them) for a point vector.  The last point's
+        are kept, so asking about it again (round-and-cut's first point after
+        the bound search probed it) solves no LP twice."""
+        if self._last is None or self._last[0] != point_vec:
+            point = self._point(point_vec)
+            eta = compute_eta(point)
+            self._last = (point_vec, (point, eta, self._lps_at(point, eta)))
+        return self._last[1]
+
     def feasible_somewhere(self, point_vec):
         """Whether some pair's LP is feasible at the point, which holds iff
         the weakest pair's (the last) is: a call on this point does not
         answer "member"."""
-        point = self._point(point_vec)
-        solve = self._lps_at(point, compute_eta(point))
+        solve = self._at(point_vec)[2]
         return solve is not None and solve(len(self.pairs) - 1) is not None
 
     def __call__(self, point_vec):
-        point = self._point(point_vec)
-        eta = compute_eta(point)
-        solve = self._lps_at(point, eta)
+        point, eta, solve = self._at(point_vec)
         if solve is None:
             return "member", None, None
         ends = self.row_ends
@@ -410,17 +418,19 @@ def _first_point(finst):
     return exact_feasible_point([_dual(finst)[1]], n + 1, nonneg=[True] * n + [False])
 
 
-def round_and_cut(finst, bound, ell, q, limit=None):
+def round_and_cut(finst, bound, ell, q, limit=None, oracle=None, first=None):
     """Either certify that no distribution exists at this bound (a refuting
     dual point is found) or return one whose support is certified feasible
     at the inflated bound.  Returns (verdict, payload) with verdict
-    "infeasible_at_bound" (payload the refuting point) or "distribution"."""
+    "infeasible_at_bound" (payload the refuting point) or "distribution".
+    A caller may hand over the separation oracle at this bound and the first
+    dual point (_first_point) when it has them, with the LPs they solved."""
     limit = _default_limit(finst) if limit is None else limit
     oracle_cls, base_row = _dual(finst)
-    oracle = oracle_cls(finst, bound, ell, q)
+    oracle = oracle_cls(finst, bound, ell, q) if oracle is None else oracle
     n = len(finst.e)
     outcome = cutting_plane([base_row], n + 1, oracle,
-                            nonneg=[True] * n + [False], limit=limit)
+                            nonneg=[True] * n + [False], limit=limit, first=first)
     if outcome.verdict == "refuted":
         return "infeasible_at_bound", outcome.point
     support = [s for s, _ in outcome.history]
@@ -462,10 +472,10 @@ def fair_bound_candidates(finst, norm, eps):
     return cands
 
 
-def _member_at(finst, bound, ell, q, point):
-    """Whether the oracle at this bound certifies point as a member, read
-    off the weakest guess pair's LP alone."""
-    return not _dual(finst)[0](finst, bound, ell, q).feasible_somewhere(point)
+def _member_at(oracle, point):
+    """Whether the oracle certifies point as a member, read off the weakest
+    guess pair's LP alone."""
+    return not oracle.feasible_somewhere(point)
 
 
 def solve_fair(finst, norm, eps, limit=None):
@@ -474,19 +484,27 @@ def solve_fair(finst, norm, eps, limit=None):
     The bounds where the first dual point P0 is a member form a prefix of
     the grid; they are bisected past, and round-and-cut walks the grid from
     the first bound after them.  A bound of the walk refuted at P0 itself
-    contradicts that prefix, and the bounds skipped are then walked too."""
+    contradicts that prefix, and the bounds skipped are then walked too.
+    Round-and-cut starts from P0 and, at a bound the bisection probed, from
+    the probe's oracle, so nothing the probe solved is solved again."""
     if norm.kind != TOP:
         raise InvalidInputError("fair solving covers Top-(ell,q) norms")
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
     bounds = fair_bound_candidates(finst, norm, eps)
     p0 = _first_point(finst)
-    start = first_true(lambda k: not _member_at(finst, bounds[k], norm.ell, norm.q, p0),
-                       0, len(bounds))
+    oracles = {}
+
+    def probe(k):
+        oracles[k] = _dual(finst)[0](finst, bounds[k], norm.ell, norm.q)
+        return not _member_at(oracles[k], p0)
+
+    start = first_true(probe, 0, len(bounds))
 
     def walk(indices, check):
         for k in indices:
-            verdict, payload = round_and_cut(finst, bounds[k], norm.ell, norm.q, limit=limit)
+            verdict, payload = round_and_cut(finst, bounds[k], norm.ell, norm.q, limit=limit,
+                                             oracle=oracles.pop(k, None), first=p0)
             if verdict == "distribution":
                 return FairSolveResult(bound=bounds[k], distribution=payload)
             if check and payload == p0:  # P0 a member after all: not monotone

@@ -56,8 +56,7 @@ class LoadInstance:
         return self.p.shape[1]
 
     def finite_sizes(self):
-        vals = self.p[np.isfinite(self.p)]
-        return sorted(set(float(v) for v in vals))
+        return _distinct(self.p[np.isfinite(self.p)])
 
 
 @dataclass(eq=False)
@@ -112,7 +111,12 @@ class ClusterInstance:
         return int(self.r.max()) if self.n_clients else 0
 
     def finite_distances(self):
-        return sorted(set(float(v) for v in self.cf.ravel()))
+        return _distinct(self.cf.ravel())
+
+
+def _distinct(values):
+    """Sorted distinct values as Python floats, -0.0 read as 0.0."""
+    return (np.unique(values) + 0.0).tolist()
 
 
 def _to_fractions(values):

@@ -46,7 +46,6 @@ sparsified guessing certificate.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -56,7 +55,8 @@ from scipy.sparse.csgraph import maximum_flow
 from .errors import InvalidInputError, SolverInternalError
 from .guess import GuessLPs, scan_sequence_row, scan_top_rows
 from .instances import Assignment, eval_load_objective
-from .lp import EQ, LE, OPTIMAL, lp_model, simplex_solve, solve_lp
+from .lp import EQ, LE, lp_model, scaled_integers, solve_lp
+from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
 from .norms import max_ordered_norm, top_norm
 from .sparsify import (geometric_grid, enumerate_threshold_sequences, single_threshold_candidates,
                        snap_to_grid, sparsified_gap_bound, sparsified_gap_bounds,
@@ -237,8 +237,9 @@ def shmoys_tardos_round(x, p, edge_weights=None, exact=False):
     minimizing the total edge weight (weight of any edge into machine i is
     edge_weights[i]; default 0).  The integral matching weight never exceeds
     the fractional weight sum_i w_i sum_j x_ij.  With exact=True, weights are
-    Fractions and the matching LP is solved in exact arithmetic (its vertices
-    are integral).
+    non-negative rationals, scaled to integers over their common denominator,
+    so the matching's float sums and comparisons are exact while a scaled
+    weight times n stays below 2^53; beyond that the weights match as floats.
 
     Returns (assignment, copies).
     """
@@ -255,39 +256,25 @@ def shmoys_tardos_round(x, p, edge_weights=None, exact=False):
     if len(flat) < n:
         raise SolverInternalError("fewer machine copies than jobs")
 
-    if exact:
-        weights = [Fraction(0)] * m if edge_weights is None else [Fraction(w) for w in edge_weights]
-        edge_list = sorted(edges)
-        col = {e: t for t, e in enumerate(edge_list)}
-        rows = []
-        for j in range(n):
-            rows.append(({col[e]: 1 for e in edge_list if e[0] == j}, EQ, 1))
-        for t, mc in enumerate(flat):
-            touching = {col[e]: 1 for e in edge_list if e[1] == t}
-            if touching:
-                rows.append((touching, LE, 1))
-        objective = [weights[flat[e[1]][0]] for e in edge_list]
-        status, z = simplex_solve(rows, len(edge_list), objective=objective)
-        if status != OPTIMAL:
-            raise SolverInternalError(f"matching LP ended {status}")
-        sigma = [-1] * n
-        for e, val in zip(edge_list, z):
-            if val == 1:
-                sigma[e[0]] = flat[e[1]][0]
-            elif val != 0:
-                raise SolverInternalError("matching LP vertex not integral")
+    if edge_weights is None:
+        w = np.zeros(m)
+    elif exact:
+        scaled = scaled_integers(edge_weights)
+        # past 2^53 float sums of the scaled weights are inexact too; callers
+        # that need the bound check the matching's weight in exact arithmetic
+        w = np.array(scaled if max(scaled) * n < 2 ** 53 else edge_weights, float)
     else:
-        w = np.zeros(m) if edge_weights is None else np.asarray(edge_weights, float)
-        cost = np.full((n, len(flat)), np.inf)
-        for j, t in edges:
-            cost[j, t] = w[flat[t][0]]
-        try:
-            rows_idx, cols_idx = linear_sum_assignment(cost)
-        except ValueError as exc:
-            raise SolverInternalError(f"copy matching infeasible: {exc}")
-        sigma = [-1] * n
-        for j, t in zip(rows_idx, cols_idx):
-            sigma[j] = flat[t][0]
+        w = np.asarray(edge_weights, float)
+    cost = np.full((n, len(flat)), np.inf)
+    for j, t in edges:
+        cost[j, t] = w[flat[t][0]]
+    try:
+        rows_idx, cols_idx = linear_sum_assignment(cost)
+    except ValueError as exc:
+        raise SolverInternalError(f"copy matching infeasible: {exc}")
+    sigma = [-1] * n
+    for j, t in zip(rows_idx, cols_idx):
+        sigma[j] = flat[t][0]
     if any(i < 0 for i in sigma):
         raise SolverInternalError("matching left a job unassigned")
     return Assignment(tuple(sigma)), copies

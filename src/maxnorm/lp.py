@@ -6,20 +6,25 @@ Two solvers live here:
     the assignment/clustering relaxations.  A model is COO triplets (row,
     column, value) plus one sense and one right-hand side per row; small
     callers add dict rows (add_row), the load builders add whole numpy
-    blocks (add_rows).  solve_lp lays the model out as scipy's linprog
-    would (<= rows and negated >= rows in model order, then == rows; one
-    CSC matrix with duplicates summed and explicit zeros dropped) and calls
-    scipy's vendored HiGHS bindings directly with the options
-    linprog(method="highs-ds") passes, so HiGHS sees the same model and
-    returns the same vertex without linprog's per-call overhead.  Where the
-    bindings do not import (they are a private API), linprog itself is
-    called on the same sparse matrix; the choice is made once at import.
-    Optimal solutions are verified against a residual tolerance TAU_LP
-    (one sparse mat-vec) and come back with at-bound flags (vertex
+    blocks (add_rows).  Fixed columns (finite lower == upper, such as the
+    pairs a radius guess forbids) never reach the solver: solve_lp
+    substitutes them out, shifting each row bound by their activity, and
+    lays the free columns out as scipy's linprog would (<= rows and
+    negated >= rows in model order, then == rows; one CSC matrix with
+    duplicates summed and explicit zeros dropped).  It calls scipy's
+    vendored HiGHS bindings directly with the options
+    linprog(method="highs-ds") passes, without linprog's per-call
+    overhead.  Where the bindings do not import (they are a private API),
+    linprog itself is called on the same sparse matrix; the choice is made
+    once at import.  A model whose columns are all fixed keeps its first
+    column, so HiGHS still decides it.  Solutions come back over every
+    column, fixed ones at their value; optimal ones are verified against
+    every row of the full model within a residual tolerance TAU_LP (one
+    sparse mat-vec) and come back with at-bound flags (vertex
     certificate).
   * simplex_solve: a small dense two-phase simplex over Fractions with
     Bland's rule, used wherever exactness matters (dual candidate points,
-    distribution LPs, exact matchings).  Problem sizes there are tiny.
+    distribution LPs).  Problem sizes there are tiny.
 
 cutting_plane is the constraint-generation loop shared by the fairness
 drivers: it replaces the ellipsoid method of the analysis with finite cut
@@ -157,14 +162,22 @@ class LpSolution:
 
 @dataclass
 class _Layout:
-    """A model as linprog hands it to HiGHS: the first num_ub rows are the
-    <= rows and the negated >= rows in model order, then the == rows."""
-    indptr: np.ndarray  # CSC over all rows, duplicates summed, zeros dropped
+    """A model as linprog would hand it to HiGHS once its fixed columns (finite
+    lower == upper) are substituted out: the first num_ub rows are the <=
+    rows and the negated >= rows in model order, then the == rows, each row
+    bound shifted by the fixed columns' activity; only the free columns
+    remain, in model order (the first column, when every column is fixed)."""
+    indptr: np.ndarray  # CSC over all rows and the free columns, duplicates summed, zeros dropped
     indices: np.ndarray
     data: np.ndarray
     row_lower: np.ndarray
     row_upper: np.ndarray
     num_ub: int
+    free: np.ndarray  # model indices of the free columns
+    cost: np.ndarray  # objective and bounds of the free columns
+    lower: np.ndarray
+    upper: np.ndarray
+    offset: float  # objective of the fixed columns, 0.0 when every fixed value is 0
 
 
 def _layout(model):
@@ -172,6 +185,20 @@ def _layout(model):
     r, c, v = model.coo()
     if not (np.isfinite(v).all() and np.isfinite(rhs).all()):
         raise LpSolverError("LP model has a non-finite coefficient or right-hand side")
+    is_free = (model.lower != model.upper) | ~np.isfinite(model.lower)
+    if model.num_vars and not is_free.any():  # HiGHS reports a model without columns as Empty
+        is_free[0] = True
+    free = np.flatnonzero(is_free)
+    cost, lower, upper, offset = model.objective, model.lower, model.upper, 0.0
+    some_fixed = len(free) < model.num_vars
+    if some_fixed:
+        if np.count_nonzero(model.lower[~is_free]):
+            value = np.where(is_free, 0.0, model.lower)
+            rhs = rhs - np.bincount(r, weights=v * value[c], minlength=len(rhs))
+            offset = float(model.objective @ value)
+        keep = is_free[c]
+        r, c, v = r[keep], c[keep], v[keep]
+        cost, lower, upper = cost[free], lower[free], upper[free]
     eq = codes == _SENSE_CODE[EQ]
     num_ub = int(len(codes) - eq.sum())
     pos = np.empty(len(codes), np.int64)
@@ -189,17 +216,19 @@ def _layout(model):
             rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
     keep = vals != 0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=model.num_vars))))
+    counts = np.bincount(cols, minlength=model.num_vars)
+    indptr = np.concatenate(([0], np.cumsum(counts[free] if some_fixed else counts)))
     row_upper = np.empty(len(codes))
     row_upper[pos] = rhs * sign
     row_lower = np.where(np.arange(len(codes)) < num_ub, -np.inf, row_upper)
     return _Layout(indptr.astype(np.int32), rows.astype(np.int32), vals,
-                   row_lower, row_upper, num_ub)
+                   row_lower, row_upper, num_ub, free, cost, lower, upper, offset)
 
 
 def solve_lp(model):
     """Solve min c.x subject to the model rows and bounds.
 
+    Fixed columns never reach the solver; they come back at their value.
     Optimal solutions are basic (HiGHS dual simplex) and are re-checked
     against every row within TAU_LP.  Infeasible solves return the solver's
     certificate message.
@@ -208,9 +237,16 @@ def solve_lp(model):
         path = os.path.join(_DUMP_DIR, f"model_{next(_DUMP_COUNTER):06d}.lp")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dump_lp(model))
-    status, x, fun, message = _solve(model, _layout(model))
+    lay = _layout(model)
+    status, x_free, fun, message = _solve(model, lay)
     if status != OPTIMAL:
         return LpSolution(status, None, np.nan, None, message=message)
+    x = x_free
+    if len(x_free) < model.num_vars:  # fixed columns at their value, lower == upper
+        x = model.lower.copy()
+        x[lay.free] = x_free
+        if lay.offset:
+            fun += lay.offset
     _check_residuals(model, x)
     at_bound = (x <= model.lower + TAU_LP) | (x >= model.upper - TAU_LP)
     return LpSolution(OPTIMAL, x, fun, ~at_bound, message=message)
@@ -220,16 +256,16 @@ def _solve_linprog(model, lay):
     from scipy.sparse import csc_array
 
     a = csc_array((lay.data, lay.indices, lay.indptr),
-                  shape=(len(lay.row_upper), model.num_vars))
+                  shape=(len(lay.row_upper), len(lay.free)))
     ub, eq = slice(None, lay.num_ub), slice(lay.num_ub, None)
     has_ub, has_eq = lay.num_ub > 0, lay.num_ub < len(lay.row_upper)
     res = linprog(
-        model.objective,
+        lay.cost,
         A_ub=a[ub] if has_ub else None,
         b_ub=lay.row_upper[ub] if has_ub else None,
         A_eq=a[eq] if has_eq else None,
         b_eq=lay.row_upper[eq] if has_eq else None,
-        bounds=np.column_stack([model.lower, model.upper]),
+        bounds=np.column_stack([lay.lower, lay.upper]),
         method="highs-ds",
     )
     if res.status == 2:
@@ -256,15 +292,15 @@ def _highs_options():
 def _solve_highs(model, lay):
     # the bindings copy Python lists into HiGHS vectors faster than numpy arrays
     lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = model.num_vars
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(lay.free)
     lp.num_row_ = lp.a_matrix_.num_row_ = len(lay.row_upper)
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     lp.a_matrix_.start_ = lay.indptr.tolist()
     lp.a_matrix_.index_ = lay.indices.tolist()
     lp.a_matrix_.value_ = lay.data.tolist()
-    lp.col_cost_ = model.objective.tolist()
-    lp.col_lower_ = model.lower.tolist()
-    lp.col_upper_ = model.upper.tolist()
+    lp.col_cost_ = lay.cost.tolist()
+    lp.col_lower_ = lay.lower.tolist()
+    lp.col_upper_ = lay.upper.tolist()
     lp.row_lower_ = lay.row_lower.tolist()
     lp.row_upper_ = lay.row_upper.tolist()
     highs = _highs._Highs()
@@ -286,7 +322,7 @@ def _solve_highs(model, lay):
     # the check linprog makes before it reports an optimum
     tol = _LINPROG_TOL
     if (np.isnan(x).any() or np.isnan(fun) or np.isnan(act).any()
-            or (x < model.lower - tol).any() or (x > model.upper + tol).any()
+            or (x < lay.lower - tol).any() or (x > lay.upper + tol).any()
             or (act > lay.row_upper + tol).any() or (act < lay.row_lower - tol).any()):
         raise LpSolverError("LP solve failed: the solution does not satisfy the "
                             f"constraints within {tol:.2E}")
@@ -513,6 +549,16 @@ def exact_feasible_point(rows, num_vars, nonneg=None):
     return x
 
 
+def scaled_integers(values):
+    """Non-negative rationals times the lcm of their denominators: integers
+    in the same ratios, so sums and comparisons of them are exact."""
+    fracs = [Fraction(v) for v in values]
+    if any(v < 0 for v in fracs):
+        raise SolverInternalError("scaled weights must be non-negative")
+    denom = math.lcm(*(v.denominator for v in fracs))
+    return [int(v * denom) for v in fracs]
+
+
 # ---------------------------------------------------------------------------
 # constraint generation
 
@@ -524,18 +570,21 @@ class CutOutcome:
     history: list = None  # payloads of the generated cuts, in order
 
 
-def cutting_plane(base_rows, num_vars, oracle, nonneg=None, limit=10000):
+def cutting_plane(base_rows, num_vars, oracle, nonneg=None, limit=10000, first=None):
     """Generate violated constraints until the cut system is infeasible
     ("empty", with the history of cut-generating solutions) or the oracle
     certifies a candidate point ("refuted").
 
     oracle(point) returns ("member", None, None) or ("cut", key, (row, payload)).
     Keys identify cut-generating solutions; a repeat key is a contract
-    violation because candidate points satisfy all collected cuts.
+    violation because candidate points satisfy all collected cuts.  first,
+    when given, is exact_feasible_point of the base rows, which the first
+    round then asks about without solving for it again.
     """
     cuts, seen, history = [], set(), []
-    for _ in range(limit):
-        point = exact_feasible_point(base_rows + cuts, num_vars, nonneg=nonneg)
+    for step in range(limit):
+        point = first if step == 0 and first is not None else \
+            exact_feasible_point(base_rows + cuts, num_vars, nonneg=nonneg)
         if point is None:
             return CutOutcome(verdict="empty", history=history)
         verdict, key, cut = oracle(point)

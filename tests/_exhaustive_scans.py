@@ -11,6 +11,7 @@ implementations.
 import numpy as np
 
 from maxnorm import cluster, fair, load
+from maxnorm.lp import OPTIMAL
 
 
 def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
@@ -164,7 +165,7 @@ def load_scan_top_guesses(inst, ell, q, grid_eps):
                 break
             model, sidx = load._topl_load_min_bound_lp(inst, ell, q, radius, t)
             sol = load.solve_lp(model)
-            if sol.status != load.OPTIMAL:
+            if sol.status != OPTIMAL:
                 continue
             bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
             bound = load.snap_to_grid(grid, bhat)
@@ -195,7 +196,7 @@ def load_scan_ordered_guesses(inst, sparse, pos, wtop, eps):
             else:
                 model, svar = load._ordered_load_min_bound_lp(inst, sparse, pos, radius, seq)
                 sol = load.solve_lp(model)
-                if sol.status != load.OPTIMAL:
+                if sol.status != OPTIMAL:
                     cache[key] = (None, None)
                     continue
                 sval, x = float(sol.x[svar]), sol.x[: m * n].reshape(m, n)

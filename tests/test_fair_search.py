@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import _exhaustive_scans as exhaustive
-from maxnorm import fair
+from maxnorm import fair, lp
 from maxnorm.errors import MaxNormError, SolverInternalError
 from maxnorm.generators import gen_fair_cluster, gen_fair_load
 from maxnorm.lp import INFEASIBLE, OPTIMAL
@@ -133,6 +133,48 @@ def test_fair_lp_count(monkeypatch):
     searched, calls[:] = len(calls), []
     assert new == _reference(monkeypatch, solve)
     assert len(calls) == 200 and 0 < searched <= 15
+
+
+def _model_key(model):
+    r, c, v = model.coo()
+    return (model.lower.tobytes(), model.upper.tobytes(), model.objective.tobytes(),
+            r.tobytes(), c.tobytes(), v.tobytes(), model.rhs.tobytes(), tuple(model._sense))
+
+
+def test_walk_solves_no_model_the_bound_search_solved(monkeypatch):
+    """Round-and-cut starts from the bound search's first dual point and, at
+    the bound the search stopped at, from its oracle: no LP solved inside
+    round-and-cut repeats one solved earlier in the same solve, and the
+    cutting planes never solve for the first point again."""
+    solved, walking = set(), [False]
+    solve_lp, round_and_cut = fair.solve_lp, fair.round_and_cut
+    exact_feasible_point = lp.exact_feasible_point
+
+    def counted_solve(model):
+        key = _model_key(model)
+        assert not (walking[0] and key in solved)
+        solved.add(key)
+        return solve_lp(model)
+
+    def walked(*args, **kwargs):
+        walking[0] = True
+        return round_and_cut(*args, **kwargs)
+
+    def cut_point(rows, *args, **kwargs):
+        assert len(rows) > 1  # the base row and at least one cut
+        return exact_feasible_point(rows, *args, **kwargs)
+
+    monkeypatch.setattr(fair, "solve_lp", counted_solve)
+    monkeypatch.setattr(fair, "round_and_cut", walked)
+    monkeypatch.setattr(lp, "exact_feasible_point", cut_point)
+    walks = found = 0
+    for k, finst in enumerate(_fair_instances(404, 20)):
+        solved.clear()
+        walking[0] = False
+        outcome = _outcome(lambda: fair.solve_fair(finst, top_norm(*NORMS[k // 2 % 2]), 0.1))
+        walks += walking[0]
+        found += isinstance(outcome[0], float)
+    assert walks == 20 and found >= 15
 
 
 @pytest.mark.parametrize("cls", [fair._LoadSeparation, fair._CenterSeparation])
@@ -286,8 +328,9 @@ def _tabled_walk(monkeypatch, table, probe, log):
     0, 1, ...: table[k] is "P0" (refuted at the first dual point), "later"
     (refuted at a later one), "dist" or "raise", and probe[k] says whether
     the probe finds the first point a member.  log records both."""
-    def round_and_cut(finst, bound, ell, q, limit=None):
+    def round_and_cut(finst, bound, ell, q, limit=None, oracle=None, first=None):
         k = int(bound)
+        assert first in (None, "P0") and (oracle is None or oracle.bound == bound)
         log.append(("walk", k))
         if table[k] == "raise":
             raise SolverInternalError("ambiguous separation verdict (numerical edge)")
@@ -295,10 +338,10 @@ def _tabled_walk(monkeypatch, table, probe, log):
             return "distribution", ("dist", k)
         return "infeasible_at_bound", "P0" if table[k] == "P0" else ("later", k)
 
-    def member_at(finst, bound, ell, q, point):
+    def member_at(oracle, point):
         assert point == "P0"
-        log.append(("probe", int(bound)))
-        return probe[int(bound)]
+        log.append(("probe", int(oracle.bound)))
+        return probe[int(oracle.bound)]
 
     monkeypatch.setattr(fair, "fair_bound_candidates",
                         lambda finst, norm, eps: [float(k) for k in range(len(table))])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import _dict_row_builders as dict_rows
+from _fraction_matching import fraction_simplex_round
 from _gen import random_load, random_max_ordered_weights
 from _load_builders import build_ordered_load_lp, build_topl_load_lp
 from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
@@ -240,6 +241,61 @@ def test_weighted_rounding_monotonicity():
         integral = sum(a * c for a, c in zip(alpha, assignment.counts(inst.machines)))
         fractional = sum(float(a) * x[i].sum() for i, a in enumerate(alpha))
         assert float(integral) <= fractional + 1e-9
+
+
+def test_exact_rounding_matches_the_fraction_simplex_weight():
+    """The integer-scaled matching reaches the minimum weight the Fraction
+    simplex over the copy-matching LP finds (ties may pick another matching)."""
+    rng = np.random.default_rng(12)
+    for inst, x, *_ in _fractional_solutions(rng, 15):
+        for den in (1, 3, 7 * 11):
+            alpha = [Fraction(int(v), den) for v in rng.integers(0, 9, size=inst.machines)]
+            assignment, _ = shmoys_tardos_round(x, inst.p, edge_weights=alpha, exact=True)
+            reference = fraction_simplex_round(x, inst.p, alpha)
+            assert (sum(alpha[i] for i in assignment.sigma)
+                    == sum(alpha[i] for i in reference))
+
+
+def test_exact_rounding_past_exact_float_sums_matches_as_floats():
+    # two jobs: past a scaled weight times 2 of 2^53 the weights match as floats
+    x, p = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [1.0, 1.0]])
+    for weights in ([Fraction(2 ** 52 - 1), 0], [Fraction(2 ** 52), 0],
+                    [Fraction(1, 2 ** 52), Fraction(1)]):
+        assignment, _ = shmoys_tardos_round(x, p, edge_weights=weights, exact=True)
+        assert assignment.sigma == (0, 0)
+        assert assignment.sigma == fraction_simplex_round(x, p, weights)
+
+
+def test_fair_solve_with_binary_float_caps(monkeypatch):
+    """Caps read from JSON numbers such as 0.6 are binary fractions with
+    denominators near 2^54, so some dual points scale past 2^53 and their
+    matchings run on float weights: every matching still reaches the Fraction
+    simplex's minimum weight, and the solves end with a distribution."""
+    from maxnorm import fair
+    from maxnorm.fileio import decode_instance, encode_instance
+    from maxnorm.lp import scaled_integers
+
+    real, past = fair.shmoys_tardos_round, []
+
+    def checked(x, p, edge_weights=None, exact=False):
+        assignment, copies = real(x, p, edge_weights=edge_weights, exact=exact)
+        reference = fraction_simplex_round(x, p, edge_weights)
+        assert (sum(Fraction(edge_weights[i]) for i in assignment.sigma)
+                == sum(Fraction(edge_weights[i]) for i in reference))
+        past.append(max(scaled_integers(edge_weights)) * p.shape[1] >= 2 ** 53)
+        return assignment, copies
+
+    monkeypatch.setattr(fair, "shmoys_tardos_round", checked)
+    cases = [(2, 4, 1, [2.7, 1.0, 0.5, 1.2]), (11, 4, 2, [0.6, 0.6, 2.6, 1.7]),
+             (14, 4, 1, [0.6, 2.7, 2.2, 1.3]), (18, 2, 1, [2.9, 1.3])]
+    for seed, machines, ell, caps in cases:
+        data = encode_instance(gen_fair_load(seed, machines=machines, jobs=4))
+        data["e"] = caps
+        finst = decode_instance(data)
+        assert max(e.denominator for e in finst.e) > 2 ** 50
+        res = solve_fair(finst, top_norm(ell, 1.0), 0.1)
+        assert sum(res.distribution.weights) == 1
+    assert any(past) and not all(past)
 
 
 def test_feasibility_monotone_in_bound():

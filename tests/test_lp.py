@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.sparse import csc_array
 
 from _gen import random_cluster, random_load, random_max_ordered_weights
@@ -13,6 +14,7 @@ from maxnorm import lp
 from maxnorm.bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                               solve_two_laminar_integral)
 from maxnorm.cluster import CARDINALITY, _center_lp, core_of
+from maxnorm.generators import gen_load
 from maxnorm.errors import InfeasibleError, LpSolverError, ResourceCapError, SolverInternalError
 from maxnorm.load import _ordered_load_min_bound_lp, _topl_load_min_bound_lp
 from maxnorm.lp import (EQ, GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED,
@@ -160,18 +162,24 @@ def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
 
 
 def _dense_layout(model):
-    """linprog's input as dense rows: <= rows, negated >= rows, then == rows."""
+    """linprog's input as dense rows over the free columns (finite lower ==
+    upper fixes a column): <= rows, negated >= rows, then == rows, each
+    right-hand side less the fixed columns' activity."""
+    fixed = np.isfinite(model.lower) & (model.lower == model.upper)
+    x0 = np.where(fixed, model.lower, 0.0)
     ub, b_ub, eq, b_eq = [], [], [], []
     for coeffs, sense, rhs in model.rows:
         row = np.zeros(model.num_vars)
         for idx, c in coeffs.items():
             row[idx] += c
+        rhs = rhs - row @ x0 if x0.any() else rhs
+        row = row[~fixed]
         if sense == EQ:
             eq.append(row), b_eq.append(rhs)
         else:
             sign = -1.0 if sense == GE else 1.0
             ub.append(sign * row), b_ub.append(sign * rhs)
-    return csc_array(np.array(ub + eq).reshape(-1, model.num_vars)), b_ub, b_eq
+    return csc_array(np.array(ub + eq).reshape(-1, int((~fixed).sum()))), b_ub, b_eq
 
 
 def test_layout_matches_linprog_rows():
@@ -190,18 +198,110 @@ def test_layout_matches_linprog_rows():
     assert np.array_equal(lay.data, a.data)
     assert np.array_equal(lay.row_upper, b_ub + b_eq)
     assert np.array_equal(lay.row_lower, [-np.inf] * 4 + b_eq)
+    assert np.array_equal(lay.free, np.arange(4)) and lay.offset == 0.0
     rows = model.rows
     assert rows[2] == ({2: 3.5, 3: 1.0, 1: 4.0}, LE, 3.0)
     assert rows[3] == ({0: 0.0}, GE, -1.0) and rows[5] == ({}, LE, 0.0)
 
 
+def test_layout_drops_fixed_columns_and_shifts_rows():
+    model = lp_model(4, lower=[0.0, 0.5, 0.0, 2.0], upper=[1.0, 0.5, 0.0, np.inf],
+                     objective=[1.0, 3.0, 5.0, -1.0])
+    model.add_row({0: 1.0, 1: 2.0, 2: 4.0}, GE, 1.5)
+    model.add_row({1: -1.0, 3: 1.0}, EQ, 3.0)
+    model.add_rows([0, 0], [1, 2], [1.0, 1.0], LE, [0.25])  # fixed columns only
+    lay = lp._layout(model)
+    a, b_ub, b_eq = _dense_layout(model)
+    assert np.array_equal(lay.free, [0, 3])
+    assert np.array_equal(lay.indptr, a.indptr) and np.array_equal(lay.indices, a.indices)
+    assert np.array_equal(lay.data, a.data)
+    assert np.array_equal(lay.row_upper, b_ub + b_eq) and lay.row_upper.tolist() == [-0.5, -0.25, 3.5]
+    assert lay.cost.tolist() == [1.0, -1.0] and lay.lower.tolist() == [0.0, 2.0]
+    assert lay.upper.tolist() == [1.0, np.inf] and lay.offset == 1.5
+
+
 def test_layout_of_builder_models_matches_linprog_rows():
+    fixed_seen = 0
     for model in _builder_models(np.random.default_rng(3)):
         lay = lp._layout(model)
         a, b_ub, b_eq = _dense_layout(model)
+        fixed = np.isfinite(model.lower) & (model.lower == model.upper)
+        fixed_seen += int(fixed.sum())
+        assert np.array_equal(lay.free, np.flatnonzero(~fixed))
         assert np.array_equal(lay.indptr, a.indptr) and np.array_equal(lay.indices, a.indices)
         assert np.array_equal(lay.data, a.data)
         assert np.array_equal(lay.row_upper, b_ub + b_eq)
+    assert fixed_seen > 0
+
+
+def test_fixed_nonzero_columns_come_back_with_their_objective():
+    # x1 fixed at 0.5 with cost 3: min x0 + 3 x1 + x2, x0 + x1 >= 1, x1 + x2 == 1
+    model = lp_model(3, lower=[0.0, 0.5, 0.0], upper=[1.0, 0.5, 1.0],
+                     objective=[1.0, 3.0, 1.0])
+    model.add_row({0: 1.0, 1: 1.0}, GE, 1.0)
+    model.add_row({1: 1.0, 2: 1.0}, EQ, 1.0)
+    sol = solve_lp(model)
+    assert sol.status == OPTIMAL
+    assert sol.x.tolist() == [0.5, 0.5, 0.5] and sol.objective == 2.5
+    assert sol.basic.tolist() == [True, False, True]
+
+
+def _dense_linprog_status(model):
+    """scipy linprog's verdict on the full model, fixed columns included."""
+    a, b = np.zeros((model.num_rows, model.num_vars)), np.empty(model.num_rows)
+    for k, (coeffs, sense, rhs) in enumerate(model.rows):
+        sign = -1.0 if sense == GE else 1.0
+        for idx, c in coeffs.items():
+            a[k, idx] += sign * c
+        b[k] = sign * rhs
+    eq = np.array([sense == EQ for _, sense, _ in model.rows], bool)
+    res = linprog(model.objective, A_ub=a[~eq] if (~eq).any() else None,
+                  b_ub=b[~eq] if (~eq).any() else None, A_eq=a[eq] if eq.any() else None,
+                  b_eq=b[eq] if eq.any() else None,
+                  bounds=np.column_stack([model.lower, model.upper]), method="highs-ds")
+    return {0: OPTIMAL, 2: INFEASIBLE}[res.status], res
+
+
+def test_all_fixed_models_match_linprog_on_the_full_model():
+    rng = np.random.default_rng(5)
+    statuses = set()
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        value = rng.choice([0.0, 0.5, 1.0, -2.0], n)
+        model = lp_model(n, lower=value, upper=value, objective=rng.uniform(-1, 1, n))
+        for _ in range(int(rng.integers(0, 4))):
+            coeffs = {i: float(rng.integers(-2, 3)) for i in range(n) if rng.random() < 0.7}
+            act = sum(c * value[i] for i, c in coeffs.items())
+            model.add_row(coeffs, [LE, GE, EQ][int(rng.integers(0, 3))],
+                          act + float(rng.choice([-1.0, 0.0, 1.0, 1e-8])))
+        expected, res = _dense_linprog_status(model)
+        sol = solve_lp(model)
+        assert sol.status == expected
+        statuses.add(sol.status)
+        if expected == OPTIMAL:
+            assert sol.x.tolist() == value.tolist()
+            assert sol.objective == pytest.approx(res.fun, abs=1e-12)
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_makespan_lp_reaches_highs_with_allowed_pairs_and_s(monkeypatch):
+    """The 30x300 Top makespan LP at radius 24: every pair above the radius
+    is a column fixed at 0, and only the allowed pairs and s reach HiGHS."""
+    inst = gen_load(0, machines=30, jobs=300, pmax=100, forbidden=0.1)
+    model, sidx = _topl_load_min_bound_lp(inst, 2, 1.0, 24.0, 12.0)
+    passed = []
+
+    def solve(model, lay):
+        passed.append((len(lay.indptr) - 1, len(lay.cost), len(lay.lower), len(lay.upper)))
+        return lp._solve_highs(model, lay)
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    sol = solve_lp(model)
+    allowed = int((inst.p <= 24.0).sum())
+    assert model.num_vars == inst.p.size + 1 == 9001 and sidx == inst.p.size
+    assert 0 < allowed < 3000
+    assert passed == [(allowed + 1,) * 4]
+    assert sol.status == OPTIMAL and not sol.x[:sidx][inst.p.ravel() > 24.0].any()
 
 
 @pytest.mark.parametrize("sense, x", [(LE, 1.5), (GE, 0.5), (EQ, 0.9)])
@@ -550,6 +650,26 @@ def test_cutting_plane_two_solution_toy():
     outcome = cutting_plane(base, 2, oracle, nonneg=[True, False])
     assert outcome.verdict == "empty"
     assert sorted(outcome.history) == ["a", "b"]
+
+
+def test_cutting_plane_starts_from_a_given_first_point(monkeypatch):
+    base = [({0: 1}, GE, Fraction(0))]
+    first = exact_feasible_point(base, 1)
+    asked = []
+
+    def oracle(point):
+        asked.append(point)
+        if len(asked) == 1:
+            return "cut", "a", (({0: 1}, GE, Fraction(1)), "a")
+        return "member", None, None
+
+    solved = []
+    exact = lp.exact_feasible_point
+    monkeypatch.setattr(lp, "exact_feasible_point",
+                        lambda rows, *a, **k: solved.append(len(rows)) or exact(rows, *a, **k))
+    outcome = cutting_plane(base, 1, oracle, first=first)
+    assert outcome.verdict == "refuted" and outcome.point == (Fraction(1),)
+    assert asked == [first, (Fraction(1),)] and solved == [2]
 
 
 def test_cutting_plane_rejects_repeated_cut():

@@ -6,6 +6,7 @@ import pytest
 from _gen import random_load, random_max_ordered_weights, random_weight_vector
 from _threshold_helpers import prev_index
 from maxnorm.errors import InvalidInputError
+from maxnorm.instances import ClusterInstance, LoadInstance
 from maxnorm.norms import max_ordered_norm, eval_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
 from maxnorm.sparsify import (covering_threshold_sequence,
@@ -99,6 +100,35 @@ def test_threshold_candidates():
     assert single_threshold_candidates(inst.finite_sizes()) == [0.0, 1.0, 2.0, 3.0]
     const = LoadInstance(p=np.full((2, 2), 7.0))
     assert single_threshold_candidates(const.finite_sizes()) == [0.0, 7.0]
+
+
+def test_finite_values_match_the_set_version():
+    """finite_sizes and finite_distances equal sorted(set(float(v) ...)) over
+    the finite entries, with inf sizes, ties and a signed zero."""
+    def by_set(values):
+        return sorted(set(float(v) for v in values))
+
+    rng = np.random.default_rng(13)
+    saw_inf = saw_tie = False
+    for _ in range(30):
+        inst = random_load(rng, m_hi=5, j_hi=9, pmax=4, forbidden=0.3)
+        finite = inst.p[np.isfinite(inst.p)]
+        saw_inf |= finite.size < inst.p.size
+        sizes = inst.finite_sizes()
+        saw_tie |= len(sizes) < finite.size
+        assert sizes == by_set(finite)
+        assert all(type(v) is float for v in sizes)
+        nc, nf = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        pts = rng.integers(0, 3, size=(nc + nf, 2)).astype(float)
+        d = np.abs(pts[:, None, :] - pts[None, :, :]).sum(-1)  # grid L1 metric: many ties
+        cl = ClusterInstance(n_clients=nc, n_facilities=nf, d=d, k=1, m=0,
+                             l=np.zeros(nc, int), r=np.ones(nc, int))
+        distances = cl.finite_distances()
+        assert distances == by_set(cl.cf.ravel())
+        assert all(type(v) is float for v in distances)
+    assert saw_inf and saw_tie
+    signed = LoadInstance(p=np.array([[-0.0, 2.0, np.inf], [2.0, 0.0, 1.0]])).finite_sizes()
+    assert signed == [0.0, 1.0, 2.0] and math.copysign(1.0, signed[0]) == 1.0
 
 
 def test_threshold_candidates_contain_optimal_threshold():
