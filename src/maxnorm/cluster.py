@@ -70,10 +70,11 @@ from .guess import (GuessLPs, first_true, scan_sequence_row, scan_top_rows,
                     weakest_thresholds)
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
-from .lp import EQ, GE, LE, OPTIMAL, lp_model, solve_lp
+from .lp import EQ, GE, LE, OPTIMAL, add_norm_rows, lp_model, solve_lp
 from .norms import TOP, eval_norm, max_ordered_norm, top_norm
 from .sparsify import (enumerate_threshold_sequences, geometric_grid,
-                       single_threshold_candidates, snap_to_grid, sparsify_weights)
+                       single_threshold_candidates, snap_to_grid, sparsify_weights,
+                       telescoped_deltas)
 
 _TOL = 1e-9
 
@@ -117,110 +118,58 @@ CARDINALITY, PARTITION, KNAPSACK = "cardinality", "partition", "knapsack"
 
 
 def _center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
-    """Relaxation with x(i,j) <= y_i, sum_i x(i,j) = u_j in [l_j, r_j],
-    pairs beyond the radius forbidden, norm rows per normspec, and the
-    facility budget row(s).  With fixed_bound None a bound surrogate s is
-    minimized; returns (model, index of s or None)."""
+    """Relaxation with sum_i x(i,j) = u_j in [l_j, r_j], x(i,j) <= y_i over
+    the pairs within the radius (the others are forbidden), sum_j u_j >= m
+    with coverage, the norm rows of normspec (lp.add_norm_rows, clients
+    over facilities) and the facility budget rows.  Columns: x(i,j) at
+    i * nc + j, then u, then y, then s.  With fixed_bound None the bound
+    surrogate s is minimized; returns (model, index of s or None)."""
     nc, nf = core.n_clients, core.n_facilities
-
-    def x(i, j):
-        return i * nc + j
-
-    def u(j):
-        return nf * nc + j
-
-    def y(i):
-        return nf * nc + nc + i
-
-    num = nf * nc + nc + nf
-    lower = np.zeros(num)
-    upper = np.ones(num)
-    for j in range(nc):
-        lower[u(j)] = float(core.l[j])
-        upper[u(j)] = float(core.r[j])
-    for i in range(nf):
-        for j in range(nc):
-            if core.cf[j, i] > radius:
-                upper[x(i, j)] = 0.0
-    sidx = None
-    obj = None
-    if fixed_bound is None:
-        sidx = num
-        num += 1
-        lower = np.append(lower, 0.0)
-        upper = np.append(upper, np.inf)
-        obj = np.zeros(num)
-        obj[sidx] = 1.0
-    model = lp_model(num, lower=lower, upper=upper, objective=obj)
-    for j in range(nc):
-        row = {x(i, j): 1.0 for i in range(nf)}
-        row[u(j)] = -1.0
-        model.add_row(row, EQ, 0.0)
-    for i in range(nf):
-        for j in range(nc):
-            if upper[x(i, j)] > 0:
-                model.add_row({x(i, j): 1.0, y(i): -1.0}, LE, 0.0)
+    nx, clients = nf * nc, np.arange(nc)
+    u0, y0 = nx, nx + nc
+    allowed = ~(core.cf.T > radius)  # facility-major, as the x columns
+    lower, upper = np.zeros(nx + nc + nf), np.ones(nx + nc + nf)
+    upper[:nx] = allowed.ravel()
+    lower[u0:y0], upper[u0:y0] = core.l, core.r
+    model = lp_model(nx + nc + nf, lower=lower, upper=upper)
+    sidx = None if fixed_bound is not None else model.add_var(0.0, np.inf, 1.0)
+    # one block: per client sum_i x(i,j) - u_j == 0, per allowed pair
+    # x(i,j) - y_i <= 0 (facility-major), then sum_j u_j >= m with coverage
+    pairs = np.flatnonzero(allowed)
+    at = nc + np.arange(len(pairs))
+    rows = [np.arange(nx) % nc, clients, at, at]
+    cols = [np.arange(nx + nc), pairs, y0 + pairs // nc]
+    vals = [np.repeat([1.0, -1.0, 1.0, -1.0], [nx, nc, len(pairs), len(pairs)])]
+    senses, rhs = [EQ] * nc + [LE] * len(pairs), [0.0] * (nc + len(pairs))
     if coverage:
-        model.add_row({u(j): 1.0 for j in range(nc)}, GE, float(core.m))
+        rows.append(np.full(nc, len(rhs)))
+        cols.append(u0 + clients)
+        vals.append(np.ones(nc))
+        senses.append(GE)
+        rhs.append(float(core.m))
+    model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), senses, rhs)
 
-    kind = normspec[0]
-    if kind == "top":
+    if normspec[0] == "top":
         _, ell, q, threshold = normspec
-        for j in range(nc):
-            counted = [i for i in range(nf) if core.cf[j, i] > threshold]
-            if not counted:
-                continue
-            model.add_row({x(i, j): 1.0 for i in counted}, LE, float(ell))
-            mass = {x(i, j): float(core.cf[j, i]) ** q for i in counted}
-            if fixed_bound is None:
-                mass[sidx] = -1.0
-                model.add_row(mass, LE, 0.0)
-            else:
-                model.add_row(mass, LE, float(fixed_bound) ** q)
+        thresholds, caps, deltas, power = [threshold], [ell], [[1.0]], q
+        cap = None if fixed_bound is None else float(fixed_bound) ** q
     else:
         _, sparse, pos, seq = normspec
         tvals = seq.as_dict()
-        deltas = [{ell: w[ell - 1] - (w[pos.next_index(ell) - 1]
-                                      if pos.next_index(ell) <= pos.n else 0.0)
-                   for ell in pos.indices} for w in sparse]
-        for j in range(nc):
-            for ell in pos.indices:
-                counted = [i for i in range(nf) if core.cf[j, i] > tvals[ell]]
-                if counted:
-                    model.add_row({x(i, j): 1.0 for i in counted}, LE, float(ell))
-            for delta in deltas:
-                coeffs = {}
-                for ell in pos.indices:
-                    d = delta[ell]
-                    if d == 0.0:
-                        continue
-                    for i in range(nf):
-                        if core.cf[j, i] > tvals[ell]:
-                            key = x(i, j)
-                            coeffs[key] = coeffs.get(key, 0.0) + d * float(core.cf[j, i])
-                if not coeffs:
-                    continue
-                if fixed_bound is None:
-                    coeffs[sidx] = -1.0
-                    model.add_row(coeffs, LE, 0.0)
-                else:
-                    model.add_row(coeffs, LE, float(fixed_bound))
+        thresholds, caps = [tvals[ell] for ell in pos.indices], pos.indices
+        deltas, power = telescoped_deltas(sparse, pos), None
+        cap = None if fixed_bound is None else float(fixed_bound)
+    add_norm_rows(model, np.arange(nx).reshape(nf, nc).T, core.cf, thresholds, caps, deltas,
+                  power, sidx, cap)
 
-    if budget[0] == CARDINALITY:
-        model.add_row({y(i): 1.0 for i in range(nf)}, EQ, float(budget[1]))
-    elif budget[0] == PARTITION:
-        _, parts, caps = budget
-        local = {fid: i for i, fid in enumerate(core.facility_ids)}
-        for part, cap in zip(parts, caps):
-            members = [local[fid] for fid in part if fid in local]
-            if members:
-                model.add_row({y(i): 1.0 for i in members}, LE, float(cap))
-    elif budget[0] == KNAPSACK:
-        _, wt, limit = budget
-        model.add_row({y(i): float(wt[core.facility_ids[i]]) for i in range(nf)},
-                      LE, float(limit))
+    part, weight, caps, _ = _budget_rows(core, budget)
+    if budget[0] == PARTITION:  # a row per part with local members; the last part is uncapped
+        listed = np.flatnonzero(part < len(caps) - 1)
+        used = np.bincount(part[listed], minlength=len(caps) - 1) > 0
+        rows, caps = (np.cumsum(used) - 1)[part[listed]], caps[:-1][used]
     else:
-        raise InvalidInputError(f"unknown budget {budget[0]!r}")
+        listed, rows = np.arange(nf), np.zeros(nf)
+    model.add_rows(rows, y0 + listed, weight[listed], EQ if budget[0] == CARDINALITY else LE, caps)
     return model, sidx
 
 
@@ -625,8 +574,10 @@ class CenterSolveResult:
 
 
 def _round_accepted(core, budget, xuy, radius):
-    """Split, bundle, and integrally open for an accepted guess; returns
-    (bundle structure, z, exact objective = coverage of the opening)."""
+    """Split, bundle, and open bundles integrally for an accepted guess;
+    returns (bundle structure, z, and the exact objective, the coverage of
+    the opening, or for a knapsack budget the copies its basic vertex opens
+    fractionally)."""
     _, u, y = xuy
     split = split_and_normalize(u, y, core, radius)
     bs = build_bundles(split)
@@ -634,22 +585,48 @@ def _round_accepted(core, budget, xuy, radius):
     partial = [bs.bundles[b] for b in bs.partial_indices()]
     profits = [bs.reuse[b] for b in bs.partial_indices()]
     full = [bs.bundles[b] for b in bs.full_indices()]
-    fixed = sum(1 for q in bs.queues for b in q if bs.is_full[b])
     copy_to_original = {c: bs.split.original[c] for u_ in bs.bundles for c in u_}
+    if budget[0] == KNAPSACK:
+        _, wt, limit = budget
+        copy_weights = {c: float(wt[core.facility_ids[i]]) for c, i in copy_to_original.items()}
+        z, _, fractional = solve_knapsack_basic(full, partial, profits, copy_weights, limit)
+        return bs, z, fractional
+    fixed = sum(1 for q in bs.queues for b in q if bs.is_full[b])
     if budget[0] == CARDINALITY:
         z, obj = solve_two_laminar_integral(full, partial, profits, copy_to_original,
                                             budget[1], fixed_term=fixed)
-    elif budget[0] == PARTITION:
+    else:
         _, parts, caps = budget
-        local_parts = []
         local = {fid: i for i, fid in enumerate(core.facility_ids)}
-        for part in parts:
-            local_parts.append([local[fid] for fid in part if fid in local])
+        local_parts = [[local[fid] for fid in part if fid in local] for part in parts]
         z, obj = solve_partition_matroid_integral(full, partial, profits, copy_to_original,
                                                   local_parts, caps, fixed_term=fixed)
-    else:
-        raise SolverInternalError("knapsack goes through its own rounding")
     return bs, z, obj
+
+
+def _finish(inst, core, budget, norm, xuy, radius, cert_val):
+    """Round an accepted cardinality or partition guess and check the
+    result: the coverage of the opening, the instance's constraints (k only
+    under a cardinality budget, every part's capacity under a partition),
+    and the value against the certificate.  Returns (solution, value,
+    coverage)."""
+    bs, z, obj = _round_accepted(core, budget, xuy, radius)
+    if obj < core.m:
+        raise SolverInternalError("integral opening lost coverage")
+    open_locals, assigned = assemble_solution(z, bs)
+    solution = ClusterSolution(
+        open_facilities=tuple(core.facility_ids[i] for i in open_locals),
+        assigned=tuple(tuple(core.facility_ids[i] for i in a) for a in assigned))
+    validate_cluster_solution(inst, solution, check_cardinality=budget[0] == CARDINALITY)
+    if budget[0] == PARTITION:
+        opened = Counter(solution.open_facilities)
+        for part, cap in zip(budget[1], budget[2]):
+            if sum(opened[i] for i in part) > cap:
+                raise SolverInternalError("opening violates a partition capacity")
+    value = eval_cluster_objective(inst, norm, solution)
+    if value > cert_val * (1 + 1e-9) + 1e-12:
+        raise SolverInternalError("rounded value exceeds its certificate")
+    return solution, value, int(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +647,8 @@ def _budget_rows(core, budget):
         _, wt, limit = budget
         return (np.zeros(nf, int), np.asarray(wt, float)[list(core.facility_ids)],
                 np.array([float(limit)]), _KNAPSACK_SLACK * max(1.0, abs(float(limit))))
+    if budget[0] != PARTITION:
+        raise InvalidInputError(f"unknown budget {budget[0]!r}")
     _, parts, caps = budget
     local = {fid: i for i, fid in enumerate(core.facility_ids)}
     part = np.full(nf, len(caps))
@@ -767,22 +746,12 @@ def solve_topl_kcenter(inst, ell, q, eps):
     """Top-(ell,q) k-center within factor 3*4^(1/q) + eps of optimal."""
     core = core_of(inst)
     budget = (CARDINALITY, inst.k)
-    best = _scan_top_guesses(core, budget, ell, q, eps)
-    bound, radius, threshold, xuy = best
-    bs, z, obj = _round_accepted(core, budget, xuy, radius)
-    if obj < core.m:
-        raise SolverInternalError("integral opening lost coverage")
-    open_locals, assigned = assemble_solution(z, bs)
-    solution = ClusterSolution(
-        open_facilities=tuple(core.facility_ids[i] for i in open_locals),
-        assigned=tuple(tuple(core.facility_ids[i] for i in a) for a in assigned))
-    validate_cluster_solution(inst, solution)
-    value = eval_cluster_objective(inst, top_norm(ell, q), solution)
+    bound, radius, threshold, xuy = _scan_top_guesses(core, budget, ell, q, eps)
     cert_val = _top_cert(radius, bound, ell, q, threshold)
-    if value > cert_val * (1 + 1e-9) + 1e-12:
-        raise SolverInternalError("rounded value exceeds its certificate")
+    solution, value, coverage = _finish(inst, core, budget, top_norm(ell, q), xuy, radius,
+                                        cert_val)
     cert = {"radius": radius, "bound": bound, "threshold": threshold,
-            "per_client_bound": cert_val, "coverage": int(obj)}
+            "per_client_bound": cert_val, "coverage": coverage}
     return CenterSolveResult(solution=solution, value=value, certificate=cert)
 
 
@@ -807,21 +776,11 @@ def solve_ordered_kcenter(inst, weights, eps):
     """Max-ordered k-center via sparsified weights; chain-bound certificate."""
     core = core_of(inst)
     budget = (CARDINALITY, inst.k)
-    best = _scan_ordered_guesses(core, budget, weights, eps)
-    bound, chain, radius, seq, sparse, pos, xuy = best
-    bs, z, obj = _round_accepted(core, budget, xuy, radius)
-    if obj < core.m:
-        raise SolverInternalError("integral opening lost coverage")
-    open_locals, assigned = assemble_solution(z, bs)
-    solution = ClusterSolution(
-        open_facilities=tuple(core.facility_ids[i] for i in open_locals),
-        assigned=tuple(tuple(core.facility_ids[i] for i in a) for a in assigned))
-    validate_cluster_solution(inst, solution)
-    value = eval_cluster_objective(inst, max_ordered_norm(weights), solution)
-    if value > chain * (1 + 1e-9) + 1e-12:
-        raise SolverInternalError("rounded value exceeds its chain bound")
+    bound, chain, radius, seq, _, _, xuy = _scan_ordered_guesses(core, budget, weights, eps)
+    solution, value, coverage = _finish(inst, core, budget, max_ordered_norm(weights), xuy,
+                                        radius, chain)
     cert = {"radius": radius, "bound": bound, "sequence": seq.values if seq else (),
-            "chain_bound": chain, "coverage": int(obj)}
+            "chain_bound": chain, "coverage": coverage}
     return CenterSolveResult(solution=solution, value=value, certificate=cert)
 
 
@@ -829,12 +788,10 @@ def _ordered_chain(sparse, pos, seq, radius, bound):
     """Twice the telescoped rounding bound, maximized over weight vectors."""
     worst = 0.0
     tvals = seq.as_dict()
-    for w in sparse:
+    for w, delta in zip(sparse, telescoped_deltas(sparse, pos)):
         tail = 0.0
-        for ell in pos.indices:
-            nxt = pos.next_index(ell)
-            w_next = w[nxt - 1] if nxt <= pos.n else 0.0
-            tail += (w[ell - 1] - w_next) * (ell - 1) * tvals[ell]
+        for d, ell in zip(delta, pos.indices):
+            tail += d * (ell - 1) * tvals[ell]
         worst = max(worst, 3 * bound + 6 * radius * float(w[0]) + 3 * tail)
     return 2.0 * worst
 
@@ -902,26 +859,12 @@ def solve_matroid_center(minst, norm, eps):
         chain = _top_cert(radius, bound, norm.ell, norm.q, threshold)
         seq_values = ()
     else:
-        bound, chain, radius, seq, sparse, pos, xuy = \
+        bound, chain, radius, seq, _, _, xuy = \
             _scan_ordered_guesses(core, budget, norm.weights, eps)
         seq_values = seq.values if seq else ()
-    bs, z, obj = _round_accepted(core, budget, xuy, radius)
-    if obj < core.m:
-        raise SolverInternalError("integral opening lost coverage")
-    open_locals, assigned = assemble_solution(z, bs)
-    solution = ClusterSolution(
-        open_facilities=tuple(core.facility_ids[i] for i in open_locals),
-        assigned=tuple(tuple(core.facility_ids[i] for i in a) for a in assigned))
-    validate_cluster_solution(minst.base, solution, check_cardinality=False)
-    opened = Counter(solution.open_facilities)
-    for part, cap in zip(minst.parts, minst.capacities):
-        if sum(opened[i] for i in part) > cap:
-            raise SolverInternalError("opening violates a partition capacity")
-    value = eval_cluster_objective(minst.base, norm, solution)
-    if value > chain * (1 + 1e-9) + 1e-12:
-        raise SolverInternalError("rounded value exceeds its certificate")
+    solution, value, coverage = _finish(minst.base, core, budget, norm, xuy, radius, chain)
     cert = {"radius": radius, "bound": bound, "per_client_bound": chain,
-            "sequence": seq_values, "coverage": int(obj)}
+            "sequence": seq_values, "coverage": coverage}
     return CenterSolveResult(solution=solution, value=value, certificate=cert)
 
 
@@ -1009,8 +952,7 @@ def solve_knapsack_center(kinst, norm, eps):
     if best is None:
         raise InfeasibleError("knapsack instance admits no guessed opening")
     bound, _, (s0, radius, pre, payload) = best
-    return _finish_knapsack(kinst, norm, eps, core, light, wt, s0, radius, bound,
-                            pre, payload)
+    return _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload)
 
 
 def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
@@ -1061,20 +1003,11 @@ def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
     return None if best is None else (best[0][0], best[1])
 
 
-def _finish_knapsack(kinst, norm, eps, core, light, wt, s0, radius, bound, pre, payload):
+def _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload):
     rcore, spec, xuy = payload
     base = kinst.base
-    _, u, y = xuy
-    split = split_and_normalize(u, y, rcore, radius)
-    bs = build_bundles(split)
-    check_bundle_distances(split, bs)
-    partial = [bs.bundles[b] for b in bs.partial_indices()]
-    profits = [bs.reuse[b] for b in bs.partial_indices()]
-    full = [bs.bundles[b] for b in bs.full_indices()]
-    copy_weights = {c: float(wt[rcore.facility_ids[bs.split.original[c]]])
-                    for u_ in bs.bundles for c in u_}
     w_res = kinst.budget - float(sum(wt[i] for i in s0))
-    z, _, fractional = solve_knapsack_basic(full, partial, profits, copy_weights, w_res)
+    bs, z, fractional = _round_accepted(rcore, (KNAPSACK, wt, w_res), xuy, radius)
     open_locals, assigned_res = assemble_solution(z, bs, fractional_open=True)
     open_global = [rcore.facility_ids[i] for i in open_locals]
     weight_total = float(sum(wt[i] for i in s0)) + float(sum(wt[i] for i in open_global))
@@ -1094,11 +1027,10 @@ def _finish_knapsack(kinst, norm, eps, core, light, wt, s0, radius, bound, pre, 
     value = eval_cluster_objective(base, norm, solution)
     if norm.kind == TOP:
         res_cert = _top_cert(radius, bound, norm.ell, norm.q, spec[3])
-    else:
-        if spec[0] == "ordered":
-            res_cert = _ordered_chain(spec[1], spec[2], spec[3], radius, bound)
-        else:
-            res_cert = 0.0
+    elif spec[0] == "ordered":
+        res_cert = _ordered_chain(spec[1], spec[2], spec[3], radius, bound)
+    else:  # radius 0
+        res_cert = 0.0
     cert_val = bound + res_cert
     if value > cert_val * (1 + 1e-9) + 1e-12:
         raise SolverInternalError("rounded value exceeds its certificate")

@@ -45,6 +45,8 @@ each accepts exactly what scanning everything in order accepts:
     skipped are then walked as well.
 """
 
+import copy
+import functools
 import math
 import random
 from bisect import bisect_right
@@ -197,7 +199,9 @@ class _Separation:
         self.pairs = _guess_pairs(values, self.bound, ell, q)
         self.row_ends = [k + 1 for k in range(len(self.pairs))
                          if k + 1 == len(self.pairs) or self.pairs[k + 1][0] != self.pairs[k][0]]
-        self.base_lps = GuessLPs(lambda k: self.base_lp(*self.pairs[k]), solve_lp)
+        # each pair's base model is built once; its fair LPs at each point add a row to a copy
+        self.base_lps = GuessLPs(functools.cache(lambda k: self.base_lp(*self.pairs[k])),
+                                 solve_lp)
         self._last = None  # (point vector, _at of it) of the point last asked about
 
     def _point(self, point_vec):
@@ -219,6 +223,7 @@ class _Separation:
 
         def build(k):
             model, sidx = self.base_lps.build(k)
+            model = copy.copy(model)  # the pair's base model stays as it is
             model.add_row(row, sense, rhs)
             return model, sidx
 

@@ -55,12 +55,12 @@ from scipy.sparse.csgraph import maximum_flow
 from .errors import InvalidInputError, SolverInternalError
 from .guess import GuessLPs, scan_sequence_row, scan_top_rows
 from .instances import Assignment, eval_load_objective
-from .lp import EQ, LE, lp_model, scaled_integers, solve_lp
+from .lp import EQ, add_norm_rows, lp_model, scaled_integers, solve_lp
 from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
 from .norms import max_ordered_norm, top_norm
 from .sparsify import (geometric_grid, enumerate_threshold_sequences, single_threshold_candidates,
                        snap_to_grid, sparsified_gap_bound, sparsified_gap_bounds,
-                       sparsify_weights)
+                       sparsify_weights, telescoped_deltas)
 
 _MASS_TOL = 1e-9
 
@@ -74,89 +74,31 @@ def build_basic_load_lp(inst, radius):
     return model
 
 
-def _add_min_bound_var(model, fixed_bound):
-    """Column s (cost 1) replacing the bound's power; None with a fixed bound."""
-    return None if fixed_bound is not None else model.add_var(0.0, np.inf, 1.0)
-
-
 def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None):
     """Basic LP plus, per machine, a count cap of ell and a q-th-power mass
-    cap over the jobs strictly larger than the threshold; strictly larger
-    keeps the rows feasible at the exact optimal guess even when several
-    sizes tie at the threshold value.
-
-    With fixed_bound None, adds a variable s replacing bound^q and
-    minimizes it; returns (model, index of s).  Each machine with a counted
-    job gets its count row, then its mass row."""
-    n = inst.jobs
-    model = build_basic_load_lp(inst, radius)
-    sidx = _add_min_bound_var(model, fixed_bound)
-    counted = np.isfinite(inst.p) & (inst.p > threshold)
-    ii, jj = np.nonzero(counted)
-    active = counted.any(axis=1)
-    count_row = 2 * (np.cumsum(active) - 1)[ii]
-    # Python's float power per entry: NumPy's vectorized power may round differently
-    mass = np.array([v ** q for v in inst.p[ii, jj].tolist()])
-    rows, cols, vals = [count_row, count_row + 1], [ii * n + jj] * 2, [np.ones(len(ii)), mass]
-    k = int(active.sum())
-    if fixed_bound is None:
-        rows.append(2 * np.arange(k) + 1)
-        cols.append(np.full(k, sidx))
-        vals.append(np.full(k, -1.0))
-        cap = 0.0
-    else:
-        cap = float(fixed_bound) ** q
-    rhs = np.tile([float(ell), cap], k)
-    model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), LE, rhs)
-    return model, sidx
+    cap over the jobs strictly larger than the threshold (lp.add_norm_rows,
+    machines over jobs).  With fixed_bound None, adds a variable s replacing
+    bound^q and minimizes it; returns (model, index of s)."""
+    return _load_norm_lp(inst, radius, [threshold], [ell], [[1.0]], q,
+                         None if fixed_bound is None else float(fixed_bound) ** q)
 
 
 def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bound=None):
-    """Count rows per (machine, kept coordinate); per (machine, weight vector)
-    a telescoped weighted-mass row bounded by s (or by a fixed bound).
+    """Basic LP plus, per machine, a count cap of ell over the jobs above
+    each kept coordinate ell's threshold and, per weight vector, a
+    telescoped weighted-mass row bounded by s (or by a fixed bound)."""
+    tvals = seq.as_dict()
+    return _load_norm_lp(inst, radius, [tvals[ell] for ell in pos.indices], pos.indices,
+                         telescoped_deltas(sparse_weights, pos), None,
+                         None if fixed_bound is None else float(fixed_bound))
 
-    Per machine the rows come in that order: a count row for each kept
-    coordinate with a counted job, then a mass row for each weight vector
-    whose row has a term (its coefficients may cancel to zero).  A mass
-    coefficient accumulates delta * p over the kept coordinates in order.
-    """
+
+def _load_norm_lp(inst, radius, thresholds, caps, deltas, power, mass_cap):
     m, n = inst.machines, inst.jobs
     model = build_basic_load_lp(inst, radius)
-    sidx = _add_min_bound_var(model, fixed_bound)
-    tvals = seq.as_dict()
-    ells = pos.indices
-    deltas = [[w[ell - 1] - (w[pos.next_index(ell) - 1] if pos.next_index(ell) <= pos.n else 0.0)
-               for ell in ells] for w in sparse_weights]
-    finite = np.isfinite(inst.p)
-    p = np.where(finite, inst.p, 0.0)
-    counted = np.stack([finite & (inst.p > tvals[ell]) for ell in ells])  # (ell, i, j)
-    terms = np.zeros((len(deltas), m, n), bool)
-    coeff = np.zeros((len(deltas), m, n))
-    for w, delta in enumerate(deltas):
-        for e, d in enumerate(delta):
-            if d == 0.0:
-                continue
-            terms[w] |= counted[e]
-            coeff[w] = np.where(counted[e], coeff[w] + d * p, coeff[w])
-    # present[i, slot]: the count rows (one slot per ell), then the mass rows
-    present = np.concatenate([counted.any(axis=2).T, terms.any(axis=2).T], axis=1)
-    row_of = (np.cumsum(present.ravel()) - 1).reshape(present.shape)
-    e, ci, cj = np.nonzero(counted)
-    w, mi, mj = np.nonzero(terms)
-    rows = [row_of[ci, e], row_of[mi, len(ells) + w]]
-    cols = [ci * n + cj, mi * n + mj]
-    vals = [np.ones(len(e)), coeff[w, mi, mj]]
-    pi, slot = np.nonzero(present)
-    is_mass = slot >= len(ells)
-    if fixed_bound is None:
-        rows.append(row_of[pi[is_mass], slot[is_mass]])
-        cols.append(np.full(int(is_mass.sum()), sidx))
-        vals.append(np.full(int(is_mass.sum()), -1.0))
-        cap = 0.0
-    else:
-        cap = float(fixed_bound)
-    rhs = np.where(is_mass, cap, np.asarray(ells, float)[np.minimum(slot, len(ells) - 1)])
-    model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), LE, rhs)
+    sidx = model.add_var(0.0, np.inf, 1.0) if mass_cap is None else None
+    add_norm_rows(model, np.arange(m * n).reshape(m, n), inst.p, thresholds, caps, deltas,
+                  power, sidx, mass_cap)
     return model, sidx
 
 

@@ -4,12 +4,15 @@ Two solvers live here:
 
   * solve_lp: floating-point solves through HiGHS dual simplex, used for
     the assignment/clustering relaxations.  A model is COO triplets (row,
-    column, value) plus one sense and one right-hand side per row; small
-    callers add dict rows (add_row), the load builders add whole numpy
-    blocks (add_rows).  Fixed columns (finite lower == upper, such as the
-    pairs a radius guess forbids) never reach the solver: solve_lp
-    substitutes them out, shifting each row bound by their activity, and
-    lays the free columns out as scipy's linprog would (<= rows and
+    column, value) plus one sense and one right-hand side per row, added
+    as whole numpy blocks (add_rows); only the bundle LP and the fair
+    weighted row still add dict rows (add_row).  add_norm_rows is the one
+    builder of the norm count and mass rows, for makespan (machines over
+    jobs) and k-center (clients over facilities) alike.  Fixed columns
+    (finite lower == upper, such as the pairs a radius guess forbids)
+    never reach the solver: solve_lp substitutes them out, shifting each
+    row bound by their activity, and lays the free columns out as scipy's
+    linprog would (<= rows and
     negated >= rows in model order, then == rows; one CSC matrix with
     duplicates summed and explicit zeros dropped).  It calls scipy's
     vendored HiGHS bindings directly with the options
@@ -91,6 +94,15 @@ class LpModel:
         self.num_rows += 1
         self._coo = None
 
+    def __copy__(self):
+        """A model with the same columns and rows; rows added to either one
+        leave the other as it is."""
+        out = LpModel.__new__(LpModel)
+        out.__dict__.update(self.__dict__)
+        for name in ("_blocks", "_row_buf", "_col_buf", "_val_buf", "_sense", "_rhs"):
+            setattr(out, name, list(getattr(self, name)))
+        return out
+
     def add_rows(self, rows, cols, vals, sense, rhs):
         """Append len(rhs) rows at once; rows are indices into this block
         (0 for its first row), sense is one sense or one per row."""
@@ -149,6 +161,56 @@ def lp_model(num_vars, lower=0.0, upper=np.inf, objective=None, names=None):
     upper = np.full(num_vars, upper, dtype=float) if np.isscalar(upper) else np.asarray(upper, float)
     obj = np.zeros(num_vars) if objective is None else np.asarray(objective, float)
     return LpModel(num_vars, lower, upper, obj, names=names)
+
+
+def add_norm_rows(model, cols, cost, thresholds, caps, deltas, power, sidx, mass_cap):
+    """Count and mass rows capping each owner's norm, added in one block.
+
+    An owner is a row of cost (a machine over its jobs, a client over its
+    facilities); cols[o, i] is the model column of owner o's item i.  An
+    item counts at threshold k when its cost is finite and strictly above
+    thresholds[k] (strictly, so the rows stay feasible at the exact optimal
+    guess when costs tie with it).  Its mass is its cost, or cost^power by
+    Python's float power (NumPy's vectorized power may round differently).
+    Per owner the rows come in this order: for each threshold counting an
+    item, a count row (coefficients 1) capped by caps[k]; then for each
+    delta vector with a term, a mass row whose coefficient on an item
+    accumulates delta[k] * mass over the k in order with a nonzero delta
+    counting it (terms may cancel to zero), bounded by column sidx
+    (coefficient -1, right-hand side 0) or, with sidx None, by mass_cap.
+    Top-(ell,q) is the one-threshold case: caps [ell], deltas [[1.0]],
+    power q and mass_cap B^q."""
+    finite = np.isfinite(cost)
+    counted = finite & (cost > np.asarray(thresholds, float)[:, None, None])  # (k, owner, item)
+    mass = np.where(finite, cost, 0.0)
+    if power is not None:
+        some = counted.any(axis=0)
+        mass[some] = [v ** power for v in cost[some].tolist()]
+    deltas = np.asarray(deltas, float).reshape(-1, len(thresholds))
+    terms = np.zeros((len(deltas),) + cost.shape, bool)
+    coeff = np.zeros((len(deltas),) + cost.shape)
+    for w, delta in enumerate(deltas):
+        for k, d in enumerate(delta):
+            if d != 0.0:
+                terms[w] |= counted[k]
+                coeff[w] = np.where(counted[k], coeff[w] + d * mass, coeff[w])
+    # present[o, slot]: the count rows (one slot per threshold), then the mass rows
+    present = np.concatenate([counted.any(axis=2).T, terms.any(axis=2).T], axis=1)
+    row_of = (np.cumsum(present.ravel()) - 1).reshape(present.shape)
+    k, ci, cj = np.nonzero(counted)
+    w, mi, mj = np.nonzero(terms)
+    slot = np.nonzero(present)[1]
+    is_mass = slot >= len(caps)
+    rows = [row_of[ci, k], row_of[mi, len(caps) + w]]
+    columns = [cols[ci, cj], cols[mi, mj]]
+    vals = [np.ones(len(k)), coeff[w, mi, mj]]
+    if sidx is not None:
+        rows.append(np.flatnonzero(is_mass))
+        columns.append(np.full(len(rows[-1]), sidx))
+        vals.append(np.full(len(rows[-1]), -1.0))
+        mass_cap = 0.0
+    rhs = np.where(is_mass, mass_cap, np.asarray(caps, float)[np.minimum(slot, len(caps) - 1)])
+    model.add_rows(np.concatenate(rows), np.concatenate(columns), np.concatenate(vals), LE, rhs)
 
 
 @dataclass

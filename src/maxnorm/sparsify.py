@@ -189,6 +189,16 @@ def covering_threshold_sequence(anchor, n, true_thresholds):
     return ThresholdSequence(anchor=float(anchor), positions=pos.indices, values=tuple(values))
 
 
+def telescoped_deltas(sparse_weights, pos):
+    """w_ell - w_next(ell) at each kept coordinate ell, one row per weight
+    vector of length n (w_{n+1} = 0): a weighted sum over the kept
+    coordinates telescopes onto these differences."""
+    ells = np.asarray(pos.indices)
+    w = np.asarray(sparse_weights, float).reshape(len(sparse_weights), pos.n)
+    w = np.hstack([w, np.zeros((len(w), 1))])
+    return w[:, ells - 1] - w[:, np.append(ells[1:], pos.n + 1) - 1]
+
+
 def sparsified_gap_bound(sparse_weights, pos, seq):
     """max over weight vectors of sum over kept ell of
     (w_ell - w_next(ell)) * ell * T_ell: the guessing cost certificate."""
@@ -201,11 +211,9 @@ def sparsified_gap_bounds(sparse_weights, pos, values):
     values holds the thresholds of sequence k on the kept coordinates."""
     values = np.asarray(values, float).reshape(-1, len(pos.indices))
     best = np.zeros(len(values))
-    for w in sparse_weights:
+    for delta in telescoped_deltas(sparse_weights, pos):
         total = np.zeros(len(values))
         for k, ell in enumerate(pos.indices):
-            nxt = pos.next_index(ell)
-            w_next = w[nxt - 1] if nxt <= pos.n else 0.0
-            total += (w[ell - 1] - w_next) * ell * values[:, k]
+            total += delta[k] * ell * values[:, k]
         best = np.maximum(best, total)
     return best

@@ -1,8 +1,10 @@
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import _dict_row_builders as dict_rows
 from _gen import random_cluster
 from maxnorm import cluster
 from maxnorm.cluster import (build_bundles, check_bundle_distances,
@@ -19,7 +21,8 @@ from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
 from maxnorm.norms import top_norm
 from maxnorm.oracle import (brute_force_kcenter, brute_force_knapsack_center,
                             brute_force_matroid_center)
-from maxnorm.sparsify import single_threshold_candidates, sparsify_weights
+from maxnorm.sparsify import (ThresholdSequence, enumerate_threshold_sequences, pos_set,
+                              single_threshold_candidates, sparsify_weights)
 
 
 def _line_instance():
@@ -460,3 +463,46 @@ def test_cover_verdict_matches_highs():
             decided[budget[0], verdict] += 1
     assert all(decided[kind, v] >= 20 for kind in (CARDINALITY, PARTITION, KNAPSACK)
                for v in (True, False)), decided
+
+
+def test_vectorized_center_lp_matches_dict_rows():
+    """_center_lp emits the dict builder's rows, in its order, with its floats
+    and sign bits: every budget (residual cores whose partition parts lose
+    every local member, a facility in no part), coverage on and off, fixed
+    and free bounds, radius 0, Top at q 1 and 2.5, and ordered weights
+    whose deltas are zero or cancel."""
+    rng = np.random.default_rng(77)
+    cases = list(itertools.islice(_verdict_cores(rng), 30))
+    # part (0, 1) has no local member and local facility 4 is in no part
+    residual = cluster.CenterCore(cf=np.round(rng.uniform(0.0, 1.0, size=(3, 3)), 1),
+                                  l=np.array([1, 0, 1]), r=np.array([2, 1, 3]), m=3,
+                                  facility_ids=(2, 3, 4))
+    cases.append((residual, (PARTITION, ((0, 1), (2, 3)), (1, 1))))
+    models, zero_terms = Counter(), 0
+    for core, budget in cases:
+        r0 = max(core.r0, 1)
+        pos, dists = pos_set(r0), core.distances()
+        weight_sets = [sparsify_weights([(1.0, 0.5, 0.25)], r0)[0],
+                       [(0.0,) * r0],  # every delta zero: no mass rows
+                       # unsorted small integers: deltas of both signs cancel
+                       [tuple(float(v) for v in rng.integers(0, 3, r0)) for _ in range(2)]]
+        for radius in sorted({0.0, dists[len(dists) // 2], dists[-1]}):
+            specs = [("top", r0, 1.0, 0.0)]
+            if radius > 0.0:
+                seqs = [next(iter(enumerate_threshold_sequences(radius, r0))),
+                        ThresholdSequence(anchor=radius, positions=pos.indices, values=tuple(
+                            sorted(rng.choice(dists, size=len(pos.indices)), reverse=True)))]
+                specs += [("top", ell, q, t) for ell, q in ((1, 1.0), (2, 2.5))
+                          for t in (0.0, dists[0], radius)]
+                specs += [("ordered", w, pos, seq) for w in weight_sets for seq in seqs]
+            for spec, fixed, coverage in itertools.product(specs, (None, 1.75), (True, False)):
+                model, sidx = _center_lp(core, budget, spec, radius, fixed, coverage)
+                ref, ref_sidx = dict_rows.center_lp(core, budget, spec, radius, fixed, coverage)
+                assert sidx == ref_sidx
+                dict_rows.assert_same_model(model, ref)
+                models[budget[0], spec[0]] += 1
+                nx = core.n_clients * core.n_facilities  # norm terms that cancelled
+                zero_terms += sum(c == 0.0 for coeffs, _, _ in ref.rows
+                                  for idx, c in coeffs.items() if idx < nx)
+    assert min(models.values()) >= 100 and len(models) == 6, models
+    assert zero_terms > 0

@@ -82,20 +82,6 @@ def test_ordered_lp_zero_weights_is_basic_feasibility():
     assert solve_lp(model).status == OPTIMAL
 
 
-def _assert_same_model(model, ref):
-    assert model.num_vars == ref.num_vars
-    for field in ("lower", "upper", "objective"):
-        assert np.array_equal(getattr(model, field), getattr(ref, field))
-    rows, ref_rows = model.rows, ref.rows
-    assert len(rows) == len(ref_rows)
-    for (coeffs, sense, rhs), (ref_coeffs, ref_sense, ref_rhs) in zip(rows, ref_rows):
-        assert (sense, rhs) == (ref_sense, ref_rhs)
-        assert coeffs.keys() == ref_coeffs.keys()
-        for idx, c in coeffs.items():
-            ref_c = ref_coeffs[idx]
-            assert c == ref_c and np.signbit(c) == np.signbit(ref_c)
-
-
 _TIED = LoadInstance(p=np.array([[3.0, 5.0, np.inf, 5.0], [5.0, 2.0, 3.0, np.inf],
                                  [1.0, 5.0, 5.0, 2.0]]))
 
@@ -117,7 +103,7 @@ def test_vectorized_topl_builder_matches_dict_rows():
     for inst in insts:
         sizes = inst.finite_sizes()
         for radius in (sizes[0], sizes[len(sizes) // 2], sizes[-1]):
-            _assert_same_model(build_basic_load_lp(inst, radius),
+            dict_rows.assert_same_model(build_basic_load_lp(inst, radius),
                                dict_rows.build_basic_load_lp(inst, radius))
             for t in [0.0] + sizes[::2]:  # thresholds tying with job sizes
                 for ell, q, fixed in ((1, 1.0, None), (2, 1.7, None), (3, 2.5, 7.5)):
@@ -125,7 +111,7 @@ def test_vectorized_topl_builder_matches_dict_rows():
                     ref, ref_sidx = dict_rows.topl_load_min_bound_lp(inst, ell, q, radius, t,
                                                                      fixed)
                     assert sidx == ref_sidx
-                    _assert_same_model(model, ref)
+                    dict_rows.assert_same_model(model, ref)
 
 
 def test_vectorized_ordered_builder_matches_dict_rows():
@@ -160,7 +146,7 @@ def test_vectorized_ordered_builder_matches_dict_rows():
                     ref, ref_sidx = dict_rows.ordered_load_min_bound_lp(
                         inst, weights, pos, radius, seq, fixed)
                     assert sidx == ref_sidx
-                    _assert_same_model(model, ref)
+                    dict_rows.assert_same_model(model, ref)
                     zero_terms += sum(c == 0.0 for coeffs, _, _ in ref.rows
                                       for c in coeffs.values())
     assert zero_terms > 0  # some rows keep terms whose deltas cancelled

@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import itertools
 import sys
@@ -99,6 +100,21 @@ def test_dump_lp_layout():
     assert text.startswith("Minimize")
     assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
     assert "x0 + 2 x1 <= 3" in text
+
+
+def test_copied_model_takes_rows_apart_from_its_original():
+    """A fair LP is a copy of its pair's base model plus the weighted row:
+    the copy has the base rows and its own, and the base model keeps its."""
+    model = lp_model(3, objective=[1.0, 0.0, 0.0])
+    model.add_rows([0, 0, 1], [0, 1, 2], [1.0, 1.0, 1.0], [LE, GE], [2.0, 1.0])
+    model.add_row({1: 1.0, 2: -1.0}, EQ, 0.0)
+    base_rows = model.rows
+    full = copy.copy(model)
+    full.add_row({0: 2.0}, GE, 0.5)
+    full.add_rows([0], [2], [3.0], LE, [4.0])
+    assert model.rows == base_rows and model.num_rows == 3
+    assert full.rows == base_rows + (({0: 2.0}, GE, 0.5), ({2: 3.0}, LE, 4.0))
+    assert (solve_lp(model).objective, solve_lp(full).objective) == (0.0, 0.25)
 
 
 def _linprog_fallback(monkeypatch):

@@ -48,6 +48,20 @@ def test_tracer_installs_runs_and_uninstalls():
     assert metrics["lp.check_residuals.s"] > 0 and metrics["load.model_build.s"] > 0
 
 
+def test_traced_kcenter_times_its_model_build():
+    """The norm rows of a k-center LP are built by a helper inside
+    cluster._center_lp; their time stays in the traced cluster.model_build."""
+    tracing = _tracing_module()
+    tracer = tracing.Tracer()
+    tracer.install(maxnorm)
+    try:
+        maxnorm.solve_topl_kcenter(gen_cluster(2, clients=5, facilities=5, k=2), 2, 1.0, 0.1)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(*tracer.take_pass())
+    assert metrics["lp.solve_lp.calls"] > 0 and metrics["cluster.model_build.s"] > 0
+
+
 def test_traced_lp_calls_are_the_lps_solved(monkeypatch):
     """lp.solve_lp.calls counts every LP a makespan scan, a k-center scan or
     a fair solve solves.  The LPs are counted in lp itself, so a scan
