@@ -6,12 +6,23 @@ The rounding step of the clustering pipeline maximizes bundle profits over
     z(copies of one location) <= 1,  and a facility budget
     (cardinality k, partition-matroid capacities, or a knapsack row).
 
-With the cardinality or matroid budget the constraints are two laminar
-families (plus a matroid), so the LP has integral vertices; we get them
-by construction through a min-cost-flow network instead of trusting a
-simplex crossover: source -> bundle -> copy -> location -> budget layer,
-with full-bundle arcs carrying lower bound 1.  Profits may be exact
-rationals; they are scaled to integers so the flow stays exact.
+With the cardinality or matroid budget the system is a bipartite matching
+of bundles to locations (a copy is the edge between its bundle and its
+location) under a cap per group of locations: k over all locations, or
+each part's capacity.  It is solved as one rectangular assignment
+(scipy's linear_sum_assignment), so its openings are integral by
+construction.  The rows are the bundles, then per group as many blocker
+rows as the group has locations beyond its cap; a blocker may take only a
+location of its group, so the bundles keep at most cap of them.  The
+columns are the locations, then one "closed" column per partial bundle.
+A bundle's cell at a location where it holds a copy costs minus its
+profit (0 for a full bundle); a partial bundle's closed column costs 0;
+every other cell is forbidden, so a full bundle must open.  Profits may
+be exact rationals: they are scaled to integers over their common
+denominator, which keeps the matching exact while a scaled profit times
+the row count stays below 2^53 (an integer min-cost flow has no such
+limit); past that they match as floats, and the callers check the exact
+objective.
 
 With a knapsack budget the per-location family is dropped and the vertex
 has at most two fractional entries, which the caller rounds up.
@@ -19,54 +30,57 @@ has at most two fractional entries, which the caller rounds up.
 
 from fractions import Fraction
 
-import networkx as nx
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import InfeasibleError, SolverInternalError
 from .lp import EQ, INFEASIBLE, LE, OPTIMAL, lp_model, scaled_integers, solve_lp
 
 
-def _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original, wire_location):
-    """Shared circulation network: returns z (copy -> 0/1) for all copies
-    in bundles.  wire_location(g, loc) routes each location node toward "t";
-    the caller pre-wires the "t" -> "s" return arc."""
-    scaled = scaled_integers(profits)
-    copies = sorted({c for u in list(full_bundles) + list(partial_bundles) for c in u})
+def _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original, groups):
+    """z (copy -> 0/1) for all copies in bundles: every full bundle opens one
+    copy, every partial bundle at most one, every location at most once, and
+    each (locations, cap) of groups at most cap of its locations; the
+    opening maximizes the partial bundles' profit.  A bundle holding two
+    copies at one location opens the smaller copy id there."""
+    bundles = list(full_bundles) + list(partial_bundles)
+    copies = sorted({c for u in bundles for c in u})
     if not copies:
         return {}
-    g = nx.DiGraph()
     locations = sorted({copy_to_original[c] for c in copies})
-    for loc in locations:
-        wire_location(g, loc)
-    for c in copies:
-        g.add_edge(("c", c), ("o", copy_to_original[c]), capacity=1, weight=0)
-    # full-bundle arcs s -> bundle have lower bound 1 = upper bound; translate
-    # the lower bound into node demands and drop the arc entirely
-    forced = 0
-    for b, u in enumerate(full_bundles):
-        node = ("bf", b)
-        g.add_node(node, demand=-1)
-        forced += 1
-        for c in u:
-            g.add_edge(node, ("c", c), capacity=1, weight=0)
-    for b, u in enumerate(partial_bundles):
-        node = ("bp", b)
-        g.add_edge("s", node, capacity=1, weight=-scaled[b])
-        for c in u:
-            g.add_edge(node, ("c", c), capacity=1, weight=0)
-    if "s" not in g:
-        g.add_node("s")
-    g.nodes["s"]["demand"] = forced
-    try:
-        _, flow = nx.network_simplex(g)
-    except nx.NetworkXUnfeasible:
+    col = {loc: t for t, loc in enumerate(locations)}
+    blockers = []  # (a group's columns, how many blocker rows take them)
+    for group, cap in groups:
+        cols = [col[loc] for loc in group if loc in col]
+        blockers.append((cols, max(0, len(cols) - int(cap))))
+    num_rows = len(bundles) + sum(n for _, n in blockers)
+    if num_rows > len(locations) + len(partial_bundles):
         raise InfeasibleError("bundle system admits no integral opening")
-    z = {}
-    for c in copies:
-        val = flow.get(("c", c), {}).get(("o", copy_to_original[c]), 0)
-        if val not in (0, 1):
-            raise SolverInternalError("flow produced a non-binary opening")
-        z[c] = int(val)
+    scaled = scaled_integers(profits)
+    if max(scaled, default=0) * num_rows >= 2 ** 53:
+        scaled = profits
+    gain = [0] * len(full_bundles) + [float(p) for p in scaled]
+    cost = np.full((num_rows, len(locations) + len(partial_bundles)), np.inf)
+    opens = {}  # (row, column) -> the copy the cell opens
+    for b, u in enumerate(bundles):
+        for c in sorted(u):
+            cell = (b, col[copy_to_original[c]])
+            opens.setdefault(cell, c)
+            cost[cell] = -gain[b]
+    for p in range(len(partial_bundles)):
+        cost[len(full_bundles) + p, len(locations) + p] = 0.0
+    row = len(bundles)
+    for cols, n in blockers:
+        cost[row:row + n, cols] = 0.0
+        row += n
+    try:
+        rows_idx, cols_idx = linear_sum_assignment(cost)
+    except ValueError:
+        raise InfeasibleError("bundle system admits no integral opening") from None
+    z = dict.fromkeys(copies, 0)
+    for r, t in zip(rows_idx.tolist(), cols_idx.tolist()):
+        if (r, t) in opens:
+            z[opens[r, t]] = 1
     return z
 
 
@@ -91,14 +105,8 @@ def solve_two_laminar_integral(full_bundles, partial_bundles, profits,
     fixed_term (the forced full-bundle contribution)."""
     if k < 0:
         raise InfeasibleError("negative cardinality budget")
-
-    def wire_location(g, loc):
-        if not g.has_edge("cap", "t"):
-            g.add_edge("cap", "t", capacity=int(k), weight=0)
-            g.add_edge("t", "s", capacity=int(k), weight=0)
-        g.add_edge(("o", loc), "cap", capacity=1, weight=0)
-
-    z = _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original, wire_location)
+    z = _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original,
+                     [(set(copy_to_original.values()), k)])
     return z, _bundle_objective(z, full_bundles, partial_bundles, profits, fixed_term)
 
 
@@ -106,21 +114,8 @@ def solve_partition_matroid_integral(full_bundles, partial_bundles, profits,
                                      copy_to_original, parts, capacities, fixed_term=0):
     """Same bundle system with the cardinality row replaced by a partition
     matroid on the original locations: at most capacities[t] opens in parts[t]."""
-    part_of = {}
-    for t, part in enumerate(parts):
-        for i in part:
-            part_of[i] = t
-    total_cap = int(sum(capacities))
-
-    def wire_location(g, loc):
-        if not g.has_edge("t", "s"):
-            g.add_edge("t", "s", capacity=total_cap, weight=0)
-        t = part_of[loc]
-        if not g.has_edge(("part", t), "t"):
-            g.add_edge(("part", t), "t", capacity=int(capacities[t]), weight=0)
-        g.add_edge(("o", loc), ("part", t), capacity=1, weight=0)
-
-    z = _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original, wire_location)
+    z = _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original,
+                     list(zip(parts, capacities)))
     return z, _bundle_objective(z, full_bundles, partial_bundles, profits, fixed_term)
 
 
@@ -138,11 +133,13 @@ def solve_knapsack_basic(full_bundles, partial_bundles, profits, copy_weights, b
         for c in u:
             obj[col[c]] -= float(prof)  # maximize profit
     model = lp_model(len(copies), lower=0.0, upper=1.0, objective=obj)
-    for u in full_bundles:
-        model.add_row({col[c]: 1.0 for c in u}, EQ, 1.0)
-    for u in partial_bundles:
-        model.add_row({col[c]: 1.0 for c in u}, LE, 1.0)
-    model.add_row({col[c]: float(copy_weights[c]) for c in copies}, LE, float(budget))
+    bundles = list(full_bundles) + list(partial_bundles)
+    members = [col[c] for u in bundles for c in u]
+    model.add_rows(np.repeat(np.arange(len(bundles)), [len(u) for u in bundles]), members,
+                   np.ones(len(members)), [EQ] * len(full_bundles) + [LE] * len(partial_bundles),
+                   np.ones(len(bundles)))
+    model.add_rows([0] * len(copies), np.arange(len(copies)),
+                   [float(copy_weights[c]) for c in copies], LE, [float(budget)])
     sol = solve_lp(model)
     if sol.status == INFEASIBLE:
         raise InfeasibleError("knapsack bundle system infeasible")

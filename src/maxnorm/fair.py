@@ -477,12 +477,6 @@ def fair_bound_candidates(finst, norm, eps):
     return cands
 
 
-def _member_at(oracle, point):
-    """Whether the oracle certifies point as a member, read off the weakest
-    guess pair's LP alone."""
-    return not oracle.feasible_somewhere(point)
-
-
 def solve_fair(finst, norm, eps, limit=None):
     """Smallest grid bound at which round-and-cut finds a distribution.
 
@@ -502,7 +496,7 @@ def solve_fair(finst, norm, eps, limit=None):
 
     def probe(k):
         oracles[k] = _dual(finst)[0](finst, bounds[k], norm.ell, norm.q)
-        return not _member_at(oracles[k], p0)
+        return oracles[k].feasible_somewhere(p0)
 
     start = first_true(probe, 0, len(bounds))
 

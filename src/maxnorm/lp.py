@@ -5,8 +5,8 @@ Two solvers live here:
   * solve_lp: floating-point solves through HiGHS dual simplex, used for
     the assignment/clustering relaxations.  A model is COO triplets (row,
     column, value) plus one sense and one right-hand side per row, added
-    as whole numpy blocks (add_rows); only the bundle LP and the fair
-    weighted row still add dict rows (add_row).  add_norm_rows is the one
+    as whole numpy blocks (add_rows; add_row adds a one-row block from a
+    dict, as the fair weighted row does).  add_norm_rows is the one
     builder of the norm count and mass rows, for makespan (machines over
     jobs) and k-center (clients over facilities) alike.  Fixed columns
     (finite lower == upper, such as the pairs a radius guess forbids)
@@ -67,13 +67,11 @@ class LpModel:
     """min objective . x subject to bounds and rows; rows are stored as COO
     triplets with global row indices, one sense and one rhs per row."""
 
-    def __init__(self, num_vars, lower, upper, objective, names=None):
+    def __init__(self, num_vars, lower, upper, objective):
         self.num_vars = num_vars
         self.lower, self.upper, self.objective = lower, upper, objective
-        self.names = names
         self.num_rows = 0
-        self._blocks = []  # (rows, cols, vals) numpy triplets from add_rows
-        self._row_buf, self._col_buf, self._val_buf = [], [], []  # from add_row
+        self._blocks = []  # (rows, cols, vals) numpy triplets, one per add_rows call
         self._sense, self._rhs = [], []
         self._coo = None  # cached concatenation of all triplets
 
@@ -86,20 +84,15 @@ class LpModel:
         return self.num_vars - 1
 
     def add_row(self, coeffs, sense, rhs):
-        self._row_buf.extend([self.num_rows] * len(coeffs))
-        self._col_buf.extend(coeffs.keys())
-        self._val_buf.extend(coeffs.values())
-        self._sense.append(sense)
-        self._rhs.append(float(rhs))
-        self.num_rows += 1
-        self._coo = None
+        """Append one row, coeffs a dict from column to coefficient."""
+        self.add_rows([0] * len(coeffs), list(coeffs), list(coeffs.values()), sense, [rhs])
 
     def __copy__(self):
         """A model with the same columns and rows; rows added to either one
         leave the other as it is."""
         out = LpModel.__new__(LpModel)
         out.__dict__.update(self.__dict__)
-        for name in ("_blocks", "_row_buf", "_col_buf", "_val_buf", "_sense", "_rhs"):
+        for name in ("_blocks", "_sense", "_rhs"):
             setattr(out, name, list(getattr(self, name)))
         return out
 
@@ -123,9 +116,7 @@ class LpModel:
     def coo(self):
         """All triplets as (rows, cols, vals) arrays, in insertion order."""
         if self._coo is None:
-            parts = self._blocks + [(np.asarray(self._row_buf, np.int64),
-                                     np.asarray(self._col_buf, np.int64),
-                                     np.asarray(self._val_buf, float))]
+            parts = self._blocks or [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
             self._coo = tuple(np.concatenate(p) for p in zip(*parts))
         return self._coo
 
@@ -156,11 +147,11 @@ class LpModel:
         return tuple(out)
 
 
-def lp_model(num_vars, lower=0.0, upper=np.inf, objective=None, names=None):
+def lp_model(num_vars, lower=0.0, upper=np.inf, objective=None):
     lower = np.full(num_vars, lower, dtype=float) if np.isscalar(lower) else np.asarray(lower, float)
     upper = np.full(num_vars, upper, dtype=float) if np.isscalar(upper) else np.asarray(upper, float)
     obj = np.zeros(num_vars) if objective is None else np.asarray(objective, float)
-    return LpModel(num_vars, lower, upper, obj, names=names)
+    return LpModel(num_vars, lower, upper, obj)
 
 
 def add_norm_rows(model, cols, cost, thresholds, caps, deltas, power, sidx, mass_cap):
@@ -183,7 +174,7 @@ def add_norm_rows(model, cols, cost, thresholds, caps, deltas, power, sidx, mass
     finite = np.isfinite(cost)
     counted = finite & (cost > np.asarray(thresholds, float)[:, None, None])  # (k, owner, item)
     mass = np.where(finite, cost, 0.0)
-    if power is not None:
+    if power not in (None, 1):  # v ** 1.0 is v
         some = counted.any(axis=0)
         mass[some] = [v ** power for v in cost[some].tolist()]
     deltas = np.asarray(deltas, float).reshape(-1, len(thresholds))
@@ -416,15 +407,12 @@ def _check_residuals(model, x):
 def dump_lp(model):
     """Text dump in the standard LP file layout (for external cross-checks)."""
 
-    def name(idx):
-        return model.names[idx] if model.names else f"x{idx}"
-
     def terms(coeffs):
         parts = []
         for idx in sorted(coeffs):
             c = coeffs[idx]
             sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {abs(c):.12g} {name(idx)}")
+            parts.append(f"{sign} {abs(c):.12g} x{idx}")
         s = " ".join(parts) if parts else "0"
         return s[2:] if s.startswith("+ ") else s
 
@@ -437,7 +425,7 @@ def dump_lp(model):
     for i in range(model.num_vars):
         lo, up = model.lower[i], model.upper[i]
         up_s = "+inf" if np.isinf(up) else f"{up:.12g}"
-        lines.append(f" {lo:.12g} <= {name(i)} <= {up_s}")
+        lines.append(f" {lo:.12g} <= x{i} <= {up_s}")
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -295,3 +295,30 @@ def test_fair_cluster_roundtrip(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["problem"] == "center"
+
+
+def test_solvers_run_without_networkx():
+    """Block networkx in a child process; importing maxnorm and solving a
+    Top k-center, a matroid and a fair-center instance must not need it.
+    Each solve opens its bundles at least once."""
+    child = ("import sys\n"
+             "sys.modules['networkx'] = None\n"
+             "import maxnorm\n"
+             "from maxnorm import bundlelp, generators as g\n"
+             "calls = []\n"
+             "flow = bundlelp._bundle_flow\n"
+             "bundlelp._bundle_flow = lambda *a: calls.append(1) or flow(*a)\n"
+             "maxnorm.solve_topl_kcenter(g.gen_cluster(2, 5, 5, k=2), 2, 1.0, 0.1)\n"
+             "print(len(calls))\n"
+             "maxnorm.solve_matroid_center(g.gen_matroid_cluster(2, 5, 5),"
+             " maxnorm.top_norm(1, 1.0), 0.1)\n"
+             "print(len(calls))\n"
+             "maxnorm.solve_fair(g.gen_fair_cluster(2, 3, 4, k=2), maxnorm.top_norm(1, 1.0), 0.1)\n"
+             "print(len(calls))\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = [int(v) for v in proc.stdout.split()]
+    assert 0 < counts[0] < counts[1] < counts[2], counts

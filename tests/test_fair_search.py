@@ -338,15 +338,15 @@ def _tabled_walk(monkeypatch, table, probe, log):
             return "distribution", ("dist", k)
         return "infeasible_at_bound", "P0" if table[k] == "P0" else ("later", k)
 
-    def member_at(oracle, point):
+    def feasible_somewhere(oracle, point):
         assert point == "P0"
         log.append(("probe", int(oracle.bound)))
-        return probe[int(oracle.bound)]
+        return not probe[int(oracle.bound)]
 
     monkeypatch.setattr(fair, "fair_bound_candidates",
                         lambda finst, norm, eps: [float(k) for k in range(len(table))])
     monkeypatch.setattr(fair, "_first_point", lambda finst: "P0")
-    monkeypatch.setattr(fair, "_member_at", member_at)
+    monkeypatch.setattr(fair._Separation, "feasible_somewhere", feasible_somewhere)
     monkeypatch.setattr(fair, "round_and_cut", round_and_cut)
 
 

@@ -535,22 +535,52 @@ def _random_bundle_system(rng):
     return full, partial, profits, copy_to_original
 
 
+# past_2_53: large prime denominators, so the scaled profits pass 2^53 and
+# the assignment falls back to float profits
+_LARGE_PRIMES = (2 ** 31 - 1, 2 ** 61 - 1, 1_000_000_007, 998_244_353)
+
+
+def _profits_as(kind, rng, profits):
+    if kind == "int":
+        return profits
+    if kind == "fraction":
+        return [Fraction(int(rng.integers(0, 9)), int(rng.integers(1, 7))) for _ in profits]
+    return [Fraction(int(rng.integers(1, 10 ** 6)), _LARGE_PRIMES[int(rng.integers(0, 4))])
+            for _ in profits]
+
+
+def _check_bundle_solver(solve, full, partial, profits, c2o, **budget):
+    """Whether the system was feasible; asserts the solver's answer equals the
+    exhaustive optimum exactly, or that it raised InfeasibleError."""
+    expected = _exhaustive_bundle_opt(full, partial, profits, c2o, **budget)
+    if expected is None:
+        with pytest.raises(InfeasibleError):
+            solve(full, partial, profits, c2o, *budget.values())
+        return False
+    z, obj = solve(full, partial, profits, c2o, *budget.values())
+    assert all(v in (0, 1) for v in z.values())  # bitwise integral
+    assert obj == expected
+    return True
+
+
 def test_two_laminar_matches_exhaustive():
-    rng = np.random.default_rng(3)
-    checked = 0
-    for _ in range(60):
-        full, partial, profits, c2o = _random_bundle_system(rng)
-        k = int(rng.integers(0, 6))
-        expected = _exhaustive_bundle_opt(full, partial, profits, c2o, k=k)
-        if expected is None:
-            with pytest.raises(InfeasibleError):
-                solve_two_laminar_integral(full, partial, profits, c2o, k=k)
-            continue
-        z, obj = solve_two_laminar_integral(full, partial, profits, c2o, k=k)
-        assert all(v in (0, 1) for v in z.values())  # bitwise integral
-        assert obj == expected
-        checked += 1
-    assert checked >= 20
+    for profit_kind in ("int", "fraction", "past_2_53"):
+        rng = np.random.default_rng(3)
+        checked, over_k, past = 0, 0, 0
+        for _ in range(60):
+            full, partial, profits, c2o = _random_bundle_system(rng)
+            k = int(rng.integers(0, 6))
+            profits = _profits_as(profit_kind, rng, profits)
+            past += max(lp.scaled_integers(profits), default=0) >= 2 ** 53
+            n_loc = len(set(c2o.values()))
+            for budget in (k, 0, n_loc, n_loc + 2):
+                feasible = _check_bundle_solver(solve_two_laminar_integral,
+                                                full, partial, profits, c2o, k=budget)
+                assert not (feasible and len(full) > budget)
+                checked += feasible
+                over_k += len(full) > budget
+        assert checked >= 80 and over_k >= 20
+        assert (past >= 10) == (profit_kind == "past_2_53")
 
 
 def test_partition_matroid_examples():
@@ -574,27 +604,23 @@ def test_partition_matroid_examples():
 
 
 def test_partition_matroid_matches_exhaustive():
-    rng = np.random.default_rng(5)
-    checked = 0
-    for _ in range(40):
-        full, partial, profits, c2o = _random_bundle_system(rng)
-        origs = sorted(set(c2o.values()))
-        cut = int(rng.integers(1, len(origs) + 1))
-        parts = [tuple(origs[:cut]), tuple(origs[cut:])]
-        parts = [p for p in parts if p]
-        caps = [int(rng.integers(0, len(p) + 1)) for p in parts]
-        expected = _exhaustive_bundle_opt(full, partial, profits, c2o,
-                                          parts=parts, caps=caps)
-        if expected is None:
-            with pytest.raises(InfeasibleError):
-                solve_partition_matroid_integral(full, partial, profits, c2o,
-                                                 parts, caps)
-            continue
-        _, obj = solve_partition_matroid_integral(full, partial, profits, c2o,
-                                                  parts, caps)
-        assert obj == expected
-        checked += 1
-    assert checked >= 10
+    for profit_kind in ("int", "fraction", "past_2_53"):
+        rng = np.random.default_rng(5)
+        checked, short_by_two = 0, 0
+        for _ in range(40):
+            full, partial, profits, c2o = _random_bundle_system(rng)
+            origs = sorted(set(c2o.values()))
+            cut = int(rng.integers(1, len(origs) + 1))
+            parts = [tuple(origs[:cut]), tuple(origs[cut:])]
+            parts = [p for p in parts if p]
+            caps = [int(rng.integers(0, len(p) + 1)) for p in parts]
+            profits = _profits_as(profit_kind, rng, profits)
+            for budget in (caps, [0] * len(parts), [max(0, len(p) - 2) for p in parts]):
+                feasible = _check_bundle_solver(solve_partition_matroid_integral, full,
+                                                partial, profits, c2o, parts=parts, caps=budget)
+                checked += feasible
+                short_by_two += feasible and any(len(p) - c >= 2 for p, c in zip(parts, budget))
+        assert checked >= 30 and short_by_two >= 5
 
 
 def test_knapsack_basic_examples():
