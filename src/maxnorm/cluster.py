@@ -132,7 +132,6 @@ def _center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
     upper[:nx] = allowed.ravel()
     lower[u0:y0], upper[u0:y0] = core.l, core.r
     model = lp_model(nx + nc + nf, lower=lower, upper=upper)
-    sidx = None if fixed_bound is not None else model.add_var(0.0, np.inf, 1.0)
     # one block: per client sum_i x(i,j) - u_j == 0, per allowed pair
     # x(i,j) - y_i <= 0 (facility-major), then sum_j u_j >= m with coverage
     pairs = np.flatnonzero(allowed)
@@ -148,19 +147,7 @@ def _center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
         senses.append(GE)
         rhs.append(float(core.m))
     model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), senses, rhs)
-
-    if normspec[0] == "top":
-        _, ell, q, threshold = normspec
-        thresholds, caps, deltas, power = [threshold], [ell], [[1.0]], q
-        cap = None if fixed_bound is None else float(fixed_bound) ** q
-    else:
-        _, sparse, pos, seq = normspec
-        tvals = seq.as_dict()
-        thresholds, caps = [tvals[ell] for ell in pos.indices], pos.indices
-        deltas, power = telescoped_deltas(sparse, pos), None
-        cap = None if fixed_bound is None else float(fixed_bound)
-    add_norm_rows(model, np.arange(nx).reshape(nf, nc).T, core.cf, thresholds, caps, deltas,
-                  power, sidx, cap)
+    sidx = add_norm_rows(model, np.arange(nx).reshape(nf, nc).T, core.cf, normspec, fixed_bound)
 
     part, weight, caps, _ = _budget_rows(core, budget)
     if budget[0] == PARTITION:  # a row per part with local members; the last part is uncapped
@@ -209,9 +196,9 @@ class SplitSolution:
         return len(self.original)
 
 
-def _snap_scalar(v, lo, hi, tol=1e-7):
+def _snap_scalar(v, lo, hi):
     v = min(max(float(v), lo), hi)
-    return round(v) if abs(v - round(v)) < tol else v
+    return round(v) if abs(v - round(v)) < 1e-7 else v
 
 
 def split_and_normalize(u, y, core, radius):
@@ -239,7 +226,7 @@ def split_and_normalize(u, y, core, radius):
             raise SolverInternalError("openings cannot carry the required extent")
         u_eff.append(target - max(rem, 0.0))
 
-    original, mass, prefix_of = [], [], [dict() for _ in range(nf)]
+    original, mass, support = [], [], [[] for _ in range(nc)]
     for i in range(nf):
         cuts = []
         for a in sorted(set(usage[i].values())):
@@ -262,21 +249,9 @@ def split_and_normalize(u, y, core, radius):
                 count = len(original) - start
             else:
                 count = min(range(len(cuts)), key=lambda t: abs(cuts[t] - a)) + 1
-            prefix_of[i][j] = count
-
-    support = [[] for _ in range(nc)]
-    firsts = {}
-    for c, i in enumerate(original):
-        if i not in firsts:
-            firsts[i] = c
-    for j in range(nc):
-        ids = []
-        for i in range(nf):
-            if j in prefix_of[i]:
-                base = firsts[i]
-                ids.extend(range(base, base + prefix_of[i][j]))
+            support[j].extend(range(start, start + count))
+    for j, ids in enumerate(support):
         ids.sort(key=lambda c: (core.cf[j, original[c]], c))
-        support[j] = ids
 
     return SplitSolution(core=core, radius=float(radius), original=original,
                          mass=mass, support=support, u=u_eff)
@@ -371,16 +346,21 @@ def build_bundles(split):
                 resort(jj)
         return newc
 
-    def materialize(j, ids, boundary):
+    def open_bundle(ids, boundary, full):
+        """A new bundle of ids plus the kept part of the boundary copy (the
+        rest splits off as a new copy); returns its index."""
         if boundary is not None:
             c, keep = boundary
             if keep > _TOL:
                 split_copy(c, keep)
                 ids = ids + [c]
+        if any(c in member for c in ids):
+            raise SolverInternalError("new bundle overlaps an existing one")
+        bundles.append(tuple(ids))
+        is_full.append(full)
         for c in ids:
-            if c in member:
-                raise SolverInternalError("new bundle overlaps an existing one")
-        return tuple(ids)
+            member[c] = len(bundles) - 1
+        return len(bundles) - 1
 
     def first_hit(touched, want_full):
         for c in touched:
@@ -406,21 +386,11 @@ def build_bundles(split):
         j, ids, boundary, _ = pick
         touched = ids + ([boundary[0]] if boundary is not None else [])
         hit = first_hit(touched, want_full=True)
-        if hit is not None:
-            queues[j].append(hit)
-            inside = set(bundles[hit])
-            fj[j] = [c for c in fj[j] if c not in inside]
-        else:
-            u_new = materialize(j, ids, boundary)
-            bundles.append(u_new)
-            is_full.append(True)
-            b = len(bundles) - 1
-            for c in u_new:
-                member[c] = b
-            queues[j].append(b)
-            inside = set(u_new)
-            fj[j] = [c for c in fj[j] if c not in inside]
-            resort(j)
+        if hit is None:
+            hit = open_bundle(ids, boundary, full=True)
+        queues[j].append(hit)
+        inside = set(bundles[hit])
+        fj[j] = [c for c in fj[j] if c not in inside]  # stays sorted: split_copy resorts
 
     _fill_slots(queues, floors, pick_full, place_full, "bundle pass 1")
 
@@ -447,18 +417,10 @@ def build_bundles(split):
             hit = first_hit(touched, want_full=False)
             if hit is not None:
                 reuse[hit] += 1
-        if hit is not None:
-            queues[j].append(hit)
-            fj[j] = []
-            return
-        u_new = materialize(j, ids, boundary)
-        bundles.append(u_new)
-        is_full.append(False)
-        b = len(bundles) - 1
-        for c in u_new:
-            member[c] = b
-        reuse[b] = 1
-        queues[j].append(b)
+        if hit is None:
+            hit = open_bundle(ids, boundary, full=False)
+            reuse[hit] = 1
+        queues[j].append(hit)
         fj[j] = []
 
     _fill_slots(queues, ceils, pick_partial, place_partial, "bundle pass 2")
@@ -713,11 +675,11 @@ def _cover_verdict(core, budget, radius, coverage):
     return None if np.any(spent > caps - slack) else True
 
 
-def _top_verdict(core, budget, radii, thresholds, coverage=True):
+def _top_verdict(core, budget, radii, thresholds):
     """GuessLPs verdict of a Top scan: _cover_verdict at each radius's
     weakest threshold, None at every other."""
     weakest = weakest_thresholds(radii, thresholds)
-    return lambda ri, ti: _cover_verdict(core, budget, radii[ri], coverage) \
+    return lambda ri, ti: _cover_verdict(core, budget, radii[ri], coverage=True) \
         if ti == weakest[ri] else None
 
 
@@ -755,15 +717,15 @@ def solve_topl_kcenter(inst, ell, q, eps):
     return CenterSolveResult(solution=solution, value=value, certificate=cert)
 
 
-def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
+def _scan_top_guesses(core, budget, ell, q, eps):
     root = 1.0 / q
     grid_eps = eps / (3 * 4.0 ** root)
     radii = sorted(set(core.distances()) | {0.0})
     thresholds = single_threshold_candidates(core.distances())
     r0 = max(core.r0, 1)
     lps = GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
-                                              radii[ri], coverage=coverage), solve_lp,
-                   _top_verdict(core, budget, radii, thresholds, coverage))
+                                              radii[ri]), solve_lp,
+                   _top_verdict(core, budget, radii, thresholds))
     best = scan_top_rows(lps, radii, thresholds, ell, q, lambda radius: [0.0] if radius == 0.0
                          else geometric_grid(radius, r0 ** root * radius, grid_eps))
     if best is None:
@@ -796,7 +758,7 @@ def _ordered_chain(sparse, pos, seq, radius, bound):
     return 2.0 * worst
 
 
-def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
+def _scan_ordered_guesses(core, budget, weights, eps):
     r0 = max(core.r0, 1)
     sparse, pos = sparsify_weights(weights, r0)
     wtop = max(float(w[0]) for w in sparse)
@@ -804,14 +766,14 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
     best = None
     if wtop == 0.0:
         # zero objective: any feasible opening works; reuse the top driver at ell=1
-        b = _scan_top_guesses(core, budget, 1, 1.0, eps, coverage=coverage)
+        b = _scan_top_guesses(core, budget, 1, 1.0, eps)
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
     reps = {}  # (radius index, count key) -> its sequence
     lps = GuessLPs(lambda ri, key: _center_lp(core, budget,
                                               _sequence_spec(sparse, pos, r0, reps[ri, key]),
-                                              radii[ri], coverage=coverage), solve_lp,
-                   lambda ri, key: _cover_verdict(core, budget, radii[ri], coverage)
+                                              radii[ri]), solve_lp,
+                   lambda ri, key: _cover_verdict(core, budget, radii[ri], coverage=True)
                    if key == weakest(ri) else None)
 
     def keyed(ri, seq):

@@ -114,7 +114,10 @@ class SolutionDistribution:
 
 
 def sample(dist, seed, n=1):
-    """Draw n support elements by their exact weights; reproducible by seed."""
+    """Draw n >= 1 support elements by their exact weights; reproducible by
+    seed."""
+    if n < 1:
+        raise InvalidInputError("the number of draws must be >= 1")
     rng = random.Random(seed)
     cum = []
     acc = 0.0
@@ -313,8 +316,7 @@ class _LoadSeparation(_Separation):
     def _round(self, point, eta, radius, sol):
         m, n = self.inst.machines, self.inst.jobs
         x = sol.x[: m * n].reshape(m, n)
-        assignment, _ = shmoys_tardos_round(x, self.inst.p,
-                                            edge_weights=point.alpha, exact=True)
+        assignment, _ = shmoys_tardos_round(x, self.inst.p, edge_weights=point.alpha)
         counts = assignment.counts(m)
         weight = sum(a * c for a, c in zip(point.alpha, counts))
         if weight > point.mu - eta:

@@ -157,15 +157,15 @@ def decode_distribution(data):
                                 cert_bound=float(data["cert_bound"]))
 
 
-def parse_norm_spec(spec, path_loader=None):
+def parse_norm_spec(spec):
     """"topl:ELL:Q" or "maxordered:FILE" (JSON {"weights": [[...], ...]})."""
     parts = spec.split(":")
     if parts[0] == "topl" and len(parts) == 3:
         return top_norm(int(parts[1]), float(parts[2]))
     if parts[0] == "maxordered" and len(parts) >= 2:
         path = ":".join(parts[1:])
-        raw = path_loader(path) if path_loader else open(path, encoding="utf-8").read()
-        return _decode_norm_weights(json.loads(raw))
+        with open(path, encoding="utf-8") as fh:
+            return _decode_norm_weights(json.load(fh))
     raise InvalidInputError(f"cannot parse norm spec {spec!r}")
 
 

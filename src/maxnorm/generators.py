@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceCapError
 from .instances import (ClusterInstance, FairClusterInstance, FairLoadInstance,
                         KnapsackClusterInstance, LoadInstance, MatroidClusterInstance)
 
@@ -127,6 +127,9 @@ def gen_knapsack_cluster(seed, clients=3, facilities=4, metric="euclidean",
     return KnapsackClusterInstance(base=base, wt=wt, budget=budget)
 
 
+_TIGHTNESS_MAX_T = 20  # 2^20 weights, written by the CLI as a file of about 60 MB
+
+
 def tightness_family(t):
     """Worst-case guessing-gap family: dimension r = 2^t, weight vector
     w_i = sqrt(i) - sqrt(i-1), optimum exactly 1 achieved simultaneously by
@@ -134,6 +137,9 @@ def tightness_family(t):
     The exact optimal thresholds are 1/sqrt(ell)."""
     if t < 0:
         raise InvalidInputError("t must be >= 0")
+    if t > _TIGHTNESS_MAX_T:
+        raise ResourceCapError(f"the tightness family at t = {t} has 2^{t} weights, "
+                               f"over the cap 2^{_TIGHTNESS_MAX_T}")
     r = 2 ** t
     w = tuple(math.sqrt(i) - math.sqrt(i - 1) for i in range(1, r + 1))
     tstar = {ell: 1.0 / math.sqrt(ell) for ell in range(1, r + 1)}

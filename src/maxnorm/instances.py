@@ -120,15 +120,7 @@ def _distinct(values):
 
 
 def _to_fractions(values):
-    out = []
-    for v in values:
-        if isinstance(v, Fraction):
-            out.append(v)
-        elif isinstance(v, str):
-            out.append(Fraction(v))
-        else:
-            out.append(Fraction(v))
-    return tuple(out)
+    return tuple(Fraction(v) for v in values)
 
 
 @dataclass(eq=False)
@@ -280,17 +272,14 @@ def eval_cluster_objective(inst, norm, solution):
     return max(eval_norm(norm, v) for v in connection_vectors(inst, solution))
 
 
-def validate_cluster_solution(inst, solution, check_cardinality=True,
-                              check_bounds=True, check_coverage=True):
+def validate_cluster_solution(inst, solution, check_cardinality=True):
     connection_vectors(inst, solution)  # membership checks
     if check_cardinality and len(solution.open_facilities) > inst.k:
         raise InvalidSolutionError("more than k facilities open")
-    if check_bounds:
-        for j, fac in enumerate(solution.assigned):
-            if not (int(inst.l[j]) <= len(fac) <= int(inst.r[j])):
-                raise InvalidSolutionError(f"client {j} has {len(fac)} connections, "
-                                           f"outside [{inst.l[j]}, {inst.r[j]}]")
-    if check_coverage:
-        total = sum(len(fac) for fac in solution.assigned)
-        if total < inst.m:
-            raise InvalidSolutionError(f"coverage {total} below m={inst.m}")
+    for j, fac in enumerate(solution.assigned):
+        if not (int(inst.l[j]) <= len(fac) <= int(inst.r[j])):
+            raise InvalidSolutionError(f"client {j} has {len(fac)} connections, "
+                                       f"outside [{inst.l[j]}, {inst.r[j]}]")
+    total = sum(len(fac) for fac in solution.assigned)
+    if total < inst.m:
+        raise InvalidSolutionError(f"coverage {total} below m={inst.m}")

@@ -14,10 +14,11 @@ gets weaker as R grows (fewer pairs forbidden) and as any threshold grows
 
   * Top-(ell,q): each radius bisects its thresholds for the first feasible
     one, no higher than the previous radius's (the staircase), and visits
-    the thresholds upward from there in the old order with the old break
-    rules and (bound, R, T) tie-break.  The row stops once a guess's
-    snapped bound equals its snapped floor max(R, ell^(1/q) T): a larger T
-    has a floor at least as high, so it snaps no lower and loses the tie.
+    the thresholds upward from there until ell^(1/q) T exceeds the best
+    bound, keeping the smallest (bound, R, T).  The row also stops once a
+    guess's snapped bound equals its snapped floor max(R, ell^(1/q) T): a
+    larger T has a floor at least as high, so it snaps no lower and loses
+    the tie.
   * max-ordered: every sequence of a radius gets the LP-free lower key
     (floor, 4 R w1 + 2 floor + 2 gap, radius index, sequence index), with
     floor = R w1 snapped to the grid.  A sequence's real key, with its
@@ -60,7 +61,7 @@ from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simpl
 from .norms import max_ordered_norm, top_norm
 from .sparsify import (geometric_grid, enumerate_threshold_sequences, single_threshold_candidates,
                        snap_to_grid, sparsified_gap_bound, sparsified_gap_bounds,
-                       sparsify_weights, telescoped_deltas)
+                       sparsify_weights)
 
 _MASS_TOL = 1e-9
 
@@ -79,27 +80,20 @@ def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None):
     cap over the jobs strictly larger than the threshold (lp.add_norm_rows,
     machines over jobs).  With fixed_bound None, adds a variable s replacing
     bound^q and minimizes it; returns (model, index of s)."""
-    return _load_norm_lp(inst, radius, [threshold], [ell], [[1.0]], q,
-                         None if fixed_bound is None else float(fixed_bound) ** q)
+    return _load_norm_lp(inst, radius, ("top", ell, q, threshold), fixed_bound)
 
 
 def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bound=None):
     """Basic LP plus, per machine, a count cap of ell over the jobs above
     each kept coordinate ell's threshold and, per weight vector, a
     telescoped weighted-mass row bounded by s (or by a fixed bound)."""
-    tvals = seq.as_dict()
-    return _load_norm_lp(inst, radius, [tvals[ell] for ell in pos.indices], pos.indices,
-                         telescoped_deltas(sparse_weights, pos), None,
-                         None if fixed_bound is None else float(fixed_bound))
+    return _load_norm_lp(inst, radius, ("ordered", sparse_weights, pos, seq), fixed_bound)
 
 
-def _load_norm_lp(inst, radius, thresholds, caps, deltas, power, mass_cap):
-    m, n = inst.machines, inst.jobs
+def _load_norm_lp(inst, radius, normspec, fixed_bound):
     model = build_basic_load_lp(inst, radius)
-    sidx = model.add_var(0.0, np.inf, 1.0) if mass_cap is None else None
-    add_norm_rows(model, np.arange(m * n).reshape(m, n), inst.p, thresholds, caps, deltas,
-                  power, sidx, mass_cap)
-    return model, sidx
+    cols = np.arange(inst.machines * inst.jobs).reshape(inst.machines, inst.jobs)
+    return model, add_norm_rows(model, cols, inst.p, normspec, fixed_bound)
 
 
 def _count_feasible(inst, radius, thresholds, caps):
@@ -146,24 +140,24 @@ def _count_feasible(inst, radius, thresholds, caps):
 # rounding
 
 
-def machine_copies(x, p, tol=_MASS_TOL):
+def machine_copies(x, p):
     """Split each machine into unit-capacity copies, filling jobs in
     non-decreasing size order (ties by job index).  Returns, per machine,
     the ordered list of copies as [(job, fractional amount), ...]."""
     m, n = p.shape
     out = []
     for i in range(m):
-        jobs = sorted((j for j in range(n) if x[i, j] > tol),
+        jobs = sorted((j for j in range(n) if x[i, j] > _MASS_TOL),
                       key=lambda j: (p[i, j], j))
         copies, current, room = [], [], 1.0
         for j in jobs:
             amt = float(x[i, j])
-            while amt > tol:
+            while amt > _MASS_TOL:
                 take = min(amt, room)
                 current.append((j, take))
                 amt -= take
                 room -= take
-                if room <= tol:
+                if room <= _MASS_TOL:
                     copies.append(current)
                     current, room = [], 1.0
         if current:
@@ -172,13 +166,13 @@ def machine_copies(x, p, tol=_MASS_TOL):
     return out
 
 
-def shmoys_tardos_round(x, p, edge_weights=None, exact=False):
+def shmoys_tardos_round(x, p, edge_weights=None):
     """Round a fractional assignment to an integral one.
 
     Builds the machine-copy graph and matches every job to one copy,
     minimizing the total edge weight (weight of any edge into machine i is
     edge_weights[i]; default 0).  The integral matching weight never exceeds
-    the fractional weight sum_i w_i sum_j x_ij.  With exact=True, weights are
+    the fractional weight sum_i w_i sum_j x_ij.  Edge weights are
     non-negative rationals, scaled to integers over their common denominator,
     so the matching's float sums and comparisons are exact while a scaled
     weight times n stays below 2^53; beyond that the weights match as floats.
@@ -200,13 +194,11 @@ def shmoys_tardos_round(x, p, edge_weights=None, exact=False):
 
     if edge_weights is None:
         w = np.zeros(m)
-    elif exact:
+    else:
         scaled = scaled_integers(edge_weights)
         # past 2^53 float sums of the scaled weights are inexact too; callers
         # that need the bound check the matching's weight in exact arithmetic
         w = np.array(scaled if max(scaled) * n < 2 ** 53 else edge_weights, float)
-    else:
-        w = np.asarray(edge_weights, float)
     cost = np.full((n, len(flat)), np.inf)
     for j, t in edges:
         cost[j, t] = w[flat[t][0]]

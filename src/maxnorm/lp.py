@@ -6,9 +6,9 @@ Two solvers live here:
     the assignment/clustering relaxations.  A model is COO triplets (row,
     column, value) plus one sense and one right-hand side per row, added
     as whole numpy blocks (add_rows; add_row adds a one-row block from a
-    dict, as the fair weighted row does).  add_norm_rows is the one
-    builder of the norm count and mass rows, for makespan (machines over
-    jobs) and k-center (clients over facilities) alike.  Fixed columns
+    dict, as the fair weighted row does).  add_norm_rows turns a norm
+    guess into its count and mass rows, for makespan (machines over jobs)
+    and k-center (clients over facilities) alike.  Fixed columns
     (finite lower == upper, such as the pairs a radius guess forbids)
     never reach the solver: solve_lp substitutes them out, shifting each
     row bound by their activity, and lays the free columns out as scipy's
@@ -45,6 +45,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import LpSolverError, ResourceCapError, SolverInternalError
+from .sparsify import telescoped_deltas
 
 TAU_LP = 1e-7
 # linprog's own post-solve feasibility check: sqrt(tol) * 10 at its default tol 1e-9
@@ -154,27 +155,40 @@ def lp_model(num_vars, lower=0.0, upper=np.inf, objective=None):
     return LpModel(num_vars, lower, upper, obj)
 
 
-def add_norm_rows(model, cols, cost, thresholds, caps, deltas, power, sidx, mass_cap):
-    """Count and mass rows capping each owner's norm, added in one block.
+def add_norm_rows(model, cols, cost, normspec, fixed_bound):
+    """Count and mass rows capping each owner's norm at one guess, added in
+    one block; returns the column of the bound surrogate s, or None.
 
     An owner is a row of cost (a machine over its jobs, a client over its
-    facilities); cols[o, i] is the model column of owner o's item i.  An
-    item counts at threshold k when its cost is finite and strictly above
-    thresholds[k] (strictly, so the rows stay feasible at the exact optimal
-    guess when costs tie with it).  Its mass is its cost, or cost^power by
-    Python's float power (NumPy's vectorized power may round differently).
-    Per owner the rows come in this order: for each threshold counting an
-    item, a count row (coefficients 1) capped by caps[k]; then for each
-    delta vector with a term, a mass row whose coefficient on an item
-    accumulates delta[k] * mass over the k in order with a nonzero delta
-    counting it (terms may cancel to zero), bounded by column sidx
-    (coefficient -1, right-hand side 0) or, with sidx None, by mass_cap.
-    Top-(ell,q) is the one-threshold case: caps [ell], deltas [[1.0]],
-    power q and mass_cap B^q."""
+    facilities); cols[o, i] is the model column of owner o's item i.  The
+    guess normspec is ("top", ell, q, T) or ("ordered", sparse weights,
+    kept coordinates, threshold sequence): per threshold (T, or T_ell at
+    each kept ell) a count cap of ell, per weight vector a delta per
+    threshold (1, or the telescoped w_ell - w_next(ell)), and the power q
+    (1 for ordered norms).  An item counts at a threshold when its cost is
+    finite and strictly above it (strictly, so the rows stay feasible at
+    the exact optimal guess when costs tie with it).  Its mass is its cost,
+    or cost^q by Python's float power (NumPy's vectorized power may round
+    differently).  Per owner the rows come in this order: for each
+    threshold counting an item, a count row (coefficients 1); then for each
+    weight vector with a term, a mass row whose coefficient on an item
+    accumulates delta * mass over the thresholds in order with a nonzero
+    delta counting it (terms may cancel to zero).  With fixed_bound None
+    the mass rows are bounded by a new column s (coefficient -1,
+    right-hand side 0, cost 1); otherwise by B^q."""
+    if normspec[0] == "top":
+        _, ell, power, threshold = normspec
+        thresholds, caps, deltas = [threshold], [ell], [[1.0]]
+    else:
+        _, sparse, pos, seq = normspec
+        tvals = seq.as_dict()
+        thresholds, caps = [tvals[ell] for ell in pos.indices], pos.indices
+        deltas, power = telescoped_deltas(sparse, pos), 1.0
+    sidx = model.add_var(0.0, np.inf, 1.0) if fixed_bound is None else None
     finite = np.isfinite(cost)
     counted = finite & (cost > np.asarray(thresholds, float)[:, None, None])  # (k, owner, item)
     mass = np.where(finite, cost, 0.0)
-    if power not in (None, 1):  # v ** 1.0 is v
+    if power != 1:  # v ** 1.0 is v
         some = counted.any(axis=0)
         mass[some] = [v ** power for v in cost[some].tolist()]
     deltas = np.asarray(deltas, float).reshape(-1, len(thresholds))
@@ -195,13 +209,16 @@ def add_norm_rows(model, cols, cost, thresholds, caps, deltas, power, sidx, mass
     rows = [row_of[ci, k], row_of[mi, len(caps) + w]]
     columns = [cols[ci, cj], cols[mi, mj]]
     vals = [np.ones(len(k)), coeff[w, mi, mj]]
-    if sidx is not None:
+    if sidx is None:
+        mass_cap = float(fixed_bound) ** power
+    else:
         rows.append(np.flatnonzero(is_mass))
         columns.append(np.full(len(rows[-1]), sidx))
         vals.append(np.full(len(rows[-1]), -1.0))
         mass_cap = 0.0
     rhs = np.where(is_mass, mass_cap, np.asarray(caps, float)[np.minimum(slot, len(caps) - 1)])
     model.add_rows(np.concatenate(rows), np.concatenate(columns), np.concatenate(vals), LE, rhs)
+    return sidx
 
 
 @dataclass

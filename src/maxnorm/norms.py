@@ -39,11 +39,6 @@ class Norm:
         else:
             raise InvalidInputError(f"unknown norm kind {self.kind!r}")
 
-    def label(self):
-        if self.kind == TOP:
-            return f"top({self.ell},{self.q:g})"
-        return f"max_ordered({len(self.weights)} vectors)"
-
 
 def _check_weight_vector(w):
     w = tuple(w)

@@ -100,10 +100,10 @@ def geometric_grid(lo, hi, eps):
     return out
 
 
-def snap_to_grid(grid, value, rel_tol=1e-9):
-    """Smallest grid point >= value (with a small relative slack); None if
+def snap_to_grid(grid, value):
+    """Smallest grid point >= value (with a relative slack of 1e-9); None if
     the grid tops out below value."""
-    slack = rel_tol * max(1.0, abs(value))
+    slack = 1e-9 * max(1.0, abs(value))
     for b in grid:
         if b >= value - slack:
             return b
@@ -159,34 +159,6 @@ def enumerate_threshold_sequences(anchor, n):
     for combo in itertools.combinations_with_replacement(range(len(support)), tail):
         values = (anchor,) + tuple(support[idx] for idx in combo)
         yield ThresholdSequence(anchor=float(anchor), positions=pos.indices, values=values)
-
-
-def covering_threshold_sequence(anchor, n, true_thresholds):
-    """The canonical guess that covers given true thresholds: the dyadic point
-    in [T, 2T) where T >= R/n, and the floor R/n below that.
-
-    true_thresholds maps each kept coordinate to the exact optimal value.
-    """
-    pos = pos_set(n)
-    support = threshold_support(anchor, n)
-    floor_val = support[-1]
-    values = []
-    for ell in pos.indices:
-        t = float(true_thresholds[ell])
-        if t < floor_val:
-            values.append(floor_val)
-            continue
-        pick = None
-        for b in support:
-            if t <= b < 2 * t or abs(b - t) <= 1e-12 * max(1.0, t):
-                pick = b
-                break
-        if pick is None:
-            raise InvalidInputError("true threshold outside the anchor scale")
-        values.append(pick)
-    # guessed values inherit monotonicity from the true thresholds
-    values = [min(values[: idx + 1]) for idx in range(len(values))]
-    return ThresholdSequence(anchor=float(anchor), positions=pos.indices, values=tuple(values))
 
 
 def telescoped_deltas(sparse_weights, pos):

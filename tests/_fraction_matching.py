@@ -2,8 +2,8 @@
 
 The machine-copy matching LP solved by the dense Fraction simplex: its
 vertices are integral, so it yields a minimum-weight matching in exact
-arithmetic.  maxnorm.load.shmoys_tardos_round(exact=True) matches on
-integer-scaled weights instead; the tests check that both reach the same
+arithmetic.  maxnorm.load.shmoys_tardos_round with edge weights matches
+on integer-scaled weights instead; the tests check that both reach the same
 weight.
 """
 

@@ -261,6 +261,38 @@ def test_sample_reproducibility(tmp_path, capsys):
     assert a1 == a2
 
 
+def test_sample_rejects_fewer_than_one_draw(tmp_path, capsys):
+    """--n 0 once divided by zero and --n -2 printed frequencies of -0.0."""
+    inst_path = tmp_path / "fair.json"
+    main(["gen", "fair-load", "--machines", "2", "--jobs", "2", "--seed", "4",
+          "--out", str(inst_path)])
+    dist_path = tmp_path / "dist.json"
+    main(["fair-solve", str(inst_path), "--norm", "topl:1:1", "--out", str(dist_path)])
+    for n in ("0", "-2"):
+        code, out, err = _run(["sample", str(dist_path), "--n", n, "--seed", "5"], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_gen_tightness_past_its_cap_exits_resource_cap(tmp_path):
+    """The family has 2^t weights; past 2^20 of them gen stops with a
+    resource cap.  Run in a child process with capped memory and time, since
+    without the cap t = 40 does not finish."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    for t in ("21", "40"):
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+                 "from maxnorm.cli import main\n"
+                 f"sys.exit(main(['gen', 'tightness', '--t', {t!r},"
+                 f" '--out', {str(tmp_path / 't.json')!r}]))\n")
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert json.loads(proc.stderr)["error"] == "resource-cap"
+        assert not (tmp_path / "t.json").exists()
+
+
 def test_fileio_roundtrips_every_variant(tmp_path):
     from maxnorm.generators import gen_fair_load, gen_load
 

@@ -9,6 +9,7 @@ import _dict_row_builders as dict_rows
 from _fraction_matching import fraction_simplex_round
 from _gen import random_load, random_max_ordered_weights
 from _load_builders import build_ordered_load_lp, build_topl_load_lp
+from _threshold_helpers import covering_threshold_sequence
 from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
 from maxnorm.errors import InvalidInputError
 from maxnorm.fair import solve_fair
@@ -20,8 +21,8 @@ from maxnorm.load import (_count_feasible, _ordered_load_min_bound_lp, _sequence
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
-from maxnorm.sparsify import (ThresholdSequence, covering_threshold_sequence,
-                              enumerate_threshold_sequences, pos_set, sparsify_weights)
+from maxnorm.sparsify import (ThresholdSequence, enumerate_threshold_sequences, pos_set,
+                              sparsify_weights)
 
 
 def test_basic_lp_single_pair():
@@ -223,7 +224,7 @@ def test_weighted_rounding_monotonicity():
     rng = np.random.default_rng(4)
     for inst, x, *_ in _fractional_solutions(rng, 10):
         alpha = [Fraction(int(v), 4) for v in rng.integers(0, 9, size=inst.machines)]
-        assignment, _ = shmoys_tardos_round(x, inst.p, edge_weights=alpha, exact=True)
+        assignment, _ = shmoys_tardos_round(x, inst.p, edge_weights=alpha)
         integral = sum(a * c for a, c in zip(alpha, assignment.counts(inst.machines)))
         fractional = sum(float(a) * x[i].sum() for i, a in enumerate(alpha))
         assert float(integral) <= fractional + 1e-9
@@ -236,7 +237,7 @@ def test_exact_rounding_matches_the_fraction_simplex_weight():
     for inst, x, *_ in _fractional_solutions(rng, 15):
         for den in (1, 3, 7 * 11):
             alpha = [Fraction(int(v), den) for v in rng.integers(0, 9, size=inst.machines)]
-            assignment, _ = shmoys_tardos_round(x, inst.p, edge_weights=alpha, exact=True)
+            assignment, _ = shmoys_tardos_round(x, inst.p, edge_weights=alpha)
             reference = fraction_simplex_round(x, inst.p, alpha)
             assert (sum(alpha[i] for i in assignment.sigma)
                     == sum(alpha[i] for i in reference))
@@ -247,7 +248,7 @@ def test_exact_rounding_past_exact_float_sums_matches_as_floats():
     x, p = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [1.0, 1.0]])
     for weights in ([Fraction(2 ** 52 - 1), 0], [Fraction(2 ** 52), 0],
                     [Fraction(1, 2 ** 52), Fraction(1)]):
-        assignment, _ = shmoys_tardos_round(x, p, edge_weights=weights, exact=True)
+        assignment, _ = shmoys_tardos_round(x, p, edge_weights=weights)
         assert assignment.sigma == (0, 0)
         assert assignment.sigma == fraction_simplex_round(x, p, weights)
 
@@ -263,8 +264,8 @@ def test_fair_solve_with_binary_float_caps(monkeypatch):
 
     real, past = fair.shmoys_tardos_round, []
 
-    def checked(x, p, edge_weights=None, exact=False):
-        assignment, copies = real(x, p, edge_weights=edge_weights, exact=exact)
+    def checked(x, p, edge_weights=None):
+        assignment, copies = real(x, p, edge_weights=edge_weights)
         reference = fraction_simplex_round(x, p, edge_weights)
         assert (sum(Fraction(edge_weights[i]) for i in assignment.sigma)
                 == sum(Fraction(edge_weights[i]) for i in reference))

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from _gen import random_load, random_max_ordered_weights, random_weight_vector
-from _threshold_helpers import prev_index
+from _threshold_helpers import covering_threshold_sequence, prev_index
 from maxnorm.errors import InvalidInputError
 from maxnorm.instances import ClusterInstance, LoadInstance
 from maxnorm.norms import max_ordered_norm, eval_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
-from maxnorm.sparsify import (covering_threshold_sequence,
-                              enumerate_threshold_sequences, geometric_grid,
+from maxnorm.sparsify import (enumerate_threshold_sequences, geometric_grid,
                               pos_set, single_threshold_candidates, snap_to_grid,
                               sparsified_gap_bound, sparsified_gap_bounds, sparsify_weights,
                               threshold_support, ThresholdSequence)
