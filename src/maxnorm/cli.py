@@ -26,7 +26,7 @@ from .cluster import (solve_knapsack_center, solve_matroid_center,
                       solve_ordered_kcenter, solve_topl_kcenter)
 from .errors import (InfeasibleError, InvalidInputError, LpSolverError, MaxNormError,
                      ResourceCapError, SolverInternalError)
-from .fair import center_marginals, load_marginals, sample, solve_fair
+from .fair import center_marginals, load_marginals, sample_counts, solve_fair
 from .generators import (gen_cluster, gen_fair_cluster, gen_fair_load, gen_load,
                          tightness_family)
 from .instances import (ClusterInstance, FairClusterInstance, FairLoadInstance,
@@ -224,10 +224,9 @@ def cmd_fair_solve(args):
 
 def cmd_sample(args):
     dist = fileio.decode_distribution(_load_json(args.distribution))
-    draws = sample(dist, seed=args.seed, n=args.n)
     counts = {}
-    for s in draws:
-        counts[s] = counts.get(s, 0) + 1
+    for s, count in zip(dist.support, sample_counts(dist, seed=args.seed, n=args.n)):
+        counts[s] = counts.get(s, 0) + count
     report = {"kind": "sample-report", "n": args.n, "seed": args.seed,
               "support": [list(s) for s in dist.support],
               "lambda": [{"num": w.numerator, "den": w.denominator}

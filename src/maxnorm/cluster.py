@@ -70,7 +70,8 @@ from .guess import (GuessLPs, first_true, scan_sequence_row, scan_top_rows,
                     weakest_thresholds)
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
-from .lp import EQ, GE, LE, OPTIMAL, add_norm_rows, lp_model, solve_lp
+from .lp import (EQ, GE, LE, OPTIMAL, NormCosts, add_norm_rows, lp_model, row_block,
+                 solve_lp)
 from .norms import TOP, eval_norm, max_ordered_norm, top_norm
 from .sparsify import (enumerate_threshold_sequences, geometric_grid,
                        single_threshold_candidates, snap_to_grid, sparsify_weights,
@@ -105,6 +106,10 @@ class CenterCore:
     def distances(self):
         return sorted(set(float(v) for v in self.cf.ravel()))
 
+    @functools.cached_property
+    def lp_parts(self):
+        return _CenterParts(self)
+
 
 def core_of(inst):
     return CenterCore(cf=np.array(inst.cf), l=np.array(inst.l), r=np.array(inst.r),
@@ -117,46 +122,71 @@ def core_of(inst):
 CARDINALITY, PARTITION, KNAPSACK = "cardinality", "partition", "knapsack"
 
 
+class _CenterParts:
+    """What no guess changes in one core's relaxations (_center_lp): the
+    norm costs, the column bounds outside x, the client rows, the y column
+    of each pair's x <= y row, the coverage row, and the budget rows of the
+    budget last asked for."""
+
+    def __init__(self, core):
+        nc, nf = core.n_clients, core.n_facilities
+        nx = nf * nc
+        u0, y0 = nx, nx + nc
+        self.norm = NormCosts(core.cf, np.arange(nx).reshape(nf, nc).T)
+        self.lower, self.upper = np.zeros(nx + nc + nf), np.ones(nx + nc + nf)
+        self.lower[u0:y0], self.upper[u0:y0] = core.l, core.r
+        # per client sum_i x(i,j) - u_j == 0, facility-major as the x columns
+        self.clients = row_block(np.concatenate([np.arange(nx) % nc, np.arange(nc)]),
+                                 np.arange(nx + nc), np.repeat([1.0, -1.0], [nx, nc]), EQ,
+                                 np.zeros(nc))
+        self.pair_y = y0 + np.arange(nx) // nc
+        self.coverage = row_block(np.zeros(nc), u0 + np.arange(nc), np.ones(nc), GE,
+                                  [float(core.m)])
+        self._budget = None  # (budget, its row block)
+
+    def budget(self, core, budget):
+        """The budget rows: one per part with local members for a partition
+        (the last part is uncapped), else one over every facility.  Kept for
+        the budget object last asked for, which a driver passes at every
+        guess."""
+        kept = self._budget
+        if kept is None or kept[0] is not budget:
+            part, weight, caps, _ = _budget_rows(core, budget)
+            if budget[0] == PARTITION:
+                listed = np.flatnonzero(part < len(caps) - 1)
+                used = np.bincount(part[listed], minlength=len(caps) - 1) > 0
+                rows, caps = (np.cumsum(used) - 1)[part[listed]], caps[:-1][used]
+            else:
+                listed, rows = np.arange(core.n_facilities), np.zeros(core.n_facilities)
+            y = len(self.lower) - core.n_facilities + listed
+            kept = self._budget = (budget, row_block(rows, y, weight[listed],
+                                                     EQ if budget[0] == CARDINALITY else LE,
+                                                     caps))
+        return kept[1]
+
+
 def _center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
     """Relaxation with sum_i x(i,j) = u_j in [l_j, r_j], x(i,j) <= y_i over
     the pairs within the radius (the others are forbidden), sum_j u_j >= m
     with coverage, the norm rows of normspec (lp.add_norm_rows, clients
     over facilities) and the facility budget rows.  Columns: x(i,j) at
     i * nc + j, then u, then y, then s.  With fixed_bound None the bound
-    surrogate s is minimized; returns (model, index of s or None)."""
-    nc, nf = core.n_clients, core.n_facilities
-    nx, clients = nf * nc, np.arange(nc)
-    u0, y0 = nx, nx + nc
+    surrogate s is minimized; returns (model, index of s or None).  What no
+    guess changes is built once per core (_CenterParts)."""
+    parts = core.lp_parts
     allowed = ~(core.cf.T > radius)  # facility-major, as the x columns
-    lower, upper = np.zeros(nx + nc + nf), np.ones(nx + nc + nf)
-    upper[:nx] = allowed.ravel()
-    lower[u0:y0], upper[u0:y0] = core.l, core.r
-    model = lp_model(nx + nc + nf, lower=lower, upper=upper)
-    # one block: per client sum_i x(i,j) - u_j == 0, per allowed pair
-    # x(i,j) - y_i <= 0 (facility-major), then sum_j u_j >= m with coverage
-    pairs = np.flatnonzero(allowed)
-    at = nc + np.arange(len(pairs))
-    rows = [np.arange(nx) % nc, clients, at, at]
-    cols = [np.arange(nx + nc), pairs, y0 + pairs // nc]
-    vals = [np.repeat([1.0, -1.0, 1.0, -1.0], [nx, nc, len(pairs), len(pairs)])]
-    senses, rhs = [EQ] * nc + [LE] * len(pairs), [0.0] * (nc + len(pairs))
+    upper = parts.upper.copy()
+    upper[:allowed.size] = allowed.ravel()
+    model = lp_model(len(upper), lower=parts.lower, upper=upper)
+    model.add_block(parts.clients)
+    pairs = np.flatnonzero(allowed)  # per allowed pair x(i,j) - y_i <= 0
+    at = np.arange(len(pairs))
+    model.add_rows(np.concatenate([at, at]), np.concatenate([pairs, parts.pair_y[pairs]]),
+                   np.repeat([1.0, -1.0], len(pairs)), LE, np.zeros(len(pairs)))
     if coverage:
-        rows.append(np.full(nc, len(rhs)))
-        cols.append(u0 + clients)
-        vals.append(np.ones(nc))
-        senses.append(GE)
-        rhs.append(float(core.m))
-    model.add_rows(np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), senses, rhs)
-    sidx = add_norm_rows(model, np.arange(nx).reshape(nf, nc).T, core.cf, normspec, fixed_bound)
-
-    part, weight, caps, _ = _budget_rows(core, budget)
-    if budget[0] == PARTITION:  # a row per part with local members; the last part is uncapped
-        listed = np.flatnonzero(part < len(caps) - 1)
-        used = np.bincount(part[listed], minlength=len(caps) - 1) > 0
-        rows, caps = (np.cumsum(used) - 1)[part[listed]], caps[:-1][used]
-    else:
-        listed, rows = np.arange(nf), np.zeros(nf)
-    model.add_rows(rows, y0 + listed, weight[listed], EQ if budget[0] == CARDINALITY else LE, caps)
+        model.add_block(parts.coverage)
+    sidx = add_norm_rows(model, parts.norm, normspec, fixed_bound)
+    model.add_block(parts.budget(core, budget))
     return model, sidx
 
 

@@ -47,16 +47,18 @@ each accepts exactly what scanning everything in order accepts:
 
 import copy
 import functools
+import itertools
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .cluster import (build_bundles, center_u_index, core_of, split_and_normalize,
                       _center_lp, _lp_parts, CARDINALITY)
 from .bundlelp import solve_two_laminar_integral
-from .errors import InfeasibleError, InvalidInputError, SolverInternalError
+from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
 from .guess import GuessLPs, first_true
 from .instances import FairLoadInstance, eval_load_objective
 from .lp import (EQ, GE, LE, OPTIMAL, cutting_plane, exact_feasible_point, simplex_solve,
@@ -113,23 +115,36 @@ class SolutionDistribution:
             raise SolverInternalError("negative distribution weight")
 
 
+_SAMPLE_MAX_N = 10 ** 7  # draws per call, a few seconds of counting
+
+
+def _draw_indices(dist, seed, n):
+    """The support indices of n >= 1 draws by the exact weights, as an
+    iterator; reproducible by seed.  A draw r in [0, 1) falls at the first
+    index whose cumulative float weight exceeds it, and at the last one if
+    rounding leaves the total at or below r."""
+    if n < 1:
+        raise InvalidInputError("the number of draws must be >= 1")
+    if n > _SAMPLE_MAX_N:
+        raise ResourceCapError(f"{n} draws are over the cap of {_SAMPLE_MAX_N}")
+    rng = random.Random(seed)
+    cum = list(itertools.accumulate(float(w) for w in dist.weights))
+    cum[-1] = math.inf
+    draws = itertools.islice(iter(rng.random, -1.0), n)  # random() is never -1.0
+    return map(bisect_right, itertools.repeat(cum), draws)
+
+
 def sample(dist, seed, n=1):
     """Draw n >= 1 support elements by their exact weights; reproducible by
     seed."""
-    if n < 1:
-        raise InvalidInputError("the number of draws must be >= 1")
-    rng = random.Random(seed)
-    cum = []
-    acc = 0.0
-    for w in dist.weights:
-        acc += float(w)
-        cum.append(acc)
-    out = []
-    for _ in range(n):
-        r = rng.random()
-        idx = next((t for t, c in enumerate(cum) if r < c), len(cum) - 1)
-        out.append(dist.support[idx])
-    return out
+    return [dist.support[i] for i in _draw_indices(dist, seed, n)]
+
+
+def sample_counts(dist, seed, n):
+    """How often each support element is drawn by sample(dist, seed, n),
+    counted without keeping the draws."""
+    counts = Counter(_draw_indices(dist, seed, n))
+    return [counts[i] for i in range(len(dist.support))]
 
 
 def load_marginals(dist, machines):
@@ -179,6 +194,20 @@ def _guess_pairs(values, bound, ell, q):
             seen.add(key)
             pairs.append((radius, t))
     return pairs
+
+
+_HIGHS_HUGE = 1e15  # HiGHS reads a coefficient this large as infinite and rejects the model
+
+
+def _float_row(row, sense, rhs):
+    """A weighted row of exact coefficients as floats for the LP.  From a
+    largest coefficient of _HIGHS_HUGE on, the row and its right-hand side
+    are divided by it first, in exact arithmetic: the row keeps its
+    feasible set, and HiGHS reads no coefficient as infinite."""
+    top = max(row.values(), default=0)
+    if top < _HIGHS_HUGE:
+        return {k: float(a) for k, a in row.items()}, sense, float(rhs)
+    return {k: float(a / top) for k, a in row.items()}, sense, float(rhs / top)
 
 
 class _Separation:
@@ -309,9 +338,8 @@ class _LoadSeparation(_Separation):
 
     def _weighted_row(self, point, eta):
         n = self.inst.jobs
-        row = {i * n + j: float(a) for i, a in enumerate(point.alpha) if a != 0
-               for j in range(n)}
-        return row, LE, float(point.mu - eta)
+        row = {i * n + j: a for i, a in enumerate(point.alpha) if a != 0 for j in range(n)}
+        return _float_row(row, LE, point.mu - eta)
 
     def _round(self, point, eta, radius, sol):
         m, n = self.inst.machines, self.inst.jobs
@@ -343,21 +371,20 @@ class _CenterSeparation(_Separation):
 
     def __init__(self, finst, bound, ell, q):
         self.base = finst.base
-        self.core = core_of(self.base)
+        self.core, self.budget = core_of(self.base), (CARDINALITY, self.base.k)
         super().__init__(finst, bound, ell, q, self.base.finite_distances())
         self.cert_bound = 3.0 * 4.0 ** (1.0 / q) * self.bound
         self.norm = top_norm(ell, q)
 
     def base_lp(self, radius, t):
-        return _center_lp(self.core, (CARDINALITY, self.base.k), ("top", self.ell, self.q, t),
-                          radius, fixed_bound=self.bound, coverage=False)
+        return _center_lp(self.core, self.budget, ("top", self.ell, self.q, t), radius,
+                          fixed_bound=self.bound, coverage=False)
 
     def _weighted_row(self, point, eta):
-        row = {center_u_index(self.core, j): float(a)
-               for j, a in enumerate(point.alpha) if a != 0}
+        row = {center_u_index(self.core, j): a for j, a in enumerate(point.alpha) if a != 0}
         if not row and point.mu + eta > 0:
             return None  # zero alpha cannot reach a positive threshold
-        return row, GE, float(point.mu + eta)
+        return _float_row(row, GE, point.mu + eta)
 
     def _round(self, point, eta, radius, sol):
         nc = self.base.n_clients

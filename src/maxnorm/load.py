@@ -56,7 +56,7 @@ from scipy.sparse.csgraph import maximum_flow
 from .errors import InvalidInputError, SolverInternalError
 from .guess import GuessLPs, scan_sequence_row, scan_top_rows
 from .instances import Assignment, eval_load_objective
-from .lp import EQ, add_norm_rows, lp_model, scaled_integers, solve_lp
+from .lp import EQ, NormCosts, add_norm_rows, lp_model, scaled_integers, solve_lp
 from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
 from .norms import max_ordered_norm, top_norm
 from .sparsify import (geometric_grid, enumerate_threshold_sequences, single_threshold_candidates,
@@ -92,8 +92,8 @@ def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bou
 
 def _load_norm_lp(inst, radius, normspec, fixed_bound):
     model = build_basic_load_lp(inst, radius)
-    cols = np.arange(inst.machines * inst.jobs).reshape(inst.machines, inst.jobs)
-    return model, add_norm_rows(model, cols, inst.p, normspec, fixed_bound)
+    costs = NormCosts(inst.p, np.arange(inst.p.size).reshape(inst.p.shape))
+    return model, add_norm_rows(model, costs, normspec, fixed_bound)
 
 
 def _count_feasible(inst, radius, thresholds, caps):

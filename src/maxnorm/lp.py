@@ -4,27 +4,34 @@ Two solvers live here:
 
   * solve_lp: floating-point solves through HiGHS dual simplex, used for
     the assignment/clustering relaxations.  A model is COO triplets (row,
-    column, value) plus one sense and one right-hand side per row, added
-    as whole numpy blocks (add_rows; add_row adds a one-row block from a
-    dict, as the fair weighted row does).  add_norm_rows turns a norm
-    guess into its count and mass rows, for makespan (machines over jobs)
-    and k-center (clients over facilities) alike.  Fixed columns
-    (finite lower == upper, such as the pairs a radius guess forbids)
-    never reach the solver: solve_lp substitutes them out, shifting each
-    row bound by their activity, and lays the free columns out as scipy's
-    linprog would (<= rows and
-    negated >= rows in model order, then == rows; one CSC matrix with
-    duplicates summed and explicit zeros dropped).  It calls scipy's
-    vendored HiGHS bindings directly with the options
+    column, value) plus one sense code and one right-hand side per row,
+    added as whole numpy blocks (row_block checks a block once, add_block
+    appends it, add_rows does both; add_row adds a one-row block from a
+    dict, as the fair weighted row does).  An LP builder may keep the
+    blocks no guess changes and hand the same arrays to every model it
+    builds.  add_norm_rows turns a norm guess into its count and mass rows,
+    for makespan (machines over jobs) and k-center (clients over
+    facilities) alike, from a NormCosts that holds what no guess changes:
+    the costs masked for counting and the masses per power.  Fixed
+    columns (finite lower == upper, such as the pairs a radius guess
+    forbids) never reach the solver: solve_lp substitutes them out,
+    shifting each row bound by their activity, and lays the free columns
+    out as scipy's linprog would (<= rows and negated >= rows in model
+    order, then == rows; one CSC matrix with duplicates summed and explicit
+    zeros dropped).  It
+    calls scipy's vendored HiGHS bindings directly with the options
     linprog(method="highs-ds") passes, without linprog's per-call
-    overhead.  Where the bindings do not import (they are a private API),
-    linprog itself is called on the same sparse matrix; the choice is made
-    once at import.  A model whose columns are all fixed keeps its first
-    column, so HiGHS still decides it.  Solutions come back over every
-    column, fixed ones at their value; optimal ones are verified against
-    every row of the full model within a residual tolerance TAU_LP (one
-    sparse mat-vec) and come back with at-bound flags (vertex
-    certificate).
+    overhead.  Each thread makes one HiGHS instance on its first solve and
+    passes the options once; every solve clears the previous model (and
+    its basis, so no solve starts warm) before passing its own, except
+    that a large model gets an instance of its own (_KEPT_MAX_NONZEROS).
+    Where the bindings do not import (they are a private API), linprog
+    itself is called on the same sparse matrix; the choice is made once at
+    import.  A model whose columns are all fixed keeps its first column, so
+    HiGHS still decides it.  Solutions come back over every column, fixed
+    ones at their value; optimal ones are verified against every row of
+    the full model within a residual tolerance TAU_LP (one sparse mat-vec)
+    and come back with at-bound flags (vertex certificate).
   * simplex_solve: a small dense two-phase simplex over Fractions with
     Bland's rule, used wherever exactness matters (dual candidate points,
     distribution LPs).  Problem sizes there are tiny.
@@ -38,6 +45,7 @@ from a finite set and a returned cut is always new.
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,7 +65,8 @@ _DUMP_DIR = os.environ.get("MAXNORM_DUMP_LP")
 _DUMP_COUNTER = itertools.count()
 
 LE, GE, EQ = "<=", ">=", "=="
-_SENSE_CODE = {LE: 0, GE: 1, EQ: 2}
+_SENSES = (LE, GE, EQ)  # a row's sense code is its index here
+_SENSE_CODE = {sense: code for code, sense in enumerate(_SENSES)}
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -66,15 +75,18 @@ UNBOUNDED = "unbounded"
 
 class LpModel:
     """min objective . x subject to bounds and rows; rows are stored as COO
-    triplets with global row indices, one sense and one rhs per row."""
+    triplets with global row indices, one sense code and one rhs per row.
+    The model keeps the arrays of each block it is given, so a block that
+    LP builders share between models is never copied; nothing writes to
+    them."""
 
     def __init__(self, num_vars, lower, upper, objective):
         self.num_vars = num_vars
         self.lower, self.upper, self.objective = lower, upper, objective
         self.num_rows = 0
-        self._blocks = []  # (rows, cols, vals) numpy triplets, one per add_rows call
-        self._sense, self._rhs = [], []
-        self._coo = None  # cached concatenation of all triplets
+        self._blocks = []  # (rows, cols, vals, sense codes, rhs) arrays, one per block
+        self._unknown = []  # senses without a code, reported when the model is solved
+        self._joined = None  # cached concatenation of the blocks
 
     def add_var(self, lower, upper, cost):
         """Append one column; returns its index."""
@@ -86,50 +98,55 @@ class LpModel:
 
     def add_row(self, coeffs, sense, rhs):
         """Append one row, coeffs a dict from column to coefficient."""
-        self.add_rows([0] * len(coeffs), list(coeffs), list(coeffs.values()), sense, [rhs])
+        self.add_rows(np.zeros(len(coeffs), np.int64), list(coeffs), list(coeffs.values()),
+                      sense, [rhs])
 
     def __copy__(self):
         """A model with the same columns and rows; rows added to either one
         leave the other as it is."""
         out = LpModel.__new__(LpModel)
         out.__dict__.update(self.__dict__)
-        for name in ("_blocks", "_sense", "_rhs"):
-            setattr(out, name, list(getattr(self, name)))
+        out._blocks, out._unknown = list(self._blocks), list(self._unknown)
         return out
 
     def add_rows(self, rows, cols, vals, sense, rhs):
         """Append len(rhs) rows at once; rows are indices into this block
         (0 for its first row), sense is one sense or one per row."""
-        rhs = np.asarray(rhs, float).ravel()
-        senses = [sense] * len(rhs) if isinstance(sense, str) else list(sense)
-        if len(senses) != len(rhs):
-            raise LpSolverError("add_rows needs one sense per row")
-        rows = np.asarray(rows, np.int64).ravel()
-        if rows.size and (rows.min() < 0 or rows.max() >= len(rhs)):
-            raise LpSolverError("add_rows row index outside the block")
-        self._blocks.append((rows + self.num_rows, np.asarray(cols, np.int64).ravel(),
-                             np.asarray(vals, float).ravel()))
-        self._sense.extend(senses)
-        self._rhs.extend(rhs.tolist())
+        self.add_block(row_block(rows, cols, vals, sense, rhs))
+
+    def add_block(self, block):
+        """Append the rows of a row_block."""
+        rows, cols, vals, codes, rhs, unknown = block
+        self._blocks.append((rows + self.num_rows if self.num_rows else rows,
+                             cols, vals, codes, rhs))
+        self._unknown.extend(unknown)
         self.num_rows += len(rhs)
-        self._coo = None
+        self._joined = None
+
+    def _parts(self):
+        """(rows, cols, vals, sense codes, rhs) over all blocks, in insertion order."""
+        if self._joined is None:
+            if len(self._blocks) == 1:
+                self._joined = self._blocks[0]
+            else:
+                parts = self._blocks or [(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                                          np.zeros(0), np.zeros(0, np.int8), np.zeros(0))]
+                self._joined = tuple(np.concatenate(p) for p in zip(*parts))
+        return self._joined
 
     def coo(self):
         """All triplets as (rows, cols, vals) arrays, in insertion order."""
-        if self._coo is None:
-            parts = self._blocks or [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0))]
-            self._coo = tuple(np.concatenate(p) for p in zip(*parts))
-        return self._coo
+        return self._parts()[:3]
 
     def sense_codes(self):
-        try:
-            return np.array([_SENSE_CODE[s] for s in self._sense], dtype=np.int8)
-        except KeyError as exc:
-            raise LpSolverError(f"unknown sense {exc.args[0]!r}") from None
+        """One code per row: its sense's index in (LE, GE, EQ)."""
+        if self._unknown:
+            raise LpSolverError(f"unknown sense {self._unknown[0]!r}")
+        return self._parts()[3]
 
     @property
     def rhs(self):
-        return np.array(self._rhs, dtype=float)
+        return self._parts()[4]
 
     @property
     def rows(self):
@@ -139,13 +156,36 @@ class LpModel:
         ends = np.searchsorted(r[order], np.arange(1, self.num_rows + 1))
         cols, vals = c[order].tolist(), v[order].tolist()
         out, lo = [], 0
-        for hi, sense, rhs in zip(ends.tolist(), self._sense, self._rhs):
+        for hi, code, rhs in zip(ends.tolist(), self.sense_codes().tolist(), self.rhs.tolist()):
             coeffs = {}
             for idx, val in zip(cols[lo:hi], vals[lo:hi]):
                 coeffs[idx] = coeffs.get(idx, 0.0) + val
-            out.append((coeffs, sense, rhs))
+            out.append((coeffs, _SENSES[code], rhs))
             lo = hi
         return tuple(out)
+
+
+def row_block(rows, cols, vals, sense, rhs):
+    """len(rhs) rows as LpModel.add_block takes them: rows are indices into
+    the block (0 for its first row), sense is one sense or one per row.  A
+    block is checked once, however many models it goes into; a sense
+    without a code is reported when a model holding it is solved."""
+    rhs = np.asarray(rhs, float).ravel()
+    if isinstance(sense, str):
+        senses = [sense] if len(rhs) else []
+        codes = np.empty(len(rhs), np.int8)
+        codes.fill(_SENSE_CODE.get(sense, -1))
+    else:
+        senses = list(sense)
+        if len(senses) != len(rhs):
+            raise LpSolverError("add_rows needs one sense per row")
+        codes = np.array([_SENSE_CODE.get(s, -1) for s in senses], np.int8)
+    unknown = tuple(s for s in senses if s not in _SENSE_CODE)[:1]
+    rows = np.asarray(rows, np.int64).ravel()
+    if rows.size and (np.minimum.reduce(rows) < 0 or np.maximum.reduce(rows) >= len(rhs)):
+        raise LpSolverError("add_rows row index outside the block")
+    return (rows, np.asarray(cols, np.int64).ravel(), np.asarray(vals, float).ravel(),
+            codes, rhs, unknown)
 
 
 def lp_model(num_vars, lower=0.0, upper=np.inf, objective=None):
@@ -155,27 +195,52 @@ def lp_model(num_vars, lower=0.0, upper=np.inf, objective=None):
     return LpModel(num_vars, lower, upper, obj)
 
 
-def add_norm_rows(model, cols, cost, normspec, fixed_bound):
+class NormCosts:
+    """A cost matrix as add_norm_rows reads it, with what no norm guess
+    changes: an owner is a row of cost (a machine over its jobs, a client
+    over its facilities), and cols[o, i] is the model column of owner o's
+    item i.  The costs are kept with the non-finite ones at -inf, so the
+    items counted at a threshold are one comparison, and the masses of
+    each power are computed once."""
+
+    def __init__(self, cost, cols):
+        self.cols = cols
+        self.finite = np.isfinite(cost)
+        self.counted_cost = np.where(self.finite, cost, -np.inf)
+        self._mass = {}  # power -> masses
+
+    def mass(self, power):
+        """Each finite cost, or cost^q by Python's float power (NumPy's
+        vectorized power may round differently); 0 where the cost is not
+        finite."""
+        mass = self._mass.get(power)
+        if mass is None:
+            mass = np.where(self.finite, self.counted_cost, 0.0)
+            if power != 1:  # v ** 1.0 is v
+                mass[self.finite] = [v ** power for v in mass[self.finite].tolist()]
+            self._mass[power] = mass
+        return mass
+
+
+def add_norm_rows(model, costs, normspec, fixed_bound):
     """Count and mass rows capping each owner's norm at one guess, added in
     one block; returns the column of the bound surrogate s, or None.
 
-    An owner is a row of cost (a machine over its jobs, a client over its
-    facilities); cols[o, i] is the model column of owner o's item i.  The
-    guess normspec is ("top", ell, q, T) or ("ordered", sparse weights,
-    kept coordinates, threshold sequence): per threshold (T, or T_ell at
-    each kept ell) a count cap of ell, per weight vector a delta per
-    threshold (1, or the telescoped w_ell - w_next(ell)), and the power q
-    (1 for ordered norms).  An item counts at a threshold when its cost is
-    finite and strictly above it (strictly, so the rows stay feasible at
-    the exact optimal guess when costs tie with it).  Its mass is its cost,
-    or cost^q by Python's float power (NumPy's vectorized power may round
-    differently).  Per owner the rows come in this order: for each
-    threshold counting an item, a count row (coefficients 1); then for each
-    weight vector with a term, a mass row whose coefficient on an item
-    accumulates delta * mass over the thresholds in order with a nonzero
-    delta counting it (terms may cancel to zero).  With fixed_bound None
-    the mass rows are bounded by a new column s (coefficient -1,
-    right-hand side 0, cost 1); otherwise by B^q."""
+    costs is the NormCosts of the owners' items.  The guess normspec is
+    ("top", ell, q, T) or ("ordered", sparse weights, kept coordinates,
+    threshold sequence): per threshold (T, or T_ell at each kept ell) a
+    count cap of ell, per weight vector a delta per threshold (1, or the
+    telescoped w_ell - w_next(ell)), and the power q (1 for ordered norms).
+    An item counts at a threshold when its cost is finite and strictly
+    above it (strictly, so the rows stay feasible at the exact optimal
+    guess when costs tie with it).  Its mass is NormCosts.mass.  Per owner
+    the rows come in this order: for each threshold counting an item, a
+    count row (coefficients 1); then for each weight vector with a term, a
+    mass row whose coefficient on an item accumulates delta * mass over the
+    thresholds in order with a nonzero delta counting it (terms may cancel
+    to zero).  With fixed_bound None the mass rows are bounded by a new
+    column s (coefficient -1, right-hand side 0, cost 1); otherwise by
+    B^q."""
     if normspec[0] == "top":
         _, ell, power, threshold = normspec
         thresholds, caps, deltas = [threshold], [ell], [[1.0]]
@@ -185,39 +250,40 @@ def add_norm_rows(model, cols, cost, normspec, fixed_bound):
         thresholds, caps = [tvals[ell] for ell in pos.indices], pos.indices
         deltas, power = telescoped_deltas(sparse, pos), 1.0
     sidx = model.add_var(0.0, np.inf, 1.0) if fixed_bound is None else None
-    finite = np.isfinite(cost)
-    counted = finite & (cost > np.asarray(thresholds, float)[:, None, None])  # (k, owner, item)
-    mass = np.where(finite, cost, 0.0)
-    if power != 1:  # v ** 1.0 is v
-        some = counted.any(axis=0)
-        mass[some] = [v ** power for v in cost[some].tolist()]
     deltas = np.asarray(deltas, float).reshape(-1, len(thresholds))
-    terms = np.zeros((len(deltas),) + cost.shape, bool)
-    coeff = np.zeros((len(deltas),) + cost.shape)
-    for w, delta in enumerate(deltas):
+    num_counts, shape = len(caps), costs.counted_cost.shape
+    # entry[slot, o, i]: whether item i of owner o is in the owner's row at
+    # slot, one slot per threshold (count rows), then one per weight vector
+    # (mass rows); value holds its coefficient
+    entry = np.empty((num_counts + len(deltas),) + shape, bool)
+    counted = entry[:num_counts]
+    np.greater(costs.counted_cost, np.asarray(thresholds, float)[:, None, None], out=counted)
+    value = np.zeros(entry.shape)
+    value[:num_counts] = 1.0
+    mass = costs.mass(power)
+    for w, delta in enumerate(deltas.tolist(), num_counts):
+        entry[w] = False
         for k, d in enumerate(delta):
             if d != 0.0:
-                terms[w] |= counted[k]
-                coeff[w] = np.where(counted[k], coeff[w] + d * mass, coeff[w])
-    # present[o, slot]: the count rows (one slot per threshold), then the mass rows
-    present = np.concatenate([counted.any(axis=2).T, terms.any(axis=2).T], axis=1)
-    row_of = (np.cumsum(present.ravel()) - 1).reshape(present.shape)
-    k, ci, cj = np.nonzero(counted)
-    w, mi, mj = np.nonzero(terms)
-    slot = np.nonzero(present)[1]
-    is_mass = slot >= len(caps)
-    rows = [row_of[ci, k], row_of[mi, len(caps) + w]]
-    columns = [cols[ci, cj], cols[mi, mj]]
-    vals = [np.ones(len(k)), coeff[w, mi, mj]]
+                entry[w] |= counted[k]
+                np.add(value[w], d * mass, out=value[w], where=counted[k])
+    present = np.logical_or.reduce(entry, axis=2).T  # (owner, slot)
+    row_owner, row_slot = present.nonzero()  # the rows, owner by owner
+    row_of = np.empty(present.shape, np.int64)
+    row_of[row_owner, row_slot] = np.arange(len(row_slot))
+    slot, owner, item = entry.nonzero()
+    rows, columns, vals = row_of[owner, slot], costs.cols[owner, item], value[entry]
+    bounds = np.empty(len(entry))
+    bounds[:num_counts] = caps
     if sidx is None:
-        mass_cap = float(fixed_bound) ** power
+        bounds[num_counts:] = float(fixed_bound) ** power
     else:
-        rows.append(np.flatnonzero(is_mass))
-        columns.append(np.full(len(rows[-1]), sidx))
-        vals.append(np.full(len(rows[-1]), -1.0))
-        mass_cap = 0.0
-    rhs = np.where(is_mass, mass_cap, np.asarray(caps, float)[np.minimum(slot, len(caps) - 1)])
-    model.add_rows(np.concatenate(rows), np.concatenate(columns), np.concatenate(vals), LE, rhs)
+        bounds[num_counts:] = 0.0
+        mass_rows = (row_slot >= num_counts).nonzero()[0]
+        rows = np.concatenate((rows, mass_rows))
+        columns = np.concatenate((columns, np.full(len(mass_rows), sidx)))
+        vals = np.concatenate((vals, np.full(len(mass_rows), -1.0)))
+    model.add_rows(rows, columns, vals, LE, bounds[row_slot])
     return sidx
 
 
@@ -251,47 +317,62 @@ class _Layout:
 
 
 def _layout(model):
+    # np.count_nonzero tests a mask: .any() and .all() cost several times more on small arrays
     codes, rhs = model.sense_codes(), model.rhs
     r, c, v = model.coo()
-    if not (np.isfinite(v).all() and np.isfinite(rhs).all()):
+    if np.count_nonzero(np.isfinite(v)) < len(v) or np.count_nonzero(np.isfinite(rhs)) < len(rhs):
         raise LpSolverError("LP model has a non-finite coefficient or right-hand side")
-    is_free = (model.lower != model.upper) | ~np.isfinite(model.lower)
-    if model.num_vars and not is_free.any():  # HiGHS reports a model without columns as Empty
-        is_free[0] = True
-    free = np.flatnonzero(is_free)
     cost, lower, upper, offset = model.objective, model.lower, model.upper, 0.0
-    some_fixed = len(free) < model.num_vars
-    if some_fixed:
-        if np.count_nonzero(model.lower[~is_free]):
-            value = np.where(is_free, 0.0, model.lower)
-            rhs = rhs - np.bincount(r, weights=v * value[c], minlength=len(rhs))
-            offset = float(model.objective @ value)
-        keep = is_free[c]
-        r, c, v = r[keep], c[keep], v[keep]
-        cost, lower, upper = cost[free], lower[free], upper[free]
+    free = np.arange(model.num_vars)
+    fixed = lower == upper
+    if np.count_nonzero(fixed):
+        fixed &= np.isfinite(lower)
+        num_fixed = np.count_nonzero(fixed)
+        if num_fixed == model.num_vars:  # HiGHS reports a model without columns as Empty
+            fixed[0] = False
+            num_fixed -= 1
+        if num_fixed:
+            is_free = ~fixed
+            free = free[is_free]
+            value = np.where(fixed, lower, 0.0)
+            if np.count_nonzero(value):
+                rhs = rhs - np.bincount(r, weights=v * value[c], minlength=len(rhs))
+                offset = float(model.objective @ value)
+            keep = is_free[c]
+            r, c, v = r[keep], c[keep], v[keep]
+            cost, lower, upper = cost[free], lower[free], upper[free]
+    num_rows = len(codes)
+    ge = codes == _SENSE_CODE[GE]
+    if np.count_nonzero(ge):
+        sign = np.where(ge, -1.0, 1.0)
+        v, rhs = v * sign[r], rhs * sign
     eq = codes == _SENSE_CODE[EQ]
-    num_ub = int(len(codes) - eq.sum())
-    pos = np.empty(len(codes), np.int64)
-    pos[~eq] = np.arange(num_ub)
-    pos[eq] = np.arange(num_ub, len(codes))
-    sign = np.where(codes == _SENSE_CODE[GE], -1.0, 1.0)
-    rows, vals = pos[r], v * sign[r]
-    order = np.lexsort((rows, c))
-    rows, cols, vals = rows[order], c[order], vals[order]
-    if len(vals) > 1:
-        first = np.ones(len(vals), bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        if not first.all():
-            starts = np.flatnonzero(first)
-            rows, cols, vals = rows[starts], cols[starts], np.add.reduceat(vals, starts)
+    num_ub = num_rows - np.count_nonzero(eq)
+    row_upper, row_lower = rhs, np.empty(num_rows)
+    row_lower.fill(-np.inf)
+    if num_ub < num_rows:
+        order = eq.argsort(kind="stable")  # the rows in their new order
+        pos = np.empty(num_rows, np.int64)
+        pos[order] = np.arange(num_rows)
+        r, row_upper = pos[r], rhs[order]
+        row_lower[num_ub:] = row_upper[num_ub:]
+    # column-major order of the (row, column) pairs, ties in model order
+    width = max(num_rows, 1)
+    key = c * width + r
+    order = key.argsort(kind="stable")
+    key, vals = key[order], v[order]
+    repeat = key[1:] == key[:-1]
+    if np.count_nonzero(repeat):  # duplicates summed in model order
+        starts = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        key, vals = key[starts], np.add.reduceat(vals, starts)
     keep = vals != 0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    counts = np.bincount(cols, minlength=model.num_vars)
-    indptr = np.concatenate(([0], np.cumsum(counts[free] if some_fixed else counts)))
-    row_upper = np.empty(len(codes))
-    row_upper[pos] = rhs * sign
-    row_lower = np.where(np.arange(len(codes)) < num_ub, -np.inf, row_upper)
-    return _Layout(indptr.astype(np.int32), rows.astype(np.int32), vals,
+    if np.count_nonzero(keep) < len(keep):
+        key, vals = key[keep], vals[keep]
+    cols = key // width
+    # a free column's entries start where the first entry of a column at or
+    # after it does (the fixed columns have none left)
+    indptr = cols.searchsorted(np.concatenate((free, [model.num_vars])))
+    return _Layout(indptr.astype(np.int32), (key - cols * width).astype(np.int32), vals,
                    row_lower, row_upper, num_ub, free, cost, lower, upper, offset)
 
 
@@ -318,8 +399,8 @@ def solve_lp(model):
         if lay.offset:
             fun += lay.offset
     _check_residuals(model, x)
-    at_bound = (x <= model.lower + TAU_LP) | (x >= model.upper - TAU_LP)
-    return LpSolution(OPTIMAL, x, fun, ~at_bound, message=message)
+    basic = (x > model.lower + TAU_LP) & (x < model.upper - TAU_LP)
+    return LpSolution(OPTIMAL, x, fun, basic, message=message)
 
 
 def _solve_linprog(model, lay):
@@ -359,23 +440,40 @@ def _highs_options():
     return opts
 
 
-def _solve_highs(model, lay):
-    # the bindings copy Python lists into HiGHS vectors faster than numpy arrays
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(lay.free)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(lay.row_upper)
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = lay.indptr.tolist()
-    lp.a_matrix_.index_ = lay.indices.tolist()
-    lp.a_matrix_.value_ = lay.data.tolist()
-    lp.col_cost_ = lay.cost.tolist()
-    lp.col_lower_ = lay.lower.tolist()
-    lp.col_upper_ = lay.upper.tolist()
-    lp.row_lower_ = lay.row_lower.tolist()
-    lp.row_upper_ = lay.row_upper.tolist()
+def _new_highs():
     highs = _highs._Highs()
-    error = _highs.HighsStatus.kError
-    if highs.passOptions(_HIGHS_OPTIONS) == error or highs.passModel(lp) == error:
+    if highs.passOptions(_HIGHS_OPTIONS) == _highs.HighsStatus.kError:
+        raise LpSolverError("HiGHS rejected the solver options")
+    return highs
+
+
+def _thread_highs():
+    """This thread's kept HiGHS instance, made on first use."""
+    highs = getattr(_THREAD, "highs", None)
+    if highs is None:
+        highs = _THREAD.highs = _new_highs()
+    return highs
+
+
+# A model with this many nonzeros or more gets an instance of its own, freed
+# after the solve: clearModel frees no buffers, so a kept instance would hold
+# those of the largest model it ever took, and making an instance (about
+# 0.1 ms on a 2-core x86-64 machine) is small next to solving such a model
+_KEPT_MAX_NONZEROS = 1024
+
+
+def _solve_highs(model, lay):
+    if len(lay.data) < _KEPT_MAX_NONZEROS:
+        highs = _thread_highs()
+        highs.clearModel()  # drops the previous model and its basis: every solve starts cold
+    else:
+        highs = _new_highs()
+    # the array form of passModel; an all-continuous integrality keeps it an LP
+    num_col = len(lay.free)
+    if highs.passModel(num_col, len(lay.row_upper), len(lay.data), _COLWISE, _MINIMIZE, 0.0,
+                       lay.cost, lay.lower, lay.upper, lay.row_lower, lay.row_upper,
+                       lay.indptr, lay.indices, lay.data,
+                       np.zeros(num_col, np.int32)) == _highs.HighsStatus.kError:
         raise LpSolverError("HiGHS rejected the LP model")
     ran = highs.run()
     status = highs.getModelStatus()
@@ -384,16 +482,16 @@ def _solve_highs(model, lay):
         return INFEASIBLE, None, np.nan, message
     if status == _highs.HighsModelStatus.kUnbounded:
         return UNBOUNDED, None, np.nan, message
-    if status != _highs.HighsModelStatus.kOptimal or ran == error:
+    if status != _highs.HighsModelStatus.kOptimal or ran == _highs.HighsStatus.kError:
         raise LpSolverError(f"LP solve failed: {message}")
     sol = highs.getSolution()
     x, act = np.array(sol.col_value), np.array(sol.row_value)
-    fun = highs.getInfo().objective_function_value
-    # the check linprog makes before it reports an optimum
+    fun = highs.getObjectiveValue()
+    # the check linprog makes before it reports an optimum (NaN fails each comparison)
     tol = _LINPROG_TOL
-    if (np.isnan(x).any() or np.isnan(fun) or np.isnan(act).any()
-            or (x < lay.lower - tol).any() or (x > lay.upper + tol).any()
-            or (act > lay.row_upper + tol).any() or (act < lay.row_lower - tol).any()):
+    inside = np.count_nonzero((x >= lay.lower - tol) & (x <= lay.upper + tol)) + \
+        np.count_nonzero((act >= lay.row_lower - tol) & (act <= lay.row_upper + tol))
+    if fun != fun or inside < len(x) + len(act):
         raise LpSolverError("LP solve failed: the solution does not satisfy the "
                             f"constraints within {tol:.2E}")
     return OPTIMAL, x, float(fun), message
@@ -402,6 +500,8 @@ def _solve_highs(model, lay):
 try:  # scipy's vendored HiGHS bindings are a private API; linprog is the fallback
     import scipy.optimize._highspy._core as _highs
     _HIGHS_OPTIONS = _highs_options()
+    _THREAD = threading.local()  # .highs: the thread's instance, made on first use
+    _COLWISE, _MINIMIZE = int(_highs.MatrixFormat.kColwise), int(_highs.ObjSense.kMinimize)
     _solve = _solve_highs
 except (ImportError, AttributeError):
     _highs = None
@@ -409,16 +509,16 @@ except (ImportError, AttributeError):
 
 
 def _check_residuals(model, x):
-    scale = 1.0 + float(np.abs(x).max(initial=0.0))
+    scale = 1.0 + float(np.maximum.reduce(np.abs(x), initial=0.0))
     r, c, v = model.coo()
     act = np.bincount(r, weights=v * x[c], minlength=model.num_rows)
     codes, rhs = model.sense_codes(), model.rhs
     tol = TAU_LP * scale
     bad = np.where(codes == _SENSE_CODE[LE], act > rhs + tol,
                    np.where(codes == _SENSE_CODE[GE], act < rhs - tol, np.abs(act - rhs) > tol))
-    if bad.any():
+    if np.count_nonzero(bad):
         k = int(np.flatnonzero(bad)[0])
-        raise LpSolverError(f"optimal point violates a row: {act[k]} {model._sense[k]} {rhs[k]}")
+        raise LpSolverError(f"optimal point violates a row: {act[k]} {_SENSES[codes[k]]} {rhs[k]}")
 
 
 def dump_lp(model):

@@ -274,6 +274,26 @@ def test_sample_rejects_fewer_than_one_draw(tmp_path, capsys):
         assert json.loads(err)["error"] == "invalid-input"
 
 
+def test_sample_past_its_cap_exits_resource_cap(tmp_path):
+    """Without a cap --n 10^8 did not finish; run in a child process with
+    capped memory and time."""
+    inst_path, dist_path = tmp_path / "fair.json", tmp_path / "dist.json"
+    main(["gen", "fair-load", "--machines", "3", "--jobs", "4", "--seed", "2",
+          "--out", str(inst_path)])
+    main(["fair-solve", str(inst_path), "--norm", "topl:1:1", "--out", str(dist_path)])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    for n in ("10000001", "100000000"):
+        child = ("import resource, sys\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+                 "from maxnorm.cli import main\n"
+                 f"sys.exit(main(['sample', {str(dist_path)!r}, '--n', {n!r}, '--seed', '1']))\n")
+        proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 4, proc.stderr
+        assert json.loads(proc.stderr)["error"] == "resource-cap" and proc.stdout == ""
+
+
 def test_gen_tightness_past_its_cap_exits_resource_cap(tmp_path):
     """The family has 2^t weights; past 2^20 of them gen stops with a
     resource cap.  Run in a child process with capped memory and time, since

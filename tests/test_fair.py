@@ -1,13 +1,14 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from maxnorm.errors import InfeasibleError
-from maxnorm.fair import (DualPoint, _CenterSeparation, _LoadSeparation,
-                          center_marginals, compute_eta, ct_count,
-                          load_marginals, round_and_cut, sample, solve_fair)
+from maxnorm.errors import InfeasibleError, InvalidInputError, ResourceCapError
+from maxnorm.fair import (DualPoint, SolutionDistribution, _CenterSeparation, _LoadSeparation,
+                          _SAMPLE_MAX_N, center_marginals, compute_eta, ct_count,
+                          load_marginals, round_and_cut, sample, sample_counts, solve_fair)
 from maxnorm.generators import gen_fair_cluster, gen_fair_load
 from maxnorm.instances import (Assignment, FairLoadInstance, LoadInstance,
                                eval_load_objective)
@@ -342,3 +343,77 @@ def test_sample_reproducible_and_singleton():
     single = round_and_cut(FairLoadInstance(base=LoadInstance(p=[[1.0]]), e=(2,)),
                            bound=1.0, ell=1, q=1.0)[1]
     assert sample(single, seed=3, n=5) == [single.support[0]] * 5
+
+
+def _scanned_draws(dist, seed, n):
+    """Draws by a linear scan of the cumulative weights."""
+    rng = random.Random(seed)
+    cum, acc = [], 0.0
+    for w in dist.weights:
+        acc += float(w)
+        cum.append(acc)
+    out = []
+    for _ in range(n):
+        r = rng.random()
+        out.append(dist.support[next((t for t, c in enumerate(cum) if r < c), len(cum) - 1)])
+    return out
+
+
+def test_sample_draws_match_a_linear_scan():
+    weights = [(Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)),
+               (Fraction(1, 7), Fraction(2, 7), Fraction(4, 7)),
+               (Fraction(1, 10),) * 10]
+    for ws in weights:
+        dist = SolutionDistribution(kind="load", support=tuple((i,) for i in range(len(ws))),
+                                    weights=ws, bound=1.0, cert_bound=4.0)
+        for seed in (0, 1, 7, 2024):
+            for n in (1, 5, 3000):
+                draws = sample(dist, seed, n)
+                assert draws == _scanned_draws(dist, seed, n)
+                assert sample_counts(dist, seed, n) == [draws.count(s) for s in dist.support]
+
+
+def test_sample_rejects_counts_outside_its_range():
+    dist = SolutionDistribution(kind="load", support=((0,),), weights=(Fraction(1),),
+                                bound=1.0, cert_bound=4.0)
+    for n in (0, -3):
+        with pytest.raises(InvalidInputError):
+            sample_counts(dist, 1, n)
+    with pytest.raises(ResourceCapError):
+        sample(dist, 1, _SAMPLE_MAX_N + 1)
+    with pytest.raises(ResourceCapError):
+        sample_counts(dist, 1, 10 ** 12)
+
+
+def test_weighted_rows_with_huge_alpha_are_scaled():
+    """HiGHS reads a coefficient of 1e15 or more as infinite: from there the
+    weighted row and its right-hand side are divided by the largest alpha."""
+    finst = gen_fair_load(1, machines=2, jobs=2)
+    load = _LoadSeparation(finst, 10.0, 1, 1.0)
+    small = DualPoint(alpha=(Fraction(3), Fraction(10 ** 14)), mu=Fraction(7))
+    row, _, rhs = load._weighted_row(small, Fraction(1, 2))
+    assert row == {0: 3.0, 1: 3.0, 2: 1e14, 3: 1e14} and rhs == 6.5
+    big = DualPoint(alpha=(Fraction(3), Fraction(2 * 10 ** 16)), mu=Fraction(4 * 10 ** 16))
+    row, _, rhs = load._weighted_row(big, Fraction(1, 2))
+    assert row == {0: 1.5e-16, 1: 1.5e-16, 2: 1.0, 3: 1.0}
+    assert rhs == float((Fraction(4 * 10 ** 16) - Fraction(1, 2)) / (2 * 10 ** 16))
+    center = _CenterSeparation(gen_fair_cluster(1, clients=2, facilities=3), 1.0, 1, 1.0)
+    big = DualPoint(alpha=(Fraction(10 ** 15), Fraction(0)), mu=Fraction(5))
+    row, _, rhs = center._weighted_row(big, Fraction(1))
+    assert list(row.values()) == [1.0] and rhs == 6e-15
+
+
+def test_fair_load_solves_with_float_caps_that_reach_huge_alpha():
+    """gen_fair_load(25, 3, 4) with caps round(0.7 e + 0.3, 1) read as binary
+    floats, at Top-(2,1): a dual point reaches alpha near 1.8e16, which HiGHS
+    rejected before the weighted row was scaled."""
+    base = gen_fair_load(25, machines=3, jobs=4)
+    caps = tuple(round(0.7 * float(e) + 0.3, 1) for e in base.e)
+    finst = FairLoadInstance(base=base.base, e=caps)
+    res = solve_fair(finst, top_norm(2, 1.0), eps=0.1)
+    dist = res.distribution
+    marginals = load_marginals(dist, finst.base.machines)
+    assert all(m <= e for m, e in zip(marginals, finst.e))
+    for sigma in dist.support:
+        assert eval_load_objective(finst.base, top_norm(2, 1.0), Assignment(sigma)) \
+            <= dist.cert_bound * (1 + 1e-9)

@@ -138,7 +138,7 @@ def test_fair_lp_count(monkeypatch):
 def _model_key(model):
     r, c, v = model.coo()
     return (model.lower.tobytes(), model.upper.tobytes(), model.objective.tobytes(),
-            r.tobytes(), c.tobytes(), v.tobytes(), model.rhs.tobytes(), tuple(model._sense))
+            r.tobytes(), c.tobytes(), v.tobytes(), model.rhs.tobytes(), model.sense_codes().tobytes())
 
 
 def test_walk_solves_no_model_the_bound_search_solved(monkeypatch):

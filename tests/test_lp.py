@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import itertools
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,70 @@ def test_direct_highs_and_linprog_fallback_agree(monkeypatch):
             assert direct.objective == via_linprog.objective
             assert np.array_equal(direct.basic, via_linprog.basic)
     assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+
+def _rejected_model():
+    """A model HiGHS rejects: it reads a coefficient of 1e16 as infinite."""
+    model = lp_model(2, upper=1.0, objective=[1.0, -1.0])
+    model.add_row({0: 1e16, 1: 1.0}, LE, 1.0)
+    return model
+
+
+def test_reused_highs_solves_as_a_fresh_instance(monkeypatch):
+    """Each thread keeps one HiGHS instance and clears it before every small
+    model; its results equal a fresh instance's bit for bit, also after a
+    model HiGHS rejected or a large model solved on an instance of its own,
+    and another thread gets its own instance."""
+    rng = np.random.default_rng(17)
+    models = list(_random_models(rng, 120)) + list(_builder_models(rng))
+    order = rng.permutation(len(models))
+    models = [models[k] for k in order]
+    for at in (0, 40, len(models) - 1):
+        models.insert(at, None)
+    # a model too large to keep gets an instance of its own; the kept one stays
+    inst = gen_load(3, machines=8, jobs=200, pmax=100)
+    big = _topl_load_min_bound_lp(inst, 2, 1.0, 60.0, 30.0)[0]
+    assert len(lp._layout(big).data) >= lp._KEPT_MAX_NONZEROS
+    models.insert(60, big)
+    reused, reused_local = lp._thread_highs(), lp._THREAD
+
+    def fresh(model):  # solved on a new instance, made for it alone
+        monkeypatch.setattr(lp, "_THREAD", threading.local())
+        try:
+            return solve_lp(model)
+        finally:
+            monkeypatch.setattr(lp, "_THREAD", reused_local)
+
+    statuses = set()
+    for model in models:
+        if model is None:
+            with pytest.raises(LpSolverError, match="rejected"):
+                fresh(_rejected_model())
+            with pytest.raises(LpSolverError, match="rejected"):
+                solve_lp(_rejected_model())
+            continue
+        want, got = fresh(model), solve_lp(model)
+        assert got.status == want.status
+        statuses.add(got.status)
+        if got.status == OPTIMAL:
+            assert got.x.tobytes() == want.x.tobytes() and got.objective == want.objective
+            assert np.array_equal(got.basic, want.basic)
+    assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+    assert lp._thread_highs() is reused
+
+    model, want = models[1], solve_lp(models[1])
+    seen = {}
+
+    def other():
+        seen["highs"], seen["sol"] = lp._thread_highs(), solve_lp(model)
+
+    thread = threading.Thread(target=other)
+    thread.start()
+    thread.join()
+    assert seen["highs"] is not reused and lp._thread_highs() is reused
+    assert seen["sol"].status == want.status
+    if want.status == OPTIMAL:
+        assert seen["sol"].x.tobytes() == want.x.tobytes()
 
 
 def _dense_layout(model):
