@@ -565,17 +565,19 @@ class CenterSolveResult:
     certificate: dict
 
 
-def _round_accepted(core, budget, xuy, radius):
+def _round_accepted(core, budget, xuy, radius, weights=None):
     """Split, bundle, and open bundles integrally for an accepted guess;
     returns (bundle structure, z, and the exact objective, the coverage of
-    the opening, or for a knapsack budget the copies its basic vertex opens
-    fractionally)."""
+    the opening with each client's queue counted at its weight, default 1,
+    or for a knapsack budget the copies its basic vertex opens fractionally)."""
     _, u, y = xuy
     split = split_and_normalize(u, y, core, radius)
     bs = build_bundles(split)
     check_bundle_distances(split, bs)
+    weights = [1] * core.n_clients if weights is None else weights
     partial = [bs.bundles[b] for b in bs.partial_indices()]
-    profits = [bs.reuse[b] for b in bs.partial_indices()]
+    profits = [sum(w for w, q in zip(weights, bs.queues) if b in q)
+               for b in bs.partial_indices()]
     full = [bs.bundles[b] for b in bs.full_indices()]
     copy_to_original = {c: bs.split.original[c] for u_ in bs.bundles for c in u_}
     if budget[0] == KNAPSACK:
@@ -583,7 +585,7 @@ def _round_accepted(core, budget, xuy, radius):
         copy_weights = {c: float(wt[core.facility_ids[i]]) for c, i in copy_to_original.items()}
         z, _, fractional = solve_knapsack_basic(full, partial, profits, copy_weights, limit)
         return bs, z, fractional
-    fixed = sum(1 for q in bs.queues for b in q if bs.is_full[b])
+    fixed = sum(w * sum(bs.is_full[b] for b in q) for w, q in zip(weights, bs.queues))
     if budget[0] == CARDINALITY:
         z, obj = solve_two_laminar_integral(full, partial, profits, copy_to_original,
                                             budget[1], fixed_term=fixed)
@@ -930,8 +932,8 @@ def solve_knapsack_center(kinst, norm, eps):
                     break
                 pre = _connections_within(tables, bound)
                 if pre not in config_cache:
-                    config_cache[pre] = _residual_guess(core, light, wt, w_res, pre,
-                                                        neighbor_dists, radius, norm)
+                    config_cache[pre] = _residual_guess(core, light, wt, w_res, pre, radius,
+                                                        norm)
                 found = config_cache[pre]
                 if found is None:
                     continue
@@ -947,10 +949,9 @@ def solve_knapsack_center(kinst, norm, eps):
     return _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload)
 
 
-def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
+def _residual_guess(core, light, wt, w_res, pre, radius, norm):
     """Cheapest attainable bound for the light-facility residual instance
     under one pre-connection pattern; returns (bound estimate, payload)."""
-    nc = core.n_clients
     l_res = np.maximum(core.l - np.array(pre), 0)
     r_res = core.r - np.array(pre)
     if np.any(r_res < 0):

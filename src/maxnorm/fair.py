@@ -55,16 +55,17 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import (build_bundles, center_u_index, core_of, split_and_normalize,
-                      _center_lp, _lp_parts, CARDINALITY)
-from .bundlelp import solve_two_laminar_integral
+from .cluster import (center_u_index, core_of, _center_lp, _lp_parts, _prefix_norm_table,
+                      _round_accepted, CARDINALITY)
+# unused: perfbench traces fair.build_bundles, fair.split_and_normalize and fair.eval_norm
+from .cluster import build_bundles, split_and_normalize  # noqa: F401
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
 from .guess import GuessLPs, first_true
 from .instances import FairLoadInstance, eval_load_objective
 from .lp import (EQ, GE, LE, OPTIMAL, cutting_plane, exact_feasible_point, simplex_solve,
                  solve_lp)
 from .load import _topl_load_min_bound_lp, shmoys_tardos_round
-from .norms import TOP, eval_norm, top_norm
+from .norms import TOP, eval_norm, top_norm  # noqa: F401 (eval_norm as above)
 from .sparsify import geometric_grid
 
 
@@ -88,16 +89,10 @@ def compute_eta(point):
 def ct_count(norm, bound, dists, cap):
     """Greedy nearest-first connection count: how many of the given distances
     can be taken, nearest first, with norm at most bound, capped at cap.
-    Monotone symmetric norms make the greedy prefix optimal."""
-    taken = []
-    for d in sorted(dists):
-        if len(taken) >= cap:
-            break
-        taken.append(d)
-        if eval_norm(norm, taken) > bound:
-            taken.pop()
-            break
-    return len(taken)
+    Monotone symmetric norms make the greedy prefix optimal, and its prefix
+    norms never decrease, so the table is bisected (from 1, so that a
+    negative bound takes none)."""
+    return bisect_right(_prefix_norm_table(norm, sorted(dists), cap), bound, 1) - 1
 
 
 @dataclass(frozen=True)
@@ -357,6 +352,14 @@ class _LoadSeparation(_Separation):
         return "cut", assignment.sigma, (row, (assignment.sigma, counts))
 
 
+@functools.lru_cache(maxsize=1)
+def _center_core(base):
+    """(core, budget) of a fair center instance's base, shared by every
+    oracle of a solve: the core keeps its relaxations' fixed parts, and the
+    budget rows are kept for the one budget object."""
+    return core_of(base), (CARDINALITY, base.k)
+
+
 class _CenterSeparation(_Separation):
     """Separation oracle for the center polytope at a fixed bound B.
 
@@ -371,7 +374,7 @@ class _CenterSeparation(_Separation):
 
     def __init__(self, finst, bound, ell, q):
         self.base = finst.base
-        self.core, self.budget = core_of(self.base), (CARDINALITY, self.base.k)
+        self.core, self.budget = _center_core(self.base)
         super().__init__(finst, bound, ell, q, self.base.finite_distances())
         self.cert_bound = 3.0 * 4.0 ** (1.0 / q) * self.bound
         self.norm = top_norm(ell, q)
@@ -388,21 +391,8 @@ class _CenterSeparation(_Separation):
 
     def _round(self, point, eta, radius, sol):
         nc = self.base.n_clients
-        _, u, y = _lp_parts(self.core, sol.x)
-        split = split_and_normalize(u, y, self.core, radius)
-        bs = build_bundles(split)
-        partial_idx = bs.partial_indices()
-        profits = []
-        for b in partial_idx:
-            profits.append(sum((point.alpha[j] for j in range(nc) if b in bs.queues[j]),
-                               Fraction(0)))
-        fixed = sum((point.alpha[j] for j in range(nc)
-                     for b in bs.queues[j] if bs.is_full[b]), Fraction(0))
-        copy_to_original = {c: bs.split.original[c] for u_ in bs.bundles for c in u_}
-        z, obj = solve_two_laminar_integral(
-            [bs.bundles[b] for b in bs.full_indices()],
-            [bs.bundles[b] for b in partial_idx],
-            profits, copy_to_original, self.base.k, fixed_term=fixed)
+        bs, z, obj = _round_accepted(self.core, self.budget, _lp_parts(self.core, sol.x), radius,
+                                     point.alpha)
         if obj < point.mu + eta:
             return None
         opened = sorted({bs.split.original[c] for c, v in z.items() if v == 1})

@@ -225,11 +225,23 @@ class LoadSolveResult:
     certificate: dict
 
 
+def _min_radius(inst):
+    """max_j min_i p(i,j): smaller radii make the basic LP infeasible."""
+    return np.where(np.isfinite(inst.p), inst.p, np.inf).min(axis=0).max()
+
+
 def _feasible_radii(inst, sizes):
-    """Radii below max_j min_i p(i,j) make the basic LP infeasible; skip them.
-    sizes are the instance's distinct finite sizes, ascending."""
-    rmin = np.where(np.isfinite(inst.p), inst.p, np.inf).min(axis=0).max()
-    return [v for v in sizes if v >= rmin - 1e-12]
+    """The positive sizes from _min_radius on (radius 0 only where that is 0,
+    which the drivers answer by _zero_result).  sizes are the instance's
+    distinct finite sizes, ascending."""
+    rmin = _min_radius(inst)
+    return [v for v in sizes if v >= rmin - 1e-12 and v > 0]
+
+
+def _zero_result(inst, **cert):
+    """Every job on a nearest machine: the optimum when the norm or every
+    job's nearest size is 0."""
+    return LoadSolveResult(assignment=_nearest_assignment(inst), value=0.0, certificate=cert)
 
 
 def solve_topl_makespan(inst, ell, q, eps):
@@ -238,6 +250,9 @@ def solve_topl_makespan(inst, ell, q, eps):
         raise InvalidInputError("eps must be positive and finite")
     root = 1.0 / q
     grid_eps = eps / 4.0 ** root  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps
+    if _min_radius(inst) == 0:
+        return _zero_result(inst, radius=0.0, bound=0.0, threshold=0.0, per_machine_bound=0.0,
+                            grid_eps=grid_eps)
     bound, radius, t, x = _scan_top_guesses(inst, ell, q, grid_eps)
     assignment, _ = shmoys_tardos_round(x, inst.p)
     value = eval_load_objective(inst, top_norm(ell, q), assignment)
@@ -285,10 +300,8 @@ def solve_ordered_makespan(inst, weights, eps):
     sparse, pos = sparsify_weights(weights, inst.jobs)
     wtop = max(float(w[0]) for w in sparse)
     norm = max_ordered_norm(weights)
-    if wtop == 0.0:
-        assignment = _nearest_assignment(inst)
-        cert = {"radius": 0.0, "bound": 0.0, "sequence": (), "gap": 0.0, "chain_bound": 0.0}
-        return LoadSolveResult(assignment=assignment, value=0.0, certificate=cert)
+    if wtop == 0.0 or _min_radius(inst) == 0:
+        return _zero_result(inst, radius=0.0, bound=0.0, sequence=(), gap=0.0, chain_bound=0.0)
     bound, radius, seq, x = _scan_ordered_guesses(inst, sparse, pos, wtop, eps)
     assignment, _ = shmoys_tardos_round(x, inst.p)
     value = eval_load_objective(inst, norm, assignment)

@@ -93,7 +93,7 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
     return best
 
 
-def _residual_guess(core, light, wt, w_res, pre, neighbor_dists, radius, norm):
+def _residual_guess(core, light, wt, w_res, pre, radius, norm):
     """Cheapest attainable bound for the light-facility residual instance
     under one pre-connection pattern; returns (bound estimate, payload)."""
     l_res = np.maximum(core.l - np.array(pre), 0)

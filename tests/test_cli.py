@@ -374,3 +374,15 @@ def test_solvers_run_without_networkx():
     assert proc.returncode == 0, proc.stderr
     counts = [int(v) for v in proc.stdout.split()]
     assert 0 < counts[0] < counts[1] < counts[2], counts
+
+
+def test_solve_zero_size_makespan_exits_zero(tmp_path, capsys):
+    inst = tmp_path / "zero.json"
+    inst.write_text(json.dumps({"kind": "load", "machines": 2, "jobs": 2,
+                                "p": [[0, 2], [3, 0]]}))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"weights": [[1.0, 0.5]]}))
+    for norm in ("topl:1:1", f"maxordered:{weights}"):
+        code, out, _ = _run(["solve", str(inst), "--norm", norm], capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == "0.0"

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from maxnorm.cluster import (build_bundles, check_bundle_distances,
                              split_and_normalize, _center_lp, _lp_parts,
                              CARDINALITY, KNAPSACK, PARTITION)
 from maxnorm.errors import InfeasibleError, SolverInternalError
+from maxnorm.generators import gen_matroid_cluster
 from maxnorm.guess import weakest_thresholds
 from maxnorm.instances import (ClusterInstance, KnapsackClusterInstance,
                                MatroidClusterInstance)
@@ -506,3 +508,41 @@ def test_vectorized_center_lp_matches_dict_rows():
                                   for idx, c in coeffs.items() if idx < nx)
     assert min(models.values()) >= 100 and len(models) == 6, models
     assert zero_terms > 0
+
+
+def _accepted_lp_solution(core, budget, rng):
+    """An LP solution of the relaxation at the largest radius, or None."""
+    radius = max(core.distances())
+    t = float(rng.choice(core.distances()))
+    model, _ = _center_lp(core, budget, ("top", 1, 1.0, t), radius)
+    sol = solve_lp(model)
+    return (radius, _lp_parts(core, sol.x)) if sol.status == OPTIMAL else None
+
+
+def test_round_accepted_unit_weights_match_the_reuse_counts():
+    """Weights of 1 give each partial bundle its reuse count as profit, and
+    in general the objective is the weighted count of opened queue bundles."""
+    rng = np.random.default_rng(41)
+    checked = 0
+    for seed in range(12):
+        inst = random_cluster(rng)
+        minst = gen_matroid_cluster(seed, clients=int(rng.integers(1, 5)),
+                                    facilities=int(rng.integers(2, 6)), parts=2)
+        for core, budget in ((core_of(inst), (CARDINALITY, inst.k)),
+                             (core_of(minst.base), (PARTITION, minst.parts, minst.capacities))):
+            found = _accepted_lp_solution(core, budget, rng)
+            if found is None:
+                continue
+            radius, xuy = found
+            bs, z, obj = cluster._round_accepted(core, budget, xuy, radius)
+            ones = cluster._round_accepted(core, budget, xuy, radius, [1] * core.n_clients)
+            assert (ones[1], ones[2]) == (z, obj)
+            _, assigned = cluster.assemble_solution(z, bs)
+            assert obj == cluster._coverage(assigned)
+            weights = [Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 4)))
+                       for _ in range(core.n_clients)]
+            bs_w, z_w, obj_w = cluster._round_accepted(core, budget, xuy, radius, weights)
+            _, assigned_w = cluster.assemble_solution(z_w, bs_w)
+            assert obj_w == sum(w * len(a) for w, a in zip(weights, assigned_w))
+            checked += 1
+    assert checked >= 12

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from maxnorm import cluster, fair
 from maxnorm.errors import InfeasibleError, InvalidInputError, ResourceCapError
 from maxnorm.fair import (DualPoint, SolutionDistribution, _CenterSeparation, _LoadSeparation,
                           _SAMPLE_MAX_N, center_marginals, compute_eta, ct_count,
@@ -12,7 +13,7 @@ from maxnorm.fair import (DualPoint, SolutionDistribution, _CenterSeparation, _L
 from maxnorm.generators import gen_fair_cluster, gen_fair_load
 from maxnorm.instances import (Assignment, FairLoadInstance, LoadInstance,
                                eval_load_objective)
-from maxnorm.norms import eval_norm, top_norm
+from maxnorm.norms import eval_norm, max_ordered_norm, top_norm
 from maxnorm.oracle import brute_force_fair, brute_force_fair_opt
 
 
@@ -417,3 +418,53 @@ def test_fair_load_solves_with_float_caps_that_reach_huge_alpha():
     for sigma in dist.support:
         assert eval_load_objective(finst.base, top_norm(2, 1.0), Assignment(sigma)) \
             <= dist.cert_bound * (1 + 1e-9)
+
+
+def _ct_count_loop(norm, bound, dists, cap):
+    """The greedy count as an early-stopping loop over the nearest distances."""
+    taken = []
+    for d in sorted(dists):
+        if len(taken) >= cap:
+            break
+        taken.append(d)
+        if eval_norm(norm, taken) > bound:
+            taken.pop()
+            break
+    return len(taken)
+
+
+def test_ct_count_matches_the_greedy_loop():
+    rng = np.random.default_rng(17)
+    norms = [top_norm(1, 1.0), top_norm(2, 1.0), top_norm(2, 2.0), top_norm(3, 1.5),
+             max_ordered_norm([[1.0, 0.5, 0.25]]), max_ordered_norm([[1.0], [0.6, 0.6, 0.6]])]
+    for _ in range(150):
+        norm = norms[int(rng.integers(0, len(norms)))]
+        dists = [float(v) for v in np.round(rng.uniform(0, 3, size=int(rng.integers(0, 6))), 1)]
+        reachable = [0.0] + [eval_norm(norm, sorted(dists)[:c]) for c in range(1, len(dists) + 1)]
+        for bound in (-1.0, 0.0, float(rng.uniform(0, 6)),
+                      float(rng.choice(reachable)), float("inf")):
+            for cap in range(6):
+                assert ct_count(norm, bound, dists, cap) == \
+                    _ct_count_loop(norm, bound, dists, cap), (norm, bound, dists, cap)
+
+
+def test_center_solve_builds_one_core(monkeypatch):
+    """Every center oracle of one solve shares one core, so the relaxations'
+    fixed parts are built once."""
+    built, oracles = [], []
+
+    class CountedParts(cluster._CenterParts):
+        def __init__(self, core):
+            built.append(core)
+            super().__init__(core)
+
+    class CountedOracle(fair._CenterSeparation):
+        def __init__(self, *args):
+            oracles.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(cluster, "_CenterParts", CountedParts)
+    monkeypatch.setattr(fair, "_CenterSeparation", CountedOracle)
+    solve_fair(gen_fair_cluster(3, clients=3, facilities=4, k=2), top_norm(2, 1.0), eps=0.1)
+    assert len(oracles) > 1
+    assert len(built) == 1

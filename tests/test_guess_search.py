@@ -340,7 +340,7 @@ def test_residual_with_contradicting_verdicts(monkeypatch):
 
         def scan(module):
             return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
-                                          None, radius, norm)
+                                          radius, norm)
 
         (new, ref), log = _scan_both(monkeypatch, table, scan)
         assert _same(new, ref)
@@ -518,7 +518,7 @@ def test_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
 
         def scan(module):
             return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
-                                          None, radius, norm)
+                                          radius, norm)
 
         def refuted(monkeypatch, lp_table, log):
             _tabled_lps(monkeypatch, lp_table, log, verdicts=table)

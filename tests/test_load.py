@@ -455,3 +455,30 @@ def test_solvers_reject_non_finite_eps():
                       lambda: solve_fair(finst, top_norm(1, 1), eps)):
             with pytest.raises(InvalidInputError):
                 solve()
+
+
+def test_zero_size_makespan_solves_at_zero():
+    """Every job has a machine of size 0: both drivers return the nearest
+    assignment at value 0 instead of guessing on a grid anchored at 0."""
+    inst = LoadInstance(p=np.array([[0.0, 2.0], [3.0, 0.0]]))
+    top = solve_topl_makespan(inst, 1, 1.0, 0.1)
+    ordered = solve_ordered_makespan(inst, [[1.0, 0.5]], 0.1)
+    for res in (top, ordered):
+        assert res.value == 0.0 and res.assignment.sigma == (0, 1)
+        assert eval_load_objective(inst, top_norm(1, 1.0), res.assignment) == 0.0
+    assert top.certificate["per_machine_bound"] == 0.0
+    assert ordered.certificate["chain_bound"] == 0.0
+
+
+def test_near_zero_makespan_keeps_positive_radii():
+    """A smallest radius of 1e-13 sits within the radius slack of 0, where the
+    basic LP is infeasible; the drivers skip radius 0 and stay within their
+    factors of the optimum."""
+    inst = LoadInstance(p=np.array([[0.0, 1e-13], [1.0, 1.0]]))
+    for ell, q in ((1, 1.0), (2, 2.0)):
+        opt = brute_force_makespan(inst, top_norm(ell, q)).value
+        res = solve_topl_makespan(inst, ell, q, 0.1)
+        assert opt <= res.value <= (4.0 ** (1.0 / q) + 0.1) * opt * (1 + 1e-9)
+    res = solve_ordered_makespan(inst, [[1.0, 0.5]], 0.1)
+    assert res.value <= res.certificate["chain_bound"] * (1 + 1e-9)
+    assert res.value >= brute_force_makespan(inst, max_ordered_norm([[1.0, 0.5]])).value
