@@ -1,0 +1,153 @@
+"""Scale cases outside the benchmark's sizes, each in a child process of its
+own under a memory limit and a timeout.
+
+    python3 scripts/scale.py [--src DIR] [--timeout S] [--memory-mb MB] [CASE ...]
+
+Each case prints one line, `CASE STATUS WALL_S LPS SHA256 DETAIL`: STATUS is
+ok, timeout or error; WALL_S the seconds the solves took in the child
+(imports excluded; the timeout on a timeout); LPS the number of `solve_lp`
+calls; SHA256 the first 16 hex digits of a hash over every result (value,
+certificate and solution, or the error raised).  Comparing two source trees
+is one `diff` of their outputs with the WALL_S column cut; pass --src to
+import the package from another tree (default: ./src next to this script).
+The cases take minutes in all, so no test suite runs this script.
+
+The cases (Top-(2,1) and eps 0.1 unless named otherwise):
+  knapsack-20x20-s0 .. s4   gen_knapsack_cluster(seed, 20, 20)
+  topk-100x100-s0, s1       gen_cluster(seed, 100, 100), solve_topl_kcenter
+  fair-float-caps           gen_fair_load(seed, 2 + seed % 3, 4) with caps
+                            round(0.7 e + 0.3, 1) passed as floats, at
+                            Top-(1 + seed % 2, 1), seeds 0-39; DETAIL counts
+                            the outcomes
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from collections import Counter
+from pathlib import Path
+
+
+def _knapsack(seed):
+    from maxnorm import generators, solve_knapsack_center, top_norm
+
+    kinst = generators.gen_knapsack_cluster(seed, 20, 20)
+    return [lambda: solve_knapsack_center(kinst, top_norm(2, 1.0), 0.1)]
+
+
+def _topk(seed):
+    from maxnorm import generators, solve_topl_kcenter
+
+    inst = generators.gen_cluster(seed, 100, 100)
+    return [lambda: solve_topl_kcenter(inst, 2, 1.0, 0.1)]
+
+
+def _fair_float_caps():
+    from maxnorm import generators, solve_fair, top_norm
+    from maxnorm.instances import FairLoadInstance
+
+    solves = []
+    for seed in range(40):
+        base = generators.gen_fair_load(seed, 2 + seed % 3, 4)
+        caps = tuple(round(0.7 * float(e) + 0.3, 1) for e in base.e)
+        finst = FairLoadInstance(base=base.base, e=caps)
+        solves.append(lambda finst=finst, ell=1 + seed % 2:
+                      solve_fair(finst, top_norm(ell, 1.0), 0.1))
+    return solves
+
+
+CASES = {
+    **{f"knapsack-20x20-s{s}": lambda s=s: _knapsack(s) for s in range(5)},
+    **{f"topk-100x100-s{s}": lambda s=s: _topk(s) for s in range(2)},
+    "fair-float-caps": _fair_float_caps,
+}
+
+
+def _describe(result):
+    """What a solve returned, as plain values."""
+    if hasattr(result, "distribution"):
+        return (result.bound, result.distribution)
+    return (result.value, result.certificate, result.solution)
+
+
+def run_child(name):
+    """Run one case here and print its JSON outcome line."""
+    from maxnorm import lp
+    from maxnorm.errors import MaxNormError
+
+    calls = [0]
+    solve = lp.solve_lp
+
+    def counted(model):
+        calls[0] += 1
+        return solve(model)
+
+    for mod in list(sys.modules.values()):  # every module that bound solve_lp by name
+        if getattr(mod, "__name__", "").startswith("maxnorm") and \
+                getattr(mod, "solve_lp", None) is solve:
+            mod.solve_lp = counted
+    solves = CASES[name]()
+    digest, outcomes = hashlib.sha256(), Counter()
+    start = time.perf_counter()
+    for run in solves:
+        try:
+            text = repr(_describe(run()))
+            outcomes["solved"] += 1
+        except MaxNormError as exc:
+            text = repr((type(exc).__name__, str(exc)))
+            outcomes[type(exc).__name__] += 1
+        digest.update((text + "\n").encode())
+    wall = time.perf_counter() - start
+    detail = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
+    print(json.dumps({"wall": wall, "lps": calls[0], "sha": digest.hexdigest()[:16],
+                      "detail": detail}))
+
+
+def run_case(name, src, timeout, memory_mb):
+    """One case in a child process: its printed line's fields."""
+    limit = memory_mb << 20
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    try:
+        proc = subprocess.run([sys.executable, __file__, "--child", name, "--src", src],
+                              env=env, capture_output=True, text=True, timeout=timeout,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                                    (limit, limit)))
+    except subprocess.TimeoutExpired:
+        return "timeout", f"{timeout:.1f}", "-", "-", "-"
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        return "error", "-", "-", "-", last
+    out = json.loads(lines[-1])
+    return "ok", f"{out['wall']:.2f}", str(out["lps"]), out["sha"], out["detail"]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("cases", nargs="*", help=f"cases to run (default: all): {', '.join(CASES)}")
+    ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                    help="directory the maxnorm package is imported from")
+    ap.add_argument("--timeout", type=float, default=300.0, help="seconds per case")
+    ap.add_argument("--memory-mb", type=int, default=2048, help="address-space limit per case")
+    ap.add_argument("--child", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    src = str(Path(args.src).resolve())
+    if args.child:
+        sys.path.insert(0, src)
+        run_child(args.child)
+        return
+    unknown = [name for name in args.cases if name not in CASES]
+    if unknown:
+        ap.error(f"unknown cases: {', '.join(unknown)}")
+    for name in args.cases or CASES:
+        print(name, *run_case(name, src, args.timeout, args.memory_mb), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -52,12 +52,22 @@ Every scan accepts exactly the guess the exhaustive scan accepts, with its
 (bound, ...) tie-break.  A verdict that contradicts monotonicity (a
 numerical edge), or an LP refuting a feasible verdict, sends its radius
 back to a full search of the row.
+
+The knapsack driver guesses the optimum's heavy facilities s0 and, per
+radius, walks the bound grid, pre-connecting clients to s0 and asking the
+light-facility residual (one of the scans above at that radius) for a
+bound.  A client's pre-connection count only grows along the grid, so the
+grid splits into runs of one pattern, and the residual is asked once per
+run.  Each s0 starts at its radius floor, the first radius where the balls
+over s0 and the light facilities hold every l_j and can carry m; below it
+every residual is refuted by _cover_verdict, whatever the pattern
+(solve_knapsack_center has the argument).
 """
 
 import functools
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -65,7 +75,7 @@ import numpy as np
 
 from .bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                        solve_two_laminar_integral)
-from .errors import InfeasibleError, InvalidInputError, SolverInternalError
+from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
 from .guess import (GuessLPs, first_true, scan_sequence_row, scan_top_rows,
                     weakest_thresholds)
 from .instances import (ClusterSolution, eval_cluster_objective,
@@ -866,6 +876,7 @@ def solve_matroid_center(minst, norm, eps):
 # knapsack variant
 
 _KNAPSACK_GRID_EPS = 0.005  # bound-grid resolution, independent of the weight-guess eps
+_HEAVY_SET_CAP = 10 ** 5  # heavy-set guesses one knapsack solve may enumerate
 
 
 def _prefix_norm_table(norm, dists, rcap):
@@ -876,17 +887,81 @@ def _prefix_norm_table(norm, dists, rcap):
     return out
 
 
-def _connections_within(tables, bound):
-    """Per client, the most nearest connections whose prefix norm stays within
-    the bound; a prefix table never decreases, so it is bisected."""
-    return tuple(bisect_right(table, bound + 1e-12) - 1 for table in tables)
+def _preconnections(tables, bounds):
+    """Per client (row) and bound (column), the most nearest connections
+    whose prefix norm stays within the bound; a prefix table never
+    decreases, so it is bisected for every bound at once."""
+    shifted = np.asarray(bounds, float) + 1e-12
+    return np.array([np.searchsorted(table, shifted, side="right") - 1 for table in tables],
+                    dtype=int).reshape(len(tables), len(shifted))
+
+
+def _heavy_sets(heavy, wt, budget_w, eps):
+    """The guesses of the optimum's heavy facilities: the subsets of heavy
+    with at most 1/eps members whose weight fits the budget, by size, then in
+    combinations order.  The weight test only drops subsets, so their count
+    is bounded, and checked against _HEAVY_SET_CAP, before any is listed."""
+    sizes = range(int(min(1.0 / eps, len(heavy))) + 1)
+    count = sum(math.comb(len(heavy), size) for size in sizes)
+    if count > _HEAVY_SET_CAP:
+        raise ResourceCapError(f"{len(heavy)} heavy facilities give {count} heavy-set guesses "
+                               f"of up to {sizes[-1]} members, over the cap {_HEAVY_SET_CAP}")
+    return [combo for size in sizes for combo in itertools.combinations(heavy, size)
+            if sum(wt[i] for i in combo) <= budget_w + 1e-9]
+
+
+def _radius_floor(core, reach, avail):
+    """Index of the first radius at which every client's ball over the
+    facilities avail holds l_j of them and sum_j min(r_j, ball) reaches m,
+    or None when no radius does.  reach[j, i] is the index of the first
+    radius whose ball of client j holds facility i, so a ball at radius
+    index ri holds the facilities whose reach is at most ri."""
+    rows = np.sort(reach[:, avail], axis=1)
+    if np.any(core.l > rows.shape[1]):
+        return None
+    kept = rows[np.arange(rows.shape[1]) < core.r[:, None]]  # each client's r_j nearest
+    if core.m > len(kept):
+        return None
+    js = np.flatnonzero(core.l > 0)
+    need = [rows[js, core.l[js] - 1]]  # the l_j-th nearest of each client
+    if core.m > 0:
+        need.append(np.partition(kept, core.m - 1)[core.m - 1:core.m])
+    return int(np.concatenate(need).max(initial=0))
 
 
 def solve_knapsack_center(kinst, norm, eps):
     """Knapsack budget with weight violation at most (1 + 2*eps): guess the
     heavy facilities of the optimum (weight >= eps*W), pre-connect clients to
     them nearest-first within the bound, and solve the light-facility residual
-    whose basic vertex opens at most two fractional copies in full."""
+    whose basic vertex opens at most two fractional copies in full.
+
+    The walk goes heavy set by heavy set (s0), radius by radius upward until
+    R times the lowest norm scale passes the best bound, and within a radius
+    along its bound grid below the best bound.  A bound is accepted once it
+    reaches the residual's bound estimate (within 1e-12), so the smallest
+    accepted bound wins and, on equal bounds, the earliest heavy set.  Two
+    shortcuts leave the residuals asked, their order and every result as
+    they were, but for residuals that return None:
+
+      * Pattern runs.  Over one (s0, R) a client's pre-connection count, the
+        most nearest facilities of s0 within R whose prefix norm stays within
+        the bound (at most r_j), never decreases along the grid.  The grid
+        splits into runs of one pattern each; the residual is solved once per
+        run, in order, and the run's first bound reaching its estimate is
+        accepted, else the next run is asked.
+      * The radius floor.  s0 starts at the first radius where every client's
+        ball B_j over s0 and the light facilities holds l_j of them and
+        sum_j min(r_j, |B_j|) >= m (_radius_floor).  Below it no residual is
+        feasible, whatever the pattern pre: pre_j <= |s0 & B_j|, so either
+        some |light & B_j| < l_j - pre_j <= l_res_j, or
+        sum_j min(r_j - pre_j, |light & B_j|) + sum_j pre_j
+        <= sum_j min(r_j, |B_j|) < m, which leaves the residual's balls
+        short of m_res = m - sum_j pre_j.  x <= y <= 1 caps u_j at
+        |light & B_j|, so the relaxation is infeasible: _cover_verdict says
+        False, and the Top residual returns None unsolved (the ordered one
+        would solve only infeasible LPs).  Ball sizes only grow with R, so
+        the floor is one sort per heavy set, not a search.
+    """
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
     base = kinst.base
@@ -895,12 +970,7 @@ def solve_knapsack_center(kinst, norm, eps):
     nf, nc = base.n_facilities, base.n_clients
     heavy = [i for i in range(nf) if wt[i] >= eps * budget_w and wt[i] > 0]
     light = [i for i in range(nf) if i not in set(heavy)]
-    max_heavy = int(math.floor(1.0 / eps))
-    s0_guesses = []
-    for size in range(0, min(max_heavy, len(heavy)) + 1):
-        for combo in itertools.combinations(heavy, size):
-            if sum(wt[i] for i in combo) <= budget_w + 1e-9:
-                s0_guesses.append(combo)
+    s0_guesses = _heavy_sets(heavy, wt, budget_w, eps)
 
     if norm.kind == TOP:
         root = 1.0 / norm.q
@@ -914,55 +984,62 @@ def solve_knapsack_center(kinst, norm, eps):
             scale_lo, scale_hi = wtop, max(core.r0, 1) * wtop
 
     radii = sorted(set(core.distances()) | {0.0})
-    best = None  # (bound, idx, payload)
-    for s0_idx, s0 in enumerate(s0_guesses):
+    reach = np.searchsorted(radii, core.cf, side="left")  # radii holds every distance
+    thresholds = single_threshold_candidates(core.cf[:, light].ravel())
+    grids = {}  # radius -> its bound grid; no heavy set changes it
+    best = None  # (bound, s0, radius, pre, payload)
+    for s0 in s0_guesses:
+        start = _radius_floor(core, reach, light + list(s0))
+        if start is None:
+            continue
         w_res = budget_w - float(sum(wt[i] for i in s0))
-        for radius in radii:
+        near = [sorted(float(core.cf[j, i]) for i in s0) for j in range(nc)]
+        tables = [_prefix_norm_table(norm, nd, int(core.r[j])) for j, nd in enumerate(near)]
+        for radius in radii[start:]:
             if best is not None and radius * scale_lo > best[0]:
                 break
-            grid = [0.0] if radius == 0.0 else geometric_grid(
-                radius * scale_lo, scale_hi * radius, _KNAPSACK_GRID_EPS)
-            neighbor_dists = [sorted(float(core.cf[j, i]) for i in s0
-                                     if core.cf[j, i] <= radius) for j in range(nc)]
-            tables = [_prefix_norm_table(norm, nd, int(core.r[j]))
-                      for j, nd in enumerate(neighbor_dists)]
-            config_cache = {}
-            for bound in grid:
-                if best is not None and bound >= best[0]:
-                    break
-                pre = _connections_within(tables, bound)
-                if pre not in config_cache:
-                    config_cache[pre] = _residual_guess(core, light, wt, w_res, pre, radius,
-                                                        norm)
-                found = config_cache[pre]
+            if radius not in grids:
+                grids[radius] = [0.0] if radius == 0.0 else geometric_grid(
+                    radius * scale_lo, scale_hi * radius, _KNAPSACK_GRID_EPS)
+            grid = grids[radius]
+            stop = len(grid) if best is None else bisect_left(grid, best[0])
+            if stop == 0:
+                continue
+            pattern = _preconnections([table[:1 + bisect_right(nd, radius)]
+                                       for table, nd in zip(tables, near)], grid[:stop])
+            runs = np.flatnonzero((pattern[:, 1:] != pattern[:, :-1]).any(axis=0)) + 1
+            for a, b in zip([0, *runs], [*runs, stop]):
+                pre = tuple(pattern[:, a].tolist())
+                found = _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds)
                 if found is None:
                     continue
-                bhat, payload = found
-                if bound >= bhat - 1e-12:
-                    cand = (bound, (s0_idx, radius), (s0, radius, pre, payload))
-                    if best is None or cand[0] < best[0]:
-                        best = cand
+                at = bisect_left(grid, found[0] - 1e-12, a, b)
+                if at < b:
+                    best = (grid[at], s0, radius, pre, found[1])
                     break
     if best is None:
         raise InfeasibleError("knapsack instance admits no guessed opening")
-    bound, _, (s0, radius, pre, payload) = best
+    bound, s0, radius, pre, payload = best
     return _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload)
 
 
-def _residual_guess(core, light, wt, w_res, pre, radius, norm):
+def _residual_core(core, light, pre):
+    """The light facilities' core once pre connects pre_j <= r_j facilities
+    of each client: l, r and m less what pre connects."""
+    return CenterCore(cf=core.cf[:, light], l=np.maximum(core.l - np.array(pre), 0),
+                      r=core.r - np.array(pre), m=max(0, core.m - int(sum(pre))),
+                      facility_ids=tuple(core.facility_ids[i] for i in light))
+
+
+def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds):
     """Cheapest attainable bound for the light-facility residual instance
-    under one pre-connection pattern; returns (bound estimate, payload)."""
-    l_res = np.maximum(core.l - np.array(pre), 0)
-    r_res = core.r - np.array(pre)
-    if np.any(r_res < 0):
-        return None
-    m_res = max(0, core.m - int(sum(pre)))
-    rcore = CenterCore(cf=core.cf[:, light], l=l_res, r=np.array(r_res),
-                       m=m_res, facility_ids=tuple(core.facility_ids[i] for i in light))
+    under one pre-connection pattern; returns (bound estimate, payload).
+    thresholds are the light facilities' single-threshold candidates, which
+    the Top residual scans."""
+    rcore = _residual_core(core, light, pre)
     budget = (KNAPSACK, wt, w_res)
     if norm.kind == TOP:
         ell, q = norm.ell, norm.q
-        thresholds = single_threshold_candidates(rcore.distances())
         lps = GuessLPs(lambda ri, ti: _center_lp(rcore, budget, ("top", ell, q, thresholds[ti]),
                                                   radius), solve_lp,
                        _top_verdict(rcore, budget, [radius], thresholds))

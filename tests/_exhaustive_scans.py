@@ -1,12 +1,17 @@
 """Exhaustive guess scans: one LP per guess, infeasible guesses included.
 
 These are the k-center, makespan and fair scans as they were before the
-monotone search, kept as the reference the search is tested against.  They
-look every program name up through the cluster, load or fair module at
-call time, so a test that replaces `cluster.solve_lp` or
+monotone search, and the knapsack driver's walk as it was before pattern
+runs and the radius floor, kept as the reference the search is tested
+against.  They look every program name up through the cluster, load or
+fair module at call time, so a test that replaces `cluster.solve_lp` or
 `cluster._center_lp` (or their load and fair counterparts) reaches both
 implementations.
 """
+
+import itertools
+import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -93,9 +98,86 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
     return best
 
 
-def _residual_guess(core, light, wt, w_res, pre, radius, norm):
+def _connections_within(tables, bound):
+    """Per client, the most nearest connections whose prefix norm stays within
+    the bound; a prefix table never decreases, so it is bisected."""
+    return tuple(bisect_right(table, bound + 1e-12) - 1 for table in tables)
+
+
+def solve_knapsack_center(kinst, norm, eps, visit=None):
+    """The knapsack driver's walk bound by bound: every heavy set, every
+    radius from 0 and every grid bound below the best, with each client's
+    pre-connections bisected at each bound.  visit(s0, radius, pre), when
+    given, sees every pattern the walk asks the residual about."""
+    if not 0 < eps < math.inf:
+        raise cluster.InvalidInputError("eps must be positive and finite")
+    base = kinst.base
+    core = cluster.core_of(base)
+    wt, budget_w = np.asarray(kinst.wt, float), float(kinst.budget)
+    nf, nc = base.n_facilities, base.n_clients
+    heavy = [i for i in range(nf) if wt[i] >= eps * budget_w and wt[i] > 0]
+    light = [i for i in range(nf) if i not in set(heavy)]
+    max_heavy = int(math.floor(1.0 / eps))
+    s0_guesses = []
+    for size in range(0, min(max_heavy, len(heavy)) + 1):
+        for combo in itertools.combinations(heavy, size):
+            if sum(wt[i] for i in combo) <= budget_w + 1e-9:
+                s0_guesses.append(combo)
+
+    if norm.kind == cluster.TOP:
+        root = 1.0 / norm.q
+        scale_lo, scale_hi = 1.0, max(core.r0, 1) ** root
+    else:
+        sparse_all, _ = cluster.sparsify_weights(norm.weights, max(core.r0, 1))
+        wtop = max(float(w[0]) for w in sparse_all)
+        if wtop == 0.0:
+            scale_lo = scale_hi = 1.0
+        else:
+            scale_lo, scale_hi = wtop, max(core.r0, 1) * wtop
+
+    radii = sorted(set(core.distances()) | {0.0})
+    thresholds = cluster.single_threshold_candidates(core.cf[:, light].ravel())
+    best = None  # (bound, idx, payload)
+    for s0_idx, s0 in enumerate(s0_guesses):
+        w_res = budget_w - float(sum(wt[i] for i in s0))
+        for radius in radii:
+            if best is not None and radius * scale_lo > best[0]:
+                break
+            grid = [0.0] if radius == 0.0 else cluster.geometric_grid(
+                radius * scale_lo, scale_hi * radius, cluster._KNAPSACK_GRID_EPS)
+            neighbor_dists = [sorted(float(core.cf[j, i]) for i in s0
+                                     if core.cf[j, i] <= radius) for j in range(nc)]
+            tables = [cluster._prefix_norm_table(norm, nd, int(core.r[j]))
+                      for j, nd in enumerate(neighbor_dists)]
+            config_cache = {}
+            for bound in grid:
+                if best is not None and bound >= best[0]:
+                    break
+                pre = _connections_within(tables, bound)
+                if pre not in config_cache:
+                    if visit is not None:
+                        visit(s0, radius, pre)
+                    config_cache[pre] = cluster._residual_guess(core, light, wt, w_res, pre,
+                                                                radius, norm, thresholds)
+                found = config_cache[pre]
+                if found is None:
+                    continue
+                bhat, payload = found
+                if bound >= bhat - 1e-12:
+                    cand = (bound, (s0_idx, radius), (s0, radius, pre, payload))
+                    if best is None or cand[0] < best[0]:
+                        best = cand
+                    break
+    if best is None:
+        raise cluster.InfeasibleError("knapsack instance admits no guessed opening")
+    bound, _, (s0, radius, pre, payload) = best
+    return cluster._finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload)
+
+
+def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds):
     """Cheapest attainable bound for the light-facility residual instance
-    under one pre-connection pattern; returns (bound estimate, payload)."""
+    under one pre-connection pattern; returns (bound estimate, payload).
+    The Top thresholds are derived here again; the given ones go unread."""
     l_res = np.maximum(core.l - np.array(pre), 0)
     r_res = core.r - np.array(pre)
     if np.any(r_res < 0):

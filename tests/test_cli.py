@@ -9,6 +9,7 @@ from maxnorm.cli import main
 from maxnorm import fileio
 from maxnorm.generators import gen_cluster, gen_fair_cluster, gen_knapsack_cluster, \
     gen_matroid_cluster
+from maxnorm.instances import KnapsackClusterInstance
 
 def _run(argv, capsys):
     code = main(argv)
@@ -386,3 +387,36 @@ def test_solve_zero_size_makespan_exits_zero(tmp_path, capsys):
         code, out, _ = _run(["solve", str(inst), "--norm", norm], capsys)
         assert code == 0
         assert json.loads(out)["value"] == "0.0"
+
+
+def test_knapsack_heavy_sets_past_their_cap_exit_resource_cap(tmp_path):
+    """22 facilities of weight 1 under a budget of 10 at eps 0.1 are all
+    heavy, and give 1,744,436 heavy-set guesses; the solve listing them ran
+    for over a minute.  The count is checked before any is listed, so both the solver
+    and the CLI stop at once with a resource cap.  Run in a child process
+    with capped memory and time."""
+    base = gen_cluster(0, clients=3, facilities=22, k=22)
+    kinst = KnapsackClusterInstance(base=base, wt=[1.0] * 22, budget=10.0)
+    path = tmp_path / "k.json"
+    path.write_text(fileio.dumps(fileio.encode_instance(kinst)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+             "import json\n"
+             "from maxnorm import fileio, solve_knapsack_center, top_norm\n"
+             "from maxnorm.cli import main\n"
+             "from maxnorm.errors import ResourceCapError\n"
+             f"kinst = fileio.decode_instance(json.loads(open({str(path)!r}).read()))\n"
+             "try:\n"
+             "    solve_knapsack_center(kinst, top_norm(2, 1.0), 0.1)\n"
+             "except ResourceCapError as exc:\n"
+             "    print(exc)\n"
+             "else:\n"
+             "    sys.exit(9)\n"
+             f"sys.exit(main(['solve', {str(path)!r}, '--norm', 'topl:2:1', '--eps', '0.1']))\n")
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert "1744436 heavy-set guesses" in proc.stdout
+    assert json.loads(proc.stderr)["error"] == "resource-cap"

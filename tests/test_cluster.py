@@ -374,22 +374,24 @@ def test_matroid_and_knapsack_with_ordered_norms():
 
 
 def test_knapsack_preconnections_bisect_like_the_max(monkeypatch):
-    """Each client's pre-connection count, bisected in its prefix norm table,
-    is the largest count whose norm stays within the bound."""
+    """Each client's pre-connection count, bisected in its prefix norm table
+    for every grid bound at once, is the largest count whose norm stays
+    within the bound."""
     from maxnorm.generators import gen_knapsack_cluster
     from maxnorm.norms import max_ordered_norm
 
-    bisected = cluster._connections_within
+    bisected = cluster._preconnections
     seen = []
 
-    def checked(tables, bound):
-        pre = bisected(tables, bound)
-        assert pre == tuple(max(c for c in range(len(table)) if table[c] <= bound + 1e-12)
-                            for table in tables)
-        seen.extend(c for c in pre if c > 0)
-        return pre
+    def checked(tables, bounds):
+        patterns = bisected(tables, bounds)
+        for bound, pre in zip(bounds, patterns.T):
+            assert tuple(pre) == tuple(max(c for c in range(len(table))
+                                           if table[c] <= bound + 1e-12) for table in tables)
+            seen.extend(c for c in pre if c > 0)
+        return patterns
 
-    monkeypatch.setattr(cluster, "_connections_within", checked)
+    monkeypatch.setattr(cluster, "_preconnections", checked)
     for seed in range(12):
         kinst = gen_knapsack_cluster(seed, clients=3, facilities=4)
         for norm in (top_norm(2, 1.0), top_norm(1, 2.0), max_ordered_norm([(1.0, 0.5, 0.25)])):
@@ -546,3 +548,14 @@ def test_round_accepted_unit_weights_match_the_reuse_counts():
             assert obj_w == sum(w * len(a) for w, a in zip(weights, assigned_w))
             checked += 1
     assert checked >= 12
+
+
+def test_knapsack_eps_past_the_float_reciprocal():
+    """At eps 1e-320, 1/eps is infinite, which made the heavy-set size limit
+    raise OverflowError; every positive-weight facility is heavy there, as
+    at eps 1e-300, and the two solves agree."""
+    from maxnorm.generators import gen_knapsack_cluster
+
+    kinst = gen_knapsack_cluster(1, clients=5, facilities=5)
+    tiny, small = (solve_knapsack_center(kinst, top_norm(1, 1.0), eps) for eps in (1e-320, 1e-300))
+    assert tiny.solution == small.solution and tiny.value == small.value

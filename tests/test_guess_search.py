@@ -18,7 +18,7 @@ from maxnorm.cluster import (core_of, solve_knapsack_center, solve_matroid_cente
                              solve_ordered_kcenter, solve_topl_kcenter)
 from maxnorm.errors import MaxNormError
 from maxnorm.generators import gen_cluster, gen_knapsack_cluster, gen_load, gen_matroid_cluster
-from maxnorm.instances import ClusterInstance
+from maxnorm.instances import ClusterInstance, KnapsackClusterInstance
 from maxnorm.lp import INFEASIBLE, OPTIMAL
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.sparsify import ThresholdSequence, single_threshold_candidates, sparsify_weights
@@ -143,6 +143,195 @@ def test_knapsack_ordered_matches_exhaustive(monkeypatch):
         eps = float(rng.choice([0.25, 0.5]))
         _check_against_exhaustive(monkeypatch, "_residual_guess",
                                   lambda: solve_knapsack_center(kinst, norm, eps))
+
+
+def _knapsack_walks(monkeypatch, kinst, norm, eps):
+    """The driver's walk, then the bound-by-bound reference's: each gives
+    the accepted guess (heavy set, radius, bound, pattern, residual
+    payload), the result or the error raised, and every residual call's
+    (residual budget, pattern, radius) with what it returned."""
+    runs = []
+    finish, residual = cluster._finish_knapsack, cluster._residual_guess
+    for solve in (solve_knapsack_center, exhaustive.solve_knapsack_center):
+        accepted, asked = [], []
+
+        def recorded(*args, asked=asked):
+            out = residual(*args)
+            asked.append((args[3:6], out))
+            return out
+
+        monkeypatch.setattr(cluster, "_finish_knapsack",
+                            lambda *args, accepted=accepted: accepted.append(args[5:])
+                            or finish(*args))
+        monkeypatch.setattr(cluster, "_residual_guess", recorded)
+        try:
+            result = solve(kinst, norm, eps)
+        except MaxNormError as exc:
+            result = (type(exc), str(exc))
+        monkeypatch.undo()
+        runs.append((accepted, result, asked))
+    return runs
+
+
+def _check_knapsack_walks(monkeypatch, kinst, norm, eps):
+    """The driver accepts the reference's guess and returns its result, and
+    asks the residual what the reference asks, in its order, less calls
+    that returned None; returns the driver's accepted guesses."""
+    new, ref = _knapsack_walks(monkeypatch, kinst, norm, eps)
+    assert _same(new[:2], ref[:2])
+    rest = iter(ref[2])
+    for call in new[2]:
+        for other in rest:
+            if _same(other, call):
+                break
+            assert other[1] is None, f"a skipped residual call found a bound: {other[0]}"
+        else:
+            raise AssertionError(f"the reference never asked {call[0]}")
+    assert all(other[1] is None for other in rest)
+    return new[0]
+
+
+def test_knapsack_walk_matches_the_bound_by_bound_walk(monkeypatch):
+    """Seeded 8x8 to 14x14 instances, Top and ordered norms, eps 0.25 and
+    0.5: pattern runs and the radius floor accept the guess the reference
+    walk accepts, and round it to the same solution."""
+    rng = np.random.default_rng(320)
+    accepted = 0
+    for seed in range(16):
+        n = int(rng.integers(8, 15))
+        kinst = gen_knapsack_cluster(seed, clients=n, facilities=n, metric=_metric(rng))
+        norm = top_norm(*_top_params(rng)) if seed % 2 else \
+            max_ordered_norm(random_max_ordered_weights(rng))
+        eps = float(rng.choice([0.25, 0.5]))
+        accepted += len(_check_knapsack_walks(monkeypatch, kinst, norm, eps))
+    assert accepted >= 12
+
+
+def test_knapsack_walk_over_pattern_runs_matches_the_bound_by_bound_walk(monkeypatch):
+    """Instances whose walks split the grid into several pattern runs, and
+    where a run's residual estimate lies past the run's last bound, so the
+    next run is asked."""
+    runs = []
+    split = cluster._preconnections
+
+    def counted(tables, bounds):
+        pattern = split(tables, bounds)
+        runs.append(1 + int((pattern[:, 1:] != pattern[:, :-1]).any(axis=0).sum()))
+        return pattern
+
+    for n, seed, ell, eps in ((6, 2, 3, 0.25), (6, 0, 2, 0.1), (8, 0, 2, 0.1)):
+        kinst = gen_knapsack_cluster(seed, clients=n, facilities=n)
+        _check_knapsack_walks(monkeypatch, kinst, top_norm(ell, 1.0), eps)
+        monkeypatch.setattr(cluster, "_preconnections", counted)
+        solve_knapsack_center(kinst, top_norm(ell, 1.0), eps)
+        monkeypatch.undo()
+    assert sum(r > 1 for r in runs) >= 15
+
+
+def test_knapsack_walk_with_drawn_residual_estimates(monkeypatch):
+    """A residual whose estimate is a seeded draw per call (residual budget,
+    pattern, radius), and None where _cover_verdict refutes it: estimates
+    land anywhere on the grid, often past their run's last bound, where the
+    next run's pattern decides.  Both walks ask and accept the same."""
+    rng = np.random.default_rng(322)
+    draws = {}
+
+    def drawn(core, light, wt, w_res, pre, radius, norm, thresholds):
+        rcore = cluster._residual_core(core, light, pre)
+        if cluster._cover_verdict(rcore, (cluster.KNAPSACK, wt, w_res), radius,
+                                  coverage=True) is False:
+            return None
+        key = (w_res, pre, radius)
+        if key not in draws:
+            draws[key] = None if rng.random() < 0.2 else radius * float(rng.uniform(1.0, 2.0))
+        return None if draws[key] is None else (draws[key], key)
+
+    for seed in range(30):
+        n = int(rng.integers(4, 9))
+        kinst = gen_knapsack_cluster(seed, clients=n, facilities=n, metric=_metric(rng))
+        monkeypatch.setattr(cluster, "_residual_guess", drawn)
+        monkeypatch.setattr(cluster, "_finish_knapsack", lambda *args: args[5:])
+        _check_knapsack_walks(monkeypatch, kinst, top_norm(int(rng.integers(2, 4)), 1.0),
+                              float(rng.choice([0.1, 0.25, 0.5])))
+
+
+def _knapsack_edge(d, nc, l, r, m, wt, budget):
+    base = ClusterInstance(n_clients=nc, n_facilities=len(wt), d=np.array(d, float),
+                           k=len(wt), m=m, l=l, r=r)
+    return KnapsackClusterInstance(base=base, wt=np.array(wt, float), budget=budget)
+
+
+def test_knapsack_walk_edge_cases_match_the_bound_by_bound_walk(monkeypatch):
+    """No heavy facility; every facility heavy; a client whose l_j only the
+    heavy set holding both heavy facilities can meet; an opening at radius
+    0.  Each accepts the reference walk's guess."""
+    line = [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 0.0, 1.0],
+            [3.0, 2.0, 1.0, 0.0]]  # client 0, then facilities 1..3 on a line
+    cases = [
+        (_knapsack_edge(line, 1, [1], [2], 2, [0.1, 0.1, 0.1], 0.3), 0.5, ()),
+        (_knapsack_edge(line, 1, [1], [2], 2, [1.0, 1.0, 1.0], 2.0), 0.5, (0, 1)),
+        (_knapsack_edge(line, 1, [3], [3], 3, [1.0, 1.0, 0.1], 2.1), 0.25, (0, 1)),
+        (_knapsack_edge([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], 1, [1], [1], 1,
+                        [0.2, 1.0], 1.0), 0.5, ()),
+        (_knapsack_edge([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]], 1, [1], [1], 1,
+                        [1.0, 0.2], 1.0), 0.5, (0,)),
+    ]
+    for kinst, eps, s0 in cases:
+        for norm in (top_norm(2, 1.0), max_ordered_norm([(1.0, 0.5)])):
+            assert _check_knapsack_walks(monkeypatch, kinst, norm, eps)[0][0] == s0
+    for kinst, _, _ in cases[3:]:  # the co-located facility opens at radius 0
+        assert _check_knapsack_walks(monkeypatch, kinst, top_norm(1, 1.0), 0.5)[0][1] == 0.0
+
+
+def test_knapsack_20x20_asks_the_residual_a_few_times(monkeypatch):
+    """gen_knapsack_cluster(0, 20, 20) at Top-(2,1), eps 0.1: the
+    bound-by-bound walk asks the residual 16,604 times, and accepts the
+    guess pinned here (heavy set, radius, bound, pattern)."""
+    asked, accepted = [], []
+    residual, finish = cluster._residual_guess, cluster._finish_knapsack
+    monkeypatch.setattr(cluster, "_residual_guess", lambda *args: asked.append(args[4:6])
+                        or residual(*args))
+    monkeypatch.setattr(cluster, "_finish_knapsack", lambda *args: accepted.append(args[5:9])
+                        or finish(*args))
+    res = solve_knapsack_center(gen_knapsack_cluster(0, 20, 20), top_norm(2, 1.0), 0.1)
+    assert len(asked) <= 5
+    assert accepted == [((9,), 0.2767613916626551, 0.2767613916626551,
+                         tuple(int(j in (1, 10)) for j in range(20)))]
+    assert res.value == 0.2767613916626551
+    assert res.solution.open_facilities == (0, 1, 6, 8, 9, 15, 17, 19)
+
+
+def test_knapsack_radius_floor_skips_only_refuted_radii():
+    """Every pattern the bound-by-bound walk asks about at a radius below
+    its heavy set's floor gives a residual whose weakest relaxation
+    _cover_verdict refutes; a heavy set with no floor has none at all."""
+    rng = np.random.default_rng(321)
+    below = 0
+    for seed in range(24):
+        n = int(rng.integers(4, 11))
+        kinst = gen_knapsack_cluster(seed, clients=n, facilities=n, metric=_metric(rng))
+        norm = top_norm(*_top_params(rng)) if seed % 2 else \
+            max_ordered_norm(random_max_ordered_weights(rng))
+        eps = float(rng.choice([0.25, 0.5]))
+        core, wt = core_of(kinst.base), np.asarray(kinst.wt, float)
+        light = [i for i in range(len(wt)) if not (wt[i] >= eps * kinst.budget and wt[i] > 0)]
+        radii = sorted(set(core.distances()) | {0.0})
+        reach = np.searchsorted(radii, core.cf, side="left")
+
+        def visit(s0, radius, pre):
+            nonlocal below
+            floor = cluster._radius_floor(core, reach, light + list(s0))
+            if floor is None or radius < radii[floor]:
+                budget = (cluster.KNAPSACK, wt, kinst.budget - float(sum(wt[i] for i in s0)))
+                rcore = cluster._residual_core(core, light, pre)
+                assert cluster._cover_verdict(rcore, budget, radius, coverage=True) is False
+                below += 1
+
+        try:
+            exhaustive.solve_knapsack_center(kinst, norm, eps, visit=visit)
+        except MaxNormError:
+            pass
+    assert below >= 100
 
 
 def test_top_kcenter_lp_count(monkeypatch):
@@ -337,10 +526,11 @@ def test_residual_with_contradicting_verdicts(monkeypatch):
         norm = top_norm(*_top_params(rng))
         nf = core.n_facilities
         pre = (0,) * core.n_clients
+        thresholds = single_threshold_candidates(core.distances())
 
         def scan(module):
             return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
-                                          radius, norm)
+                                          radius, norm, thresholds)
 
         (new, ref), log = _scan_both(monkeypatch, table, scan)
         assert _same(new, ref)
@@ -515,10 +705,11 @@ def test_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
         norm = top_norm(*_top_params(rng))
         nf = core.n_facilities
         pre = (0,) * core.n_clients
+        thresholds = single_threshold_candidates(core.distances())
 
         def scan(module):
             return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
-                                          radius, norm)
+                                          radius, norm, thresholds)
 
         def refuted(monkeypatch, lp_table, log):
             _tabled_lps(monkeypatch, lp_table, log, verdicts=table)
