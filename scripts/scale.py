@@ -14,6 +14,9 @@ The cases take minutes in all, so no test suite runs this script.
 
 The cases (Top-(2,1) and eps 0.1 unless named otherwise):
   knapsack-20x20-s0 .. s4   gen_knapsack_cluster(seed, 20, 20)
+  knapsack-ordered-14x14-s0 .. s3
+                            gen_knapsack_cluster(seed, 14, 14) at max-ordered
+                            weights ((1, 0.5, 0.25), (0.75, 0.75))
   topk-100x100-s0, s1       gen_cluster(seed, 100, 100), solve_topl_kcenter
   fair-float-caps           gen_fair_load(seed, 2 + seed % 3, 4) with caps
                             round(0.7 e + 0.3, 1) passed as floats, at
@@ -40,6 +43,14 @@ def _knapsack(seed):
     return [lambda: solve_knapsack_center(kinst, top_norm(2, 1.0), 0.1)]
 
 
+def _knapsack_ordered(seed):
+    from maxnorm import generators, max_ordered_norm, solve_knapsack_center
+
+    kinst = generators.gen_knapsack_cluster(seed, 14, 14)
+    norm = max_ordered_norm(((1, 0.5, 0.25), (0.75, 0.75)))
+    return [lambda: solve_knapsack_center(kinst, norm, 0.1)]
+
+
 def _topk(seed):
     from maxnorm import generators, solve_topl_kcenter
 
@@ -63,6 +74,7 @@ def _fair_float_caps():
 
 CASES = {
     **{f"knapsack-20x20-s{s}": lambda s=s: _knapsack(s) for s in range(5)},
+    **{f"knapsack-ordered-14x14-s{s}": lambda s=s: _knapsack_ordered(s) for s in range(4)},
     **{f"topk-100x100-s{s}": lambda s=s: _topk(s) for s in range(2)},
     "fair-float-caps": _fair_float_caps,
 }

@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -190,8 +191,10 @@ def cmd_compare(args):
               "clients": args.clients, "facilities": args.facilities, "k": args.k}
     tasks = [(args.kind, seed, params, args.norm, args.eps, args.cap)
              for seed in range(lo, hi)]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # a fork-started pool launches all its workers at the first submit
+    workers = min(args.threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compare_row, tasks))
     else:
         rows = [_compare_row(t) for t in tasks]

@@ -37,16 +37,18 @@ instead of solving every infeasible guess:
     its floor max(R, ell^(1/q) T); this is maxnorm.guess.scan_top_rows,
     shared with the makespan driver and the knapsack Top residual (whose
     bound is not snapped to a grid);
-  * for ordered norms, each radius is one maxnorm.guess.scan_sequence_row:
-    its sequences are visited in ascending order of the LP-free lower key
-    (floor, chain at the floor, radius, sequence index), with floor = R w1
-    snapped to the grid, and the visit stops once the next lower key
-    reaches the best key found.  The chain only grows with the bound, so
-    no real key lies below its lower key.  A sequence lying at or below an
-    infeasible one on every kept coordinate is skipped unsolved.  The
-    knapsack residual runs the same scan with the lower key (R w1,
-    sequence index), so it walks the sequences in order and stops once s
-    <= R w1: no later sequence gets below that floor.
+  * for ordered norms, maxnorm.guess.scan_sequence_rows, shared with the
+    makespan driver and the ordered knapsack residual (_scan_sequences
+    builds its relaxations and verdicts): each radius's sequences are
+    visited in ascending order of the LP-free lower key (floor, chain at
+    the floor, radius, sequence index), with floor = R w1 snapped to the
+    grid, and the visit stops once the next lower key reaches the best key
+    found.  The chain only grows with the bound, so no real key lies below
+    its lower key.  A sequence lying at or below an infeasible one on every
+    kept coordinate is skipped unsolved.  The residual has no grid and no
+    chain term, so its keys order as (estimate, sequence index): it walks
+    the sequences in order, from the all-R one that _cover_verdict decides,
+    and stops once s <= R w1, since no later sequence gets below that floor.
 
 Every scan accepts exactly the guess the exhaustive scan accepts, with its
 (bound, ...) tie-break.  A verdict that contradicts monotonicity (a
@@ -76,16 +78,14 @@ import numpy as np
 from .bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                        solve_two_laminar_integral)
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
-from .guess import (GuessLPs, first_true, scan_sequence_row, scan_top_rows,
-                    weakest_thresholds)
+from .guess import GuessLPs, first_true, scan_sequence_rows, scan_top_rows, weakest_thresholds
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
 from .lp import (EQ, GE, LE, OPTIMAL, NormCosts, add_norm_rows, lp_model, row_block,
                  solve_lp)
 from .norms import TOP, eval_norm, max_ordered_norm, top_norm
 from .sparsify import (enumerate_threshold_sequences, geometric_grid,
-                       single_threshold_candidates, snap_to_grid, sparsify_weights,
-                       telescoped_deltas)
+                       single_threshold_candidates, sparsify_weights, telescoped_deltas)
 
 _TOL = 1e-9
 
@@ -717,12 +717,46 @@ def _cover_verdict(core, budget, radius, coverage):
     return None if np.any(spent > caps - slack) else True
 
 
-def _top_verdict(core, budget, radii, thresholds):
-    """GuessLPs verdict of a Top scan: _cover_verdict at each radius's
-    weakest threshold, None at every other."""
+def _top_lps(core, budget, ell, q, radii, thresholds):
+    """GuessLPs of a Top scan over radii and thresholds, with _cover_verdict
+    at each radius's weakest threshold and None at every other."""
     weakest = weakest_thresholds(radii, thresholds)
-    return lambda ri, ti: _cover_verdict(core, budget, radii[ri], coverage=True) \
-        if ti == weakest[ri] else None
+    return GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
+                                              radii[ri]), solve_lp,
+                    lambda ri, ti: _cover_verdict(core, budget, radii[ri], coverage=True)
+                    if ti == weakest[ri] else None)
+
+
+def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chain_of):
+    """guess.scan_sequence_rows over the threshold sequences of radii (on r0
+    coordinates), with _cover_verdict at each radius's weakest sequence
+    (every threshold at R) and None at every other.  sparsified is (sparse
+    weights, kept coordinates, w1); chain_of(radius, sequences) gives a
+    row's chain(sequence index, bound).  The scan starts at the first radius
+    whose weakest sequence is feasible, found by bisection; that sequence
+    is also its row's first, so the row reads the same verdict."""
+    sparse, pos, wtop = sparsified
+    reps = {}  # (radius index, count key) -> its sequence
+    lps = GuessLPs(lambda ri, key: _center_lp(core, budget,
+                                              _sequence_spec(sparse, pos, r0, reps[ri, key]),
+                                              radii[ri]), solve_lp,
+                   lambda ri, key: _cover_verdict(core, budget, radii[ri], coverage=True)
+                   if key == weakest(ri) else None)
+
+    def keyed(ri, seq):
+        reps[ri, _count_key(seq)] = seq
+        return _count_key(seq)
+
+    @functools.cache
+    def weakest(ri):  # a radius's first sequence, every threshold at R, is its weakest LP
+        return keyed(ri, next(iter(_sequences(radii[ri], r0))))
+
+    def row(ri):
+        seqs = list(_sequences(radii[ri], r0))
+        return seqs, [keyed(ri, seq) for seq in seqs], chain_of(radii[ri], seqs)
+
+    first = first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, len(radii))
+    return scan_sequence_rows(lps, radii, wtop, grid_of, row, first)
 
 
 def _sequences(radius, r0):
@@ -765,9 +799,7 @@ def _scan_top_guesses(core, budget, ell, q, eps):
     radii = sorted(set(core.distances()) | {0.0})
     thresholds = single_threshold_candidates(core.distances())
     r0 = max(core.r0, 1)
-    lps = GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
-                                              radii[ri]), solve_lp,
-                   _top_verdict(core, budget, radii, thresholds))
+    lps = _top_lps(core, budget, ell, q, radii, thresholds)
     best = scan_top_rows(lps, radii, thresholds, ell, q, lambda radius: [0.0] if radius == 0.0
                          else geometric_grid(radius, r0 ** root * radius, grid_eps))
     if best is None:
@@ -805,53 +837,24 @@ def _scan_ordered_guesses(core, budget, weights, eps):
     sparse, pos = sparsify_weights(weights, r0)
     wtop = max(float(w[0]) for w in sparse)
     radii = sorted(set(core.distances()) | {0.0})
-    best = None
     if wtop == 0.0:
         # zero objective: any feasible opening works; reuse the top driver at ell=1
         b = _scan_top_guesses(core, budget, 1, 1.0, eps)
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
-    reps = {}  # (radius index, count key) -> its sequence
-    lps = GuessLPs(lambda ri, key: _center_lp(core, budget,
-                                              _sequence_spec(sparse, pos, r0, reps[ri, key]),
-                                              radii[ri]), solve_lp,
-                   lambda ri, key: _cover_verdict(core, budget, radii[ri], coverage=True)
-                   if key == weakest(ri) else None)
 
-    def keyed(ri, seq):
-        reps[ri, _count_key(seq)] = seq
-        return _count_key(seq)
+    def chain_of(radius, seqs):
+        return lambda sidx, bound: 0.0 if seqs[sidx] is None else \
+            _ordered_chain(sparse, pos, seqs[sidx], radius, bound)
 
-    @functools.cache
-    def weakest(ri):  # a radius's first sequence, every threshold at R, is its weakest LP
-        return keyed(ri, next(iter(_sequences(radii[ri], r0))))
-
-    first = first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, len(radii))
-    for ri in range(first, len(radii)):
-        radius = radii[ri]
-        if best is not None and radius * wtop > best[0][0]:
-            break
-        grid = [0.0] if radius == 0.0 else geometric_grid(radius * wtop, r0 * radius * wtop, eps)
-        floor = snap_to_grid(grid, radius * wtop)  # no bound of this radius lies below it
-
-        def chain_at(seq, bound):
-            return 0.0 if seq is None else _ordered_chain(sparse, pos, seq, radius, bound)
-
-        def real_key(guess, sol, svar):
-            sidx, seq = guess
-            bound = 0.0 if seq is None else snap_to_grid(grid, max(max(sol.x[svar], 0.0),
-                                                                   radius * wtop))
-            if bound is None:
-                return None
-            return (bound, chain_at(seq, bound), ri, sidx), (radius, seq, _lp_parts(core, sol.x))
-
-        guesses = [((floor, chain_at(seq, floor), ri, sidx), keyed(ri, seq), (sidx, seq))
-                   for sidx, seq in enumerate(_sequences(radius, r0))]
-        best = scan_sequence_row(lps, ri, guesses, real_key, best)
+    best = _scan_sequences(core, budget, (sparse, pos, wtop), r0, radii,
+                           lambda radius: [0.0] if radius == 0.0 else
+                           geometric_grid(radius * wtop, r0 * radius * wtop, eps),
+                           chain_of)
     if best is None:
         raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
-    (bound, chain, _, _), (radius, seq, xuy) = best
-    return bound, chain, radius, seq, sparse, pos, xuy
+    (bound, chain, ri, _), (seq, sol) = best
+    return bound, chain, radii[ri], seq, sparse, pos, _lp_parts(core, sol.x)
 
 
 def solve_matroid_center(minst, norm, eps):
@@ -972,12 +975,14 @@ def solve_knapsack_center(kinst, norm, eps):
     light = [i for i in range(nf) if i not in set(heavy)]
     s0_guesses = _heavy_sets(heavy, wt, budget_w, eps)
 
+    sparsified = None  # (sparse weights, kept coordinates, w1) of an ordered norm
     if norm.kind == TOP:
         root = 1.0 / norm.q
         scale_lo, scale_hi = 1.0, max(core.r0, 1) ** root
     else:
-        sparse_all, _ = sparsify_weights(norm.weights, max(core.r0, 1))
-        wtop = max(float(w[0]) for w in sparse_all)
+        sparse, pos = sparsify_weights(norm.weights, max(core.r0, 1))
+        wtop = max(float(w[0]) for w in sparse)
+        sparsified = (sparse, pos, wtop)
         if wtop == 0.0:
             scale_lo = scale_hi = 1.0
         else:
@@ -1010,7 +1015,8 @@ def solve_knapsack_center(kinst, norm, eps):
             runs = np.flatnonzero((pattern[:, 1:] != pattern[:, :-1]).any(axis=0)) + 1
             for a, b in zip([0, *runs], [*runs, stop]):
                 pre = tuple(pattern[:, a].tolist())
-                found = _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds)
+                found = _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds,
+                                        sparsified)
                 if found is None:
                     continue
                 at = bisect_left(grid, found[0] - 1e-12, a, b)
@@ -1031,46 +1037,34 @@ def _residual_core(core, light, pre):
                       facility_ids=tuple(core.facility_ids[i] for i in light))
 
 
-def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds):
+def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, sparsified):
     """Cheapest attainable bound for the light-facility residual instance
     under one pre-connection pattern; returns (bound estimate, payload).
     thresholds are the light facilities' single-threshold candidates, which
-    the Top residual scans."""
+    the Top residual scans; sparsified is the ordered norm's (sparse weights,
+    kept coordinates, w1), None for a Top norm.  Neither changes within one
+    knapsack solve."""
     rcore = _residual_core(core, light, pre)
     budget = (KNAPSACK, wt, w_res)
     if norm.kind == TOP:
         ell, q = norm.ell, norm.q
-        lps = GuessLPs(lambda ri, ti: _center_lp(rcore, budget, ("top", ell, q, thresholds[ti]),
-                                                  radius), solve_lp,
-                       _top_verdict(rcore, budget, [radius], thresholds))
+        lps = _top_lps(rcore, budget, ell, q, [radius], thresholds)
         # no grid: the bound estimate itself, so the row stops once s^(1/q) <= the floor
         found = scan_top_rows(lps, [radius], thresholds, ell, q, None)
         if found is None:
             return None
         bhat, _, t, sol = found
         return bhat, (rcore, ("top", ell, q, t), _lp_parts(rcore, sol.x))
+    # no grid and no chain: the key is (estimate, sequence index), so the
+    # sequences go in order and the walk stops once one reaches R w1
     r0 = max(core.r0, 1)
-    sparse, pos = sparsify_weights(norm.weights, r0)
-    wtop = max(float(w[0]) for w in sparse)
-    floor = radius * wtop
-    reps = {}  # count key -> its sequence
-    lps = GuessLPs(lambda _, key: _center_lp(rcore, budget,
-                                             _sequence_spec(sparse, pos, r0, reps[key]), radius),
-                   solve_lp)
-    guesses = []
-    for sidx, seq in enumerate(_sequences(radius, r0)):
-        reps[_count_key(seq)] = seq
-        guesses.append(((floor, sidx), _count_key(seq), (sidx, seq)))
-
-    def real_key(guess, sol, svar):
-        sidx, seq = guess
-        bhat = max(max(sol.x[svar], 0.0), floor)
-        return (bhat, sidx), (rcore, _sequence_spec(sparse, pos, r0, seq), _lp_parts(rcore, sol.x))
-
-    # all lower keys share the floor: sequences go in order, and the walk
-    # stops once one reaches the floor
-    best = scan_sequence_row(lps, 0, guesses, real_key)
-    return None if best is None else (best[0][0], best[1])
+    found = _scan_sequences(rcore, budget, sparsified, r0, [radius], None,
+                            lambda radius, seqs: lambda sidx, bound: 0.0)
+    if found is None:
+        return None
+    (bhat, _, _, _), (seq, sol) = found
+    return bhat, (rcore, _sequence_spec(sparsified[0], sparsified[1], r0, seq),
+                  _lp_parts(rcore, sol.x))
 
 
 def _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload):

@@ -13,18 +13,26 @@ instead of solving every guess:
     the thresholds upward.  The row stops once a candidate's bound equals
     its snapped floor max(R, ell^(1/q) T): every later T of the row snaps
     at least as high and loses the tie on T.
-  * scan_sequence_row (one threshold sequence per guess): the sequences of
-    a radius are visited in ascending order of an LP-free lower key that
-    no real key undercuts, and the visit stops once the next lower key
-    reaches the best real key.  A sequence counting at least as many items
-    as an infeasible one at every kept coordinate is skipped unsolved.
+  * scan_sequence_rows (one threshold sequence per guess, the ordered
+    radius loop): the radii go upward until R w1 passes the best bound,
+    and each radius is one scan_sequence_row.  Its sequences are visited
+    in ascending order of the LP-free lower key (floor, chain at the floor,
+    radius index, sequence index), with floor = R w1 snapped to the
+    radius's grid, which no real key undercuts, and the visit stops once
+    the next lower key reaches the best real key.  A sequence counting at
+    least as many items as an infeasible one at every kept coordinate is
+    skipped unsolved.  Its three callers keep only their count keys, chain
+    bound, grid and first radius: the ordered makespan scan
+    (maxnorm.load._scan_ordered_guesses), the ordered k-center scan and
+    the ordered knapsack residual (maxnorm.cluster._scan_ordered_guesses
+    and _residual_guess, the latter with no grid and no chain term).
 
 Both accept exactly the guess the exhaustive scan accepts.  A verdict that
 contradicts monotonicity (a numerical edge) sends its radius back to a full
 search of the row: an infeasible threshold past the bisected start, or an
 infeasible sequence covered by a feasible one of this or a smaller radius.
 The makespan Top and ordered scans, the k-center Top and ordered scans and
-the knapsack residual all run through these two.
+both knapsack residuals all run through these two.
 
 A scan asks each probe only for its verdict, through GuessLPs.feasible.  A
 driver may give GuessLPs an exact verdict that needs no LP, or None where
@@ -32,7 +40,7 @@ it cannot tell:
 
   * the makespan drivers give a max-flow test on every probe
     (maxnorm.load._count_feasible);
-  * the k-center Top and ordered scans and the knapsack Top residual give,
+  * the k-center Top and ordered scans and both knapsack residuals give,
     at each radius's weakest guess only, a disjoint-ball packing bound and
     a greedy integral opening (maxnorm.cluster._cover_verdict).
 
@@ -181,13 +189,13 @@ def _proven_feasible(lps, ri, key):
 def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
     """Branch-and-bound over the threshold sequences of radius index ri.
 
-    guesses are (lower key, count key, payload) triples.  The count key holds
-    one number per kept coordinate that grows as the sequence counts more
-    items there (the count of sizes above the threshold, or the negated
+    guesses are (lower key, count key) pairs.  The count key holds one
+    number per kept coordinate that grows as the sequence counts more items
+    there (the count of sizes above the threshold, or the negated
     threshold): lps(ri, count key) solves the sequence's LP, and a sequence
     counting at least as much everywhere as an infeasible one is infeasible
-    too, so it is skipped unsolved.  real_key(payload, solution, index of s)
-    gives (key, result), or None for no candidate; a key never lies below
+    too, so it is skipped unsolved.  real_key(lower key, solution, index of
+    s) gives (key, result), or None for no candidate; a key never lies below
     its lower key.  Returns the best (key, result) of best and this row's
     sequences: the visit goes in ascending lower-key order and stops once
     the next lower key reaches the best key, so no unvisited sequence could
@@ -197,7 +205,7 @@ def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
     A sequence whose verdict is infeasible is not solved.
     """
     infeasible = []
-    for lower, counts, payload in sorted(guesses, key=lambda g: g[0]):
+    for lower, counts in sorted(guesses, key=lambda g: g[0]):
         if best is not None and lower >= best[0]:
             break
         if prune and any(_covers(counts, bad) for bad in infeasible):
@@ -208,7 +216,47 @@ def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
                 return scan_sequence_row(lps, ri, guesses, real_key, best, prune=False)
             infeasible.append(counts)
             continue
-        cand = real_key(payload, sol, sidx)
+        cand = real_key(lower, sol, sidx)
         if cand is not None and (best is None or cand[0] < best[0]):
             best = cand
+    return best
+
+
+def scan_sequence_rows(lps, radii, wtop, grid_of, row, first=0):
+    """Smallest ((bound, chain, radius index, sequence index), (sequence,
+    LP solution)) over the threshold-sequence guesses of radii[first:], or
+    None when no guess gives a candidate.
+
+    row(ri) gives the sequences of radius index ri in order, their count
+    keys (scan_sequence_row) and chain(sequence index, bound), the caller's
+    chain bound, which does not decrease in the bound.  lps(ri, count key)
+    solves a sequence's LP.  A guess's bound is max(s, R w1) snapped to
+    grid_of(R), or taken as it is when grid_of is None; radius 0 allows
+    only zero-distance links, so its guesses sit at bound 0.  No bound of a
+    radius lies below its floor, R w1 snapped, so each guess gets the lower
+    key (floor, chain at the floor, radius index, sequence index), which no
+    real key undercuts; each radius is one scan_sequence_row, and the scan
+    stops at the first radius whose R w1 exceeds the best bound.
+    """
+    best = None
+    for ri in range(first, len(radii)):
+        radius = radii[ri]
+        least = radius * wtop
+        if best is not None and least > best[0][0]:
+            break
+        grid = None if grid_of is None else grid_of(radius)
+        seqs, keys, chain = row(ri)
+        floor = least if grid is None else snap_to_grid(grid, least)
+        guesses = [((floor, chain(sidx, floor), ri, sidx), key) for sidx, key in enumerate(keys)]
+
+        def real_key(lower, sol, svar):
+            sidx = lower[3]
+            bound = 0.0 if radius == 0.0 else max(max(sol.x[svar], 0.0), least)
+            if grid is not None:
+                bound = snap_to_grid(grid, bound)
+                if bound is None:
+                    return None
+            return (bound, chain(sidx, bound), ri, sidx), (seqs[sidx], sol)
+
+        best = scan_sequence_row(lps, ri, guesses, real_key, best)
     return best

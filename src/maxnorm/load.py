@@ -19,9 +19,12 @@ gets weaker as R grows (fewer pairs forbidden) and as any threshold grows
     guess's snapped bound equals its snapped floor max(R, ell^(1/q) T): a
     larger T has a floor at least as high, so it snaps no lower and loses
     the tie.
-  * max-ordered: every sequence of a radius gets the LP-free lower key
-    (floor, 4 R w1 + 2 floor + 2 gap, radius index, sequence index), with
-    floor = R w1 snapped to the grid.  A sequence's real key, with its
+  * max-ordered: maxnorm.guess.scan_sequence_rows, from the first radius,
+    with this driver's count keys (the sizes above each threshold; the
+    first sequence of each key stands for its LP) and chain bound
+    4 R w1 + 2 B + 2 gap.  Every sequence of a radius gets the LP-free
+    lower key (floor, chain at the floor, radius index, sequence index),
+    with floor = R w1 snapped to the grid.  A sequence's real key, with its
     bound in place of floor, is never below it, so visiting sequences in
     ascending lower key and stopping once the next lower key reaches the
     best real key finds the old minimum.  A sequence counting at least as
@@ -54,14 +57,13 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InvalidInputError, SolverInternalError
-from .guess import GuessLPs, scan_sequence_row, scan_top_rows
+from .guess import GuessLPs, scan_sequence_rows, scan_top_rows
 from .instances import Assignment, eval_load_objective
 from .lp import EQ, NormCosts, add_norm_rows, lp_model, scaled_integers, solve_lp
 from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
 from .norms import max_ordered_norm, top_norm
 from .sparsify import (geometric_grid, enumerate_threshold_sequences, single_threshold_candidates,
-                       snap_to_grid, sparsified_gap_bound, sparsified_gap_bounds,
-                       sparsify_weights)
+                       sparsified_gap_bound, sparsified_gap_bounds, sparsify_weights)
 
 _MASS_TOL = 1e-9
 
@@ -320,39 +322,29 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     m, n = inst.machines, inst.jobs
     sizes = inst.finite_sizes()
     radii = _feasible_radii(inst, sizes)
-    reps = {}  # (radius index, count key) -> a sequence with that key
+    reps = {}  # (radius index, count key) -> the first sequence with that key
     lps = GuessLPs(lambda ri, counts: _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri],
                                                                  reps[ri, counts]), solve_lp,
                    lambda ri, counts: _count_feasible(inst, radii[ri], reps[ri, counts].values,
                                                       pos.indices))
-    best = None  # ((bound, chain, ridx, sidx), (radius, seq, x))
-    for ridx, radius in enumerate(radii):
-        if best is not None and radius * wtop > best[0][0]:
-            break
-        grid = geometric_grid(radius * wtop, n * radius * wtop, eps)
-        floor = snap_to_grid(grid, radius * wtop)  # no bound of this radius lies below it
+
+    def row(ri):
+        radius = radii[ri]
         seqs = list(enumerate_threshold_sequences(radius, n))
         values = [seq.values for seq in seqs]
         gaps = sparsified_gap_bounds(sparse, pos, values).tolist()
-        guesses = []
-        for sidx, (seq, gap, key) in enumerate(zip(seqs, gaps, _sequence_keys(sizes, values))):
-            reps.setdefault((ridx, key), seq)
-            lower = (floor, 4 * radius * wtop + 2 * floor + 2 * gap, ridx, sidx)
-            guesses.append((lower, key, (sidx, seq, gap)))
+        keys = _sequence_keys(sizes, values)
+        for key, seq in zip(keys, seqs):
+            reps.setdefault((ri, key), seq)
+        return seqs, keys, lambda sidx, bound: 4 * radius * wtop + 2 * bound + 2 * gaps[sidx]
 
-        def real_key(guess, sol, svar):
-            sidx, seq, gap = guess
-            bound = snap_to_grid(grid, max(float(sol.x[svar]), radius * wtop))
-            if bound is None:
-                return None
-            chain = 4 * radius * wtop + 2 * bound + 2 * gap
-            return (bound, chain, ridx, sidx), (radius, seq, sol.x[: m * n].reshape(m, n))
-
-        best = scan_sequence_row(lps, ridx, guesses, real_key, best)
+    best = scan_sequence_rows(lps, radii, wtop,
+                              lambda radius: geometric_grid(radius * wtop, n * radius * wtop, eps),
+                              row)
     if best is None:
         raise SolverInternalError("guessing grids failed to cover the instance")
-    (bound, _, _, _), (radius, seq, x) = best
-    return bound, radius, seq, x
+    (bound, _, ri, _), (seq, sol) = best
+    return bound, radii[ri], seq, sol.x[: m * n].reshape(m, n)
 
 
 def _sequence_keys(sizes, values):

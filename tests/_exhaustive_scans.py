@@ -3,10 +3,10 @@
 These are the k-center, makespan and fair scans as they were before the
 monotone search, and the knapsack driver's walk as it was before pattern
 runs and the radius floor, kept as the reference the search is tested
-against.  They look every program name up through the cluster, load or
-fair module at call time, so a test that replaces `cluster.solve_lp` or
-`cluster._center_lp` (or their load and fair counterparts) reaches both
-implementations.
+against.  They look every program name but snap_to_grid up through the
+cluster, load or fair module at call time, so a test that replaces
+`cluster.solve_lp` or `cluster._center_lp` (or their load and fair
+counterparts) reaches both implementations.
 """
 
 import itertools
@@ -17,6 +17,7 @@ import numpy as np
 
 from maxnorm import cluster, fair, load
 from maxnorm.lp import OPTIMAL
+from maxnorm.sparsify import snap_to_grid
 
 
 def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
@@ -42,7 +43,7 @@ def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
             if sol.status != cluster.OPTIMAL:
                 continue
             bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
-            bound = cluster.snap_to_grid(grid, bhat)
+            bound = snap_to_grid(grid, bhat)
             if bound is None:
                 continue
             cand = (bound, radius, t, cluster._lp_parts(core, sol.x))
@@ -84,7 +85,7 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
             sol = cluster.solve_lp(model)
             if sol.status != cluster.OPTIMAL:
                 continue
-            bound = cluster.snap_to_grid(grid, max(max(sol.x[sidx], 0.0), radius * wtop)) \
+            bound = snap_to_grid(grid, max(max(sol.x[sidx], 0.0), radius * wtop)) \
                 if seq is not None else 0.0
             if bound is None:
                 continue
@@ -124,12 +125,14 @@ def solve_knapsack_center(kinst, norm, eps, visit=None):
             if sum(wt[i] for i in combo) <= budget_w + 1e-9:
                 s0_guesses.append(combo)
 
+    sparsified = None
     if norm.kind == cluster.TOP:
         root = 1.0 / norm.q
         scale_lo, scale_hi = 1.0, max(core.r0, 1) ** root
     else:
-        sparse_all, _ = cluster.sparsify_weights(norm.weights, max(core.r0, 1))
-        wtop = max(float(w[0]) for w in sparse_all)
+        sparse, pos = cluster.sparsify_weights(norm.weights, max(core.r0, 1))
+        wtop = max(float(w[0]) for w in sparse)
+        sparsified = (sparse, pos, wtop)
         if wtop == 0.0:
             scale_lo = scale_hi = 1.0
         else:
@@ -158,7 +161,8 @@ def solve_knapsack_center(kinst, norm, eps, visit=None):
                     if visit is not None:
                         visit(s0, radius, pre)
                     config_cache[pre] = cluster._residual_guess(core, light, wt, w_res, pre,
-                                                                radius, norm, thresholds)
+                                                                radius, norm, thresholds,
+                                                                sparsified)
                 found = config_cache[pre]
                 if found is None:
                     continue
@@ -174,10 +178,11 @@ def solve_knapsack_center(kinst, norm, eps, visit=None):
     return cluster._finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload)
 
 
-def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds):
+def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, sparsified):
     """Cheapest attainable bound for the light-facility residual instance
     under one pre-connection pattern; returns (bound estimate, payload).
-    The Top thresholds are derived here again; the given ones go unread."""
+    The Top thresholds and the sparsified weights are derived here again;
+    the given ones go unread."""
     l_res = np.maximum(core.l - np.array(pre), 0)
     r_res = core.r - np.array(pre)
     if np.any(r_res < 0):
@@ -250,7 +255,7 @@ def load_scan_top_guesses(inst, ell, q, grid_eps):
             if sol.status != OPTIMAL:
                 continue
             bhat = max(max(sol.x[sidx], 0.0) ** root, radius, ell ** root * t)
-            bound = load.snap_to_grid(grid, bhat)
+            bound = snap_to_grid(grid, bhat)
             if bound is None:
                 continue
             cand = (bound, radius, t, sol.x[: m * n].reshape(m, n))
@@ -285,7 +290,7 @@ def load_scan_ordered_guesses(inst, sparse, pos, wtop, eps):
                 cache[key] = (sval, x)
             if sval is None:
                 continue
-            bound = load.snap_to_grid(grid, max(sval, radius * wtop))
+            bound = snap_to_grid(grid, max(sval, radius * wtop))
             if bound is None:
                 continue
             gap = load.sparsified_gap_bound(sparse, pos, seq)

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 from maxnorm.cli import main
-from maxnorm import fileio
+from maxnorm import cli, fileio
 from maxnorm.generators import gen_cluster, gen_fair_cluster, gen_knapsack_cluster, \
     gen_matroid_cluster
 from maxnorm.instances import KnapsackClusterInstance
@@ -228,6 +228,39 @@ def test_compare_csv(tmp_path):
     for line in lines[1:]:
         ratio = float(line.split(",")[3])
         assert ratio <= 4.1
+
+
+def test_compare_caps_its_workers(tmp_path, monkeypatch):
+    """A pool started by fork launches every worker at its first submit, so
+    compare asks for at most one worker per seed and per CPU, and none for
+    one; the rows come out as without a pool."""
+    pools = []
+
+    class Inline:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    texts = []
+    for seeds, threads in (("0:2", 1), ("0:2", 8), ("0:5", 8), ("0:1", 8), ("0:5", 2)):
+        out = tmp_path / f"rows-{seeds}-{threads}.csv"
+        assert main(["compare", "--kind", "load", "--seeds", seeds, "--norm", "topl:1:1",
+                     "--machines", "2", "--jobs", "3", "--threads", str(threads),
+                     "--out", str(out)]) == 0
+        texts.append(out.read_text())
+    assert pools == [2, 3, 2]
+    assert texts[1] == texts[0] and texts[4] == texts[2]
+    assert texts[2].startswith(texts[0]) and len(texts[2].splitlines()) == 6
 
 
 def test_fair_solve_and_sample(tmp_path, capsys):

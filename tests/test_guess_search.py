@@ -236,7 +236,7 @@ def test_knapsack_walk_with_drawn_residual_estimates(monkeypatch):
     rng = np.random.default_rng(322)
     draws = {}
 
-    def drawn(core, light, wt, w_res, pre, radius, norm, thresholds):
+    def drawn(core, light, wt, w_res, pre, radius, norm, thresholds, sparsified):
         rcore = cluster._residual_core(core, light, pre)
         if cluster._cover_verdict(rcore, (cluster.KNAPSACK, wt, w_res), radius,
                                   coverage=True) is False:
@@ -530,7 +530,7 @@ def test_residual_with_contradicting_verdicts(monkeypatch):
 
         def scan(module):
             return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
-                                          radius, norm, thresholds)
+                                          radius, norm, thresholds, None)
 
         (new, ref), log = _scan_both(monkeypatch, table, scan)
         assert _same(new, ref)
@@ -709,7 +709,7 @@ def test_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
 
         def scan(module):
             return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
-                                          radius, norm, thresholds)
+                                          radius, norm, thresholds, None)
 
         def refuted(monkeypatch, lp_table, log):
             _tabled_lps(monkeypatch, lp_table, log, verdicts=table)
@@ -775,6 +775,58 @@ def test_ordered_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
                 planted += 1
                 changed += not _same(new, base)
     assert planted >= 20 and changed >= 5, (planted, changed)
+
+
+def test_ordered_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
+    """The verdict says feasible where the LP says infeasible, on the ordered
+    knapsack residual's weakest sequence (every threshold at R), which its
+    walk asks first, and a lure that only the LP finds feasible sits among
+    the sequences covering it, which a walk taking the LP's verdict as
+    monotone skips.  The residual must be searched again with prune=False
+    and return what the exhaustive residual returns."""
+    rng = np.random.default_rng(323)
+    planted = changed = 0
+    for _ in range(30):
+        core = core_of(random_cluster(rng, nc_hi=5, nf_hi=5))
+        radii = sorted(set(core.distances()) - {0.0})
+        if not radii:
+            continue
+        radius = radii[int(rng.integers(0, len(radii)))]
+        weights = TIED_WEIGHTS[int(rng.integers(0, len(TIED_WEIGHTS)))]
+        sparse, pos = sparsify_weights(weights, max(core.r0, 1))
+        sparsified = (sparse, pos, max(float(w[0]) for w in sparse))
+        a, b = rng.uniform(1.0, 3.0), rng.uniform(0.0, 2.0)
+
+        def table(radius, seq):  # s falls as the thresholds grow
+            return radius * sparsified[2] * (a + b * (1.0 - min(seq.values) / radius))
+
+        nf = core.n_facilities
+        prunes = []
+
+        def scan(module):
+            return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0,
+                                          (0,) * core.n_clients, radius,
+                                          max_ordered_norm(weights), None, sparsified)
+
+        def refuted(monkeypatch, lp_table, log):
+            _ordered_tabled_lps(monkeypatch, lp_table, log, verdicts=table)
+            row = guess.scan_sequence_row
+            monkeypatch.setattr(guess, "scan_sequence_row", lambda *args, **kwargs:
+                                prunes.append(kwargs.get("prune", True)) or row(*args, **kwargs))
+
+        (base, ref), log = _scan_both(monkeypatch, table, scan, _ordered_tabled_lps)
+        assert _same(base, ref)
+        seqs = list(cluster._sequences(radius, max(core.r0, 1)))
+        for lure in [None] + seqs[1:][-1:]:
+            lure = lure and (radius, lure)
+            prunes.clear()
+            (new, ref), _ = _scan_both(monkeypatch, _planted(table, (radius, seqs[0]), lure),
+                                       scan, refuted)
+            assert _same(new, ref), lure
+            assert False in prunes
+            planted += 1
+            changed += not _same(new, base)
+    assert planted >= 30 and changed >= 15, (planted, changed)
 
 
 # ---------------------------------------------------------------------------
