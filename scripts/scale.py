@@ -17,10 +17,17 @@ The cases (Top-(2,1) and eps 0.1 unless named otherwise):
   knapsack-ordered-14x14-s0 .. s3
                             gen_knapsack_cluster(seed, 14, 14) at max-ordered
                             weights ((1, 0.5, 0.25), (0.75, 0.75))
+  knapsack-ordered-20x20-eps005
+                            gen_knapsack_cluster(0, 20, 20) at the same
+                            max-ordered weights, eps 0.05
   topk-100x100-s0, s1       gen_cluster(seed, 100, 100), solve_topl_kcenter
   fair-float-caps           gen_fair_load(seed, 2 + seed % 3, 4) with caps
                             round(0.7 e + 0.3, 1) passed as floats, at
                             Top-(1 + seed % 2, 1), seeds 0-39; DETAIL counts
+                            the outcomes
+  fair-float-targets        gen_fair_cluster(seed, 2 + seed % 3, 4, k=2) with
+                            targets round(0.7 e + 0.3, 1) passed as floats, at
+                            Top-(1 + seed % 2, 1), seeds 0-29; DETAIL counts
                             the outcomes
 """
 
@@ -43,12 +50,12 @@ def _knapsack(seed):
     return [lambda: solve_knapsack_center(kinst, top_norm(2, 1.0), 0.1)]
 
 
-def _knapsack_ordered(seed):
+def _knapsack_ordered(seed, size=14, eps=0.1):
     from maxnorm import generators, max_ordered_norm, solve_knapsack_center
 
-    kinst = generators.gen_knapsack_cluster(seed, 14, 14)
+    kinst = generators.gen_knapsack_cluster(seed, size, size)
     norm = max_ordered_norm(((1, 0.5, 0.25), (0.75, 0.75)))
-    return [lambda: solve_knapsack_center(kinst, norm, 0.1)]
+    return [lambda: solve_knapsack_center(kinst, norm, eps)]
 
 
 def _topk(seed):
@@ -72,11 +79,27 @@ def _fair_float_caps():
     return solves
 
 
+def _fair_float_targets():
+    from maxnorm import generators, solve_fair, top_norm
+    from maxnorm.instances import FairClusterInstance
+
+    solves = []
+    for seed in range(30):
+        base = generators.gen_fair_cluster(seed, 2 + seed % 3, 4, k=2)
+        targets = tuple(round(0.7 * float(e) + 0.3, 1) for e in base.e)
+        finst = FairClusterInstance(base=base.base, e=targets)
+        solves.append(lambda finst=finst, ell=1 + seed % 2:
+                      solve_fair(finst, top_norm(ell, 1.0), 0.1))
+    return solves
+
+
 CASES = {
     **{f"knapsack-20x20-s{s}": lambda s=s: _knapsack(s) for s in range(5)},
     **{f"knapsack-ordered-14x14-s{s}": lambda s=s: _knapsack_ordered(s) for s in range(4)},
+    "knapsack-ordered-20x20-eps005": lambda: _knapsack_ordered(0, 20, 0.05),
     **{f"topk-100x100-s{s}": lambda s=s: _topk(s) for s in range(2)},
     "fair-float-caps": _fair_float_caps,
+    "fair-float-targets": _fair_float_targets,
 }
 
 

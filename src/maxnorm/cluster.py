@@ -999,7 +999,7 @@ def solve_knapsack_center(kinst, norm, eps):
             continue
         w_res = budget_w - float(sum(wt[i] for i in s0))
         near = [sorted(float(core.cf[j, i]) for i in s0) for j in range(nc)]
-        tables = [_prefix_norm_table(norm, nd, int(core.r[j])) for j, nd in enumerate(near)]
+        tables = None  # built at the first pattern: most walks stop before one
         for radius in radii[start:]:
             if best is not None and radius * scale_lo > best[0]:
                 break
@@ -1010,6 +1010,9 @@ def solve_knapsack_center(kinst, norm, eps):
             stop = len(grid) if best is None else bisect_left(grid, best[0])
             if stop == 0:
                 continue
+            if tables is None:
+                tables = [_prefix_norm_table(norm, nd, int(core.r[j]))
+                          for j, nd in enumerate(near)]
             pattern = _preconnections([table[:1 + bisect_right(nd, radius)]
                                        for table, nd in zip(tables, near)], grid[:stop])
             runs = np.flatnonzero((pattern[:, 1:] != pattern[:, :-1]).any(axis=0)) + 1

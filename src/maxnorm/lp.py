@@ -32,9 +32,16 @@ Two solvers live here:
     ones at their value; optimal ones are verified against every row of
     the full model within a residual tolerance TAU_LP (one sparse mat-vec)
     and come back with at-bound flags (vertex certificate).
-  * simplex_solve: a small dense two-phase simplex over Fractions with
-    Bland's rule, used wherever exactness matters (dual candidate points,
-    distribution LPs).  Problem sizes there are tiny.
+  * simplex_solve: a small dense two-phase simplex with Bland's rule in
+    exact rational arithmetic, used wherever exactness matters (dual
+    candidate points, distribution LPs).  Problem sizes there are tiny.
+    Each tableau row is integer numerators over one positive denominator,
+    divided by its gcd after every pivot, so no Fraction is made until the
+    point is returned; every choice of pivot compares the same rational
+    values a Fraction tableau would (ratios cross-multiplied), so the path
+    of Bland's rule is that of the Fraction tableau.  Inputs are read as
+    Fraction(c) reads them: ints and Fractions directly, anything else
+    (floats, NumPy scalars) through Fraction(c).
 
 cutting_plane is the constraint-generation loop shared by the fairness
 drivers: it replaces the ellipsoid method of the analysis with finite cut
@@ -551,28 +558,74 @@ def dump_lp(model):
 # exact rational simplex
 
 
+def _rational(c):
+    """(numerator, denominator) of Fraction(c), as Python ints."""
+    if type(c) is int:
+        return c, 1
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return int(c.numerator), int(c.denominator)
+
+
+def _divided(row):
+    """row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
 def _pivot(tab, basis, r, c):
-    """Gauss-Jordan pivot of a Fraction tableau on (r, c); c enters the basis at row r."""
-    piv = tab[r][c]
-    tab[r] = [v / piv for v in tab[r]]
-    for rr in range(len(tab)):
-        if rr != r and tab[rr][c] != 0:
-            f = tab[rr][c]
-            tab[rr] = [a - f * b for a, b in zip(tab[rr], tab[r])]
+    """Gauss-Jordan pivot of an integer tableau on (r, c); c enters the basis
+    at row r.  A row of tab is its numerators (one per column, then the
+    right-hand side) and a positive denominator last; the final row is the
+    reduced costs.  Every row the pivot changes is divided by its gcd."""
+    row = tab[r]
+    if row[c] < 0:
+        row = [-v for v in row]
+    row[-1] = row[c]  # the pivot row over its pivot entry
+    row = tab[r] = _divided(row)
+    a = row[c]
+    for rr, other in enumerate(tab):
+        f = other[c]
+        if rr != r and f != 0:
+            new = [a * u - f * v for u, v in zip(other, row)]
+            new[-1] = a * other[-1]
+            tab[rr] = _divided(new)
     basis[r] = c
 
 
+def _reduced_costs(cost, tab, basis):
+    """A positive multiple of cost less the basis rows weighted by their
+    columns' costs, as the tableau's last row (cost holds integers)."""
+    used = [r for r, b in enumerate(basis) if cost[b] != 0]
+    scale = math.lcm(*(tab[r][-1] for r in used))
+    z = [v * scale for v in cost] + [0, scale]
+    for r in used:
+        f = cost[basis[r]] * (scale // tab[r][-1])
+        z = [u - f * v for u, v in zip(z, tab[r])]
+    z[-1] = scale
+    return _divided(z)
+
+
 def simplex_solve(rows, num_vars, objective=None, nonneg=None):
-    """Two-phase dense simplex over Fractions with Bland's rule.
+    """Two-phase dense simplex with Bland's rule in exact rational arithmetic.
 
     rows: (coeffs, sense, rhs) with coeffs a dict or sequence;
     nonneg: per-variable flags, False meaning a free variable;
     objective: minimized, defaults to 0 (pure feasibility).
+    A coefficient, right-hand side or cost c is read as Fraction(c) reads it.
+
+    The tableau holds each row as integer numerators over one positive
+    denominator, and the reduced costs as its last row, updated by every
+    pivot.  Each decision compares the rational values themselves: the
+    entering column is the first with a negative reduced cost; the leaving
+    row has the least ratio, compared cross-multiplied so the row
+    denominators cancel, ties to the smaller basis column.  Phase 1 ends by
+    pivoting each basic artificial out on its row's first nonzero entry (of
+    either sign) and freezing the artificial columns at 0.
 
     Returns (status, x) with x a tuple of Fractions on success.
     """
     nonneg = [True] * num_vars if nonneg is None else list(nonneg)
-    objective = [Fraction(0)] * num_vars if objective is None else [Fraction(c) for c in objective]
 
     # map model variables onto nonnegative columns (free -> difference of two)
     col_of, neg_col_of, ncols = [], [], 0
@@ -585,93 +638,82 @@ def simplex_solve(rows, num_vars, objective=None, nonneg=None):
         else:
             neg_col_of.append(None)
 
-    def expand(coeffs):
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        row = [Fraction(0)] * ncols
-        for v, c in items:
-            c = Fraction(c)
-            row[col_of[v]] += c
-            if neg_col_of[v] is not None:
-                row[neg_col_of[v]] -= c
-        return row
+    def expand(values, den):
+        """(numerators, common denominator) of (variable, value) pairs over
+        the columns, the denominator a multiple of den."""
+        terms = [(col_of[v], neg_col_of[v], *_rational(c)) for v, c in values]
+        den = math.lcm(den, *(d for _, _, _, d in terms))
+        out = [0] * ncols
+        for col, neg, n, d in terms:
+            n *= den // d
+            out[col] += n
+            if neg is not None:
+                out[neg] -= n
+        return out, den
 
     norm_rows = []
     for coeffs, sense, rhs in rows:
-        row, rhs = expand(coeffs), Fraction(rhs)
-        if rhs < 0:
-            row = [-c for c in row]
-            rhs = -rhs
+        rn, rd = _rational(rhs)
+        row, den = expand(coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs), rd)
+        rn *= den // rd
+        if rn < 0:
+            row, rn = [-c for c in row], -rn
             sense = {LE: GE, GE: LE, EQ: EQ}[sense]
-        norm_rows.append((row, sense, rhs))
+        norm_rows.append((row, sense, rn, den))
 
     m = len(norm_rows)
-    nslack = sum(1 for _, s, _ in norm_rows if s in (LE, GE))
-    nart = sum(1 for _, s, _ in norm_rows if s in (GE, EQ))
+    nslack = sum(1 for _, s, _, _ in norm_rows if s in (LE, GE))
+    nart = sum(1 for _, s, _, _ in norm_rows if s in (GE, EQ))
     total = ncols + nslack + nart
-    tab = [[Fraction(0)] * (total + 1) for _ in range(m)]
-    basis = [None] * m
-    art_cols = []
+    tab, basis, art_cols = [], [], []
     scol, acol = ncols, ncols + nslack
-    for r, (row, sense, rhs) in enumerate(norm_rows):
-        tab[r][:ncols] = row
-        tab[r][total] = rhs
+    for row, sense, rhs, den in norm_rows:
+        row = row + [0] * (nslack + nart) + [rhs, den]
         if sense == LE:
-            tab[r][scol] = Fraction(1)
-            basis[r] = scol
+            row[scol] = den
+            basis.append(scol)
             scol += 1
-        elif sense == GE:
-            tab[r][scol] = Fraction(-1)
-            scol += 1
-            tab[r][acol] = Fraction(1)
-            basis[r] = acol
-            art_cols.append(acol)
-            acol += 1
         else:
-            tab[r][acol] = Fraction(1)
-            basis[r] = acol
+            if sense == GE:
+                row[scol] = -den
+                scol += 1
+            row[acol] = den
+            basis.append(acol)
             art_cols.append(acol)
             acol += 1
+        tab.append(row)
+    tab.append(None)  # the reduced costs, set per phase
     art_set = set(art_cols)
 
     def run_phase(cost):
-        # cost over all columns; returns objective value at termination.  Bland's
-        # rule never returns to a basis, so a phase visits at most C(total, m)
+        # True at an optimum, False when unbounded.  Bland's rule never
+        # returns to a basis, so a phase visits at most C(total, m)
+        tab[m] = _reduced_costs(cost, tab, basis)
         for _ in range(math.comb(total, m)):
-            # reduced costs via the basis rows
-            red = list(cost)
-            offset = Fraction(0)
-            for r in range(m):
-                cb = cost[basis[r]]
-                if cb != 0:
-                    offset += cb * tab[r][total]
-                    for c in range(total):
-                        red[c] -= cb * tab[r][c]
+            red = tab[m]
             enter = next((c for c in range(total) if red[c] < 0), None)
             if enter is None:
-                return offset, True
-            best_r, best_ratio = None, None
+                return True
+            best_r = None
             for r in range(m):
-                if tab[r][enter] > 0:
-                    ratio = tab[r][total] / tab[r][enter]
-                    if best_ratio is None or ratio < best_ratio or \
-                            (ratio == best_ratio and basis[r] < basis[best_r]):
-                        best_r, best_ratio = r, ratio
+                e = tab[r][enter]
+                if e > 0:
+                    t = tab[r][total]
+                    if best_r is None or t * best_e < best_t * e or \
+                            (t * best_e == best_t * e and basis[r] < basis[best_r]):
+                        best_r, best_t, best_e = r, t, e
             if best_r is None:
-                return None, False  # unbounded
+                return False
             _pivot(tab, basis, best_r, enter)
         raise SolverInternalError("simplex phase pivoted past its count of bases")
 
     if art_cols:
-        phase1 = [Fraction(0)] * total
+        phase1 = [0] * total
         for c in art_cols:
-            phase1[c] = Fraction(1)
-        val, ok = run_phase(phase1)
-        if not ok:
+            phase1[c] = 1
+        if not run_phase(phase1):
             raise SolverInternalError("phase-1 simplex reported unbounded")
-        if val != 0:
+        if tab[m][total] != 0:
             return INFEASIBLE, None
         # drive leftover artificials out of the basis
         for r in range(m):
@@ -682,22 +724,17 @@ def simplex_solve(rows, num_vars, objective=None, nonneg=None):
         # freeze artificial columns at zero
         for r in range(m):
             for c in art_cols:
-                tab[r][c] = Fraction(0)
+                tab[r][c] = 0
 
-    cost = [Fraction(0)] * total
-    for v in range(num_vars):
-        cost[col_of[v]] += objective[v]
-        if neg_col_of[v] is not None:
-            cost[neg_col_of[v]] -= objective[v]
-    _, ok = run_phase(cost)
-    if not ok:
+    cost, _ = expand(enumerate(() if objective is None else objective), 1)
+    if not run_phase(cost + [0] * (nslack + nart)):
         return UNBOUNDED, None
 
     vals = [Fraction(0)] * total
     for r in range(m):
         if basis[r] in art_set and tab[r][total] != 0:
             raise SolverInternalError("artificial variable stuck in the basis")
-        vals[basis[r]] = tab[r][total]
+        vals[basis[r]] = Fraction(tab[r][total], tab[r][-1])
     x = []
     for v in range(num_vars):
         val = vals[col_of[v]]

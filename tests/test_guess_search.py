@@ -207,6 +207,44 @@ def test_knapsack_walk_matches_the_bound_by_bound_walk(monkeypatch):
     assert accepted >= 12
 
 
+def test_knapsack_prefix_tables_wait_for_a_heavy_sets_first_pattern(monkeypatch):
+    """A heavy set's prefix norm tables are built, one per client, right
+    before its first _preconnections call; a heavy set whose walk stops
+    before one (_radius_floor opens each heavy set) builds none.  The walks
+    still match the bound-by-bound reference."""
+    events = []
+
+    def logged(name, impl):
+        return lambda *args: events.append(name) or impl(*args)
+
+    idle = patterned = 0
+    for n, seed, eps, norm in ((8, 0, 0.1, top_norm(2, 1.0)), (8, 3, 0.1, top_norm(1, 1.0)),
+                               (10, 1, 0.1, max_ordered_norm(((1, 0.5, 0.25), (0.75, 0.75))))):
+        kinst = gen_knapsack_cluster(seed, clients=n, facilities=n)
+        _check_knapsack_walks(monkeypatch, kinst, norm, eps)
+        for name in ("_radius_floor", "_prefix_norm_table", "_preconnections"):
+            monkeypatch.setattr(cluster, name, logged(name, getattr(cluster, name)))
+        events.clear()
+        solve_knapsack_center(kinst, norm, eps)
+        monkeypatch.undo()
+        walks = []  # per heavy set, the calls after its _radius_floor
+        for name in events:
+            if name == "_radius_floor":
+                walks.append([])
+            else:
+                walks[-1].append(name)
+        for walk in walks:
+            if "_preconnections" in walk:
+                first = walk.index("_preconnections")
+                assert walk[:first] == ["_prefix_norm_table"] * n
+                assert "_prefix_norm_table" not in walk[first:]
+                patterned += 1
+            else:
+                assert walk == []
+                idle += 1
+    assert idle >= 100 and patterned >= 15
+
+
 def test_knapsack_walk_over_pattern_runs_matches_the_bound_by_bound_walk(monkeypatch):
     """Instances whose walks split the grid into several pattern runs, and
     where a run's residual estimate lies past the run's last bound, so the
