@@ -21,6 +21,10 @@ The cases (Top-(2,1) and eps 0.1 unless named otherwise):
                             gen_knapsack_cluster(0, 20, 20) at the same
                             max-ordered weights, eps 0.05
   topk-100x100-s0, s1       gen_cluster(seed, 100, 100), solve_topl_kcenter
+  makespan-ordered-10x300, makespan-ordered-10x1000
+                            gen_load(0, machines=10, jobs=300 or 1000, pmax=10,
+                            forbidden=0.1), solve_ordered_makespan at weights
+                            ((1, 0.5, 0.25, 0.125), (2, 0.5))
   fair-float-caps           gen_fair_load(seed, 2 + seed % 3, 4) with caps
                             round(0.7 e + 0.3, 1) passed as floats, at
                             Top-(1 + seed % 2, 1), seeds 0-39; DETAIL counts
@@ -65,6 +69,13 @@ def _topk(seed):
     return [lambda: solve_topl_kcenter(inst, 2, 1.0, 0.1)]
 
 
+def _makespan_ordered(jobs):
+    from maxnorm import generators, solve_ordered_makespan
+
+    inst = generators.gen_load(0, machines=10, jobs=jobs, pmax=10, forbidden=0.1)
+    return [lambda: solve_ordered_makespan(inst, ((1, 0.5, 0.25, 0.125), (2, 0.5)), 0.1)]
+
+
 def _fair_float_caps():
     from maxnorm import generators, solve_fair, top_norm
     from maxnorm.instances import FairLoadInstance
@@ -98,6 +109,8 @@ CASES = {
     **{f"knapsack-ordered-14x14-s{s}": lambda s=s: _knapsack_ordered(s) for s in range(4)},
     "knapsack-ordered-20x20-eps005": lambda: _knapsack_ordered(0, 20, 0.05),
     **{f"topk-100x100-s{s}": lambda s=s: _topk(s) for s in range(2)},
+    **{f"makespan-ordered-10x{jobs}": lambda jobs=jobs: _makespan_ordered(jobs)
+       for jobs in (300, 1000)},
     "fair-float-caps": _fair_float_caps,
     "fair-float-targets": _fair_float_targets,
 }
@@ -107,6 +120,8 @@ def _describe(result):
     """What a solve returned, as plain values."""
     if hasattr(result, "distribution"):
         return (result.bound, result.distribution)
+    if hasattr(result, "assignment"):
+        return (result.value, result.certificate, result.assignment)
     return (result.value, result.certificate, result.solution)
 
 

@@ -39,13 +39,16 @@ instead of solving every infeasible guess:
     bound is not snapped to a grid);
   * for ordered norms, maxnorm.guess.scan_sequence_rows, shared with the
     makespan driver and the ordered knapsack residual (_scan_sequences
-    builds its relaxations and verdicts): each radius's sequences are
-    visited in ascending order of the LP-free lower key (floor, chain at
-    the floor, radius, sequence index), with floor = R w1 snapped to the
-    grid, and the visit stops once the next lower key reaches the best key
-    found.  The chain only grows with the bound, so no real key lies below
-    its lower key.  A sequence lying at or below an infeasible one on every
-    kept coordinate is skipped unsolved.  The residual has no grid and no
+    builds its relaxations and verdicts): each radius's sequences, one
+    sparsify.SequenceTable with their chains as one vector, are visited in
+    ascending order of the LP-free lower key (floor, chain at the floor,
+    radius, sequence index), with floor = R w1 snapped to the grid, and
+    the visit stops once the next lower key reaches the best key found.
+    The chain only grows with the bound, so no real key lies below its
+    lower key.  A count key is the sequence's negated thresholds, so it
+    names one sequence, which is rebuilt from it only to build its LP.  A
+    sequence lying at or below an infeasible one on every kept coordinate
+    is skipped unsolved.  The residual has no grid and no
     chain term, so its keys order as (estimate, sequence index): it walks
     the sequences in order, from the all-R one that _cover_verdict decides,
     and stops once s <= R w1, since no later sequence gets below that floor.
@@ -78,14 +81,17 @@ import numpy as np
 from .bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
                        solve_two_laminar_integral)
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
-from .guess import GuessLPs, first_true, scan_sequence_rows, scan_top_rows, weakest_thresholds
+from .guess import (GuessLPs, SequenceRow, first_true, scan_sequence_rows, scan_top_rows,
+                    weakest_thresholds)
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
 from .lp import (EQ, GE, LE, OPTIMAL, NormCosts, add_norm_rows, lp_model, row_block,
                  solve_lp)
 from .norms import TOP, eval_norm, max_ordered_norm, top_norm
-from .sparsify import (enumerate_threshold_sequences, geometric_grid,
+from .sparsify import (SequenceTable, ThresholdSequence, geometric_grid,
                        single_threshold_candidates, sparsify_weights, telescoped_deltas)
+# unused; perfbench traces cluster.enumerate_threshold_sequences
+from .sparsify import enumerate_threshold_sequences  # noqa: F401
 
 _TOL = 1e-9
 
@@ -727,53 +733,52 @@ def _top_lps(core, budget, ell, q, radii, thresholds):
                     if ti == weakest[ri] else None)
 
 
-def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chain_of):
+def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
     """guess.scan_sequence_rows over the threshold sequences of radii (on r0
     coordinates), with _cover_verdict at each radius's weakest sequence
     (every threshold at R) and None at every other.  sparsified is (sparse
-    weights, kept coordinates, w1); chain_of(radius, sequences) gives a
-    row's chain(sequence index, bound).  The scan starts at the first radius
-    whose weakest sequence is feasible, found by bisection; that sequence
-    is also its row's first, so the row reads the same verdict."""
+    weights, kept coordinates, w1); chained(radius, values) gives the
+    SequenceRow chain of a row whose sequences' thresholds are the rows of
+    values.  A count key is the sequence's negated thresholds, so it names
+    its sequence; radius 0 has one guess and no sequence (None), with the
+    empty key, which covers every other but is never compared within a row:
+    only zero-distance links are allowed, and once feasible it ends the scan
+    at bound 0.  The scan starts at the first radius whose weakest sequence
+    is feasible, found by bisection; that sequence is also its row's first,
+    so the row reads the same verdict."""
     sparse, pos, wtop = sparsified
-    reps = {}  # (radius index, count key) -> its sequence
-    lps = GuessLPs(lambda ri, key: _center_lp(core, budget,
-                                              _sequence_spec(sparse, pos, r0, reps[ri, key]),
-                                              radii[ri]), solve_lp,
+
+    def build(ri, key):
+        seq = _keyed(radii[ri], pos, key)
+        return _center_lp(core, budget, _sequence_spec(sparse, pos, r0, seq), radii[ri])
+
+    lps = GuessLPs(build, solve_lp,
                    lambda ri, key: _cover_verdict(core, budget, radii[ri], coverage=True)
                    if key == weakest(ri) else None)
 
-    def keyed(ri, seq):
-        reps[ri, _count_key(seq)] = seq
-        return _count_key(seq)
-
-    @functools.cache
-    def weakest(ri):  # a radius's first sequence, every threshold at R, is its weakest LP
-        return keyed(ri, next(iter(_sequences(radii[ri], r0))))
+    def weakest(ri):
+        return () if radii[ri] == 0.0 else (-radii[ri],) * len(pos.indices)
 
     def row(ri):
-        seqs = list(_sequences(radii[ri], r0))
-        return seqs, [keyed(ri, seq) for seq in seqs], chain_of(radii[ri], seqs)
+        radius = radii[ri]
+        if radius == 0.0:
+            return SequenceRow(np.zeros((1, 0)), lambda bound, sidx: [0.0], lambda sidx: None)
+        table = SequenceTable(radius, r0)
+        values = table.values()
+        return SequenceRow(-values, chained(radius, values), table.sequence)
 
     first = first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, len(radii))
     return scan_sequence_rows(lps, radii, wtop, grid_of, row, first)
 
 
-def _sequences(radius, r0):
-    # radius 0 has no sequence (None): only zero-distance links are allowed
-    return [None] if radius == 0.0 else enumerate_threshold_sequences(radius, r0)
+def _keyed(radius, pos, key):
+    """The sequence with count key key at this radius (None at radius 0)."""
+    return ThresholdSequence(anchor=float(radius), positions=pos.indices,
+                             values=tuple(-v for v in key)) if key else None
 
 
 def _sequence_spec(sparse, pos, r0, seq):
     return ("top", r0, 1.0, 0.0) if seq is None else ("ordered", sparse, pos, seq)
-
-
-def _count_key(seq):
-    """The sequence's count key for scan_sequence_row: its negated
-    thresholds.  Radius 0 has only the one guess, so its empty key, which
-    covers every other, is never compared within a row; once feasible, it
-    ends the scan at bound 0."""
-    return () if seq is None else tuple(-v for v in seq.values)
 
 
 def _top_cert(radius, bound, ell, q, threshold):
@@ -820,15 +825,16 @@ def solve_ordered_kcenter(inst, weights, eps):
     return CenterSolveResult(solution=solution, value=value, certificate=cert)
 
 
-def _ordered_chain(sparse, pos, seq, radius, bound):
-    """Twice the telescoped rounding bound, maximized over weight vectors."""
-    worst = 0.0
-    tvals = seq.as_dict()
+def _ordered_chains(sparse, pos, values, radius, bound):
+    """Twice the telescoped rounding bound, maximized over weight vectors, of
+    each sequence whose thresholds are a row of values."""
+    values = np.asarray(values, float).reshape(-1, len(pos.indices))
+    worst = np.zeros(len(values))
     for w, delta in zip(sparse, telescoped_deltas(sparse, pos)):
-        tail = 0.0
-        for d, ell in zip(delta, pos.indices):
-            tail += d * (ell - 1) * tvals[ell]
-        worst = max(worst, 3 * bound + 6 * radius * float(w[0]) + 3 * tail)
+        tail = np.zeros(len(values))
+        for k, (d, ell) in enumerate(zip(delta, pos.indices)):
+            tail += d * (ell - 1) * values[:, k]
+        worst = np.maximum(worst, 3 * bound + 6 * radius * float(w[0]) + 3 * tail)
     return 2.0 * worst
 
 
@@ -843,14 +849,13 @@ def _scan_ordered_guesses(core, budget, weights, eps):
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
 
-    def chain_of(radius, seqs):
-        return lambda sidx, bound: 0.0 if seqs[sidx] is None else \
-            _ordered_chain(sparse, pos, seqs[sidx], radius, bound)
+    def chained(radius, values):
+        return lambda bound, sidx: _ordered_chains(sparse, pos, values[sidx], radius, bound)
 
     best = _scan_sequences(core, budget, (sparse, pos, wtop), r0, radii,
                            lambda radius: [0.0] if radius == 0.0 else
                            geometric_grid(radius * wtop, r0 * radius * wtop, eps),
-                           chain_of)
+                           chained)
     if best is None:
         raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
     (bound, chain, ri, _), (seq, sol) = best
@@ -1062,7 +1067,7 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
     # sequences go in order and the walk stops once one reaches R w1
     r0 = max(core.r0, 1)
     found = _scan_sequences(rcore, budget, sparsified, r0, [radius], None,
-                            lambda radius, seqs: lambda sidx, bound: 0.0)
+                            lambda radius, values: lambda bound, sidx: [0.0] * len(sidx))
     if found is None:
         return None
     (bhat, _, _, _), (seq, sol) = found
@@ -1095,7 +1100,7 @@ def _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload
     if norm.kind == TOP:
         res_cert = _top_cert(radius, bound, norm.ell, norm.q, spec[3])
     elif spec[0] == "ordered":
-        res_cert = _ordered_chain(spec[1], spec[2], spec[3], radius, bound)
+        res_cert = _ordered_chains(spec[1], spec[2], spec[3].values, radius, bound)[0]
     else:  # radius 0
         res_cert = 0.0
     cert_val = bound + res_cert

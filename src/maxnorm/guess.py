@@ -15,14 +15,16 @@ instead of solving every guess:
     at least as high and loses the tie on T.
   * scan_sequence_rows (one threshold sequence per guess, the ordered
     radius loop): the radii go upward until R w1 passes the best bound,
-    and each radius is one scan_sequence_row.  Its sequences are visited
-    in ascending order of the LP-free lower key (floor, chain at the floor,
+    and each radius is one scan_sequence_row over a SequenceRow, its
+    sequences grouped by count key (sequences with one key share an LP).
+    Every sequence has the LP-free lower key (floor, chain at the floor,
     radius index, sequence index), with floor = R w1 snapped to the
-    radius's grid, which no real key undercuts, and the visit stops once
-    the next lower key reaches the best real key.  A sequence counting at
-    least as many items as an infeasible one at every kept coordinate is
-    skipped unsolved.  Its three callers keep only their count keys, chain
-    bound, grid and first radius: the ordered makespan scan
+    radius's grid, which no real key undercuts.  The keys are visited in
+    ascending lower key of their first sequence, and the visit stops once
+    the next lower key reaches the best real key.  A key counting at least
+    as many items as an infeasible one at every kept coordinate is skipped
+    unsolved.  Its three callers keep only their count keys, chain bound,
+    grid and first radius: the ordered makespan scan
     (maxnorm.load._scan_ordered_guesses), the ordered k-center scan and
     the ordered knapsack residual (maxnorm.cluster._scan_ordered_guesses
     and _residual_guess, the latter with no grid and no chain term).
@@ -53,6 +55,8 @@ verdict.
 """
 
 from bisect import bisect_right
+
+import numpy as np
 
 from .lp import OPTIMAL
 from .sparsify import snap_to_grid
@@ -186,26 +190,67 @@ def _proven_feasible(lps, ri, key):
     return any(r <= ri and _covers(k, key) for r, k in known)
 
 
-def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
-    """Branch-and-bound over the threshold sequences of radius index ri.
+class SequenceRow:
+    """The threshold sequences of one radius, grouped by count key.
 
-    guesses are (lower key, count key) pairs.  The count key holds one
-    number per kept coordinate that grows as the sequence counts more items
-    there (the count of sizes above the threshold, or the negated
-    threshold): lps(ri, count key) solves the sequence's LP, and a sequence
-    counting at least as much everywhere as an infeasible one is infeasible
-    too, so it is skipped unsolved.  real_key(lower key, solution, index of
-    s) gives (key, result), or None for no candidate; a key never lies below
-    its lower key.  Returns the best (key, result) of best and this row's
-    sequences: the visit goes in ascending lower-key order and stops once
-    the next lower key reaches the best key, so no unvisited sequence could
-    have won.  An infeasible verdict on a sequence that a feasible one of
-    this or a smaller radius covers contradicts monotonicity; the row is
-    then searched again without skipping, solving every sequence it reaches.
-    A sequence whose verdict is infeasible is not solved.
+    keys holds one count key per sequence (a row each, numbers); the
+    sequences sharing a key share its LP.  self.keys lists the distinct
+    keys as tuples of Python numbers, and self.members[g] the indices of
+    key g's sequences, ascending.  chain(bound, indices) gives the chain
+    bounds of those sequences at a bound, which do not decrease in the
+    bound; sequence(index) gives the sequence a result carries."""
+
+    def __init__(self, keys, chain, sequence):
+        keys = np.asarray(keys)
+        order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+        ranked = keys[order]
+        starts = np.flatnonzero(np.append(True, (ranked[1:] != ranked[:-1]).any(axis=1)))
+        self.keys = [tuple(key) for key in ranked[starts].tolist()]
+        self.members = np.split(order, starts[1:])  # lexsort is stable: ascending
+        self.chain, self.sequence = chain, sequence
+        self._order, self._starts = order, starts
+
+    def visits(self, floor, ri):
+        """(lower key, count key, key index) per count key, ascending: a
+        sequence's lower key is (floor, chain at the floor, ri, index), and
+        a count key's is its first sequence's in that order."""
+        lower = self.chain(floor, np.arange(len(self._order)))
+        order = np.argsort(lower, kind="stable")
+        rank = np.empty(len(order), int)
+        rank[order] = np.arange(len(order))
+        first = np.minimum.reduceat(rank[self._order], self._starts)
+        out = []
+        for g in np.argsort(first).tolist():
+            sidx = int(order[first[g]])
+            out.append(((floor, lower[sidx], ri, sidx), self.keys[g], g))
+        return out
+
+
+def scan_sequence_row(lps, ri, visits, real_key, best=None, prune=True):
+    """Branch-and-bound over the count keys of radius index ri.
+
+    visits are SequenceRow.visits: (lower key, count key, key index)
+    triples in ascending lower-key order.  A count key holds one number per
+    kept coordinate that grows as its sequences count more items there (the
+    count of sizes above the threshold, or the negated threshold): lps(ri,
+    count key) solves the key's LP, and a key counting at least as much
+    everywhere as an infeasible one is infeasible too, so it is skipped
+    unsolved.  real_key(key index, solution, index of s) gives the best
+    (key, result) of the key's sequences, or None for no candidate; no
+    sequence's key lies below its lower key.  Returns the best (key, result)
+    of best and this row's sequences: the visit stops once the next lower
+    key reaches the best key, so no unvisited sequence could have won.
+    Visiting a count key at its first sequence and taking its best sequence
+    at once solves the same LPs in the same order as visiting every
+    sequence: a later sequence of a key reached before the stop has the
+    key's verdict, and one past the stop cannot win.  An infeasible verdict
+    on a key that a feasible one of this or a smaller radius covers
+    contradicts monotonicity; the row is then searched again without
+    skipping, solving every key it reaches.  A key whose verdict is
+    infeasible is not solved.
     """
     infeasible = []
-    for lower, counts in sorted(guesses, key=lambda g: g[0]):
+    for lower, counts, g in visits:
         if best is not None and lower >= best[0]:
             break
         if prune and any(_covers(counts, bad) for bad in infeasible):
@@ -213,10 +258,10 @@ def scan_sequence_row(lps, ri, guesses, real_key, best=None, prune=True):
         sol, sidx = lps(ri, counts) if not prune or lps.feasible(ri, counts) else (None, None)
         if sol is None or sol.status != OPTIMAL:
             if prune and _proven_feasible(lps, ri, counts):
-                return scan_sequence_row(lps, ri, guesses, real_key, best, prune=False)
+                return scan_sequence_row(lps, ri, visits, real_key, best, prune=False)
             infeasible.append(counts)
             continue
-        cand = real_key(lower, sol, sidx)
+        cand = real_key(g, sol, sidx)
         if cand is not None and (best is None or cand[0] < best[0]):
             best = cand
     return best
@@ -227,16 +272,18 @@ def scan_sequence_rows(lps, radii, wtop, grid_of, row, first=0):
     LP solution)) over the threshold-sequence guesses of radii[first:], or
     None when no guess gives a candidate.
 
-    row(ri) gives the sequences of radius index ri in order, their count
-    keys (scan_sequence_row) and chain(sequence index, bound), the caller's
-    chain bound, which does not decrease in the bound.  lps(ri, count key)
-    solves a sequence's LP.  A guess's bound is max(s, R w1) snapped to
-    grid_of(R), or taken as it is when grid_of is None; radius 0 allows
-    only zero-distance links, so its guesses sit at bound 0.  No bound of a
-    radius lies below its floor, R w1 snapped, so each guess gets the lower
-    key (floor, chain at the floor, radius index, sequence index), which no
-    real key undercuts; each radius is one scan_sequence_row, and the scan
-    stops at the first radius whose R w1 exceeds the best bound.
+    row(ri) gives the SequenceRow of radius index ri: its sequences' count
+    keys, grouped, the caller's chain bound and the sequence behind an
+    index.  lps(ri, count key) solves a key's LP.  A guess's bound is
+    max(s, R w1) snapped to grid_of(R), or taken as it is when grid_of is
+    None; radius 0 allows only zero-distance links, so its guesses sit at
+    bound 0.  No bound of a radius lies below its floor, R w1 snapped, so
+    each guess gets the lower key (floor, chain at the floor, radius index,
+    sequence index), which no real key undercuts; each radius is one
+    scan_sequence_row over its count keys, and the scan stops at the first
+    radius whose R w1 exceeds the best bound.  A solved key's sequences
+    share its bound, so its best sequence is the one with the smallest
+    (chain, index).
     """
     best = None
     for ri in range(first, len(radii)):
@@ -245,18 +292,20 @@ def scan_sequence_rows(lps, radii, wtop, grid_of, row, first=0):
         if best is not None and least > best[0][0]:
             break
         grid = None if grid_of is None else grid_of(radius)
-        seqs, keys, chain = row(ri)
+        seqs = row(ri)
         floor = least if grid is None else snap_to_grid(grid, least)
-        guesses = [((floor, chain(sidx, floor), ri, sidx), key) for sidx, key in enumerate(keys)]
 
-        def real_key(lower, sol, svar):
-            sidx = lower[3]
+        def real_key(g, sol, svar):
             bound = 0.0 if radius == 0.0 else max(max(sol.x[svar], 0.0), least)
             if grid is not None:
                 bound = snap_to_grid(grid, bound)
                 if bound is None:
                     return None
-            return (bound, chain(sidx, bound), ri, sidx), (seqs[sidx], sol)
+            members = seqs.members[g]
+            chains = seqs.chain(bound, members)
+            k = int(np.argmin(chains))
+            sidx = int(members[k])
+            return (bound, chains[k], ri, sidx), (seqs.sequence(sidx), sol)
 
-        best = scan_sequence_row(lps, ri, guesses, real_key, best)
+        best = scan_sequence_row(lps, ri, seqs.visits(floor, ri), real_key, best)
     return best

@@ -19,16 +19,22 @@ gets weaker as R grows (fewer pairs forbidden) and as any threshold grows
     guess's snapped bound equals its snapped floor max(R, ell^(1/q) T): a
     larger T has a floor at least as high, so it snaps no lower and loses
     the tie.
-  * max-ordered: maxnorm.guess.scan_sequence_rows, from the first radius,
-    with this driver's count keys (the sizes above each threshold; the
-    first sequence of each key stands for its LP) and chain bound
-    4 R w1 + 2 B + 2 gap.  Every sequence of a radius gets the LP-free
-    lower key (floor, chain at the floor, radius index, sequence index),
-    with floor = R w1 snapped to the grid.  A sequence's real key, with its
-    bound in place of floor, is never below it, so visiting sequences in
-    ascending lower key and stopping once the next lower key reaches the
-    best real key finds the old minimum.  A sequence counting at least as
-    many sizes as an infeasible one at every kept coordinate is skipped.
+  * max-ordered: maxnorm.guess.scan_sequence_rows, from the first radius.
+    Each radius is one sparsify.SequenceTable: support indices per
+    sequence, from which one vector lookup gives every sequence's count key
+    (the sizes above each threshold) and one pass its gap, so the chain
+    bound 4 R w1 + 2 B + 2 gap is a vector too.  The row hands the scan
+    the distinct count keys (about a hundred for thousands of sequences),
+    each with its sequences; a key's first sequence stands for its LP and
+    flow verdict, and only those and the accepted guess become
+    ThresholdSequence objects.  Every sequence gets the LP-free lower key
+    (floor, chain at the floor, radius index, sequence index), with
+    floor = R w1 snapped to the grid; a real key, with the bound in place
+    of floor, is never below it.  The keys are visited in ascending lower
+    key of their first sequence, a solved key offers its sequence of least
+    (chain, index), and the row stops once the next lower key reaches the
+    best real key.  A key counting at least as many sizes as an infeasible
+    one at every kept coordinate is skipped.
 
 A verdict contradicting monotonicity (an infeasible LP where a stronger one
 was feasible) sends its radius back to a full search.
@@ -41,6 +47,10 @@ which is totally unimodular: the LP is feasible exactly when a max flow
 routes every job that has no allowed uncounted machine through its
 machine's chain of caps.  Only guesses a visit reads are solved, so the
 scans solve the same models as before and read the same vertices.
+
+Rounding reads the vertex as arrays: each machine's positive entries, in
+size order, are the only ones its copy fill visits, and the copy graph's
+cost matrix is one indexed assignment.
 
 Accepted guesses come with a certificate: for Top-(ell,q) norms the rounded
 per-machine cost is at most (2 R^q + B^q + ell T^q)^(1/q); for max-ordered
@@ -57,13 +67,15 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InvalidInputError, SolverInternalError
-from .guess import GuessLPs, scan_sequence_rows, scan_top_rows
+from .guess import GuessLPs, SequenceRow, scan_sequence_rows, scan_top_rows
 from .instances import Assignment, eval_load_objective
 from .lp import EQ, NormCosts, add_norm_rows, lp_model, scaled_integers, solve_lp
 from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
 from .norms import max_ordered_norm, top_norm
-from .sparsify import (geometric_grid, enumerate_threshold_sequences, single_threshold_candidates,
+from .sparsify import (SequenceTable, geometric_grid, single_threshold_candidates,
                        sparsified_gap_bound, sparsified_gap_bounds, sparsify_weights)
+# unused; perfbench traces load.enumerate_threshold_sequences
+from .sparsify import enumerate_threshold_sequences  # noqa: F401
 
 _MASS_TOL = 1e-9
 
@@ -146,14 +158,15 @@ def machine_copies(x, p):
     """Split each machine into unit-capacity copies, filling jobs in
     non-decreasing size order (ties by job index).  Returns, per machine,
     the ordered list of copies as [(job, fractional amount), ...]."""
-    m, n = p.shape
-    out = []
-    for i in range(m):
-        jobs = sorted((j for j in range(n) if x[i, j] > _MASS_TOL),
-                      key=lambda j: (p[i, j], j))
+    m = p.shape[0]
+    mi, jj = np.nonzero(x > _MASS_TOL)  # the fill visits only these entries
+    order = np.lexsort((jj, p[mi, jj], mi))
+    mi, jj = mi[order], jj[order]
+    jobs, amounts = jj.tolist(), x[mi, jj].tolist()
+    out, start = [], 0
+    for end in np.searchsorted(mi, np.arange(1, m + 1)).tolist():
         copies, current, room = [], [], 1.0
-        for j in jobs:
-            amt = float(x[i, j])
+        for j, amt in zip(jobs[start:end], amounts[start:end]):
             while amt > _MASS_TOL:
                 take = min(amt, room)
                 current.append((j, take))
@@ -165,6 +178,7 @@ def machine_copies(x, p):
         if current:
             copies.append(current)
         out.append(copies)
+        start = end
     return out
 
 
@@ -184,15 +198,12 @@ def shmoys_tardos_round(x, p, edge_weights=None):
     x = np.asarray(x, float)
     m, n = p.shape
     copies = machine_copies(x, p)
-    flat = [(i, ci) for i in range(m) for ci in range(len(copies[i]))]
-    slot = {mc: t for t, mc in enumerate(flat)}
-    edges = set()
-    for i in range(m):
-        for ci, content in enumerate(copies[i]):
-            for j, _amt in content:
-                edges.add((j, slot[(i, ci)]))
-    if len(flat) < n:
+    # the copies of all machines in order; owner[t] is copy t's machine
+    owner = np.repeat(np.arange(m), [len(c) for c in copies])
+    if len(owner) < n:
         raise SolverInternalError("fewer machine copies than jobs")
+    edges = np.array([(j, t) for t, content in enumerate(c for mc in copies for c in mc)
+                      for j, _amt in content], dtype=int).reshape(-1, 2)
 
     if edge_weights is None:
         w = np.zeros(m)
@@ -201,19 +212,16 @@ def shmoys_tardos_round(x, p, edge_weights=None):
         # past 2^53 float sums of the scaled weights are inexact too; callers
         # that need the bound check the matching's weight in exact arithmetic
         w = np.array(scaled if max(scaled) * n < 2 ** 53 else edge_weights, float)
-    cost = np.full((n, len(flat)), np.inf)
-    for j, t in edges:
-        cost[j, t] = w[flat[t][0]]
+    cost = np.full((n, len(owner)), np.inf)
+    cost[edges[:, 0], edges[:, 1]] = w[owner[edges[:, 1]]]
     try:
         rows_idx, cols_idx = linear_sum_assignment(cost)
     except ValueError as exc:
         raise SolverInternalError(f"copy matching infeasible: {exc}")
-    sigma = [-1] * n
-    for j, t in zip(rows_idx, cols_idx):
-        sigma[j] = flat[t][0]
-    if any(i < 0 for i in sigma):
+    if len(rows_idx) < n:
         raise SolverInternalError("matching left a job unassigned")
-    return Assignment(tuple(sigma)), copies
+    # the row indices come back sorted, so with every job matched they are 0..n-1
+    return Assignment(tuple(owner[cols_idx].tolist())), copies
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +330,26 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     m, n = inst.machines, inst.jobs
     sizes = inst.finite_sizes()
     radii = _feasible_radii(inst, sizes)
-    reps = {}  # (radius index, count key) -> the first sequence with that key
+    reps = {}  # (radius index, count key) -> (table, index of its first sequence)
+
+    def rep(ri, counts):
+        table, k = reps[ri, counts]
+        return table.sequence(k)
+
     lps = GuessLPs(lambda ri, counts: _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri],
-                                                                 reps[ri, counts]), solve_lp,
-                   lambda ri, counts: _count_feasible(inst, radii[ri], reps[ri, counts].values,
+                                                                 rep(ri, counts)), solve_lp,
+                   lambda ri, counts: _count_feasible(inst, radii[ri], rep(ri, counts).values,
                                                       pos.indices))
 
     def row(ri):
         radius = radii[ri]
-        seqs = list(enumerate_threshold_sequences(radius, n))
-        values = [seq.values for seq in seqs]
-        gaps = sparsified_gap_bounds(sparse, pos, values).tolist()
-        keys = _sequence_keys(sizes, values)
-        for key, seq in zip(keys, seqs):
-            reps.setdefault((ri, key), seq)
-        return seqs, keys, lambda sidx, bound: 4 * radius * wtop + 2 * bound + 2 * gaps[sidx]
+        table = SequenceTable(radius, n)
+        gaps = sparsified_gap_bounds(sparse, pos, table.values())
+        seqs = SequenceRow(_count_keys(table, sizes), lambda bound, sidx:
+                           4 * radius * wtop + 2 * bound + 2 * gaps[sidx], table.sequence)
+        for key, members in zip(seqs.keys, seqs.members):
+            reps[ri, key] = (table, int(members[0]))
+        return seqs
 
     best = scan_sequence_rows(lps, radii, wtop,
                               lambda radius: geometric_grid(radius * wtop, n * radius * wtop, eps),
@@ -347,10 +360,9 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     return bound, radii[ri], seq, sol.x[: m * n].reshape(m, n)
 
 
-def _sequence_keys(sizes, values):
-    """Per threshold sequence (its values, one row each), the count of sizes
-    above each threshold, as a tuple of ints: sequences inducing the same
-    comparison sets give the same LP.  sizes are the instance's distinct
-    finite sizes, ascending."""
-    above = len(sizes) - np.searchsorted(sizes, np.asarray(values, float), side="right")
-    return [tuple(row) for row in above.tolist()]
+def _count_keys(table, sizes):
+    """Per sequence of a SequenceTable (a row each), the count of sizes above
+    each threshold: sequences with the same counts give the same LP.  sizes
+    are the instance's distinct finite sizes, ascending."""
+    above = len(sizes) - np.searchsorted(sizes, np.asarray(table.support), side="right")
+    return table.lookup(above)

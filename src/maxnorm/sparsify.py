@@ -5,9 +5,11 @@ Sparsification keeps only the coordinates POS = {min(2^t, n)}, replaces the
 weight vector in between by its value at the next kept coordinate, and pays
 at most a factor 2:  sparse(v) <= full(v) <= 2 * sparse(v).  Threshold guesses
 then range over a dyadic support {R/2^s >= R/n} + {R/n}, which keeps the
-number of non-increasing guess sequences polynomial.
+number of non-increasing guess sequences polynomial.  The scans read the
+sequences of one anchor as one SequenceTable of support indices.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ import numpy as np
 from .errors import InvalidInputError, ResourceCapError
 
 _GRID_CAP = 10 ** 6  # grid points
+_SEQUENCE_CAP = 10 ** 7  # threshold sequences of one anchor
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,49 @@ def enumerate_threshold_sequences(anchor, n):
     for combo in itertools.combinations_with_replacement(range(len(support)), tail):
         values = (anchor,) + tuple(support[idx] for idx in combo)
         yield ThresholdSequence(anchor=float(anchor), positions=pos.indices, values=values)
+
+
+@functools.lru_cache(maxsize=4)
+def _support_indices(size, width):
+    """The rows of combinations_with_replacement(range(size), width - 1) in
+    its order, each behind a leading 0, as one read-only array."""
+    combos = itertools.combinations_with_replacement(range(size), width - 1)
+    flat = np.fromiter(itertools.chain.from_iterable(combos), np.min_scalar_type(size))
+    count = math.comb(size + width - 2, width - 1)
+    out = np.hstack([np.zeros((count, 1), flat.dtype), flat.reshape(count, width - 1)])
+    out.flags.writeable = False
+    return out
+
+
+class SequenceTable:
+    """enumerate_threshold_sequences(anchor, n) as arrays, in the same order:
+    row k of idx indexes support at each kept coordinate of sequence k (the
+    first column is 0, the anchor), so values() holds the same floats.  The
+    index rows depend on n only and are cached.  Raises ResourceCapError
+    when there are more than _SEQUENCE_CAP sequences, before building any."""
+
+    def __init__(self, anchor, n):
+        pos = pos_set(n)
+        self.anchor, self.positions = anchor, pos.indices
+        self.support = threshold_support(anchor, n)
+        width = len(pos.indices)
+        count = math.comb(len(self.support) + width - 2, width - 1)
+        if count > _SEQUENCE_CAP:
+            raise ResourceCapError(f"{n} coordinates give {count} threshold sequences per "
+                                   f"radius, over the cap {_SEQUENCE_CAP}")
+        self.idx = _support_indices(len(self.support), width)
+
+    def lookup(self, per_support):
+        """Each sequence's entries of per_support (one per support value)."""
+        return np.asarray(per_support)[self.idx]
+
+    def values(self):
+        return self.lookup(self.support)
+
+    def sequence(self, k):
+        """Sequence k as enumerate_threshold_sequences yields it."""
+        values = (self.anchor,) + tuple(self.support[i] for i in self.idx[k, 1:].tolist())
+        return ThresholdSequence(anchor=float(self.anchor), positions=self.positions, values=values)
 
 
 def telescoped_deltas(sparse_weights, pos):

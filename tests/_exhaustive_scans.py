@@ -15,9 +15,10 @@ from bisect import bisect_right
 
 import numpy as np
 
+from _threshold_helpers import sequence_keys
 from maxnorm import cluster, fair, load
 from maxnorm.lp import OPTIMAL
-from maxnorm.sparsify import snap_to_grid
+from maxnorm.sparsify import snap_to_grid, telescoped_deltas
 
 
 def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
@@ -89,7 +90,7 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
                 if seq is not None else 0.0
             if bound is None:
                 continue
-            chain = cluster._ordered_chain(sparse, pos, seq, radius, bound) \
+            chain = _ordered_chain(sparse, pos, seq, radius, bound) \
                 if seq is not None else 0.0
             cand = (bound, chain, radius, seq, sparse, pos, cluster._lp_parts(core, sol.x))
             if best is None or cand[:2] < best[:2]:
@@ -97,6 +98,19 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
     if best is None:
         raise cluster.InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
     return best
+
+
+def _ordered_chain(sparse, pos, seq, radius, bound):
+    """Twice the telescoped rounding bound, maximized over weight vectors:
+    one sequence's k-center chain, summed term by term."""
+    worst = 0.0
+    tvals = seq.as_dict()
+    for w, delta in zip(sparse, telescoped_deltas(sparse, pos)):
+        tail = 0.0
+        for d, ell in zip(delta, pos.indices):
+            tail += d * (ell - 1) * tvals[ell]
+        worst = max(worst, 3 * bound + 6 * radius * float(w[0]) + 3 * tail)
+    return 2.0 * worst
 
 
 def _connections_within(tables, bound):
@@ -277,7 +291,7 @@ def load_scan_ordered_guesses(inst, sparse, pos, wtop, eps):
         grid = load.geometric_grid(radius * wtop, n * radius * wtop, eps)
         cache = {}
         for sidx, seq in enumerate(load.enumerate_threshold_sequences(radius, n)):
-            key = load._sequence_keys(sizes, [seq.values])[0]
+            key = sequence_keys(sizes, [seq.values])[0]
             if key in cache:
                 sval, x = cache[key]
             else:

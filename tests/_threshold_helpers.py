@@ -1,9 +1,11 @@
 """Threshold and kept-coordinate helpers that only the tests use."""
 
+import numpy as np
+
 from maxnorm.errors import InvalidInputError
 from maxnorm.instances import LoadInstance
-from maxnorm.sparsify import (ThresholdSequence, pos_set, single_threshold_candidates,
-                              threshold_support)
+from maxnorm.sparsify import (ThresholdSequence, enumerate_threshold_sequences, pos_set,
+                              single_threshold_candidates, threshold_support)
 
 
 def prev_index(pos, t):
@@ -51,3 +53,17 @@ def covering_threshold_sequence(anchor, n, true_thresholds):
     # guessed values inherit monotonicity from the true thresholds
     values = [min(values[: idx + 1]) for idx in range(len(values))]
     return ThresholdSequence(anchor=float(anchor), positions=pos.indices, values=tuple(values))
+
+
+def sequence_keys(sizes, values):
+    """Per threshold sequence (its values, one row each), the count of sizes
+    above each threshold, as a tuple of ints: the makespan scan's count key.
+    sizes are the instance's distinct finite sizes, ascending."""
+    above = len(sizes) - np.searchsorted(sizes, np.asarray(values, float), side="right")
+    return [tuple(row) for row in above.tolist()]
+
+
+def center_sequences(radius, r0):
+    """The ordered k-center scan's guesses at a radius, in its order: the
+    threshold sequences, or at radius 0 the one guess None."""
+    return [None] if radius == 0.0 else list(enumerate_threshold_sequences(radius, r0))

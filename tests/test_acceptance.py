@@ -20,7 +20,7 @@ from maxnorm.cluster import (CARDINALITY, _center_lp, _lp_parts, build_bundles,
                              check_bundle_distances,
                              core_of, solve_knapsack_center, solve_matroid_center,
                              solve_ordered_kcenter, solve_topl_kcenter,
-                             split_and_normalize, _ordered_chain)
+                             split_and_normalize, _ordered_chains)
 from maxnorm.errors import InfeasibleError
 from maxnorm.fair import (ct_count, center_marginals, load_marginals, sample,
                           solve_fair)
@@ -111,10 +111,8 @@ def test_criterion_3_ordered_certificates():
             if cert["sequence"]:
                 r0 = max(inst.r0, 1)
                 sparse, pos = sparsify_weights(weights, r0)
-                seq = ThresholdSequence(anchor=cert["radius"],
-                                        positions=pos.indices,
-                                        values=tuple(cert["sequence"]))
-                chain = _ordered_chain(sparse, pos, seq, cert["radius"], cert["bound"])
+                chain = _ordered_chains(sparse, pos, cert["sequence"], cert["radius"],
+                                        cert["bound"])[0]
                 assert cert["chain_bound"] <= chain + 1e-9
             opt = brute_force_kcenter(inst, max_ordered_norm(weights))
             if opt.value > 0:

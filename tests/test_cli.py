@@ -195,6 +195,30 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert json.loads(err)["error"] == "resource-cap"
 
 
+def test_ordered_makespan_past_the_sequence_cap_exits_resource_cap(tmp_path):
+    """5,000 jobs give 10.4 million threshold sequences per radius, which
+    once meant as many objects for one radius.  The count is checked first:
+    exit 4 well within a second, in a child process with capped memory."""
+    inst_path, norm_path = tmp_path / "inst.json", tmp_path / "norm.json"
+    main(["gen", "load", "--machines", "2", "--jobs", "5000", "--seed", "1",
+          "--out", str(inst_path)])
+    norm_path.write_text(json.dumps({"weights": [[1.0, 0.5, 0.25]]}))
+    child = ("import resource, sys, time\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))\n"
+             "from maxnorm.cli import main\n"
+             "start = time.perf_counter()\n"
+             f"code = main(['solve', {str(inst_path)!r}, '--norm', 'maxordered:{norm_path}'])\n"
+             "print(time.perf_counter() - start)\n"
+             "sys.exit(code)\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "resource-cap"
+    assert float(proc.stdout) < 1.0
+
+
 def test_solver_error_exit_code(tmp_path, capsys, monkeypatch):
     from maxnorm import cluster, load
     from maxnorm.errors import LpSolverError, SolverInternalError

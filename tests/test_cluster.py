@@ -7,6 +7,7 @@ import pytest
 
 import _dict_row_builders as dict_rows
 from _gen import random_cluster
+from _threshold_helpers import center_sequences
 from maxnorm import cluster
 from maxnorm.cluster import (build_bundles, check_bundle_distances,
                              check_bundle_structure, closest_mass_distances,
@@ -457,7 +458,7 @@ def test_cover_verdict_matches_highs():
             verdict = cluster._cover_verdict(core, budget, radius, coverage)
             if verdict is None:
                 continue
-            seq = next(iter(cluster._sequences(radius, r0)))
+            seq = center_sequences(radius, r0)[0]
             specs = [("top", 2, 1.0, thresholds[ti])]
             if seq is not None:
                 specs.append(("ordered", sparse, pos, seq))

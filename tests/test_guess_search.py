@@ -13,6 +13,8 @@ import numpy as np
 
 import _exhaustive_scans as exhaustive
 from _gen import random_cluster, random_load, random_max_ordered_weights
+from _sequence_scan import sequence_scan_rows
+from _threshold_helpers import center_sequences, sequence_keys
 from maxnorm import cluster, guess, load
 from maxnorm.cluster import (core_of, solve_knapsack_center, solve_matroid_center,
                              solve_ordered_kcenter, solve_topl_kcenter)
@@ -21,7 +23,8 @@ from maxnorm.generators import gen_cluster, gen_knapsack_cluster, gen_load, gen_
 from maxnorm.instances import ClusterInstance, KnapsackClusterInstance
 from maxnorm.lp import INFEASIBLE, OPTIMAL
 from maxnorm.norms import max_ordered_norm, top_norm
-from maxnorm.sparsify import ThresholdSequence, single_threshold_candidates, sparsify_weights
+from maxnorm.sparsify import (ThresholdSequence, geometric_grid, single_threshold_candidates,
+                              sparsify_weights)
 
 INSTANCES = 40
 
@@ -422,7 +425,7 @@ def _top_weakest(core, radius):
 def _ordered_weakest(core, radius):
     """The weakest guess of an ordered scan's radius: the sequence with every
     threshold at R, or radius 0's threshold 0."""
-    seq = next(iter(cluster._sequences(radius, max(core.r0, 1))))
+    seq = center_sequences(radius, max(core.r0, 1))[0]
     return 0.0 if seq is None else seq
 
 
@@ -669,7 +672,7 @@ def test_ordered_scan_finds_lures_behind_contradictions(monkeypatch):
             if not any(r <= radius and isinstance(s, ThresholdSequence) and table(r, s) is not None
                        and s != seq and _covers(s, seq) for r, s in log[:k]):
                 continue
-            lures = [s for s in cluster._sequences(radius, r0)
+            lures = [s for s in center_sequences(radius, r0)
                      if s != seq and (radius, s) not in log[:k] and _covers(s, seq)]
             for lure in [None] + lures[:1]:
                 lure = lure and (radius, lure)
@@ -801,7 +804,7 @@ def test_ordered_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
             if log.index((radius, seq)) == k or table(radius, seq) is None:
                 continue  # not a guess solved after its verdict
             # every other sequence of the row covers the all-R one
-            lures = [s for s in cluster._sequences(radius, r0)
+            lures = [s for s in center_sequences(radius, r0)
                      if s is not None and s != seq and (radius, s) not in log]
             for lure in [None] + lures[:1]:
                 lure = lure and (radius, lure)
@@ -854,7 +857,7 @@ def test_ordered_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
 
         (base, ref), log = _scan_both(monkeypatch, table, scan, _ordered_tabled_lps)
         assert _same(base, ref)
-        seqs = list(cluster._sequences(radius, max(core.r0, 1)))
+        seqs = center_sequences(radius, max(core.r0, 1))
         for lure in [None] + seqs[1:][-1:]:
             lure = lure and (radius, lure)
             prunes.clear()
@@ -893,8 +896,14 @@ def test_load_top_matches_exhaustive(monkeypatch):
                                       owner=load, reference=exhaustive.load_scan_top_guesses)
 
 
+# 64 and 90 jobs: 7 and 8 kept coordinates, 924 and 3,432 sequences per
+# radius, on few distinct sizes so that the exhaustive scan stays short
+LARGE_LOADS = [gen_load(318, machines=2, jobs=64, pmax=4, forbidden=0.1),
+               gen_load(319, machines=3, jobs=90, pmax=3)]
+
+
 def test_load_ordered_matches_exhaustive(monkeypatch):
-    for inst in _load_instances(312):
+    for inst in [*_load_instances(312), *LARGE_LOADS]:
         for weights in ORDERED_WEIGHTS:
             _check_against_exhaustive(monkeypatch, "_scan_ordered_guesses",
                                       lambda: load.solve_ordered_makespan(inst, weights, 0.1),
@@ -942,7 +951,7 @@ def _tabled_load_lps(inst, top):
             return SimpleNamespace(status=OPTIMAL, x=np.full(m * n + 1, s))
 
         def count_feasible(inst, radius, thresholds, caps):
-            guess = thresholds[0] if top else load._sequence_keys(sizes, [thresholds])[0]
+            guess = thresholds[0] if top else sequence_keys(sizes, [thresholds])[0]
             log.append((radius, guess))
             return (verdicts or table)(radius, guess) is not None
 
@@ -950,7 +959,7 @@ def _tabled_load_lps(inst, top):
                             lambda inst, ell, q, radius, t: ((radius, t), 0))
         monkeypatch.setattr(load, "_ordered_load_min_bound_lp",
                             lambda inst, sparse, pos, radius, seq:
-                            ((radius, load._sequence_keys(sizes, [seq.values])[0]), 0))
+                            ((radius, sequence_keys(sizes, [seq.values])[0]), 0))
         monkeypatch.setattr(load, "solve_lp", solve_lp)
         monkeypatch.setattr(load, "_count_feasible", count_feasible)
     return tabled
@@ -983,12 +992,13 @@ def test_load_top_scan_with_contradicting_verdicts(monkeypatch):
     assert planted >= 40 and lured >= 10
 
 
-def _ordered_load_table(rng):
+def _ordered_load_table(rng, weights=None, inst=None):
     """(instance, sparsified weights, kept coordinates, w1, table) with a table
-    monotone in the count key, or None for weights that sparsify to zero."""
-    inst = random_load(rng, m_hi=3, j_hi=6, pmax=12)
+    monotone in the count key, or None for weights that sparsify to zero;
+    a random instance and random weights unless given."""
+    inst = inst or random_load(rng, m_hi=3, j_hi=6, pmax=12)
     sizes = inst.finite_sizes()
-    sparse, pos = sparsify_weights(random_max_ordered_weights(rng), inst.jobs)
+    sparse, pos = sparsify_weights(weights or random_max_ordered_weights(rng), inst.jobs)
     wtop = max(float(w[0]) for w in sparse)
     if wtop == 0.0:
         return None
@@ -1039,6 +1049,143 @@ def test_load_ordered_scan_with_contradicting_verdicts(monkeypatch):
                 planted += 1
                 changed += not _same(new, base)
     assert planted >= 50 and changed >= 10
+
+
+def _key_and_sequence_visits(monkeypatch, owner, tabled, table, scan):
+    """scan() under the table with owner's scan_sequence_rows, then with the
+    per-sequence reference: the two (outcome, log) pairs."""
+    runs = []
+    for rows in (owner.scan_sequence_rows, sequence_scan_rows):
+        log = []
+        tabled(monkeypatch, table, log)
+        monkeypatch.setattr(owner, "scan_sequence_rows", rows)
+        try:
+            runs.append((scan(), log))
+        except MaxNormError as exc:
+            runs.append(((type(exc), str(exc)), log))
+        monkeypatch.undo()
+    return runs
+
+
+def test_key_visits_solve_what_sequence_visits_solve(monkeypatch):
+    """Visiting each count key at its first sequence and taking its best
+    sequence at once solves the same LPs and asks the same verdicts, in the
+    same order, as visiting every sequence, and accepts the same guess.
+    Makespan tables on 6-16 jobs of 2-4 distinct sizes, so that a count
+    key holds many sequences, over random weights and over weights with
+    equal neighbouring entries, whose sequences of one count key tie on
+    their chain; k-center tables over tied weights, whose sequences tie on
+    their lower key.  Each also runs with every guess it logs made
+    infeasible in turn, which plants contradictions."""
+    rng = np.random.default_rng(324)
+    compared = 0
+    for k in range(24):
+        weights = [None, [(1.0,) * 16], *TIED_WEIGHTS][k % 5]
+        inst = gen_load(int(rng.integers(0, 10 ** 6)), machines=int(rng.integers(1, 4)),
+                        jobs=int(rng.integers(6, 17)), pmax=int(rng.integers(2, 5)))
+        case = _ordered_load_table(rng, weights, inst)
+        if case is None:
+            continue
+        inst, sparse, pos, wtop, table = case
+        tabled = _tabled_load_lps(inst, top=False)
+
+        def scan():
+            return load._scan_ordered_guesses(inst, sparse, pos, wtop, 0.1)
+
+        (new, log), (ref, ref_log) = _key_and_sequence_visits(monkeypatch, load, tabled, table,
+                                                               scan)
+        assert _same(new, ref) and log == ref_log
+        for hole in dict.fromkeys(log):
+            (new, hole_log), (ref, ref_log) = _key_and_sequence_visits(
+                monkeypatch, load, tabled, _planted(table, hole), scan)
+            assert _same(new, ref) and hole_log == ref_log, hole
+            compared += 1
+    for _ in range(12):
+        core = core_of(random_cluster(rng, nc_hi=5, nf_hi=5))
+        radii = sorted(set(core.distances()) | {0.0})
+        first = radii[int(rng.integers(0, len(radii)))]
+        frac, a, b = rng.uniform(0.0, 1.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0)
+        top = max(radii)
+
+        def table(radius, seq):
+            if radius < first or radius == 0.0:
+                return None
+            if not isinstance(seq, ThresholdSequence):
+                return 0.0  # the Top scan a zero objective falls back to
+            mean = sum(seq.values) / len(seq.values)
+            return None if mean < frac * top else radius * (a - b * mean / top)
+
+        weights = TIED_WEIGHTS[int(rng.integers(0, len(TIED_WEIGHTS)))]
+
+        def scan():
+            return cluster._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
+
+        def tabled(monkeypatch, table, log):
+            _ordered_tabled_lps(monkeypatch, table, log)
+
+        (new, log), (ref, ref_log) = _key_and_sequence_visits(monkeypatch, cluster, tabled, table,
+                                                               scan)
+        assert _same(new, ref) and log == ref_log
+        for hole in list(dict.fromkeys(log))[:8]:
+            (new, hole_log), (ref, ref_log) = _key_and_sequence_visits(
+                monkeypatch, cluster, tabled, _planted(table, hole), scan)
+            assert _same(new, ref) and hole_log == ref_log, hole
+            compared += 1
+    assert compared >= 100, compared
+
+
+def test_key_visits_match_sequence_visits_on_synthetic_rows():
+    """The same on synthetic rows: count keys of 1-3 coordinates drawn from
+    a few values, so that keys hold many sequences; chains from a few
+    values, so that sequences of one key, and first sequences of two keys,
+    tie; radii 1.5^k apart, so that a bound on one radius's grid can equal
+    a later radius's floor; verdicts monotone in the radius and the key,
+    some flipped to plant contradictions, some left to the LP."""
+    rng = np.random.default_rng(325)
+    compared = ties = 0
+    for _ in range(300):
+        radii = [1.5 ** k for k in range(int(rng.integers(1, 5)))]
+        width, n = int(rng.integers(1, 4)), int(rng.integers(1, 40))
+        rows = {ri: (rng.integers(0, 3, size=(n, width)),
+                     rng.integers(0, 3, size=n) * radius / 2) for ri, radius in enumerate(radii)}
+        caps = np.cumsum(rng.integers(0, 3, size=len(radii)))
+        a, b = rng.uniform(0.0, 1.5), rng.uniform(0.0, 1.0)
+        flips = set(rng.integers(0, 40, size=3).tolist())
+        grid = rng.random() < 0.7
+
+        def row(ri):
+            keys, extra = rows[ri]
+            return guess.SequenceRow(keys, lambda bound, sidx: 2 * bound + extra[sidx],
+                                     lambda sidx: (ri, sidx))
+
+        def run(scan):
+            log = []
+
+            def solve(model):
+                ri, key = model
+                log.append(("solve", ri, key))
+                feasible = (sum(key) <= caps[ri]) != (hash((ri, key)) % 40 in flips)
+                s = radii[ri] * (a + b * sum(key))
+                return SimpleNamespace(status=OPTIMAL if feasible else INFEASIBLE,
+                                       x=np.array([s]))
+
+            def verdict(ri, key):
+                log.append(("verdict", ri, key))
+                return None if sum(key) % 2 else sum(key) <= caps[ri]
+
+            lps = guess.GuessLPs(lambda ri, key: ((ri, key), 0), solve, verdict)
+            found = scan(lps, radii, 1.0, (lambda radius: geometric_grid(radius, 8 * radius, 0.5))
+                         if grid else None, row)
+            return found, log
+
+        (new, log), (ref, ref_log) = run(guess.scan_sequence_rows), run(sequence_scan_rows)
+        assert _same(new, ref) and log == ref_log
+        compared += 1
+        if new is not None:
+            keys, extra = rows[new[0][2]]
+            same_key = (keys == keys[new[0][3]]).all(axis=1)
+            ties += int(np.sum(same_key & (extra == extra[new[0][3]]))) > 1
+    assert compared == 300 and ties >= 30, ties
 
 
 def test_load_top_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
@@ -1136,4 +1283,4 @@ def test_load_top_lp_count_is_the_lps_read(monkeypatch):
 def _row_keys(inst, radius):
     sizes = inst.finite_sizes()
     seqs = list(load.enumerate_threshold_sequences(radius, inst.jobs))
-    return {(radius, key) for key in load._sequence_keys(sizes, [seq.values for seq in seqs])}
+    return {(radius, key) for key in sequence_keys(sizes, [seq.values for seq in seqs])}

@@ -9,20 +9,23 @@ import _dict_row_builders as dict_rows
 from _fraction_matching import fraction_simplex_round
 from _gen import random_load, random_max_ordered_weights
 from _load_builders import build_ordered_load_lp, build_topl_load_lp
-from _threshold_helpers import covering_threshold_sequence
+from _loop_rounding import loop_machine_copies, loop_shmoys_tardos_round
+from _threshold_helpers import covering_threshold_sequence, sequence_keys
+from maxnorm import load
 from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
-from maxnorm.errors import InvalidInputError
+from maxnorm.errors import InvalidInputError, SolverInternalError
 from maxnorm.fair import solve_fair
 from maxnorm.generators import gen_fair_load, gen_knapsack_cluster, gen_load
 from maxnorm.instances import Assignment, LoadInstance, eval_load_objective
-from maxnorm.load import (_count_feasible, _ordered_load_min_bound_lp, _sequence_keys,
+from maxnorm.guess import SequenceRow
+from maxnorm.load import (_count_feasible, _count_keys, _ordered_load_min_bound_lp,
                           _topl_load_min_bound_lp, build_basic_load_lp, machine_copies,
                           shmoys_tardos_round, solve_ordered_makespan, solve_topl_makespan)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
-from maxnorm.sparsify import (ThresholdSequence, enumerate_threshold_sequences, pos_set,
-                              sparsify_weights)
+from maxnorm.sparsify import (SequenceTable, ThresholdSequence, enumerate_threshold_sequences,
+                              pos_set, sparsify_weights)
 
 
 def test_basic_lp_single_pair():
@@ -203,6 +206,51 @@ def _fractional_solutions(rng, count):
             x = sol.x.reshape(inst.machines, inst.jobs)
             out.append((inst, x, ell, q, radius, bound, t))
     return out
+
+
+def _vertices_near_the_tolerance(rng, count):
+    """(x, p) pairs: integer sizes with ties and forbidden pairs, and amounts
+    at, just above and just below the copy tolerance, fill remainders that
+    land near it, halves and random fractions."""
+    tol = load._MASS_TOL
+    amounts = [0.0, tol, tol * (1 - 1e-6), tol * (1 + 1e-6), 2 * tol, 1.0 - tol, 1.0 - tol / 2,
+               0.5, 0.25, 1 / 3, 2 / 3, 1.0, 0.1, 0.7]
+    for _ in range(count):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        p = rng.integers(0, 4, size=(m, n)).astype(float)
+        p[rng.random(size=p.shape) < 0.15] = np.inf
+        x = rng.choice(amounts, size=(m, n))
+        spread = rng.random(size=(m, n)) < 0.3
+        x[spread] = rng.uniform(0.0, 1.0, size=int(spread.sum()))
+        yield x, p
+
+
+def test_machine_copies_match_the_entry_loop():
+    """The copies built from each machine's positive entries are the entry
+    loop's, with the same Python ints and floats, and the rounding matches
+    the same copy graph: the same assignment, unweighted and weighted."""
+    rng = np.random.default_rng(29)
+    near = 0
+    for x, p in _vertices_near_the_tolerance(rng, 300):
+        copies, reference = machine_copies(x, p), loop_machine_copies(x, p)
+        assert copies == reference
+        assert all(type(j) is int and type(a) is float
+                   for mc in copies for c in mc for j, a in c)
+        near += bool(np.any(np.abs(x - load._MASS_TOL) <= 2 * load._MASS_TOL))
+        if sum(len(mc) for mc in copies) < p.shape[1]:
+            continue
+        weights = [Fraction(int(v), 3) for v in rng.integers(0, 7, size=p.shape[0])]
+        for edge_weights in (None, weights):
+            try:
+                expected = loop_shmoys_tardos_round(x, p, edge_weights)
+            except ValueError:  # some job has no copy it could take
+                with pytest.raises(SolverInternalError):
+                    shmoys_tardos_round(x, p, edge_weights)
+                continue
+            assignment, got = shmoys_tardos_round(x, p, edge_weights)
+            assert (assignment, got) == expected
+            assert all(type(i) is int for i in assignment.sigma)
+    assert near >= 200
 
 
 def test_rounding_copy_count_and_norm_bound():
@@ -390,7 +438,7 @@ def test_count_verdict_matches_highs_on_ordered_keys():
         for radius in sizes:
             keys = {}
             seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
-            for key, seq in zip(_sequence_keys(sizes, [seq.values for seq in seqs]), seqs):
+            for key, seq in zip(sequence_keys(sizes, [seq.values for seq in seqs]), seqs):
                 keys.setdefault(key, seq)
             for seq in keys.values():
                 verdict = _count_feasible(inst, radius, seq.values, pos.indices)
@@ -420,13 +468,15 @@ def test_sequence_key_counts_sizes_above_each_threshold():
         sizes = inst.finite_sizes()
         for radius in sizes[:3]:
             seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
-            for key, seq in zip(_sequence_keys(sizes, [seq.values for seq in seqs]), seqs):
-                assert key == tuple(sum(1 for s in sizes if s > v) for v in seq.values)
+            keys = _count_keys(SequenceTable(radius, inst.jobs), sizes)
+            for key, seq in zip(keys.tolist(), seqs):
+                assert tuple(key) == tuple(sum(1 for s in sizes if s > v) for v in seq.values)
 
 
 def test_sequence_keys_match_the_bisect_loop():
-    """One searchsorted per radius gives each sequence the key the per-value
-    bisect loop gave it, as a tuple of Python ints."""
+    """One searchsorted per radius over the support gives each sequence the
+    key the per-value bisect loop gave it; the row's distinct keys are
+    tuples of Python ints, each naming exactly its sequences."""
     checked = 0
     for seed in range(12):
         inst = gen_load(seed, machines=int(1 + seed % 4), jobs=int(3 + seed), pmax=12,
@@ -434,11 +484,18 @@ def test_sequence_keys_match_the_bisect_loop():
         sizes = inst.finite_sizes()
         for radius in sizes:
             seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
-            keys = _sequence_keys(sizes, [seq.values for seq in seqs])
+            keys = _count_keys(SequenceTable(radius, inst.jobs), sizes)
             assert len(keys) == len(seqs)
-            for key, seq in zip(keys, seqs):
-                assert key == tuple(len(sizes) - bisect_right(sizes, v) for v in seq.values)
+            row = SequenceRow(keys, None, None)
+            named = {}
+            for g, (key, members) in enumerate(zip(row.keys, row.members)):
                 assert type(key) is tuple and all(type(c) is int for c in key)
+                assert list(members) == sorted(members)
+                named.update((int(k), g) for k in members)
+            assert sorted(named) == list(range(len(seqs)))
+            for k, seq in enumerate(seqs):
+                key = tuple(len(sizes) - bisect_right(sizes, v) for v in seq.values)
+                assert row.keys[named[k]] == key
                 checked += 1
     assert checked >= 1000, checked
 

@@ -5,11 +5,11 @@ import pytest
 
 from _gen import random_load, random_max_ordered_weights, random_weight_vector
 from _threshold_helpers import covering_threshold_sequence, prev_index
-from maxnorm.errors import InvalidInputError
+from maxnorm.errors import InvalidInputError, ResourceCapError
 from maxnorm.instances import ClusterInstance, LoadInstance
 from maxnorm.norms import max_ordered_norm, eval_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
-from maxnorm.sparsify import (enumerate_threshold_sequences, geometric_grid,
+from maxnorm.sparsify import (SequenceTable, enumerate_threshold_sequences, geometric_grid,
                               pos_set, single_threshold_candidates, snap_to_grid,
                               sparsified_gap_bound, sparsified_gap_bounds, sparsify_weights,
                               threshold_support, ThresholdSequence)
@@ -216,3 +216,39 @@ def test_gap_bounds_match_the_loop_formula_bit_for_bit():
             assert type(one) is type(loop) and float(one).hex() == float(loop).hex()
             compared += 1
     assert compared > 1000
+
+
+def test_sequence_table_matches_the_enumeration_bit_for_bit():
+    """The table holds enumerate_threshold_sequences' sequences in its order
+    with the same floats, rebuilds each as the same ThresholdSequence of
+    Python floats, and its gaps are sparsified_gap_bound's, sequence by
+    sequence."""
+    rng = np.random.default_rng(43)
+    compared = 0
+    for n in (1, 2, 3, 7, 8, 11, 100, 300):
+        sparse, pos = sparsify_weights(random_max_ordered_weights(rng, dim_hi=n + 2), n)
+        for anchor in (1.0, 0.3, 7 / 3, 1e-3):
+            seqs = list(enumerate_threshold_sequences(anchor, n))
+            table = SequenceTable(anchor, n)
+            values = table.values()
+            listed = np.array([seq.values for seq in seqs])
+            assert values.shape == listed.shape  # and the same bits, in the same order:
+            assert np.array_equal(values.view(np.int64), listed.view(np.int64))
+            gaps = sparsified_gap_bounds(sparse, pos, values)
+            # every sequence of the small tables, an evenly spread sample of the large
+            for k in range(0, len(seqs), max(1, len(seqs) // 500)):
+                rebuilt = table.sequence(k)
+                assert rebuilt == seqs[k] and all(type(v) is float for v in rebuilt.values)
+                gap = sparsified_gap_bound(sparse, pos, seqs[k])
+                assert float(gaps[k]).hex() == float(gap).hex()
+                compared += 1
+    assert compared > 4000, compared
+
+
+def test_sequence_table_is_capped_before_it_is_built():
+    """5,000 coordinates give 10,400,600 sequences per radius, past the cap of
+    10^7; the count is checked before any index row is made."""
+    assert math.comb(26, 13) == 10_400_600
+    with pytest.raises(ResourceCapError):
+        SequenceTable(1.0, 5000)
+    assert len(SequenceTable(1.0, 1000).idx) == math.comb(20, 10)

@@ -48,6 +48,38 @@ def test_tracer_installs_runs_and_uninstalls():
     assert metrics["lp.check_residuals.s"] > 0 and metrics["load.model_build.s"] > 0
 
 
+def test_traced_ordered_scans_solve_as_untraced():
+    """The tracer binds enumerate_threshold_sequences on load and cluster by
+    name, although the ordered scans read their sequences from a table: the
+    names must stay for it to install.  Ordered makespan and k-center solves
+    under the installed tracer return what they return untraced."""
+    tracing = _tracing_module()
+    inst = gen_load(4, machines=4, jobs=12, pmax=20, forbidden=0.2)
+    center = gen_cluster(2, clients=6, facilities=6, k=2)
+    weights = [(1.0, 0.5, 0.25), (2.0, 0.5)]
+    solves = (lambda: maxnorm.solve_ordered_makespan(inst, weights, 0.1),
+              lambda: maxnorm.solve_ordered_kcenter(center, weights, 0.1))
+    bound = [(load, "enumerate_threshold_sequences"), (cluster, "enumerate_threshold_sequences")]
+    originals = [getattr(owner, attr) for owner, attr in bound]
+    untraced = [solve() for solve in solves]
+    tracer = tracing.Tracer()
+    tracer.install(maxnorm)
+    try:
+        assert all(getattr(owner, attr) is not orig
+                   for (owner, attr), orig in zip(bound, originals))
+        traced = [solve() for solve in solves]
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is orig for (owner, attr), orig in zip(bound, originals))
+    for a, b in zip(untraced, traced):
+        assert (a.value, a.certificate) == (b.value, b.certificate)
+    assert untraced[0].assignment == traced[0].assignment
+    assert untraced[1].solution == traced[1].solution
+    metrics = tracing.layer_metrics(*tracer.take_pass())
+    assert metrics["lp.solve_lp.calls"] > 0 and metrics["load.model_build.s"] > 0
+    assert metrics["cluster.model_build.s"] > 0
+
+
 def test_traced_kcenter_times_its_model_build():
     """The norm rows of a k-center LP are built by a helper inside
     cluster._center_lp; their time stays in the traced cluster.model_build."""
