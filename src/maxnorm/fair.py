@@ -33,16 +33,34 @@ each accepts exactly what scanning everything in order accepts:
     every pair before it is infeasible.  The scan goes on in order from
     there, rounding feasible LPs as before.  An infeasible pair after the
     start in its own group contradicts monotonicity and sends the call back
-    to scanning every pair.
+    to scanning every pair, trusting LPs only.
   * Across bounds, round-and-cut always asks first about the same dual
     point P0, which depends only on e.  P0 is a member at B exactly when
     the weakest pair, (R, T) = (B, B / ell^(1/q)), has an infeasible LP;
     a larger B allows a weaker pair at a larger cap, so the bounds where
     P0 is a member form a prefix of the grid, and round-and-cut refutes
     each of them at P0 at once.  solve_fair bisects past that prefix with
-    one or two LPs per probe and walks the grid from the first bound after
+    at most one LP per probe and walks the grid from the first bound after
     it.  A walked bound refuted at P0 contradicts the prefix; the bounds
     skipped are then walked as well.
+
+Both searches need only verdicts, and a pair's LP is infeasible wherever
+its base LP is, so an exact LP-free verdict on the base LP stands in for
+the base solve where it can tell (GuessLPs' verdict slot, as in the
+makespan and k-center scans):
+
+  * load: the max-flow count test (load._count_feasible).  It drops the
+    mass rows, which the fixed bound lets decide, so its False is exact; so
+    is its True when no size lies in (T, R], where no row counts a pair.
+  * center: with no allowed distance above T the Top rows count nothing,
+    and the packing and greedy-opening test (cluster._cover_verdict)
+    decides the rest.
+
+An infeasible verdict refutes the pair with no LP, and a feasible one goes
+straight to the LP with the weighted row.  A probe whose weighted row the
+column bounds imply (checked in exact arithmetic) is the base LP's verdict,
+so it solves no LP where the verdict tells.  Every solution read is its own
+model's LP solution, so the same vertices are rounded.
 """
 
 import copy
@@ -55,8 +73,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import (center_u_index, core_of, _center_lp, _lp_parts, _prefix_norm_table,
-                      _round_accepted, CARDINALITY)
+from .cluster import (center_u_index, core_of, _center_lp, _cover_verdict, _lp_parts,
+                      _prefix_norm_table, _round_accepted, CARDINALITY)
 # unused: perfbench traces fair.build_bundles, fair.split_and_normalize and fair.eval_norm
 from .cluster import build_bundles, split_and_normalize  # noqa: F401
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
@@ -64,7 +82,7 @@ from .guess import GuessLPs, first_true
 from .instances import FairLoadInstance, eval_load_objective
 from .lp import (EQ, GE, LE, OPTIMAL, cutting_plane, exact_feasible_point, simplex_solve,
                  solve_lp)
-from .load import _topl_load_min_bound_lp, shmoys_tardos_round
+from .load import _count_feasible, _topl_load_min_bound_lp, shmoys_tardos_round
 from .norms import TOP, eval_norm, top_norm  # noqa: F401 (eval_norm as above)
 from .sparsify import geometric_grid
 
@@ -213,23 +231,32 @@ class _Separation:
     (a numerical edge).
 
     Subclasses set kind, sense (of the base and cover rows) and cert_bound,
-    and give base_lp(radius, t) -> (model, index of s),
+    and give base_lp(radius, t) -> (model, index of s), base_verdict(radius,
+    t) -> whether the base LP is feasible, or None to leave it to the LP,
     _weighted_row(point, eta) -> (row, sense, rhs) or None when no pair can
-    meet it, and _round(point, eta, radius, solution) -> the cut, or None
-    when the rounding misses.
+    meet it, _row_implied(point, eta) -> whether the column bounds alone
+    imply the weighted row, in exact arithmetic, and _round(point, eta,
+    radius, solution) -> the cut, or None when the rounding misses.
     """
 
     def __init__(self, finst, bound, ell, q, values):
         self.finst = finst
         self.bound = float(bound)
         self.ell, self.q = ell, q
+        self.values = values
         self.pairs = _guess_pairs(values, self.bound, ell, q)
         self.row_ends = [k + 1 for k in range(len(self.pairs))
                          if k + 1 == len(self.pairs) or self.pairs[k + 1][0] != self.pairs[k][0]]
         # each pair's base model is built once; its fair LPs at each point add a row to a copy
         self.base_lps = GuessLPs(functools.cache(lambda k: self.base_lp(*self.pairs[k])),
-                                 solve_lp)
+                                 solve_lp, lambda k: self.base_verdict(*self.pairs[k]))
         self._last = None  # (point vector, _at of it) of the point last asked about
+
+    def _uncounted(self, radius, t):
+        """Whether no data value lies in (t, radius]: every cost the pair's
+        Top rows count is then above the radius, hence forbidden, and the
+        rows hold trivially."""
+        return bisect_right(self.values, radius) <= bisect_right(self.values, t)
 
     def _point(self, point_vec):
         n = len(self.finst.e)
@@ -242,7 +269,9 @@ class _Separation:
     def _lps_at(self, point, eta):
         """A map from pair index to the pair's LP solution at the point (None
         when infeasible), each LP solved at most once; or None when no pair
-        can meet the weighted row."""
+        can meet the weighted row.  A pair whose base LP is infeasible is
+        infeasible at every point; the base verdict says so without an LP
+        where it can.  Asked with trust=False, the map lets LPs alone decide."""
         weighted = self._weighted_row(point, eta)
         if weighted is None:
             return None
@@ -256,10 +285,11 @@ class _Separation:
 
         full = GuessLPs(build, self.base_lps.solve)
 
-        def solve(k):
-            sol = self.base_lps(k)[0]
-            if sol.status == OPTIMAL and row:  # else the base solve is the whole LP
-                sol = full(k)[0]
+        def solve(k, trust=True):
+            base = self.base_lps
+            if not (base.feasible(k) if trust else base(k)[0].status == OPTIMAL):
+                return None
+            sol = (full if row else base)(k)[0]  # without a row the base LP is the whole LP
             return sol if sol.status == OPTIMAL else None
         return solve
 
@@ -276,9 +306,15 @@ class _Separation:
     def feasible_somewhere(self, point_vec):
         """Whether some pair's LP is feasible at the point, which holds iff
         the weakest pair's (the last) is: a call on this point does not
-        answer "member"."""
-        solve = self._at(point_vec)[2]
-        return solve is not None and solve(len(self.pairs) - 1) is not None
+        answer "member".  Where the column bounds imply the weighted row,
+        that is the base LP's verdict."""
+        point, eta, solve = self._at(point_vec)
+        if solve is None:
+            return False
+        last = len(self.pairs) - 1
+        if self._row_implied(point, eta):
+            return self.base_lps.feasible(last)
+        return solve(last) is not None
 
     def __call__(self, point_vec):
         point, eta, solve = self._at(point_vec)
@@ -291,13 +327,13 @@ class _Separation:
         start = first_true(lambda k: solve(k) is not None,
                            ends[row - 1] if row else 0, ends[row] - 1)
 
-        def scan(begin):
+        def scan(begin, trust=True):
             shaky = False
             for k in range(begin, len(self.pairs)):
-                sol = solve(k)
+                sol = solve(k, trust)
                 if sol is None:
-                    if begin and k < ends[row]:  # not monotone after all: scan every pair
-                        return scan(0)
+                    if trust and k < ends[row]:  # not monotone after all: LPs scan every pair
+                        return scan(0, False)
                     continue
                 cut = self._round(point, eta, self.pairs[k][0], sol)
                 if cut is None:
@@ -331,10 +367,21 @@ class _LoadSeparation(_Separation):
         return _topl_load_min_bound_lp(self.inst, self.ell, self.q, radius, t,
                                        fixed_bound=self.bound)
 
+    def base_verdict(self, radius, t):
+        """The max-flow count test: without the mass rows (fixed-bound, so
+        they can decide) the LP is weaker, so an infeasible test is exact,
+        and with no size in (t, radius] there are no rows to drop."""
+        feasible = _count_feasible(self.inst, radius, [t], [self.ell])
+        return feasible if feasible is False or self._uncounted(radius, t) else None
+
     def _weighted_row(self, point, eta):
         n = self.inst.jobs
         row = {i * n + j: a for i, a in enumerate(point.alpha) if a != 0 for j in range(n)}
         return _float_row(row, LE, point.mu - eta)
+
+    def _row_implied(self, point, eta):
+        # every job is assigned once, so the row's activity is at most n max alpha
+        return self.inst.jobs * max(point.alpha, default=0) <= point.mu - eta
 
     def _round(self, point, eta, radius, sol):
         m, n = self.inst.machines, self.inst.jobs
@@ -383,11 +430,22 @@ class _CenterSeparation(_Separation):
         return _center_lp(self.core, self.budget, ("top", self.ell, self.q, t), radius,
                           fixed_bound=self.bound, coverage=False)
 
+    def base_verdict(self, radius, t):
+        """With no allowed distance above t the Top rows hold trivially, and
+        what is left is the relaxation _cover_verdict decides."""
+        if not self._uncounted(radius, t):
+            return None
+        return _cover_verdict(self.core, self.budget, radius, coverage=False)
+
     def _weighted_row(self, point, eta):
         row = {center_u_index(self.core, j): a for j, a in enumerate(point.alpha) if a != 0}
         if not row and point.mu + eta > 0:
             return None  # zero alpha cannot reach a positive threshold
         return _float_row(row, GE, point.mu + eta)
+
+    def _row_implied(self, point, eta):
+        # alpha >= 0 and u_j >= l_j, so the row's activity is at least sum_j alpha_j l_j
+        return sum(a * int(lj) for a, lj in zip(point.alpha, self.base.l)) >= point.mu + eta
 
     def _round(self, point, eta, radius, sol):
         nc = self.base.n_clients

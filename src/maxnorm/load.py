@@ -45,8 +45,10 @@ the assignment rows plus, per machine, count caps on the jobs above each
 threshold.  Those job sets are nested, so the rows form a network matrix,
 which is totally unimodular: the LP is feasible exactly when a max flow
 routes every job that has no allowed uncounted machine through its
-machine's chain of caps.  Only guesses a visit reads are solved, so the
-scans solve the same models as before and read the same vertices.
+machine's chain of caps.  A pigeonhole count over the outermost caps
+refutes many guesses before the flow graph is built.  Only guesses a visit
+reads are solved, so the scans solve the same models as before and read
+the same vertices.
 
 Rounding reads the vertex as arrays: each machine's positive entries, in
 size order, are the only ones its copy fill visits, and the copy graph's
@@ -119,12 +121,14 @@ def _count_feasible(inst, radius, thresholds, caps):
 
     Exact: a job with an allowed uncounted machine is placed there, and the
     other jobs must fit through their machines' nested caps, which is a max
-    flow with integral capacities.  The masks are the LP builders' own.
+    flow with integral capacities (_forced_flow).  Every forced job passes
+    its machine's outermost cap, so when the forced jobs outnumber the sum
+    over machines of min(forced jobs allowed there, that cap) no flow is
+    needed.  The masks are the LP builders' own.
     """
     if not all(float(c).is_integer() and c >= 0 for c in caps):
         return None
     p = inst.p
-    m = inst.machines
     allowed = ~(p > radius)
     tops = np.asarray(thresholds, float)
     counted = np.isfinite(p) & (p > tops[-1])
@@ -134,9 +138,18 @@ def _count_feasible(inst, radius, thresholds, caps):
         return False  # a job with no allowed machine
     if forced.size == 0:
         return True
-    # nodes: the source, the forced jobs, one node per (machine, cap) along
-    # each machine's chain of caps, the sink
-    f, depth = forced.size, len(caps)
+    f = forced.size
+    if np.minimum(routes.sum(axis=1), min(int(caps[-1]), f)).sum() < f:
+        return False  # the pigeonhole exit
+    return bool(_forced_flow(p, forced, routes, tops, caps) == f)
+
+
+def _forced_flow(p, forced, routes, tops, caps):
+    """The most forced jobs (columns of p) that fit through their machines'
+    nested count caps, routes[i, k] marking machine i allowed for job
+    forced[k]: a max flow whose nodes are the source, the forced jobs, one
+    node per (machine, cap) along each machine's chain of caps, the sink."""
+    m, f, depth = p.shape[0], forced.size, len(caps)
     sink = 1 + f + m * depth
     mi, fi = np.nonzero(routes)
     level = np.searchsorted(-tops, -p[mi, forced[fi]], side="right")  # innermost cap
@@ -147,7 +160,7 @@ def _count_feasible(inst, radius, thresholds, caps):
     cols = np.concatenate([1 + np.arange(f), 1 + f + mi * depth + level, nxt])
     vals = np.concatenate([np.ones(f + len(fi)), cap]).astype(np.int32)
     graph = csr_array((vals, (rows, cols)), shape=(sink + 1, sink + 1))
-    return bool(maximum_flow(graph, 0, sink).flow_value == f)
+    return int(maximum_flow(graph, 0, sink).flow_value)
 
 
 # ---------------------------------------------------------------------------

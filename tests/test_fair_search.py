@@ -8,6 +8,8 @@ verdicts, so that verdicts contradicting monotonicity can be planted where
 the search is bound to meet them.
 """
 
+import itertools
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -18,6 +20,7 @@ import _exhaustive_scans as exhaustive
 from maxnorm import fair, lp
 from maxnorm.errors import MaxNormError, SolverInternalError
 from maxnorm.generators import gen_fair_cluster, gen_fair_load
+from maxnorm.instances import FairClusterInstance
 from maxnorm.lp import INFEASIBLE, OPTIMAL
 from maxnorm.norms import top_norm
 
@@ -118,9 +121,57 @@ def test_oracle_answers_match_the_full_scan():
     assert cuts >= 40 and members >= 40
 
 
+def _float_families(seeds):
+    """Seeds of the float-cap load and float-target center families: caps
+    and targets round(0.7 e + 0.3, 1), passed as floats."""
+    for seed in seeds:
+        for gen, cls in ((gen_fair_load, fair.FairLoadInstance),
+                         (lambda s, a, b: gen_fair_cluster(s, a, b, k=2), FairClusterInstance)):
+            base = gen(seed, 2 + seed % 3, 4)
+            yield cls(base=base.base, e=tuple(round(0.7 * float(e) + 0.3, 1) for e in base.e))
+
+
+def test_base_verdicts_and_implied_rows_match_the_lps():
+    """Every base verdict that is not None is its base LP's status, and at
+    dual points whose weighted row the column bounds imply, the pair's LP
+    with the row has the base LP's status."""
+    rng = np.random.default_rng(408)
+    verdicts, implied = Counter(), Counter()
+    for finst in itertools.chain(_fair_instances(408, 12), _float_families(range(4))):
+        for ell, q in NORMS:
+            bounds = fair.fair_bound_candidates(finst, top_norm(ell, q), 0.1)
+            for bound in rng.choice(bounds, size=min(3, len(bounds)), replace=False):
+                oracle = fair._dual(finst)[0](finst, float(bound), ell, q)
+                points = []
+                for vec in [fair._first_point(finst)] + [_random_point(rng, finst)
+                                                        for _ in range(2)]:
+                    try:
+                        points.append(oracle._point(vec))
+                    except SolverInternalError:  # a random slack below 1
+                        pass
+                for radius, t in oracle.pairs:
+                    status = lp.solve_lp(oracle.base_lp(radius, t)[0]).status
+                    verdict = oracle.base_verdict(radius, t)
+                    if verdict is not None:
+                        assert verdict == (status == OPTIMAL), (radius, t)
+                        verdicts[oracle.kind, verdict] += 1
+                    for point in points:
+                        eta = fair.compute_eta(point)
+                        weighted = oracle._weighted_row(point, eta)
+                        if weighted is None or not oracle._row_implied(point, eta):
+                            continue
+                        model = oracle.base_lp(radius, t)[0]
+                        model.add_row(*weighted)
+                        assert lp.solve_lp(model).status == status, (radius, t, point)
+                        implied[oracle.kind, status == OPTIMAL] += 1
+    keys = list(itertools.product(["load", "center"], [True, False]))
+    assert min(counter[key] for counter in (verdicts, implied) for key in keys) >= 50, \
+        (verdicts, implied)
+
+
 def test_fair_lp_count(monkeypatch):
     """One 3x4 Top-(2,1) fair load instance: the linear walk with the full
-    pair scan solves 200 LPs on it."""
+    pair scan solves 200 LPs on it, the search 6."""
     finst = gen_fair_load(1, machines=3, jobs=4, pmax=10)
     calls = []
     solve_lp = fair.solve_lp
@@ -132,7 +183,7 @@ def test_fair_lp_count(monkeypatch):
     new = _outcome(solve)
     searched, calls[:] = len(calls), []
     assert new == _reference(monkeypatch, solve)
-    assert len(calls) == 200 and 0 < searched <= 15
+    assert len(calls) == 200 and 0 < searched <= 6
 
 
 def _model_key(model):
@@ -212,18 +263,24 @@ class _TabledModel:
         self.weighted = True
 
 
-def _tabled_oracle(monkeypatch, finst, feasible, cuts, log):
-    """A load oracle at bound 10 whose LPs and rounding are lookups:
-    feasible(pair, weighted) is the LP verdict, and a feasible pair rounds
-    to a cut iff it is in cuts (else the rounding misses).  log records the
-    LPs solved, in order."""
+def _tabled_oracle(monkeypatch, finst, feasible, cuts, log, verdict=None):
+    """A load oracle at bound 10 whose LPs, verdicts and rounding are
+    lookups: feasible(pair, weighted) is the LP verdict, verdict(pair) the
+    base verdict (by default the base LP's, feasible(pair, False)), and a
+    feasible pair rounds to a cut iff it is in cuts (else the rounding
+    misses).  log records the LPs solved, in order."""
     def solve_lp(model):
         log.append((model.pair, model.weighted))
         status = OPTIMAL if feasible(model.pair, model.weighted) else INFEASIBLE
         return SimpleNamespace(status=status, pair=model.pair)
 
+    if verdict is None:
+        def verdict(pair):
+            return feasible(pair, False)
+
     cls = fair._LoadSeparation
     monkeypatch.setattr(cls, "base_lp", lambda self, radius, t: (_TabledModel((radius, t)), 0))
+    monkeypatch.setattr(cls, "base_verdict", lambda self, radius, t: verdict((radius, t)))
     monkeypatch.setattr(cls, "_round", lambda self, point, eta, radius, sol:
                         ("cut", sol.pair, None) if sol.pair in cuts else None)
     monkeypatch.setattr(fair, "solve_lp", solve_lp)
@@ -310,7 +367,7 @@ def test_pair_search_with_contradicting_verdicts(monkeypatch):
         for k, hole in enumerate(order):
             # holes the scan meets: first solved after a feasible smaller
             # threshold of the first feasible pair's row (bisection probes never are)
-            if hole[0] != first[0] or not full(hole) or \
+            if not full(hole) or hole[0] != first[0] or \
                     not any(r == hole[0] and t < hole[1] and full((r, t)) for r, t in order[:k]):
                 continue
             lures = [p for p in pairs[:pairs.index(first)] if p not in seen]
@@ -321,6 +378,50 @@ def test_pair_search_with_contradicting_verdicts(monkeypatch):
                 planted += 1
                 changed += new != base and lure is not None
     assert planted >= 40 and changed >= 10, (planted, changed)
+
+
+def test_scan_after_a_contradicting_verdict_solves_lps_only(monkeypatch):
+    """A base verdict refuting a pair whose LPs are feasible, met after the
+    bisected start within its row: the scan of every pair that follows
+    solves LPs only, so it reaches the pair, solves its base LP and rounds
+    it to the cut the full scan finds."""
+    rng = np.random.default_rng(407)
+    planted = 0
+    for seed in range(60):
+        finst = gen_fair_load(seed, machines=2, jobs=int(rng.integers(2, 6)), pmax=12)
+        zero = rng.random() < 0.2
+        alpha = tuple(Fraction(0 if zero else int(rng.integers(1, 4))) for _ in range(2))
+        point = alpha + (sum(a * e for a, e in zip(alpha, finst.e)) + 1,)
+        pairs = fair._LoadSeparation(finst, 10.0, 1, 1.0).pairs
+        table = _pair_table(rng, pairs)
+        log = []
+        _answer(lambda: _tabled_oracle(monkeypatch, finst, table, set(), log)(point))
+        monkeypatch.undo()
+        order = list(dict.fromkeys(p for p, _ in log))  # no cut: the scan visits every pair
+
+        def full(pair):
+            return table(pair, False) and (zero or table(pair, True))
+
+        first = next((p for p in pairs if full(p)), None)
+        for k, hole in enumerate(order):
+            # in the first feasible pair's row, first solved after a feasible
+            # smaller threshold: the scan meets it, the bisection never does
+            if not full(hole) or hole[0] != first[0] or \
+                    not any(r == hole[0] and t < hole[1] and full((r, t)) for r, t in order[:k]):
+                continue
+            log = []
+            oracle = _tabled_oracle(monkeypatch, finst, table, {hole}, log,
+                                    lambda pair, hole=hole: pair != hole and table(pair, False))
+            new = _answer(lambda: oracle(point))
+            monkeypatch.undo()
+            ref = _answer(lambda: exhaustive.fair_separation_scan(
+                _tabled_oracle(monkeypatch, finst, table, {hole}, []), point))
+            monkeypatch.undo()
+            assert new == ref == ("cut", hole, None), (hole, new, ref)
+            assert (hole, False) in log  # the base LP the verdict refuted
+            planted += 1
+            break
+    assert planted >= 15, planted
 
 
 def _tabled_walk(monkeypatch, table, probe, log):

@@ -461,6 +461,37 @@ def test_count_verdict_leaves_non_integral_caps_to_the_lp():
         assert _count_feasible(inst, 2.0, (1.0, 0.0), (1, cap)) is None
 
 
+def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
+    """Random nested caps of depth 1-3: where the count test answers without
+    the max flow (the pigeonhole exit), the flow refutes the guess too, and
+    elsewhere the test is the flow's answer."""
+    rng = np.random.default_rng(29)
+    forced_flow, flows = load._forced_flow, []
+    monkeypatch.setattr(load, "_forced_flow",
+                        lambda *args: flows.append(1) or forced_flow(*args))
+    reached = decided = 0
+    for _ in range(3000):
+        inst = random_load(rng, m_hi=4, j_hi=9, pmax=6, forbidden=float(rng.choice([0.0, 0.3])))
+        sizes = inst.finite_sizes()
+        radius = float(rng.choice(sizes))
+        depth = int(rng.integers(1, 4))
+        thresholds = sorted(rng.choice([0.0] + sizes, size=depth).tolist(), reverse=True)
+        caps = rng.integers(0, 4, size=depth).tolist()
+        flows.clear()
+        verdict = _count_feasible(inst, radius, thresholds, caps)
+        p = inst.p
+        allowed = ~(p > radius)
+        forced = np.flatnonzero((~allowed | (p > thresholds[-1])).all(axis=0))
+        routes = allowed[:, forced]
+        if forced.size == 0 or not routes.any(axis=0).all():
+            continue
+        reached += 1
+        flow = forced_flow(p, forced, routes, np.asarray(thresholds), caps)
+        assert verdict == (flow == forced.size), (radius, thresholds, caps)
+        decided += not flows
+    assert reached >= 800 and decided >= 300, (reached, decided)
+
+
 def test_sequence_key_counts_sizes_above_each_threshold():
     rng = np.random.default_rng(12)
     for _ in range(20):
