@@ -25,6 +25,9 @@ The cases (Top-(2,1) and eps 0.1 unless named otherwise):
                             gen_load(0, machines=10, jobs=300 or 1000, pmax=10,
                             forbidden=0.1), solve_ordered_makespan at weights
                             ((1, 0.5, 0.25, 0.125), (2, 0.5))
+  makespan-top-10x2000      gen_load(0, machines=10, jobs=2000, pmax=10,
+                            forbidden=0.1), solve_topl_makespan (the count
+                            test's placement over thousands of jobs)
   fair-float-caps           gen_fair_load(seed, 2 + seed % 3, 4) with caps
                             round(0.7 e + 0.3, 1) passed as floats, at
                             Top-(1 + seed % 2, 1), seeds 0-39; DETAIL counts
@@ -76,6 +79,13 @@ def _makespan_ordered(jobs):
     return [lambda: solve_ordered_makespan(inst, ((1, 0.5, 0.25, 0.125), (2, 0.5)), 0.1)]
 
 
+def _makespan_top(jobs):
+    from maxnorm import generators, solve_topl_makespan
+
+    inst = generators.gen_load(0, machines=10, jobs=jobs, pmax=10, forbidden=0.1)
+    return [lambda: solve_topl_makespan(inst, 2, 1.0, 0.1)]
+
+
 def _fair_float_caps():
     from maxnorm import generators, solve_fair, top_norm
     from maxnorm.instances import FairLoadInstance
@@ -111,6 +121,7 @@ CASES = {
     **{f"topk-100x100-s{s}": lambda s=s: _topk(s) for s in range(2)},
     **{f"makespan-ordered-10x{jobs}": lambda jobs=jobs: _makespan_ordered(jobs)
        for jobs in (300, 1000)},
+    "makespan-top-10x2000": lambda: _makespan_top(2000),
     "fair-float-caps": _fair_float_caps,
     "fair-float-targets": _fair_float_targets,
 }

@@ -49,12 +49,20 @@ its base LP is, so an exact LP-free verdict on the base LP stands in for
 the base solve where it can tell (GuessLPs' verdict slot, as in the
 makespan and k-center scans):
 
-  * load: the max-flow count test (load._count_feasible).  It drops the
-    mass rows, which the fixed bound lets decide, so its False is exact; so
-    is its True when no size lies in (T, R], where no row counts a pair.
-  * center: with no allowed distance above T the Top rows count nothing,
-    and the packing and greedy-opening test (cluster._cover_verdict)
-    decides the rest.
+  * load: the count test (load._count_feasible: Hall counts, a greedy
+    placement, a max flow only where both are silent).  It drops the mass
+    rows, which the fixed bound lets decide, so its False is exact.  Its
+    True comes with an integral point taking at most ell counted jobs per
+    machine, which meets the mass rows when no size lies in (T, R] or when
+    ell times the largest mass coefficient of such a size is at most B^q.
+  * center: the packing and greedy-opening test (cluster._cover_verdict)
+    decides the relaxation without the Top rows.  Its opening connects
+    client j to l_j facilities within R, which meets the Top rows when no
+    allowed distance lies above T or when max l_j <= ell and max l_j times
+    the largest mass coefficient of such a distance is at most B^q.
+
+The mass comparisons are exact, in Fractions of the floats the model holds
+(_Separation._rows_hold).
 
 An infeasible verdict refutes the pair with no LP, and a feasible one goes
 straight to the LP with the weighted row.  A probe whose weighted row the
@@ -252,11 +260,19 @@ class _Separation:
                                  solve_lp, lambda k: self.base_verdict(*self.pairs[k]))
         self._last = None  # (point vector, _at of it) of the point last asked about
 
-    def _uncounted(self, radius, t):
-        """Whether no data value lies in (t, radius]: every cost the pair's
-        Top rows count is then above the radius, hence forbidden, and the
-        rows hold trivially."""
-        return bisect_right(self.values, radius) <= bisect_right(self.values, t)
+    def _rows_hold(self, radius, t, count):
+        """Whether the pair's Top rows hold at every point that takes at most
+        count costs per owner, each within the radius: no data value lies in
+        (t, radius], so the rows count nothing; or count <= ell and count
+        times the largest mass coefficient the rows give such a value is at
+        most the bound's B^q.  The comparison is exact, in Fractions of the
+        floats the model holds."""
+        lo, hi = bisect_right(self.values, t), bisect_right(self.values, radius)
+        if lo >= hi:
+            return True
+        mass = max(v ** self.q for v in self.values[lo:hi])  # NormCosts.mass of each value
+        return count <= self.ell and \
+            Fraction(count) * Fraction(mass) <= Fraction(self.bound ** self.q)
 
     def _point(self, point_vec):
         n = len(self.finst.e)
@@ -368,11 +384,13 @@ class _LoadSeparation(_Separation):
                                        fixed_bound=self.bound)
 
     def base_verdict(self, radius, t):
-        """The max-flow count test: without the mass rows (fixed-bound, so
-        they can decide) the LP is weaker, so an infeasible test is exact,
-        and with no size in (t, radius] there are no rows to drop."""
+        """The count test (load._count_feasible).  It drops the mass rows,
+        which the fixed bound lets decide, so the LP is weaker and an
+        infeasible test is exact.  A feasible test has an integral point
+        with at most ell counted jobs on each machine, which meets the mass
+        rows too where _rows_hold says so."""
         feasible = _count_feasible(self.inst, radius, [t], [self.ell])
-        return feasible if feasible is False or self._uncounted(radius, t) else None
+        return feasible if feasible is False or self._rows_hold(radius, t, self.ell) else None
 
     def _weighted_row(self, point, eta):
         n = self.inst.jobs
@@ -425,15 +443,18 @@ class _CenterSeparation(_Separation):
         super().__init__(finst, bound, ell, q, self.base.finite_distances())
         self.cert_bound = 3.0 * 4.0 ** (1.0 / q) * self.bound
         self.norm = top_norm(ell, q)
+        self.max_l = int(max(self.base.l, default=0))
 
     def base_lp(self, radius, t):
         return _center_lp(self.core, self.budget, ("top", self.ell, self.q, t), radius,
                           fixed_bound=self.bound, coverage=False)
 
     def base_verdict(self, radius, t):
-        """With no allowed distance above t the Top rows hold trivially, and
-        what is left is the relaxation _cover_verdict decides."""
-        if not self._uncounted(radius, t):
+        """_cover_verdict decides the relaxation without the Top rows.  Its
+        integral opening connects each client j to l_j open facilities
+        within the radius, a point that meets the Top rows too where
+        _rows_hold says so for the largest l_j."""
+        if not self._rows_hold(radius, t, self.max_l):
             return None
         return _cover_verdict(self.core, self.budget, radius, coverage=False)
 

@@ -40,15 +40,15 @@ A scan asks each probe only for its verdict, through GuessLPs.feasible.  A
 driver may give GuessLPs an exact verdict that needs no LP, or None where
 it cannot tell:
 
-  * the makespan drivers give a max-flow test on every probe
+  * the makespan drivers give a network-flow count test on every probe
     (maxnorm.load._count_feasible);
   * the k-center Top and ordered scans and both knapsack residuals give,
     at each radius's weakest guess only, a disjoint-ball packing bound and
     a greedy integral opening (maxnorm.cluster._cover_verdict);
   * the fair separation oracles give the same two tests on their guess
-    pairs' base LPs (maxnorm.fair, base_verdict): the flow test where it
-    refutes a pair or no size lies between T and R, the cover test where
-    no allowed distance lies above T.
+    pairs' base LPs (maxnorm.fair, base_verdict): the count test where it
+    refutes a pair, and either test's True where its integral point meets
+    the pair's Top rows.
 
 A probe is then solved only when a visit reads its solution, and the solved
 model is the same one, so every solution read is the LP's own.  A solved

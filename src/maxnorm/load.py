@@ -45,10 +45,11 @@ the assignment rows plus, per machine, count caps on the jobs above each
 threshold.  Those job sets are nested, so the rows form a network matrix,
 which is totally unimodular: the LP is feasible exactly when a max flow
 routes every job that has no allowed uncounted machine through its
-machine's chain of caps.  A pigeonhole count over the outermost caps
-refutes many guesses before the flow graph is built.  Only guesses a visit
-reads are solved, so the scans solve the same models as before and read
-the same vertices.
+machine's chain of caps.  Most guesses are settled before a flow graph is
+built: a Hall count per cap level refutes them, or a greedy placement of
+those jobs within every cap is an integral point that proves them.  Only
+guesses a visit reads are solved, so the scans solve the same models as
+before and read the same vertices.
 
 Rounding reads the vertex as arrays: each machine's positive entries, in
 size order, are the only ones its copy fill visits, and the copy graph's
@@ -120,11 +121,21 @@ def _count_feasible(inst, radius, thresholds, caps):
     cap's.
 
     Exact: a job with an allowed uncounted machine is placed there, and the
-    other jobs must fit through their machines' nested caps, which is a max
-    flow with integral capacities (_forced_flow).  Every forced job passes
-    its machine's outermost cap, so when the forced jobs outnumber the sum
-    over machines of min(forced jobs allowed there, that cap) no flow is
-    needed.  The masks are the LP builders' own.
+    other jobs (the forced ones) must fit through their machines' nested
+    caps, which is a max flow with integral capacities (_forced_flow).  Two
+    rules settle most guesses before that graph is built:
+
+      * Hall counts, one per cap level k.  A forced job counted at level k
+        on every allowed machine uses a slot of cap k and of every cap
+        outside it, wherever it goes, so machine i takes at most the
+        smaller of the number of those jobs allowed on it and min(caps[k:])
+        (clipped at the forced job count).  More such jobs than the sum of
+        those over the machines refute the guess.
+      * A placement certificate (_placed).  When it places every forced job
+        within every cap, that assignment is an integral point of the LP.
+
+    The flow decides only where both are silent.  The masks are the LP
+    builders' own.
     """
     if not all(float(c).is_integer() and c >= 0 for c in caps):
         return None
@@ -138,10 +149,39 @@ def _count_feasible(inst, radius, thresholds, caps):
         return False  # a job with no allowed machine
     if forced.size == 0:
         return True
-    f = forced.size
-    if np.minimum(routes.sum(axis=1), min(int(caps[-1]), f)).sum() < f:
-        return False  # the pigeonhole exit
+    m, f, depth = p.shape[0], forced.size, len(caps)
+    levels = np.full((m, f), -1)  # innermost cap of each allowed pair, -1 where forbidden
+    levels[routes] = np.searchsorted(-tops, -p[:, forced][routes], side="right")
+    outer = levels.max(axis=0)  # a job uses this cap and those outside it wherever it goes
+    room = np.minimum.accumulate([min(int(c), f) for c in reversed(caps)])[::-1]
+    # held[k, i]: the jobs using cap k wherever they go that machine i allows
+    held = np.cumsum([np.count_nonzero(routes[:, outer == k], axis=1) for k in range(depth)],
+                     axis=0)
+    need = np.cumsum(np.bincount(outer, minlength=depth))
+    if (np.minimum(held, room[:, None]).sum(axis=1) < need).any():
+        return False  # a Hall count
+    if _placed(levels, caps):
+        return True
     return bool(_forced_flow(p, forced, routes, tops, caps) == f)
+
+
+def _placed(levels, caps):
+    """Whether a greedy placement fits every forced job, levels[i, k] being
+    forced job k's innermost cap on machine i (-1 where forbidden): the job
+    with the fewest allowed machines goes first, onto the allowed machine
+    with the most room left at its level and every level outside it (the
+    lowest such machine on ties)."""
+    left = [[int(c) for c in caps] for _ in range(levels.shape[0])]  # slots left per machine
+    choices = levels.T.tolist()
+    for k in np.argsort((levels >= 0).sum(axis=0), kind="stable").tolist():
+        room = [min(slots[level:]) if level >= 0 else 0
+                for slots, level in zip(left, choices[k])]
+        at = max(range(len(room)), key=room.__getitem__)
+        if room[at] == 0:
+            return False
+        for level in range(choices[k][at], len(caps)):
+            left[at][level] -= 1
+    return True
 
 
 def _forced_flow(p, forced, routes, tops, caps):

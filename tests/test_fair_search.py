@@ -84,11 +84,12 @@ def test_fair_solves_match_the_linear_walk(monkeypatch):
 
 
 def _random_point(rng, finst):
-    """A dual point on the right side of the base row."""
+    """A dual point on the right side of the base row, by a slack of 1 to
+    5/2 (the oracles refuse a point closer than 1)."""
     alpha = tuple(Fraction(int(rng.integers(0, 4)), int(rng.integers(1, 3)))
                   for _ in finst.e)
     total = sum(a * e for a, e in zip(alpha, finst.e))
-    slack = Fraction(int(rng.integers(1, 5)), 2)
+    slack = Fraction(int(rng.integers(2, 6)), 2)
     if isinstance(finst, fair.FairLoadInstance):
         return alpha + (total + slack,)
     return alpha + (total - slack,)
@@ -98,7 +99,7 @@ def test_oracle_answers_match_the_full_scan():
     """At random dual points and bounds, each oracle answers (cut, solution
     and row) exactly as the scan over every pair does."""
     rng = np.random.default_rng(403)
-    cuts = members = 0
+    cuts = members = answers = 0
     for finst in _fair_instances(403, 40):
         values = (finst.base.finite_sizes() if isinstance(finst, fair.FairLoadInstance)
                   else finst.base.finite_distances())
@@ -118,7 +119,8 @@ def test_oracle_answers_match_the_full_scan():
                 assert new == ref
                 cuts += new[0] == "cut"
                 members += new[0] == "member"
-    assert cuts >= 40 and members >= 40
+                answers += not isinstance(new, str)
+    assert cuts >= 40 and members >= 40 and answers >= 220, (cuts, members, answers)
 
 
 def _float_families(seeds):
@@ -134,27 +136,30 @@ def _float_families(seeds):
 def test_base_verdicts_and_implied_rows_match_the_lps():
     """Every base verdict that is not None is its base LP's status, and at
     dual points whose weighted row the column bounds imply, the pair's LP
-    with the row has the base LP's status."""
+    with the row has the base LP's status.  The True verdicts at pairs
+    whose Top rows count an allowed cost (the count test's or the cover
+    test's integral point meeting the rows) are checked on seeded instances
+    and on seeds 0-3 of both float families."""
     rng = np.random.default_rng(408)
-    verdicts, implied = Counter(), Counter()
-    for finst in itertools.chain(_fair_instances(408, 12), _float_families(range(4))):
+    verdicts, implied, counted = Counter(), Counter(), Counter()
+    families = itertools.chain(zip(itertools.repeat("seeded"), _fair_instances(408, 12)),
+                               zip(itertools.repeat("float"), _float_families(range(4))))
+    for family, finst in families:
         for ell, q in NORMS:
             bounds = fair.fair_bound_candidates(finst, top_norm(ell, q), 0.1)
             for bound in rng.choice(bounds, size=min(3, len(bounds)), replace=False):
                 oracle = fair._dual(finst)[0](finst, float(bound), ell, q)
-                points = []
-                for vec in [fair._first_point(finst)] + [_random_point(rng, finst)
-                                                        for _ in range(2)]:
-                    try:
-                        points.append(oracle._point(vec))
-                    except SolverInternalError:  # a random slack below 1
-                        pass
+                points = [oracle._point(vec) for vec in
+                          [fair._first_point(finst)] + [_random_point(rng, finst)
+                                                        for _ in range(2)]]
                 for radius, t in oracle.pairs:
                     status = lp.solve_lp(oracle.base_lp(radius, t)[0]).status
                     verdict = oracle.base_verdict(radius, t)
                     if verdict is not None:
                         assert verdict == (status == OPTIMAL), (radius, t)
                         verdicts[oracle.kind, verdict] += 1
+                        counted[family, oracle.kind] += verdict and \
+                            any(t < v <= radius for v in oracle.values)
                     for point in points:
                         eta = fair.compute_eta(point)
                         weighted = oracle._weighted_row(point, eta)
@@ -167,6 +172,8 @@ def test_base_verdicts_and_implied_rows_match_the_lps():
     keys = list(itertools.product(["load", "center"], [True, False]))
     assert min(counter[key] for counter in (verdicts, implied) for key in keys) >= 50, \
         (verdicts, implied)
+    assert min(counted[key] for key in itertools.product(["seeded", "float"],
+                                                         ["load", "center"])) >= 30, counted
 
 
 def test_fair_lp_count(monkeypatch):

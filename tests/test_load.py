@@ -1,5 +1,6 @@
 import itertools
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -463,13 +464,17 @@ def test_count_verdict_leaves_non_integral_caps_to_the_lp():
 
 def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
     """Random nested caps of depth 1-3: where the count test answers without
-    the max flow (the pigeonhole exit), the flow refutes the guess too, and
-    elsewhere the test is the flow's answer."""
+    the max flow, by a Hall count (False) or a placement (True), the flow
+    gives the same answer, and elsewhere the test is the flow's answer.
+    Hall counts at inner levels refute guesses that the pigeonhole count over
+    the outermost caps (the last level's Hall count) lets through."""
     rng = np.random.default_rng(29)
-    forced_flow, flows = load._forced_flow, []
+    forced_flow, placed, calls = load._forced_flow, load._placed, []
     monkeypatch.setattr(load, "_forced_flow",
-                        lambda *args: flows.append(1) or forced_flow(*args))
-    reached = decided = 0
+                        lambda *args: calls.append("flow") or forced_flow(*args))
+    monkeypatch.setattr(load, "_placed",
+                        lambda *args: calls.append("placed") or placed(*args))
+    decided = Counter()
     for _ in range(3000):
         inst = random_load(rng, m_hi=4, j_hi=9, pmax=6, forbidden=float(rng.choice([0.0, 0.3])))
         sizes = inst.finite_sizes()
@@ -477,7 +482,7 @@ def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
         depth = int(rng.integers(1, 4))
         thresholds = sorted(rng.choice([0.0] + sizes, size=depth).tolist(), reverse=True)
         caps = rng.integers(0, 4, size=depth).tolist()
-        flows.clear()
+        calls.clear()
         verdict = _count_feasible(inst, radius, thresholds, caps)
         p = inst.p
         allowed = ~(p > radius)
@@ -485,11 +490,44 @@ def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
         routes = allowed[:, forced]
         if forced.size == 0 or not routes.any(axis=0).all():
             continue
-        reached += 1
+        f = forced.size
         flow = forced_flow(p, forced, routes, np.asarray(thresholds), caps)
-        assert verdict == (flow == forced.size), (radius, thresholds, caps)
-        decided += not flows
-    assert reached >= 800 and decided >= 300, (reached, decided)
+        assert verdict == (flow == f), (radius, thresholds, caps)
+        if not calls:
+            pigeonhole = np.minimum(routes.sum(axis=1), min(caps[-1], f)).sum() < f
+            decided["hall" if pigeonhole else "inner hall"] += 1
+        else:
+            decided["placed" if calls == ["placed"] else "flow"] += 1
+    assert decided["hall"] >= 400 and decided["inner hall"] >= 50, decided
+    assert decided["placed"] >= 450 and 1 <= decided["flow"] <= 20, decided
+
+
+def test_hall_count_reads_every_cap_outside_its_level(monkeypatch):
+    """Caps (2, 1) above thresholds (2, 0): jobs 0 and 1 fit only on
+    machine 0 and count there at level 0, so they need two slots of cap 0
+    and of cap 1, which has one.  The level-0 Hall count sees it through
+    the smaller outer cap; the pigeonhole count over cap 1 does not (three
+    jobs, three machines with room), and neither placement nor flow runs."""
+    inst = LoadInstance(p=np.array([[3.0, 3.0, np.inf], [np.inf, np.inf, 1.0],
+                                    [np.inf, np.inf, 1.0]]))
+    forced, routes = np.arange(3), np.isfinite(inst.p)
+    assert load._forced_flow(inst.p, forced, routes, np.array([2.0, 0.0]), [2, 1]) == 2
+    calls = []
+    monkeypatch.setattr(load, "_placed", lambda *args: calls.append(args))
+    monkeypatch.setattr(load, "_forced_flow", lambda *args: calls.append(args))
+    assert _count_feasible(inst, 3.0, (2.0, 0.0), (2, 1)) is False and not calls
+
+
+def test_count_verdict_falls_back_to_the_flow_where_the_placement_fails():
+    """Two jobs counted everywhere under nested caps of (0, 1): no job
+    above 2 fits on a machine, so job 1 fits only on machine 0.  The
+    placement puts job 0 there first (a tie, to the lower machine) and
+    misses; the flow puts job 0 on machine 1."""
+    inst = LoadInstance(p=np.array([[1.0, 2.0], [2.0, 3.0]]))
+    forced, routes = np.arange(2), np.ones((2, 2), bool)
+    assert not load._placed(np.array([[1, 1], [1, 0]]), [0, 1])
+    assert load._forced_flow(inst.p, forced, routes, np.array([2.0, 0.0]), [0, 1]) == 2
+    assert _count_feasible(inst, 3.0, (2.0, 0.0), (0, 1)) is True
 
 
 def test_sequence_key_counts_sizes_above_each_threshold():
