@@ -25,24 +25,17 @@ with q-th powers summing to at most B^q) plus the weighted row of the
 dual point.  That LP only gets weaker as R grows (fewer pairs forbidden),
 as T grows (fewer costs counted) and as B grows (a larger cap B^q), so
 its feasibility is monotone in all three.  Two searches rest on this, and
-each accepts exactly what scanning everything in order accepts:
+each accepts exactly what scanning everything in order accepts; both are
+guess.walk_from_first:
 
-  * Inside one oracle call the pairs come grouped by radius, thresholds
-    ascending.  The first feasible pair in scan order is found by bisecting
-    the groups at their last (weakest) pair, then that group's thresholds;
-    every pair before it is infeasible.  The scan goes on in order from
-    there, rounding feasible LPs as before.  An infeasible pair after the
-    start in its own group contradicts monotonicity and sends the call back
-    to scanning every pair, trusting LPs only.
+  * Inside one oracle call the rows are the pairs of one radius,
+    thresholds ascending, and a contradiction is an infeasible pair in the
+    first feasible pair's row.
   * Across bounds, round-and-cut always asks first about the same dual
-    point P0, which depends only on e.  P0 is a member at B exactly when
-    the weakest pair, (R, T) = (B, B / ell^(1/q)), has an infeasible LP;
-    a larger B allows a weaker pair at a larger cap, so the bounds where
-    P0 is a member form a prefix of the grid, and round-and-cut refutes
-    each of them at P0 at once.  solve_fair bisects past that prefix with
-    at most one LP per probe and walks the grid from the first bound after
-    it.  A walked bound refuted at P0 contradicts the prefix; the bounds
-    skipped are then walked as well.
+    point P0, which depends only on e, and P0 is a member exactly at a
+    prefix of the grid (the weakest pair, (R, T) = (B, B / ell^(1/q)), is
+    infeasible there).  The rows are single bounds, probed at P0, and a
+    contradiction is a walked bound past a nonempty prefix refuted at P0.
 
 Both searches need only verdicts, and a pair's LP is infeasible wherever
 its base LP is, so an exact LP-free verdict on the base LP stands in for
@@ -86,7 +79,7 @@ from .cluster import (center_u_index, core_of, _center_lp, _cover_verdict, _lp_p
 # unused: perfbench traces fair.build_bundles, fair.split_and_normalize and fair.eval_norm
 from .cluster import build_bundles, split_and_normalize  # noqa: F401
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
-from .guess import GuessLPs, first_true
+from .guess import CONTRADICTION, GuessLPs, walk_from_first
 from .instances import FairLoadInstance, eval_load_objective
 from .lp import (EQ, GE, LE, OPTIMAL, cutting_plane, exact_feasible_point, simplex_solve,
                  solve_lp)
@@ -258,7 +251,9 @@ class _Separation:
         # each pair's base model is built once; its fair LPs at each point add a row to a copy
         self.base_lps = GuessLPs(functools.cache(lambda k: self.base_lp(*self.pairs[k])),
                                  solve_lp, lambda k: self.base_verdict(*self.pairs[k]))
-        self._last = None  # (point vector, _at of it) of the point last asked about
+        # asking about the last point again (round-and-cut's first point after
+        # the bound search probed it) solves no LP twice
+        self._at = functools.lru_cache(maxsize=1)(self._at)
 
     def _rows_hold(self, radius, t, count):
         """Whether the pair's Top rows hold at every point that takes at most
@@ -310,14 +305,10 @@ class _Separation:
         return solve
 
     def _at(self, point_vec):
-        """(point, eta, _lps_at of them) for a point vector.  The last point's
-        are kept, so asking about it again (round-and-cut's first point after
-        the bound search probed it) solves no LP twice."""
-        if self._last is None or self._last[0] != point_vec:
-            point = self._point(point_vec)
-            eta = compute_eta(point)
-            self._last = (point_vec, (point, eta, self._lps_at(point, eta)))
-        return self._last[1]
+        """(point, eta, _lps_at of them) for a point vector."""
+        point = self._point(point_vec)
+        eta = compute_eta(point)
+        return point, eta, self._lps_at(point, eta)
 
     def feasible_somewhere(self, point_vec):
         """Whether some pair's LP is feasible at the point, which holds iff
@@ -336,30 +327,25 @@ class _Separation:
         point, eta, solve = self._at(point_vec)
         if solve is None:
             return "member", None, None
-        ends = self.row_ends
-        row = first_true(lambda r: solve(ends[r] - 1) is not None, 0, len(ends))
-        if row == len(ends):
-            return "member", None, None
-        start = first_true(lambda k: solve(k) is not None,
-                           ends[row - 1] if row else 0, ends[row] - 1)
+        shaky = False  # whether a rounding of this pass missed
 
-        def scan(begin, trust=True):
-            shaky = False
-            for k in range(begin, len(self.pairs)):
-                sol = solve(k, trust)
-                if sol is None:
-                    if trust and k < ends[row]:  # not monotone after all: LPs scan every pair
-                        return scan(0, False)
-                    continue
-                cut = self._round(point, eta, self.pairs[k][0], sol)
-                if cut is None:
-                    shaky = True
-                    continue
-                return cut
-            if shaky:
-                raise SolverInternalError("ambiguous separation verdict (numerical edge)")
-            return "member", None, None
-        return scan(start)
+        def visit(k, first):
+            nonlocal shaky
+            radius = self.pairs[k][0]
+            sol = solve(k, trust=first is not None)
+            if sol is None:
+                if first is not None and radius == self.pairs[first][0]:
+                    shaky = False  # not monotone after all: the next pass rounds every pair
+                    return CONTRADICTION
+                return None
+            cut = self._round(point, eta, radius, sol)
+            shaky = shaky or cut is None
+            return cut
+
+        cut = walk_from_first(self.row_ends, lambda k: solve(k) is not None, visit)
+        if cut is None and shaky:
+            raise SolverInternalError("ambiguous separation verdict (numerical edge)")
+        return ("member", None, None) if cut is None else cut
 
 
 class _LoadSeparation(_Separation):
@@ -419,10 +405,14 @@ class _LoadSeparation(_Separation):
 
 @functools.lru_cache(maxsize=1)
 def _center_core(base):
-    """(core, budget) of a fair center instance's base, shared by every
-    oracle of a solve: the core keeps its relaxations' fixed parts, and the
-    budget rows are kept for the one budget object."""
-    return core_of(base), (CARDINALITY, base.k)
+    """(core, budget, cover) of a fair center instance's base, shared by
+    every oracle of a solve: the core keeps its relaxations' fixed parts, the
+    budget rows are kept for the one budget object, and cover(radius) is
+    _cover_verdict without the coverage row, which depends on nothing else,
+    decided once per radius."""
+    core, budget = core_of(base), (CARDINALITY, base.k)
+    return core, budget, functools.cache(
+        lambda radius: _cover_verdict(core, budget, radius, coverage=False))
 
 
 class _CenterSeparation(_Separation):
@@ -439,7 +429,7 @@ class _CenterSeparation(_Separation):
 
     def __init__(self, finst, bound, ell, q):
         self.base = finst.base
-        self.core, self.budget = _center_core(self.base)
+        self.core, self.budget, self._cover = _center_core(self.base)
         super().__init__(finst, bound, ell, q, self.base.finite_distances())
         self.cert_bound = 3.0 * 4.0 ** (1.0 / q) * self.bound
         self.norm = top_norm(ell, q)
@@ -456,7 +446,7 @@ class _CenterSeparation(_Separation):
         _rows_hold says so for the largest l_j."""
         if not self._rows_hold(radius, t, self.max_l):
             return None
-        return _cover_verdict(self.core, self.budget, radius, coverage=False)
+        return self._cover(radius)
 
     def _weighted_row(self, point, eta):
         row = {center_u_index(self.core, j): a for j, a in enumerate(point.alpha) if a != 0}
@@ -580,38 +570,29 @@ def solve_fair(finst, norm, eps, limit=None):
 
     The bounds where the first dual point P0 is a member form a prefix of
     the grid; they are bisected past, and round-and-cut walks the grid from
-    the first bound after them.  A bound of the walk refuted at P0 itself
-    contradicts that prefix, and the bounds skipped are then walked too.
-    Round-and-cut starts from P0 and, at a bound the bisection probed, from
-    the probe's oracle, so nothing the probe solved is solved again."""
+    the first bound after them (guess.walk_from_first).  A bound of the walk
+    refuted at P0 itself contradicts a nonempty prefix, and the grid is then
+    walked again from its first bound.  Round-and-cut starts from P0 and
+    from the bound's oracle, the one its probe asked, so nothing the probe
+    solved is solved again."""
     if norm.kind != TOP:
         raise InvalidInputError("fair solving covers Top-(ell,q) norms")
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
     bounds = fair_bound_candidates(finst, norm, eps)
     p0 = _first_point(finst)
-    oracles = {}
+    oracle = functools.cache(lambda k: _dual(finst)[0](finst, bounds[k], norm.ell, norm.q))
 
-    def probe(k):
-        oracles[k] = _dual(finst)[0](finst, bounds[k], norm.ell, norm.q)
-        return oracles[k].feasible_somewhere(p0)
+    def visit(k, first):
+        verdict, payload = round_and_cut(finst, bounds[k], norm.ell, norm.q, limit=limit,
+                                         oracle=oracle(k), first=p0)
+        if verdict == "distribution":
+            return FairSolveResult(bound=bounds[k], distribution=payload)
+        # first is None in the pass trusting nothing, and 0 after an empty prefix
+        return CONTRADICTION if first and payload == p0 else None
 
-    start = first_true(probe, 0, len(bounds))
-
-    def walk(indices, check):
-        for k in indices:
-            verdict, payload = round_and_cut(finst, bounds[k], norm.ell, norm.q, limit=limit,
-                                             oracle=oracles.pop(k, None), first=p0)
-            if verdict == "distribution":
-                return FairSolveResult(bound=bounds[k], distribution=payload)
-            if check and payload == p0:  # P0 a member after all: not monotone
-                check = False
-                found = walk(range(start), False)
-                if found is not None:
-                    return found
-        return None
-
-    found = walk(range(start, len(bounds)), start > 0)
+    found = walk_from_first(range(1, len(bounds) + 1),
+                            lambda k: oracle(k).feasible_somewhere(p0), visit)
     if found is None:
         raise InfeasibleError("no bound admits a fair distribution")
     return found

@@ -36,6 +36,16 @@ infeasible sequence covered by a feasible one of this or a smaller radius.
 The makespan Top and ordered scans, the k-center Top and ordered scans and
 both knapsack residuals all run through these two.
 
+The fair variants search one more way, walk_from_first: bisect rows of
+guesses at their last (weakest) guess for the first row with a feasible
+one, bisect that row, then visit every guess in order from the first
+feasible one.  Its one contradiction rule: a visit that meets a verdict
+breaking monotonicity (its caller decides which) sends the walk back to
+visit every guess from the first, trusting no verdict.  The fair pair scan
+(maxnorm.fair._Separation.__call__, rows of one radius each) and the fair
+bound walk (maxnorm.fair.solve_fair, rows of one bound each) run through
+it.
+
 A scan asks each probe only for its verdict, through GuessLPs.feasible.  A
 driver may give GuessLPs an exact verdict that needs no LP, or None where
 it cannot tell:
@@ -76,6 +86,36 @@ def first_true(pred, lo, hi):
         else:
             lo = mid + 1
     return lo
+
+
+CONTRADICTION = object()  # what a visit of walk_from_first returns on a verdict off monotone
+
+
+def walk_from_first(ends, feasible, visit):
+    """The first answer of visit(k, first) over the guesses k from the
+    first feasible one on, in order, or None when no visit answers.
+
+    The guesses 0 .. ends[-1] - 1 come in rows, row r ending before
+    ends[r].  feasible(k) stays true once it holds at a row's last guess,
+    for every later row's last guess, and once it holds within a row, so
+    bisecting the rows at their last guess, then the start row, finds the
+    first feasible guess, first.  visit returns an answer, None to go on,
+    or CONTRADICTION when a verdict breaks that monotonicity; every guess
+    is then visited again from 0 with first None, trusting no verdict."""
+    row = first_true(lambda r: feasible(ends[r] - 1), 0, len(ends))
+    if row == len(ends):
+        return None
+    first = first_true(feasible, ends[row - 1] if row else 0, ends[row] - 1)
+
+    def walk(begin, first):
+        for k in range(begin, ends[-1]):
+            found = visit(k, first)
+            if found is not None:
+                return found
+        return None
+
+    found = walk(first, first)
+    return walk(0, None) if found is CONTRADICTION else found
 
 
 class GuessLPs:

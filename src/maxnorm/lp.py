@@ -59,7 +59,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import LpSolverError, ResourceCapError, SolverInternalError
+from .errors import InvalidInputError, LpSolverError, ResourceCapError, SolverInternalError
 from .sparsify import telescoped_deltas
 
 TAU_LP = 1e-7
@@ -219,12 +219,16 @@ class NormCosts:
     def mass(self, power):
         """Each finite cost, or cost^q by Python's float power (NumPy's
         vectorized power may round differently); 0 where the cost is not
-        finite."""
+        finite.  A cost^q past the float range is invalid input."""
         mass = self._mass.get(power)
         if mass is None:
             mass = np.where(self.finite, self.counted_cost, 0.0)
             if power != 1:  # v ** 1.0 is v
-                mass[self.finite] = [v ** power for v in mass[self.finite].tolist()]
+                try:
+                    mass[self.finite] = [v ** power for v in mass[self.finite].tolist()]
+                except OverflowError:
+                    raise InvalidInputError(f"a cost to the power {power!r} overflows "
+                                            "a float") from None
             self._mass[power] = mass
         return mass
 

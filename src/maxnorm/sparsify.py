@@ -75,6 +75,8 @@ def geometric_grid(lo, hi, eps):
     """Powers-of-(1+eps) grid anchored at lo, covering [lo, hi*(1+eps)).
 
     Whenever x in [lo, hi], some grid point b satisfies x <= b < (1+eps)*x.
+    A power (1+eps)^t past the float range before the grid ends is invalid
+    input.
     """
     if not all(math.isfinite(v) for v in (lo, hi, eps)):
         raise InvalidInputError("grid parameters must be finite")
@@ -95,7 +97,11 @@ def geometric_grid(lo, hi, eps):
     out = []
     t = 0
     while True:
-        b = lo * (1.0 + eps) ** t
+        try:
+            b = lo * (1.0 + eps) ** t
+        except OverflowError:
+            raise InvalidInputError(f"the grid's factor (1 + {eps!r})^{t} passes the "
+                                    "float range") from None
         if b >= hi * (1.0 + eps):
             break
         out.append(b)

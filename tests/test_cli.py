@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from maxnorm.cli import main
 from maxnorm import cli, fileio
 from maxnorm.generators import gen_cluster, gen_fair_cluster, gen_knapsack_cluster, \
@@ -477,3 +479,86 @@ def test_knapsack_heavy_sets_past_their_cap_exit_resource_cap(tmp_path):
     assert proc.returncode == 4, proc.stderr
     assert "1744436 heavy-set guesses" in proc.stdout
     assert json.loads(proc.stderr)["error"] == "resource-cap"
+
+
+@pytest.mark.parametrize("kind, argv", [
+    ("load", ["solve", "--norm", "topl:1:1e308"]),
+    ("huge", ["solve", "--norm", "topl:3:2"]),
+    ("fair-load", ["fair-solve", "--norm", "topl:1:1e300"]),
+    ("load", ["solve", "--norm", "topl:1:1", "--eps", "1e300"]),
+    ("fair-load", ["fair-solve", "--norm", "topl:1:1", "--eps", "1e300"]),
+], ids=["q-1e308", "sizes-1e308", "fair-q-1e300", "eps-1e300", "fair-eps-1e300"])
+def test_float_overflow_exits_invalid(tmp_path, capsys, kind, argv):
+    """A cost to the power q, or a grid factor (1 + eps)^t, past the float
+    range once escaped main as an OverflowError (exit 1, a traceback)."""
+    path = tmp_path / "inst.json"
+    if kind == "huge":
+        path.write_text(json.dumps({"kind": "load", "p": [[1e308, 1e308], [1e308, 1e308]]}))
+    else:
+        main(["gen", kind, "--seed", "1", "--out", str(path)])
+    code, out, err = _run([argv[0], str(path)] + argv[1:], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+def test_oracle_matches_the_library_on_every_kind(tmp_path, capsys):
+    """`oracle` prints the library's brute-force optimum for load, cluster,
+    matroid, knapsack, fair-load and fair-cluster files; the fair-cluster
+    file is the one `gen fair-cluster` writes, which is the generator's."""
+    from maxnorm import oracle
+    from maxnorm.generators import gen_fair_load, gen_load
+    from maxnorm.norms import top_norm
+
+    fair_path = tmp_path / "fair-cluster.json"
+    assert main(["gen", "fair-cluster", "--clients", "2", "--facilities", "3", "--seed", "3",
+                 "--out", str(fair_path)]) == 0
+    assert fair_path.read_text() == fileio.dumps(fileio.encode_instance(
+        gen_fair_cluster(3, clients=2, facilities=3)))
+    norm = top_norm(2, 1.0)
+    kinds = [("load", gen_load(1, machines=2, jobs=3), oracle.brute_force_makespan),
+             ("cluster", gen_cluster(1, clients=3, facilities=4, k=2),
+              oracle.brute_force_kcenter),
+             ("matroid", gen_matroid_cluster(1, clients=2, facilities=3),
+              oracle.brute_force_matroid_center),
+             ("knapsack", gen_knapsack_cluster(1, clients=2, facilities=3),
+              oracle.brute_force_knapsack_center),
+             ("fair-load", gen_fair_load(1, machines=2, jobs=2), None),
+             ("fair-cluster", None, None)]
+    for kind, inst, brute in kinds:
+        path = tmp_path / f"{kind}.json"
+        if inst is not None:
+            path.write_text(fileio.dumps(fileio.encode_instance(inst)))
+        inst = fileio.decode_instance(json.loads(path.read_text()))
+        code, out, _ = _run(["oracle", str(path), "--norm", "topl:2:1"], capsys)
+        assert code == 0, kind
+        if brute is None:
+            bound, dist = oracle.brute_force_fair_opt(inst, norm, 0.1)
+            want = {"kind": "oracle-result", "fair_opt": repr(float(bound)),
+                    "distribution": fileio.encode_distribution(dist)}
+        else:
+            opt = brute(inst, norm)
+            sol = opt.assignment if kind == "load" else opt.solution
+            want = {"kind": "oracle-result", "value": repr(opt.value),
+                    "solution": fileio.encode_solution(sol), "radius": repr(opt.radius),
+                    "thresholds": [repr(t) for t in opt.thresholds]}
+        assert json.loads(out) == json.loads(fileio.dumps(want)), kind
+
+
+def test_compare_cluster_rows_match_the_library(tmp_path):
+    """`compare --kind cluster` reports the brute-force optimum and the
+    Top k-center solver's value of each seed's generated instance."""
+    from maxnorm.oracle import brute_force_kcenter
+    from maxnorm.norms import top_norm
+    from maxnorm.cluster import solve_topl_kcenter
+
+    out = tmp_path / "rows.csv"
+    assert main(["compare", "--kind", "cluster", "--seeds", "0:3", "--norm", "topl:2:1",
+                 "--clients", "3", "--facilities", "4", "--k", "2",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0].startswith("seed,opt,achieved,ratio") and len(lines) == 4
+    for seed, line in enumerate(lines[1:]):
+        inst = gen_cluster(seed, clients=3, facilities=4, k=2)
+        row = line.split(",")
+        assert row[:3] == [str(seed), repr(brute_force_kcenter(inst, top_norm(2, 1.0)).value),
+                           repr(solve_topl_kcenter(inst, 2, 1.0, 0.1).value)]

@@ -560,3 +560,32 @@ def test_knapsack_eps_past_the_float_reciprocal():
     kinst = gen_knapsack_cluster(1, clients=5, facilities=5)
     tiny, small = (solve_knapsack_center(kinst, top_norm(1, 1.0), eps) for eps in (1e-320, 1e-300))
     assert tiny.solution == small.solution and tiny.value == small.value
+
+
+def test_all_zero_ordered_weights_price_every_opening_at_zero():
+    """An all-zero max-ordered norm: the ordered k-center and matroid drivers
+    take the Top-(1,1) scan's radius at bound 0, and the knapsack driver's
+    bound grid at a radius is the radius alone, so its bound is a radius."""
+    from maxnorm.generators import gen_cluster, gen_knapsack_cluster
+    from maxnorm.instances import validate_cluster_solution
+    from maxnorm.norms import max_ordered_norm
+
+    zero = max_ordered_norm([[0.0, 0.0, 0.0]])
+    for seed in range(4):
+        inst = gen_cluster(seed, clients=4, facilities=5, k=2)
+        res = solve_ordered_kcenter(inst, zero.weights, 0.1)
+        top = solve_topl_kcenter(inst, 1, 1.0, 0.1)
+        assert (res.value, res.certificate["bound"]) == (0.0, 0.0)
+        assert res.certificate["radius"] == top.certificate["radius"]
+        assert brute_force_kcenter(inst, zero).value == 0.0
+        validate_cluster_solution(inst, res.solution, check_cardinality=True)
+        minst = gen_matroid_cluster(seed, clients=4, facilities=5)
+        res = solve_matroid_center(minst, zero, 0.1)
+        top = solve_matroid_center(minst, top_norm(1, 1.0), 0.1)
+        assert (res.value, res.certificate["bound"]) == (0.0, 0.0)
+        assert res.certificate["radius"] == top.certificate["radius"]
+        kinst = gen_knapsack_cluster(seed, clients=4, facilities=5)
+        res = solve_knapsack_center(kinst, zero, 0.1)
+        assert res.value == 0.0 and res.certificate["bound"] == res.certificate["radius"]
+        assert res.certificate["weight"] <= 1.2 * kinst.budget + 1e-9
+        assert brute_force_knapsack_center(kinst, zero).value == 0.0
