@@ -30,7 +30,10 @@ instead of solving every infeasible guess:
     verdict mostly needs no LP: _cover_verdict refutes it by a
     Hochbaum-Shmoys packing of disjoint client balls or proves it by a
     greedy integral opening, and leaves the radii in between to the LP
-    (GuessLPs' verdict, so a probe is solved only when a visit reads it);
+    (GuessLPs' verdict, so a probe is solved only when a visit reads it).
+    A Top scan's threshold probe takes the same verdict wherever the
+    column bounds imply every count row, min(r_j, #{i : T < d_ij <= R}) <=
+    ell for every client (_count_rows_implied; _top_lps has the argument);
   * for Top norms, each later radius bisects its thresholds for the first
     feasible one, searching no higher than the previous radius's first
     feasible index (the staircase), and stops once a guess's bound equals
@@ -723,14 +726,36 @@ def _cover_verdict(core, budget, radius, coverage):
     return None if np.any(spent > caps - slack) else True
 
 
+def _count_rows_implied(core, radius, t, ell):
+    """Whether every client's Top count row at threshold t is implied at this
+    radius: min(r_j, #{i : t < d_ij <= R}) <= ell for every client j.  The
+    comparisons are add_norm_rows' (a finite cost strictly above t) and
+    _center_lp's (not above R)."""
+    counted = (core.lp_parts.norm.counted_cost > t) & ~(core.cf > radius)
+    return bool(np.all(np.minimum(core.r, counted.sum(axis=1)) <= ell))
+
+
 def _top_lps(core, budget, ell, q, radii, thresholds):
-    """GuessLPs of a Top scan over radii and thresholds, with _cover_verdict
-    at each radius's weakest threshold and None at every other."""
+    """GuessLPs of a Top scan over radii and thresholds.  A probe takes its
+    radius's _cover_verdict, decided once per radius, at the radius's
+    weakest threshold and wherever _count_rows_implied holds; every other
+    probe gets None.
+
+    At such a probe the norm rows cut nothing: s is free, so the mass rows
+    never bind, and client j's counted x(i,j) are each at most 1 and sum to
+    at most u_j <= r_j, so its count row holds.  The LP is then feasible
+    exactly when the radius's relaxation without norm rows is, which is what
+    _cover_verdict decides."""
     weakest = weakest_thresholds(radii, thresholds)
+    cover = functools.cache(lambda ri: _cover_verdict(core, budget, radii[ri], coverage=True))
+
+    def verdict(ri, ti):
+        if ti == weakest[ri] or _count_rows_implied(core, radii[ri], thresholds[ti], ell):
+            return cover(ri)
+        return None
+
     return GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
-                                              radii[ri]), solve_lp,
-                    lambda ri, ti: _cover_verdict(core, budget, radii[ri], coverage=True)
-                    if ti == weakest[ri] else None)
+                                              radii[ri]), solve_lp, verdict)
 
 
 def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
@@ -787,12 +812,13 @@ def _top_cert(radius, bound, ell, q, threshold):
 
 def solve_topl_kcenter(inst, ell, q, eps):
     """Top-(ell,q) k-center within factor 3*4^(1/q) + eps of optimal."""
+    norm = top_norm(ell, q)
+    ell, q = norm.ell, norm.q
     core = core_of(inst)
     budget = (CARDINALITY, inst.k)
     bound, radius, threshold, xuy = _scan_top_guesses(core, budget, ell, q, eps)
     cert_val = _top_cert(radius, bound, ell, q, threshold)
-    solution, value, coverage = _finish(inst, core, budget, top_norm(ell, q), xuy, radius,
-                                        cert_val)
+    solution, value, coverage = _finish(inst, core, budget, norm, xuy, radius, cert_val)
     cert = {"radius": radius, "bound": bound, "threshold": threshold,
             "per_client_bound": cert_val, "coverage": coverage}
     return CenterSolveResult(solution=solution, value=value, certificate=cert)

@@ -52,9 +52,11 @@ it cannot tell:
 
   * the makespan drivers give a network-flow count test on every probe
     (maxnorm.load._count_feasible);
-  * the k-center Top and ordered scans and both knapsack residuals give,
-    at each radius's weakest guess only, a disjoint-ball packing bound and
-    a greedy integral opening (maxnorm.cluster._cover_verdict);
+  * the k-center Top and ordered scans and both knapsack residuals give a
+    disjoint-ball packing bound and a greedy integral opening
+    (maxnorm.cluster._cover_verdict): the ordered scans at each radius's
+    weakest guess only, the Top scans there and at every threshold where
+    the column bounds imply each count row (maxnorm.cluster._top_lps);
   * the fair separation oracles give the same two tests on their guess
     pairs' base LPs (maxnorm.fair, base_verdict): the count test where it
     refutes a pair, and either test's True where its integral point meets

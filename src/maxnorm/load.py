@@ -311,6 +311,8 @@ def solve_topl_makespan(inst, ell, q, eps):
     """Top-(ell,q) makespan within factor 4^(1/q) + eps of optimal."""
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
+    norm = top_norm(ell, q)
+    ell, q = norm.ell, norm.q
     root = 1.0 / q
     grid_eps = eps / 4.0 ** root  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps
     if _min_radius(inst) == 0:
@@ -318,7 +320,7 @@ def solve_topl_makespan(inst, ell, q, eps):
                             grid_eps=grid_eps)
     bound, radius, t, x = _scan_top_guesses(inst, ell, q, grid_eps)
     assignment, _ = shmoys_tardos_round(x, inst.p)
-    value = eval_load_objective(inst, top_norm(ell, q), assignment)
+    value = eval_load_objective(inst, norm, assignment)
     per_machine = (2 * radius ** q + bound ** q + ell * t ** q) ** root
     if value > per_machine * (1 + 1e-9) + 1e-12:
         raise SolverInternalError("rounded value exceeds its certificate")

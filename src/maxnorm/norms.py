@@ -53,6 +53,9 @@ def _check_weight_vector(w):
 
 
 def top_norm(ell, q=1.0):
+    """The Top-(ell,q) norm; a non-integral ell is invalid, not truncated."""
+    if not float(ell).is_integer():
+        raise InvalidInputError("top norm needs an integral ell")
     return Norm(kind=TOP, ell=int(ell), q=float(q))
 
 
@@ -72,14 +75,20 @@ def _clean_vector(v):
 
 
 def top_norm_value(v, ell, q):
-    """L_q norm of the ell largest entries of v (v non-negative)."""
+    """L_q norm of the ell largest entries of v (v non-negative).  Where
+    sum(top^q) overflows to inf, or underflows to 0 although an entry is
+    positive, the value is max(top) * ||top / max(top)||_q instead."""
     v = _clean_vector(v)
     if v.size == 0:
         return 0.0
     top = np.sort(v)[::-1][:ell]
     if q == 1.0:
         return float(np.sum(top))
-    return float(np.sum(top ** q) ** (1.0 / q))
+    with np.errstate(over="ignore", under="ignore"):
+        value = float(np.sum(top ** q) ** (1.0 / q))
+        if math.isfinite(value) and (value > 0.0 or top[0] == 0.0):
+            return value
+        return float(top[0] * np.sum((top / top[0]) ** q) ** (1.0 / q))
 
 
 def ordered_norm_value(v, w):

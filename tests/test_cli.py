@@ -501,6 +501,18 @@ def test_float_overflow_exits_invalid(tmp_path, capsys, kind, argv):
     assert json.loads(err)["error"] == "invalid-input"
 
 
+def test_oracle_top_value_at_a_huge_q(tmp_path, capsys):
+    """`oracle` with topl:1:1e308 once printed value inf, every assignment
+    tied, with an arbitrary sigma; a Top-(1,q) norm is the largest cost, so
+    it prints topl:1:1's optimum."""
+    path = tmp_path / "load.json"
+    main(["gen", "load", "--seed", "1", "--out", str(path)])
+    huge, plain = (json.loads(_run(["oracle", str(path), "--norm", norm], capsys)[1])
+                   for norm in ("topl:1:1e308", "topl:1:1"))
+    assert huge["value"] == plain["value"] == "5.0"
+    assert huge["solution"] == plain["solution"]
+
+
 def test_oracle_matches_the_library_on_every_kind(tmp_path, capsys):
     """`oracle` prints the library's brute-force optimum for load, cluster,
     matroid, knapsack, fair-load and fair-cluster files; the fair-cluster

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -470,6 +471,39 @@ def test_cover_verdict_matches_highs():
                for v in (True, False)), decided
 
 
+def test_implied_count_rows_take_the_cover_verdict():
+    """At a Top probe (R, T) whose count rows the column bounds imply, the
+    radius's LP-free verdict, wherever it decides, is the probe LP's status:
+    random probes with T up to R, ell from 1 to 3 and q of 1 or 2, under
+    cardinality, partition and knapsack budgets.  Many decided probes count
+    a pair within the radius, so their rows are not empty."""
+    rng = np.random.default_rng(322)
+    seen, probes = Counter(), 0
+    for core, budget in _verdict_cores(rng):
+        thresholds = single_threshold_candidates(core.distances())
+        radii = sorted(set(core.distances()) | {0.0})
+        weakest = weakest_thresholds(radii, thresholds)
+        for _ in range(6):
+            ri = int(rng.integers(0, len(radii)))
+            radius, t = radii[ri], thresholds[int(rng.integers(0, weakest[ri] + 1))]
+            ell, q = int(rng.integers(1, 4)), float(rng.choice([1.0, 2.0]))
+            probes += 1
+            if not cluster._count_rows_implied(core, radius, t, ell):
+                seen["not implied"] += 1
+                continue
+            verdict = cluster._cover_verdict(core, budget, radius, coverage=True)
+            if verdict is None:
+                continue
+            model, _ = _center_lp(core, budget, ("top", ell, q, t), radius)
+            assert verdict == (solve_lp(model).status == OPTIMAL), (budget, radius, t, ell, q)
+            seen[budget[0], verdict] += 1
+            seen["counting"] += bool(((core.cf > t) & ~(core.cf > radius)).any())
+    assert probes >= 500
+    assert seen["not implied"] >= 50 and seen["counting"] >= 50, seen
+    assert all(seen[kind, v] >= 20 for kind in (CARDINALITY, PARTITION, KNAPSACK)
+               for v in (True, False)), seen
+
+
 def test_vectorized_center_lp_matches_dict_rows():
     """_center_lp emits the dict builder's rows, in its order, with its floats
     and sign bits: every budget (residual cores whose partition parts lose
@@ -589,3 +623,28 @@ def test_all_zero_ordered_weights_price_every_opening_at_zero():
         assert res.value == 0.0 and res.certificate["bound"] == res.certificate["radius"]
         assert res.certificate["weight"] <= 1.2 * kinst.budget + 1e-9
         assert brute_force_knapsack_center(kinst, zero).value == 0.0
+
+
+def test_top_kcenter_rejects_an_infinite_q():
+    """q = inf once reached the scan unchecked, which raised InfeasibleError
+    on a feasible instance; the norm rejects it as invalid input."""
+    from maxnorm.errors import InvalidInputError
+    from maxnorm.generators import gen_cluster
+
+    with pytest.raises(InvalidInputError, match="finite q"):
+        solve_topl_kcenter(gen_cluster(0, 5, 5), 2, math.inf, 0.1)
+
+
+def test_top_drivers_reject_a_fractional_ell():
+    """ell = 2.5 once gave the scan count caps of 2.5 and the value a Top-2
+    norm; the norm, the k-center driver and the makespan driver reject it."""
+    from maxnorm.errors import InvalidInputError
+    from maxnorm.generators import gen_cluster, gen_load
+    from maxnorm.load import solve_topl_makespan
+
+    for call in (lambda: top_norm(2.5, 1.0),
+                 lambda: solve_topl_kcenter(gen_cluster(0, 5, 5), 2.5, 1.0, 0.1),
+                 lambda: solve_topl_makespan(gen_load(0, 3, 5), 2.5, 1.0, 0.1)):
+        with pytest.raises(InvalidInputError, match="integral ell"):
+            call()
+    assert top_norm(2.0, 1.0) == top_norm(2, 1.0)

@@ -434,8 +434,9 @@ def _tabled_lps(monkeypatch, table, log, verdicts=None, weakest=_top_weakest):
     s, or None for an infeasible guess; a guess is the Top threshold or the
     threshold sequence.  The LP-free verdict on a radius's weakest guess,
     weakest(core, radius), looks it up in the same table, or in verdicts
-    when one is given.  log records the guesses solved and the verdicts
-    asked, in order."""
+    when one is given.  A table has no column bounds that could imply a
+    count row, so no other Top probe takes that verdict.  log records the
+    guesses solved and the verdicts asked, in order."""
     def center_lp(core, budget, normspec, radius, **kwargs):
         return (radius, normspec[3]), 0
 
@@ -454,6 +455,7 @@ def _tabled_lps(monkeypatch, table, log, verdicts=None, weakest=_top_weakest):
     monkeypatch.setattr(cluster, "_center_lp", center_lp)
     monkeypatch.setattr(cluster, "solve_lp", solve_lp)
     monkeypatch.setattr(cluster, "_cover_verdict", cover_verdict)
+    monkeypatch.setattr(cluster, "_count_rows_implied", lambda core, radius, t, ell: False)
     monkeypatch.setattr(cluster, "_lp_parts", lambda core, x: float(x[0]))
 
 
@@ -581,6 +583,54 @@ def test_residual_with_contradicting_verdicts(monkeypatch):
             planted += 1
             lured += lure is not None
     assert planted >= 10 and lured >= 5
+
+
+def test_top_scan_with_a_refuted_implied_verdict(monkeypatch):
+    """One probe below its radius's weakest threshold is called implied, so
+    it takes the radius's cover verdict, True, while the table makes its LP
+    infeasible.  The scan trusts that verdict until a visit solves the probe
+    and still returns the exhaustive scan's answer.  A hole whose verdict
+    was read and whose LP was then solved comes again with a lure: the
+    largest threshold of its row below it not solved before it, made
+    feasible at s = 0.  Only going back over the whole row on meeting the
+    hole finds the lure."""
+    rng = np.random.default_rng(310)
+    planted = live = lured = 0
+    for _ in range(30):
+        core = core_of(random_cluster(rng, nc_hi=3, nf_hi=4))
+        radii = sorted(set(core.distances()) | {0.0})
+        thresholds = single_threshold_candidates(core.distances())
+        table = _top_table(rng, radii)
+        ell, q = _top_params(rng)
+        weakest = guess.weakest_thresholds(radii, thresholds)
+        holes = [(radius, thresholds[ti]) for radius, w in zip(radii, weakest)
+                 if table(radius, thresholds[w]) is not None for ti in range(w)]
+
+        def scan(module):
+            return module._scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q, 0.1)
+
+        for k in rng.permutation(len(holes))[:5]:
+            hole, asked = holes[k], []
+
+            def tabled(monkeypatch, table, log):
+                _tabled_lps(monkeypatch, table, log)
+                monkeypatch.setattr(cluster, "_count_rows_implied", lambda core, radius, t, ell:
+                                    asked.append((radius, t)) or (radius, t) == hole)
+
+            (new, ref), log = _scan_both(monkeypatch, _planted(table, hole), scan, tabled)
+            assert _same(new, ref), hole
+            planted += 1
+            live += hole in asked
+            if hole not in asked or hole not in log:
+                continue
+            before = log[:log.index(hole)]
+            for u in [u for u in thresholds if u < hole[1] and (hole[0], u) not in before][-1:]:
+                (new, ref), _ = _scan_both(monkeypatch, _planted(table, hole, (hole[0], u)),
+                                           scan, tabled)
+                assert _same(new, ref), (hole, u)
+                planted += 1
+                lured += 1
+    assert planted >= 120 and live >= 50 and lured >= 10, (planted, live, lured)
 
 
 def test_ordered_scan_with_contradicting_verdicts(monkeypatch):
@@ -912,11 +962,12 @@ def test_load_ordered_matches_exhaustive(monkeypatch):
 
 def test_load_top_non_integral_ell_matches_exhaustive(monkeypatch):
     """The flow leaves a non-integral ell to the LP, which the scan then
-    solves for every probe."""
+    solves for every probe.  The drivers reject such an ell (top_norm), so
+    the scan is called directly, at the driver's grid eps for q = 1."""
     for inst in _load_instances(316):
         for ell in (1.5, 2.5):
             _check_against_exhaustive(monkeypatch, "_scan_top_guesses",
-                                      lambda: load.solve_topl_makespan(inst, ell, 1.0, 0.1),
+                                      lambda: load._scan_top_guesses(inst, ell, 1.0, 0.1 / 4.0),
                                       owner=load, reference=exhaustive.load_scan_top_guesses)
 
 

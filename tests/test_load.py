@@ -583,6 +583,13 @@ def test_solvers_reject_non_finite_eps():
                 solve()
 
 
+def test_top_makespan_rejects_an_infinite_q():
+    """q = inf once reached the LP unchecked, which raised LpSolverError; the
+    norm rejects it as invalid input."""
+    with pytest.raises(InvalidInputError, match="finite q"):
+        solve_topl_makespan(gen_load(0, 3, 5), 2, float("inf"), 0.1)
+
+
 def test_zero_size_makespan_solves_at_zero():
     """Every job has a machine of size 0: both drivers return the nearest
     assignment at value 0 instead of guessing on a grid anchored at 0."""

@@ -149,3 +149,20 @@ def test_metric_validation():
 def test_every_job_needs_a_machine():
     with pytest.raises(InvalidInputError):
         LoadInstance(p=np.array([[np.inf], [np.inf]]))
+
+
+def test_top_norm_value_past_the_float_range():
+    """sum(top^q) overflows to inf at huge q and underflows to 0 on small
+    entries; the value is then max(top) ||top / max(top)||_q, and every
+    value the plain formula gives finite and positive stays bit-identical."""
+    assert eval_norm(top_norm(1, 1e308), [3, 1, 2]) == 3.0
+    assert eval_norm(top_norm(2, 1e308), [3, 3, 2]) == 3.0
+    assert eval_norm(top_norm(2, 2000.0), [0.5, 0.25]) == 0.5
+    assert eval_norm(top_norm(2, 2.0), [1e-200, 1e-200]) == pytest.approx(2 ** 0.5 * 1e-200)
+    assert eval_norm(top_norm(2, 2.0), [0.0, 0.0]) == 0.0
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        v = rng.uniform(0, 10, size=int(rng.integers(1, 6)))
+        ell, q = int(rng.integers(1, 4)), float(rng.choice([1.5, 2.0, 3.0, 7.5]))
+        top = np.sort(v)[::-1][:ell]
+        assert eval_norm(top_norm(ell, q), v) == float(np.sum(top ** q) ** (1.0 / q))
