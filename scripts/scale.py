@@ -7,7 +7,9 @@ Each case prints one line, `CASE STATUS WALL_S LPS SHA256 DETAIL`: STATUS is
 ok, timeout or error; WALL_S the seconds the solves took in the child
 (imports excluded; the timeout on a timeout); LPS the number of `solve_lp`
 calls; SHA256 the first 16 hex digits of a hash over every result (value,
-certificate and solution, or the error raised).  Comparing two source trees
+certificate and solution, or the error raised).  Once every line is
+printed, the script exits 1 if any case's STATUS is not ok, else 0, so a
+check needs only its exit code.  Comparing two source trees
 is one `diff` of their outputs with the WALL_S column cut; pass --src to
 import the package from another tree (default: ./src next to this script).
 The cases take minutes in all, so no test suite runs this script.
@@ -206,8 +208,12 @@ def main():
     unknown = [name for name in args.cases if name not in CASES]
     if unknown:
         ap.error(f"unknown cases: {', '.join(unknown)}")
+    failed = False
     for name in args.cases or CASES:
-        print(name, *run_case(name, src, args.timeout, args.memory_mb), flush=True)
+        fields = run_case(name, src, args.timeout, args.memory_mb)
+        print(name, *fields, flush=True)
+        failed |= fields[0] != "ok"
+    sys.exit(1 if failed else 0)
 
 
 if __name__ == "__main__":

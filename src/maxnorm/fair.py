@@ -42,12 +42,13 @@ its base LP is, so an exact LP-free verdict on the base LP stands in for
 the base solve where it can tell (GuessLPs' verdict slot, as in the
 makespan and k-center scans):
 
-  * load: the count test (load._count_feasible: Hall counts, a greedy
-    placement, a max flow only where both are silent).  It drops the mass
-    rows, which the fixed bound lets decide, so its False is exact.  Its
-    True comes with an integral point taking at most ell counted jobs per
-    machine, which meets the mass rows when no size lies in (T, R] or when
-    ell times the largest mass coefficient of such a size is at most B^q.
+  * load: the count test (load._count_feasible: Hall counts that refute,
+    then an augmenting-path placement that decides both ways).  It drops
+    the mass rows, which the fixed bound lets decide, so its False is
+    exact.  Its True comes with an integral point taking at most ell
+    counted jobs per machine, which meets the mass rows when no size lies
+    in (T, R] or when ell times the largest mass coefficient of such a size
+    is at most B^q.
   * center: the packing and greedy-opening test (cluster._cover_verdict)
     decides the relaxation without the Top rows.  Its opening connects
     client j to l_j facilities within R, which meets the Top rows when no
@@ -370,11 +371,12 @@ class _LoadSeparation(_Separation):
                                        fixed_bound=self.bound)
 
     def base_verdict(self, radius, t):
-        """The count test (load._count_feasible).  It drops the mass rows,
-        which the fixed bound lets decide, so the LP is weaker and an
-        infeasible test is exact.  A feasible test has an integral point
-        with at most ell counted jobs on each machine, which meets the mass
-        rows too where _rows_hold says so."""
+        """The count test (load._count_feasible: Hall counts, then the
+        augmenting-path placement).  It drops the mass rows, which the fixed
+        bound lets decide, so the LP is weaker and an infeasible test is
+        exact.  A feasible test's placement is an integral point with at
+        most ell counted jobs on each machine, which meets the mass rows too
+        where _rows_hold says so."""
         feasible = _count_feasible(self.inst, radius, [t], [self.ell])
         return feasible if feasible is False or self._rows_hold(radius, t, self.ell) else None
 

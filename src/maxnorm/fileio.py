@@ -88,7 +88,7 @@ def decode_instance(data):
         d = np.array([[float(v) for v in row] for row in data["d"]])
         base = ClusterInstance(n_clients=int(data["clients"]),
                                n_facilities=int(data["facilities"]), d=d,
-                               k=int(data["k"]), m=int(data["m"]),
+                               k=data["k"], m=data["m"],
                                l=np.array(data["l"]), r=np.array(data["r"]))
         if "e" in data:
             return FairClusterInstance(base=base, e=tuple(Fraction(s) for s in data["e"]))

@@ -50,8 +50,9 @@ A scan asks each probe only for its verdict, through GuessLPs.feasible.  A
 driver may give GuessLPs an exact verdict that needs no LP, or None where
 it cannot tell:
 
-  * the makespan drivers give a network-flow count test on every probe
-    (maxnorm.load._count_feasible);
+  * the makespan drivers give an exact count test on every probe: Hall
+    counts, then an augmenting-path placement of the forced jobs through
+    each machine's nested count caps (maxnorm.load._count_feasible);
   * the k-center Top and ordered scans and both knapsack residuals give a
     disjoint-ball packing bound and a greedy integral opening
     (maxnorm.cluster._cover_verdict): the ordered scans at each radius's

@@ -31,6 +31,22 @@ def _frozen_array(a, dtype=float):
     return arr
 
 
+def _whole(value, what):
+    """value as an int: a whole number such as 2 or 2.0, never truncated
+    (1.9, nan and inf raise InvalidInputError)."""
+    if isinstance(value, (float, np.floating)) and not float(value).is_integer():
+        raise InvalidInputError(f"{what} must be a whole number, got {float(value)!r}")
+    return int(value)
+
+
+def _whole_array(values, what):
+    """values as a read-only int array of the same shape, each a whole number."""
+    arr = np.array(values)
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.floor(arr))):
+        raise InvalidInputError(f"{what} must be whole numbers")
+    return _frozen_array(arr, dtype=int)
+
+
 @dataclass(eq=False)
 class LoadInstance:
     """Unrelated machines: p[i, j] is the running time of job j on machine i."""
@@ -90,12 +106,13 @@ class ClusterInstance:
             if np.any(d > d[:, b][:, None] + d[b, :][None, :] + tol):
                 raise InvalidInputError("triangle inequality violated")
         self.d = _frozen_array(d)
-        self.l = _frozen_array(self.l, dtype=int)
-        self.r = _frozen_array(self.r, dtype=int)
+        self.l = _whole_array(self.l, "connection bounds l")
+        self.r = _whole_array(self.r, "connection bounds r")
         if self.l.shape != (nc,) or self.r.shape != (nc,):
             raise InvalidInputError("l and r must have one entry per client")
         if np.any(self.l < 0) or np.any(self.l > self.r) or np.any(self.r > nf):
             raise InvalidInputError("need 0 <= l_j <= r_j <= number of facilities")
+        self.k, self.m = _whole(self.k, "k"), _whole(self.m, "coverage m")
         if self.k < 1:
             raise InvalidInputError("k must be positive")
         if self.m < 0 or self.m > int(self.r.sum()):
@@ -165,8 +182,8 @@ class MatroidClusterInstance:
     capacities: tuple
 
     def __post_init__(self):
-        self.parts = tuple(tuple(int(i) for i in part) for part in self.parts)
-        self.capacities = tuple(int(c) for c in self.capacities)
+        self.parts = tuple(tuple(_whole(i, "a part id") for i in part) for part in self.parts)
+        self.capacities = tuple(_whole(c, "a part capacity") for c in self.capacities)
         if len(self.parts) != len(self.capacities):
             raise InvalidInputError("need one capacity per part")
         if any(c < 0 for c in self.capacities):
@@ -191,8 +208,8 @@ class KnapsackClusterInstance:
         if np.any(self.wt < 0) or not np.all(np.isfinite(self.wt)):
             raise InvalidInputError("facility weights must be finite and >= 0")
         self.budget = float(self.budget)
-        if self.budget < 0:
-            raise InvalidInputError("knapsack budget must be >= 0")
+        if not 0 <= self.budget < math.inf:
+            raise InvalidInputError("knapsack budget must be finite and >= 0")
 
 
 @dataclass(frozen=True)

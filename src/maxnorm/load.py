@@ -43,11 +43,10 @@ A probe's verdict needs no LP (_count_feasible).  The mass rows never decide
 feasibility, because the bound surrogate s is free above; what is left is
 the assignment rows plus, per machine, count caps on the jobs above each
 threshold.  Those job sets are nested, so the rows form a network matrix,
-which is totally unimodular: the LP is feasible exactly when a max flow
-routes every job that has no allowed uncounted machine through its
-machine's chain of caps.  Most guesses are settled before a flow graph is
-built: a Hall count per cap level refutes them, or a greedy placement of
-those jobs within every cap is an integral point that proves them.  Only
+which is totally unimodular: the LP is feasible exactly when every job
+that has no allowed uncounted machine fits through its machine's chain of
+caps.  A Hall count per cap level refutes most infeasible guesses; an
+augmenting-path placement of those jobs decides the rest exactly.  Only
 guesses a visit reads are solved, so the scans solve the same models as
 before and read the same vertices.
 
@@ -66,8 +65,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_flow
 
 from .errors import InvalidInputError, SolverInternalError
 from .guess import GuessLPs, SequenceRow, scan_sequence_rows, scan_top_rows
@@ -116,26 +113,25 @@ def _load_norm_lp(inst, radius, normspec, fixed_bound):
 def _count_feasible(inst, radius, thresholds, caps):
     """Whether the min-bound LP at this radius, with a count cap of caps[k] on
     each machine's jobs above thresholds[k], is feasible; None when a cap is
-    not a non-negative integer (the flow below needs integral capacities).
+    not a non-negative integer (the placement below needs integral caps).
     The thresholds do not increase, so each cap's jobs include the previous
     cap's.
 
     Exact: a job with an allowed uncounted machine is placed there, and the
     other jobs (the forced ones) must fit through their machines' nested
-    caps, which is a max flow with integral capacities (_forced_flow).  Two
-    rules settle most guesses before that graph is built:
+    caps.  Two stages decide that:
 
-      * Hall counts, one per cap level k.  A forced job counted at level k
-        on every allowed machine uses a slot of cap k and of every cap
-        outside it, wherever it goes, so machine i takes at most the
+      * Hall counts, one per cap level k, refute.  A forced job counted at
+        level k on every allowed machine uses a slot of cap k and of every
+        cap outside it, wherever it goes, so machine i takes at most the
         smaller of the number of those jobs allowed on it and min(caps[k:])
         (clipped at the forced job count).  More such jobs than the sum of
         those over the machines refute the guess.
-      * A placement certificate (_placed).  When it places every forced job
-        within every cap, that assignment is an integral point of the LP.
+      * The placement (_placed) decides the rest, both ways: what it places
+        is an integral point of the LP, and where it fails no point exists.
 
-    The flow decides only where both are silent.  The masks are the LP
-    builders' own.
+    The Hall counts are a fast path: they refute most infeasible guesses
+    for a few array operations.  The masks are the LP builders' own.
     """
     if not all(float(c).is_integer() and c >= 0 for c in caps):
         return None
@@ -160,47 +156,57 @@ def _count_feasible(inst, radius, thresholds, caps):
     need = np.cumsum(np.bincount(outer, minlength=depth))
     if (np.minimum(held, room[:, None]).sum(axis=1) < need).any():
         return False  # a Hall count
-    if _placed(levels, caps):
-        return True
-    return bool(_forced_flow(p, forced, routes, tops, caps) == f)
+    return _placed(levels, caps)
 
 
 def _placed(levels, caps):
-    """Whether a greedy placement fits every forced job, levels[i, k] being
-    forced job k's innermost cap on machine i (-1 where forbidden): the job
-    with the fewest allowed machines goes first, onto the allowed machine
-    with the most room left at its level and every level outside it (the
-    lowest such machine on ties)."""
+    """Whether every forced job fits within every cap, levels[i, k] being
+    forced job k's innermost cap on machine i (-1 where forbidden).  Exact:
+    each job is placed along an augmenting path of the flow network whose
+    nodes are the jobs and one node per (machine, cap) along each machine's
+    chain of caps.
+
+    The job with the fewest allowed machines goes first, onto the allowed
+    machine with the most room left at its level and every level outside it
+    (the lowest such machine on ties).  Where no machine has room, it takes
+    the place of a job on one of them whose level is at most the innermost
+    full cap at or outside its own, and the displaced job moves on the same
+    way, breadth first, until one finds room.  The jobs a search reaches on
+    a machine depend on the full cap it enters at, so each machine keeps the
+    outermost full cap searched and is searched again only for one further
+    out: each (machine, cap) node is visited once per search.  Along a path
+    a machine's full caps then only move outward, so the shifts keep every
+    cap.
+    """
     left = [[int(c) for c in caps] for _ in range(levels.shape[0])]  # slots left per machine
+    where = {}  # the machine of each job placed
     choices = levels.T.tolist()
     for k in np.argsort((levels >= 0).sum(axis=0), kind="stable").tolist():
-        room = [min(slots[level:]) if level >= 0 else 0
-                for slots, level in zip(left, choices[k])]
-        at = max(range(len(room)), key=room.__getitem__)
-        if room[at] == 0:
+        searched, came, queue = [-1] * len(left), {k: None}, [k]  # came[j]: who takes j's place
+        for job in queue:
+            room = [min(slots[lv:]) if lv >= 0 else 0 for slots, lv in zip(left, choices[job])]
+            at = room.index(max(room))
+            if room[at]:
+                break
+            for i, level in enumerate(choices[job]):
+                full = left[i].index(0, level) if level >= 0 else -1  # the innermost full cap
+                if full > searched[i]:
+                    searched[i] = full
+                    for other, on in where.items():
+                        if on == i and other not in came and choices[other][i] <= full:
+                            came[other] = job
+                            queue.append(other)
+        else:
             return False
-        for level in range(choices[k][at], len(caps)):
-            left[at][level] -= 1
+        # back along the path: each job moves to at, and the job that came for
+        # it moves to the machine it leaves (prev, None for the job being placed)
+        while job is not None:
+            prev = where.get(job)
+            for i, step in ((prev, 1), (at, -1)):
+                if i is not None:
+                    left[i][choices[job][i]:] = [v + step for v in left[i][choices[job][i]:]]
+            where[job], at, job = at, prev, came[job]
     return True
-
-
-def _forced_flow(p, forced, routes, tops, caps):
-    """The most forced jobs (columns of p) that fit through their machines'
-    nested count caps, routes[i, k] marking machine i allowed for job
-    forced[k]: a max flow whose nodes are the source, the forced jobs, one
-    node per (machine, cap) along each machine's chain of caps, the sink."""
-    m, f, depth = p.shape[0], forced.size, len(caps)
-    sink = 1 + f + m * depth
-    mi, fi = np.nonzero(routes)
-    level = np.searchsorted(-tops, -p[mi, forced[fi]], side="right")  # innermost cap
-    link = 1 + f + np.arange(m * depth)
-    nxt = np.where(np.arange(m * depth) % depth == depth - 1, sink, link + 1)
-    cap = np.tile([min(int(c), f) for c in caps], m)
-    rows = np.concatenate([np.zeros(f, int), 1 + fi, link])
-    cols = np.concatenate([1 + np.arange(f), 1 + f + mi * depth + level, nxt])
-    vals = np.concatenate([np.ones(f + len(fi)), cap]).astype(np.int32)
-    graph = csr_array((vals, (rows, cols)), shape=(sink + 1, sink + 1))
-    return int(maximum_flow(graph, 0, sink).flow_value)
 
 
 # ---------------------------------------------------------------------------

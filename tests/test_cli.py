@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -11,6 +13,7 @@ from maxnorm.cli import main
 from maxnorm import cli, fileio
 from maxnorm.generators import gen_cluster, gen_fair_cluster, gen_knapsack_cluster, \
     gen_matroid_cluster
+from maxnorm.errors import InvalidInputError
 from maxnorm.instances import KnapsackClusterInstance
 
 def _run(argv, capsys):
@@ -446,6 +449,58 @@ def test_solve_zero_size_makespan_exits_zero(tmp_path, capsys):
         code, out, _ = _run(["solve", str(inst), "--norm", norm], capsys)
         assert code == 0
         assert json.loads(out)["value"] == "0.0"
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_non_finite_knapsack_budget_exits_invalid(tmp_path, capsys, budget):
+    """A NaN budget once exited 2 (infeasible) and an infinite one 5 (a
+    non-finite LP coefficient)."""
+    kinst = gen_knapsack_cluster(2, clients=2, facilities=3)
+    with pytest.raises(InvalidInputError, match="budget"):
+        dataclasses.replace(kinst, budget=float(budget))
+    data = fileio.encode_instance(kinst)
+    data["W"] = budget
+    path = tmp_path / "k.json"
+    path.write_text(fileio.dumps(data))
+    code, out, err = _run(["solve", str(path), "--norm", "topl:1:1", "--eps", "0.25"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+
+
+def _bumped(data, field, index, frac):
+    """A copy of an encoded instance with one entry of a field (the field
+    itself where index is empty) raised by frac."""
+    out = json.loads(json.dumps(data))
+    if not index:
+        out[field] += frac
+        return out
+    row = functools.reduce(lambda seq, i: seq[i], index[:-1], out[field])
+    row[index[-1]] += frac
+    return out
+
+
+@pytest.mark.parametrize("field, index", [
+    ("k", ()), ("m", ()), ("l", (0,)), ("r", (0,)), ("capacities", (0,)), ("parts", (1, 0)),
+], ids=["k", "m", "l", "r", "capacity", "part-id"])
+def test_non_integral_counts_exit_invalid(tmp_path, capsys, field, index):
+    """A count or part id past a whole number by a fraction was once
+    truncated (exit 0); it now exits 3, from the constructor and through the
+    decoder, while the same whole number written as a float (3.0) solves to
+    the same output."""
+    minst = gen_matroid_cluster(1, clients=2, facilities=3, parts=2)
+    data = fileio.encode_instance(minst)
+    path = tmp_path / "m.json"
+    runs = {}
+    for frac in (None, 0.0, 0.5):
+        path.write_text(json.dumps(data if frac is None else _bumped(data, field, index, frac)))
+        runs[frac] = _run(["solve", str(path), "--norm", "topl:1:1"], capsys)
+    assert runs[None][0] == 0 and runs[0.0] == runs[None]
+    code, out, err = runs[0.5]
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+    target = minst.base if field in ("k", "m", "l", "r") else minst
+    with pytest.raises(InvalidInputError, match="whole number"):
+        dataclasses.replace(target, **{field: _bumped(data, field, index, 0.5)[field]})
 
 
 def test_knapsack_heavy_sets_past_their_cap_exit_resource_cap(tmp_path):

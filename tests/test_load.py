@@ -11,6 +11,7 @@ from _fraction_matching import fraction_simplex_round
 from _gen import random_load, random_max_ordered_weights
 from _load_builders import build_ordered_load_lp, build_topl_load_lp
 from _loop_rounding import loop_machine_copies, loop_shmoys_tardos_round
+from _reference_flow import forced_flow
 from _threshold_helpers import covering_threshold_sequence, sequence_keys
 from maxnorm import load
 from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
@@ -462,18 +463,53 @@ def test_count_verdict_leaves_non_integral_caps_to_the_lp():
         assert _count_feasible(inst, 2.0, (1.0, 0.0), (1, cap)) is None
 
 
+def _flow_verdict(inst, radius, thresholds, caps):
+    """Whether the forced jobs fit, by the reference max flow, with the
+    forced jobs' allowed machines; a verdict of None where a job has no
+    allowed machine or no job is forced."""
+    p = inst.p
+    allowed = ~(p > radius)
+    forced = np.flatnonzero((~allowed | (p > thresholds[-1])).all(axis=0))
+    routes = allowed[:, forced]
+    if forced.size == 0 or not routes.any(axis=0).all():
+        return None, routes
+    flow = forced_flow(p, forced, routes, np.asarray(thresholds, float), caps)
+    return flow == forced.size, routes
+
+
+def _spy_placed(monkeypatch):
+    """Record each call of load._placed, with the greedy verdict of its
+    arguments (every job where it first goes, displacing none)."""
+    placed, calls = load._placed, []
+    monkeypatch.setattr(load, "_placed",
+                        lambda *args: calls.append(_greedy_fits(*args)) or placed(*args))
+    return calls
+
+
+def _greedy_fits(levels, caps):
+    """Whether the placement's first choices fit every job: in its order,
+    onto the allowed machine with the most room at its level and every level
+    outside it, with no job displaced."""
+    left = [[int(c) for c in caps] for _ in range(levels.shape[0])]
+    choices = levels.T.tolist()
+    for k in np.argsort((levels >= 0).sum(axis=0), kind="stable").tolist():
+        room = [min(slots[level:]) if level >= 0 else 0
+                for slots, level in zip(left, choices[k])]
+        at = max(range(len(room)), key=room.__getitem__)
+        if room[at] == 0:
+            return False
+        for level in range(choices[k][at], len(caps)):
+            left[at][level] -= 1
+    return True
+
+
 def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
-    """Random nested caps of depth 1-3: where the count test answers without
-    the max flow, by a Hall count (False) or a placement (True), the flow
-    gives the same answer, and elsewhere the test is the flow's answer.
-    Hall counts at inner levels refute guesses that the pigeonhole count over
+    """Random nested caps of depth 1-3: every verdict is the reference max
+    flow's, whether a Hall count (False) or the placement decides it.  Hall
+    counts at inner levels refute guesses that the pigeonhole count over
     the outermost caps (the last level's Hall count) lets through."""
     rng = np.random.default_rng(29)
-    forced_flow, placed, calls = load._forced_flow, load._placed, []
-    monkeypatch.setattr(load, "_forced_flow",
-                        lambda *args: calls.append("flow") or forced_flow(*args))
-    monkeypatch.setattr(load, "_placed",
-                        lambda *args: calls.append("placed") or placed(*args))
+    calls = _spy_placed(monkeypatch)
     decided = Counter()
     for _ in range(3000):
         inst = random_load(rng, m_hi=4, j_hi=9, pmax=6, forbidden=float(rng.choice([0.0, 0.3])))
@@ -484,22 +520,54 @@ def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
         caps = rng.integers(0, 4, size=depth).tolist()
         calls.clear()
         verdict = _count_feasible(inst, radius, thresholds, caps)
-        p = inst.p
-        allowed = ~(p > radius)
-        forced = np.flatnonzero((~allowed | (p > thresholds[-1])).all(axis=0))
-        routes = allowed[:, forced]
-        if forced.size == 0 or not routes.any(axis=0).all():
+        flow, routes = _flow_verdict(inst, radius, thresholds, caps)
+        if flow is None:
             continue
-        f = forced.size
-        flow = forced_flow(p, forced, routes, np.asarray(thresholds), caps)
-        assert verdict == (flow == f), (radius, thresholds, caps)
+        assert verdict == flow, (radius, thresholds, caps)
+        decided["true"] += verdict
         if not calls:
+            f = routes.shape[1]
             pigeonhole = np.minimum(routes.sum(axis=1), min(caps[-1], f)).sum() < f
             decided["hall" if pigeonhole else "inner hall"] += 1
-        else:
-            decided["placed" if calls == ["placed"] else "flow"] += 1
     assert decided["hall"] >= 400 and decided["inner hall"] >= 50, decided
-    assert decided["placed"] >= 450 and 1 <= decided["flow"] <= 20, decided
+    assert decided["true"] >= 500, decided
+
+
+def _planted_load(rng, core):
+    """A 2x2 core under caps (0, 1) above thresholds (2, 0) at radius 3, on
+    relabelled machines among up to two more that forbid the core jobs,
+    padded with up to four free jobs (each uncounted on some machine).  In
+    the True core [[1, 2], [2, 3]] job 1 fits only on machine 0, so job 0
+    must go to machine 1; in the False core [[3, 3], [1, 1]] both jobs fit
+    only on machine 1, yet each is counted at the outer level everywhere, so
+    every Hall count passes."""
+    m, free = 2 + int(rng.integers(0, 3)), int(rng.integers(0, 5))
+    p = np.full((m, 2 + free), np.inf)
+    p[:2, :2] = core
+    p[:, 2:] = rng.choice([1.0, 2.0, 3.0, 5.0, np.inf], size=(m, free))
+    p[rng.integers(0, m, size=free), np.arange(2, 2 + free)] = 0.0
+    return LoadInstance(p=p[rng.permutation(m)][:, rng.permutation(2 + free)])
+
+
+def test_planted_displacements_and_hall_passing_refutations(monkeypatch):
+    """The planted family: every verdict is the reference flow's.  Where
+    the True core's relabelling sends job 0 first to machine 0 (a tie, to
+    the lower machine), the placement's first choices miss and a
+    displacement decides; the False core passes every Hall count, so the
+    placement refutes it."""
+    rng = np.random.default_rng(31)
+    calls = _spy_placed(monkeypatch)
+    decided = Counter()
+    for draw in range(240):
+        truth = draw % 2 == 0
+        core = [[1.0, 2.0], [2.0, 3.0]] if truth else [[3.0, 3.0], [1.0, 1.0]]
+        inst = _planted_load(rng, core)
+        calls.clear()
+        verdict = _count_feasible(inst, 3.0, (2.0, 0.0), (0, 1))
+        assert verdict == _flow_verdict(inst, 3.0, (2.0, 0.0), (0, 1))[0] == truth
+        assert len(calls) == 1  # no Hall count refutes
+        decided["displaced" if truth and not calls[0] else str(verdict)] += 1
+    assert decided["displaced"] >= 20 and decided["False"] >= 20, decided
 
 
 def test_hall_count_reads_every_cap_outside_its_level(monkeypatch):
@@ -507,27 +575,29 @@ def test_hall_count_reads_every_cap_outside_its_level(monkeypatch):
     machine 0 and count there at level 0, so they need two slots of cap 0
     and of cap 1, which has one.  The level-0 Hall count sees it through
     the smaller outer cap; the pigeonhole count over cap 1 does not (three
-    jobs, three machines with room), and neither placement nor flow runs."""
+    jobs, three machines with room), and the placement does not run."""
     inst = LoadInstance(p=np.array([[3.0, 3.0, np.inf], [np.inf, np.inf, 1.0],
                                     [np.inf, np.inf, 1.0]]))
     forced, routes = np.arange(3), np.isfinite(inst.p)
-    assert load._forced_flow(inst.p, forced, routes, np.array([2.0, 0.0]), [2, 1]) == 2
+    assert forced_flow(inst.p, forced, routes, np.array([2.0, 0.0]), [2, 1]) == 2
     calls = []
     monkeypatch.setattr(load, "_placed", lambda *args: calls.append(args))
-    monkeypatch.setattr(load, "_forced_flow", lambda *args: calls.append(args))
     assert _count_feasible(inst, 3.0, (2.0, 0.0), (2, 1)) is False and not calls
 
 
-def test_count_verdict_falls_back_to_the_flow_where_the_placement_fails():
+def test_placement_displaces_a_job_where_its_first_choice_misses():
     """Two jobs counted everywhere under nested caps of (0, 1): no job
     above 2 fits on a machine, so job 1 fits only on machine 0.  The
-    placement puts job 0 there first (a tie, to the lower machine) and
-    misses; the flow puts job 0 on machine 1."""
+    placement puts job 0 there first (a tie, to the lower machine); job 1
+    then takes its place, and job 0 moves on to machine 1."""
     inst = LoadInstance(p=np.array([[1.0, 2.0], [2.0, 3.0]]))
-    forced, routes = np.arange(2), np.ones((2, 2), bool)
-    assert not load._placed(np.array([[1, 1], [1, 0]]), [0, 1])
-    assert load._forced_flow(inst.p, forced, routes, np.array([2.0, 0.0]), [0, 1]) == 2
+    levels = np.array([[1, 1], [1, 0]])
+    assert not _greedy_fits(levels, [0, 1])
+    assert load._placed(levels, [0, 1])
     assert _count_feasible(inst, 3.0, (2.0, 0.0), (0, 1)) is True
+    # with job 0 allowed on machine 0 alone, the job that job 1 displaces
+    # has nowhere to go, although every Hall count passes
+    assert not load._placed(np.array([[1, 1], [-1, 0]]), [0, 1])
 
 
 def test_sequence_key_counts_sizes_above_each_threshold():
