@@ -97,23 +97,14 @@ def _bundle_objective(z, full_bundles, partial_bundles, profits, fixed_term=0):
     return total
 
 
-def solve_two_laminar_integral(full_bundles, partial_bundles, profits,
-                               copy_to_original, k, fixed_term=0):
-    """Maximize partial-bundle profit subject to the bundle rows, one open
-    copy per location, and at most k opens in total.  Returns (z, objective)
-    with z exactly 0/1 and the objective an exact Fraction including
-    fixed_term (the forced full-bundle contribution)."""
-    if k < 0:
-        raise InfeasibleError("negative cardinality budget")
-    z = _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original,
-                     [(set(copy_to_original.values()), k)])
-    return z, _bundle_objective(z, full_bundles, partial_bundles, profits, fixed_term)
-
-
 def solve_partition_matroid_integral(full_bundles, partial_bundles, profits,
                                      copy_to_original, parts, capacities, fixed_term=0):
-    """Same bundle system with the cardinality row replaced by a partition
-    matroid on the original locations: at most capacities[t] opens in parts[t]."""
+    """Maximize partial-bundle profit subject to the bundle rows, one open
+    copy per location, and a partition matroid on the locations: at most
+    capacities[t] opens in parts[t] (a cardinality budget k is one part
+    holding every location).  Returns (z, objective) with z exactly 0/1 and
+    the objective an exact Fraction including fixed_term (the forced
+    full-bundle contribution)."""
     z = _bundle_flow(full_bundles, partial_bundles, profits, copy_to_original,
                      list(zip(parts, capacities)))
     return z, _bundle_objective(z, full_bundles, partial_bundles, profits, fixed_term)

@@ -36,9 +36,7 @@ from .instances import (ClusterInstance, FairClusterInstance, FairLoadInstance,
                         validate_cluster_solution)
 from .load import solve_ordered_makespan, solve_topl_makespan
 from .norms import TOP
-from .oracle import (brute_force_fair_opt, brute_force_kcenter,
-                     brute_force_knapsack_center, brute_force_makespan,
-                     brute_force_matroid_center)
+from .oracle import brute_force_fair_opt, brute_force_kcenter, brute_force_makespan
 
 
 def _write(text, out):
@@ -98,15 +96,22 @@ def _dispatch_solver(inst, norm, eps):
     raise InvalidInputError("fair instances go through fair-solve")
 
 
+def _base_and_variant(inst):
+    """(the instance a solution is checked on, the matroid or knapsack
+    instance around it or None)."""
+    if isinstance(inst, (MatroidClusterInstance, KnapsackClusterInstance)):
+        return inst.base, inst
+    return inst, None
+
+
 def _roundtrip_check(inst, norm, payload):
     sol = fileio.decode_solution(payload["solution"])
-    base = inst.base if isinstance(inst, (MatroidClusterInstance,
-                                          KnapsackClusterInstance)) else inst
+    base, variant = _base_and_variant(inst)
     if isinstance(base, LoadInstance):
         value = eval_load_objective(base, norm, sol)
     else:
         value = eval_cluster_objective(base, norm, sol)
-        validate_cluster_solution(base, sol, check_cardinality=isinstance(inst, ClusterInstance))
+        validate_cluster_solution(base, sol, check_cardinality=variant is None)
     if repr(value) != payload["value"]:
         raise MaxNormError("solution file does not reproduce its reported value")
 
@@ -145,14 +150,9 @@ def cmd_oracle(args):
     if isinstance(inst, LoadInstance):
         opt = brute_force_makespan(inst, norm, cap=args.cap)
         sol = fileio.encode_solution(opt.assignment)
-    elif isinstance(inst, MatroidClusterInstance):
-        opt = brute_force_matroid_center(inst, norm, cap=args.cap)
-        sol = fileio.encode_solution(opt.solution)
-    elif isinstance(inst, KnapsackClusterInstance):
-        opt = brute_force_knapsack_center(inst, norm, cap=args.cap)
-        sol = fileio.encode_solution(opt.solution)
     else:
-        opt = brute_force_kcenter(inst, norm, cap=args.cap)
+        base, variant = _base_and_variant(inst)
+        opt = brute_force_kcenter(base, norm, cap=args.cap, variant=variant)
         sol = fileio.encode_solution(opt.solution)
     payload = {"kind": "oracle-result", "value": repr(opt.value), "solution": sol,
                "radius": repr(opt.radius),

@@ -81,8 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
-                       solve_two_laminar_integral)
+from .bundlelp import solve_knapsack_basic, solve_partition_matroid_integral
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
 from .guess import (GuessLPs, SequenceRow, first_true, scan_sequence_rows, scan_top_rows,
                     weakest_thresholds)
@@ -605,41 +604,12 @@ def _round_accepted(core, budget, xuy, radius, weights=None):
         z, _, fractional = solve_knapsack_basic(full, partial, profits, copy_weights, limit)
         return bs, z, fractional
     fixed = sum(w * sum(bs.is_full[b] for b in q) for w, q in zip(weights, bs.queues))
-    if budget[0] == CARDINALITY:
-        z, obj = solve_two_laminar_integral(full, partial, profits, copy_to_original,
-                                            budget[1], fixed_term=fixed)
-    else:
-        _, parts, caps = budget
-        local = {fid: i for i, fid in enumerate(core.facility_ids)}
-        local_parts = [[local[fid] for fid in part if fid in local] for part in parts]
-        z, obj = solve_partition_matroid_integral(full, partial, profits, copy_to_original,
-                                                  local_parts, caps, fixed_term=fixed)
+    part, _, caps, _ = _budget_rows(core, budget)
+    capped = np.flatnonzero(np.isfinite(caps))  # a partition's last part is uncapped
+    z, obj = solve_partition_matroid_integral(full, partial, profits, copy_to_original,
+                                              [np.flatnonzero(part == p).tolist()
+                                               for p in capped], caps[capped], fixed_term=fixed)
     return bs, z, obj
-
-
-def _finish(inst, core, budget, norm, xuy, radius, cert_val):
-    """Round an accepted cardinality or partition guess and check the
-    result: the coverage of the opening, the instance's constraints (k only
-    under a cardinality budget, every part's capacity under a partition),
-    and the value against the certificate.  Returns (solution, value,
-    coverage)."""
-    bs, z, obj = _round_accepted(core, budget, xuy, radius)
-    if obj < core.m:
-        raise SolverInternalError("integral opening lost coverage")
-    open_locals, assigned = assemble_solution(z, bs)
-    solution = ClusterSolution(
-        open_facilities=tuple(core.facility_ids[i] for i in open_locals),
-        assigned=tuple(tuple(core.facility_ids[i] for i in a) for a in assigned))
-    validate_cluster_solution(inst, solution, check_cardinality=budget[0] == CARDINALITY)
-    if budget[0] == PARTITION:
-        opened = Counter(solution.open_facilities)
-        for part, cap in zip(budget[1], budget[2]):
-            if sum(opened[i] for i in part) > cap:
-                raise SolverInternalError("opening violates a partition capacity")
-    value = eval_cluster_objective(inst, norm, solution)
-    if value > cert_val * (1 + 1e-9) + 1e-12:
-        raise SolverInternalError("rounded value exceeds its certificate")
-    return solution, value, int(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -812,15 +782,44 @@ def _top_cert(radius, bound, ell, q, threshold):
 
 def solve_topl_kcenter(inst, ell, q, eps):
     """Top-(ell,q) k-center within factor 3*4^(1/q) + eps of optimal."""
-    norm = top_norm(ell, q)
-    ell, q = norm.ell, norm.q
+    return _solve_center(inst, (CARDINALITY, inst.k), top_norm(ell, q), eps)
+
+
+def _solve_center(inst, budget, norm, eps):
+    """The cardinality and partition drivers' one body: the norm's guesses
+    (one threshold for Top-(ell,q), a threshold sequence for max-ordered),
+    the rounding of the accepted one, and its checks: the coverage of the
+    opening, the instance's constraints (k only under a cardinality budget,
+    every part's capacity under a partition), and the value against the
+    certificate."""
+    if not 0 < eps < math.inf:
+        raise InvalidInputError("eps must be positive and finite")
     core = core_of(inst)
-    budget = (CARDINALITY, inst.k)
-    bound, radius, threshold, xuy = _scan_top_guesses(core, budget, ell, q, eps)
-    cert_val = _top_cert(radius, bound, ell, q, threshold)
-    solution, value, coverage = _finish(inst, core, budget, norm, xuy, radius, cert_val)
-    cert = {"radius": radius, "bound": bound, "threshold": threshold,
-            "per_client_bound": cert_val, "coverage": coverage}
+    if norm.kind == TOP:
+        bound, radius, threshold, xuy = _scan_top_guesses(core, budget, norm.ell, norm.q, eps)
+        limit, seq = _top_cert(radius, bound, norm.ell, norm.q, threshold), ()
+        named = {"threshold": threshold, "per_client_bound": limit}
+    else:
+        bound, limit, radius, seq, _, _, xuy = \
+            _scan_ordered_guesses(core, budget, norm.weights, eps)
+        seq = seq.values if seq else ()
+        named = {"sequence": seq, "chain_bound": limit}
+    bs, z, obj = _round_accepted(core, budget, xuy, radius)
+    if obj < core.m:
+        raise SolverInternalError("integral opening lost coverage")
+    open_locals, assigned = assemble_solution(z, bs)
+    solution = ClusterSolution(open_facilities=open_locals, assigned=assigned)
+    validate_cluster_solution(inst, solution, check_cardinality=budget[0] == CARDINALITY)
+    if budget[0] == PARTITION:
+        opened = Counter(solution.open_facilities)
+        for part, cap in zip(budget[1], budget[2]):
+            if sum(opened[i] for i in part) > cap:
+                raise SolverInternalError("opening violates a partition capacity")
+        named = {"per_client_bound": limit, "sequence": seq}  # the same keys for either norm
+    value = eval_cluster_objective(inst, norm, solution)
+    if value > limit * (1 + 1e-9) + 1e-12:
+        raise SolverInternalError("rounded value exceeds its certificate")
+    cert = {"radius": radius, "bound": bound, **named, "coverage": int(obj)}
     return CenterSolveResult(solution=solution, value=value, certificate=cert)
 
 
@@ -841,14 +840,7 @@ def _scan_top_guesses(core, budget, ell, q, eps):
 
 def solve_ordered_kcenter(inst, weights, eps):
     """Max-ordered k-center via sparsified weights; chain-bound certificate."""
-    core = core_of(inst)
-    budget = (CARDINALITY, inst.k)
-    bound, chain, radius, seq, _, _, xuy = _scan_ordered_guesses(core, budget, weights, eps)
-    solution, value, coverage = _finish(inst, core, budget, max_ordered_norm(weights), xuy,
-                                        radius, chain)
-    cert = {"radius": radius, "bound": bound, "sequence": seq.values if seq else (),
-            "chain_bound": chain, "coverage": coverage}
-    return CenterSolveResult(solution=solution, value=value, certificate=cert)
+    return _solve_center(inst, (CARDINALITY, inst.k), max_ordered_norm(weights), eps)
 
 
 def _ordered_chains(sparse, pos, values, radius, bound):
@@ -890,20 +882,7 @@ def _scan_ordered_guesses(core, budget, weights, eps):
 
 def solve_matroid_center(minst, norm, eps):
     """Partition-matroid budget: same pipeline, opening stays independent."""
-    core = core_of(minst.base)
-    budget = (PARTITION, minst.parts, minst.capacities)
-    if norm.kind == TOP:
-        bound, radius, threshold, xuy = _scan_top_guesses(core, budget, norm.ell, norm.q, eps)
-        chain = _top_cert(radius, bound, norm.ell, norm.q, threshold)
-        seq_values = ()
-    else:
-        bound, chain, radius, seq, _, _, xuy = \
-            _scan_ordered_guesses(core, budget, norm.weights, eps)
-        seq_values = seq.values if seq else ()
-    solution, value, coverage = _finish(minst.base, core, budget, norm, xuy, radius, chain)
-    cert = {"radius": radius, "bound": bound, "per_client_bound": chain,
-            "sequence": seq_values, "coverage": coverage}
-    return CenterSolveResult(solution=solution, value=value, certificate=cert)
+    return _solve_center(minst.base, (PARTITION, minst.parts, minst.capacities), norm, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,12 +1102,10 @@ def _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload
                                assigned=tuple(assigned))
     validate_cluster_solution(base, solution, check_cardinality=False)
     value = eval_cluster_objective(base, norm, solution)
-    if norm.kind == TOP:
-        res_cert = _top_cert(radius, bound, norm.ell, norm.q, spec[3])
-    elif spec[0] == "ordered":
+    if spec[0] == "top":  # at radius 0 an ordered norm's spec too, with bound 0
+        res_cert = _top_cert(radius, bound, *spec[1:])
+    else:
         res_cert = _ordered_chains(spec[1], spec[2], spec[3].values, radius, bound)[0]
-    else:  # radius 0
-        res_cert = 0.0
     cert_val = bound + res_cert
     if value > cert_val * (1 + 1e-9) + 1e-12:
         raise SolverInternalError("rounded value exceeds its certificate")

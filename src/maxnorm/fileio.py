@@ -86,8 +86,7 @@ def decode_instance(data):
         return base
     if kind == "cluster":
         d = np.array([[float(v) for v in row] for row in data["d"]])
-        base = ClusterInstance(n_clients=int(data["clients"]),
-                               n_facilities=int(data["facilities"]), d=d,
+        base = ClusterInstance(n_clients=data["clients"], n_facilities=data["facilities"], d=d,
                                k=data["k"], m=data["m"],
                                l=np.array(data["l"]), r=np.array(data["r"]))
         if "e" in data:

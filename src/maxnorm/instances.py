@@ -89,6 +89,8 @@ class ClusterInstance:
     r: np.ndarray
 
     def __post_init__(self):
+        self.n_clients = _whole(self.n_clients, "the client count")
+        self.n_facilities = _whole(self.n_facilities, "the facility count")
         nc, nf = self.n_clients, self.n_facilities
         if nc < 1 or nf < 1:
             raise InvalidInputError("need at least one client and one facility")

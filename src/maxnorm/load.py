@@ -71,7 +71,7 @@ from .guess import GuessLPs, SequenceRow, scan_sequence_rows, scan_top_rows
 from .instances import Assignment, eval_load_objective
 from .lp import EQ, NormCosts, add_norm_rows, lp_model, scaled_integers, solve_lp
 from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
-from .norms import max_ordered_norm, top_norm
+from .norms import TOP, max_ordered_norm, top_norm
 from .sparsify import (SequenceTable, geometric_grid, single_threshold_candidates,
                        sparsified_gap_bound, sparsified_gap_bounds, sparsify_weights)
 # unused; perfbench traces load.enumerate_threshold_sequences
@@ -315,23 +315,43 @@ def _zero_result(inst, **cert):
 
 def solve_topl_makespan(inst, ell, q, eps):
     """Top-(ell,q) makespan within factor 4^(1/q) + eps of optimal."""
+    return _solve_makespan(inst, top_norm(ell, q), eps)
+
+
+def _solve_makespan(inst, norm, eps):
+    """The makespan drivers' one body: the norm's guesses (one threshold for
+    Top-(ell,q), a threshold sequence for max-ordered), the Shmoys-Tardos
+    rounding of the accepted one, and its value checked against the
+    certificate.  Every job on a nearest machine is optimal, at value 0, when
+    every job's nearest size or the norm's largest weight is 0."""
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
-    norm = top_norm(ell, q)
-    ell, q = norm.ell, norm.q
-    root = 1.0 / q
-    grid_eps = eps / 4.0 ** root  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps
-    if _min_radius(inst) == 0:
-        return _zero_result(inst, radius=0.0, bound=0.0, threshold=0.0, per_machine_bound=0.0,
-                            grid_eps=grid_eps)
-    bound, radius, t, x = _scan_top_guesses(inst, ell, q, grid_eps)
+    zero = _min_radius(inst) == 0
+    if norm.kind == TOP:
+        ell, q = norm.ell, norm.q
+        grid_eps = eps / 4.0 ** (1.0 / q)  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps
+        if zero:
+            return _zero_result(inst, radius=0.0, bound=0.0, threshold=0.0,
+                                per_machine_bound=0.0, grid_eps=grid_eps)
+        bound, radius, t, x = _scan_top_guesses(inst, ell, q, grid_eps)
+        limit = (2 * radius ** q + bound ** q + ell * t ** q) ** (1.0 / q)
+        cert = {"radius": radius, "bound": bound, "threshold": t,
+                "per_machine_bound": limit, "grid_eps": grid_eps}
+    else:
+        sparse, pos = sparsify_weights(norm.weights, inst.jobs)
+        wtop = max(float(w[0]) for w in sparse)
+        if zero or wtop == 0.0:
+            return _zero_result(inst, radius=0.0, bound=0.0, sequence=(), gap=0.0,
+                                chain_bound=0.0)
+        bound, radius, seq, x = _scan_ordered_guesses(inst, sparse, pos, wtop, eps)
+        gap = sparsified_gap_bound(sparse, pos, seq)
+        limit = 4 * radius * wtop + 2 * bound + 2 * gap
+        cert = {"radius": radius, "bound": bound, "sequence": seq.values,
+                "gap": gap, "chain_bound": limit}
     assignment, _ = shmoys_tardos_round(x, inst.p)
     value = eval_load_objective(inst, norm, assignment)
-    per_machine = (2 * radius ** q + bound ** q + ell * t ** q) ** root
-    if value > per_machine * (1 + 1e-9) + 1e-12:
+    if value > limit * (1 + 1e-9) + 1e-12:
         raise SolverInternalError("rounded value exceeds its certificate")
-    cert = {"radius": radius, "bound": bound, "threshold": t,
-            "per_machine_bound": per_machine, "grid_eps": grid_eps}
     return LoadSolveResult(assignment=assignment, value=value, certificate=cert)
 
 
@@ -366,23 +386,7 @@ def _nearest_assignment(inst):
 def solve_ordered_makespan(inst, weights, eps):
     """Max-ordered makespan via sparsified weights and threshold sequences;
     the reported chain bound is O(log n) times optimal for correct guesses."""
-    if not 0 < eps < math.inf:
-        raise InvalidInputError("eps must be positive and finite")
-    sparse, pos = sparsify_weights(weights, inst.jobs)
-    wtop = max(float(w[0]) for w in sparse)
-    norm = max_ordered_norm(weights)
-    if wtop == 0.0 or _min_radius(inst) == 0:
-        return _zero_result(inst, radius=0.0, bound=0.0, sequence=(), gap=0.0, chain_bound=0.0)
-    bound, radius, seq, x = _scan_ordered_guesses(inst, sparse, pos, wtop, eps)
-    assignment, _ = shmoys_tardos_round(x, inst.p)
-    value = eval_load_objective(inst, norm, assignment)
-    gap = sparsified_gap_bound(sparse, pos, seq)
-    chain = 4 * radius * wtop + 2 * bound + 2 * gap
-    if value > chain * (1 + 1e-9) + 1e-12:
-        raise SolverInternalError("rounded value exceeds its chain bound")
-    cert = {"radius": radius, "bound": bound, "sequence": seq.values,
-            "gap": gap, "chain_bound": chain}
-    return LoadSolveResult(assignment=assignment, value=value, certificate=cert)
+    return _solve_makespan(inst, max_ordered_norm(weights), eps)
 
 
 def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):

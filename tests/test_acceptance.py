@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from _gen import random_cluster, random_load, random_max_ordered_weights
+from _two_laminar import solve_two_laminar_integral
 from test_lp import _exhaustive_bundle_opt, _random_bundle_system
 
-from maxnorm.bundlelp import solve_two_laminar_integral
 from maxnorm.cluster import (CARDINALITY, _center_lp, _lp_parts, build_bundles,
                              check_bundle_distances,
                              core_of, solve_knapsack_center, solve_matroid_center,

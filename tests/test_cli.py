@@ -7,14 +7,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from maxnorm.cli import main
 from maxnorm import cli, fileio
+from maxnorm.cluster import solve_matroid_center, solve_ordered_kcenter, solve_topl_kcenter
 from maxnorm.generators import gen_cluster, gen_fair_cluster, gen_knapsack_cluster, \
     gen_matroid_cluster
 from maxnorm.errors import InvalidInputError
-from maxnorm.instances import KnapsackClusterInstance
+from maxnorm.instances import ClusterInstance, KnapsackClusterInstance, MatroidClusterInstance
+from maxnorm.norms import max_ordered_norm, top_norm
 
 def _run(argv, capsys):
     code = main(argv)
@@ -481,9 +484,10 @@ def _bumped(data, field, index, frac):
 
 @pytest.mark.parametrize("field, index", [
     ("k", ()), ("m", ()), ("l", (0,)), ("r", (0,)), ("capacities", (0,)), ("parts", (1, 0)),
-], ids=["k", "m", "l", "r", "capacity", "part-id"])
+    ("clients", ()), ("facilities", ()),
+], ids=["k", "m", "l", "r", "capacity", "part-id", "clients", "facilities"])
 def test_non_integral_counts_exit_invalid(tmp_path, capsys, field, index):
-    """A count or part id past a whole number by a fraction was once
+    """A count, size or part id past a whole number by a fraction was once
     truncated (exit 0); it now exits 3, from the constructor and through the
     decoder, while the same whole number written as a float (3.0) solves to
     the same output."""
@@ -498,9 +502,34 @@ def test_non_integral_counts_exit_invalid(tmp_path, capsys, field, index):
     code, out, err = runs[0.5]
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "invalid-input"
-    target = minst.base if field in ("k", "m", "l", "r") else minst
+    target = minst if field in ("capacities", "parts") else minst.base
+    attr = {"clients": "n_clients", "facilities": "n_facilities"}.get(field, field)
     with pytest.raises(InvalidInputError, match="whole number"):
-        dataclasses.replace(target, **{field: _bumped(data, field, index, 0.5)[field]})
+        dataclasses.replace(target, **{attr: _bumped(data, field, index, 0.5)[field]})
+
+
+@pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+def test_center_solvers_reject_eps_outside_the_positive_reals(tmp_path, capsys, eps):
+    """On an instance whose distances are all 0 the scans build no bound
+    grid, so an eps that is not positive and finite went unchecked: the
+    Top, ordered and matroid k-center solvers returned value 0.0 and the
+    CLI exited 0.  Each now raises InvalidInputError, and the CLI exits 3."""
+    base = ClusterInstance(n_clients=1, n_facilities=2, d=np.zeros((3, 3)), k=1, m=1,
+                           l=[1], r=[1])
+    minst = MatroidClusterInstance(base=base, parts=((0, 1),), capacities=(1,))
+    solves = [lambda e: solve_topl_kcenter(base, 1, 1.0, e),
+              lambda e: solve_ordered_kcenter(base, [(1.0, 0.5)], e),
+              lambda e: solve_matroid_center(minst, top_norm(1, 1.0), e),
+              lambda e: solve_matroid_center(minst, max_ordered_norm([(1.0,)]), e)]
+    for solve in solves:
+        assert solve(0.1).value == 0.0
+        with pytest.raises(InvalidInputError, match="eps"):
+            solve(float(eps))
+    path = tmp_path / "c.json"
+    path.write_text(fileio.dumps(fileio.encode_instance(base)))
+    code, out, err = _run(["solve", str(path), "--norm", "topl:1:1", "--eps", eps], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
 
 
 def test_knapsack_heavy_sets_past_their_cap_exit_resource_cap(tmp_path):

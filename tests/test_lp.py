@@ -12,9 +12,9 @@ from scipy.sparse import csc_array
 
 from _gen import random_cluster, random_load, random_max_ordered_weights
 from _load_builders import build_topl_load_lp
+from _two_laminar import solve_two_laminar_integral
 from maxnorm import lp
-from maxnorm.bundlelp import (solve_knapsack_basic, solve_partition_matroid_integral,
-                              solve_two_laminar_integral)
+from maxnorm.bundlelp import solve_knapsack_basic, solve_partition_matroid_integral
 from maxnorm.cluster import CARDINALITY, _center_lp, core_of
 from maxnorm.generators import gen_load
 from maxnorm.errors import InfeasibleError, LpSolverError, ResourceCapError, SolverInternalError
