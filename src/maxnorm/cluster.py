@@ -163,23 +163,19 @@ class _CenterParts:
         self._budget = None  # (budget, its row block)
 
     def budget(self, core, budget):
-        """The budget rows: one per part with local members for a partition
-        (the last part is uncapped), else one over every facility.  Kept for
-        the budget object last asked for, which a driver passes at every
-        guess."""
+        """The budget rows, one per part of _capped_parts over its
+        facilities.  Kept for the budget object last asked for, which a
+        driver passes at every guess."""
         kept = self._budget
         if kept is None or kept[0] is not budget:
             part, weight, caps, _ = _budget_rows(core, budget)
-            if budget[0] == PARTITION:
-                listed = np.flatnonzero(part < len(caps) - 1)
-                used = np.bincount(part[listed], minlength=len(caps) - 1) > 0
-                rows, caps = (np.cumsum(used) - 1)[part[listed]], caps[:-1][used]
-            else:
-                listed, rows = np.arange(core.n_facilities), np.zeros(core.n_facilities)
+            capped = _capped_parts(budget, part, caps)
+            listed = np.flatnonzero(np.isin(part, capped))
             y = len(self.lower) - core.n_facilities + listed
-            kept = self._budget = (budget, row_block(rows, y, weight[listed],
+            kept = self._budget = (budget, row_block(np.searchsorted(capped, part[listed]), y,
+                                                     weight[listed],
                                                      EQ if budget[0] == CARDINALITY else LE,
-                                                     caps))
+                                                     caps[capped]))
         return kept[1]
 
 
@@ -605,7 +601,7 @@ def _round_accepted(core, budget, xuy, radius, weights=None):
         return bs, z, fractional
     fixed = sum(w * sum(bs.is_full[b] for b in q) for w, q in zip(weights, bs.queues))
     part, _, caps, _ = _budget_rows(core, budget)
-    capped = np.flatnonzero(np.isfinite(caps))  # a partition's last part is uncapped
+    capped = _capped_parts(budget, part, caps)
     z, obj = solve_partition_matroid_integral(full, partial, profits, copy_to_original,
                                               [np.flatnonzero(part == p).tolist()
                                                for p in capped], caps[capped], fixed_term=fixed)
@@ -638,6 +634,17 @@ def _budget_rows(core, budget):
     for p, members in enumerate(parts):
         part[[local[fid] for fid in members if fid in local]] = p
     return part, np.ones(nf), np.append(np.asarray(caps, float), np.inf), 0.0
+
+
+def _capped_parts(budget, part, caps):
+    """The parts of _budget_rows that get a row, ascending: every part with
+    a cap (a partition's last part, of the facilities in no listed part, has
+    none), but not a partition part without a facility of the core, whose
+    row would be empty."""
+    capped = np.isfinite(caps)
+    if budget[0] == PARTITION:
+        capped &= np.bincount(part, minlength=len(caps)) > 0
+    return np.flatnonzero(capped)
 
 
 def _cover_verdict(core, budget, radius, coverage):

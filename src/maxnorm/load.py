@@ -47,8 +47,15 @@ which is totally unimodular: the LP is feasible exactly when every job
 that has no allowed uncounted machine fits through its machine's chain of
 caps.  A Hall count per cap level refutes most infeasible guesses; an
 augmenting-path placement of those jobs decides the rest exactly.  Only
-guesses a visit reads are solved, so the scans solve the same models as
-before and read the same vertices.
+guesses a visit reads are solved.
+
+Those LPs leave the free jobs (the ones with an allowed uncounted machine)
+out of the solver (_fix_free_jobs): each is fixed whole on its first such
+machine, so HiGHS sees the forced jobs and s, on the 30x300 benchmark
+models a few hundred of about two thousand columns.  That column appears
+only in the job's assignment row, and moving the job's mass onto it
+raises no count row, no mass row and not s, so every verdict and optimum
+is the full model's.  The vertex, and so the rounding, can differ.
 
 Rounding reads the vertex as arrays: each machine's positive entries, in
 size order, are the only ones its copy fill visits, and the copy graph's
@@ -110,6 +117,38 @@ def _load_norm_lp(inst, radius, normspec, fixed_bound):
     return model, add_norm_rows(model, costs, normspec, fixed_bound)
 
 
+def _free_jobs(p, radius, lowest):
+    """(allowed, home): the pairs the radius allows and, per job, its first
+    allowed machine where it counts at no threshold (a size counts where it
+    is finite and above the lowest), or -1 where it has none.  A job with a
+    home is free, the others are forced.  The masks are the LP builders'
+    own."""
+    allowed = ~(p > radius)
+    uncounted = allowed & ~(np.isfinite(p) & (p > lowest))
+    return allowed, np.where(uncounted.any(axis=0), uncounted.argmax(axis=0), -1)
+
+
+def _fix_free_jobs(inst, radius, lowest, built):
+    """A min-bound guess LP (model, index of s) from the builders above, at
+    this radius and lowest threshold, with every free job fixed whole on its
+    home machine: lower = upper = 1 there, upper = 0 on its other machines.
+    Fixed columns never reach the solver, so it sees the forced jobs and s.
+
+    Exact: a free job's home column appears only in the job's assignment
+    row, and moving its mass there raises no count row, no mass row and not
+    s (the mass coefficients are non-negative: sizes are, and sparsified
+    weights do not increase).  So the optimum and the verdict are the full
+    model's; the vertex can differ."""
+    model, sidx = built
+    _, home = _free_jobs(inst.p, radius, lowest)
+    free = np.flatnonzero(home >= 0)
+    upper = model.upper[: inst.p.size].reshape(inst.p.shape)  # views of the x columns
+    upper[:, free] = 0.0
+    upper[home[free], free] = 1.0
+    model.lower[: inst.p.size].reshape(inst.p.shape)[home[free], free] = 1.0
+    return model, sidx
+
+
 def _count_feasible(inst, radius, thresholds, caps):
     """Whether the min-bound LP at this radius, with a count cap of caps[k] on
     each machine's jobs above thresholds[k], is feasible; None when a cap is
@@ -136,10 +175,9 @@ def _count_feasible(inst, radius, thresholds, caps):
     if not all(float(c).is_integer() and c >= 0 for c in caps):
         return None
     p = inst.p
-    allowed = ~(p > radius)
     tops = np.asarray(thresholds, float)
-    counted = np.isfinite(p) & (p > tops[-1])
-    forced = np.flatnonzero(~(allowed & ~counted).any(axis=0))
+    allowed, home = _free_jobs(p, radius, tops[-1])
+    forced = np.flatnonzero(home < 0)
     routes = allowed[:, forced]  # every allowed pair of a forced job is counted
     if not routes.any(axis=0).all():
         return False  # a job with no allowed machine
@@ -362,8 +400,12 @@ def _scan_top_guesses(inst, ell, q, grid_eps):
     sizes = inst.finite_sizes()
     radii = _feasible_radii(inst, sizes)
     thresholds = single_threshold_candidates(sizes)
-    lps = GuessLPs(lambda ri, ti: _topl_load_min_bound_lp(inst, ell, q, radii[ri], thresholds[ti]),
-                   solve_lp,
+
+    def build(ri, ti):
+        return _fix_free_jobs(inst, radii[ri], thresholds[ti],
+                              _topl_load_min_bound_lp(inst, ell, q, radii[ri], thresholds[ti]))
+
+    lps = GuessLPs(build, solve_lp,
                    lambda ri, ti: _count_feasible(inst, radii[ri], (thresholds[ti],), (ell,)))
     # every radius admits the basic LP, so the first one is feasible at T = R
     best = scan_top_rows(lps, radii, thresholds, ell, q,
@@ -401,8 +443,12 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
         table, k = reps[ri, counts]
         return table.sequence(k)
 
-    lps = GuessLPs(lambda ri, counts: _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri],
-                                                                 rep(ri, counts)), solve_lp,
+    def build(ri, counts):
+        seq = rep(ri, counts)
+        return _fix_free_jobs(inst, radii[ri], seq.values[-1],
+                              _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri], seq))
+
+    lps = GuessLPs(build, solve_lp,
                    lambda ri, counts: _count_feasible(inst, radii[ri], rep(ri, counts).values,
                                                       pos.indices))
 

@@ -987,9 +987,9 @@ def test_load_lp_count(monkeypatch):
 def _tabled_load_lps(inst, top):
     """Like _tabled_lps, for the makespan relaxations: a Top guess is its
     threshold, a sequence guess its count key (which fixes its LP); top says
-    which of the two the scan asks about.  The flow verdict looks the guess
-    up in the same table, or in verdicts when one is given, and logs it
-    like a solve."""
+    which of the two the scan asks about.  The free-job fixing passes the
+    key through.  The flow verdict looks the guess up in the same table, or
+    in verdicts when one is given, and logs it like a solve."""
     m, n = inst.machines, inst.jobs
     sizes = inst.finite_sizes()
 
@@ -1011,6 +1011,7 @@ def _tabled_load_lps(inst, top):
         monkeypatch.setattr(load, "_ordered_load_min_bound_lp",
                             lambda inst, sparse, pos, radius, seq:
                             ((radius, sequence_keys(sizes, [seq.values])[0]), 0))
+        monkeypatch.setattr(load, "_fix_free_jobs", lambda inst, radius, lowest, built: built)
         monkeypatch.setattr(load, "solve_lp", solve_lp)
         monkeypatch.setattr(load, "_count_feasible", count_feasible)
     return tabled

@@ -13,7 +13,7 @@ from _load_builders import build_ordered_load_lp, build_topl_load_lp
 from _loop_rounding import loop_machine_copies, loop_shmoys_tardos_round
 from _reference_flow import forced_flow
 from _threshold_helpers import covering_threshold_sequence, sequence_keys
-from maxnorm import load
+from maxnorm import load, lp
 from maxnorm.cluster import solve_knapsack_center, solve_topl_kcenter
 from maxnorm.errors import InvalidInputError, SolverInternalError
 from maxnorm.fair import solve_fair
@@ -23,7 +23,7 @@ from maxnorm.guess import SequenceRow
 from maxnorm.load import (_count_feasible, _count_keys, _ordered_load_min_bound_lp,
                           _topl_load_min_bound_lp, build_basic_load_lp, machine_copies,
                           shmoys_tardos_round, solve_ordered_makespan, solve_topl_makespan)
-from maxnorm.lp import INFEASIBLE, OPTIMAL, solve_lp
+from maxnorm.lp import INFEASIBLE, OPTIMAL, TAU_LP, solve_lp
 from maxnorm.norms import max_ordered_norm, top_norm
 from maxnorm.oracle import brute_force_makespan
 from maxnorm.sparsify import (SequenceTable, ThresholdSequence, enumerate_threshold_sequences,
@@ -449,6 +449,102 @@ def test_count_verdict_matches_highs_on_ordered_keys():
                 checked += 1
                 infeasible += not verdict
     assert checked >= 200 and infeasible >= 20
+
+
+def _restricted_matches_full(inst, radius, lowest, build):
+    """Solve build()'s model as it is and with its free jobs fixed
+    (load._fix_free_jobs): the same status and, where optimal, the same
+    objective within TAU_LP's scale.  Returns (feasible, jobs fixed)."""
+    full = solve_lp(build()[0])
+    model, _ = load._fix_free_jobs(inst, radius, lowest, build())
+    restricted = solve_lp(model)
+    assert restricted.status == full.status, (radius, lowest)
+    if full.status == OPTIMAL:
+        assert abs(restricted.objective - full.objective) <= TAU_LP * (1 + abs(full.objective))
+    fixed = np.count_nonzero(model.lower[: inst.p.size])
+    return full.status == OPTIMAL, fixed
+
+
+def test_restricted_top_guesses_match_the_full_model():
+    """Every Top (R, T) guess, T from 0 past R (where every job with an
+    allowed machine is free), at ell 1-3 and q 1 and 2, on instances with
+    forbidden pairs and sizes tied with the thresholds."""
+    seen = Counter()
+    for inst in _verdict_loads():
+        sizes = inst.finite_sizes()
+        for radius, t in itertools.product(sizes, [0.0] + sizes):
+            for ell, q in ((1, 1.0), (2, 2.0), (3, 1.0)):
+                feasible, fixed = _restricted_matches_full(
+                    inst, radius, t, lambda: _topl_load_min_bound_lp(inst, ell, q, radius, t))
+                seen["feasible" if feasible else "infeasible"] += 1
+                seen["free"] += fixed > 0
+                seen["all free"] += fixed == inst.jobs
+    assert seen["feasible"] >= 400 and seen["infeasible"] >= 800, seen
+    assert seen["free"] >= 1000 and seen["all free"] >= 250, seen
+
+
+def test_restricted_ordered_keys_match_the_full_model():
+    """Every ordered count key of every radius (its first sequence), on the
+    same instances with random max-ordered weights."""
+    rng = np.random.default_rng(37)
+    seen = Counter()
+    for inst in _verdict_loads():
+        sizes = inst.finite_sizes()
+        sparse, pos = sparsify_weights(random_max_ordered_weights(rng, dim_hi=inst.jobs),
+                                       inst.jobs)
+        for radius in sizes:
+            keys = {}
+            seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
+            for key, seq in zip(sequence_keys(sizes, [seq.values for seq in seqs]), seqs):
+                keys.setdefault(key, seq)
+            for seq in keys.values():
+                feasible, fixed = _restricted_matches_full(
+                    inst, radius, seq.values[-1],
+                    lambda: _ordered_load_min_bound_lp(inst, sparse, pos, radius, seq))
+                seen["feasible" if feasible else "infeasible"] += 1
+                seen["free"] += fixed > 0
+    assert seen["feasible"] >= 300 and seen["infeasible"] >= 400 and seen["free"] >= 300, seen
+
+
+def _planted_30x300(seed):
+    """30x300 integer sizes in [1, 100], a tenth of the pairs forbidden;
+    every job keeps a home machine below 24 but one, whose fastest machine
+    takes exactly 24, so the smallest radius is 24."""
+    rng = np.random.default_rng(seed)
+    m, n = 30, 300
+    p = rng.integers(1, 101, size=(m, n)).astype(float)
+    blocked = rng.random(size=p.shape) < 0.1
+    home = rng.integers(0, m, size=n)
+    blocked[home, np.arange(n)] = False
+    p[home, np.arange(n)] = rng.integers(1, 24, size=n)
+    p[:, 0] = rng.integers(25, 101, size=m)
+    p[home[0], 0] = 24.0
+    p[blocked] = np.inf
+    return LoadInstance(p=p)
+
+
+def test_planted_accepted_model_reaches_highs_with_the_forced_jobs(monkeypatch):
+    """The accepted Top-(2,1) guess LP of a planted 30x300 instance: the
+    columns handed to the solver are s and the allowed pairs of the jobs
+    with no allowed uncounted machine, and each free job comes back whole
+    on one machine."""
+    inst = _planted_30x300(5)
+    m, n = inst.p.shape
+    layouts = []
+    solve = load.solve_lp
+    monkeypatch.setattr(load, "solve_lp",
+                        lambda model: layouts.append(lp._layout(model)) or solve(model))
+    res = solve_topl_makespan(inst, 2, 1.0, 0.1)
+    radius, t = res.certificate["radius"], res.certificate["threshold"]
+    p = inst.p
+    allowed = ~(p > radius)
+    free = (allowed & ~(np.isfinite(p) & (p > t))).any(axis=0)
+    expected = np.flatnonzero((allowed & ~free).ravel())
+    assert 0 < expected.size < m * n // 4 and free.sum() > n // 2
+    assert len(layouts) == 1  # the accepted guess is the one LP solved
+    assert layouts[0].free.tolist() == expected.tolist() + [m * n]
+    x = load._scan_top_guesses(inst, 2, 1.0, 0.1 / 4.0)[3]
+    assert np.array_equal(np.sort(x[:, free], axis=0)[-1], np.ones(free.sum()))
 
 
 def test_count_verdict_leaves_non_integral_caps_to_the_lp():
