@@ -31,9 +31,11 @@ instead of solving every infeasible guess:
     Hochbaum-Shmoys packing of disjoint client balls or proves it by a
     greedy integral opening, and leaves the radii in between to the LP
     (GuessLPs' verdict, so a probe is solved only when a visit reads it).
-    A Top scan's threshold probe takes the same verdict wherever the
-    column bounds imply every count row, min(r_j, #{i : T < d_ij <= R}) <=
-    ell for every client (_count_rows_implied; _top_lps has the argument);
+    The ordered scans' bisection starts where the cover verdict stops
+    refuting (guess.first_true's start rule); the Top scans' does not.  A
+    Top scan's threshold probe takes the same verdict wherever the column
+    bounds imply every count row, min(r_j, #{i : T < d_ij <= R}) <= ell
+    for every client (_count_rows_implied; _top_lps has the argument);
   * for Top norms, each later radius bisects its thresholds for the first
     feasible one, searching no higher than the previous radius's first
     feasible index (the staircase), and stops once a guess's bound equals
@@ -746,8 +748,9 @@ def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
     empty key, which covers every other but is never compared within a row:
     only zero-distance links are allowed, and once feasible it ends the scan
     at bound 0.  The scan starts at the first radius whose weakest sequence
-    is feasible, found by bisection; that sequence is also its row's first,
-    so the row reads the same verdict."""
+    is feasible, found by bisection from where the cover verdict stops
+    refuting (first_true with GuessLPs.known); that sequence is also its
+    row's first, so the row reads the same verdict."""
     sparse, pos, wtop = sparsified
 
     def build(ri, key):
@@ -769,7 +772,8 @@ def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
         values = table.values()
         return SequenceRow(-values, chained(radius, values), table.sequence)
 
-    first = first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, len(radii))
+    first = first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, len(radii),
+                       lambda ri: lps.known(ri, weakest(ri)))
     return scan_sequence_rows(lps, radii, wtop, grid_of, row, first)
 
 

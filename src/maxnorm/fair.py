@@ -59,9 +59,16 @@ The mass comparisons are exact, in Fractions of the floats the model holds
 (_Separation._rows_hold).
 
 An infeasible verdict refutes the pair with no LP, and a feasible one goes
-straight to the LP with the weighted row.  A probe whose weighted row the
-column bounds imply (checked in exact arithmetic) is the base LP's verdict,
-so it solves no LP where the verdict tells.  Every solution read is its own
+straight to the LP with the weighted row.  The pair scan's bisections
+start where the refutations stop (guess.first_true's start rule): they
+gallop up over the base verdicts, with no LP, to the first pair none
+refutes, and solve its LP; only when it is infeasible do they bisect on.
+That pair is mostly the first feasible one, whose LP the first visit
+reads anyway.  They gallop rather than bisect over the verdicts so that a
+refutation contradicting monotonicity past the start is met by a visit,
+not skipped.  A probe whose weighted row the column bounds imply (checked
+in exact arithmetic) is the base LP's verdict, so it solves no LP where
+the verdict tells.  Every solution read is its own
 model's LP solution, so the same vertices are rounded.
 """
 
@@ -343,7 +350,8 @@ class _Separation:
             shaky = shaky or cut is None
             return cut
 
-        cut = walk_from_first(self.row_ends, lambda k: solve(k) is not None, visit)
+        cut = walk_from_first(self.row_ends, lambda k: solve(k) is not None, visit,
+                              lambda k: False if self.base_lps.known(k) is False else None)
         if cut is None and shaky:
             raise SolverInternalError("ambiguous separation verdict (numerical edge)")
         return ("member", None, None) if cut is None else cut

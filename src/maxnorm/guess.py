@@ -39,9 +39,17 @@ both knapsack residuals all run through these two.
 The fair variants search one more way, walk_from_first: bisect rows of
 guesses at their last (weakest) guess for the first row with a feasible
 one, bisect that row, then visit every guess in order from the first
-feasible one.  Its one contradiction rule: a visit that meets a verdict
-breaking monotonicity (its caller decides which) sends the walk back to
-visit every guess from the first, trusting no verdict.  The fair pair scan
+feasible one.  Given an exact LP-free verdict, both bisections start where
+it stops refuting (first_true): they gallop up from the bottom over the
+verdicts alone, ask the LP once at the first guess none refutes, and
+bisect above it only when that LP is infeasible.  The fair pair scan's
+first open pair is mostly its first feasible one, so before its first
+visit a call mostly solves only that pair's LP, which the visit reads, and
+its row's last one, which the row search asks.  The ordered k-center
+radius bisection (maxnorm.cluster._scan_sequences) starts the same way;
+the fair bound walk gives no verdict.  The walk's one contradiction rule: a visit that meets a verdict breaking
+monotonicity (its caller decides which) sends the walk back to visit every
+guess from the first, trusting no verdict.  The fair pair scan
 (maxnorm.fair._Separation.__call__, rows of one radius each) and the fair
 bound walk (maxnorm.fair.solve_fair, rows of one bound each) run through
 it.
@@ -79,9 +87,34 @@ from .lp import OPTIMAL
 from .sparsify import snap_to_grid
 
 
-def first_true(pred, lo, hi):
+def first_true(pred, lo, hi, known=None):
     """Smallest i in [lo, hi) with pred(i), or hi if there is none, for a
-    verdict that stays true once it holds; found by bisection."""
+    verdict that stays true once it holds; found by bisection.
+
+    known(i), when given, is an exact verdict on guess i that needs no LP:
+    True, False, or None where it cannot tell.  A False at i makes every
+    guess up to i false, so the search first gallops up from lo over known
+    alone (lo, lo + 1, lo + 3, lo + 7, ...) until a guess is not refuted,
+    bisects that last step for start, the guess just above the highest
+    refuted one it saw, and asks pred at start.  It returns start when
+    pred holds there and bisects the guesses above start otherwise, so
+    pred is asked at most 1 + ceil(log2(hi - lo + 1)) times.  It gallops,
+    not bisects, over known so that it reads verdicts only near lo: a
+    refutation that contradicts monotonicity (a numerical edge) further up
+    is left for the caller's visits to meet."""
+    if known is not None and lo < hi:
+        refuted, step = lo - 1, 1
+        while True:
+            probe = min(lo + step - 1, hi - 1)
+            if known(probe) is not False:
+                break
+            if probe == hi - 1:
+                return hi
+            refuted, step = probe, 2 * step
+        lo = first_true(lambda i: known(i) is not False, refuted + 1, probe)
+        if pred(lo):
+            return lo
+        lo += 1
     while lo < hi:
         mid = (lo + hi) // 2
         if pred(mid):
@@ -94,7 +127,7 @@ def first_true(pred, lo, hi):
 CONTRADICTION = object()  # what a visit of walk_from_first returns on a verdict off monotone
 
 
-def walk_from_first(ends, feasible, visit):
+def walk_from_first(ends, feasible, visit, known=None):
     """The first answer of visit(k, first) over the guesses k from the
     first feasible one on, in order, or None when no visit answers.
 
@@ -102,13 +135,17 @@ def walk_from_first(ends, feasible, visit):
     ends[r].  feasible(k) stays true once it holds at a row's last guess,
     for every later row's last guess, and once it holds within a row, so
     bisecting the rows at their last guess, then the start row, finds the
-    first feasible guess, first.  visit returns an answer, None to go on,
-    or CONTRADICTION when a verdict breaks that monotonicity; every guess
-    is then visited again from 0 with first None, trusting no verdict."""
-    row = first_true(lambda r: feasible(ends[r] - 1), 0, len(ends))
+    first feasible guess, first.  known(k), when given, is an exact
+    LP-free verdict on guess k (True, False or None), and both bisections
+    start where it stops refuting (first_true).  visit returns an answer,
+    None to go on, or CONTRADICTION when a verdict breaks that
+    monotonicity; every guess is then visited again from 0 with first
+    None, trusting no verdict."""
+    last = None if known is None else (lambda r: known(ends[r] - 1))
+    row = first_true(lambda r: feasible(ends[r] - 1), 0, len(ends), last)
     if row == len(ends):
         return None
-    first = first_true(feasible, ends[row - 1] if row else 0, ends[row] - 1)
+    first = first_true(feasible, ends[row - 1] if row else 0, ends[row] - 1, known)
 
     def walk(begin, first):
         for k in range(begin, ends[-1]):
@@ -142,15 +179,22 @@ class GuessLPs:
             self.solved[key] = (self.solve(model), sidx)
         return self.solved[key]
 
+    def known(self, *key):
+        """The LP's verdict on key without building or solving it: its
+        status once solved, else the given verdict, else None."""
+        if key in self.solved:
+            return self.solved[key][0].status == OPTIMAL
+        if self.verdict is None:
+            return None
+        if key not in self.verdicts:
+            self.verdicts[key] = self.verdict(*key)
+        return self.verdicts[key]
+
     def feasible(self, *key):
-        """The LP's verdict on key: its status once solved, else the given
-        verdict, else the status of solving it now."""
-        if key not in self.solved and self.verdict is not None:
-            if key not in self.verdicts:
-                self.verdicts[key] = self.verdict(*key)
-            if self.verdicts[key] is not None:
-                return self.verdicts[key]
-        return self(*key)[0].status == OPTIMAL
+        """The LP's verdict on key: known(key), else the status of solving
+        it now."""
+        verdict = self.known(*key)
+        return self(*key)[0].status == OPTIMAL if verdict is None else verdict
 
 
 def weakest_thresholds(radii, thresholds):

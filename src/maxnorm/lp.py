@@ -313,8 +313,10 @@ class _Layout:
     lower == upper) are substituted out: the first num_ub rows are the <=
     rows and the negated >= rows in model order, then the == rows, each row
     bound shifted by the fixed columns' activity; only the free columns
-    remain, in model order (the first column, when every column is fixed)."""
-    indptr: np.ndarray  # CSC over all rows and the free columns, duplicates summed, zeros dropped
+    remain, in model order (the first column, when every column is fixed).
+    A row left with no free column whose bounds hold at 0 is dropped; any
+    other empty row stays, for HiGHS's tolerance to judge."""
+    indptr: np.ndarray  # CSC over the kept rows and the free columns, duplicates summed, zeros dropped
     indices: np.ndarray
     data: np.ndarray
     row_lower: np.ndarray
@@ -380,10 +382,19 @@ def _layout(model):
     if np.count_nonzero(keep) < len(keep):
         key, vals = key[keep], vals[keep]
     cols = key // width
+    rows = key - cols * width
+    empty = np.ones(num_rows, bool)
+    empty[rows] = False
+    empty &= (row_lower <= 0.0) & (row_upper >= 0.0)
+    if np.count_nonzero(empty):  # rows that hold whatever the free columns are
+        kept = ~empty
+        rows = (np.cumsum(kept) - 1)[rows]
+        row_lower, row_upper = row_lower[kept], row_upper[kept]
+        num_ub -= np.count_nonzero(empty[:num_ub])
     # a free column's entries start where the first entry of a column at or
     # after it does (the fixed columns have none left)
     indptr = cols.searchsorted(np.concatenate((free, [model.num_vars])))
-    return _Layout(indptr.astype(np.int32), (key - cols * width).astype(np.int32), vals,
+    return _Layout(indptr.astype(np.int32), rows.astype(np.int32), vals,
                    row_lower, row_upper, num_ub, free, cost, lower, upper, offset)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import _exhaustive_scans as exhaustive
-from maxnorm import fair, lp
+from maxnorm import fair, guess, lp
 from maxnorm.errors import MaxNormError, SolverInternalError
 from maxnorm.generators import gen_fair_cluster, gen_fair_load
 from maxnorm.instances import FairClusterInstance
@@ -191,6 +191,57 @@ def test_fair_lp_count(monkeypatch):
     searched, calls[:] = len(calls), []
     assert new == _reference(monkeypatch, solve)
     assert len(calls) == 200 and 0 < searched <= 6
+
+
+def test_oracle_solves_no_probe_below_or_above_its_first_pair(monkeypatch):
+    """Two 3x4 Top-(2,1) fair load instances: every oracle call whose lowest
+    pair that no base verdict refutes is feasible (its first visit rounds
+    that pair) solves, before that visit, only the LP of that pair and of
+    its row's last pair, which the row search asks; no bisection probe
+    between them is solved for its verdict alone."""
+    events, owner = [], {}
+    lps_call, round_load = guess.GuessLPs.__call__, fair._LoadSeparation._round
+
+    def logged(self, *key):
+        new = key not in self.solved
+        out = lps_call(self, *key)
+        if new:
+            events.append(key[0])
+            owner[id(out[0])] = key[0]
+        return out
+
+    def rounded(self, point, eta, radius, sol):
+        events.append(("round", owner[id(sol)]))
+        return round_load(self, point, eta, radius, sol)
+
+    calls = []
+    call = fair._Separation.__call__
+
+    def oracle(self, point):
+        start = len(events)
+        # asked before the call, which may solve and refute a base LP the verdicts leave open
+        lowest = next((k for k in range(len(self.pairs)) if self.base_lps.known(k) is not False),
+                      None)
+        out = call(self, point)
+        calls.append((self, lowest, events[start:]))
+        return out
+
+    monkeypatch.setattr(guess.GuessLPs, "__call__", logged)
+    monkeypatch.setattr(fair._LoadSeparation, "_round", rounded)
+    monkeypatch.setattr(fair._Separation, "__call__", oracle)
+    for seed in (8, 11):
+        fair.solve_fair(gen_fair_load(seed, machines=3, jobs=4), top_norm(2, 1.0), 0.1)
+    checked = spaced = 0
+    for sep, lowest, seen in calls:
+        rounds = [k for k in seen if isinstance(k, tuple)]
+        if not rounds or rounds[0][1] != lowest:
+            continue
+        first = lowest
+        last = next(end for end in sep.row_ends if end > first) - 1
+        assert set(seen[:seen.index(rounds[0])]) <= {first, last}, (first, last, seen)
+        checked += 1
+        spaced += last - first >= 2
+    assert checked >= 30 and spaced >= 30, (checked, spaced)
 
 
 def _model_key(model):

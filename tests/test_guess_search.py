@@ -396,9 +396,9 @@ def test_kcenter_radius_bisection_solves_no_lp_but_at_first(monkeypatch):
     built, bisections = [], []
     build, bisect = cluster._center_lp, guess.first_true
 
-    def first_true(pred, lo, hi):
+    def first_true(pred, lo, hi, known=None):
         start = len(built)
-        found = bisect(pred, lo, hi)
+        found = bisect(pred, lo, hi, known)
         bisections.append((built[start:], found))
         return found
 
@@ -410,6 +410,78 @@ def test_kcenter_radius_bisection_solves_no_lp_but_at_first(monkeypatch):
     probed, first = bisections[0]  # the scan's first bisection is over the radii
     assert 0 < first < len(radii) and set(probed) <= {radii[first]}
     assert built  # the accepted guess is still solved
+
+
+def test_first_true_starts_where_the_verdicts_stop_refuting():
+    """Random monotone predicates on ranges of 0-200 guesses, with exact
+    LP-free verdicts (True only at or after the first true guess, False
+    only before it, None anywhere): first_true with the verdicts returns
+    plain bisection's index, and asks pred at unsettled guesses at most
+    1 + ceil(log2(hi - lo + 1)) times."""
+    rng = np.random.default_rng(26)
+    cases = [(0, 0, 0, "none"), (5, 5, 5, "none"), (0, 7, 7, "refuted"), (0, 7, 3, "none")]
+    for _ in range(3000):
+        lo = int(rng.integers(0, 50))
+        hi = lo + int(rng.integers(0, 151))
+        cases.append((lo, hi, int(rng.integers(lo, hi + 1)),
+                      rng.choice(["random", "refuted", "none", "told"])))
+    held = missed = 0
+    for lo, hi, answer, kind in cases:
+        share = rng.random()
+
+        def verdict(i):
+            if kind == "none" or kind == "random" and rng.random() > share:
+                return None
+            if i < answer:
+                return False
+            return None if kind == "refuted" else True
+
+        verdicts = {i: verdict(i) for i in range(lo, hi)}
+        asked = []
+
+        def pred(i):
+            asked.append(i)
+            return i >= answer
+
+        assert guess.first_true(lambda i: i >= answer, lo, hi) == answer
+        assert guess.first_true(pred, lo, hi, verdicts.get) == answer, (lo, hi, answer, kind)
+        unsettled = [i for i in asked if verdicts[i] is None]
+        assert len(unsettled) <= 1 + int(np.ceil(np.log2(hi - lo + 1)))
+        # pred's first answer is the start's: it held there, or the search bisected on
+        held += asked[:1] == [answer]
+        missed += asked[:1] not in ([], [answer])
+    assert held >= 500 and missed >= 500, (held, missed)
+
+
+def test_guess_lps_known_never_builds_or_solves():
+    """known reads a solved LP's status, else the driver's verdict, asked
+    once per key; it never builds or solves, and feasible solves only
+    where known says None."""
+    calls = []
+
+    def build(key):
+        calls.append(("build", key))
+        return key, 0
+
+    def solve(model):
+        calls.append(("solve", model))
+        return SimpleNamespace(status=OPTIMAL if model >= 3 else INFEASIBLE)
+
+    asked = []
+
+    def verdict(key):
+        asked.append(key)
+        return {0: False, 4: True}.get(key)
+
+    lps = guess.GuessLPs(build, solve, verdict)
+    assert [lps.known(k) for k in range(6)] == [False, None, None, None, True, None]
+    assert [lps.known(k) for k in range(6)] == [False, None, None, None, True, None]
+    assert calls == [] and asked == list(range(6))
+    assert lps.feasible(2) is False and lps.feasible(4) is True and lps.feasible(0) is False
+    assert calls == [("build", 2), ("solve", 2)]
+    assert lps.known(2) is False and lps.known(3) is None and len(calls) == 2
+    assert lps(3)[0].status == OPTIMAL and lps.known(3) is True
+    assert guess.GuessLPs(build, solve).known(1) is None and len(calls) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,8 @@ def test_reused_highs_solves_as_a_fresh_instance(monkeypatch):
 def _dense_layout(model):
     """linprog's input as dense rows over the free columns (finite lower ==
     upper fixes a column): <= rows, negated >= rows, then == rows, each
-    right-hand side less the fixed columns' activity."""
+    right-hand side less the fixed columns' activity; less the rows with no
+    free column that hold at 0 (a <= rhs of at least 0, an == rhs of 0)."""
     fixed = np.isfinite(model.lower) & (model.lower == model.upper)
     x0 = np.where(fixed, model.lower, 0.0)
     ub, b_ub, eq, b_eq = [], [], [], []
@@ -255,6 +256,8 @@ def _dense_layout(model):
             row[idx] += c
         rhs = rhs - row @ x0 if x0.any() else rhs
         row = row[~fixed]
+        if not row.any() and (rhs == 0 if sense == EQ else rhs * (-1 if sense == GE else 1) >= 0):
+            continue
         if sense == EQ:
             eq.append(row), b_eq.append(rhs)
         else:
@@ -267,18 +270,21 @@ def test_layout_matches_linprog_rows():
     model = lp_model(4)
     model.add_row({0: 1.0, 3: -2.0}, EQ, 1.0)
     model.add_row({1: 1.0, 2: 0.0}, GE, 0.5)  # explicit zero dropped
-    # duplicates summed, a cancelling pair dropped, an empty row kept
+    # duplicates summed; a cancelling pair leaves an empty row that holds at
+    # 0, dropped like the empty <= and == rows after it, but not the last one
     model.add_rows([0, 0, 0, 1, 1, 0], [2, 2, 3, 0, 0, 1], [1.0, 2.5, 1.0, 1.0, -1.0, 4.0],
                    [LE, GE], [3.0, -1.0])
     model.add_rows([0], [1], [7.0], EQ, [2.0])
     model.add_row({}, LE, 0.0)
+    model.add_row({}, EQ, 0.0)
+    model.add_row({}, GE, 1e-12)
     lay = lp._layout(model)
     a, b_ub, b_eq = _dense_layout(model)
-    assert lay.num_ub == len(b_ub) == 4
+    assert lay.num_ub == len(b_ub) == 3 and len(b_eq) == 2
     assert np.array_equal(lay.indptr, a.indptr) and np.array_equal(lay.indices, a.indices)
     assert np.array_equal(lay.data, a.data)
-    assert np.array_equal(lay.row_upper, b_ub + b_eq)
-    assert np.array_equal(lay.row_lower, [-np.inf] * 4 + b_eq)
+    assert np.array_equal(lay.row_upper, b_ub + b_eq) and lay.row_upper[2] == -1e-12
+    assert np.array_equal(lay.row_lower, [-np.inf] * 3 + b_eq)
     assert np.array_equal(lay.free, np.arange(4)) and lay.offset == 0.0
     rows = model.rows
     assert rows[2] == ({2: 3.5, 3: 1.0, 1: 4.0}, LE, 3.0)
