@@ -59,17 +59,25 @@ The mass comparisons are exact, in Fractions of the floats the model holds
 (_Separation._rows_hold).
 
 An infeasible verdict refutes the pair with no LP, and a feasible one goes
-straight to the LP with the weighted row.  The pair scan's bisections
-start where the refutations stop (guess.first_true's start rule): they
-gallop up over the base verdicts, with no LP, to the first pair none
-refutes, and solve its LP; only when it is infeasible do they bisect on.
-That pair is mostly the first feasible one, whose LP the first visit
-reads anyway.  They gallop rather than bisect over the verdicts so that a
-refutation contradicting monotonicity past the start is met by a visit,
-not skipped.  A probe whose weighted row the column bounds imply (checked
-in exact arithmetic) is the base LP's verdict, so it solves no LP where
-the verdict tells.  Every solution read is its own
-model's LP solution, so the same vertices are rounded.
+straight to the LP with the weighted row.  The pair scan starts where the
+refutations stop (guess.walk_from_first with the refutations as its
+verdict): it gallops over the radius rows, with no LP, to the first one
+whose weakest and strongest pairs are not both refuted, and solves the LP
+of that row's first pair none refutes.  That pair is mostly the first
+feasible one, whose LP the first visit reads anyway; only when it is
+infeasible does the search ask the row's weakest pair and bisect on.  It
+gallops rather than bisects over the verdicts so that a refutation
+contradicting monotonicity past the start is met by a visit, not skipped.
+A probe whose weighted row the column bounds imply (checked in exact
+arithmetic) is the base LP's verdict, so it solves no LP where the
+verdict tells.  Every solution read is its own model's LP solution, so
+the same vertices are rounded.
+
+The bound search reads one pair per probe, the weakest, the first pair
+that counts what (R, T) = (B, B / ell^(1/q)) counts, found by two
+bisections of the data values (_Separation._weakest).  An oracle lists
+its pairs only when it is called, and its base LPs and verdicts are kept
+by pair, so the scan solves no pair the probe solved.
 """
 
 import copy
@@ -253,15 +261,37 @@ class _Separation:
         self.bound = float(bound)
         self.ell, self.q = ell, q
         self.values = values
-        self.pairs = _guess_pairs(values, self.bound, ell, q)
-        self.row_ends = [k + 1 for k in range(len(self.pairs))
-                         if k + 1 == len(self.pairs) or self.pairs[k + 1][0] != self.pairs[k][0]]
         # each pair's base model is built once; its fair LPs at each point add a row to a copy
-        self.base_lps = GuessLPs(functools.cache(lambda k: self.base_lp(*self.pairs[k])),
-                                 solve_lp, lambda k: self.base_verdict(*self.pairs[k]))
+        self.base_lps = GuessLPs(functools.cache(self.base_lp), solve_lp, self.base_verdict)
         # asking about the last point again (round-and-cut's first point after
         # the bound search probed it) solves no LP twice
         self._at = functools.lru_cache(maxsize=1)(self._at)
+
+    @functools.cached_property
+    def pairs(self):
+        """The guess pairs in scan order (_guess_pairs), listed at the first
+        scan: a bound probe reads only the weakest pair (_weakest)."""
+        return _guess_pairs(self.values, self.bound, self.ell, self.q)
+
+    @functools.cached_property
+    def row_ends(self):
+        """Per radius, the index just past its last pair."""
+        pairs = self.pairs
+        return [k + 1 for k in range(len(pairs))
+                if k + 1 == len(pairs) or pairs[k + 1][0] != pairs[k][0]]
+
+    def _weakest(self):
+        """The weakest pair, pairs[-1], read without listing the pairs.  Its
+        radius is the largest data value within B (B when there is none),
+        its threshold the largest within B / ell^(1/q) (0 when there is
+        none): each is the first of its grid to count what B and
+        B / ell^(1/q) count, and _guess_pairs keeps the first pair with
+        given counts."""
+        values = self.values
+        inside = bisect_right(values, self.bound)
+        below = bisect_right(values, self.bound / self.ell ** (1.0 / self.q))
+        return (values[inside - 1] if inside else self.bound,
+                values[below - 1] if below else 0.0)
 
     def _rows_hold(self, radius, t, count):
         """Whether the pair's Top rows hold at every point that takes at most
@@ -273,9 +303,12 @@ class _Separation:
         lo, hi = bisect_right(self.values, t), bisect_right(self.values, radius)
         if lo >= hi:
             return True
-        mass = max(v ** self.q for v in self.values[lo:hi])  # NormCosts.mass of each value
-        return count <= self.ell and \
-            Fraction(count) * Fraction(mass) <= Fraction(self.bound ** self.q)
+        try:
+            mass = max(v ** self.q for v in self.values[lo:hi])  # NormCosts.mass of each value
+            cap = self.bound ** self.q
+        except OverflowError:
+            raise InvalidInputError(f"a cost to the power {self.q!r} overflows a float") from None
+        return count <= self.ell and Fraction(count) * Fraction(mass) <= Fraction(cap)
 
     def _point(self, point_vec):
         n = len(self.finst.e)
@@ -286,9 +319,9 @@ class _Separation:
         return point
 
     def _lps_at(self, point, eta):
-        """A map from pair index to the pair's LP solution at the point (None
-        when infeasible), each LP solved at most once; or None when no pair
-        can meet the weighted row.  A pair whose base LP is infeasible is
+        """A map from a pair to its LP solution at the point (None when
+        infeasible), each LP solved at most once; or None when no pair can
+        meet the weighted row.  A pair whose base LP is infeasible is
         infeasible at every point; the base verdict says so without an LP
         where it can.  Asked with trust=False, the map lets LPs alone decide."""
         weighted = self._weighted_row(point, eta)
@@ -296,19 +329,19 @@ class _Separation:
             return None
         row, sense, rhs = weighted
 
-        def build(k):
-            model, sidx = self.base_lps.build(k)
+        def build(*pair):
+            model, sidx = self.base_lps.build(*pair)
             model = copy.copy(model)  # the pair's base model stays as it is
             model.add_row(row, sense, rhs)
             return model, sidx
 
         full = GuessLPs(build, self.base_lps.solve)
 
-        def solve(k, trust=True):
+        def solve(pair, trust=True):
             base = self.base_lps
-            if not (base.feasible(k) if trust else base(k)[0].status == OPTIMAL):
+            if not (base.feasible(*pair) if trust else base(*pair)[0].status == OPTIMAL):
                 return None
-            sol = (full if row else base)(k)[0]  # without a row the base LP is the whole LP
+            sol = (full if row else base)(*pair)[0]  # without a row the base LP is the whole LP
             return sol if sol.status == OPTIMAL else None
         return solve
 
@@ -326,23 +359,24 @@ class _Separation:
         point, eta, solve = self._at(point_vec)
         if solve is None:
             return False
-        last = len(self.pairs) - 1
+        weakest = self._weakest()
         if self._row_implied(point, eta):
-            return self.base_lps.feasible(last)
-        return solve(last) is not None
+            return self.base_lps.feasible(*weakest)
+        return solve(weakest) is not None
 
     def __call__(self, point_vec):
         point, eta, solve = self._at(point_vec)
         if solve is None:
             return "member", None, None
+        pairs = self.pairs
         shaky = False  # whether a rounding of this pass missed
 
         def visit(k, first):
             nonlocal shaky
-            radius = self.pairs[k][0]
-            sol = solve(k, trust=first is not None)
+            radius = pairs[k][0]
+            sol = solve(pairs[k], trust=first is not None)
             if sol is None:
-                if first is not None and radius == self.pairs[first][0]:
+                if first is not None and radius == pairs[first][0]:
                     shaky = False  # not monotone after all: the next pass rounds every pair
                     return CONTRADICTION
                 return None
@@ -350,8 +384,8 @@ class _Separation:
             shaky = shaky or cut is None
             return cut
 
-        cut = walk_from_first(self.row_ends, lambda k: solve(k) is not None, visit,
-                              lambda k: False if self.base_lps.known(k) is False else None)
+        cut = walk_from_first(self.row_ends, lambda k: solve(pairs[k]) is not None, visit,
+                              lambda k: False if self.base_lps.known(*pairs[k]) is False else None)
         if cut is None and shaky:
             raise SolverInternalError("ambiguous separation verdict (numerical edge)")
         return ("member", None, None) if cut is None else cut

@@ -39,17 +39,23 @@ both knapsack residuals all run through these two.
 The fair variants search one more way, walk_from_first: bisect rows of
 guesses at their last (weakest) guess for the first row with a feasible
 one, bisect that row, then visit every guess in order from the first
-feasible one.  Given an exact LP-free verdict, both bisections start where
-it stops refuting (first_true): they gallop up from the bottom over the
-verdicts alone, ask the LP once at the first guess none refutes, and
-bisect above it only when that LP is infeasible.  The fair pair scan's
-first open pair is mostly its first feasible one, so before its first
-visit a call mostly solves only that pair's LP, which the visit reads, and
-its row's last one, which the row search asks.  The ordered k-center
-radius bisection (maxnorm.cluster._scan_sequences) starts the same way;
-the fair bound walk gives no verdict.  The walk's one contradiction rule: a visit that meets a verdict breaking
-monotonicity (its caller decides which) sends the walk back to visit every
-guess from the first, trusting no verdict.  The fair pair scan
+feasible one.  Given an exact LP-free verdict, it starts where the verdict
+stops refuting: it gallops over the rows to the first one whose last and
+first guesses are not both refuted and asks the LP once, at that row's
+first guess none refutes.  Every guess before it is refuted, so where that
+LP is feasible it is the first feasible guess and nothing else is asked;
+otherwise the row's last guess is asked and the guesses between are
+bisected, or the later rows are, each bisection of a row's guesses
+starting where the verdict stops refuting (first_true: gallop over the
+verdicts, ask the LP once at the first guess none refutes, bisect above it
+only when that LP is infeasible).  The fair pair scan's first open pair is mostly its first
+feasible one, so before its first visit a call mostly solves only that
+pair's LP, which the visit reads.  The ordered k-center radius bisection
+(maxnorm.cluster._scan_sequences) starts the same way, through
+first_true; the fair bound walk gives no verdict.  The walk's one
+contradiction rule: a visit that meets a verdict breaking monotonicity
+(its caller decides which) sends the walk back to visit every guess from
+the first, trusting no verdict.  The fair pair scan
 (maxnorm.fair._Separation.__call__, rows of one radius each) and the fair
 bound walk (maxnorm.fair.solve_fair, rows of one bound each) run through
 it.
@@ -87,31 +93,41 @@ from .lp import OPTIMAL
 from .sparsify import snap_to_grid
 
 
+def _first_unrefuted(known, lo, hi):
+    """Smallest i in [lo, hi) that known(i) does not refute (is not
+    False), or hi when known refutes every guess it reads; lo < hi.
+
+    A False at i makes every guess up to i false, so it gallops up from lo
+    over known (lo, lo + 1, lo + 3, lo + 7, ...) until a guess is not
+    refuted, and bisects that last step for the guess just above the
+    highest refuted one it saw.  It gallops, not bisects, so that it reads
+    verdicts only near lo: a refutation that contradicts monotonicity (a
+    numerical edge) further up is left for the caller's visits to meet."""
+    refuted, step = lo - 1, 1
+    while True:
+        probe = min(lo + step - 1, hi - 1)
+        if known(probe) is not False:
+            break
+        if probe == hi - 1:
+            return hi
+        refuted, step = probe, 2 * step
+    return first_true(lambda i: known(i) is not False, refuted + 1, probe)
+
+
 def first_true(pred, lo, hi, known=None):
     """Smallest i in [lo, hi) with pred(i), or hi if there is none, for a
     verdict that stays true once it holds; found by bisection.
 
     known(i), when given, is an exact verdict on guess i that needs no LP:
-    True, False, or None where it cannot tell.  A False at i makes every
-    guess up to i false, so the search first gallops up from lo over known
-    alone (lo, lo + 1, lo + 3, lo + 7, ...) until a guess is not refuted,
-    bisects that last step for start, the guess just above the highest
-    refuted one it saw, and asks pred at start.  It returns start when
-    pred holds there and bisects the guesses above start otherwise, so
-    pred is asked at most 1 + ceil(log2(hi - lo + 1)) times.  It gallops,
-    not bisects, over known so that it reads verdicts only near lo: a
-    refutation that contradicts monotonicity (a numerical edge) further up
-    is left for the caller's visits to meet."""
+    True, False, or None where it cannot tell.  The search then starts at
+    start = _first_unrefuted(known, lo, hi) and asks pred there.  It
+    returns start when pred holds there and bisects the guesses above
+    start otherwise, so pred is asked at most 1 + ceil(log2(hi - lo + 1))
+    times."""
     if known is not None and lo < hi:
-        refuted, step = lo - 1, 1
-        while True:
-            probe = min(lo + step - 1, hi - 1)
-            if known(probe) is not False:
-                break
-            if probe == hi - 1:
-                return hi
-            refuted, step = probe, 2 * step
-        lo = first_true(lambda i: known(i) is not False, refuted + 1, probe)
+        lo = _first_unrefuted(known, lo, hi)
+        if lo == hi:
+            return hi
         if pred(lo):
             return lo
         lo += 1
@@ -135,17 +151,29 @@ def walk_from_first(ends, feasible, visit, known=None):
     ends[r].  feasible(k) stays true once it holds at a row's last guess,
     for every later row's last guess, and once it holds within a row, so
     bisecting the rows at their last guess, then the start row, finds the
-    first feasible guess, first.  known(k), when given, is an exact
-    LP-free verdict on guess k (True, False or None), and both bisections
-    start where it stops refuting (first_true).  visit returns an answer,
-    None to go on, or CONTRADICTION when a verdict breaks that
-    monotonicity; every guess is then visited again from 0 with first
-    None, trusting no verdict."""
-    last = None if known is None else (lambda r: known(ends[r] - 1))
-    row = first_true(lambda r: feasible(ends[r] - 1), 0, len(ends), last)
-    if row == len(ends):
+    first feasible guess, first.  visit returns an answer, None to go on,
+    or CONTRADICTION when a verdict breaks that monotonicity; every guess
+    is then visited again from 0 with first None, trusting no verdict.
+
+    known(k), when given, is an exact LP-free verdict on guess k (True,
+    False or None).  The walk then gallops over the rows to the first one
+    whose last and first guesses known does not both refute, and asks
+    feasible at k, the row's first guess known does not refute
+    (_first_unrefuted, over the whole row).  Every guess before k is then
+    refuted, so where feasible(k) holds k is the first feasible guess and
+    the row's last guess is never asked.  Otherwise the row's last guess
+    is asked: if it holds, the guesses between k and it are bisected from
+    where known stops refuting (first_true); if not, the rows after this
+    one are bisected at their last guess as without known, and then the
+    start row from where known stops refuting.  The rows are bisected
+    plainly there because k failing mostly means the LP refutes more than
+    known does, so a row just past k's mostly fails too.  A row counts as
+    refuted only where known refutes its first guess too, so that one
+    wrong refutation of a last guess (a numerical edge) does not hide the
+    row's feasible guesses."""
+    first = _first_feasible(ends, feasible, known)
+    if first is None:
         return None
-    first = first_true(feasible, ends[row - 1] if row else 0, ends[row] - 1, known)
 
     def walk(begin, first):
         for k in range(begin, ends[-1]):
@@ -156,6 +184,30 @@ def walk_from_first(ends, feasible, visit, known=None):
 
     found = walk(first, first)
     return walk(0, None) if found is CONTRADICTION else found
+
+
+def _first_feasible(ends, feasible, known):
+    """walk_from_first's first feasible guess, or None when there is none."""
+    def start(r):
+        return ends[r - 1] if r else 0
+
+    row = 0
+    if known is not None:
+        row = _first_unrefuted(
+            lambda r: False if known(ends[r] - 1) is False and known(start(r)) is False
+            else None, 0, len(ends))
+        if row == len(ends):
+            return None
+        k, last = _first_unrefuted(known, start(row), ends[row]), ends[row] - 1
+        if feasible(k):
+            return k
+        if k < last and feasible(last):
+            return first_true(feasible, k + 1, last, known)
+        row += 1
+    row = first_true(lambda r: feasible(ends[r] - 1), row, len(ends))
+    if row == len(ends):
+        return None
+    return first_true(feasible, start(row), ends[row] - 1, known)
 
 
 class GuessLPs:

@@ -404,6 +404,24 @@ def test_weighted_rows_with_huge_alpha_are_scaled():
     assert list(row.values()) == [1.0] and rhs == 6e-15
 
 
+def test_rows_hold_at_a_huge_q_raises_invalid_input():
+    """A data value or the bound to the power q past the float range once
+    escaped the base verdict as an OverflowError; it is invalid input, as
+    in the LP's mass rows.  Where no value lies in (t, radius] the rows
+    count nothing and hold with no power taken."""
+    finst = gen_fair_load(1, machines=2, jobs=4)
+    load = _LoadSeparation(finst, 10, 1, 1e300)
+    top = load.values[-1]
+    with pytest.raises(InvalidInputError, match="overflows a float"):
+        load._rows_hold(top, 0.0, 1)
+    with pytest.raises(InvalidInputError, match="overflows a float"):
+        _LoadSeparation(finst, 10, 2, 1e300).base_verdict(top, 0.0)  # placed: two per machine
+    assert load._rows_hold(top, top, 1)
+    tiny = FairLoadInstance(base=LoadInstance(p=[[1.0], [1.0]]), e=("1/2", "1/2"))
+    with pytest.raises(InvalidInputError, match="overflows a float"):
+        _LoadSeparation(tiny, 2.0, 1, 1e300)._rows_hold(1.0, 0.0, 1)  # 2^q, 1^q is 1
+
+
 def test_fair_load_solves_with_float_caps_that_reach_huge_alpha():
     """gen_fair_load(25, 3, 4) with caps round(0.7 e + 0.3, 1) read as binary
     floats, at Top-(2,1): a dual point reaches alpha near 1.8e16, which HiGHS

@@ -68,6 +68,67 @@ def test_guess_pairs_match_the_counting_reference():
             exhaustive.fair_guess_pairs(values, bound, ell, q)
 
 
+def test_weakest_pair_is_the_last_listed():
+    """_weakest reads pairs[-1] without listing the pairs, on load and
+    center oracles at ell 1-3 and q 1, 1.5 and 2, at bound 0, at data
+    values, at data values times ell^(1/q) (a threshold cap on a value) and
+    at random bounds."""
+    rng = np.random.default_rng(409)
+    checked = Counter()
+    for seed in range(150):
+        if seed % 2:
+            finst = gen_fair_cluster(seed, clients=int(rng.integers(1, 4)),
+                                     facilities=int(rng.integers(2, 6)), k=2,
+                                     metric=str(rng.choice(["euclidean", "random"])))
+            values = finst.base.finite_distances()
+        else:
+            finst = gen_fair_load(seed, machines=int(rng.integers(1, 4)),
+                                  jobs=int(rng.integers(1, 7)), pmax=int(rng.choice([3, 12])))
+            values = finst.base.finite_sizes()
+        cls = fair._dual(finst)[0]
+        for ell, q in itertools.product([1, 2, 3], [1.0, 1.5, 2.0]):
+            scale = ell ** (1.0 / q)
+            bounds = [0.0] + values + [v * scale for v in values] + \
+                rng.uniform(0.0, 1.2 * max(values) * scale, size=4).tolist()
+            for bound in bounds:
+                oracle = cls(finst, bound, ell, q)
+                assert oracle._weakest() == oracle.pairs[-1], (bound, ell, q, values)
+                checked[oracle.kind] += 1
+    assert min(checked["load"], checked["center"]) >= 5000, checked
+
+
+def test_bound_probes_list_no_pairs(monkeypatch):
+    """In a solve_fair, the bound search's probes read the weakest pair
+    only: _guess_pairs runs once for each oracle that round-and-cut calls
+    and lists pairs, and for no other oracle."""
+    built, called, listed = [], [], []
+    init, guess_pairs, round_and_cut = fair._Separation.__init__, fair._guess_pairs, \
+        fair.round_and_cut
+
+    def tracked(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def walked(finst, bound, ell, q, limit=None, oracle=None, first=None):
+        called.append(oracle)
+        return round_and_cut(finst, bound, ell, q, limit=limit, oracle=oracle, first=first)
+
+    monkeypatch.setattr(fair._Separation, "__init__", tracked)
+    monkeypatch.setattr(fair, "_guess_pairs",
+                        lambda *args: listed.append(args[1]) or guess_pairs(*args))
+    monkeypatch.setattr(fair, "round_and_cut", walked)
+    unlisted = 0
+    for k, finst in enumerate(_fair_instances(410, 20)):
+        for log in (built, called, listed):
+            log.clear()
+        _outcome(lambda: fair.solve_fair(finst, top_norm(*NORMS[k // 2 % 2]), 0.1))
+        with_pairs = [oracle for oracle in built if "pairs" in vars(oracle)]
+        assert sorted(listed) == sorted(oracle.bound for oracle in with_pairs)
+        assert all(any(oracle is other for other in called) for oracle in with_pairs)
+        unlisted += len(built) - len(with_pairs)
+    assert unlisted >= 40, unlisted
+
+
 def test_fair_solves_match_the_linear_walk(monkeypatch):
     """80 instances, each kind at each norm 20 times."""
     found = 0
@@ -196,9 +257,8 @@ def test_fair_lp_count(monkeypatch):
 def test_oracle_solves_no_probe_below_or_above_its_first_pair(monkeypatch):
     """Two 3x4 Top-(2,1) fair load instances: every oracle call whose lowest
     pair that no base verdict refutes is feasible (its first visit rounds
-    that pair) solves, before that visit, only the LP of that pair and of
-    its row's last pair, which the row search asks; no bisection probe
-    between them is solved for its verdict alone."""
+    that pair) solves, before that visit, only the LP of that pair; no
+    probe of its row or of another row is solved for its verdict alone."""
     events, owner = [], {}
     lps_call, round_load = guess.GuessLPs.__call__, fair._LoadSeparation._round
 
@@ -206,8 +266,8 @@ def test_oracle_solves_no_probe_below_or_above_its_first_pair(monkeypatch):
         new = key not in self.solved
         out = lps_call(self, *key)
         if new:
-            events.append(key[0])
-            owner[id(out[0])] = key[0]
+            events.append(key)
+            owner[id(out[0])] = key
         return out
 
     def rounded(self, point, eta, radius, sol):
@@ -220,8 +280,8 @@ def test_oracle_solves_no_probe_below_or_above_its_first_pair(monkeypatch):
     def oracle(self, point):
         start = len(events)
         # asked before the call, which may solve and refute a base LP the verdicts leave open
-        lowest = next((k for k in range(len(self.pairs)) if self.base_lps.known(k) is not False),
-                      None)
+        lowest = next((k for k in range(len(self.pairs))
+                       if self.base_lps.known(*self.pairs[k]) is not False), None)
         out = call(self, point)
         calls.append((self, lowest, events[start:]))
         return out
@@ -233,12 +293,12 @@ def test_oracle_solves_no_probe_below_or_above_its_first_pair(monkeypatch):
         fair.solve_fair(gen_fair_load(seed, machines=3, jobs=4), top_norm(2, 1.0), 0.1)
     checked = spaced = 0
     for sep, lowest, seen in calls:
-        rounds = [k for k in seen if isinstance(k, tuple)]
-        if not rounds or rounds[0][1] != lowest:
+        rounds = [event for event in seen if event[0] == "round"]
+        if not rounds or rounds[0][1] != sep.pairs[lowest]:
             continue
         first = lowest
         last = next(end for end in sep.row_ends if end > first) - 1
-        assert set(seen[:seen.index(rounds[0])]) <= {first, last}, (first, last, seen)
+        assert set(seen[:seen.index(rounds[0])]) <= {sep.pairs[first]}, (first, last, seen)
         checked += 1
         spaced += last - first >= 2
     assert checked >= 30 and spaced >= 30, (checked, spaced)

@@ -453,6 +453,58 @@ def test_first_true_starts_where_the_verdicts_stop_refuting():
     assert held >= 500 and missed >= 500, (held, missed)
 
 
+def test_walk_from_first_asks_the_first_unrefuted_guess_first():
+    """Random row tables as walk_from_first needs them (feasible from a
+    start within each row, and at the last guess from a first row on), with
+    exact LP-free verdicts (False only at infeasible guesses, True only at
+    feasible ones, None anywhere): the walk answers as a linear scan does,
+    visiting from the first feasible guess, and where the first guess the
+    verdicts do not refute is feasible, feasible is asked exactly once
+    before the first visit."""
+    rng = np.random.default_rng(27)
+    once = rest = 0
+    for _ in range(3000):
+        ends = np.cumsum(rng.integers(1, 8, size=int(rng.integers(1, 12)))).tolist()
+        starts = [0] + ends[:-1]
+        first_row = int(rng.integers(0, len(ends) + 1))
+        feasible = set()
+        for r in range(first_row, len(ends)):
+            feasible.update(range(int(rng.integers(starts[r], ends[r])), ends[r]))
+        refute, tell = rng.choice([1.0, rng.random()]), rng.random()
+        verdicts = {k: (False if k not in feasible and rng.random() < refute else
+                        True if k in feasible and rng.random() < tell else None)
+                    for k in range(ends[-1])}
+        answers = {k for k in range(ends[-1]) if rng.random() < 0.3}
+        first = min(feasible, default=None)
+        expected = None if first is None else \
+            next((k for k in range(first, ends[-1]) if k in answers), None)
+        for known in (None, verdicts.get):
+            log = []
+
+            def ask(k):
+                log.append(("feasible", k))
+                return k in feasible
+
+            def visit(k, told):
+                assert told == first
+                log.append(("visit", k))
+                return k if k in answers else None
+
+            assert guess.walk_from_first(ends, ask, visit, known) == expected
+            stop = ends[-1] if expected is None else expected + 1
+            assert [k for event, k in log if event == "visit"] == \
+                ([] if first is None else list(range(first, stop)))
+            if known is None:
+                continue
+            unrefuted = next((k for k in range(ends[-1]) if verdicts[k] is not False), None)
+            if unrefuted is not None and unrefuted in feasible:
+                assert log[:2] == [("feasible", unrefuted), ("visit", unrefuted)], log
+                once += 1
+            else:
+                rest += 1
+    assert once >= 1000 and rest >= 500, (once, rest)
+
+
 def test_guess_lps_known_never_builds_or_solves():
     """known reads a solved LP's status, else the driver's verdict, asked
     once per key; it never builds or solves, and feasible solves only
