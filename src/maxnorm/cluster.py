@@ -31,32 +31,32 @@ instead of solving every infeasible guess:
     Hochbaum-Shmoys packing of disjoint client balls or proves it by a
     greedy integral opening, and leaves the radii in between to the LP
     (GuessLPs' verdict, so a probe is solved only when a visit reads it).
-    The ordered scans' bisection starts where the cover verdict stops
-    refuting (guess.first_true's start rule); the Top scans' does not.  A
-    Top scan's threshold probe takes the same verdict wherever the column
-    bounds imply every count row, min(r_j, #{i : T < d_ij <= R}) <= ell
-    for every client (_count_rows_implied; _top_lps has the argument);
-  * for Top norms, each later radius bisects its thresholds for the first
-    feasible one, searching no higher than the previous radius's first
-    feasible index (the staircase), and stops once a guess's bound equals
-    its floor max(R, ell^(1/q) T); this is maxnorm.guess.scan_top_rows,
-    shared with the makespan driver and the knapsack Top residual (whose
-    bound is not snapped to a grid);
-  * for ordered norms, maxnorm.guess.scan_sequence_rows, shared with the
-    makespan driver and the ordered knapsack residual (_scan_sequences
-    builds its relaxations and verdicts): each radius's sequences, one
-    sparsify.SequenceTable with their chains as one vector, are visited in
-    ascending order of the LP-free lower key (floor, chain at the floor,
-    radius, sequence index), with floor = R w1 snapped to the grid, and
-    the visit stops once the next lower key reaches the best key found.
-    The chain only grows with the bound, so no real key lies below its
-    lower key.  A count key is the sequence's negated thresholds, so it
-    names one sequence, which is rebuilt from it only to build its LP.  A
-    sequence lying at or below an infeasible one on every kept coordinate
-    is skipped unsolved.  The residual has no grid and no
-    chain term, so its keys order as (estimate, sequence index): it walks
-    the sequences in order, from the all-R one that _cover_verdict decides,
-    and stops once s <= R w1, since no later sequence gets below that floor.
+    The bisection, guess.first_feasible_radius, is the Top and ordered
+    scans' one (_scan_rows builds both scans' LPs and verdicts), and
+    starts where the cover verdict stops refuting.  A Top scan's
+    threshold probe takes the same verdict wherever the column bounds
+    imply every count row, min(r_j, #{i : T < d_ij <= R}) <= ell for
+    every client (_count_rows_implied; _scan_top has the argument);
+  * from there, maxnorm.guess.scan_sequence_rows, shared with the
+    makespan driver and both knapsack residuals: each radius's guesses are
+    visited in ascending order of the LP-free lower key (floor, chain at
+    the floor, radius, index), with the floor snapped to the grid, and the
+    visit stops once the next lower key reaches the best key found.  A
+    guess lying at or below an infeasible one on every kept coordinate is
+    skipped unsolved.  A count key is the guess's negated thresholds, so it
+    names one guess, which is rebuilt from it only to build its LP;
+  * for Top norms (_scan_top), a row is guess.top_row: floor max(R,
+    ell^(1/q) T) and no chain term, so the keys order as (bound, R, T).
+    The row is bisected for its first feasible threshold, no higher than
+    the previous radius's (the staircase); the Top residual's bound is not
+    snapped to a grid;
+  * for ordered norms (_scan_sequences), each radius's sequences are one
+    sparsify.SequenceTable with their chains as one vector, and the floor
+    is R w1.  The chain only grows with the bound, so no real key lies
+    below its lower key.  The residual has no grid and no chain term, so
+    its keys order as (estimate, sequence index): it walks the sequences
+    in order, from the all-R one that _cover_verdict decides, and stops
+    once s <= R w1, since no later sequence gets below that floor.
 
 Every scan accepts exactly the guess the exhaustive scan accepts, with its
 (bound, ...) tie-break.  A verdict that contradicts monotonicity (a
@@ -85,8 +85,8 @@ import numpy as np
 
 from .bundlelp import solve_knapsack_basic, solve_partition_matroid_integral
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
-from .guess import (GuessLPs, SequenceRow, first_true, scan_sequence_rows, scan_top_rows,
-                    weakest_thresholds)
+from .guess import (GuessLPs, SequenceRow, first_feasible_radius, scan_sequence_rows,
+                    top_row, weakest_thresholds)
 from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
 from .lp import (EQ, GE, LE, OPTIMAL, NormCosts, add_norm_rows, lp_model, row_block,
@@ -714,52 +714,55 @@ def _count_rows_implied(core, radius, t, ell):
     return bool(np.all(np.minimum(core.r, counted.sum(axis=1)) <= ell))
 
 
-def _top_lps(core, budget, ell, q, radii, thresholds):
-    """GuessLPs of a Top scan over radii and thresholds.  A probe takes its
-    radius's _cover_verdict, decided once per radius, at the radius's
-    weakest threshold and wherever _count_rows_implied holds; every other
-    probe gets None.
+def _scan_rows(core, budget, radii, wtop, grid_of, row, spec, weakest, implied=None):
+    """guess.scan_sequence_rows over row(ri) for the radii, from the first
+    radius whose weakest count key weakest(ri) is feasible
+    (guess.first_feasible_radius).  lps(ri, key) solves _center_lp with
+    normspec spec(ri, key).  A probe takes its radius's _cover_verdict,
+    decided once per radius, at the weakest key and wherever implied(ri,
+    key) holds; every other probe gets None."""
+    cover = functools.cache(lambda ri: _cover_verdict(core, budget, radii[ri], coverage=True))
+
+    def verdict(ri, key):
+        if key == weakest(ri) or (implied is not None and implied(ri, key)):
+            return cover(ri)
+        return None
+
+    lps = GuessLPs(lambda ri, key: _center_lp(core, budget, spec(ri, key), radii[ri]),
+                   solve_lp, verdict)
+    return scan_sequence_rows(lps, radii, wtop, grid_of, row,
+                              first_feasible_radius(lps, len(radii), weakest))
+
+
+def _scan_top(core, budget, ell, q, radii, thresholds, grid_of):
+    """_scan_rows over the Top rows of radii (guess.top_row, count key
+    (-T,)), with the cover verdict also wherever _count_rows_implied holds.
 
     At such a probe the norm rows cut nothing: s is free, so the mass rows
     never bind, and client j's counted x(i,j) are each at most 1 and sum to
     at most u_j <= r_j, so its count row holds.  The LP is then feasible
     exactly when the radius's relaxation without norm rows is, which is what
     _cover_verdict decides."""
-    weakest = weakest_thresholds(radii, thresholds)
-    cover = functools.cache(lambda ri: _cover_verdict(core, budget, radii[ri], coverage=True))
-
-    def verdict(ri, ti):
-        if ti == weakest[ri] or _count_rows_implied(core, radii[ri], thresholds[ti], ell):
-            return cover(ri)
-        return None
-
-    return GuessLPs(lambda ri, ti: _center_lp(core, budget, ("top", ell, q, thresholds[ti]),
-                                              radii[ri]), solve_lp, verdict)
+    weakest = [(-thresholds[ti],) for ti in weakest_thresholds(radii, thresholds)]
+    return _scan_rows(core, budget, radii, 1.0, grid_of,
+                      lambda ri: top_row(radii[ri], thresholds, ell, q),
+                      lambda ri, key: ("top", ell, q, -key[0]), weakest.__getitem__,
+                      lambda ri, key: _count_rows_implied(core, radii[ri], -key[0], ell))
 
 
 def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
-    """guess.scan_sequence_rows over the threshold sequences of radii (on r0
-    coordinates), with _cover_verdict at each radius's weakest sequence
-    (every threshold at R) and None at every other.  sparsified is (sparse
-    weights, kept coordinates, w1); chained(radius, values) gives the
-    SequenceRow chain of a row whose sequences' thresholds are the rows of
-    values.  A count key is the sequence's negated thresholds, so it names
-    its sequence; radius 0 has one guess and no sequence (None), with the
-    empty key, which covers every other but is never compared within a row:
-    only zero-distance links are allowed, and once feasible it ends the scan
-    at bound 0.  The scan starts at the first radius whose weakest sequence
-    is feasible, found by bisection from where the cover verdict stops
-    refuting (first_true with GuessLPs.known); that sequence is also its
-    row's first, so the row reads the same verdict."""
+    """_scan_rows over the threshold sequences of radii (on r0
+    coordinates), with the cover verdict at each radius's weakest sequence
+    (every threshold at R) only.  sparsified is (sparse weights, kept
+    coordinates, w1); chained(radius, values) gives the SequenceRow chain
+    of a row whose sequences' thresholds are the rows of values.  A count
+    key is the sequence's negated thresholds, so it names its sequence;
+    radius 0 has one guess and no sequence (None), with the empty key,
+    which covers every other but is never compared within a row: only
+    zero-distance links are allowed, and once feasible it ends the scan at
+    bound 0.  The weakest sequence is also its row's first, so the row
+    reads the bisection's verdict."""
     sparse, pos, wtop = sparsified
-
-    def build(ri, key):
-        seq = _keyed(radii[ri], pos, key)
-        return _center_lp(core, budget, _sequence_spec(sparse, pos, r0, seq), radii[ri])
-
-    lps = GuessLPs(build, solve_lp,
-                   lambda ri, key: _cover_verdict(core, budget, radii[ri], coverage=True)
-                   if key == weakest(ri) else None)
 
     def weakest(ri):
         return () if radii[ri] == 0.0 else (-radii[ri],) * len(pos.indices)
@@ -772,9 +775,9 @@ def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
         values = table.values()
         return SequenceRow(-values, chained(radius, values), table.sequence)
 
-    first = first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, len(radii),
-                       lambda ri: lps.known(ri, weakest(ri)))
-    return scan_sequence_rows(lps, radii, wtop, grid_of, row, first)
+    return _scan_rows(core, budget, radii, wtop, grid_of, row,
+                      lambda ri, key: _sequence_spec(sparse, pos, r0, _keyed(radii[ri], pos, key)),
+                      weakest)
 
 
 def _keyed(radius, pos, key):
@@ -838,15 +841,14 @@ def _scan_top_guesses(core, budget, ell, q, eps):
     root = 1.0 / q
     grid_eps = eps / (3 * 4.0 ** root)
     radii = sorted(set(core.distances()) | {0.0})
-    thresholds = single_threshold_candidates(core.distances())
     r0 = max(core.r0, 1)
-    lps = _top_lps(core, budget, ell, q, radii, thresholds)
-    best = scan_top_rows(lps, radii, thresholds, ell, q, lambda radius: [0.0] if radius == 0.0
-                         else geometric_grid(radius, r0 ** root * radius, grid_eps))
+    best = _scan_top(core, budget, ell, q, radii, single_threshold_candidates(core.distances()),
+                     lambda radius: [0.0] if radius == 0.0
+                     else geometric_grid(radius, r0 ** root * radius, grid_eps))
     if best is None:
         raise InfeasibleError("no guess satisfies the relaxation; instance is infeasible")
-    bound, radius, threshold, sol = best
-    return bound, radius, threshold, _lp_parts(core, sol.x)
+    (bound, _, ri, _), (threshold, sol) = best
+    return bound, radii[ri], threshold, _lp_parts(core, sol.x)
 
 
 def solve_ordered_kcenter(inst, weights, eps):
@@ -1072,12 +1074,11 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
     budget = (KNAPSACK, wt, w_res)
     if norm.kind == TOP:
         ell, q = norm.ell, norm.q
-        lps = _top_lps(rcore, budget, ell, q, [radius], thresholds)
         # no grid: the bound estimate itself, so the row stops once s^(1/q) <= the floor
-        found = scan_top_rows(lps, [radius], thresholds, ell, q, None)
+        found = _scan_top(rcore, budget, ell, q, [radius], thresholds, None)
         if found is None:
             return None
-        bhat, _, t, sol = found
+        (bhat, _, _, _), (t, sol) = found
         return bhat, (rcore, ("top", ell, q, t), _lp_parts(rcore, sol.x))
     # no grid and no chain: the key is (estimate, sequence index), so the
     # sequences go in order and the walk stops once one reaches R w1

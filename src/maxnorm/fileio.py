@@ -22,7 +22,8 @@ from .norms import TOP, max_ordered_norm, top_norm
 
 def _shape_checked(what):
     """Report valid JSON of the wrong shape (a number where a list belongs, a
-    missing field, ...) as invalid input, not as whatever the decoder hit."""
+    missing field, a rational with a zero denominator, ...) as invalid
+    input, not as whatever the decoder hit."""
     def wrap(decode):
         @functools.wraps(decode)
         def checked(data):
@@ -30,7 +31,7 @@ def _shape_checked(what):
                 return decode(data)
             except InvalidInputError:
                 raise
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise InvalidInputError(f"malformed {what}: {exc}") from exc
         return checked
     return wrap
@@ -45,11 +46,7 @@ def _frac_str(f):
 
 
 def encode_instance(inst):
-    if isinstance(inst, FairLoadInstance):
-        out = encode_instance(inst.base)
-        out["e"] = [_frac_str(v) for v in inst.e]
-        return out
-    if isinstance(inst, FairClusterInstance):
+    if isinstance(inst, (FairLoadInstance, FairClusterInstance)):
         out = encode_instance(inst.base)
         out["e"] = [_frac_str(v) for v in inst.e]
         return out

@@ -4,37 +4,44 @@ A driver guesses a radius R and thresholds T, solves one relaxation per
 guess that minimizes the bound surrogate s, and keeps the guess with the
 smallest key.  The relaxation only gets weaker as R grows (fewer pairs are
 forbidden) and as any threshold grows (fewer items are counted, and s is
-free), so its feasibility is monotone in R and in T.  Two scans use this
-instead of solving every guess:
+free), so its feasibility is monotone in R and in T.  One row scan uses
+this instead of solving every guess, scan_sequence_rows: the radii go
+upward until R w1 passes the best bound, and each radius is one
+scan_sequence_row over a SequenceRow, its guesses grouped by count key
+(guesses with one key share an LP).  A key counts, per kept coordinate,
+how many items its guesses count there (or holds the negated
+thresholds), and covers another when it counts at least as much
+everywhere.  Every guess has the LP-free lower key (floor snapped to the
+radius's grid, chain at that floor, radius index, index), which no real
+key undercuts.  The keys are visited in ascending lower key of their
+first guess, and the visit stops once the next lower key reaches the best
+real key.  A key that covers an infeasible one is skipped unsolved.
 
-  * scan_top_rows (one threshold per guess): each radius bisects its
-    thresholds for the first feasible one, searching no higher than the
-    previous radius's first feasible index (the staircase), then visits
-    the thresholds upward.  The row stops once a candidate's bound equals
-    its snapped floor max(R, ell^(1/q) T): every later T of the row snaps
-    at least as high and loses the tie on T.
-  * scan_sequence_rows (one threshold sequence per guess, the ordered
-    radius loop): the radii go upward until R w1 passes the best bound,
-    and each radius is one scan_sequence_row over a SequenceRow, its
-    sequences grouped by count key (sequences with one key share an LP).
-    Every sequence has the LP-free lower key (floor, chain at the floor,
-    radius index, sequence index), with floor = R w1 snapped to the
-    radius's grid, which no real key undercuts.  The keys are visited in
-    ascending lower key of their first sequence, and the visit stops once
-    the next lower key reaches the best real key.  A key counting at least
-    as many items as an infeasible one at every kept coordinate is skipped
-    unsolved.  Its three callers keep only their count keys, chain bound,
-    grid and first radius: the ordered makespan scan
-    (maxnorm.load._scan_ordered_guesses), the ordered k-center scan and
-    the ordered knapsack residual (maxnorm.cluster._scan_ordered_guesses
-    and _residual_guess, the latter with no grid and no chain term).
+  * Ordered norms (one threshold sequence per guess): the floor is R w1,
+    the bound max(s, floor) and the chain the caller's.  The callers keep
+    only their count keys, chain bound, grid and first radius: the ordered
+    makespan scan (maxnorm.load._scan_ordered_guesses), the ordered
+    k-center scan and the ordered knapsack residual
+    (maxnorm.cluster._scan_sequences, the residual with no grid and no
+    chain term).
+  * Top-(ell,q) (one threshold per guess, top_row): the count key is the
+    negated threshold, the floor max(R, ell^(1/q) T), the bound
+    max(s^(1/q), floor), and there is no chain term, so the lower-key order
+    is the (bound, R, T) tie order.  Each key covers the next, so the row
+    is one chain, and _chain_start bisects it for its first feasible key,
+    no further than the first key the staircase covers (the first
+    feasible key of the last radius that had one, or the first radius's
+    weakest) or the last key below the best, whichever comes first.  The
+    visit goes on from there.  The makespan and k-center Top scans and the
+    knapsack Top residual run through it (maxnorm.load._scan_top_guesses,
+    maxnorm.cluster._scan_top).
 
-Both accept exactly the guess the exhaustive scan accepts.  A verdict that
-contradicts monotonicity (a numerical edge) sends its radius back to a full
-search of the row: an infeasible threshold past the bisected start, or an
-infeasible sequence covered by a feasible one of this or a smaller radius.
-The makespan Top and ordered scans, the k-center Top and ordered scans and
-both knapsack residuals all run through these two.
+The k-center scans start at the first radius whose weakest guess is
+feasible, found by first_feasible_radius.  Every scan accepts exactly
+the guess the exhaustive scan accepts.  A verdict that contradicts
+monotonicity (a numerical edge), an infeasible key that a feasible one
+of this or a smaller radius covers, sends its radius back to a full
+search of the row, which solves every key it reaches.
 
 The fair variants search one more way, walk_from_first: bisect rows of
 guesses at their last (weakest) guess for the first row with a feasible
@@ -48,10 +55,10 @@ otherwise the row's last guess is asked and the guesses between are
 bisected, or the later rows are, each bisection of a row's guesses
 starting where the verdict stops refuting (first_true: gallop over the
 verdicts, ask the LP once at the first guess none refutes, bisect above it
-only when that LP is infeasible).  The fair pair scan's first open pair is mostly its first
-feasible one, so before its first visit a call mostly solves only that
-pair's LP, which the visit reads.  The ordered k-center radius bisection
-(maxnorm.cluster._scan_sequences) starts the same way, through
+only when that LP is infeasible).  The fair pair scan's first open pair
+is mostly its first feasible one, so before its first visit a call mostly
+solves only that pair's LP, which the visit reads.  The k-center radius
+bisection (first_feasible_radius) starts the same way, through
 first_true; the fair bound walk gives no verdict.  The walk's one
 contradiction rule: a visit that meets a verdict breaking monotonicity
 (its caller decides which) sends the walk back to visit every guess from
@@ -71,7 +78,7 @@ it cannot tell:
     disjoint-ball packing bound and a greedy integral opening
     (maxnorm.cluster._cover_verdict): the ordered scans at each radius's
     weakest guess only, the Top scans there and at every threshold where
-    the column bounds imply each count row (maxnorm.cluster._top_lps);
+    the column bounds imply each count row (maxnorm.cluster._scan_rows);
   * the fair separation oracles give the same two tests on their guess
     pairs' base LPs (maxnorm.fair, base_verdict): the count test where it
     refutes a pair, and either test's True where its integral point meets
@@ -255,67 +262,12 @@ def weakest_thresholds(radii, thresholds):
     return [bisect_right(thresholds, radius * (1 + 1e-12)) - 1 for radius in radii]
 
 
-def scan_top_rows(lps, radii, thresholds, ell, q, grid_of, first=None):
-    """Smallest (bound, radius, threshold, LP solution) over the Top guesses,
-    or None when no guess gives a candidate.
-
-    lps(ri, ti) solves the guess (radii[ri], thresholds[ti]); a radius tries
-    the thresholds up to itself.  A guess's bound is max(s^(1/q), R,
-    ell^(1/q) T) snapped to grid_of(R), or taken as it is when grid_of is
-    None.  first is the index of a radius known feasible at its weakest LP
-    (its largest threshold); None bisects the radii for it.
-    """
-    root = 1.0 / q
-    scale = ell ** root
-    ends = [ti + 1 for ti in weakest_thresholds(radii, thresholds)]
-    if first is None:
-        first = first_true(lambda ri: lps.feasible(ri, ends[ri] - 1), 0, len(radii))
-    if first == len(radii):
-        return None
-    known = ends[first] - 1  # a threshold index feasible at a smaller radius
-    best = None
-    for ri in range(first, len(radii)):
-        radius = radii[ri]
-        if best is not None and radius > best[0]:
-            break
-        grid = None if grid_of is None else grid_of(radius)
-        # from `limit` on, ell^(1/q) t exceeds the best bound and ends the row
-        limit = ends[ri] if best is None else first_true(
-            lambda ti: scale * thresholds[ti] > best[0], 0, ends[ri])
-        hi = min(known, limit - 1)
-        if lps.feasible(ri, hi):
-            start = known = first_true(lambda ti: lps.feasible(ri, ti), 0, hi)
-        elif hi == known:
-            start = 0  # infeasible although feasible at a smaller radius
-        else:
-            continue
-
-        def snap(value):
-            return value if grid is None else snap_to_grid(grid, value)
-
-        def visit(begin):
-            out = best
-            for ti in range(begin, limit):
-                t = thresholds[ti]
-                if out is not None and scale * t > out[0]:
-                    break
-                sol, sidx = lps(ri, ti)
-                if sol.status != OPTIMAL:
-                    if begin:  # not monotone after all: search the whole row
-                        return visit(0)
-                    continue
-                floor = max(radius, scale * t)
-                bound = snap(max(max(sol.x[sidx], 0.0) ** root, floor))
-                if bound is None:
-                    continue
-                if out is None or (bound, radius, t) < out[:3]:
-                    out = (bound, radius, t, sol)
-                if bound == snap(floor):  # a larger T snaps at least as high, loses the tie
-                    break
-            return out
-
-        best = visit(start)
-    return best
+def first_feasible_radius(lps, count, weakest):
+    """The first radius index below count whose weakest guess, count key
+    weakest(ri), is feasible, or count: a bisection that starts where the
+    LP-free verdicts stop refuting (first_true with GuessLPs.known)."""
+    return first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, count,
+                      lambda ri: lps.known(ri, weakest(ri)))
 
 
 def _covers(a, b):
@@ -340,40 +292,90 @@ class SequenceRow:
     sequences sharing a key share its LP.  self.keys lists the distinct
     keys as tuples of Python numbers, and self.members[g] the indices of
     key g's sequences, ascending.  chain(bound, indices) gives the chain
-    bounds of those sequences at a bound, which do not decrease in the
-    bound; sequence(index) gives the sequence a result carries."""
+    bounds of those sequences at a bound (one number, or one per index),
+    which do not decrease in the bound; sequence(index) gives the sequence
+    a result carries.
 
-    def __init__(self, keys, chain, sequence):
+    A sequence's bound is max(s^root, floor) for its LP's optimum s.  With
+    floors None, every floor is the radius loop's R w1.  A row given floors
+    (one per sequence) is a Top row (top_row): one sequence per key, the
+    keys in index order a chain, each covering the next, along which the
+    floors do not decrease."""
+
+    def __init__(self, keys, chain, sequence, floors=None, root=1.0):
         keys = np.asarray(keys)
         order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
         ranked = keys[order]
         starts = np.flatnonzero(np.append(True, (ranked[1:] != ranked[:-1]).any(axis=1)))
         self.keys = [tuple(key) for key in ranked[starts].tolist()]
-        self.members = np.split(order, starts[1:])  # lexsort is stable: ascending
-        self.chain, self.sequence = chain, sequence
+        ends = np.append(starts, len(order)).tolist()
+        self.members = [order[a:b] for a, b in zip(ends, ends[1:])]  # ascending: lexsort is stable
+        self.chain, self.sequence, self.floors, self.root = chain, sequence, floors, root
         self._order, self._starts = order, starts
 
-    def visits(self, floor, ri):
+    def visits(self, floors, ri):
         """(lower key, count key, key index) per count key, ascending: a
-        sequence's lower key is (floor, chain at the floor, ri, index), and
-        a count key's is its first sequence's in that order."""
-        lower = self.chain(floor, np.arange(len(self._order)))
-        order = np.argsort(lower, kind="stable")
+        sequence's lower key is (floor, chain at the floor, ri, index), its
+        floor taken from floors (one number, or one per sequence), and a
+        count key's is its first sequence's in that order."""
+        every = np.arange(len(self._order))
+        lower = np.asarray(self.chain(floors, every), float)
+        floors = np.broadcast_to(floors, every.shape)
+        order = np.lexsort((lower, floors))
         rank = np.empty(len(order), int)
         rank[order] = np.arange(len(order))
         first = np.minimum.reduceat(rank[self._order], self._starts)
-        out = []
-        for g in np.argsort(first).tolist():
-            sidx = int(order[first[g]])
-            out.append(((floor, lower[sidx], ri, sidx), self.keys[g], g))
-        return out
+        groups = np.argsort(first)
+        sidx = order[first[groups]]
+        return [((f, c, ri, s), self.keys[g], g) for f, c, s, g in
+                zip(floors[sidx].tolist(), lower[sidx].tolist(), sidx.tolist(), groups.tolist())]
 
 
-def scan_sequence_row(lps, ri, visits, real_key, best=None, prune=True):
+def top_row(radius, thresholds, ell, q):
+    """The Top-(ell,q) guesses (radius, T) for the thresholds T up to radius
+    as a SequenceRow: count key (-T,), so each key covers the next; no chain
+    term; floor max(R, ell^(1/q) T); bound max(s^(1/q), floor); sequence T."""
+    t = np.asarray(thresholds[: weakest_thresholds([radius], thresholds)[0] + 1], float)
+    return SequenceRow(-t[:, None], lambda bound, sidx: np.zeros(len(sidx)),
+                       thresholds.__getitem__, np.maximum(radius, ell ** (1.0 / q) * t), 1.0 / q)
+
+
+def _snap_floors(grid, floors):
+    """snap_to_grid at floors (one number, or an array), inf where the grid
+    tops out below a floor."""
+    if grid is None:
+        return floors
+    grid, floors = np.append(grid, np.inf), np.asarray(floors, float)
+    return grid[np.searchsorted(grid, floors - 1e-9 * np.maximum(1.0, np.abs(floors)))]
+
+
+def _chain_start(lps, ri, visits, best, stair):
+    """Where to visit a Top row from, and the staircase after it.
+
+    The row's keys, in visit order, form one chain, each covering the next,
+    so feasibility only grows along it.  top is the first key that stair,
+    a key found feasible at a smaller radius, covers, or the last key below
+    the best key where that comes first (no later key can win).  If top is
+    feasible, the first feasible key is bisected for below it, and it
+    becomes the staircase.  Otherwise every key up to top is infeasible,
+    and the row is visited from top: where stair covers it, that visit
+    meets the contradiction and searches the row again."""
+    end = len(visits) if best is None else first_true(lambda k: visits[k][0] >= best[0], 0,
+                                                      len(visits))
+    stair = visits[-1][1] if stair is None else stair
+    top = min(end - 1, first_true(lambda k: _covers(stair, visits[k][1]), 0, len(visits)))
+    if top < 0 or not lps.feasible(ri, visits[top][1]):
+        return max(top, 0), stair
+    start = first_true(lambda k: lps.feasible(ri, visits[k][1]), 0, top)
+    return start, visits[start][1]
+
+
+def scan_sequence_row(lps, ri, visits, real_key, best=None, prune=True, start=0):
     """Branch-and-bound over the count keys of radius index ri.
 
     visits are SequenceRow.visits: (lower key, count key, key index)
-    triples in ascending lower-key order.  A count key holds one number per
+    triples in ascending lower-key order, visited from index start on
+    (those before it are infeasible).  A count key holds one number per
     kept coordinate that grows as its sequences count more items there (the
     count of sizes above the threshold, or the negated threshold): lps(ri,
     count key) solves the key's LP, and a key counting at least as much
@@ -388,12 +390,12 @@ def scan_sequence_row(lps, ri, visits, real_key, best=None, prune=True):
     sequence: a later sequence of a key reached before the stop has the
     key's verdict, and one past the stop cannot win.  An infeasible verdict
     on a key that a feasible one of this or a smaller radius covers
-    contradicts monotonicity; the row is then searched again without
-    skipping, solving every key it reaches.  A key whose verdict is
-    infeasible is not solved.
+    contradicts monotonicity; the row is then searched again from its
+    first key without skipping, solving every key it reaches.  A key whose
+    verdict is infeasible is not solved.
     """
     infeasible = []
-    for lower, counts, g in visits:
+    for lower, counts, g in visits[start:]:
         if best is not None and lower >= best[0]:
             break
         if prune and any(_covers(counts, bad) for bad in infeasible):
@@ -412,23 +414,25 @@ def scan_sequence_row(lps, ri, visits, real_key, best=None, prune=True):
 
 def scan_sequence_rows(lps, radii, wtop, grid_of, row, first=0):
     """Smallest ((bound, chain, radius index, sequence index), (sequence,
-    LP solution)) over the threshold-sequence guesses of radii[first:], or
-    None when no guess gives a candidate.
+    LP solution)) over the guesses of radii[first:], or None when no guess
+    gives a candidate.
 
     row(ri) gives the SequenceRow of radius index ri: its sequences' count
     keys, grouped, the caller's chain bound and the sequence behind an
-    index.  lps(ri, count key) solves a key's LP.  A guess's bound is
-    max(s, R w1) snapped to grid_of(R), or taken as it is when grid_of is
-    None; radius 0 allows only zero-distance links, so its guesses sit at
-    bound 0.  No bound of a radius lies below its floor, R w1 snapped, so
-    each guess gets the lower key (floor, chain at the floor, radius index,
-    sequence index), which no real key undercuts; each radius is one
+    index, and for a Top row its floors and root.  lps(ri, count key)
+    solves a key's LP.  A guess's bound is max(s^root, floor) snapped to
+    grid_of(R), or taken as it is when grid_of is None; radius 0 allows
+    only zero-distance links, so s is 0 there.  No floor of a radius lies
+    below R w1 and no bound below its floor, so each guess gets the lower
+    key (floor snapped, chain at that floor, radius index, sequence
+    index), which no real key undercuts; each radius is one
     scan_sequence_row over its count keys, and the scan stops at the first
     radius whose R w1 exceeds the best bound.  A solved key's sequences
     share its bound, so its best sequence is the one with the smallest
-    (chain, index).
+    (chain, index).  A Top row starts where _chain_start's bisection puts
+    it, with the staircase carried from radius to radius.
     """
-    best = None
+    best = stair = None
     for ri in range(first, len(radii)):
         radius = radii[ri]
         least = radius * wtop
@@ -436,19 +440,24 @@ def scan_sequence_rows(lps, radii, wtop, grid_of, row, first=0):
             break
         grid = None if grid_of is None else grid_of(radius)
         seqs = row(ri)
-        floor = least if grid is None else snap_to_grid(grid, least)
+        floors = least if seqs.floors is None else seqs.floors
 
         def real_key(g, sol, svar):
-            bound = 0.0 if radius == 0.0 else max(max(sol.x[svar], 0.0), least)
+            members = seqs.members[g]
+            floor = least if seqs.floors is None else float(floors[members[0]])
+            bound = max(max(sol.x[svar], 0.0) ** seqs.root, floor)
             if grid is not None:
                 bound = snap_to_grid(grid, bound)
                 if bound is None:
                     return None
-            members = seqs.members[g]
             chains = seqs.chain(bound, members)
             k = int(np.argmin(chains))
             sidx = int(members[k])
             return (bound, chains[k], ri, sidx), (seqs.sequence(sidx), sol)
 
-        best = scan_sequence_row(lps, ri, seqs.visits(floor, ri), real_key, best)
+        visits = seqs.visits(_snap_floors(grid, floors), ri)
+        start = 0
+        if seqs.floors is not None:
+            start, stair = _chain_start(lps, ri, visits, best, stair)
+        best = scan_sequence_row(lps, ri, visits, real_key, best, start=start)
     return best

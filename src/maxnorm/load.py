@@ -8,33 +8,32 @@ minimizes the bounded mass s, and the result is snapped up to the grid;
 that is equivalent to accepting the first feasible triple in ascending-bound
 order and far cheaper.
 
-Not every guess is solved (maxnorm.guess holds both scans).  The LP only
-gets weaker as R grows (fewer pairs forbidden) and as any threshold grows
-(fewer jobs counted, and s is free), so its feasibility is monotone:
+Not every guess is solved: both norms run maxnorm.guess.scan_sequence_rows,
+from the first radius.  The LP only gets weaker as R grows (fewer pairs
+forbidden) and as any threshold grows (fewer jobs counted, and s is free),
+so its feasibility is monotone:
 
-  * Top-(ell,q): each radius bisects its thresholds for the first feasible
-    one, no higher than the previous radius's (the staircase), and visits
-    the thresholds upward from there until ell^(1/q) T exceeds the best
-    bound, keeping the smallest (bound, R, T).  The row also stops once a
-    guess's snapped bound equals its snapped floor max(R, ell^(1/q) T): a
-    larger T has a floor at least as high, so it snaps no lower and loses
-    the tie.
-  * max-ordered: maxnorm.guess.scan_sequence_rows, from the first radius.
-    Each radius is one sparsify.SequenceTable: support indices per
-    sequence, from which one vector lookup gives every sequence's count key
-    (the sizes above each threshold) and one pass its gap, so the chain
-    bound 4 R w1 + 2 B + 2 gap is a vector too.  The row hands the scan
-    the distinct count keys (about a hundred for thousands of sequences),
-    each with its sequences; a key's first sequence stands for its LP and
-    flow verdict, and only those and the accepted guess become
-    ThresholdSequence objects.  Every sequence gets the LP-free lower key
-    (floor, chain at the floor, radius index, sequence index), with
-    floor = R w1 snapped to the grid; a real key, with the bound in place
-    of floor, is never below it.  The keys are visited in ascending lower
-    key of their first sequence, a solved key offers its sequence of least
-    (chain, index), and the row stops once the next lower key reaches the
-    best real key.  A key counting at least as many sizes as an infeasible
-    one at every kept coordinate is skipped.
+  * Top-(ell,q): each radius is one guess.top_row, a chain of thresholds,
+    bisected for its first feasible one, no higher than the previous
+    radius's (the staircase), and visited upward from there, keeping the
+    smallest (bound, R, T).  The visit stops once the next threshold's
+    snapped floor max(R, ell^(1/q) T) reaches the best bound: it snaps no
+    lower, and loses the tie.
+  * max-ordered: each radius is one sparsify.SequenceTable: support
+    indices per sequence, from which one vector lookup gives every
+    sequence's count key (the sizes above each threshold) and one pass its
+    gap, so the chain bound 4 R w1 + 2 B + 2 gap is a vector too.  The row
+    hands the scan the distinct count keys (about a hundred for thousands
+    of sequences), each with its sequences; a key's first sequence stands
+    for its LP and flow verdict, and only those and the accepted guess
+    become ThresholdSequence objects.  Every sequence gets the LP-free
+    lower key (floor, chain at the floor, radius index, sequence index),
+    with floor = R w1 snapped to the grid; a real key, with the bound in
+    place of floor, is never below it.  The keys are visited in ascending
+    lower key of their first sequence, a solved key offers its sequence of
+    least (chain, index), and the row stops once the next lower key
+    reaches the best real key.  A key counting at least as many sizes as
+    an infeasible one at every kept coordinate is skipped.
 
 A verdict contradicting monotonicity (an infeasible LP where a stronger one
 was feasible) sends its radius back to a full search.
@@ -74,7 +73,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError, SolverInternalError
-from .guess import GuessLPs, SequenceRow, scan_sequence_rows, scan_top_rows
+from .guess import GuessLPs, SequenceRow, scan_sequence_rows, top_row
 from .instances import Assignment, eval_load_objective
 from .lp import EQ, NormCosts, add_norm_rows, lp_model, scaled_integers, solve_lp
 from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
@@ -401,20 +400,19 @@ def _scan_top_guesses(inst, ell, q, grid_eps):
     radii = _feasible_radii(inst, sizes)
     thresholds = single_threshold_candidates(sizes)
 
-    def build(ri, ti):
-        return _fix_free_jobs(inst, radii[ri], thresholds[ti],
-                              _topl_load_min_bound_lp(inst, ell, q, radii[ri], thresholds[ti]))
+    def build(ri, key):
+        return _fix_free_jobs(inst, radii[ri], -key[0],
+                              _topl_load_min_bound_lp(inst, ell, q, radii[ri], -key[0]))
 
     lps = GuessLPs(build, solve_lp,
-                   lambda ri, ti: _count_feasible(inst, radii[ri], (thresholds[ti],), (ell,)))
-    # every radius admits the basic LP, so the first one is feasible at T = R
-    best = scan_top_rows(lps, radii, thresholds, ell, q,
-                         lambda radius: geometric_grid(radius, n ** root * radius, grid_eps),
-                         first=0)
+                   lambda ri, key: _count_feasible(inst, radii[ri], (-key[0],), (ell,)))
+    best = scan_sequence_rows(lps, radii, 1.0,
+                              lambda radius: geometric_grid(radius, n ** root * radius, grid_eps),
+                              lambda ri: top_row(radii[ri], thresholds, ell, q))
     if best is None:
         raise SolverInternalError("guessing grids failed to cover the instance")
-    bound, radius, t, sol = best
-    return bound, radius, t, sol.x[: m * n].reshape(m, n)
+    (bound, _, ri, _), (t, sol) = best
+    return bound, radii[ri], t, sol.x[: m * n].reshape(m, n)
 
 
 def _nearest_assignment(inst):

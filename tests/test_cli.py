@@ -340,6 +340,31 @@ def test_sample_rejects_fewer_than_one_draw(tmp_path, capsys):
         assert json.loads(err)["error"] == "invalid-input"
 
 
+@pytest.mark.parametrize("command", ["sample", "fair-solve"])
+def test_zero_denominators_exit_invalid(tmp_path, capsys, command):
+    """A rational with a zero denominator, a distribution weight
+    {"num": 1, "den": 0} for sample or a fairness target "1/0" for
+    fair-solve, once escaped main as a ZeroDivisionError from the decoder
+    (exit 1, a traceback)."""
+    inst_path = tmp_path / "fair.json"
+    main(["gen", "fair-load", "--machines", "2", "--jobs", "2", "--seed", "4",
+          "--out", str(inst_path)])
+    if command == "sample":
+        path = tmp_path / "dist.json"
+        main(["fair-solve", str(inst_path), "--norm", "topl:1:1", "--out", str(path)])
+        data = json.loads(path.read_text())
+        data["lambda"][0] = {"num": 1, "den": 0}
+        argv = ["sample", str(path), "--n", "10"]
+    else:
+        path, data = inst_path, json.loads(inst_path.read_text())
+        data["e"][0] = "1/0"
+        argv = ["fair-solve", str(path), "--norm", "topl:1:1"]
+    path.write_text(json.dumps(data))
+    code, out, err = _run(argv, capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "invalid-input"
+
+
 def test_sample_past_its_cap_exits_resource_cap(tmp_path):
     """Without a cap --n 10^8 did not finish; run in a child process with
     capped memory and time."""

@@ -7,11 +7,13 @@ monotonicity can be planted where the search is bound to see them.
 """
 
 import dataclasses
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 
 import _exhaustive_scans as exhaustive
+import _top_scan
 from _gen import random_cluster, random_load, random_max_ordered_weights
 from _sequence_scan import sequence_scan_rows
 from _threshold_helpers import center_sequences, sequence_keys
@@ -1460,3 +1462,108 @@ def _row_keys(inst, radius):
     sizes = inst.finite_sizes()
     seqs = list(load.enumerate_threshold_sequences(radius, inst.jobs))
     return {(radius, key) for key in sequence_keys(sizes, [seq.values for seq in seqs])}
+
+
+# ---------------------------------------------------------------------------
+# Top rows through the merged scan against the staircase scan
+
+
+def _top_cases(rng):
+    """One random tabled Top case: (owner module, tabled harness, table,
+    thresholds, the merged scan, the staircase reference), for k-center,
+    the knapsack residual or makespan, drawn in turn."""
+    kind = int(rng.integers(0, 3))
+    ell, q = _top_params(rng)
+    if kind == 2:
+        inst = random_load(rng, m_hi=3, j_hi=5, pmax=12, forbidden=0.2)
+        sizes = inst.finite_sizes()
+        table = _top_table(rng, load._feasible_radii(inst, sizes), mass=60.0)
+        return (load, _tabled_load_lps(inst, top=True), table, single_threshold_candidates(sizes),
+                lambda: load._scan_top_guesses(inst, ell, q, 0.05),
+                lambda: _top_scan.load_scan_top_guesses(inst, ell, q, 0.05))
+    core = core_of(random_cluster(rng, nc_hi=3, nf_hi=4))
+    radii = sorted(set(core.distances()) | {0.0})
+    if kind == 0:
+        return (cluster, _tabled_lps, _top_table(rng, radii), radii,
+                lambda: cluster._scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q, 0.1),
+                lambda: _top_scan.center_scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q,
+                                                          0.1))
+    radius, nf = radii[int(rng.integers(0, len(radii)))], core.n_facilities
+    args = (core, list(range(nf)), np.zeros(nf), 1.0, (0,) * core.n_clients, radius,
+            top_norm(ell, q), single_threshold_candidates(core.distances()))
+    return (cluster, _tabled_lps, _top_table(rng, radii, mass=10.0), radii,
+            lambda: cluster._residual_guess(*args, None),
+            lambda: _top_scan.residual_top_guess(*args))
+
+
+def _run_top(monkeypatch, owner, tabled, table, verdicts, scan):
+    """scan() under the LP table and the verdict table: its outcome, the
+    guesses solved and asked (log), the LPs solved, and whether a row
+    bisection skipped keys and a row was searched again."""
+    log, solved, seen = [], [], Counter()
+    tabled(monkeypatch, table, log, verdicts=verdicts)
+    solve, start, row = owner.solve_lp, guess._chain_start, guess.scan_sequence_row
+
+    def chain_start(*args):
+        found = start(*args)
+        seen["bisected"] += found[0] > 0
+        return found
+
+    def scan_row(*args, **kwargs):
+        seen["searched again"] += not kwargs.get("prune", True)
+        return row(*args, **kwargs)
+
+    monkeypatch.setattr(owner, "solve_lp", lambda key: solved.append(key) or solve(key))
+    monkeypatch.setattr(guess, "_chain_start", chain_start)
+    monkeypatch.setattr(guess, "scan_sequence_row", scan_row)
+    try:
+        out = scan()
+    except MaxNormError as exc:
+        out = (type(exc), str(exc))
+    monkeypatch.undo()
+    return out, log, solved, seen
+
+
+def top_row_comparisons(monkeypatch, seed=326, cases=150):
+    """Per table, ((merged outcome, LPs, seen), (reference outcome, LPs)).
+    Each random case gives its monotone table, then up to two with a hole
+    from the reference's log: one its visits or staircase meet, and one
+    whose LP refutes a feasible verdict (_visit_holes, _staircase_holes and
+    _refuted_holes, each with its lure where it has one)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(cases):
+        owner, tabled, table, thresholds, new, ref = _top_cases(rng)
+        base = _run_top(monkeypatch, owner, tabled, table, None, ref)[1]
+        reached = set(_run_top(monkeypatch, owner, tabled, table, None, new)[1])
+        planted = [(_planted(table, *pair), None) for pair in
+                   _visit_holes(base, table, thresholds) + _staircase_holes(base, table)
+                   if pair[0] in reached]
+        refuted = [(_planted(table, *pair), table)
+                   for pair in _refuted_holes(base, table, thresholds) if pair[0] in reached]
+        variants = [(table, None)]
+        for group in (planted, refuted):
+            if group:
+                variants.append(group[int(rng.integers(0, len(group)))])
+        for lp_table, verdicts in variants:
+            mine = _run_top(monkeypatch, owner, tabled, lp_table, verdicts, new)
+            theirs = _run_top(monkeypatch, owner, tabled, lp_table, verdicts, ref)
+            yield (mine[0], mine[2], mine[3]), (theirs[0], theirs[2])
+
+
+def test_top_rows_match_the_staircase_scan(monkeypatch):
+    """The merged scan on Top rows accepts the guess the staircase scan it
+    replaced accepts (tests/_top_scan.py) on k-center, knapsack residual and
+    makespan tables, monotone and with holes planted from the staircase
+    scan's log, and solves no more LPs over them all.  The merged scan's
+    chain bisection skips keys on many tables, and some rows meet a
+    contradiction and are searched again."""
+    tables = mine_lps = their_lps = 0
+    seen = Counter()
+    for (new, lps, events), (ref, ref_lps) in top_row_comparisons(monkeypatch):
+        assert _same(new, ref), tables
+        tables += 1
+        mine_lps, their_lps = mine_lps + len(lps), their_lps + len(ref_lps)
+        seen["bisected"] += events["bisected"] > 0
+        seen["searched again"] += events["searched again"] > 0
+    assert tables >= 300 and mine_lps <= their_lps, (tables, mine_lps, their_lps)
+    assert seen["bisected"] >= 100 and seen["searched again"] >= 30, seen
