@@ -3,15 +3,21 @@ own under a memory limit and a timeout.
 
     python3 scripts/scale.py [--src DIR] [--timeout S] [--memory-mb MB] [CASE ...]
 
-Each case prints one line, `CASE STATUS WALL_S LPS SHA256 DETAIL`: STATUS is
-ok, timeout or error; WALL_S the seconds the solves took in the child
-(imports excluded; the timeout on a timeout); LPS the number of `solve_lp`
-calls; SHA256 the first 16 hex digits of a hash over every result (value,
-certificate and solution, or the error raised).  Once every line is
-printed, the script exits 1 if any case's STATUS is not ok, else 0, so a
-check needs only its exit code.  Comparing two source trees
-is one `diff` of their outputs with the WALL_S column cut; pass --src to
-import the package from another tree (default: ./src next to this script).
+Each case prints one line, `CASE STATUS WALL_S PEAK_MB LPS SHA256 DETAIL`:
+STATUS is ok, timeout or error; WALL_S the seconds the solves took in the
+child (imports excluded; the timeout on a timeout); PEAK_MB the child's
+peak resident set size in MiB (its ru_maxrss, imports included; - where it
+printed none); LPS the number of `solve_lp` calls; SHA256 the first 16 hex
+digits of a hash over every result (value, certificate and solution, or
+the error raised).  Once every line is printed, the script exits 1 if any
+case's STATUS is not ok, else 0, so a check needs only its exit code.
+Comparing two source trees is one `diff` of their outputs with the WALL_S
+and PEAK_MB columns cut; pass --src to import the package from another
+tree (default: ./src next to this script):
+
+    diff <(python3 scripts/scale.py | cut -d' ' -f1,2,5-) \
+         <(python3 scripts/scale.py --src OTHER/src | cut -d' ' -f1,2,5-)
+
 The cases take minutes in all, so no test suite runs this script.
 
 The cases (Top-(2,1) and eps 0.1 unless named otherwise):
@@ -171,8 +177,9 @@ def run_child(name):
         digest.update((text + "\n").encode())
     wall = time.perf_counter() - start
     detail = " ".join(f"{k}={v}" for k, v in sorted(outcomes.items()))
-    print(json.dumps({"wall": wall, "lps": calls[0], "sha": digest.hexdigest()[:16],
-                      "detail": detail}))
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    print(json.dumps({"wall": wall, "peak_mb": peak_kib / 1024, "lps": calls[0],
+                      "sha": digest.hexdigest()[:16], "detail": detail}))
 
 
 def run_case(name, src, timeout, memory_mb):
@@ -186,13 +193,14 @@ def run_case(name, src, timeout, memory_mb):
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                                     (limit, limit)))
     except subprocess.TimeoutExpired:
-        return "timeout", f"{timeout:.1f}", "-", "-", "-"
+        return "timeout", f"{timeout:.1f}", "-", "-", "-", "-"
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-        return "error", "-", "-", "-", last
+        return "error", "-", "-", "-", "-", last
     out = json.loads(lines[-1])
-    return "ok", f"{out['wall']:.2f}", str(out["lps"]), out["sha"], out["detail"]
+    return ("ok", f"{out['wall']:.2f}", f"{out['peak_mb']:.1f}", str(out["lps"]), out["sha"],
+            out["detail"])
 
 
 def main():

@@ -32,8 +32,11 @@ instead of solving every infeasible guess:
     greedy integral opening, and leaves the radii in between to the LP
     (GuessLPs' verdict, so a probe is solved only when a visit reads it).
     The bisection, guess.first_feasible_radius, is the Top and ordered
-    scans' one (_scan_rows builds both scans' LPs and verdicts), and
-    starts where the cover verdict stops refuting.  A Top scan's
+    scans' one (_scan_rows builds both scans' LPs and verdicts).  It
+    starts at the ball floor, the first radius whose balls hold every l_j
+    and can carry m (_ball_floor over every facility), since the cover
+    verdict's first rule refutes every radius below it, and gallops from
+    there to where the cover verdict stops refuting.  A Top scan's
     threshold probe takes the same verdict wherever the column bounds
     imply every count row, min(r_j, #{i : T < d_ij <= R}) <= ell for
     every client (_count_rows_implied; _scan_top has the argument);
@@ -717,10 +720,12 @@ def _count_rows_implied(core, radius, t, ell):
 def _scan_rows(core, budget, radii, wtop, grid_of, row, spec, weakest, implied=None):
     """guess.scan_sequence_rows over row(ri) for the radii, from the first
     radius whose weakest count key weakest(ri) is feasible
-    (guess.first_feasible_radius).  lps(ri, key) solves _center_lp with
-    normspec spec(ri, key).  A probe takes its radius's _cover_verdict,
-    decided once per radius, at the weakest key and wherever implied(ri,
-    key) holds; every other probe gets None."""
+    (guess.first_feasible_radius, bisected from _ball_floor over every
+    facility: below it _cover_verdict's first rule refutes each radius).
+    lps(ri, key) solves _center_lp with normspec spec(ri, key).  A probe
+    takes its radius's _cover_verdict, decided once per radius, at the
+    weakest key and wherever implied(ri, key) holds; every other probe gets
+    None."""
     cover = functools.cache(lambda ri: _cover_verdict(core, budget, radii[ri], coverage=True))
 
     def verdict(ri, key):
@@ -730,8 +735,9 @@ def _scan_rows(core, budget, radii, wtop, grid_of, row, spec, weakest, implied=N
 
     lps = GuessLPs(lambda ri, key: _center_lp(core, budget, spec(ri, key), radii[ri]),
                    solve_lp, verdict)
-    return scan_sequence_rows(lps, radii, wtop, grid_of, row,
-                              first_feasible_radius(lps, len(radii), weakest))
+    floor = _ball_floor(core, np.searchsorted(radii, core.cf, side="left"))
+    return scan_sequence_rows(lps, radii, wtop, grid_of, row, first_feasible_radius(
+        lps, len(radii), weakest, len(radii) if floor is None else floor))
 
 
 def _scan_top(core, budget, ell, q, radii, thresholds, grid_of):
@@ -939,10 +945,16 @@ def _heavy_sets(heavy, wt, budget_w, eps):
 def _radius_floor(core, reach, avail):
     """Index of the first radius at which every client's ball over the
     facilities avail holds l_j of them and sum_j min(r_j, ball) reaches m,
-    or None when no radius does.  reach[j, i] is the index of the first
-    radius whose ball of client j holds facility i, so a ball at radius
-    index ri holds the facilities whose reach is at most ri."""
-    rows = np.sort(reach[:, avail], axis=1)
+    or None when no radius does (_ball_floor over those facilities)."""
+    return _ball_floor(core, reach[:, avail])
+
+
+def _ball_floor(core, reach):
+    """_radius_floor over the facilities of reach's columns: reach[j, i] is
+    the index of the first radius whose ball of client j holds facility i,
+    so a ball at radius index ri holds the facilities whose reach is at
+    most ri."""
+    rows = np.sort(reach, axis=1)
     if np.any(core.l > rows.shape[1]):
         return None
     kept = rows[np.arange(rows.shape[1]) < core.r[:, None]]  # each client's r_j nearest

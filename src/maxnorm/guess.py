@@ -262,11 +262,12 @@ def weakest_thresholds(radii, thresholds):
     return [bisect_right(thresholds, radius * (1 + 1e-12)) - 1 for radius in radii]
 
 
-def first_feasible_radius(lps, count, weakest):
-    """The first radius index below count whose weakest guess, count key
-    weakest(ri), is feasible, or count: a bisection that starts where the
-    LP-free verdicts stop refuting (first_true with GuessLPs.known)."""
-    return first_true(lambda ri: lps.feasible(ri, weakest(ri)), 0, count,
+def first_feasible_radius(lps, count, weakest, lo=0):
+    """The first radius index in [lo, count) whose weakest guess, count key
+    weakest(ri), is feasible, or count, for a caller that knows every radius
+    below lo infeasible: a bisection that starts where the LP-free verdicts
+    stop refuting (first_true with GuessLPs.known)."""
+    return first_true(lambda ri: lps.feasible(ri, weakest(ri)), lo, count,
                       lambda ri: lps.known(ri, weakest(ri)))
 
 

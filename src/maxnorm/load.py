@@ -48,13 +48,15 @@ caps.  A Hall count per cap level refutes most infeasible guesses; an
 augmenting-path placement of those jobs decides the rest exactly.  Only
 guesses a visit reads are solved.
 
-Those LPs leave the free jobs (the ones with an allowed uncounted machine)
-out of the solver (_fix_free_jobs): each is fixed whole on its first such
-machine, so HiGHS sees the forced jobs and s, on the 30x300 benchmark
-models a few hundred of about two thousand columns.  That column appears
-only in the job's assignment row, and moving the job's mass onto it
-raises no count row, no mass row and not s, so every verdict and optimum
-is the full model's.  The vertex, and so the rounding, can differ.
+Those LPs are built over the forced jobs only (the builders' forced_only):
+a free job (one with an allowed uncounted machine) gets no column and is
+placed whole on its first such machine, its home (_assignment_x, for the
+accepted solution only).  On the 30x300 benchmark models HiGHS gets a few
+hundred of the full model's 9,001 columns.  A home column would appear
+only in its job's assignment row, and moving the job's mass onto it raises
+no count row, no mass row and not s, so every verdict and optimum is the
+full model's.  The vertex, and so the rounding, can differ.  HiGHS gets
+the very arrays of the full model with each free job fixed on its home.
 
 Rounding reads the vertex as arrays: each machine's positive entries, in
 size order, are the only ones its copy fill visits, and the copy graph's
@@ -95,24 +97,54 @@ def build_basic_load_lp(inst, radius):
     return model
 
 
-def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None):
+def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None,
+                            forced_only=False):
     """Basic LP plus, per machine, a count cap of ell and a q-th-power mass
     cap over the jobs strictly larger than the threshold (lp.add_norm_rows,
     machines over jobs).  With fixed_bound None, adds a variable s replacing
-    bound^q and minimizes it; returns (model, index of s)."""
-    return _load_norm_lp(inst, radius, ("top", ell, q, threshold), fixed_bound)
+    bound^q and minimizes it; returns (model, index of s).  With
+    forced_only, the model holds the forced jobs only (_load_norm_lp)."""
+    return _load_norm_lp(inst, radius, ("top", ell, q, threshold), fixed_bound,
+                         threshold if forced_only else None)
 
 
-def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bound=None):
+def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bound=None,
+                               forced_only=False):
     """Basic LP plus, per machine, a count cap of ell over the jobs above
     each kept coordinate ell's threshold and, per weight vector, a
-    telescoped weighted-mass row bounded by s (or by a fixed bound)."""
-    return _load_norm_lp(inst, radius, ("ordered", sparse_weights, pos, seq), fixed_bound)
+    telescoped weighted-mass row bounded by s (or by a fixed bound).  With
+    forced_only, the model holds the forced jobs only (_load_norm_lp)."""
+    return _load_norm_lp(inst, radius, ("ordered", sparse_weights, pos, seq), fixed_bound,
+                         seq.values[-1] if forced_only else None)
 
 
-def _load_norm_lp(inst, radius, normspec, fixed_bound):
-    model = build_basic_load_lp(inst, radius)
-    costs = NormCosts(inst.p, np.arange(inst.p.size).reshape(inst.p.shape))
+def _load_norm_lp(inst, radius, normspec, fixed_bound, lowest=None):
+    """The builders' model: column i * n + j is x(i, j), then s.  Given the
+    guess's lowest threshold, only the forced jobs' allowed pairs get
+    columns (_guess_columns, in that order), then s.
+
+    That is the full model with each free job fixed whole on its home
+    machine and each forbidden pair at 0, less its fixed columns and the
+    rows they leave empty, which hold at any point; the solver gets the
+    same arrays (lp._layout substitutes fixed columns out and drops such
+    rows).  Which rows exist is still decided over every pair
+    (NormCosts.largest), so a machine whose counted pairs all belong to free
+    jobs keeps its mass rows as -s <= 0."""
+    p = inst.p
+    if lowest is None:
+        model = build_basic_load_lp(inst, radius)
+        costs = NormCosts(p, np.arange(p.size).reshape(p.shape))
+    else:
+        columns, home = _guess_columns(p, radius, lowest)
+        forced = np.flatnonzero(home < 0)
+        pairs = columns[:, forced]
+        jobs = pairs.nonzero()[1]  # per column, its job's place among the forced
+        cols = np.zeros(pairs.shape, np.int64)
+        cols[pairs] = np.arange(len(jobs))
+        model = lp_model(len(jobs), lower=0.0, upper=1.0)
+        model.add_rows(jobs, np.arange(len(jobs)), np.ones(len(jobs)), EQ, np.ones(len(forced)))
+        costs = NormCosts(np.where(pairs, p[:, forced], np.inf), cols,
+                          np.max(p, axis=1, initial=-np.inf, where=np.isfinite(p)))
     return model, add_norm_rows(model, costs, normspec, fixed_bound)
 
 
@@ -127,25 +159,24 @@ def _free_jobs(p, radius, lowest):
     return allowed, np.where(uncounted.any(axis=0), uncounted.argmax(axis=0), -1)
 
 
-def _fix_free_jobs(inst, radius, lowest, built):
-    """A min-bound guess LP (model, index of s) from the builders above, at
-    this radius and lowest threshold, with every free job fixed whole on its
-    home machine: lower = upper = 1 there, upper = 0 on its other machines.
-    Fixed columns never reach the solver, so it sees the forced jobs and s.
+def _guess_columns(p, radius, lowest):
+    """(columns, home): the pairs that get a column in a guess LP built with
+    forced_only, the allowed pairs of the forced jobs, in row-major order,
+    and _free_jobs's home per job."""
+    allowed, home = _free_jobs(p, radius, lowest)
+    return allowed & (home < 0), home
 
-    Exact: a free job's home column appears only in the job's assignment
-    row, and moving its mass there raises no count row, no mass row and not
-    s (the mass coefficients are non-negative: sizes are, and sparsified
-    weights do not increase).  So the optimum and the verdict are the full
-    model's; the vertex can differ."""
-    model, sidx = built
-    _, home = _free_jobs(inst.p, radius, lowest)
+
+def _assignment_x(inst, radius, lowest, x):
+    """The fractional assignment, machines over jobs, of a solution x of the
+    guess LP built with forced_only at this radius and lowest threshold:
+    the forced jobs' pairs from x, each free job whole on its home machine."""
+    columns, home = _guess_columns(inst.p, radius, lowest)
+    out = np.zeros(inst.p.shape)
     free = np.flatnonzero(home >= 0)
-    upper = model.upper[: inst.p.size].reshape(inst.p.shape)  # views of the x columns
-    upper[:, free] = 0.0
-    upper[home[free], free] = 1.0
-    model.lower[: inst.p.size].reshape(inst.p.shape)[home[free], free] = 1.0
-    return model, sidx
+    out[home[free], free] = 1.0
+    out[columns] = x[: np.count_nonzero(columns)]
+    return out
 
 
 def _count_feasible(inst, radius, thresholds, caps):
@@ -393,16 +424,17 @@ def _solve_makespan(inst, norm, eps):
 
 
 def _scan_top_guesses(inst, ell, q, grid_eps):
-    """Smallest (bound, radius, threshold, x) over the (R, T) guesses."""
-    m, n = inst.machines, inst.jobs
+    """Smallest (bound, radius, threshold, x) over the (R, T) guesses, each
+    LP built over its forced jobs; x is the accepted LP's solution over
+    every pair (_assignment_x)."""
+    n = inst.jobs
     root = 1.0 / q
     sizes = inst.finite_sizes()
     radii = _feasible_radii(inst, sizes)
     thresholds = single_threshold_candidates(sizes)
 
     def build(ri, key):
-        return _fix_free_jobs(inst, radii[ri], -key[0],
-                              _topl_load_min_bound_lp(inst, ell, q, radii[ri], -key[0]))
+        return _topl_load_min_bound_lp(inst, ell, q, radii[ri], -key[0], forced_only=True)
 
     lps = GuessLPs(build, solve_lp,
                    lambda ri, key: _count_feasible(inst, radii[ri], (-key[0],), (ell,)))
@@ -412,7 +444,7 @@ def _scan_top_guesses(inst, ell, q, grid_eps):
     if best is None:
         raise SolverInternalError("guessing grids failed to cover the instance")
     (bound, _, ri, _), (t, sol) = best
-    return bound, radii[ri], t, sol.x[: m * n].reshape(m, n)
+    return bound, radii[ri], t, _assignment_x(inst, radii[ri], t, sol.x)
 
 
 def _nearest_assignment(inst):
@@ -431,8 +463,10 @@ def solve_ordered_makespan(inst, weights, eps):
 
 def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     """(bound, radius, sequence, x) of the guess with the smallest (bound,
-    chain bound, radius index, sequence index)."""
-    m, n = inst.machines, inst.jobs
+    chain bound, radius index, sequence index), each count key's LP built
+    over its forced jobs; x is the accepted LP's solution over every pair
+    (_assignment_x)."""
+    n = inst.jobs
     sizes = inst.finite_sizes()
     radii = _feasible_radii(inst, sizes)
     reps = {}  # (radius index, count key) -> (table, index of its first sequence)
@@ -442,9 +476,8 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
         return table.sequence(k)
 
     def build(ri, counts):
-        seq = rep(ri, counts)
-        return _fix_free_jobs(inst, radii[ri], seq.values[-1],
-                              _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri], seq))
+        return _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri], rep(ri, counts),
+                                          forced_only=True)
 
     lps = GuessLPs(build, solve_lp,
                    lambda ri, counts: _count_feasible(inst, radii[ri], rep(ri, counts).values,
@@ -466,7 +499,9 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     if best is None:
         raise SolverInternalError("guessing grids failed to cover the instance")
     (bound, _, ri, _), (seq, sol) = best
-    return bound, radii[ri], seq, sol.x[: m * n].reshape(m, n)
+    # the sequences of a count key count the same sizes above their last
+    # threshold, so seq frees the jobs its key's LP was built without
+    return bound, radii[ri], seq, _assignment_x(inst, radii[ri], seq.values[-1], sol.x)
 
 
 def _count_keys(table, sizes):

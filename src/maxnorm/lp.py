@@ -12,10 +12,12 @@ Two solvers live here:
     builds.  add_norm_rows turns a norm guess into its count and mass rows,
     for makespan (machines over jobs) and k-center (clients over
     facilities) alike, from a NormCosts that holds what no guess changes:
-    the costs masked for counting and the masses per power.  Fixed
-    columns (finite lower == upper, such as the pairs a radius guess
-    forbids) never reach the solver: solve_lp substitutes them out,
-    shifting each row bound by their activity, and lays the free columns
+    the costs masked for counting, the masses per power and each owner's
+    largest cost, which decides the rows that exist (it may cover items
+    with no column, as the makespan guess LPs' free jobs).  Fixed columns
+    (finite lower == upper, such as the pairs a radius guess forbids in the
+    fair load base LPs) never reach the solver: solve_lp substitutes them
+    out, shifting each row bound by their activity, and lays the free columns
     out as scipy's linprog would (<= rows and negated >= rows in model
     order, then == rows; one CSC matrix with duplicates summed and explicit
     zeros dropped).  It
@@ -30,8 +32,9 @@ Two solvers live here:
     import.  A model whose columns are all fixed keeps its first column, so
     HiGHS still decides it.  Solutions come back over every column, fixed
     ones at their value; optimal ones are verified against every row of
-    the full model within a residual tolerance TAU_LP (one sparse mat-vec)
-    and come back with at-bound flags (vertex certificate).
+    the model given, fixed columns included, within a residual tolerance
+    TAU_LP (one sparse mat-vec) and come back with at-bound flags (vertex
+    certificate).
   * simplex_solve: a small dense two-phase simplex with Bland's rule in
     exact rational arithmetic, used wherever exactness matters (dual
     candidate points, distribution LPs).  Problem sizes there are tiny.
@@ -208,12 +211,19 @@ class NormCosts:
     over its facilities), and cols[o, i] is the model column of owner o's
     item i.  The costs are kept with the non-finite ones at -inf, so the
     items counted at a threshold are one comparison, and the masses of
-    each power are computed once."""
+    each power are computed once.
 
-    def __init__(self, cost, cols):
+    largest[o] is owner o's largest finite cost (-inf where it has none),
+    which decides the owner's rows: a row is there when an item above its
+    threshold is.  A caller may give it over more items than cost holds;
+    those items then decide which rows exist but add no entry."""
+
+    def __init__(self, cost, cols, largest=None):
         self.cols = cols
         self.finite = np.isfinite(cost)
         self.counted_cost = np.where(self.finite, cost, -np.inf)
+        self.largest = (np.max(self.counted_cost, axis=1, initial=-np.inf) if largest is None
+                        else largest)
         self._mass = {}  # power -> masses
 
     def mass(self, power):
@@ -249,9 +259,10 @@ def add_norm_rows(model, costs, normspec, fixed_bound):
     count row (coefficients 1); then for each weight vector with a term, a
     mass row whose coefficient on an item accumulates delta * mass over the
     thresholds in order with a nonzero delta counting it (terms may cancel
-    to zero).  With fixed_bound None the mass rows are bounded by a new
-    column s (coefficient -1, right-hand side 0, cost 1); otherwise by
-    B^q."""
+    to zero).  A row is there where NormCosts.largest is above one of its
+    thresholds, even when no item of cost does.  With fixed_bound None
+    the mass rows are bounded by a new column s (coefficient -1,
+    right-hand side 0, cost 1); otherwise by B^q."""
     if normspec[0] == "top":
         _, ell, power, threshold = normspec
         thresholds, caps, deltas = [threshold], [ell], [[1.0]]
@@ -278,7 +289,11 @@ def add_norm_rows(model, costs, normspec, fixed_bound):
             if d != 0.0:
                 entry[w] |= counted[k]
                 np.add(value[w], d * mass, out=value[w], where=counted[k])
-    present = np.logical_or.reduce(entry, axis=2).T  # (owner, slot)
+    # a count row is there where the owner's largest cost is above its
+    # threshold, a mass row where it is above its least threshold with a delta
+    lows = [min((t for t, d in zip(thresholds, delta) if d != 0.0), default=np.inf)
+            for delta in deltas.tolist()]
+    present = costs.largest[:, None] > np.asarray(list(thresholds) + lows, float)  # (owner, slot)
     row_owner, row_slot = present.nonzero()  # the rows, owner by owner
     row_of = np.empty(present.shape, np.int64)
     row_of[row_owner, row_slot] = np.arange(len(row_slot))

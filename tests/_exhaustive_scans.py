@@ -15,6 +15,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+import _load_builders
 from _threshold_helpers import sequence_keys
 from maxnorm import cluster, fair, load
 from maxnorm.lp import OPTIMAL
@@ -240,7 +241,8 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
 
 # ---------------------------------------------------------------------------
 # makespan: the scans of solve_topl_makespan and solve_ordered_makespan, each
-# guess LP with its free jobs fixed as the scans fix them (load._fix_free_jobs)
+# guess LP with its free jobs fixed as the scans once fixed them
+# (_load_builders._fix_free_jobs)
 
 
 def _feasible_radii(inst):
@@ -265,7 +267,7 @@ def load_scan_top_guesses(inst, ell, q, grid_eps):
                 break
             if best is not None and ell ** root * t > best[0]:
                 break
-            model, sidx = load._fix_free_jobs(
+            model, sidx = _load_builders._fix_free_jobs(
                 inst, radius, t, load._topl_load_min_bound_lp(inst, ell, q, radius, t))
             sol = load.solve_lp(model)
             if sol.status != OPTIMAL:
@@ -297,7 +299,7 @@ def load_scan_ordered_guesses(inst, sparse, pos, wtop, eps):
             if key in cache:
                 sval, x = cache[key]
             else:
-                model, svar = load._fix_free_jobs(
+                model, svar = _load_builders._fix_free_jobs(
                     inst, radius, seq.values[-1],
                     load._ordered_load_min_bound_lp(inst, sparse, pos, radius, seq))
                 sol = load.solve_lp(model)

@@ -10,6 +10,7 @@ load counterparts) reaches both implementations.
 
 import functools
 
+import _load_builders
 from maxnorm import cluster, load
 from maxnorm.guess import GuessLPs, first_true, weakest_thresholds
 from maxnorm.lp import OPTIMAL
@@ -136,8 +137,9 @@ def load_scan_top_guesses(inst, ell, q, grid_eps):
     thresholds = single_threshold_candidates(sizes)
 
     def build(ri, ti):
-        return load._fix_free_jobs(inst, radii[ri], thresholds[ti], load._topl_load_min_bound_lp(
-            inst, ell, q, radii[ri], thresholds[ti]))
+        return _load_builders._fix_free_jobs(
+            inst, radii[ri], thresholds[ti],
+            load._topl_load_min_bound_lp(inst, ell, q, radii[ri], thresholds[ti]))
 
     lps = GuessLPs(build, load.solve_lp, lambda ri, ti: load._count_feasible(
         inst, radii[ri], (thresholds[ti],), (ell,)))

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import _exhaustive_scans as exhaustive
+import _load_builders
 import _top_scan
 from _gen import random_cluster, random_load, random_max_ordered_weights
 from _sequence_scan import sequence_scan_rows
@@ -561,8 +562,10 @@ def _tabled_lps(monkeypatch, table, log, verdicts=None, weakest=_top_weakest):
     threshold sequence.  The LP-free verdict on a radius's weakest guess,
     weakest(core, radius), looks it up in the same table, or in verdicts
     when one is given.  A table has no column bounds that could imply a
-    count row, so no other Top probe takes that verdict.  log records the
-    guesses solved and the verdicts asked, in order."""
+    count row, so no other Top probe takes that verdict, and no balls, so
+    no radius floor: the scans start their radius bisection at the first
+    radius.  log records the guesses solved and the verdicts asked, in
+    order."""
     def center_lp(core, budget, normspec, radius, **kwargs):
         return (radius, normspec[3]), 0
 
@@ -582,6 +585,7 @@ def _tabled_lps(monkeypatch, table, log, verdicts=None, weakest=_top_weakest):
     monkeypatch.setattr(cluster, "solve_lp", solve_lp)
     monkeypatch.setattr(cluster, "_cover_verdict", cover_verdict)
     monkeypatch.setattr(cluster, "_count_rows_implied", lambda core, radius, t, ell: False)
+    monkeypatch.setattr(cluster, "_ball_floor", lambda core, reach: 0)
     monkeypatch.setattr(cluster, "_lp_parts", lambda core, x: float(x[0]))
 
 
@@ -1113,9 +1117,11 @@ def test_load_lp_count(monkeypatch):
 def _tabled_load_lps(inst, top):
     """Like _tabled_lps, for the makespan relaxations: a Top guess is its
     threshold, a sequence guess its count key (which fixes its LP); top says
-    which of the two the scan asks about.  The free-job fixing passes the
-    key through.  The flow verdict looks the guess up in the same table, or
-    in verdicts when one is given, and logs it like a solve."""
+    which of the two the scan asks about.  The references' free-job fixing
+    passes the key through, and the scans' expansion of the accepted
+    solution reads it as the full model's.  The flow verdict looks the
+    guess up in the same table, or in verdicts when one is given, and logs
+    it like a solve."""
     m, n = inst.machines, inst.jobs
     sizes = inst.finite_sizes()
 
@@ -1133,11 +1139,14 @@ def _tabled_load_lps(inst, top):
             return (verdicts or table)(radius, guess) is not None
 
         monkeypatch.setattr(load, "_topl_load_min_bound_lp",
-                            lambda inst, ell, q, radius, t: ((radius, t), 0))
+                            lambda inst, ell, q, radius, t, forced_only=False: ((radius, t), 0))
         monkeypatch.setattr(load, "_ordered_load_min_bound_lp",
-                            lambda inst, sparse, pos, radius, seq:
+                            lambda inst, sparse, pos, radius, seq, forced_only=False:
                             ((radius, sequence_keys(sizes, [seq.values])[0]), 0))
-        monkeypatch.setattr(load, "_fix_free_jobs", lambda inst, radius, lowest, built: built)
+        monkeypatch.setattr(_load_builders, "_fix_free_jobs",
+                            lambda inst, radius, lowest, built: built)
+        monkeypatch.setattr(load, "_assignment_x",
+                            lambda inst, radius, lowest, x: x[: m * n].reshape(m, n))
         monkeypatch.setattr(load, "solve_lp", solve_lp)
         monkeypatch.setattr(load, "_count_feasible", count_feasible)
     return tabled

@@ -9,6 +9,7 @@ import pytest
 import _dict_row_builders as dict_rows
 from _fraction_matching import fraction_simplex_round
 from _gen import random_load, random_max_ordered_weights
+import _load_builders
 from _load_builders import build_ordered_load_lp, build_topl_load_lp
 from _loop_rounding import loop_machine_copies, loop_shmoys_tardos_round
 from _reference_flow import forced_flow
@@ -453,10 +454,10 @@ def test_count_verdict_matches_highs_on_ordered_keys():
 
 def _restricted_matches_full(inst, radius, lowest, build):
     """Solve build()'s model as it is and with its free jobs fixed
-    (load._fix_free_jobs): the same status and, where optimal, the same
+    (_load_builders._fix_free_jobs): the same status and, where optimal, the same
     objective within TAU_LP's scale.  Returns (feasible, jobs fixed)."""
     full = solve_lp(build()[0])
-    model, _ = load._fix_free_jobs(inst, radius, lowest, build())
+    model, _ = _load_builders._fix_free_jobs(inst, radius, lowest, build())
     restricted = solve_lp(model)
     assert restricted.status == full.status, (radius, lowest)
     if full.status == OPTIMAL:
@@ -506,6 +507,73 @@ def test_restricted_ordered_keys_match_the_full_model():
     assert seen["feasible"] >= 300 and seen["infeasible"] >= 400 and seen["free"] >= 300, seen
 
 
+_LAYOUT_ARRAYS = ("indptr", "indices", "data", "row_lower", "row_upper", "cost", "lower", "upper")
+
+
+def _assert_same_layout(got, want):
+    """The arrays the solver gets, compared exactly: the model indices of the
+    columns (free) may differ."""
+    assert got.num_ub == want.num_ub
+    for name in _LAYOUT_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _forced_build_matches_reference(inst, radius, lowest, build):
+    """build(forced_only) is a builder call at this radius and lowest
+    threshold.  The model built over the forced jobs gives the solver the
+    same arrays as the full model with its free jobs fixed
+    (_load_builders._fix_free_jobs); where it is optimal, its solution
+    expanded to every pair (load._assignment_x), with s, lies within the
+    full model's column bounds (within TAU_LP) and passes its residual
+    check.  Returns the guess's kinds, for the floors: "all free" or "none
+    free", and "free rows" where a machine's counted pairs all belong to
+    free jobs."""
+    full, sidx = _load_builders._fix_free_jobs(inst, radius, lowest, build(False))
+    model, svar = build(True)
+    _assert_same_layout(lp._layout(model), lp._layout(full))
+    sol = solve_lp(model)
+    if sol.status == OPTIMAL:
+        x = np.append(load._assignment_x(inst, radius, lowest, sol.x).ravel(), sol.x[svar])
+        assert sidx == x.size - 1
+        assert np.all(full.lower - TAU_LP <= x) and np.all(x <= full.upper + TAU_LP)
+        lp._check_residuals(full, x)
+    p = inst.p
+    _, home = load._free_jobs(p, radius, lowest)
+    counted = np.isfinite(p) & (p > lowest)
+    kinds = {0: ["none free"], inst.jobs: ["all free"]}.get(int(np.count_nonzero(home >= 0)), [])
+    if np.any(counted.any(axis=1) & ~counted[:, home < 0].any(axis=1)):
+        kinds.append("free rows")
+    return kinds
+
+
+def test_forced_build_gives_the_solver_the_reference_arrays():
+    """Random Top and ordered guesses (random radius, threshold or sequence,
+    ell and q) on random instances with forbidden pairs."""
+    rng = np.random.default_rng(2029)
+    seen = Counter()
+    for _ in range(60):
+        inst = random_load(rng, m_hi=4, j_hi=7, pmax=8, forbidden=float(rng.choice([0.0, 0.3])))
+        sizes = inst.finite_sizes()
+        sparse, pos = sparsify_weights(random_max_ordered_weights(rng, dim_hi=inst.jobs),
+                                       inst.jobs)
+        for _ in range(3):
+            radius = float(rng.choice(sizes))
+            t = float(rng.choice([0.0] + sizes))
+            ell, q = int(rng.integers(1, 4)), float(rng.choice([1.0, 2.0]))
+            seen.update(_forced_build_matches_reference(
+                inst, radius, t, lambda forced: _topl_load_min_bound_lp(
+                    inst, ell, q, radius, t, forced_only=forced)))
+            seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
+            seq = seqs[int(rng.integers(len(seqs)))]
+            seen.update(_forced_build_matches_reference(
+                inst, radius, seq.values[-1], lambda forced: _ordered_load_min_bound_lp(
+                    inst, sparse, pos, radius, seq, forced_only=forced)))
+            seen["guesses"] += 2
+    assert seen["guesses"] >= 300, seen
+    assert seen["all free"] >= 50 and seen["none free"] >= 50 and seen["free rows"] >= 50, seen
+
+
 def _planted_30x300(seed):
     """30x300 integer sizes in [1, 100], a tenth of the pairs forbidden;
     every job keeps a home machine below 24 but one, whose fastest machine
@@ -525,9 +593,9 @@ def _planted_30x300(seed):
 
 def test_planted_accepted_model_reaches_highs_with_the_forced_jobs(monkeypatch):
     """The accepted Top-(2,1) guess LP of a planted 30x300 instance: the
-    columns handed to the solver are s and the allowed pairs of the jobs
-    with no allowed uncounted machine, and each free job comes back whole
-    on one machine."""
+    solver gets the full model's arrays once its free jobs are fixed, whose
+    columns are s and the allowed pairs of the jobs with no allowed
+    uncounted machine, and each free job comes back whole on one machine."""
     inst = _planted_30x300(5)
     m, n = inst.p.shape
     layouts = []
@@ -542,7 +610,11 @@ def test_planted_accepted_model_reaches_highs_with_the_forced_jobs(monkeypatch):
     expected = np.flatnonzero((allowed & ~free).ravel())
     assert 0 < expected.size < m * n // 4 and free.sum() > n // 2
     assert len(layouts) == 1  # the accepted guess is the one LP solved
-    assert layouts[0].free.tolist() == expected.tolist() + [m * n]
+    full = _load_builders._fix_free_jobs(inst, radius, t,
+                                         _topl_load_min_bound_lp(inst, 2, 1.0, radius, t))[0]
+    reference = lp._layout(full)
+    assert reference.free.tolist() == expected.tolist() + [m * n]
+    _assert_same_layout(layouts[0], reference)
     x = load._scan_top_guesses(inst, 2, 1.0, 0.1 / 4.0)[3]
     assert np.array_equal(np.sort(x[:, free], axis=0)[-1], np.ones(free.sum()))
 
