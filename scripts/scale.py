@@ -39,6 +39,10 @@ The cases (Top-(2,1) and eps 0.1 unless named otherwise):
   makespan-top-30x3000      gen_load(0, machines=30, jobs=3000, pmax=100,
                             forbidden=0.1), solve_topl_makespan (guess LPs
                             with thousands of free jobs)
+  makespan-top-60x10000     gen_load(0, machines=60, jobs=10000),
+                            solve_topl_makespan: about 860 MiB at its peak,
+                            most of its time and memory in the Shmoys-Tardos
+                            rounding's dense matching, so no CI step runs it
   fair-float-caps           gen_fair_load(seed, 2 + seed % 3, 4) with caps
                             round(0.7 e + 0.3, 1) passed as floats, at
                             Top-(1 + seed % 2, 1), seeds 0-39; DETAIL counts
@@ -90,10 +94,10 @@ def _makespan_ordered(jobs):
     return [lambda: solve_ordered_makespan(inst, ((1, 0.5, 0.25, 0.125), (2, 0.5)), 0.1)]
 
 
-def _makespan_top(machines, jobs, pmax):
+def _makespan_top(machines, jobs, pmax, forbidden=0.1):
     from maxnorm import generators, solve_topl_makespan
 
-    inst = generators.gen_load(0, machines=machines, jobs=jobs, pmax=pmax, forbidden=0.1)
+    inst = generators.gen_load(0, machines=machines, jobs=jobs, pmax=pmax, forbidden=forbidden)
     return [lambda: solve_topl_makespan(inst, 2, 1.0, 0.1)]
 
 
@@ -134,6 +138,7 @@ CASES = {
        for jobs in (300, 1000)},
     "makespan-top-10x2000": lambda: _makespan_top(10, 2000, 10),
     "makespan-top-30x3000": lambda: _makespan_top(30, 3000, 100),
+    "makespan-top-60x10000": lambda: _makespan_top(60, 10000, 10, forbidden=0.0),
     "fair-float-caps": _fair_float_caps,
     "fair-float-targets": _fair_float_targets,
 }

@@ -20,9 +20,13 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError, InvalidSolutionError
-from .norms import eval_norm
+from .norms import TOP, eval_norm
 
 METRIC_REL_TOL = 1e-9
+# _max_norm: the owners it evaluates exactly, relative to the largest; the
+# fewest owners it is worth it for (eval_norm on each costs less than its
+# sort); the smallest normal float
+_NEAR_TOP, _FEW, _TINY = 1e-9, 4, np.finfo(float).tiny
 
 
 def _frozen_array(a, dtype=float):
@@ -266,7 +270,20 @@ def machine_size_vectors(inst, assignment):
 
 
 def eval_load_objective(inst, norm, assignment):
-    """max over machines of the norm of assigned job sizes."""
+    """max over machines of the norm of assigned job sizes: the max of
+    eval_norm over machine_size_vectors, bit for bit, with its errors, from
+    each job's (machine, size) entry (_max_norm) where there are at least
+    _FEW machines."""
+    m, n = inst.p.shape
+    try:
+        owners = np.array(assignment.sigma, dtype=np.int64) if m >= _FEW else None
+    except OverflowError:  # a machine no int64 holds, so unknown
+        owners = None
+    if owners is not None and owners.shape == (n,) and owners.min() >= 0 and owners.max() < m:
+        sizes = inst.p[owners, np.arange(n)]
+        if not np.isinf(sizes).any():
+            return _max_norm(norm, owners, sizes, m)
+    # machine_size_vectors raises the error of the first job at fault
     return max(eval_norm(norm, v) for v in machine_size_vectors(inst, assignment))
 
 
@@ -287,8 +304,59 @@ def connection_vectors(inst, solution):
 
 
 def eval_cluster_objective(inst, norm, solution):
-    """max over clients of the norm of connection distances."""
-    return max(eval_norm(norm, v) for v in connection_vectors(inst, solution))
+    """max over clients of the norm of connection distances: the max of
+    eval_norm over connection_vectors, bit for bit, taken over each
+    connection's (client, distance) entry (_max_norm) where there are at
+    least _FEW clients."""
+    vectors = connection_vectors(inst, solution)
+    if len(vectors) < _FEW:
+        return max(eval_norm(norm, v) for v in vectors)
+    clients = np.repeat(np.arange(len(vectors)), [len(v) for v in vectors])
+    return _max_norm(norm, clients, np.array([d for v in vectors for d in v]), len(vectors))
+
+
+def _max_norm(norm, owners, values, count):
+    """max over o < count of eval_norm(norm, values[owners == o]), bit for
+    bit, errors included.
+
+    One sort of the entries by (owner, -value) and one np.bincount per
+    weight vector give every owner's norm approximately: a Top-(ell,q) norm
+    from the sum of its ell largest entries raised to q, a max-ordered norm
+    from each w times its sorted entries.  Those sums are of non-negative
+    terms, so where no term overflows or underflows each approximate norm
+    lies within a relative few ulps per term of eval_norm's value (which
+    then takes no fallback), and eval_norm runs only on the owners within a
+    relative _NEAR_TOP of the largest, among them an owner whose exact value
+    is the largest.  Every owner is evaluated where an entry is negative or
+    not a number (eval_norm raises), where a positive term underflows below
+    the normal floats, or where the largest sum is 0 or not finite."""
+    def exact(candidates):
+        return max(eval_norm(norm, values[owners == o]) for o in candidates)
+
+    if not (values.size and values.min() >= 0):
+        return exact(range(count))
+    order = np.lexsort((-values, owners))
+    owned, sizes = owners[order], values[order]
+    rank = np.arange(len(owned)) - np.searchsorted(owned, owned)  # 0 at each owner's largest
+    with np.errstate(over="ignore"):
+        if norm.kind == TOP:
+            kept = rank < norm.ell
+            base = sizes[kept]
+            terms = base ** norm.q
+            lossy = ((terms < _TINY) & (base > 0)).any()
+            sums, root = np.bincount(owned[kept], terms, count), 1.0 / norm.q
+        else:
+            lossy, sums, root = False, np.zeros(count), 1.0
+            for w in norm.weights:
+                kept = rank < len(w)
+                scale, base = np.asarray(w)[rank[kept]], sizes[kept]
+                terms = scale * base
+                lossy |= ((terms < _TINY) & (scale > 0) & (base > 0)).any()
+                sums = np.maximum(sums, np.bincount(owned[kept], terms, count))
+    if lossy or not 0 < sums.max() < math.inf:
+        return exact(range(count))
+    approx = sums ** root
+    return exact(np.flatnonzero(approx >= approx.max() * (1 - _NEAR_TOP)).tolist())
 
 
 def validate_cluster_solution(inst, solution, check_cardinality=True):

@@ -45,8 +45,13 @@ threshold.  Those job sets are nested, so the rows form a network matrix,
 which is totally unimodular: the LP is feasible exactly when every job
 that has no allowed uncounted machine fits through its machine's chain of
 caps.  A Hall count per cap level refutes most infeasible guesses; an
-augmenting-path placement of those jobs decides the rest exactly.  Only
-guesses a visit reads are solved.
+augmenting-path placement of those jobs decides the rest exactly.  What
+a verdict reads of p that no guess changes (each job's smallest size, each
+machine's largest) is kept per array (_job_sizes) and built once per
+solve: a job is free exactly when its smallest size is at most the radius
+and the lowest threshold, so a verdict finds the forced jobs in one pass
+over the jobs and reads only their columns, and the placement scans only
+each job's allowed machines.  Only guesses a visit reads are solved.
 
 Those LPs are built over the forced jobs only (the builders' forced_only):
 a free job (one with an allowed uncounted machine) gets no column and is
@@ -121,7 +126,7 @@ def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bou
 def _load_norm_lp(inst, radius, normspec, fixed_bound, lowest=None):
     """The builders' model: column i * n + j is x(i, j), then s.  Given the
     guess's lowest threshold, only the forced jobs' allowed pairs get
-    columns (_guess_columns, in that order), then s.
+    columns (machine by machine, jobs ascending), then s.
 
     That is the full model with each free job fixed whole on its home
     machine and each forbidden pair at 0, less its fixed columns and the
@@ -135,93 +140,127 @@ def _load_norm_lp(inst, radius, normspec, fixed_bound, lowest=None):
         model = build_basic_load_lp(inst, radius)
         costs = NormCosts(p, np.arange(p.size).reshape(p.shape))
     else:
-        columns, home = _guess_columns(p, radius, lowest)
-        forced = np.flatnonzero(home < 0)
-        pairs = columns[:, forced]
-        jobs = pairs.nonzero()[1]  # per column, its job's place among the forced
+        jobs = _job_sizes(p)
+        sub = p[:, jobs.forced(radius, lowest)]
+        pairs = sub <= radius
+        rows = pairs.nonzero()[1]  # per column, its job's place among the forced
         cols = np.zeros(pairs.shape, np.int64)
-        cols[pairs] = np.arange(len(jobs))
-        model = lp_model(len(jobs), lower=0.0, upper=1.0)
-        model.add_rows(jobs, np.arange(len(jobs)), np.ones(len(jobs)), EQ, np.ones(len(forced)))
-        costs = NormCosts(np.where(pairs, p[:, forced], np.inf), cols,
-                          np.max(p, axis=1, initial=-np.inf, where=np.isfinite(p)))
+        cols[pairs] = np.arange(len(rows))
+        model = lp_model(len(rows), lower=0.0, upper=1.0)
+        model.add_rows(rows, np.arange(len(rows)), np.ones(len(rows)), EQ,
+                       np.ones(sub.shape[1]))
+        costs = NormCosts(np.where(pairs, sub, np.inf), cols, jobs.largest)
     return model, add_norm_rows(model, costs, normspec, fixed_bound)
 
 
-def _free_jobs(p, radius, lowest):
-    """(allowed, home): the pairs the radius allows and, per job, its first
-    allowed machine where it counts at no threshold (a size counts where it
-    is finite and above the lowest), or -1 where it has none.  A job with a
-    home is free, the others are forced.  The masks are the LP builders'
-    own."""
-    allowed = ~(p > radius)
-    uncounted = allowed & ~(np.isfinite(p) & (p > lowest))
-    return allowed, np.where(uncounted.any(axis=0), uncounted.argmax(axis=0), -1)
+class _JobSizes:
+    """What every guess of a solve reads of p that depends on no guess: each
+    job's smallest size (low; finite, since every job has an allowed
+    machine), their largest (rmin, below which no radius fits every job) and
+    each machine's largest finite size (largest, NormCosts.largest).
+
+    A job is free at a finite radius R and lowest threshold T, that is, has
+    an allowed machine where it counts at no threshold (a size counts where
+    it is finite and above T), exactly when its smallest size is at most
+    min(R, T); its home is the first machine where it is.  The others are
+    forced."""
+
+    def __init__(self, p):
+        self.p = p
+        self.low = p.min(axis=0)
+        self.rmin = self.low.max()
+        self.largest = np.max(p, axis=1, initial=-np.inf, where=np.isfinite(p))
+
+    def forced(self, radius, lowest):
+        """The forced jobs at this radius and lowest threshold, ascending."""
+        return np.flatnonzero(self.low > min(radius, lowest))
 
 
-def _guess_columns(p, radius, lowest):
-    """(columns, home): the pairs that get a column in a guess LP built with
-    forced_only, the allowed pairs of the forced jobs, in row-major order,
-    and _free_jobs's home per job."""
-    allowed, home = _free_jobs(p, radius, lowest)
-    return allowed & (home < 0), home
+_last_sizes = None  # the _JobSizes built last, kept by _job_sizes
+
+
+def _job_sizes(p):
+    """p's _JobSizes.  The last one built is reused while it is asked for
+    the same array, which it holds, and only for a read-only array that owns
+    its data (a LoadInstance's p), which nothing changes: it never goes
+    stale.  So each solve builds it once."""
+    global _last_sizes
+    last = _last_sizes
+    if last is not None and last.p is p:
+        return last
+    sizes = _JobSizes(p)
+    if not p.flags.writeable and p.flags.owndata:
+        _last_sizes = sizes
+    return sizes
 
 
 def _assignment_x(inst, radius, lowest, x):
     """The fractional assignment, machines over jobs, of a solution x of the
     guess LP built with forced_only at this radius and lowest threshold:
     the forced jobs' pairs from x, each free job whole on its home machine."""
-    columns, home = _guess_columns(inst.p, radius, lowest)
-    out = np.zeros(inst.p.shape)
-    free = np.flatnonzero(home >= 0)
-    out[home[free], free] = 1.0
+    p, jobs = inst.p, _job_sizes(inst.p)
+    cut = min(radius, lowest)
+    free, forced = np.flatnonzero(jobs.low <= cut), jobs.forced(radius, lowest)
+    out = np.zeros(p.shape)
+    out[(p <= cut).argmax(axis=0)[free], free] = 1.0  # each free job on its home
+    columns = np.zeros(p.shape, bool)
+    columns[:, forced] = p[:, forced] <= radius
     out[columns] = x[: np.count_nonzero(columns)]
     return out
 
 
 def _count_feasible(inst, radius, thresholds, caps):
-    """Whether the min-bound LP at this radius, with a count cap of caps[k] on
-    each machine's jobs above thresholds[k], is feasible; None when a cap is
-    not a non-negative integer (the placement below needs integral caps).
-    The thresholds do not increase, so each cap's jobs include the previous
-    cap's.
+    """Whether the min-bound LP at this radius (a finite size), with a count
+    cap of caps[k] on each machine's jobs above thresholds[k], is feasible;
+    None when a cap is not a non-negative integer (the placement below needs
+    integral caps).  The thresholds do not increase, so each cap's jobs
+    include the previous cap's.
 
     Exact: a job with an allowed uncounted machine is placed there, and the
     other jobs (the forced ones) must fit through their machines' nested
-    caps.  Two stages decide that:
+    caps.  The forced jobs come from the per-array job sizes (_job_sizes)
+    in one comparison over the jobs, and only their columns of p are read.
+    Two stages decide:
 
       * Hall counts, one per cap level k, refute.  A forced job counted at
         level k on every allowed machine uses a slot of cap k and of every
         cap outside it, wherever it goes, so machine i takes at most the
         smaller of the number of those jobs allowed on it and min(caps[k:])
         (clipped at the forced job count).  More such jobs than the sum of
-        those over the machines refute the guess.
+        those over the machines refute the guess.  With one cap (Top) that
+        is one row sum.
       * The placement (_placed) decides the rest, both ways: what it places
         is an integral point of the LP, and where it fails no point exists.
 
     The Hall counts are a fast path: they refute most infeasible guesses
-    for a few array operations.  The masks are the LP builders' own.
+    for a few array operations.
     """
     if not all(float(c).is_integer() and c >= 0 for c in caps):
         return None
-    p = inst.p
+    jobs = _job_sizes(inst.p)
     tops = np.asarray(thresholds, float)
-    allowed, home = _free_jobs(p, radius, tops[-1])
-    forced = np.flatnonzero(home < 0)
-    routes = allowed[:, forced]  # every allowed pair of a forced job is counted
-    if not routes.any(axis=0).all():
-        return False  # a job with no allowed machine
+    forced = jobs.forced(radius, tops[-1])
     if forced.size == 0:
         return True
-    m, f, depth = p.shape[0], forced.size, len(caps)
-    levels = np.full((m, f), -1)  # innermost cap of each allowed pair, -1 where forbidden
-    levels[routes] = np.searchsorted(-tops, -p[:, forced][routes], side="right")
-    outer = levels.max(axis=0)  # a job uses this cap and those outside it wherever it goes
+    if jobs.low[forced].max() > radius:
+        return False  # a job with no allowed machine
+    sub = inst.p[:, forced]
+    routes = sub <= radius  # every allowed pair of a forced job is counted
+    f, depth = forced.size, len(caps)
     room = np.minimum.accumulate([min(int(c), f) for c in reversed(caps)])[::-1]
-    # held[k, i]: the jobs using cap k wherever they go that machine i allows
-    held = np.cumsum([np.count_nonzero(routes[:, outer == k], axis=1) for k in range(depth)],
-                     axis=0)
-    need = np.cumsum(np.bincount(outer, minlength=depth))
+    if depth == 1:
+        levels = routes.astype(np.int64) - 1  # 0 where allowed, -1 where forbidden
+        held, need = np.count_nonzero(routes, axis=1)[None], f
+    else:
+        levels = np.full(sub.shape, -1)  # innermost cap of each allowed pair
+        levels[routes] = np.searchsorted(-tops, -sub[routes], side="right")
+        outer = levels.max(axis=0)  # a job uses this cap and those outside it wherever it goes
+        # held[k, i]: the jobs using cap k wherever they go that machine i allows
+        m = sub.shape[0]
+        on, job = routes.nonzero()
+        held = np.cumsum(np.bincount(outer[job] * m + on, minlength=depth * m).reshape(depth, m),
+                         axis=0)
+        need = np.cumsum(np.bincount(outer, minlength=depth))
     if (np.minimum(held, room[:, None]).sum(axis=1) < need).any():
         return False  # a Hall count
     return _placed(levels, caps)
@@ -245,23 +284,36 @@ def _placed(levels, caps):
     out: each (machine, cap) node is visited once per search.  Along a path
     a machine's full caps then only move outward, so the shifts keep every
     cap.
+
+    Each job's allowed machines are listed once (one np.nonzero), and each
+    machine keeps the jobs placed on it, so a search reads only those.
     """
-    left = [[int(c) for c in caps] for _ in range(levels.shape[0])]  # slots left per machine
+    m = levels.shape[0]
+    slots = [int(c) for c in caps]
+    left = [slots.copy() for _ in range(m)]  # slots left per machine
     where = {}  # the machine of each job placed
+    placed = [{} for _ in range(m)]  # the jobs on each machine, as dict keys
     choices = levels.T.tolist()
-    for k in np.argsort((levels >= 0).sum(axis=0), kind="stable").tolist():
-        searched, came, queue = [-1] * len(left), {k: None}, [k]  # came[j]: who takes j's place
+    counts = np.count_nonzero(levels >= 0, axis=0)
+    machine_of = (levels.T >= 0).nonzero()[1].tolist()  # job by job, ascending
+    ends = np.cumsum(counts).tolist()
+    allowed = [machine_of[e - c:e] for e, c in zip(ends, counts.tolist())]
+    for k in np.argsort(counts, kind="stable").tolist():
+        searched, came, queue = [-1] * m, {k: None}, [k]  # came[j]: who takes j's place
         for job in queue:
-            room = [min(slots[lv:]) if lv >= 0 else 0 for slots, lv in zip(left, choices[job])]
-            at = room.index(max(room))
-            if room[at]:
+            mine, most, at = choices[job], 0, None
+            for i in allowed[job]:
+                room = min(left[i][mine[i]:])
+                if room > most:
+                    most, at = room, i
+            if most:
                 break
-            for i, level in enumerate(choices[job]):
-                full = left[i].index(0, level) if level >= 0 else -1  # the innermost full cap
+            for i in allowed[job]:
+                full = left[i].index(0, mine[i])  # the innermost full cap
                 if full > searched[i]:
                     searched[i] = full
-                    for other, on in where.items():
-                        if on == i and other not in came and choices[other][i] <= full:
+                    for other in placed[i]:
+                        if other not in came and choices[other][i] <= full:
                             came[other] = job
                             queue.append(other)
         else:
@@ -273,6 +325,9 @@ def _placed(levels, caps):
             for i, step in ((prev, 1), (at, -1)):
                 if i is not None:
                     left[i][choices[job][i]:] = [v + step for v in left[i][choices[job][i]:]]
+            if prev is not None:
+                del placed[prev][job]
+            placed[at][job] = None
             where[job], at, job = at, prev, came[job]
     return True
 
@@ -362,16 +417,12 @@ class LoadSolveResult:
     certificate: dict
 
 
-def _min_radius(inst):
-    """max_j min_i p(i,j): smaller radii make the basic LP infeasible."""
-    return np.where(np.isfinite(inst.p), inst.p, np.inf).min(axis=0).max()
-
-
 def _feasible_radii(inst, sizes):
-    """The positive sizes from _min_radius on (radius 0 only where that is 0,
-    which the drivers answer by _zero_result).  sizes are the instance's
-    distinct finite sizes, ascending."""
-    rmin = _min_radius(inst)
+    """The positive sizes from max_j min_i p(i,j) on (smaller radii make the
+    basic LP infeasible; radius 0 only where that is 0, which the drivers
+    answer by _zero_result).  sizes are the instance's distinct finite
+    sizes, ascending."""
+    rmin = _job_sizes(inst.p).rmin
     return [v for v in sizes if v >= rmin - 1e-12 and v > 0]
 
 
@@ -394,7 +445,7 @@ def _solve_makespan(inst, norm, eps):
     every job's nearest size or the norm's largest weight is 0."""
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
-    zero = _min_radius(inst) == 0
+    zero = _job_sizes(inst.p).rmin == 0
     if norm.kind == TOP:
         ell, q = norm.ell, norm.q
         grid_eps = eps / 4.0 ** (1.0 / q)  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps

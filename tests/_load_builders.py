@@ -12,7 +12,8 @@ time, so a test can replace it for both.
 
 import numpy as np
 
-from maxnorm.load import _free_jobs, _ordered_load_min_bound_lp, _topl_load_min_bound_lp
+from _count_reference import _free_jobs
+from maxnorm.load import _ordered_load_min_bound_lp, _topl_load_min_bound_lp
 
 
 def build_topl_load_lp(inst, ell, q, radius, bound, threshold):

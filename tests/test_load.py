@@ -9,6 +9,8 @@ import pytest
 import _dict_row_builders as dict_rows
 from _fraction_matching import fraction_simplex_round
 from _gen import random_load, random_max_ordered_weights
+import _count_reference as count_reference
+from _count_reference import _free_jobs
 import _load_builders
 from _load_builders import build_ordered_load_lp, build_topl_load_lp
 from _loop_rounding import loop_machine_copies, loop_shmoys_tardos_round
@@ -539,7 +541,7 @@ def _forced_build_matches_reference(inst, radius, lowest, build):
         assert np.all(full.lower - TAU_LP <= x) and np.all(x <= full.upper + TAU_LP)
         lp._check_residuals(full, x)
     p = inst.p
-    _, home = load._free_jobs(p, radius, lowest)
+    _, home = _free_jobs(p, radius, lowest)
     counted = np.isfinite(p) & (p > lowest)
     kinds = {0: ["none free"], inst.jobs: ["all free"]}.get(int(np.count_nonzero(home >= 0)), [])
     if np.any(counted.any(axis=1) & ~counted[:, home < 0].any(axis=1)):
@@ -699,6 +701,68 @@ def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
             decided["hall" if pigeonhole else "inner hall"] += 1
     assert decided["hall"] >= 400 and decided["inner hall"] >= 50, decided
     assert decided["true"] >= 500, decided
+
+
+def _verdict_case(rng):
+    """A random count verdict (instance, radius, thresholds, caps).  Mostly
+    1-4 machines and 1-9 jobs with sizes 0-5, a share of the pairs forbidden
+    and about a fifth of the jobs left a single allowed machine; the radius
+    drawn from the upper half of the sizes and 1-3 non-increasing
+    thresholds from the sizes (so sizes tie with both), caps 0-3 and, now
+    and then, a non-integral cap.  One case in six is the planted family
+    (_planted_load), whose True core needs an augmenting path where the
+    relabelling sends its first job the wrong way."""
+    if rng.random() < 1 / 6:
+        truth = rng.random() < 0.5
+        core = [[1.0, 2.0], [2.0, 3.0]] if truth else [[3.0, 3.0], [1.0, 1.0]]
+        return _planted_load(rng, core), 3.0, [2.0, 0.0], [0, 1]
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 10))
+    p = rng.integers(0, 6, size=(m, n)).astype(float)
+    p[rng.random(size=p.shape) < rng.choice([0.0, 0.2, 0.4])] = np.inf
+    p[:, rng.random(size=n) < 0.2] = np.inf
+    home, jobs = rng.integers(0, m, size=n), np.arange(n)
+    p[home, jobs] = np.where(np.isfinite(p[home, jobs]), p[home, jobs],
+                             rng.integers(0, 6, size=n))  # every job keeps a machine
+    inst = LoadInstance(p=p)
+    sizes = inst.finite_sizes()
+    depth = int(rng.integers(1, 4))
+    thresholds = sorted(rng.choice([0.0] + sizes, size=depth).tolist(), reverse=True)
+    caps = rng.integers(0, 4, size=depth).tolist()
+    if rng.random() < 0.03:
+        caps[int(rng.integers(depth))] = 1.5
+    return inst, float(rng.choice(sizes[len(sizes) // 2:])), thresholds, caps
+
+
+def test_count_verdict_matches_the_reference(monkeypatch):
+    """Random verdicts (_verdict_case): every verdict is the reference's
+    (_count_reference, the verdict that recomputed the free-job masks over
+    every pair), and the placement runs exactly where the reference's does,
+    on the same levels.  Floors on each way a verdict is decided: True, a
+    Hall count refuting with every forced job allowed somewhere, and a
+    placement that needed an augmenting path (its first choices miss)."""
+    rng = np.random.default_rng(3030)
+    runs = {}
+    for owner, name in ((load, "new"), (count_reference, "reference")):
+        placed = owner._placed
+        monkeypatch.setattr(owner, "_placed", lambda *args, placed=placed, name=name:
+                            runs.setdefault(name, args) and placed(*args))
+    decided = Counter()
+    for _ in range(4000):
+        inst, radius, thresholds, caps = _verdict_case(rng)
+        runs.clear()
+        verdict = _count_feasible(inst, radius, thresholds, caps)
+        assert verdict is count_reference._count_feasible(inst, radius, thresholds, caps), \
+            (inst.p, radius, thresholds, caps)
+        assert runs.keys() in ({"new", "reference"}, set())
+        if runs:
+            assert np.array_equal(runs["new"][0], runs["reference"][0])
+        allowed, home = _free_jobs(inst.p, radius, thresholds[-1])
+        reachable = allowed[:, home < 0].any(axis=0).all()
+        decided["none" if verdict is None else "true" if verdict else
+                "placed" if runs else "hall" if reachable else "unreachable"] += 1
+        decided["augmenting"] += bool(verdict and runs and not _greedy_fits(*runs["new"]))
+    assert min(decided["true"], decided["hall"], decided["augmenting"]) >= 50, decided
+    assert decided["placed"] >= 20 and decided["none"] >= 20, decided
 
 
 def _planted_load(rng, core):

@@ -1,13 +1,17 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import _objective_reference as reference
+from _gen import random_weight_vector
+from maxnorm import instances
 from maxnorm.errors import InvalidInputError, InvalidSolutionError
 from maxnorm.instances import (Assignment, ClusterInstance, ClusterSolution,
-                               LoadInstance, eval_cluster_objective,
-                               eval_load_objective)
-from maxnorm.norms import eval_norm, max_ordered_norm, top_norm
+                               LoadInstance, connection_vectors, eval_cluster_objective,
+                               eval_load_objective, machine_size_vectors)
+from maxnorm.norms import TOP, eval_norm, max_ordered_norm, top_norm
 
 
 def test_top_norm_examples():
@@ -166,3 +170,148 @@ def test_top_norm_value_past_the_float_range():
         ell, q = int(rng.integers(1, 4)), float(rng.choice([1.5, 2.0, 3.0, 7.5]))
         top = np.sort(v)[::-1][:ell]
         assert eval_norm(top_norm(ell, q), v) == float(np.sum(top ** q) ** (1.0 / q))
+
+
+def _random_objective_norm(rng):
+    """Top-(ell,q) with ell 1-12 and q in {1, 1.5, 2, 3}, or max-ordered with
+    1-5 weight vectors of length 1-12."""
+    if rng.random() < 0.5:
+        return top_norm(int(rng.integers(1, 13)), float(rng.choice([1.0, 1.5, 2.0, 3.0])))
+    return max_ordered_norm([random_weight_vector(rng, int(rng.integers(1, 13)))
+                             for _ in range(int(rng.integers(1, 6)))])
+
+
+def _scaled(rng):
+    """A scale for the entries: 1, or near the ends of the float range,
+    where sum(top^q) overflows or underflows for q > 1."""
+    return float(rng.choice([1.0, 1.0, 1e300, 1e-300, 1e150, 1e-160]))
+
+
+def _falls_back(norm, vectors):
+    """Whether top_norm_value takes its fallback on one of the vectors."""
+    if norm.kind != TOP:
+        return False
+    for v in vectors:
+        top = np.sort(np.asarray(v, float))[::-1][: norm.ell]
+        with np.errstate(over="ignore", under="ignore"):
+            total = np.sum(top ** norm.q)
+        if top.size and (np.isinf(total) or (total == 0 and top[0] > 0)):
+            return True
+    return False
+
+
+def _outcome(evaluate, *args):
+    """The value, or the type and message of the error raised."""
+    try:
+        return evaluate(*args)
+    except (InvalidInputError, InvalidSolutionError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_load_solution(rng):
+    """1-8 machines (so both sides of instances._FEW), 1-30 jobs with small
+    integer sizes times 1, 1.5 or 1/3 and a scale, some pairs forbidden,
+    each job on a random allowed machine."""
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 31))
+    p = rng.integers(0, 5, size=(m, n)) * rng.choice([1.0, 1.5, 1 / 3], size=(m, n))
+    p = p * _scaled(rng)
+    p[rng.random(size=p.shape) < 0.2] = np.inf
+    p[rng.integers(0, m, size=n), np.arange(n)] = rng.integers(0, 5, size=n)
+    inst = LoadInstance(p=p)
+    sigma = [int(rng.choice(np.flatnonzero(np.isfinite(p[:, j])))) for j in range(n)]
+    return inst, Assignment(tuple(sigma))
+
+
+def _random_cluster_solution(rng):
+    """1-8 clients and 1-5 facilities at scaled Euclidean distances, a
+    random multiset of open facilities and, per client, a random part of
+    it (possibly empty)."""
+    nc, nf = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+    pts = rng.uniform(0.0, 1.0, size=(nc + nf, 2))
+    d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)) * _scaled(rng)
+    np.fill_diagonal(d, 0.0)
+    inst = ClusterInstance(n_clients=nc, n_facilities=nf, d=d, k=nf + 2, m=0,
+                           l=[0] * nc, r=[nf] * nc)
+    opened = rng.integers(0, nf, size=int(rng.integers(1, nf + 3))).tolist()
+    assigned = [rng.choice(opened, size=int(rng.integers(0, len(opened) + 1)), replace=False)
+                .tolist() for _ in range(nc)]
+    return inst, ClusterSolution(open_facilities=opened, assigned=assigned)
+
+
+def test_objectives_are_the_per_vector_maximum_bit_for_bit():
+    """Random load and cluster solutions under random Top and max-ordered
+    norms: each objective is max(eval_norm(norm, v)) over the machine or
+    client vectors (_objective_reference), compared with ==, with machines
+    and clients that have nothing, and entries near 1e+-300 where
+    top_norm_value falls back."""
+    rng = np.random.default_rng(3031)
+    seen = Counter()
+    for draw in range(4400):
+        norm = _random_objective_norm(rng)
+        if draw % 2:
+            inst, sol = _random_load_solution(rng)
+            vectors = machine_size_vectors(inst, sol)
+            new, ref = (f(inst, norm, sol) for f in (eval_load_objective,
+                                                     reference.eval_load_objective))
+        else:
+            inst, sol = _random_cluster_solution(rng)
+            vectors = connection_vectors(inst, sol)
+            new, ref = (f(inst, norm, sol) for f in (eval_cluster_objective,
+                                                     reference.eval_cluster_objective))
+        assert new == ref and type(new) is type(ref), (norm, vectors)
+        seen["load" if draw % 2 else "cluster"] += 1
+        seen["sorted"] += len(vectors) >= instances._FEW
+        seen["empty"] += any(not v for v in vectors)
+        seen["fallback sorted"] += _falls_back(norm, vectors) and len(vectors) >= instances._FEW
+        seen["ties"] += sum(eval_norm(norm, v) == new for v in vectors) > 1
+    assert seen["load"] >= 2000 and seen["cluster"] >= 2000, seen
+    assert seen["sorted"] >= 1000 and seen["empty"] >= 1000, seen
+    assert seen["fallback sorted"] >= 200 and seen["ties"] >= 100, seen
+
+
+def test_objective_errors_are_the_per_vector_errors():
+    """A forbidden pair, an unknown machine or facility (one past the end,
+    negative, or past int64), a facility used more often than it is open
+    and a short assignment or solution raise the reference's error, with
+    its message, on both sides of instances._FEW."""
+    rng = np.random.default_rng(3032)
+    norm = top_norm(2, 1.5)
+    for m in (2, 6):
+        p = rng.integers(1, 9, size=(m, 5)).astype(float)
+        p[1, 3] = np.inf
+        inst = LoadInstance(p=p)
+        good = [0, 1, 0, 0, m - 1]
+        bad = [good[:3] + [1] + good[4:], good[:2] + [m] + good[3:], good[:1] + [-1] + good[2:],
+               good[:4] + [2 ** 70], good[:4]]
+        for sigma in bad:
+            got = _outcome(eval_load_objective, inst, norm, Assignment(tuple(sigma)))
+            assert isinstance(got, tuple) and got == _outcome(
+                reference.eval_load_objective, inst, norm, Assignment(tuple(sigma))), sigma
+    for nc in (2, 6):
+        pts = rng.uniform(0.0, 1.0, size=(nc + 3, 2))
+        d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        inst = ClusterInstance(n_clients=nc, n_facilities=3, d=d, k=5, m=0, l=[0] * nc,
+                               r=[3] * nc)
+        good = [[0, 1]] + [[2]] * (nc - 1)
+        bad = [([0, 1, 2], [[3]] + good[1:]), ([0, 1, 2], [[-1]] + good[1:]),
+               ([0, 1, 2], [[2 ** 70]] + good[1:]), ([0, 1, 2], good[:-1]),
+               ([0, 1], good), ([0, 1, 2], [[0, 0]] + good[1:]),
+               ([0, 1, 2, 2 ** 70], good[:1] + [[2, 2]] + good[2:])]
+        for opened, assigned in bad:
+            sol = ClusterSolution(open_facilities=opened, assigned=assigned)
+            got = _outcome(eval_cluster_objective, inst, norm, sol)
+            assert isinstance(got, tuple) and got == _outcome(
+                reference.eval_cluster_objective, inst, norm, sol), (opened, assigned)
+
+
+def test_objective_where_every_term_of_the_largest_underflows():
+    """Twelve jobs of 1.5e-162 on machine 0 square to 0, so top_norm_value
+    takes its fallback there (sqrt(12) 1.5e-162), the largest value, while
+    each other machine's one job of 2.3e-162 squares to a subnormal and
+    looks larger by its sum: the objective is still machine 0's."""
+    p = np.full((4, 15), 2.3e-162)
+    p[0, :12] = 1.5e-162
+    inst, sol = LoadInstance(p=p), Assignment((0,) * 12 + (1, 2, 3))
+    norm = top_norm(12, 2.0)
+    assert eval_load_objective(inst, norm, sol) == eval_norm(norm, [1.5e-162] * 12)
+    assert eval_load_objective(inst, norm, sol) == reference.eval_load_objective(inst, norm, sol)
