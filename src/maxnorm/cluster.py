@@ -94,7 +94,7 @@ from .instances import (ClusterSolution, eval_cluster_objective,
                         validate_cluster_solution)
 from .lp import (EQ, GE, LE, OPTIMAL, NormCosts, add_norm_rows, lp_model, row_block,
                  solve_lp)
-from .norms import TOP, eval_norm, max_ordered_norm, top_norm
+from .norms import TOP, eval_norm, max_ordered_norm, power_sum_root, top_norm
 from .sparsify import (SequenceTable, ThresholdSequence, geometric_grid,
                        single_threshold_candidates, sparsify_weights, telescoped_deltas)
 # unused; perfbench traces cluster.enumerate_threshold_sequences
@@ -797,7 +797,9 @@ def _sequence_spec(sparse, pos, r0, seq):
 
 
 def _top_cert(radius, bound, ell, q, threshold):
-    return (2 * (3 * radius) ** q + 3 ** q * (bound ** q + ell * threshold ** q)) ** (1.0 / q)
+    return power_sum_root(
+        lambda: (2 * (3 * radius) ** q + 3 ** q * (bound ** q + ell * threshold ** q)) ** (1.0 / q),
+        ((2, 3 * radius), (1, 3 * bound), (ell, 3 * threshold)), q)
 
 
 def solve_topl_kcenter(inst, ell, q, eps):

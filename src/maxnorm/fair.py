@@ -99,7 +99,7 @@ from .guess import CONTRADICTION, GuessLPs, walk_from_first
 from .instances import FairLoadInstance, eval_load_objective
 from .lp import (EQ, GE, LE, OPTIMAL, cutting_plane, exact_feasible_point, simplex_solve,
                  solve_lp)
-from .load import _count_feasible, _topl_load_min_bound_lp, shmoys_tardos_round
+from .load import _JobSizes, _count_feasible, _topl_load_min_bound_lp, shmoys_tardos_round
 from .norms import TOP, eval_norm, top_norm  # noqa: F401 (eval_norm as above)
 from .sparsify import geometric_grid
 
@@ -248,12 +248,14 @@ class _Separation:
     (a numerical edge).
 
     Subclasses set kind, sense (of the base and cover rows) and cert_bound,
-    and give base_lp(radius, t) -> (model, index of s), base_verdict(radius,
-    t) -> whether the base LP is feasible, or None to leave it to the LP,
-    _weighted_row(point, eta) -> (row, sense, rhs) or None when no pair can
-    meet it, _row_implied(point, eta) -> whether the column bounds alone
-    imply the weighted row, in exact arithmetic, and _round(point, eta,
-    radius, solution) -> the cut, or None when the rounding misses.
+    take as their last argument what every oracle of one solve shares, made
+    once per solve by their shared(finst), and give base_lp(radius, t) ->
+    (model, index of s), base_verdict(radius, t) -> whether the base LP is
+    feasible, or None to leave it to the LP, _weighted_row(point, eta) ->
+    (row, sense, rhs) or None when no pair can meet it, _row_implied(point,
+    eta) -> whether the column bounds alone imply the weighted row, in exact
+    arithmetic, and _round(point, eta, radius, solution) -> the cut, or None
+    when the rounding misses.
     """
 
     def __init__(self, finst, bound, ell, q, values):
@@ -403,10 +405,15 @@ class _LoadSeparation(_Separation):
 
     kind, sense = "load", LE
 
-    def __init__(self, finst, bound, ell, q):
-        self.inst = finst.base
+    def __init__(self, finst, bound, ell, q, jobs):
+        self.inst, self.jobs = finst.base, jobs
         super().__init__(finst, bound, ell, q, self.inst.finite_sizes())
         self.cert_bound = 4.0 ** (1.0 / q) * self.bound
+
+    @staticmethod
+    def shared(finst):
+        """The base's job sizes (load._JobSizes), which the count test reads."""
+        return _JobSizes(finst.base.p)
 
     def base_lp(self, radius, t):
         return _topl_load_min_bound_lp(self.inst, self.ell, self.q, radius, t,
@@ -419,7 +426,7 @@ class _LoadSeparation(_Separation):
         exact.  A feasible test's placement is an integral point with at
         most ell counted jobs on each machine, which meets the mass rows too
         where _rows_hold says so."""
-        feasible = _count_feasible(self.inst, radius, [t], [self.ell])
+        feasible = _count_feasible(self.jobs, radius, [t], [self.ell])
         return feasible if feasible is False or self._rows_hold(radius, t, self.ell) else None
 
     def _weighted_row(self, point, eta):
@@ -434,7 +441,7 @@ class _LoadSeparation(_Separation):
     def _round(self, point, eta, radius, sol):
         m, n = self.inst.machines, self.inst.jobs
         x = sol.x[: m * n].reshape(m, n)
-        assignment, _ = shmoys_tardos_round(x, self.inst.p, edge_weights=point.alpha)
+        assignment = shmoys_tardos_round(x, self.inst.p, edge_weights=point.alpha)
         counts = assignment.counts(m)
         weight = sum(a * c for a, c in zip(point.alpha, counts))
         if weight > point.mu - eta:
@@ -445,18 +452,6 @@ class _LoadSeparation(_Separation):
         row = ({i: Fraction(c) for i, c in enumerate(counts) if c} | {m: Fraction(-1)},
                GE, Fraction(0))
         return "cut", assignment.sigma, (row, (assignment.sigma, counts))
-
-
-@functools.lru_cache(maxsize=1)
-def _center_core(base):
-    """(core, budget, cover) of a fair center instance's base, shared by
-    every oracle of a solve: the core keeps its relaxations' fixed parts, the
-    budget rows are kept for the one budget object, and cover(radius) is
-    _cover_verdict without the coverage row, which depends on nothing else,
-    decided once per radius."""
-    core, budget = core_of(base), (CARDINALITY, base.k)
-    return core, budget, functools.cache(
-        lambda radius: _cover_verdict(core, budget, radius, coverage=False))
 
 
 class _CenterSeparation(_Separation):
@@ -471,13 +466,23 @@ class _CenterSeparation(_Separation):
 
     kind, sense = "center", GE
 
-    def __init__(self, finst, bound, ell, q):
+    def __init__(self, finst, bound, ell, q, shared):
         self.base = finst.base
-        self.core, self.budget, self._cover = _center_core(self.base)
+        self.core, self.budget, self._cover = shared
         super().__init__(finst, bound, ell, q, self.base.finite_distances())
         self.cert_bound = 3.0 * 4.0 ** (1.0 / q) * self.bound
         self.norm = top_norm(ell, q)
         self.max_l = int(max(self.base.l, default=0))
+
+    @staticmethod
+    def shared(finst):
+        """(core, budget, cover) of the base: the core keeps its relaxations'
+        fixed parts, the budget rows are kept for the one budget object, and
+        cover(radius) is _cover_verdict without the coverage row, which
+        depends on nothing else, decided once per radius."""
+        core, budget = core_of(finst.base), (CARDINALITY, finst.base.k)
+        return core, budget, functools.cache(
+            lambda radius: _cover_verdict(core, budget, radius, coverage=False))
 
     def base_lp(self, radius, t):
         return _center_lp(self.core, self.budget, ("top", self.ell, self.q, t), radius,
@@ -561,10 +566,12 @@ def round_and_cut(finst, bound, ell, q, limit=None, oracle=None, first=None):
     at the inflated bound.  Returns (verdict, payload) with verdict
     "infeasible_at_bound" (payload the refuting point) or "distribution".
     A caller may hand over the separation oracle at this bound and the first
-    dual point (_first_point) when it has them, with the LPs they solved."""
+    dual point (_first_point) when it has them, with the LPs they solved;
+    without an oracle, one is made with state of its own (shared(finst))."""
     limit = _default_limit(finst) if limit is None else limit
     oracle_cls, base_row = _dual(finst)
-    oracle = oracle_cls(finst, bound, ell, q) if oracle is None else oracle
+    if oracle is None:
+        oracle = oracle_cls(finst, bound, ell, q, oracle_cls.shared(finst))
     n = len(finst.e)
     outcome = cutting_plane([base_row], n + 1, oracle,
                             nonneg=[True] * n + [False], limit=limit, first=first)
@@ -618,14 +625,17 @@ def solve_fair(finst, norm, eps, limit=None):
     refuted at P0 itself contradicts a nonempty prefix, and the grid is then
     walked again from its first bound.  Round-and-cut starts from P0 and
     from the bound's oracle, the one its probe asked, so nothing the probe
-    solved is solved again."""
+    solved is solved again.  Every oracle of the solve shares one state
+    (shared(finst)), which goes when the solve returns."""
     if norm.kind != TOP:
         raise InvalidInputError("fair solving covers Top-(ell,q) norms")
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
     bounds = fair_bound_candidates(finst, norm, eps)
     p0 = _first_point(finst)
-    oracle = functools.cache(lambda k: _dual(finst)[0](finst, bounds[k], norm.ell, norm.q))
+    oracle_cls = _dual(finst)[0]
+    shared = oracle_cls.shared(finst)
+    oracle = functools.cache(lambda k: oracle_cls(finst, bounds[k], norm.ell, norm.q, shared))
 
     def visit(k, first):
         verdict, payload = round_and_cut(finst, bounds[k], norm.ell, norm.q, limit=limit,

@@ -47,21 +47,22 @@ that has no allowed uncounted machine fits through its machine's chain of
 caps.  A Hall count per cap level refutes most infeasible guesses; an
 augmenting-path placement of those jobs decides the rest exactly.  What
 a verdict reads of p that no guess changes (each job's smallest size, each
-machine's largest) is kept per array (_job_sizes) and built once per
-solve: a job is free exactly when its smallest size is at most the radius
-and the lowest threshold, so a verdict finds the forced jobs in one pass
-over the jobs and reads only their columns, and the placement scans only
-each job's allowed machines.  Only guesses a visit reads are solved.
+machine's largest) is built once per scan (_JobSizes) and handed down: a
+job is free exactly when its smallest size is at most the radius and the
+lowest threshold, so a verdict finds the forced jobs in one pass over the
+jobs and reads only their columns, and the placement scans only each job's
+allowed machines.  Only guesses a visit reads are solved.
 
-Those LPs are built over the forced jobs only (the builders' forced_only):
-a free job (one with an allowed uncounted machine) gets no column and is
-placed whole on its first such machine, its home (_assignment_x, for the
-accepted solution only).  On the 30x300 benchmark models HiGHS gets a few
-hundred of the full model's 9,001 columns.  A home column would appear
-only in its job's assignment row, and moving the job's mass onto it raises
-no count row, no mass row and not s, so every verdict and optimum is the
-full model's.  The vertex, and so the rounding, can differ.  HiGHS gets
-the very arrays of the full model with each free job fixed on its home.
+Those LPs are built over the forced jobs only (the builders given the job
+sizes): a free job (one with an allowed uncounted machine) gets no column
+and is placed whole on its first such machine, its home (_assignment_x,
+for the accepted solution only).  On the 30x300 benchmark models HiGHS
+gets a few hundred of the full model's 9,001 columns.  A home column would
+appear only in its job's assignment row, and moving the job's mass onto it
+raises no count row, no mass row and not s, so every verdict and optimum
+is the full model's.  The vertex, and so the rounding, can differ.  HiGHS
+gets the very arrays of the full model with each free job fixed on its
+home.
 
 Rounding reads the vertex as arrays: each machine's positive entries, in
 size order, are the only ones its copy fill visits, and the copy graph's
@@ -84,7 +85,7 @@ from .guess import GuessLPs, SequenceRow, scan_sequence_rows, top_row
 from .instances import Assignment, eval_load_objective
 from .lp import EQ, NormCosts, add_norm_rows, lp_model, scaled_integers, solve_lp
 from .lp import simplex_solve  # noqa: F401 (unused; perfbench traces load.simplex_solve)
-from .norms import TOP, max_ordered_norm, top_norm
+from .norms import TOP, max_ordered_norm, power_sum_root, top_norm
 from .sparsify import (SequenceTable, geometric_grid, single_threshold_candidates,
                        sparsified_gap_bound, sparsified_gap_bounds, sparsify_weights)
 # unused; perfbench traces load.enumerate_threshold_sequences
@@ -102,31 +103,32 @@ def build_basic_load_lp(inst, radius):
     return model
 
 
-def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None,
-                            forced_only=False):
+def _topl_load_min_bound_lp(inst, ell, q, radius, threshold, fixed_bound=None, jobs=None):
     """Basic LP plus, per machine, a count cap of ell and a q-th-power mass
     cap over the jobs strictly larger than the threshold (lp.add_norm_rows,
     machines over jobs).  With fixed_bound None, adds a variable s replacing
-    bound^q and minimizes it; returns (model, index of s).  With
-    forced_only, the model holds the forced jobs only (_load_norm_lp)."""
-    return _load_norm_lp(inst, radius, ("top", ell, q, threshold), fixed_bound,
-                         threshold if forced_only else None)
+    bound^q and minimizes it; returns (model, index of s).  Given the job
+    sizes (jobs), the model holds the forced jobs only (_load_norm_lp)."""
+    return _load_norm_lp(inst, radius, ("top", ell, q, threshold), fixed_bound, jobs,
+                         threshold)
 
 
 def _ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_bound=None,
-                               forced_only=False):
+                               jobs=None):
     """Basic LP plus, per machine, a count cap of ell over the jobs above
     each kept coordinate ell's threshold and, per weight vector, a
-    telescoped weighted-mass row bounded by s (or by a fixed bound).  With
-    forced_only, the model holds the forced jobs only (_load_norm_lp)."""
+    telescoped weighted-mass row bounded by s (or by a fixed bound).  Given
+    the job sizes (jobs), the model holds the forced jobs only
+    (_load_norm_lp)."""
     return _load_norm_lp(inst, radius, ("ordered", sparse_weights, pos, seq), fixed_bound,
-                         seq.values[-1] if forced_only else None)
+                         jobs, seq.values[-1])
 
 
-def _load_norm_lp(inst, radius, normspec, fixed_bound, lowest=None):
+def _load_norm_lp(inst, radius, normspec, fixed_bound, jobs, lowest):
     """The builders' model: column i * n + j is x(i, j), then s.  Given the
-    guess's lowest threshold, only the forced jobs' allowed pairs get
-    columns (machine by machine, jobs ascending), then s.
+    instance's job sizes (jobs, a _JobSizes), only the forced jobs at the
+    guess's lowest threshold get columns, one per allowed pair (machine by
+    machine, jobs ascending), then s.
 
     That is the full model with each free job fixed whole on its home
     machine and each forbidden pair at 0, less its fixed columns and the
@@ -136,11 +138,10 @@ def _load_norm_lp(inst, radius, normspec, fixed_bound, lowest=None):
     (NormCosts.largest), so a machine whose counted pairs all belong to free
     jobs keeps its mass rows as -s <= 0."""
     p = inst.p
-    if lowest is None:
+    if jobs is None:
         model = build_basic_load_lp(inst, radius)
         costs = NormCosts(p, np.arange(p.size).reshape(p.shape))
     else:
-        jobs = _job_sizes(p)
         sub = p[:, jobs.forced(radius, lowest)]
         pairs = sub <= radius
         rows = pairs.nonzero()[1]  # per column, its job's place among the forced
@@ -154,7 +155,8 @@ def _load_norm_lp(inst, radius, normspec, fixed_bound, lowest=None):
 
 
 class _JobSizes:
-    """What every guess of a solve reads of p that depends on no guess: each
+    """What every guess of a scan reads of p that depends on no guess, built
+    once per scan and handed to its verdicts, builds and expansion: each
     job's smallest size (low; finite, since every job has an allowed
     machine), their largest (rmin, below which no radius fits every job) and
     each machine's largest finite size (largest, NormCosts.largest).
@@ -176,29 +178,12 @@ class _JobSizes:
         return np.flatnonzero(self.low > min(radius, lowest))
 
 
-_last_sizes = None  # the _JobSizes built last, kept by _job_sizes
-
-
-def _job_sizes(p):
-    """p's _JobSizes.  The last one built is reused while it is asked for
-    the same array, which it holds, and only for a read-only array that owns
-    its data (a LoadInstance's p), which nothing changes: it never goes
-    stale.  So each solve builds it once."""
-    global _last_sizes
-    last = _last_sizes
-    if last is not None and last.p is p:
-        return last
-    sizes = _JobSizes(p)
-    if not p.flags.writeable and p.flags.owndata:
-        _last_sizes = sizes
-    return sizes
-
-
-def _assignment_x(inst, radius, lowest, x):
+def _assignment_x(jobs, radius, lowest, x):
     """The fractional assignment, machines over jobs, of a solution x of the
-    guess LP built with forced_only at this radius and lowest threshold:
-    the forced jobs' pairs from x, each free job whole on its home machine."""
-    p, jobs = inst.p, _job_sizes(inst.p)
+    guess LP built over the forced jobs at this radius and lowest threshold
+    (given the instance's job sizes, jobs): the forced jobs' pairs from x,
+    each free job whole on its home machine."""
+    p = jobs.p
     cut = min(radius, lowest)
     free, forced = np.flatnonzero(jobs.low <= cut), jobs.forced(radius, lowest)
     out = np.zeros(p.shape)
@@ -209,7 +194,7 @@ def _assignment_x(inst, radius, lowest, x):
     return out
 
 
-def _count_feasible(inst, radius, thresholds, caps):
+def _count_feasible(jobs, radius, thresholds, caps):
     """Whether the min-bound LP at this radius (a finite size), with a count
     cap of caps[k] on each machine's jobs above thresholds[k], is feasible;
     None when a cap is not a non-negative integer (the placement below needs
@@ -218,9 +203,9 @@ def _count_feasible(inst, radius, thresholds, caps):
 
     Exact: a job with an allowed uncounted machine is placed there, and the
     other jobs (the forced ones) must fit through their machines' nested
-    caps.  The forced jobs come from the per-array job sizes (_job_sizes)
-    in one comparison over the jobs, and only their columns of p are read.
-    Two stages decide:
+    caps.  The forced jobs come from the instance's job sizes (jobs, a
+    _JobSizes) in one comparison over the jobs, and only their columns of
+    p are read.  Two stages decide:
 
       * Hall counts, one per cap level k, refute.  A forced job counted at
         level k on every allowed machine uses a slot of cap k and of every
@@ -237,14 +222,13 @@ def _count_feasible(inst, radius, thresholds, caps):
     """
     if not all(float(c).is_integer() and c >= 0 for c in caps):
         return None
-    jobs = _job_sizes(inst.p)
     tops = np.asarray(thresholds, float)
     forced = jobs.forced(radius, tops[-1])
     if forced.size == 0:
         return True
     if jobs.low[forced].max() > radius:
         return False  # a job with no allowed machine
-    sub = inst.p[:, forced]
+    sub = jobs.p[:, forced]
     routes = sub <= radius  # every allowed pair of a forced job is counted
     f, depth = forced.size, len(caps)
     room = np.minimum.accumulate([min(int(c), f) for c in reversed(caps)])[::-1]
@@ -375,7 +359,7 @@ def shmoys_tardos_round(x, p, edge_weights=None):
     so the matching's float sums and comparisons are exact while a scaled
     weight times n stays below 2^53; beyond that the weights match as floats.
 
-    Returns (assignment, copies).
+    Returns the assignment.
     """
     x = np.asarray(x, float)
     m, n = p.shape
@@ -403,7 +387,7 @@ def shmoys_tardos_round(x, p, edge_weights=None):
     if len(rows_idx) < n:
         raise SolverInternalError("matching left a job unassigned")
     # the row indices come back sorted, so with every job matched they are 0..n-1
-    return Assignment(tuple(owner[cols_idx].tolist())), copies
+    return Assignment(tuple(owner[cols_idx].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +401,12 @@ class LoadSolveResult:
     certificate: dict
 
 
-def _feasible_radii(inst, sizes):
-    """The positive sizes from max_j min_i p(i,j) on (smaller radii make the
-    basic LP infeasible; radius 0 only where that is 0, which the drivers
-    answer by _zero_result).  sizes are the instance's distinct finite
-    sizes, ascending."""
-    rmin = _job_sizes(inst.p).rmin
-    return [v for v in sizes if v >= rmin - 1e-12 and v > 0]
+def _feasible_radii(jobs, sizes):
+    """The positive sizes from max_j min_i p(i,j) (jobs.rmin) on (smaller
+    radii make the basic LP infeasible; radius 0 only where that is 0, which
+    the drivers answer by _zero_result).  sizes are the instance's distinct
+    finite sizes, ascending."""
+    return [v for v in sizes if v >= jobs.rmin - 1e-12 and v > 0]
 
 
 def _zero_result(inst, **cert):
@@ -445,7 +428,7 @@ def _solve_makespan(inst, norm, eps):
     every job's nearest size or the norm's largest weight is 0."""
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
-    zero = _job_sizes(inst.p).rmin == 0
+    zero = inst.p.min(axis=0).max() == 0
     if norm.kind == TOP:
         ell, q = norm.ell, norm.q
         grid_eps = eps / 4.0 ** (1.0 / q)  # so that 4^(1/q) * (1 + grid_eps) <= 4^(1/q) + eps
@@ -453,7 +436,8 @@ def _solve_makespan(inst, norm, eps):
             return _zero_result(inst, radius=0.0, bound=0.0, threshold=0.0,
                                 per_machine_bound=0.0, grid_eps=grid_eps)
         bound, radius, t, x = _scan_top_guesses(inst, ell, q, grid_eps)
-        limit = (2 * radius ** q + bound ** q + ell * t ** q) ** (1.0 / q)
+        limit = power_sum_root(lambda: (2 * radius ** q + bound ** q + ell * t ** q) ** (1.0 / q),
+                               ((2, radius), (1, bound), (ell, t)), q)
         cert = {"radius": radius, "bound": bound, "threshold": t,
                 "per_machine_bound": limit, "grid_eps": grid_eps}
     else:
@@ -467,7 +451,7 @@ def _solve_makespan(inst, norm, eps):
         limit = 4 * radius * wtop + 2 * bound + 2 * gap
         cert = {"radius": radius, "bound": bound, "sequence": seq.values,
                 "gap": gap, "chain_bound": limit}
-    assignment, _ = shmoys_tardos_round(x, inst.p)
+    assignment = shmoys_tardos_round(x, inst.p)
     value = eval_load_objective(inst, norm, assignment)
     if value > limit * (1 + 1e-9) + 1e-12:
         raise SolverInternalError("rounded value exceeds its certificate")
@@ -480,22 +464,22 @@ def _scan_top_guesses(inst, ell, q, grid_eps):
     every pair (_assignment_x)."""
     n = inst.jobs
     root = 1.0 / q
-    sizes = inst.finite_sizes()
-    radii = _feasible_radii(inst, sizes)
+    jobs, sizes = _JobSizes(inst.p), inst.finite_sizes()
+    radii = _feasible_radii(jobs, sizes)
     thresholds = single_threshold_candidates(sizes)
 
     def build(ri, key):
-        return _topl_load_min_bound_lp(inst, ell, q, radii[ri], -key[0], forced_only=True)
+        return _topl_load_min_bound_lp(inst, ell, q, radii[ri], -key[0], jobs=jobs)
 
     lps = GuessLPs(build, solve_lp,
-                   lambda ri, key: _count_feasible(inst, radii[ri], (-key[0],), (ell,)))
+                   lambda ri, key: _count_feasible(jobs, radii[ri], (-key[0],), (ell,)))
     best = scan_sequence_rows(lps, radii, 1.0,
                               lambda radius: geometric_grid(radius, n ** root * radius, grid_eps),
                               lambda ri: top_row(radii[ri], thresholds, ell, q))
     if best is None:
         raise SolverInternalError("guessing grids failed to cover the instance")
     (bound, _, ri, _), (t, sol) = best
-    return bound, radii[ri], t, _assignment_x(inst, radii[ri], t, sol.x)
+    return bound, radii[ri], t, _assignment_x(jobs, radii[ri], t, sol.x)
 
 
 def _nearest_assignment(inst):
@@ -518,8 +502,8 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     over its forced jobs; x is the accepted LP's solution over every pair
     (_assignment_x)."""
     n = inst.jobs
-    sizes = inst.finite_sizes()
-    radii = _feasible_radii(inst, sizes)
+    jobs, sizes = _JobSizes(inst.p), inst.finite_sizes()
+    radii = _feasible_radii(jobs, sizes)
     reps = {}  # (radius index, count key) -> (table, index of its first sequence)
 
     def rep(ri, counts):
@@ -528,10 +512,10 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
 
     def build(ri, counts):
         return _ordered_load_min_bound_lp(inst, sparse, pos, radii[ri], rep(ri, counts),
-                                          forced_only=True)
+                                          jobs=jobs)
 
     lps = GuessLPs(build, solve_lp,
-                   lambda ri, counts: _count_feasible(inst, radii[ri], rep(ri, counts).values,
+                   lambda ri, counts: _count_feasible(jobs, radii[ri], rep(ri, counts).values,
                                                       pos.indices))
 
     def row(ri):
@@ -552,7 +536,7 @@ def _scan_ordered_guesses(inst, sparse, pos, wtop, eps):
     (bound, _, ri, _), (seq, sol) = best
     # the sequences of a count key count the same sizes above their last
     # threshold, so seq frees the jobs its key's LP was built without
-    return bound, radii[ri], seq, _assignment_x(inst, radii[ri], seq.values[-1], sol.x)
+    return bound, radii[ri], seq, _assignment_x(jobs, radii[ri], seq.values[-1], sol.x)
 
 
 def _count_keys(table, sizes):

@@ -302,7 +302,11 @@ def add_norm_rows(model, costs, normspec, fixed_bound):
     bounds = np.empty(len(entry))
     bounds[:num_counts] = caps
     if sidx is None:
-        bounds[num_counts:] = float(fixed_bound) ** power
+        try:
+            bounds[num_counts:] = float(fixed_bound) ** power
+        except OverflowError:
+            raise InvalidInputError(f"the bound to the power {power!r} overflows a "
+                                    "float") from None
     else:
         bounds[num_counts:] = 0.0
         mass_rows = (row_slot >= num_counts).nonzero()[0]

@@ -91,6 +91,21 @@ def top_norm_value(v, ell, q):
         return float(top[0] * np.sum((top / top[0]) ** q) ** (1.0 / q))
 
 
+def power_sum_root(direct, terms, q):
+    """A certificate (sum of w v^q over the (w, v) in terms, w >= 1 and
+    v >= 0)^(1/q): direct(), its caller's own float expression for it, where
+    that is finite; where it overflows, the same value with the largest v
+    factored out, as top_norm_value does."""
+    try:
+        value = direct()
+    except OverflowError:
+        value = math.inf
+    if value < math.inf:
+        return value
+    top = max(v for _, v in terms)
+    return top * sum(w * (v / top) ** q for w, v in terms) ** (1.0 / q)
+
+
 def ordered_norm_value(v, w):
     """Inner product of the weight vector w with the sorted (descending) v."""
     v = _clean_vector(v)

@@ -5,9 +5,9 @@ build_ordered_load_lp fix the bound in the same builders, so that a test
 can ask whether a known bound is feasible.  _fix_free_jobs is how the
 guess scans once handed the solver the forced jobs only: the full model,
 with every free job fixed whole on its home machine.  It is the reference
-the forced-job build (the builders' forced_only) is checked against; the
-exhaustive and staircase scans look it up through this module at call
-time, so a test can replace it for both.
+the forced-job build (the builders given the job sizes) is checked
+against; the exhaustive and staircase scans look it up through this module
+at call time, so a test can replace it for both.
 """
 
 import numpy as np

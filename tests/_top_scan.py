@@ -132,8 +132,8 @@ def load_scan_top_guesses(inst, ell, q, grid_eps):
     """load._scan_top_guesses over scan_top_rows."""
     m, n = inst.machines, inst.jobs
     root = 1.0 / q
-    sizes = inst.finite_sizes()
-    radii = load._feasible_radii(inst, sizes)
+    jobs, sizes = load._JobSizes(inst.p), inst.finite_sizes()
+    radii = load._feasible_radii(jobs, sizes)
     thresholds = single_threshold_candidates(sizes)
 
     def build(ri, ti):
@@ -142,7 +142,7 @@ def load_scan_top_guesses(inst, ell, q, grid_eps):
             load._topl_load_min_bound_lp(inst, ell, q, radii[ri], thresholds[ti]))
 
     lps = GuessLPs(build, load.solve_lp, lambda ri, ti: load._count_feasible(
-        inst, radii[ri], (thresholds[ti],), (ell,)))
+        jobs, radii[ri], (thresholds[ti],), (ell,)))
     best = scan_top_rows(lps, radii, thresholds, ell, q,
                          lambda radius: geometric_grid(radius, n ** root * radius, grid_eps),
                          first=0)

@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import functools
 import json
 import math
@@ -608,6 +609,59 @@ def test_float_overflow_exits_invalid(tmp_path, capsys, kind, argv):
     code, out, err = _run([argv[0], str(path)] + argv[1:], capsys)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "invalid-input"
+
+
+def _power_sum_root(terms, q):
+    """(sum of w v^q over the (w, v) in terms)^(1/q) in 50-digit decimals,
+    which no float power limits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        total = sum(w * decimal.Decimal(v) ** decimal.Decimal(q) for w, v in terms)
+        return float(total ** (1 / decimal.Decimal(q)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_center_certificate_past_a_float_power_solves(tmp_path, capsys, seed):
+    """Top-(1,700) k-center: 3^q alone overflows a float, and the per-client
+    bound once escaped main as an OverflowError (exit 1, a traceback)."""
+    path = tmp_path / "cluster.json"
+    main(["gen", "cluster", "--seed", str(seed), "--out", str(path)])
+    code, out, err = _run(["solve", str(path), "--norm", "topl:1:700"], capsys)
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    cert = {k: float(v) for k, v in result["certificate"].items()}
+    assert cert["per_client_bound"] == pytest.approx(_power_sum_root(
+        [(2, 3 * cert["radius"]), (1, 3 * cert["bound"]), (1, 3 * cert["threshold"])], 700),
+        rel=1e-12)
+    assert float(result["value"]) <= cert["per_client_bound"]
+
+
+def test_makespan_certificate_past_a_float_power_solves(tmp_path, capsys):
+    """Top-(1,1000) makespan: the bound to the power q overflows a float, and
+    the per-machine bound once escaped main as an OverflowError."""
+    path = tmp_path / "load.json"
+    main(["gen", "load", "--seed", "7", "--machines", "2", "--jobs", "4", "--pmax", "10",
+          "--out", str(path)])
+    code, out, err = _run(["solve", str(path), "--norm", "topl:1:1000"], capsys)
+    assert code == 0 and err == ""
+    result = json.loads(out)
+    cert = {k: float(v) for k, v in result["certificate"].items()}
+    assert cert["per_machine_bound"] == pytest.approx(_power_sum_root(
+        [(2, cert["radius"]), (1, cert["bound"]), (1, cert["threshold"])], 1000), rel=1e-12)
+    assert float(result["value"]) <= cert["per_machine_bound"]
+
+
+def test_fair_fixed_bound_past_a_float_power_exits_invalid(tmp_path, capsys):
+    """Top-(1,1000) fair load: a base LP's fixed bound to the power q
+    overflows a float; it is invalid input, as where a cost's power does,
+    where it once escaped main as an OverflowError."""
+    path = tmp_path / "fair.json"
+    main(["gen", "fair-load", "--seed", "0", "--machines", "2", "--jobs", "3", "--pmax", "2",
+          "--out", str(path)])
+    code, out, err = _run(["fair-solve", str(path), "--norm", "topl:1:1000"], capsys)
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"detail": "the bound to the power 1000.0 overflows a float",
+                               "error": "invalid-input"}
 
 
 def test_oracle_top_value_at_a_huge_q(tmp_path, capsys):

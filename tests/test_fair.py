@@ -65,7 +65,7 @@ def _toy_load():
 
 def test_separation_zero_alpha_cuts():
     finst = _toy_load()
-    oracle = _LoadSeparation(finst, bound=1.0, ell=1, q=1.0)
+    oracle = _LoadSeparation(finst, 1.0, 1, 1.0, _LoadSeparation.shared(finst))
     verdict, key, cut = oracle((Fraction(0), Fraction(0), Fraction(1)))
     assert verdict == "cut"
     sigma, counts = cut[1]
@@ -74,7 +74,7 @@ def test_separation_zero_alpha_cuts():
 
 def test_separation_member_when_bound_too_small():
     finst = _toy_load()
-    oracle = _LoadSeparation(finst, bound=0.5, ell=1, q=1.0)
+    oracle = _LoadSeparation(finst, 0.5, 1, 1.0, _LoadSeparation.shared(finst))
     verdict, _, _ = oracle((Fraction(0), Fraction(0), Fraction(1)))
     assert verdict == "member"  # no assignment fits below every job size
 
@@ -185,7 +185,7 @@ def test_load_member_verdicts_are_sound():
         bound = float(rng.choice(finst.base.finite_sizes()))
         alpha = tuple(Fraction(int(rng.integers(0, 4)), 2) for _ in range(2))
         mu = sum(a * e for a, e in zip(alpha, finst.e)) + 1
-        oracle = _LoadSeparation(finst, bound, ell, q)
+        oracle = _LoadSeparation(finst, bound, ell, q, _LoadSeparation.shared(finst))
         verdict, _, cut = oracle(alpha + (mu,))
         if verdict == "member":
             members += 1
@@ -235,7 +235,7 @@ def test_center_member_verdicts_are_sound():
         alpha = tuple(Fraction(int(rng.integers(0, 4)), 2)
                       for _ in range(base.n_clients))
         mu = sum(a * e for a, e in zip(alpha, finst.e)) - 1
-        oracle = _CenterSeparation(finst, bound, ell, q)
+        oracle = _CenterSeparation(finst, bound, ell, q, _CenterSeparation.shared(finst))
         verdict, _, cut = oracle(alpha + (mu,))
         if verdict == "member":
             members += 1
@@ -260,7 +260,7 @@ def test_center_cuts_verify_exactly():
         alpha = tuple(Fraction(int(rng.integers(0, 3)), 2)
                       for _ in range(base.n_clients))
         mu = sum(a * e for a, e in zip(alpha, finst.e)) - 1
-        oracle = _CenterSeparation(finst, bound, 1, 1.0)
+        oracle = _CenterSeparation(finst, bound, 1, 1.0, _CenterSeparation.shared(finst))
         verdict, _, cut = oracle(alpha + (mu,))
         if verdict == "cut":
             cuts += 1
@@ -390,7 +390,7 @@ def test_weighted_rows_with_huge_alpha_are_scaled():
     """HiGHS reads a coefficient of 1e15 or more as infinite: from there the
     weighted row and its right-hand side are divided by the largest alpha."""
     finst = gen_fair_load(1, machines=2, jobs=2)
-    load = _LoadSeparation(finst, 10.0, 1, 1.0)
+    load = _LoadSeparation(finst, 10.0, 1, 1.0, _LoadSeparation.shared(finst))
     small = DualPoint(alpha=(Fraction(3), Fraction(10 ** 14)), mu=Fraction(7))
     row, _, rhs = load._weighted_row(small, Fraction(1, 2))
     assert row == {0: 3.0, 1: 3.0, 2: 1e14, 3: 1e14} and rhs == 6.5
@@ -398,7 +398,8 @@ def test_weighted_rows_with_huge_alpha_are_scaled():
     row, _, rhs = load._weighted_row(big, Fraction(1, 2))
     assert row == {0: 1.5e-16, 1: 1.5e-16, 2: 1.0, 3: 1.0}
     assert rhs == float((Fraction(4 * 10 ** 16) - Fraction(1, 2)) / (2 * 10 ** 16))
-    center = _CenterSeparation(gen_fair_cluster(1, clients=2, facilities=3), 1.0, 1, 1.0)
+    finst = gen_fair_cluster(1, clients=2, facilities=3)
+    center = _CenterSeparation(finst, 1.0, 1, 1.0, _CenterSeparation.shared(finst))
     big = DualPoint(alpha=(Fraction(10 ** 15), Fraction(0)), mu=Fraction(5))
     row, _, rhs = center._weighted_row(big, Fraction(1))
     assert list(row.values()) == [1.0] and rhs == 6e-15
@@ -410,16 +411,18 @@ def test_rows_hold_at_a_huge_q_raises_invalid_input():
     in the LP's mass rows.  Where no value lies in (t, radius] the rows
     count nothing and hold with no power taken."""
     finst = gen_fair_load(1, machines=2, jobs=4)
-    load = _LoadSeparation(finst, 10, 1, 1e300)
+    jobs = _LoadSeparation.shared(finst)
+    load = _LoadSeparation(finst, 10, 1, 1e300, jobs)
     top = load.values[-1]
     with pytest.raises(InvalidInputError, match="overflows a float"):
         load._rows_hold(top, 0.0, 1)
     with pytest.raises(InvalidInputError, match="overflows a float"):
-        _LoadSeparation(finst, 10, 2, 1e300).base_verdict(top, 0.0)  # placed: two per machine
+        _LoadSeparation(finst, 10, 2, 1e300, jobs).base_verdict(top, 0.0)  # placed: two per machine
     assert load._rows_hold(top, top, 1)
     tiny = FairLoadInstance(base=LoadInstance(p=[[1.0], [1.0]]), e=("1/2", "1/2"))
     with pytest.raises(InvalidInputError, match="overflows a float"):
-        _LoadSeparation(tiny, 2.0, 1, 1e300)._rows_hold(1.0, 0.0, 1)  # 2^q, 1^q is 1
+        _LoadSeparation(tiny, 2.0, 1, 1e300, _LoadSeparation.shared(tiny))._rows_hold(
+            1.0, 0.0, 1)  # 2^q, 1^q is 1
 
 
 def test_fair_load_solves_with_float_caps_that_reach_huge_alpha():

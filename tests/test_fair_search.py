@@ -91,7 +91,7 @@ def test_weakest_pair_is_the_last_listed():
             bounds = [0.0] + values + [v * scale for v in values] + \
                 rng.uniform(0.0, 1.2 * max(values) * scale, size=4).tolist()
             for bound in bounds:
-                oracle = cls(finst, bound, ell, q)
+                oracle = cls(finst, bound, ell, q, cls.shared(finst))
                 assert oracle._weakest() == oracle.pairs[-1], (bound, ell, q, values)
                 checked[oracle.kind] += 1
     assert min(checked["load"], checked["center"]) >= 5000, checked
@@ -166,7 +166,8 @@ def test_oracle_answers_match_the_full_scan():
                   else finst.base.finite_distances())
         for ell, q in NORMS:
             bound = float(rng.choice(values)) * float(rng.choice([0.5, 1.0, 2.0]))
-            oracle = fair._dual(finst)[0](finst, bound, ell, q)
+            cls = fair._dual(finst)[0]
+            oracle = cls(finst, bound, ell, q, cls.shared(finst))
             for _ in range(3):
                 point = _random_point(rng, finst)
                 try:
@@ -209,7 +210,8 @@ def test_base_verdicts_and_implied_rows_match_the_lps():
         for ell, q in NORMS:
             bounds = fair.fair_bound_candidates(finst, top_norm(ell, q), 0.1)
             for bound in rng.choice(bounds, size=min(3, len(bounds)), replace=False):
-                oracle = fair._dual(finst)[0](finst, float(bound), ell, q)
+                cls = fair._dual(finst)[0]
+                oracle = cls(finst, float(bound), ell, q, cls.shared(finst))
                 points = [oracle._point(vec) for vec in
                           [fair._first_point(finst)] + [_random_point(rng, finst)
                                                         for _ in range(2)]]
@@ -402,7 +404,7 @@ def _tabled_oracle(monkeypatch, finst, feasible, cuts, log, verdict=None):
     monkeypatch.setattr(cls, "_round", lambda self, point, eta, radius, sol:
                         ("cut", sol.pair, None) if sol.pair in cuts else None)
     monkeypatch.setattr(fair, "solve_lp", solve_lp)
-    return cls(finst, 10.0, 1, 1.0)
+    return cls(finst, 10.0, 1, 1.0, cls.shared(finst))
 
 
 def _pair_table(rng, pairs):
@@ -467,7 +469,8 @@ def test_pair_search_with_contradicting_verdicts(monkeypatch):
         alpha = (Fraction(0),) * m if zero else tuple(Fraction(int(rng.integers(1, 4)))
                                                       for _ in range(m))
         point = alpha + (sum(a * e for a, e in zip(alpha, finst.e)) + 1,)
-        pairs = fair._LoadSeparation(finst, 10.0, 1, 1.0).pairs
+        cls = fair._LoadSeparation
+        pairs = cls(finst, 10.0, 1, 1.0, cls.shared(finst)).pairs
         table = _pair_table(rng, pairs)
         cuts = {p for p in pairs if rng.random() < 0.3}
         base, ref, solved = _pair_scan_both(monkeypatch, finst, point, table, cuts)
@@ -510,7 +513,8 @@ def test_scan_after_a_contradicting_verdict_solves_lps_only(monkeypatch):
         zero = rng.random() < 0.2
         alpha = tuple(Fraction(0 if zero else int(rng.integers(1, 4))) for _ in range(2))
         point = alpha + (sum(a * e for a, e in zip(alpha, finst.e)) + 1,)
-        pairs = fair._LoadSeparation(finst, 10.0, 1, 1.0).pairs
+        cls = fair._LoadSeparation
+        pairs = cls(finst, 10.0, 1, 1.0, cls.shared(finst)).pairs
         table = _pair_table(rng, pairs)
         log = []
         _answer(lambda: _tabled_oracle(monkeypatch, finst, table, set(), log)(point))

@@ -1133,20 +1133,20 @@ def _tabled_load_lps(inst, top):
                 return SimpleNamespace(status=INFEASIBLE, x=None)
             return SimpleNamespace(status=OPTIMAL, x=np.full(m * n + 1, s))
 
-        def count_feasible(inst, radius, thresholds, caps):
+        def count_feasible(jobs, radius, thresholds, caps):
             guess = thresholds[0] if top else sequence_keys(sizes, [thresholds])[0]
             log.append((radius, guess))
             return (verdicts or table)(radius, guess) is not None
 
         monkeypatch.setattr(load, "_topl_load_min_bound_lp",
-                            lambda inst, ell, q, radius, t, forced_only=False: ((radius, t), 0))
+                            lambda inst, ell, q, radius, t, jobs=None: ((radius, t), 0))
         monkeypatch.setattr(load, "_ordered_load_min_bound_lp",
-                            lambda inst, sparse, pos, radius, seq, forced_only=False:
+                            lambda inst, sparse, pos, radius, seq, jobs=None:
                             ((radius, sequence_keys(sizes, [seq.values])[0]), 0))
         monkeypatch.setattr(_load_builders, "_fix_free_jobs",
                             lambda inst, radius, lowest, built: built)
         monkeypatch.setattr(load, "_assignment_x",
-                            lambda inst, radius, lowest, x: x[: m * n].reshape(m, n))
+                            lambda jobs, radius, lowest, x: x[: m * n].reshape(m, n))
         monkeypatch.setattr(load, "solve_lp", solve_lp)
         monkeypatch.setattr(load, "_count_feasible", count_feasible)
     return tabled
@@ -1158,7 +1158,7 @@ def test_load_top_scan_with_contradicting_verdicts(monkeypatch):
     for _ in range(30):
         inst = random_load(rng, m_hi=3, j_hi=5, pmax=12, forbidden=0.2)
         sizes = inst.finite_sizes()
-        radii = load._feasible_radii(inst, sizes)
+        radii = load._feasible_radii(load._JobSizes(inst.p), sizes)
         thresholds = single_threshold_candidates(sizes)
         table = _top_table(rng, radii, mass=60.0)
         ell, q = _top_params(rng)
@@ -1386,7 +1386,7 @@ def test_load_top_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
     for _ in range(30):
         inst = random_load(rng, m_hi=3, j_hi=5, pmax=12, forbidden=0.2)
         sizes = inst.finite_sizes()
-        radii = load._feasible_radii(inst, sizes)
+        radii = load._feasible_radii(load._JobSizes(inst.p), sizes)
         thresholds = single_threshold_candidates(sizes)
         table = _top_table(rng, radii, mass=60.0)
         ell, q = _top_params(rng)
@@ -1486,7 +1486,8 @@ def _top_cases(rng):
     if kind == 2:
         inst = random_load(rng, m_hi=3, j_hi=5, pmax=12, forbidden=0.2)
         sizes = inst.finite_sizes()
-        table = _top_table(rng, load._feasible_radii(inst, sizes), mass=60.0)
+        radii = load._feasible_radii(load._JobSizes(inst.p), sizes)
+        table = _top_table(rng, radii, mass=60.0)
         return (load, _tabled_load_lps(inst, top=True), table, single_threshold_candidates(sizes),
                 lambda: load._scan_top_guesses(inst, ell, q, 0.05),
                 lambda: _top_scan.load_scan_top_guesses(inst, ell, q, 0.05))

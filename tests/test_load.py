@@ -23,7 +23,7 @@ from maxnorm.fair import solve_fair
 from maxnorm.generators import gen_fair_load, gen_knapsack_cluster, gen_load
 from maxnorm.instances import Assignment, LoadInstance, eval_load_objective
 from maxnorm.guess import SequenceRow
-from maxnorm.load import (_count_feasible, _count_keys, _ordered_load_min_bound_lp,
+from maxnorm.load import (_JobSizes, _count_feasible, _count_keys, _ordered_load_min_bound_lp,
                           _topl_load_min_bound_lp, build_basic_load_lp, machine_copies,
                           shmoys_tardos_round, solve_ordered_makespan, solve_topl_makespan)
 from maxnorm.lp import INFEASIBLE, OPTIMAL, TAU_LP, solve_lp
@@ -175,7 +175,7 @@ def test_machine_copies_trace():
 def test_rounding_integral_identity():
     inst = LoadInstance(p=np.array([[1.0, 2.0], [2.0, 1.0]]))
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assignment, _ = shmoys_tardos_round(x, inst.p)
+    assignment = shmoys_tardos_round(x, inst.p)
     assert assignment.sigma == (0, 1)
 
 
@@ -252,8 +252,8 @@ def test_machine_copies_match_the_entry_loop():
                 with pytest.raises(SolverInternalError):
                     shmoys_tardos_round(x, p, edge_weights)
                 continue
-            assignment, got = shmoys_tardos_round(x, p, edge_weights)
-            assert (assignment, got) == expected
+            assignment = shmoys_tardos_round(x, p, edge_weights)
+            assert (assignment, machine_copies(x, p)) == expected
             assert all(type(i) is int for i in assignment.sigma)
     assert near >= 200
 
@@ -261,7 +261,7 @@ def test_machine_copies_match_the_entry_loop():
 def test_rounding_copy_count_and_norm_bound():
     rng = np.random.default_rng(3)
     for inst, x, ell, q, radius, bound, t in _fractional_solutions(rng, 25):
-        assignment, copies = shmoys_tardos_round(x, inst.p)
+        assignment, copies = shmoys_tardos_round(x, inst.p), machine_copies(x, inst.p)
         per_machine = assignment.machine_jobs(inst.machines)
         for i in range(inst.machines):
             n_i = int(np.ceil(x[i].sum() - 1e-9))
@@ -277,7 +277,7 @@ def test_weighted_rounding_monotonicity():
     rng = np.random.default_rng(4)
     for inst, x, *_ in _fractional_solutions(rng, 10):
         alpha = [Fraction(int(v), 4) for v in rng.integers(0, 9, size=inst.machines)]
-        assignment, _ = shmoys_tardos_round(x, inst.p, edge_weights=alpha)
+        assignment = shmoys_tardos_round(x, inst.p, edge_weights=alpha)
         integral = sum(a * c for a, c in zip(alpha, assignment.counts(inst.machines)))
         fractional = sum(float(a) * x[i].sum() for i, a in enumerate(alpha))
         assert float(integral) <= fractional + 1e-9
@@ -290,7 +290,7 @@ def test_exact_rounding_matches_the_fraction_simplex_weight():
     for inst, x, *_ in _fractional_solutions(rng, 15):
         for den in (1, 3, 7 * 11):
             alpha = [Fraction(int(v), den) for v in rng.integers(0, 9, size=inst.machines)]
-            assignment, _ = shmoys_tardos_round(x, inst.p, edge_weights=alpha)
+            assignment = shmoys_tardos_round(x, inst.p, edge_weights=alpha)
             reference = fraction_simplex_round(x, inst.p, alpha)
             assert (sum(alpha[i] for i in assignment.sigma)
                     == sum(alpha[i] for i in reference))
@@ -301,7 +301,7 @@ def test_exact_rounding_past_exact_float_sums_matches_as_floats():
     x, p = np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 2.0], [1.0, 1.0]])
     for weights in ([Fraction(2 ** 52 - 1), 0], [Fraction(2 ** 52), 0],
                     [Fraction(1, 2 ** 52), Fraction(1)]):
-        assignment, _ = shmoys_tardos_round(x, p, edge_weights=weights)
+        assignment = shmoys_tardos_round(x, p, edge_weights=weights)
         assert assignment.sigma == (0, 0)
         assert assignment.sigma == fraction_simplex_round(x, p, weights)
 
@@ -318,12 +318,12 @@ def test_fair_solve_with_binary_float_caps(monkeypatch):
     real, past = fair.shmoys_tardos_round, []
 
     def checked(x, p, edge_weights=None):
-        assignment, copies = real(x, p, edge_weights=edge_weights)
+        assignment = real(x, p, edge_weights=edge_weights)
         reference = fraction_simplex_round(x, p, edge_weights)
         assert (sum(Fraction(edge_weights[i]) for i in assignment.sigma)
                 == sum(Fraction(edge_weights[i]) for i in reference))
         past.append(max(scaled_integers(edge_weights)) * p.shape[1] >= 2 ** 53)
-        return assignment, copies
+        return assignment
 
     monkeypatch.setattr(fair, "shmoys_tardos_round", checked)
     cases = [(2, 4, 1, [2.7, 1.0, 0.5, 1.2]), (11, 4, 2, [0.6, 0.6, 2.6, 1.7]),
@@ -426,7 +426,7 @@ def test_count_verdict_matches_highs_on_top_guesses():
         sizes = inst.finite_sizes()
         for radius, t in itertools.product(sizes, [0.0] + sizes):
             for ell in (1, 2, 3, inst.jobs + 1):
-                verdict = _count_feasible(inst, radius, (t,), (ell,))
+                verdict = _count_feasible(_JobSizes(inst.p), radius, (t,), (ell,))
                 model, _ = _topl_load_min_bound_lp(inst, ell, 1.0, radius, t)
                 assert verdict == (solve_lp(model).status == OPTIMAL), (radius, t, ell)
                 short += ell >= 2 and ell * inst.machines < _forced(inst, radius, t)
@@ -446,7 +446,7 @@ def test_count_verdict_matches_highs_on_ordered_keys():
             for key, seq in zip(sequence_keys(sizes, [seq.values for seq in seqs]), seqs):
                 keys.setdefault(key, seq)
             for seq in keys.values():
-                verdict = _count_feasible(inst, radius, seq.values, pos.indices)
+                verdict = _count_feasible(_JobSizes(inst.p), radius, seq.values, pos.indices)
                 model, _ = _ordered_load_min_bound_lp(inst, sparse, pos, radius, seq)
                 assert verdict == (solve_lp(model).status == OPTIMAL), (radius, seq)
                 checked += 1
@@ -522,21 +522,22 @@ def _assert_same_layout(got, want):
 
 
 def _forced_build_matches_reference(inst, radius, lowest, build):
-    """build(forced_only) is a builder call at this radius and lowest
-    threshold.  The model built over the forced jobs gives the solver the
-    same arrays as the full model with its free jobs fixed
-    (_load_builders._fix_free_jobs); where it is optimal, its solution
+    """build(jobs) is a builder call at this radius and lowest threshold
+    (jobs None: the full model).  The model built over the forced jobs
+    gives the solver the same arrays as the full model with its free jobs
+    fixed (_load_builders._fix_free_jobs); where it is optimal, its solution
     expanded to every pair (load._assignment_x), with s, lies within the
     full model's column bounds (within TAU_LP) and passes its residual
     check.  Returns the guess's kinds, for the floors: "all free" or "none
     free", and "free rows" where a machine's counted pairs all belong to
     free jobs."""
-    full, sidx = _load_builders._fix_free_jobs(inst, radius, lowest, build(False))
-    model, svar = build(True)
+    jobs = _JobSizes(inst.p)
+    full, sidx = _load_builders._fix_free_jobs(inst, radius, lowest, build(None))
+    model, svar = build(jobs)
     _assert_same_layout(lp._layout(model), lp._layout(full))
     sol = solve_lp(model)
     if sol.status == OPTIMAL:
-        x = np.append(load._assignment_x(inst, radius, lowest, sol.x).ravel(), sol.x[svar])
+        x = np.append(load._assignment_x(jobs, radius, lowest, sol.x).ravel(), sol.x[svar])
         assert sidx == x.size - 1
         assert np.all(full.lower - TAU_LP <= x) and np.all(x <= full.upper + TAU_LP)
         lp._check_residuals(full, x)
@@ -564,13 +565,13 @@ def test_forced_build_gives_the_solver_the_reference_arrays():
             t = float(rng.choice([0.0] + sizes))
             ell, q = int(rng.integers(1, 4)), float(rng.choice([1.0, 2.0]))
             seen.update(_forced_build_matches_reference(
-                inst, radius, t, lambda forced: _topl_load_min_bound_lp(
-                    inst, ell, q, radius, t, forced_only=forced)))
+                inst, radius, t, lambda jobs: _topl_load_min_bound_lp(
+                    inst, ell, q, radius, t, jobs=jobs)))
             seqs = list(enumerate_threshold_sequences(radius, inst.jobs))
             seq = seqs[int(rng.integers(len(seqs)))]
             seen.update(_forced_build_matches_reference(
-                inst, radius, seq.values[-1], lambda forced: _ordered_load_min_bound_lp(
-                    inst, sparse, pos, radius, seq, forced_only=forced)))
+                inst, radius, seq.values[-1], lambda jobs: _ordered_load_min_bound_lp(
+                    inst, sparse, pos, radius, seq, jobs=jobs)))
             seen["guesses"] += 2
     assert seen["guesses"] >= 300, seen
     assert seen["all free"] >= 50 and seen["none free"] >= 50 and seen["free rows"] >= 50, seen
@@ -627,10 +628,10 @@ def test_count_verdict_leaves_non_integral_caps_to_the_lp():
     inst = LoadInstance(p=np.full((2, 3), 2.0))
     model, _ = _topl_load_min_bound_lp(inst, 1.5, 1.0, 2.0, 0.0)
     assert solve_lp(model).status == OPTIMAL
-    assert _count_feasible(inst, 2.0, (0.0,), (1,)) is False
+    assert _count_feasible(_JobSizes(inst.p), 2.0, (0.0,), (1,)) is False
     for cap in (1.5, 0.5, -1.0, float("inf"), float("nan")):
-        assert _count_feasible(inst, 2.0, (0.0,), (cap,)) is None
-        assert _count_feasible(inst, 2.0, (1.0, 0.0), (1, cap)) is None
+        assert _count_feasible(_JobSizes(inst.p), 2.0, (0.0,), (cap,)) is None
+        assert _count_feasible(_JobSizes(inst.p), 2.0, (1.0, 0.0), (1, cap)) is None
 
 
 def _flow_verdict(inst, radius, thresholds, caps):
@@ -689,7 +690,7 @@ def test_pigeonhole_exit_agrees_with_the_flow(monkeypatch):
         thresholds = sorted(rng.choice([0.0] + sizes, size=depth).tolist(), reverse=True)
         caps = rng.integers(0, 4, size=depth).tolist()
         calls.clear()
-        verdict = _count_feasible(inst, radius, thresholds, caps)
+        verdict = _count_feasible(_JobSizes(inst.p), radius, thresholds, caps)
         flow, routes = _flow_verdict(inst, radius, thresholds, caps)
         if flow is None:
             continue
@@ -750,7 +751,7 @@ def test_count_verdict_matches_the_reference(monkeypatch):
     for _ in range(4000):
         inst, radius, thresholds, caps = _verdict_case(rng)
         runs.clear()
-        verdict = _count_feasible(inst, radius, thresholds, caps)
+        verdict = _count_feasible(_JobSizes(inst.p), radius, thresholds, caps)
         assert verdict is count_reference._count_feasible(inst, radius, thresholds, caps), \
             (inst.p, radius, thresholds, caps)
         assert runs.keys() in ({"new", "reference"}, set())
@@ -795,7 +796,7 @@ def test_planted_displacements_and_hall_passing_refutations(monkeypatch):
         core = [[1.0, 2.0], [2.0, 3.0]] if truth else [[3.0, 3.0], [1.0, 1.0]]
         inst = _planted_load(rng, core)
         calls.clear()
-        verdict = _count_feasible(inst, 3.0, (2.0, 0.0), (0, 1))
+        verdict = _count_feasible(_JobSizes(inst.p), 3.0, (2.0, 0.0), (0, 1))
         assert verdict == _flow_verdict(inst, 3.0, (2.0, 0.0), (0, 1))[0] == truth
         assert len(calls) == 1  # no Hall count refutes
         decided["displaced" if truth and not calls[0] else str(verdict)] += 1
@@ -814,7 +815,7 @@ def test_hall_count_reads_every_cap_outside_its_level(monkeypatch):
     assert forced_flow(inst.p, forced, routes, np.array([2.0, 0.0]), [2, 1]) == 2
     calls = []
     monkeypatch.setattr(load, "_placed", lambda *args: calls.append(args))
-    assert _count_feasible(inst, 3.0, (2.0, 0.0), (2, 1)) is False and not calls
+    assert _count_feasible(_JobSizes(inst.p), 3.0, (2.0, 0.0), (2, 1)) is False and not calls
 
 
 def test_placement_displaces_a_job_where_its_first_choice_misses():
@@ -826,7 +827,7 @@ def test_placement_displaces_a_job_where_its_first_choice_misses():
     levels = np.array([[1, 1], [1, 0]])
     assert not _greedy_fits(levels, [0, 1])
     assert load._placed(levels, [0, 1])
-    assert _count_feasible(inst, 3.0, (2.0, 0.0), (0, 1)) is True
+    assert _count_feasible(_JobSizes(inst.p), 3.0, (2.0, 0.0), (0, 1)) is True
     # with job 0 allowed on machine 0 alone, the job that job 1 displaces
     # has nowhere to go, although every Hall count passes
     assert not load._placed(np.array([[1, 1], [-1, 0]]), [0, 1])
