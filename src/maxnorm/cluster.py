@@ -105,14 +105,20 @@ _TOL = 1e-9
 
 @dataclass
 class CenterCore:
-    """Client-facility view a solver works on; facility_ids map the local
-    facility columns back to instance indices (residual subinstances)."""
+    """Client-facility view a solver works on, with its facility budget (a
+    cardinality, partition or knapsack tuple, _budget_rows) and whether its
+    relaxations carry the coverage row; facility_ids map the local facility
+    columns back to instance indices (residual subinstances).  What no guess
+    changes is worked out once per core: the budget rows, the relaxations'
+    fixed parts and each radius's cover verdict."""
 
     cf: np.ndarray
     l: np.ndarray
     r: np.ndarray
     m: int
     facility_ids: tuple
+    budget: tuple
+    coverage: bool = True
 
     @property
     def n_clients(self):
@@ -130,13 +136,28 @@ class CenterCore:
         return sorted(set(float(v) for v in self.cf.ravel()))
 
     @functools.cached_property
+    def budget_rows(self):
+        """_budget_rows of the core's budget."""
+        return _budget_rows(self, self.budget)
+
+    @functools.cached_property
     def lp_parts(self):
         return _CenterParts(self)
 
+    def cover(self, radius):
+        """_cover_verdict at the radius, decided once per radius."""
+        verdicts = self.__dict__.setdefault("_verdicts", {})
+        if radius not in verdicts:
+            verdicts[radius] = _cover_verdict(self, radius)
+        return verdicts[radius]
 
-def core_of(inst):
+
+def core_of(inst, budget=None, coverage=True):
+    """The instance's core under the budget, by default at most k opens."""
     return CenterCore(cf=np.array(inst.cf), l=np.array(inst.l), r=np.array(inst.r),
-                      m=int(inst.m), facility_ids=tuple(range(inst.n_facilities)))
+                      m=int(inst.m), facility_ids=tuple(range(inst.n_facilities)),
+                      budget=(CARDINALITY, inst.k) if budget is None else budget,
+                      coverage=coverage)
 
 
 # ---------------------------------------------------------------------------
@@ -148,8 +169,8 @@ CARDINALITY, PARTITION, KNAPSACK = "cardinality", "partition", "knapsack"
 class _CenterParts:
     """What no guess changes in one core's relaxations (_center_lp): the
     norm costs, the column bounds outside x, the client rows, the y column
-    of each pair's x <= y row, the coverage row, and the budget rows of the
-    budget last asked for."""
+    of each pair's x <= y row, the coverage row, and the budget rows, one
+    per capped part of the core's budget_rows over its facilities."""
 
     def __init__(self, core):
         nc, nf = core.n_clients, core.n_facilities
@@ -165,30 +186,18 @@ class _CenterParts:
         self.pair_y = y0 + np.arange(nx) // nc
         self.coverage = row_block(np.zeros(nc), u0 + np.arange(nc), np.ones(nc), GE,
                                   [float(core.m)])
-        self._budget = None  # (budget, its row block)
-
-    def budget(self, core, budget):
-        """The budget rows, one per part of _capped_parts over its
-        facilities.  Kept for the budget object last asked for, which a
-        driver passes at every guess."""
-        kept = self._budget
-        if kept is None or kept[0] is not budget:
-            part, weight, caps, _ = _budget_rows(core, budget)
-            capped = _capped_parts(budget, part, caps)
-            listed = np.flatnonzero(np.isin(part, capped))
-            y = len(self.lower) - core.n_facilities + listed
-            kept = self._budget = (budget, row_block(np.searchsorted(capped, part[listed]), y,
-                                                     weight[listed],
-                                                     EQ if budget[0] == CARDINALITY else LE,
-                                                     caps[capped]))
-        return kept[1]
+        part, weight, caps, _, capped = core.budget_rows
+        listed = np.flatnonzero(np.isin(part, capped))
+        self.budget = row_block(np.searchsorted(capped, part[listed]), y0 + listed,
+                                weight[listed], EQ if core.budget[0] == CARDINALITY else LE,
+                                caps[capped])
 
 
-def _center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
+def _center_lp(core, normspec, radius, fixed_bound=None):
     """Relaxation with sum_i x(i,j) = u_j in [l_j, r_j], x(i,j) <= y_i over
     the pairs within the radius (the others are forbidden), sum_j u_j >= m
-    with coverage, the norm rows of normspec (lp.add_norm_rows, clients
-    over facilities) and the facility budget rows.  Columns: x(i,j) at
+    where the core has coverage, the norm rows of normspec (lp.add_norm_rows,
+    clients over facilities) and the core's budget rows.  Columns: x(i,j) at
     i * nc + j, then u, then y, then s.  With fixed_bound None the bound
     surrogate s is minimized; returns (model, index of s or None).  What no
     guess changes is built once per core (_CenterParts)."""
@@ -202,10 +211,10 @@ def _center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
     at = np.arange(len(pairs))
     model.add_rows(np.concatenate([at, at]), np.concatenate([pairs, parts.pair_y[pairs]]),
                    np.repeat([1.0, -1.0], len(pairs)), LE, np.zeros(len(pairs)))
-    if coverage:
+    if core.coverage:
         model.add_block(parts.coverage)
     sidx = add_norm_rows(model, parts.norm, normspec, fixed_bound)
-    model.add_block(parts.budget(core, budget))
+    model.add_block(parts.budget)
     return model, sidx
 
 
@@ -584,11 +593,12 @@ class CenterSolveResult:
     certificate: dict
 
 
-def _round_accepted(core, budget, xuy, radius, weights=None):
-    """Split, bundle, and open bundles integrally for an accepted guess;
-    returns (bundle structure, z, and the exact objective, the coverage of
-    the opening with each client's queue counted at its weight, default 1,
-    or for a knapsack budget the copies its basic vertex opens fractionally)."""
+def _round_accepted(core, xuy, radius, weights=None):
+    """Split, bundle, and open bundles integrally for an accepted guess under
+    the core's budget; returns (bundle structure, z, and the exact
+    objective, the coverage of the opening with each client's queue counted
+    at its weight, default 1, or for a knapsack budget the copies its basic
+    vertex opens fractionally)."""
     _, u, y = xuy
     split = split_and_normalize(u, y, core, radius)
     bs = build_bundles(split)
@@ -599,14 +609,13 @@ def _round_accepted(core, budget, xuy, radius, weights=None):
                for b in bs.partial_indices()]
     full = [bs.bundles[b] for b in bs.full_indices()]
     copy_to_original = {c: bs.split.original[c] for u_ in bs.bundles for c in u_}
-    if budget[0] == KNAPSACK:
-        _, wt, limit = budget
+    if core.budget[0] == KNAPSACK:
+        _, wt, limit = core.budget
         copy_weights = {c: float(wt[core.facility_ids[i]]) for c, i in copy_to_original.items()}
         z, _, fractional = solve_knapsack_basic(full, partial, profits, copy_weights, limit)
         return bs, z, fractional
     fixed = sum(w * sum(bs.is_full[b] for b in q) for w, q in zip(weights, bs.queues))
-    part, _, caps, _ = _budget_rows(core, budget)
-    capped = _capped_parts(budget, part, caps)
+    part, _, caps, _, capped = core.budget_rows
     z, obj = solve_partition_matroid_integral(full, partial, profits, copy_to_original,
                                               [np.flatnonzero(part == p).tolist()
                                                for p in capped], caps[capped], fixed_term=fixed)
@@ -622,60 +631,58 @@ _KNAPSACK_SLACK = 1e-6  # relative to the limit; above HiGHS's feasibility toler
 
 def _budget_rows(core, budget):
     """The budget as rows sum_{i in part p} w_i y_i <= cap_p: the part of each
-    facility, w, the caps and the slack a float row keeps from its cap.  A
-    facility in no part of a partition gets a last, uncapped part."""
+    facility, w, the caps, the slack a float row keeps from its cap, and the
+    parts that get a row, ascending.  A cardinality budget of k means at
+    most k opens: one row sum_i y_i = min(k, nf).  A facility in no part of
+    a partition gets a last, uncapped part; a part with no cap gets no row,
+    nor does a partition part without a facility of the core, whose row
+    would be empty."""
     nf = core.n_facilities
+    part, weight, slack = np.zeros(nf, int), np.ones(nf), 0.0
     if budget[0] == CARDINALITY:
-        return np.zeros(nf, int), np.ones(nf), np.array([float(budget[1])]), 0.0
-    if budget[0] == KNAPSACK:
+        caps = np.array([float(min(budget[1], nf))])
+    elif budget[0] == KNAPSACK:
         _, wt, limit = budget
-        return (np.zeros(nf, int), np.asarray(wt, float)[list(core.facility_ids)],
-                np.array([float(limit)]), _KNAPSACK_SLACK * max(1.0, abs(float(limit))))
-    if budget[0] != PARTITION:
+        weight = np.asarray(wt, float)[list(core.facility_ids)]
+        caps, slack = np.array([float(limit)]), _KNAPSACK_SLACK * max(1.0, abs(float(limit)))
+    elif budget[0] == PARTITION:
+        _, parts, caps = budget
+        local = {fid: i for i, fid in enumerate(core.facility_ids)}
+        part = np.full(nf, len(caps))
+        for p, members in enumerate(parts):
+            part[[local[fid] for fid in members if fid in local]] = p
+        caps = np.append(np.asarray(caps, float), np.inf)
+    else:
         raise InvalidInputError(f"unknown budget {budget[0]!r}")
-    _, parts, caps = budget
-    local = {fid: i for i, fid in enumerate(core.facility_ids)}
-    part = np.full(nf, len(caps))
-    for p, members in enumerate(parts):
-        part[[local[fid] for fid in members if fid in local]] = p
-    return part, np.ones(nf), np.append(np.asarray(caps, float), np.inf), 0.0
-
-
-def _capped_parts(budget, part, caps):
-    """The parts of _budget_rows that get a row, ascending: every part with
-    a cap (a partition's last part, of the facilities in no listed part, has
-    none), but not a partition part without a facility of the core, whose
-    row would be empty."""
     capped = np.isfinite(caps)
     if budget[0] == PARTITION:
         capped &= np.bincount(part, minlength=len(caps)) > 0
-    return np.flatnonzero(capped)
+    return part, weight, caps, slack, np.flatnonzero(capped)
 
 
-def _cover_verdict(core, budget, radius, coverage):
-    """Whether the radius's weakest relaxation is feasible, decided without
-    an LP, or None to leave it to the LP.
+def _cover_verdict(core, radius):
+    """Whether the radius's weakest relaxation of the core is feasible,
+    decided without an LP, or None to leave it to the LP.  Solvers ask it
+    through core.cover, which keeps it per radius.
 
     At the weakest guess every counted pair is forbidden and s is free, so
     what is left is x <= y, u_j in [l_j, r_j] over the ball B_j (the
-    facilities within R of client j), sum u >= m with coverage, and the
-    budget.  False: a ball holds fewer than l_j facilities, the balls cannot
-    carry m connections, k exceeds the facility count, or clients with
+    facilities within R of client j), sum u >= m where the core has
+    coverage, and the core's budget rows.  False: a ball holds fewer than
+    l_j facilities, the balls cannot carry m connections, or clients with
     pairwise disjoint balls need more than the budget lets those balls open
     (the Hochbaum-Shmoys packing argument): client j needs l_j times the
     lightest weight in B_j.  True: a greedy integral opening within the
     budget puts l_j open facilities in every ball, and min(r_j, open in
-    B_j) sums to m; padded to exactly k for cardinality, it is a point of
-    the LP.  Knapsack weights are floats, so both rules keep a slack from
-    the limit above HiGHS's feasibility tolerance."""
+    B_j) sums to m; padded to exactly min(k, nf) for cardinality, it is a
+    point of the LP.  Knapsack weights are floats, so both rules keep a
+    slack from the limit above HiGHS's feasibility tolerance."""
     ball = ~(core.cf > radius)  # the pairs the relaxation allows
     size = ball.sum(axis=1)
-    need = core.m if coverage else 0
+    need = core.m if core.coverage else 0
     if np.any(size < core.l) or np.minimum(size, core.r).sum() < need:
         return False
-    if budget[0] == CARDINALITY and core.n_facilities < budget[1]:
-        return False
-    part, weight, caps, slack = _budget_rows(core, budget)
+    part, weight, caps, slack, _ = core.budget_rows
     packed, demand = np.zeros(core.n_facilities, bool), 0.0
     for j in np.argsort(size, kind="stable"):  # small balls first
         if core.l[j] > 0 and not (ball[j] & packed).any():
@@ -717,30 +724,26 @@ def _count_rows_implied(core, radius, t, ell):
     return bool(np.all(np.minimum(core.r, counted.sum(axis=1)) <= ell))
 
 
-def _scan_rows(core, budget, radii, wtop, grid_of, row, spec, weakest, implied=None):
+def _scan_rows(core, radii, wtop, grid_of, row, spec, weakest, implied=None):
     """guess.scan_sequence_rows over row(ri) for the radii, from the first
     radius whose weakest count key weakest(ri) is feasible
     (guess.first_feasible_radius, bisected from _ball_floor over every
     facility: below it _cover_verdict's first rule refutes each radius).
     lps(ri, key) solves _center_lp with normspec spec(ri, key).  A probe
-    takes its radius's _cover_verdict, decided once per radius, at the
-    weakest key and wherever implied(ri, key) holds; every other probe gets
-    None."""
-    cover = functools.cache(lambda ri: _cover_verdict(core, budget, radii[ri], coverage=True))
-
+    takes its radius's cover verdict (core.cover) at the weakest key and
+    wherever implied(ri, key) holds; every other probe gets None."""
     def verdict(ri, key):
         if key == weakest(ri) or (implied is not None and implied(ri, key)):
-            return cover(ri)
+            return core.cover(radii[ri])
         return None
 
-    lps = GuessLPs(lambda ri, key: _center_lp(core, budget, spec(ri, key), radii[ri]),
-                   solve_lp, verdict)
+    lps = GuessLPs(lambda ri, key: _center_lp(core, spec(ri, key), radii[ri]), solve_lp, verdict)
     floor = _ball_floor(core, np.searchsorted(radii, core.cf, side="left"))
     return scan_sequence_rows(lps, radii, wtop, grid_of, row, first_feasible_radius(
         lps, len(radii), weakest, len(radii) if floor is None else floor))
 
 
-def _scan_top(core, budget, ell, q, radii, thresholds, grid_of):
+def _scan_top(core, ell, q, radii, thresholds, grid_of):
     """_scan_rows over the Top rows of radii (guess.top_row, count key
     (-T,)), with the cover verdict also wherever _count_rows_implied holds.
 
@@ -750,13 +753,13 @@ def _scan_top(core, budget, ell, q, radii, thresholds, grid_of):
     exactly when the radius's relaxation without norm rows is, which is what
     _cover_verdict decides."""
     weakest = [(-thresholds[ti],) for ti in weakest_thresholds(radii, thresholds)]
-    return _scan_rows(core, budget, radii, 1.0, grid_of,
+    return _scan_rows(core, radii, 1.0, grid_of,
                       lambda ri: top_row(radii[ri], thresholds, ell, q),
                       lambda ri, key: ("top", ell, q, -key[0]), weakest.__getitem__,
                       lambda ri, key: _count_rows_implied(core, radii[ri], -key[0], ell))
 
 
-def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
+def _scan_sequences(core, sparsified, r0, radii, grid_of, chained):
     """_scan_rows over the threshold sequences of radii (on r0
     coordinates), with the cover verdict at each radius's weakest sequence
     (every threshold at R) only.  sparsified is (sparse weights, kept
@@ -781,7 +784,7 @@ def _scan_sequences(core, budget, sparsified, r0, radii, grid_of, chained):
         values = table.values()
         return SequenceRow(-values, chained(radius, values), table.sequence)
 
-    return _scan_rows(core, budget, radii, wtop, grid_of, row,
+    return _scan_rows(core, radii, wtop, grid_of, row,
                       lambda ri, key: _sequence_spec(sparse, pos, r0, _keyed(radii[ri], pos, key)),
                       weakest)
 
@@ -804,11 +807,12 @@ def _top_cert(radius, bound, ell, q, threshold):
 
 def solve_topl_kcenter(inst, ell, q, eps):
     """Top-(ell,q) k-center within factor 3*4^(1/q) + eps of optimal."""
-    return _solve_center(inst, (CARDINALITY, inst.k), top_norm(ell, q), eps)
+    return _solve_center(inst, None, top_norm(ell, q), eps)
 
 
 def _solve_center(inst, budget, norm, eps):
-    """The cardinality and partition drivers' one body: the norm's guesses
+    """The cardinality and partition drivers' one body, on the instance's
+    core under the budget (None: at most k opens): the norm's guesses
     (one threshold for Top-(ell,q), a threshold sequence for max-ordered),
     the rounding of the accepted one, and its checks: the coverage of the
     opening, the instance's constraints (k only under a cardinality budget,
@@ -816,25 +820,25 @@ def _solve_center(inst, budget, norm, eps):
     certificate."""
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
-    core = core_of(inst)
+    core = core_of(inst, budget)
     if norm.kind == TOP:
-        bound, radius, threshold, xuy = _scan_top_guesses(core, budget, norm.ell, norm.q, eps)
+        bound, radius, threshold, xuy = _scan_top_guesses(core, norm.ell, norm.q, eps)
         limit, seq = _top_cert(radius, bound, norm.ell, norm.q, threshold), ()
         named = {"threshold": threshold, "per_client_bound": limit}
     else:
         bound, limit, radius, seq, _, _, xuy = \
-            _scan_ordered_guesses(core, budget, norm.weights, eps)
+            _scan_ordered_guesses(core, norm.weights, eps)
         seq = seq.values if seq else ()
         named = {"sequence": seq, "chain_bound": limit}
-    bs, z, obj = _round_accepted(core, budget, xuy, radius)
+    bs, z, obj = _round_accepted(core, xuy, radius)
     if obj < core.m:
         raise SolverInternalError("integral opening lost coverage")
     open_locals, assigned = assemble_solution(z, bs)
     solution = ClusterSolution(open_facilities=open_locals, assigned=assigned)
-    validate_cluster_solution(inst, solution, check_cardinality=budget[0] == CARDINALITY)
-    if budget[0] == PARTITION:
+    validate_cluster_solution(inst, solution, check_cardinality=core.budget[0] == CARDINALITY)
+    if core.budget[0] == PARTITION:
         opened = Counter(solution.open_facilities)
-        for part, cap in zip(budget[1], budget[2]):
+        for part, cap in zip(core.budget[1], core.budget[2]):
             if sum(opened[i] for i in part) > cap:
                 raise SolverInternalError("opening violates a partition capacity")
         named = {"per_client_bound": limit, "sequence": seq}  # the same keys for either norm
@@ -845,12 +849,12 @@ def _solve_center(inst, budget, norm, eps):
     return CenterSolveResult(solution=solution, value=value, certificate=cert)
 
 
-def _scan_top_guesses(core, budget, ell, q, eps):
+def _scan_top_guesses(core, ell, q, eps):
     root = 1.0 / q
     grid_eps = eps / (3 * 4.0 ** root)
     radii = sorted(set(core.distances()) | {0.0})
     r0 = max(core.r0, 1)
-    best = _scan_top(core, budget, ell, q, radii, single_threshold_candidates(core.distances()),
+    best = _scan_top(core, ell, q, radii, single_threshold_candidates(core.distances()),
                      lambda radius: [0.0] if radius == 0.0
                      else geometric_grid(radius, r0 ** root * radius, grid_eps))
     if best is None:
@@ -861,7 +865,7 @@ def _scan_top_guesses(core, budget, ell, q, eps):
 
 def solve_ordered_kcenter(inst, weights, eps):
     """Max-ordered k-center via sparsified weights; chain-bound certificate."""
-    return _solve_center(inst, (CARDINALITY, inst.k), max_ordered_norm(weights), eps)
+    return _solve_center(inst, None, max_ordered_norm(weights), eps)
 
 
 def _ordered_chains(sparse, pos, values, radius, bound):
@@ -877,21 +881,21 @@ def _ordered_chains(sparse, pos, values, radius, bound):
     return 2.0 * worst
 
 
-def _scan_ordered_guesses(core, budget, weights, eps):
+def _scan_ordered_guesses(core, weights, eps):
     r0 = max(core.r0, 1)
     sparse, pos = sparsify_weights(weights, r0)
     wtop = max(float(w[0]) for w in sparse)
     radii = sorted(set(core.distances()) | {0.0})
     if wtop == 0.0:
         # zero objective: any feasible opening works; reuse the top driver at ell=1
-        b = _scan_top_guesses(core, budget, 1, 1.0, eps)
+        b = _scan_top_guesses(core, 1, 1.0, eps)
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
 
     def chained(radius, values):
         return lambda bound, sidx: _ordered_chains(sparse, pos, values[sidx], radius, bound)
 
-    best = _scan_sequences(core, budget, (sparse, pos, wtop), r0, radii,
+    best = _scan_sequences(core, (sparse, pos, wtop), r0, radii,
                            lambda radius: [0.0] if radius == 0.0 else
                            geometric_grid(radius * wtop, r0 * radius * wtop, eps),
                            chained)
@@ -1005,8 +1009,8 @@ def solve_knapsack_center(kinst, norm, eps):
     if not 0 < eps < math.inf:
         raise InvalidInputError("eps must be positive and finite")
     base = kinst.base
-    core = core_of(base)
     wt, budget_w = np.asarray(kinst.wt, float), float(kinst.budget)
+    core = core_of(base, (KNAPSACK, wt, budget_w))
     nf, nc = base.n_facilities, base.n_clients
     heavy = [i for i in range(nf) if wt[i] >= eps * budget_w and wt[i] > 0]
     light = [i for i in range(nf) if i not in set(heavy)]
@@ -1055,7 +1059,7 @@ def solve_knapsack_center(kinst, norm, eps):
             runs = np.flatnonzero((pattern[:, 1:] != pattern[:, :-1]).any(axis=0)) + 1
             for a, b in zip([0, *runs], [*runs, stop]):
                 pre = tuple(pattern[:, a].tolist())
-                found = _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds,
+                found = _residual_guess(core, light, w_res, pre, radius, norm, thresholds,
                                         sparsified)
                 if found is None:
                     continue
@@ -1066,30 +1070,31 @@ def solve_knapsack_center(kinst, norm, eps):
     if best is None:
         raise InfeasibleError("knapsack instance admits no guessed opening")
     bound, s0, radius, pre, payload = best
-    return _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload)
+    return _finish_knapsack(kinst, norm, eps, core, s0, radius, bound, pre, payload)
 
 
-def _residual_core(core, light, pre):
+def _residual_core(core, light, pre, w_res):
     """The light facilities' core once pre connects pre_j <= r_j facilities
-    of each client: l, r and m less what pre connects."""
+    of each client: l, r and m less what pre connects, under the knapsack
+    budget of core's weights and the limit w_res the heavy set leaves."""
     return CenterCore(cf=core.cf[:, light], l=np.maximum(core.l - np.array(pre), 0),
                       r=core.r - np.array(pre), m=max(0, core.m - int(sum(pre))),
-                      facility_ids=tuple(core.facility_ids[i] for i in light))
+                      facility_ids=tuple(core.facility_ids[i] for i in light),
+                      budget=(KNAPSACK, core.budget[1], w_res))
 
 
-def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, sparsified):
+def _residual_guess(core, light, w_res, pre, radius, norm, thresholds, sparsified):
     """Cheapest attainable bound for the light-facility residual instance
-    under one pre-connection pattern; returns (bound estimate, payload).
-    thresholds are the light facilities' single-threshold candidates, which
-    the Top residual scans; sparsified is the ordered norm's (sparse weights,
-    kept coordinates, w1), None for a Top norm.  Neither changes within one
-    knapsack solve."""
-    rcore = _residual_core(core, light, pre)
-    budget = (KNAPSACK, wt, w_res)
+    (_residual_core) under one pre-connection pattern; returns (bound
+    estimate, payload).  thresholds are the light facilities'
+    single-threshold candidates, which the Top residual scans; sparsified is
+    the ordered norm's (sparse weights, kept coordinates, w1), None for a Top
+    norm.  Neither changes within one knapsack solve."""
+    rcore = _residual_core(core, light, pre, w_res)
     if norm.kind == TOP:
         ell, q = norm.ell, norm.q
         # no grid: the bound estimate itself, so the row stops once s^(1/q) <= the floor
-        found = _scan_top(rcore, budget, ell, q, [radius], thresholds, None)
+        found = _scan_top(rcore, ell, q, [radius], thresholds, None)
         if found is None:
             return None
         (bhat, _, _, _), (t, sol) = found
@@ -1097,7 +1102,7 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
     # no grid and no chain: the key is (estimate, sequence index), so the
     # sequences go in order and the walk stops once one reaches R w1
     r0 = max(core.r0, 1)
-    found = _scan_sequences(rcore, budget, sparsified, r0, [radius], None,
+    found = _scan_sequences(rcore, sparsified, r0, [radius], None,
                             lambda radius, values: lambda bound, sidx: [0.0] * len(sidx))
     if found is None:
         return None
@@ -1106,11 +1111,10 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
                   _lp_parts(rcore, sol.x))
 
 
-def _finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload):
+def _finish_knapsack(kinst, norm, eps, core, s0, radius, bound, pre, payload):
     rcore, spec, xuy = payload
-    base = kinst.base
-    w_res = kinst.budget - float(sum(wt[i] for i in s0))
-    bs, z, fractional = _round_accepted(rcore, (KNAPSACK, wt, w_res), xuy, radius)
+    base, wt = kinst.base, core.budget[1]
+    bs, z, fractional = _round_accepted(rcore, xuy, radius)
     open_locals, assigned_res = assemble_solution(z, bs, fractional_open=True)
     open_global = [rcore.facility_ids[i] for i in open_locals]
     weight_total = float(sum(wt[i] for i in s0)) + float(sum(wt[i] for i in open_global))

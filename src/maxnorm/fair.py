@@ -90,8 +90,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cluster import (center_u_index, core_of, _center_lp, _cover_verdict, _lp_parts,
-                      _prefix_norm_table, _round_accepted, CARDINALITY)
+from .cluster import (center_u_index, core_of, _center_lp, _lp_parts, _prefix_norm_table,
+                      _round_accepted)
 # unused: perfbench traces fair.build_bundles, fair.split_and_normalize and fair.eval_norm
 from .cluster import build_bundles, split_and_normalize  # noqa: F401
 from .errors import InfeasibleError, InvalidInputError, ResourceCapError, SolverInternalError
@@ -466,9 +466,8 @@ class _CenterSeparation(_Separation):
 
     kind, sense = "center", GE
 
-    def __init__(self, finst, bound, ell, q, shared):
-        self.base = finst.base
-        self.core, self.budget, self._cover = shared
+    def __init__(self, finst, bound, ell, q, core):
+        self.base, self.core = finst.base, core
         super().__init__(finst, bound, ell, q, self.base.finite_distances())
         self.cert_bound = 3.0 * 4.0 ** (1.0 / q) * self.bound
         self.norm = top_norm(ell, q)
@@ -476,26 +475,22 @@ class _CenterSeparation(_Separation):
 
     @staticmethod
     def shared(finst):
-        """(core, budget, cover) of the base: the core keeps its relaxations'
-        fixed parts, the budget rows are kept for the one budget object, and
-        cover(radius) is _cover_verdict without the coverage row, which
-        depends on nothing else, decided once per radius."""
-        core, budget = core_of(finst.base), (CARDINALITY, finst.base.k)
-        return core, budget, functools.cache(
-            lambda radius: _cover_verdict(core, budget, radius, coverage=False))
+        """The base's core without the coverage row, under at most k opens:
+        it keeps its budget rows, its relaxations' fixed parts and its cover
+        verdict per radius (cluster.CenterCore)."""
+        return core_of(finst.base, coverage=False)
 
     def base_lp(self, radius, t):
-        return _center_lp(self.core, self.budget, ("top", self.ell, self.q, t), radius,
-                          fixed_bound=self.bound, coverage=False)
+        return _center_lp(self.core, ("top", self.ell, self.q, t), radius, fixed_bound=self.bound)
 
     def base_verdict(self, radius, t):
-        """_cover_verdict decides the relaxation without the Top rows.  Its
-        integral opening connects each client j to l_j open facilities
-        within the radius, a point that meets the Top rows too where
-        _rows_hold says so for the largest l_j."""
+        """The core's cover verdict (cluster._cover_verdict) decides the
+        relaxation without the Top rows.  Its integral opening connects each
+        client j to l_j open facilities within the radius, a point that meets
+        the Top rows too where _rows_hold says so for the largest l_j."""
         if not self._rows_hold(radius, t, self.max_l):
             return None
-        return self._cover(radius)
+        return self.core.cover(radius)
 
     def _weighted_row(self, point, eta):
         row = {center_u_index(self.core, j): a for j, a in enumerate(point.alpha) if a != 0}
@@ -509,8 +504,7 @@ class _CenterSeparation(_Separation):
 
     def _round(self, point, eta, radius, sol):
         nc = self.base.n_clients
-        bs, z, obj = _round_accepted(self.core, self.budget, _lp_parts(self.core, sol.x), radius,
-                                     point.alpha)
+        bs, z, obj = _round_accepted(self.core, _lp_parts(self.core, sol.x), radius, point.alpha)
         if obj < point.mu + eta:
             return None
         opened = sorted({bs.split.original[c] for c, v in z.items() if v == 1})

@@ -94,13 +94,14 @@ def top_norm_value(v, ell, q):
 def power_sum_root(direct, terms, q):
     """A certificate (sum of w v^q over the (w, v) in terms, w >= 1 and
     v >= 0)^(1/q): direct(), its caller's own float expression for it, where
-    that is finite; where it overflows, the same value with the largest v
-    factored out, as top_norm_value does."""
+    that is finite and, unless every w v is 0, positive; where it overflows,
+    or underflows to 0, the same value with the largest v factored out, as
+    top_norm_value does."""
     try:
         value = direct()
     except OverflowError:
         value = math.inf
-    if value < math.inf:
+    if value < math.inf and (value > 0.0 or not any(w * v > 0.0 for w, v in terms)):
         return value
     top = max(v for _, v in terms)
     return top * sum(w * (v / top) ** q for w, v in terms) ** (1.0 / q)

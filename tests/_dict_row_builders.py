@@ -107,8 +107,9 @@ def ordered_load_min_bound_lp(inst, sparse_weights, pos, radius, seq, fixed_boun
     return model, sidx
 
 
-def center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
+def center_lp(core, normspec, radius, fixed_bound=None):
     nc, nf = core.n_clients, core.n_facilities
+    budget = core.budget
 
     def x(i, j):
         return i * nc + j
@@ -147,7 +148,7 @@ def center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
         for j in range(nc):
             if upper[x(i, j)] > 0:
                 model.add_row({x(i, j): 1.0, y(i): -1.0}, LE, 0.0)
-    if coverage:
+    if core.coverage:
         model.add_row({u(j): 1.0 for j in range(nc)}, GE, float(core.m))
 
     kind = normspec[0]
@@ -194,7 +195,8 @@ def center_lp(core, budget, normspec, radius, fixed_bound=None, coverage=True):
                     model.add_row(coeffs, LE, float(fixed_bound))
 
     if budget[0] == CARDINALITY:
-        model.add_row({y(i): 1.0 for i in range(nf)}, EQ, float(budget[1]))
+        # at most k opens
+        model.add_row({y(i): 1.0 for i in range(nf)}, EQ, float(min(budget[1], nf)))
     elif budget[0] == PARTITION:
         _, parts, caps = budget
         local = {fid: i for i, fid in enumerate(core.facility_ids)}

@@ -22,7 +22,7 @@ from maxnorm.lp import OPTIMAL
 from maxnorm.sparsify import snap_to_grid, telescoped_deltas
 
 
-def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
+def _scan_top_guesses(core, ell, q, eps):
     root = 1.0 / q
     grid_eps = eps / (3 * 4.0 ** root)
     radii = sorted(set(core.distances()) | {0.0})
@@ -39,8 +39,7 @@ def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
                 break
             if best is not None and ell ** root * t > best[0]:
                 break
-            model, sidx = cluster._center_lp(core, budget, ("top", ell, q, t), radius,
-                                             coverage=coverage)
+            model, sidx = cluster._center_lp(core, ("top", ell, q, t), radius)
             sol = cluster.solve_lp(model)
             if sol.status != cluster.OPTIMAL:
                 continue
@@ -56,7 +55,7 @@ def _scan_top_guesses(core, budget, ell, q, eps, coverage=True):
     return best
 
 
-def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
+def _scan_ordered_guesses(core, weights, eps):
     r0 = max(core.r0, 1)
     sparse, pos = cluster.sparsify_weights(weights, r0)
     wtop = max(float(w[0]) for w in sparse)
@@ -64,7 +63,7 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
     best = None
     if wtop == 0.0:
         # zero objective: any feasible opening works; reuse the top driver at ell=1
-        b = _scan_top_guesses(core, budget, 1, 1.0, eps, coverage=coverage)
+        b = _scan_top_guesses(core, 1, 1.0, eps)
         _, radius, _, xuy = b
         return (0.0, 0.0, radius, None, sparse, pos, xuy)
     for radius in radii:
@@ -79,11 +78,9 @@ def _scan_ordered_guesses(core, budget, weights, eps, coverage=True):
         for seq in seqs:
             if seq is None:
                 normspec = ("top", r0, 1.0, 0.0)  # radius 0: only zero-distance links
-                model, sidx = cluster._center_lp(core, budget, normspec, radius,
-                                                 coverage=coverage)
+                model, sidx = cluster._center_lp(core, normspec, radius)
             else:
-                model, sidx = cluster._center_lp(core, budget, ("ordered", sparse, pos, seq),
-                                                 radius, coverage=coverage)
+                model, sidx = cluster._center_lp(core, ("ordered", sparse, pos, seq), radius)
             sol = cluster.solve_lp(model)
             if sol.status != cluster.OPTIMAL:
                 continue
@@ -128,8 +125,8 @@ def solve_knapsack_center(kinst, norm, eps, visit=None):
     if not 0 < eps < math.inf:
         raise cluster.InvalidInputError("eps must be positive and finite")
     base = kinst.base
-    core = cluster.core_of(base)
     wt, budget_w = np.asarray(kinst.wt, float), float(kinst.budget)
+    core = cluster.core_of(base, (cluster.KNAPSACK, wt, budget_w))
     nf, nc = base.n_facilities, base.n_clients
     heavy = [i for i in range(nf) if wt[i] >= eps * budget_w and wt[i] > 0]
     light = [i for i in range(nf) if i not in set(heavy)]
@@ -175,9 +172,8 @@ def solve_knapsack_center(kinst, norm, eps, visit=None):
                 if pre not in config_cache:
                     if visit is not None:
                         visit(s0, radius, pre)
-                    config_cache[pre] = cluster._residual_guess(core, light, wt, w_res, pre,
-                                                                radius, norm, thresholds,
-                                                                sparsified)
+                    config_cache[pre] = cluster._residual_guess(core, light, w_res, pre, radius,
+                                                                norm, thresholds, sparsified)
                 found = config_cache[pre]
                 if found is None:
                     continue
@@ -190,10 +186,10 @@ def solve_knapsack_center(kinst, norm, eps, visit=None):
     if best is None:
         raise cluster.InfeasibleError("knapsack instance admits no guessed opening")
     bound, _, (s0, radius, pre, payload) = best
-    return cluster._finish_knapsack(kinst, norm, eps, core, wt, s0, radius, bound, pre, payload)
+    return cluster._finish_knapsack(kinst, norm, eps, core, s0, radius, bound, pre, payload)
 
 
-def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, sparsified):
+def _residual_guess(core, light, w_res, pre, radius, norm, thresholds, sparsified):
     """Cheapest attainable bound for the light-facility residual instance
     under one pre-connection pattern; returns (bound estimate, payload).
     The Top thresholds and the sparsified weights are derived here again;
@@ -204,8 +200,8 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
         return None
     m_res = max(0, core.m - int(sum(pre)))
     rcore = cluster.CenterCore(cf=core.cf[:, light], l=l_res, r=np.array(r_res),
-                               m=m_res, facility_ids=tuple(core.facility_ids[i] for i in light))
-    budget = (cluster.KNAPSACK, wt, w_res)
+                               m=m_res, facility_ids=tuple(core.facility_ids[i] for i in light),
+                               budget=(cluster.KNAPSACK, core.budget[1], w_res))
     best = None
     if norm.kind == cluster.TOP:
         root = 1.0 / norm.q
@@ -213,8 +209,7 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
         for t in thresholds:
             if t > radius * (1 + 1e-12):
                 break
-            model, sidx = cluster._center_lp(rcore, budget, ("top", norm.ell, norm.q, t),
-                                             radius)
+            model, sidx = cluster._center_lp(rcore, ("top", norm.ell, norm.q, t), radius)
             sol = cluster.solve_lp(model)
             if sol.status != cluster.OPTIMAL:
                 continue
@@ -229,7 +224,7 @@ def _residual_guess(core, light, wt, w_res, pre, radius, norm, thresholds, spars
         seqs = [None] if radius == 0.0 else cluster.enumerate_threshold_sequences(radius, r0)
         for seq in seqs:
             spec = ("top", r0, 1.0, 0.0) if seq is None else ("ordered", sparse, pos, seq)
-            model, sidx = cluster._center_lp(rcore, budget, spec, radius)
+            model, sidx = cluster._center_lp(rcore, spec, radius)
             sol = cluster.solve_lp(model)
             if sol.status != cluster.OPTIMAL:
                 continue

@@ -80,13 +80,12 @@ def scan_top_rows(lps, radii, thresholds, ell, q, grid_of, first=None):
     return best
 
 
-def _center_lps(core, budget, ell, q, radii, thresholds):
+def _center_lps(core, ell, q, radii, thresholds):
     """The k-center Top GuessLPs keyed (radius index, threshold index): the
     radius's cover verdict at its weakest threshold and wherever the count
     rows are implied, None at every other probe."""
     weakest = weakest_thresholds(radii, thresholds)
-    cover = functools.cache(lambda ri: cluster._cover_verdict(core, budget, radii[ri],
-                                                              coverage=True))
+    cover = functools.cache(lambda ri: cluster._cover_verdict(core, radii[ri]))
 
     def verdict(ri, ti):
         if ti == weakest[ri] or cluster._count_rows_implied(core, radii[ri], thresholds[ti], ell):
@@ -94,19 +93,19 @@ def _center_lps(core, budget, ell, q, radii, thresholds):
         return None
 
     def build(ri, ti):
-        return cluster._center_lp(core, budget, ("top", ell, q, thresholds[ti]), radii[ri])
+        return cluster._center_lp(core, ("top", ell, q, thresholds[ti]), radii[ri])
 
     return GuessLPs(build, cluster.solve_lp, verdict)
 
 
-def center_scan_top_guesses(core, budget, ell, q, eps):
+def center_scan_top_guesses(core, ell, q, eps):
     """cluster._scan_top_guesses over scan_top_rows."""
     root = 1.0 / q
     grid_eps = eps / (3 * 4.0 ** root)
     radii = sorted(set(core.distances()) | {0.0})
     thresholds = single_threshold_candidates(core.distances())
     r0 = max(core.r0, 1)
-    lps = _center_lps(core, budget, ell, q, radii, thresholds)
+    lps = _center_lps(core, ell, q, radii, thresholds)
     best = scan_top_rows(lps, radii, thresholds, ell, q, lambda radius: [0.0] if radius == 0.0
                          else geometric_grid(radius, r0 ** root * radius, grid_eps))
     if best is None:
@@ -115,12 +114,11 @@ def center_scan_top_guesses(core, budget, ell, q, eps):
     return bound, radius, threshold, cluster._lp_parts(core, sol.x)
 
 
-def residual_top_guess(core, light, wt, w_res, pre, radius, norm, thresholds):
+def residual_top_guess(core, light, w_res, pre, radius, norm, thresholds):
     """The Top branch of cluster._residual_guess over scan_top_rows."""
-    rcore = cluster._residual_core(core, light, pre)
-    budget = (cluster.KNAPSACK, wt, w_res)
+    rcore = cluster._residual_core(core, light, pre, w_res)
     ell, q = norm.ell, norm.q
-    lps = _center_lps(rcore, budget, ell, q, [radius], thresholds)
+    lps = _center_lps(rcore, ell, q, [radius], thresholds)
     found = scan_top_rows(lps, [radius], thresholds, ell, q, None)
     if found is None:
         return None

@@ -16,7 +16,7 @@ from _gen import random_cluster, random_load, random_max_ordered_weights
 from _two_laminar import solve_two_laminar_integral
 from test_lp import _exhaustive_bundle_opt, _random_bundle_system
 
-from maxnorm.cluster import (CARDINALITY, _center_lp, _lp_parts, build_bundles,
+from maxnorm.cluster import (_center_lp, _lp_parts, build_bundles,
                              check_bundle_distances,
                              core_of, solve_knapsack_center, solve_matroid_center,
                              solve_ordered_kcenter, solve_topl_kcenter,
@@ -154,8 +154,7 @@ def _harvest_fractional(rng, count):
         ts = [v for v in core.distances() if v <= radius]
         t = float(rng.choice(ts)) if ts else 0.0
         ell = int(rng.integers(1, 4))
-        model, _ = _center_lp(core, (CARDINALITY, inst.k), ("top", ell, 1.0, t),
-                              radius)
+        model, _ = _center_lp(core, ("top", ell, 1.0, t), radius)
         sol = solve_lp(model)
         if sol.status != OPTIMAL:
             continue

@@ -651,6 +651,61 @@ def test_makespan_certificate_past_a_float_power_solves(tmp_path, capsys):
     assert float(result["value"]) <= cert["per_machine_bound"]
 
 
+def test_top_certificates_past_a_float_underflow_solve(tmp_path, capsys):
+    """Top-(1,2000) makespan on sizes of 0.5 and Top-(1,600) k-center on
+    distances scaled by 0.05: each size or distance to the power q rounds
+    to 0, and the bound, read as 0, once failed its own check (exit 5,
+    "rounded value exceeds its certificate")."""
+    load = tmp_path / "load.json"
+    load.write_text(json.dumps({"kind": "load", "p": [[0.5, 0.25], [0.5, 0.5]]}))
+    cluster = tmp_path / "cluster.json"
+    main(["gen", "cluster", "--seed", "0", "--out", str(cluster)])
+    data = json.loads(cluster.read_text())
+    data["d"] = [[repr(float(v) * 0.05) for v in row] for row in data["d"]]
+    cluster.write_text(json.dumps(data))
+    for path, q, key, scale in ((load, 2000, "per_machine_bound", 1),
+                                (cluster, 600, "per_client_bound", 3)):
+        code, out, err = _run(["solve", str(path), "--norm", f"topl:1:{q}"], capsys)
+        assert code == 0 and err == ""
+        result = json.loads(out)
+        cert = {k: float(v) for k, v in result["certificate"].items()}
+        assert cert[key] == pytest.approx(_power_sum_root(
+            [(2, scale * cert["radius"]), (1, scale * cert["bound"]),
+             (1, scale * cert["threshold"])], q), rel=1e-12)
+        assert 0 < float(result["value"]) <= cert[key]
+
+
+def _with_k(tmp_path, kind, k):
+    """A `gen KIND --seed 0` file (4 facilities) with its k set to k."""
+    path = tmp_path / f"{kind}-{k}.json"
+    main(["gen", kind, "--seed", "0", "--out", str(path)])
+    data = json.loads(path.read_text())
+    assert data["facilities"] == 4
+    path.write_text(json.dumps({**data, "k": k}))
+    return path
+
+
+def test_k_above_the_facility_count_opens_at_most_every_facility(tmp_path, capsys):
+    """k means at most k opens, so k = 9 over 4 facilities solves as k = 4
+    does, where the cardinality row sum y = k once made every radius
+    infeasible (exit 2): `solve` prints the same bytes, with a value
+    between the oracle's optimum and the certificate, and so does
+    `fair-solve`."""
+    nine, four = (_with_k(tmp_path, "cluster", k) for k in (9, 4))
+    code, out, err = _run(["solve", str(nine), "--norm", "topl:1:1"], capsys)
+    assert code == 0 and err == ""
+    assert _run(["solve", str(four), "--norm", "topl:1:1"], capsys) == (0, out, "")
+    code, opt, _ = _run(["oracle", str(nine), "--norm", "topl:1:1"], capsys)
+    assert code == 0 and json.loads(opt)["value"] == "0.27056718438151617"
+    result = json.loads(out)
+    assert 0.27056718438151617 <= float(result["value"]) \
+        <= float(result["certificate"]["per_client_bound"])
+    nine, four = (_with_k(tmp_path, "fair-cluster", k) for k in (9, 4))
+    code, out, err = _run(["fair-solve", str(nine), "--norm", "topl:1:1"], capsys)
+    assert code == 0 and err == "" and json.loads(out)["kind"] == "distribution"
+    assert _run(["fair-solve", str(four), "--norm", "topl:1:1"], capsys) == (0, out, "")
+
+
 def test_fair_fixed_bound_past_a_float_power_exits_invalid(tmp_path, capsys):
     """Top-(1,1000) fair load: a base LP's fixed bound to the power q
     overflows a float; it is invalid input, as where a cost's power does,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -37,7 +38,7 @@ def _line_instance():
 def test_center_lp_examples():
     inst = _line_instance()
     core = core_of(inst)
-    model, _ = _center_lp(core, (CARDINALITY, 2), ("top", 2, 1.0, 0.0),
+    model, _ = _center_lp(core, ("top", 2, 1.0, 0.0),
                           radius=2.0, fixed_bound=100.0)
     sol = solve_lp(model)
     assert sol.status == OPTIMAL
@@ -45,7 +46,7 @@ def test_center_lp_examples():
     assert y.sum() == pytest.approx(2.0)
     tight = ClusterInstance(n_clients=1, n_facilities=2, d=inst.d, k=1, m=2,
                             l=[2], r=[2])
-    model, _ = _center_lp(core_of(tight), (CARDINALITY, 1), ("top", 2, 1.0, 0.0),
+    model, _ = _center_lp(core_of(tight), ("top", 2, 1.0, 0.0),
                           radius=2.0, fixed_bound=100.0)
     assert solve_lp(model).status == INFEASIBLE
 
@@ -57,8 +58,7 @@ def test_center_lp_feasible_at_oracle_guess():
         ell, q = 2, 1.0
         opt = brute_force_kcenter(inst, top_norm(ell, q))
         tl = opt.thresholds[ell - 1] if len(opt.thresholds) >= ell else 0.0
-        model, _ = _center_lp(core_of(inst), (CARDINALITY, inst.k),
-                              ("top", ell, q, tl), radius=opt.radius,
+        model, _ = _center_lp(core_of(inst), ("top", ell, q, tl), radius=opt.radius,
                               fixed_bound=max(opt.value, 1e-12))
         assert solve_lp(model).status == OPTIMAL
 
@@ -95,7 +95,7 @@ def _random_fractional(rng):
     radius = float(rng.choice([v for v in core.distances() if v > 0] or [1.0]))
     thresholds = [v for v in core.distances() if v <= radius]
     t = float(rng.choice(thresholds)) if thresholds else 0.0
-    model, sidx = _center_lp(core, (CARDINALITY, inst.k), ("top", 2, 1.0, t), radius)
+    model, sidx = _center_lp(core, ("top", 2, 1.0, t), radius)
     sol = solve_lp(model)
     if sol.status != OPTIMAL:
         return None
@@ -421,9 +421,8 @@ def _verdict_cores(rng):
         ids = tuple(sorted(int(v) for v in rng.choice(total, size=nf, replace=False)))
         r = rng.integers(1, nf + 1, size=nc)
         l = np.minimum(rng.integers(0, 3, size=nc), r)
-        core = cluster.CenterCore(cf=np.round(rng.uniform(0.0, 1.0, size=(nc, nf)), 1),
-                                  l=l, r=r, m=int(rng.integers(l.sum(), r.sum() + 1)),
-                                  facility_ids=ids)
+        cf = np.round(rng.uniform(0.0, 1.0, size=(nc, nf)), 1)
+        m = int(rng.integers(l.sum(), r.sum() + 1))
         kind = case % 3
         if kind == 0:
             budget = (CARDINALITY, int(rng.integers(1, nf + 3)))
@@ -436,12 +435,12 @@ def _verdict_cores(rng):
             wt = np.where(rng.random(total) < 0.3, 0.0, rng.uniform(0.0, 1.0, size=total))
             subset = wt[rng.random(total) < 0.5].sum()
             budget = (KNAPSACK, wt, float(subset + rng.choice([-5e-7, -1e-9, 0.0, 1e-9, -0.5])))
-        yield core, budget
+        yield cluster.CenterCore(cf=cf, l=l, r=r, m=m, facility_ids=ids, budget=budget)
     # a client that needs no facility, under limits at and just below 0
-    idle = cluster.CenterCore(cf=np.array([[0.0, 0.5]]), l=np.array([0]), r=np.array([1]), m=0,
-                              facility_ids=(0, 1))
     for limit in (-5e-7, -5e-8, -1e-9, 0.0):
-        yield idle, (KNAPSACK, np.array([0.2, 0.0]), limit)
+        yield cluster.CenterCore(cf=np.array([[0.0, 0.5]]), l=np.array([0]), r=np.array([1]),
+                                 m=0, facility_ids=(0, 1),
+                                 budget=(KNAPSACK, np.array([0.2, 0.0]), limit))
 
 
 def test_cover_verdict_matches_highs():
@@ -449,14 +448,15 @@ def test_cover_verdict_matches_highs():
     Top (T = R) or ordered (every threshold at R), HiGHS agrees."""
     rng = np.random.default_rng(321)
     decided = Counter()
-    for core, budget in _verdict_cores(rng):
+    for core in _verdict_cores(rng):
+        budget = core.budget
         r0 = max(core.r0, 1)
         sparse, pos = sparsify_weights([(1.0, 0.5, 0.25)], r0)
         thresholds = single_threshold_candidates(core.distances())
         radii = sorted(set(core.distances()) | {0.0})
         for radius, ti in zip(radii, weakest_thresholds(radii, thresholds)):
-            coverage = bool(rng.random() < 0.7)
-            verdict = cluster._cover_verdict(core, budget, radius, coverage)
+            covered = dataclasses.replace(core, coverage=bool(rng.random() < 0.7))
+            verdict = cluster._cover_verdict(covered, radius)
             if verdict is None:
                 continue
             seq = center_sequences(radius, r0)[0]
@@ -464,7 +464,7 @@ def test_cover_verdict_matches_highs():
             if seq is not None:
                 specs.append(("ordered", sparse, pos, seq))
             for spec in specs:
-                model, _ = _center_lp(core, budget, spec, radius, coverage=coverage)
+                model, _ = _center_lp(covered, spec, radius)
                 assert verdict == (solve_lp(model).status == OPTIMAL), (budget, radius, spec)
             decided[budget[0], verdict] += 1
     assert all(decided[kind, v] >= 20 for kind in (CARDINALITY, PARTITION, KNAPSACK)
@@ -479,7 +479,8 @@ def test_implied_count_rows_take_the_cover_verdict():
     a pair within the radius, so their rows are not empty."""
     rng = np.random.default_rng(322)
     seen, probes = Counter(), 0
-    for core, budget in _verdict_cores(rng):
+    for core in _verdict_cores(rng):
+        budget = core.budget
         thresholds = single_threshold_candidates(core.distances())
         radii = sorted(set(core.distances()) | {0.0})
         weakest = weakest_thresholds(radii, thresholds)
@@ -491,10 +492,10 @@ def test_implied_count_rows_take_the_cover_verdict():
             if not cluster._count_rows_implied(core, radius, t, ell):
                 seen["not implied"] += 1
                 continue
-            verdict = cluster._cover_verdict(core, budget, radius, coverage=True)
+            verdict = cluster._cover_verdict(core, radius)
             if verdict is None:
                 continue
-            model, _ = _center_lp(core, budget, ("top", ell, q, t), radius)
+            model, _ = _center_lp(core, ("top", ell, q, t), radius)
             assert verdict == (solve_lp(model).status == OPTIMAL), (budget, radius, t, ell, q)
             seen[budget[0], verdict] += 1
             seen["counting"] += bool(((core.cf > t) & ~(core.cf > radius)).any())
@@ -513,12 +514,12 @@ def test_vectorized_center_lp_matches_dict_rows():
     rng = np.random.default_rng(77)
     cases = list(itertools.islice(_verdict_cores(rng), 30))
     # part (0, 1) has no local member and local facility 4 is in no part
-    residual = cluster.CenterCore(cf=np.round(rng.uniform(0.0, 1.0, size=(3, 3)), 1),
-                                  l=np.array([1, 0, 1]), r=np.array([2, 1, 3]), m=3,
-                                  facility_ids=(2, 3, 4))
-    cases.append((residual, (PARTITION, ((0, 1), (2, 3)), (1, 1))))
+    cases.append(cluster.CenterCore(cf=np.round(rng.uniform(0.0, 1.0, size=(3, 3)), 1),
+                                    l=np.array([1, 0, 1]), r=np.array([2, 1, 3]), m=3,
+                                    facility_ids=(2, 3, 4),
+                                    budget=(PARTITION, ((0, 1), (2, 3)), (1, 1))))
     models, zero_terms = Counter(), 0
-    for core, budget in cases:
+    for core in cases:
         r0 = max(core.r0, 1)
         pos, dists = pos_set(r0), core.distances()
         weight_sets = [sparsify_weights([(1.0, 0.5, 0.25)], r0)[0],
@@ -535,11 +536,12 @@ def test_vectorized_center_lp_matches_dict_rows():
                           for t in (0.0, dists[0], radius)]
                 specs += [("ordered", w, pos, seq) for w in weight_sets for seq in seqs]
             for spec, fixed, coverage in itertools.product(specs, (None, 1.75), (True, False)):
-                model, sidx = _center_lp(core, budget, spec, radius, fixed, coverage)
-                ref, ref_sidx = dict_rows.center_lp(core, budget, spec, radius, fixed, coverage)
+                covered = dataclasses.replace(core, coverage=coverage)
+                model, sidx = _center_lp(covered, spec, radius, fixed)
+                ref, ref_sidx = dict_rows.center_lp(covered, spec, radius, fixed)
                 assert sidx == ref_sidx
                 dict_rows.assert_same_model(model, ref)
-                models[budget[0], spec[0]] += 1
+                models[core.budget[0], spec[0]] += 1
                 nx = core.n_clients * core.n_facilities  # norm terms that cancelled
                 zero_terms += sum(c == 0.0 for coeffs, _, _ in ref.rows
                                   for idx, c in coeffs.items() if idx < nx)
@@ -547,11 +549,11 @@ def test_vectorized_center_lp_matches_dict_rows():
     assert zero_terms > 0
 
 
-def _accepted_lp_solution(core, budget, rng):
+def _accepted_lp_solution(core, rng):
     """An LP solution of the relaxation at the largest radius, or None."""
     radius = max(core.distances())
     t = float(rng.choice(core.distances()))
-    model, _ = _center_lp(core, budget, ("top", 1, 1.0, t), radius)
+    model, _ = _center_lp(core, ("top", 1, 1.0, t), radius)
     sol = solve_lp(model)
     return (radius, _lp_parts(core, sol.x)) if sol.status == OPTIMAL else None
 
@@ -565,20 +567,20 @@ def test_round_accepted_unit_weights_match_the_reuse_counts():
         inst = random_cluster(rng)
         minst = gen_matroid_cluster(seed, clients=int(rng.integers(1, 5)),
                                     facilities=int(rng.integers(2, 6)), parts=2)
-        for core, budget in ((core_of(inst), (CARDINALITY, inst.k)),
-                             (core_of(minst.base), (PARTITION, minst.parts, minst.capacities))):
-            found = _accepted_lp_solution(core, budget, rng)
+        for core in (core_of(inst),
+                     core_of(minst.base, (PARTITION, minst.parts, minst.capacities))):
+            found = _accepted_lp_solution(core, rng)
             if found is None:
                 continue
             radius, xuy = found
-            bs, z, obj = cluster._round_accepted(core, budget, xuy, radius)
-            ones = cluster._round_accepted(core, budget, xuy, radius, [1] * core.n_clients)
+            bs, z, obj = cluster._round_accepted(core, xuy, radius)
+            ones = cluster._round_accepted(core, xuy, radius, [1] * core.n_clients)
             assert (ones[1], ones[2]) == (z, obj)
             _, assigned = cluster.assemble_solution(z, bs)
             assert obj == cluster._coverage(assigned)
             weights = [Fraction(int(rng.integers(0, 7)), int(rng.integers(1, 4)))
                        for _ in range(core.n_clients)]
-            bs_w, z_w, obj_w = cluster._round_accepted(core, budget, xuy, radius, weights)
+            bs_w, z_w, obj_w = cluster._round_accepted(core, xuy, radius, weights)
             _, assigned_w = cluster.assemble_solution(z_w, bs_w)
             assert obj_w == sum(w * len(a) for w, a in zip(weights, assigned_w))
             checked += 1

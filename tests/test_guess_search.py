@@ -78,6 +78,12 @@ def _check_against_exhaustive(monkeypatch, scan_name, solve, owner=cluster, refe
     assert _same(new_result, ref_result)
 
 
+def _zero_weight_core(inst):
+    """The instance's core under a knapsack budget of zero weights and limit
+    1, for the residual scans of tabled relaxations, which read no budget."""
+    return core_of(inst, (cluster.KNAPSACK, np.zeros(inst.n_facilities), 1.0))
+
+
 def _top_params(rng):
     return int(rng.integers(1, 4)), float(rng.choice([1.0, 2.0]))
 
@@ -163,11 +169,11 @@ def _knapsack_walks(monkeypatch, kinst, norm, eps):
 
         def recorded(*args, asked=asked):
             out = residual(*args)
-            asked.append((args[3:6], out))
+            asked.append((args[2:5], out))
             return out
 
         monkeypatch.setattr(cluster, "_finish_knapsack",
-                            lambda *args, accepted=accepted: accepted.append(args[5:])
+                            lambda *args, accepted=accepted: accepted.append(args[4:])
                             or finish(*args))
         monkeypatch.setattr(cluster, "_residual_guess", recorded)
         try:
@@ -280,10 +286,9 @@ def test_knapsack_walk_with_drawn_residual_estimates(monkeypatch):
     rng = np.random.default_rng(322)
     draws = {}
 
-    def drawn(core, light, wt, w_res, pre, radius, norm, thresholds, sparsified):
-        rcore = cluster._residual_core(core, light, pre)
-        if cluster._cover_verdict(rcore, (cluster.KNAPSACK, wt, w_res), radius,
-                                  coverage=True) is False:
+    def drawn(core, light, w_res, pre, radius, norm, thresholds, sparsified):
+        rcore = cluster._residual_core(core, light, pre, w_res)
+        if cluster._cover_verdict(rcore, radius) is False:
             return None
         key = (w_res, pre, radius)
         if key not in draws:
@@ -294,7 +299,7 @@ def test_knapsack_walk_with_drawn_residual_estimates(monkeypatch):
         n = int(rng.integers(4, 9))
         kinst = gen_knapsack_cluster(seed, clients=n, facilities=n, metric=_metric(rng))
         monkeypatch.setattr(cluster, "_residual_guess", drawn)
-        monkeypatch.setattr(cluster, "_finish_knapsack", lambda *args: args[5:])
+        monkeypatch.setattr(cluster, "_finish_knapsack", lambda *args: args[4:])
         _check_knapsack_walks(monkeypatch, kinst, top_norm(int(rng.integers(2, 4)), 1.0),
                               float(rng.choice([0.1, 0.25, 0.5])))
 
@@ -333,9 +338,9 @@ def test_knapsack_20x20_asks_the_residual_a_few_times(monkeypatch):
     guess pinned here (heavy set, radius, bound, pattern)."""
     asked, accepted = [], []
     residual, finish = cluster._residual_guess, cluster._finish_knapsack
-    monkeypatch.setattr(cluster, "_residual_guess", lambda *args: asked.append(args[4:6])
+    monkeypatch.setattr(cluster, "_residual_guess", lambda *args: asked.append(args[3:5])
                         or residual(*args))
-    monkeypatch.setattr(cluster, "_finish_knapsack", lambda *args: accepted.append(args[5:9])
+    monkeypatch.setattr(cluster, "_finish_knapsack", lambda *args: accepted.append(args[4:8])
                         or finish(*args))
     res = solve_knapsack_center(gen_knapsack_cluster(0, 20, 20), top_norm(2, 1.0), 0.1)
     assert len(asked) <= 5
@@ -357,7 +362,8 @@ def test_knapsack_radius_floor_skips_only_refuted_radii():
         norm = top_norm(*_top_params(rng)) if seed % 2 else \
             max_ordered_norm(random_max_ordered_weights(rng))
         eps = float(rng.choice([0.25, 0.5]))
-        core, wt = core_of(kinst.base), np.asarray(kinst.wt, float)
+        wt = np.asarray(kinst.wt, float)
+        core = core_of(kinst.base, (cluster.KNAPSACK, wt, float(kinst.budget)))
         light = [i for i in range(len(wt)) if not (wt[i] >= eps * kinst.budget and wt[i] > 0)]
         radii = sorted(set(core.distances()) | {0.0})
         reach = np.searchsorted(radii, core.cf, side="left")
@@ -366,9 +372,9 @@ def test_knapsack_radius_floor_skips_only_refuted_radii():
             nonlocal below
             floor = cluster._radius_floor(core, reach, light + list(s0))
             if floor is None or radius < radii[floor]:
-                budget = (cluster.KNAPSACK, wt, kinst.budget - float(sum(wt[i] for i in s0)))
-                rcore = cluster._residual_core(core, light, pre)
-                assert cluster._cover_verdict(rcore, budget, radius, coverage=True) is False
+                w_res = kinst.budget - float(sum(wt[i] for i in s0))
+                rcore = cluster._residual_core(core, light, pre, w_res)
+                assert cluster._cover_verdict(rcore, radius) is False
                 below += 1
 
         try:
@@ -405,8 +411,8 @@ def test_kcenter_radius_bisection_solves_no_lp_but_at_first(monkeypatch):
         bisections.append((built[start:], found))
         return found
 
-    monkeypatch.setattr(cluster, "_center_lp", lambda core, budget, spec, radius, **kwargs:
-                        built.append(radius) or build(core, budget, spec, radius, **kwargs))
+    monkeypatch.setattr(cluster, "_center_lp", lambda core, spec, radius, **kwargs:
+                        built.append(radius) or build(core, spec, radius, **kwargs))
     monkeypatch.setattr(guess, "first_true", first_true)
     solve_topl_kcenter(inst, 2, 1.0, 0.1)
     radii = sorted(set(core_of(inst).distances()) | {0.0})
@@ -565,8 +571,10 @@ def _tabled_lps(monkeypatch, table, log, verdicts=None, weakest=_top_weakest):
     count row, so no other Top probe takes that verdict, and no balls, so
     no radius floor: the scans start their radius bisection at the first
     radius.  log records the guesses solved and the verdicts asked, in
-    order."""
-    def center_lp(core, budget, normspec, radius, **kwargs):
+    order.  Each install keeps its own verdicts per core and radius, as a
+    core does (CenterCore.cover), so a core scanned again under another
+    table asks them again."""
+    def center_lp(core, normspec, radius, **kwargs):
         return (radius, normspec[3]), 0
 
     def solve_lp(key):
@@ -576,11 +584,20 @@ def _tabled_lps(monkeypatch, table, log, verdicts=None, weakest=_top_weakest):
             return SimpleNamespace(status=INFEASIBLE, x=None)
         return SimpleNamespace(status=OPTIMAL, x=np.array([s]))
 
-    def cover_verdict(core, budget, radius, coverage):
+    def cover_verdict(core, radius):
         key = (radius, weakest(core, radius))
         log.append(key)
         return (verdicts or table)(*key) is not None
 
+    asked = {}  # (id(core), radius) -> (core, verdict): the held core keeps its id unique
+
+    def cover(core, radius):
+        key = (id(core), radius)
+        if key not in asked:
+            asked[key] = core, cluster._cover_verdict(core, radius)
+        return asked[key][1]
+
+    monkeypatch.setattr(cluster.CenterCore, "cover", cover)
     monkeypatch.setattr(cluster, "_center_lp", center_lp)
     monkeypatch.setattr(cluster, "solve_lp", solve_lp)
     monkeypatch.setattr(cluster, "_cover_verdict", cover_verdict)
@@ -676,7 +693,7 @@ def test_top_scan_with_contradicting_verdicts(monkeypatch):
         ell, q = _top_params(rng)
 
         def scan(module):
-            return module._scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q, 0.1)
+            return module._scan_top_guesses(core, ell, q, 0.1)
 
         (new, ref), log = _scan_both(monkeypatch, table, scan)
         assert _same(new, ref)
@@ -692,7 +709,7 @@ def test_residual_with_contradicting_verdicts(monkeypatch):
     rng = np.random.default_rng(308)
     planted = lured = 0
     for _ in range(30):
-        core = core_of(random_cluster(rng, nc_hi=3, nf_hi=4))
+        core = _zero_weight_core(random_cluster(rng, nc_hi=3, nf_hi=4))
         radii = sorted(set(core.distances()) | {0.0})
         radius = radii[int(rng.integers(0, len(radii)))]
         table = _top_table(rng, radii, mass=10.0)  # s large enough not to stop the walk
@@ -702,7 +719,7 @@ def test_residual_with_contradicting_verdicts(monkeypatch):
         thresholds = single_threshold_candidates(core.distances())
 
         def scan(module):
-            return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
+            return module._residual_guess(core, list(range(nf)), 1.0, pre,
                                           radius, norm, thresholds, None)
 
         (new, ref), log = _scan_both(monkeypatch, table, scan)
@@ -737,7 +754,7 @@ def test_top_scan_with_a_refuted_implied_verdict(monkeypatch):
                  if table(radius, thresholds[w]) is not None for ti in range(w)]
 
         def scan(module):
-            return module._scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q, 0.1)
+            return module._scan_top_guesses(core, ell, q, 0.1)
 
         for k in rng.permutation(len(holes))[:5]:
             hole, asked = holes[k], []
@@ -787,7 +804,7 @@ def test_ordered_scan_with_contradicting_verdicts(monkeypatch):
         weights = random_max_ordered_weights(rng)
 
         def scan(module):
-            return module._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
+            return module._scan_ordered_guesses(core, weights, 0.1)
 
         (new, ref), log = _scan_both(monkeypatch, table, scan, _ordered_tabled_lps)
         assert _same(new, ref)
@@ -841,7 +858,7 @@ def test_ordered_scan_finds_lures_behind_contradictions(monkeypatch):
         weights = TIED_WEIGHTS[int(rng.integers(0, len(TIED_WEIGHTS)))]
 
         def scan(module):
-            return module._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
+            return module._scan_ordered_guesses(core, weights, 0.1)
 
         (base, ref), log = _scan_both(monkeypatch, table, scan, _ordered_tabled_lps)
         assert _same(base, ref)
@@ -900,7 +917,7 @@ def test_top_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
         ell, q = _top_params(rng)
 
         def scan(module):
-            return module._scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q, 0.1)
+            return module._scan_top_guesses(core, ell, q, 0.1)
 
         def refuted(monkeypatch, lp_table, log):
             _tabled_lps(monkeypatch, lp_table, log, verdicts=table)
@@ -919,7 +936,7 @@ def test_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
     rng = np.random.default_rng(319)
     planted = changed = 0
     for _ in range(30):
-        core = core_of(random_cluster(rng, nc_hi=3, nf_hi=4))
+        core = _zero_weight_core(random_cluster(rng, nc_hi=3, nf_hi=4))
         radii = sorted(set(core.distances()) | {0.0})
         radius = radii[int(rng.integers(0, len(radii)))]
         table = _top_table(rng, radii, mass=10.0)  # s large enough not to stop the walk
@@ -929,7 +946,7 @@ def test_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
         thresholds = single_threshold_candidates(core.distances())
 
         def scan(module):
-            return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0, pre,
+            return module._residual_guess(core, list(range(nf)), 1.0, pre,
                                           radius, norm, thresholds, None)
 
         def refuted(monkeypatch, lp_table, log):
@@ -971,7 +988,7 @@ def test_ordered_scan_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
         prunes = []
 
         def scan(module):
-            return module._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
+            return module._scan_ordered_guesses(core, weights, 0.1)
 
         def refuted(monkeypatch, lp_table, log):
             _ordered_tabled_lps(monkeypatch, lp_table, log, verdicts=table)
@@ -1008,7 +1025,7 @@ def test_ordered_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
     rng = np.random.default_rng(323)
     planted = changed = 0
     for _ in range(30):
-        core = core_of(random_cluster(rng, nc_hi=5, nf_hi=5))
+        core = _zero_weight_core(random_cluster(rng, nc_hi=5, nf_hi=5))
         radii = sorted(set(core.distances()) - {0.0})
         if not radii:
             continue
@@ -1025,7 +1042,7 @@ def test_ordered_residual_when_the_lp_refutes_a_feasible_verdict(monkeypatch):
         prunes = []
 
         def scan(module):
-            return module._residual_guess(core, list(range(nf)), np.zeros(nf), 1.0,
+            return module._residual_guess(core, list(range(nf)), 1.0,
                                           (0,) * core.n_clients, radius,
                                           max_ordered_norm(weights), None, sparsified)
 
@@ -1305,7 +1322,7 @@ def test_key_visits_solve_what_sequence_visits_solve(monkeypatch):
         weights = TIED_WEIGHTS[int(rng.integers(0, len(TIED_WEIGHTS)))]
 
         def scan():
-            return cluster._scan_ordered_guesses(core, (cluster.CARDINALITY, 1), weights, 0.1)
+            return cluster._scan_ordered_guesses(core, weights, 0.1)
 
         def tabled(monkeypatch, table, log):
             _ordered_tabled_lps(monkeypatch, table, log)
@@ -1491,15 +1508,14 @@ def _top_cases(rng):
         return (load, _tabled_load_lps(inst, top=True), table, single_threshold_candidates(sizes),
                 lambda: load._scan_top_guesses(inst, ell, q, 0.05),
                 lambda: _top_scan.load_scan_top_guesses(inst, ell, q, 0.05))
-    core = core_of(random_cluster(rng, nc_hi=3, nf_hi=4))
+    core = _zero_weight_core(random_cluster(rng, nc_hi=3, nf_hi=4))
     radii = sorted(set(core.distances()) | {0.0})
     if kind == 0:
         return (cluster, _tabled_lps, _top_table(rng, radii), radii,
-                lambda: cluster._scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q, 0.1),
-                lambda: _top_scan.center_scan_top_guesses(core, (cluster.CARDINALITY, 1), ell, q,
-                                                          0.1))
+                lambda: cluster._scan_top_guesses(core, ell, q, 0.1),
+                lambda: _top_scan.center_scan_top_guesses(core, ell, q, 0.1))
     radius, nf = radii[int(rng.integers(0, len(radii)))], core.n_facilities
-    args = (core, list(range(nf)), np.zeros(nf), 1.0, (0,) * core.n_clients, radius,
+    args = (core, list(range(nf)), 1.0, (0,) * core.n_clients, radius,
             top_norm(ell, q), single_threshold_candidates(core.distances()))
     return (cluster, _tabled_lps, _top_table(rng, radii, mass=10.0), radii,
             lambda: cluster._residual_guess(*args, None),

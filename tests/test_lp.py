@@ -15,7 +15,7 @@ from _load_builders import build_topl_load_lp
 from _two_laminar import solve_two_laminar_integral
 from maxnorm import lp
 from maxnorm.bundlelp import solve_knapsack_basic, solve_partition_matroid_integral
-from maxnorm.cluster import CARDINALITY, _center_lp, core_of
+from maxnorm.cluster import _center_lp, core_of
 from maxnorm.generators import gen_load
 from maxnorm.errors import InfeasibleError, LpSolverError, ResourceCapError, SolverInternalError
 from maxnorm.load import _ordered_load_min_bound_lp, _topl_load_min_bound_lp
@@ -157,9 +157,9 @@ def _builder_models(rng):
         inst = random_cluster(rng)
         core = core_of(inst)
         radius = float(max(core.distances()))
-        yield _center_lp(core, (CARDINALITY, inst.k), ("top", 2, 1.0, radius / 2), radius)[0]
-        yield _center_lp(core, (CARDINALITY, inst.k), ("top", 1, 2.0, 0.0), radius,
-                         fixed_bound=radius, coverage=False)[0]
+        yield _center_lp(core, ("top", 2, 1.0, radius / 2), radius)[0]
+        yield _center_lp(core_of(inst, coverage=False), ("top", 1, 2.0, 0.0), radius,
+                         fixed_bound=radius)[0]
 
 
 def test_direct_highs_and_linprog_fallback_agree(monkeypatch):

@@ -1,15 +1,16 @@
 """A solve owns its derived state: what its guesses share (the makespan job
-sizes, the fair oracles' core, budget and cover verdicts) is made once per
-solve, shared within it, and gone when the driver returns."""
+sizes; a k-center core with its budget rows, relaxation parts and cover
+verdicts, which the fair oracles share too) is made once per solve or per
+residual, shared within it, and gone when the driver returns."""
 
 import gc
 import weakref
 
 import pytest
 
-from maxnorm import (cluster, fair, load, round_and_cut, solve_fair, solve_knapsack_center,
-                     solve_matroid_center, solve_ordered_kcenter, solve_ordered_makespan,
-                     solve_topl_kcenter, solve_topl_makespan, top_norm)
+from maxnorm import (cluster, fair, load, max_ordered_norm, round_and_cut, solve_fair,
+                     solve_knapsack_center, solve_matroid_center, solve_ordered_kcenter,
+                     solve_ordered_makespan, solve_topl_kcenter, solve_topl_makespan, top_norm)
 from maxnorm.generators import (gen_cluster, gen_fair_cluster, gen_fair_load, gen_knapsack_cluster,
                                 gen_load, gen_matroid_cluster)
 
@@ -82,13 +83,13 @@ def test_fair_center_state_is_shared_within_a_solve_and_rebuilt_per_solve(monkey
     """Five fair center solves: one core's relaxation parts per solve, and
     each radius's cover verdict asked once per solve (32 in all)."""
     parts = _counted(monkeypatch, [cluster], "_CenterParts")
-    verdicts, real = [], fair._cover_verdict
+    verdicts, real = [], cluster._cover_verdict
 
     def cover(*args, **kwargs):
         verdicts.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fair, "_cover_verdict", cover)
+    monkeypatch.setattr(cluster, "_cover_verdict", cover)
     for seed in range(5):
         solve_fair(gen_fair_cluster(seed, 4, 5, k=2), top_norm(1, 1.0), 0.1)
     assert len(parts) == 5
@@ -107,3 +108,22 @@ def test_job_sizes_are_built_once_per_solve(monkeypatch):
     for inst in (a, b, a, b):
         solve_topl_makespan(inst, 2, 1.0, 0.1)
     assert len(made) == 4
+
+
+def test_budget_rows_are_worked_out_once_per_core(monkeypatch):
+    """Matroid and knapsack solves, Top and ordered: every core, the
+    driver's and each knapsack residual's, works out its budget rows once,
+    however many cover verdicts, relaxations and roundings read them."""
+    asked, real = [], cluster._budget_rows
+
+    def budget_rows(core, budget):
+        asked.append(core)  # held, so no two cores share an id
+        return real(core, budget)
+
+    monkeypatch.setattr(cluster, "_budget_rows", budget_rows)
+    for norm in (top_norm(2, 1.0), max_ordered_norm(WEIGHTS)):
+        for seed in range(3):
+            solve_matroid_center(gen_matroid_cluster(seed, clients=5, facilities=5), norm, 0.1)
+            solve_knapsack_center(gen_knapsack_cluster(seed, clients=5, facilities=5), norm, 0.25)
+    assert len(asked) > 12
+    assert len({id(core) for core in asked}) == len(asked)
